@@ -1,0 +1,11 @@
+"""Harness self-tests: ``python -m pytest bench_e2e/tests -q`` from the
+repo root (not part of tier-1's ``testpaths``)."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
