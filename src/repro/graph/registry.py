@@ -20,6 +20,16 @@ Every operation type used in a graph must be registered here.  An
   lists`` where the three arguments are parallel per-instance sequences.
   Batched kernels must be *value-preserving*: each instance's outputs must
   be bit-identical to what the scalar ``kernel`` would have produced.
+* ``stacked_kernel``: the columnar entry into the same numerics, used by
+  compiled level sweeps (:mod:`repro.runtime.level_plan`).  The contract is
+  ``stacked_kernel(op, cols, inv, ctx) -> list of output columns | None``:
+  ``cols[j]`` is input ``j`` for every member at once — an ndarray with
+  members on axis 0, or, where ``inv[j]`` is true, one value every member
+  shares (never copied per member).  It returns one array per output with
+  members on axis 0, or ``None`` to decline (the caller then loops the
+  scalar kernel over rows).  Rows must be independent along axis 0, inputs
+  must not be mutated, and every row must be bit-identical to the scalar
+  kernel's result — which forbids collapsing members into one GEMM.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 __all__ = ["OpDef", "register_op", "register_grad", "register_batched_kernel",
-           "register_batched_async", "op_def", "ExecContext", "all_op_types",
-           "registry_version"]
+           "register_stacked_kernel", "register_batched_async", "op_def",
+           "ExecContext", "all_op_types", "registry_version"]
 
 
 @dataclass
@@ -64,6 +74,9 @@ class OpDef:
     #: Optional vectorized kernel over many same-signature instances:
     #: ``batched_kernel(ops, inputs_list, ctxs) -> list[list[value]]``.
     batched_kernel: Optional[Callable[[list, list, list], list]] = None
+    #: Optional columnar kernel over one bucket's stacked inputs:
+    #: ``stacked_kernel(op, cols, inv, ctx) -> list[column] | None``.
+    stacked_kernel: Optional[Callable[[Any, list, tuple, Any], Any]] = None
     #: Extra metadata, e.g. cost-model hints.
     meta: dict = field(default_factory=dict)
 
@@ -119,14 +132,17 @@ def _member_loop(definition: OpDef):
     return batched
 
 
-def register_batched_kernel(name: str, fn=None, *,
+def register_batched_kernel(name: str, fn=None, *, stacked=None,
                             batch_attrs: tuple = (),
                             allow_stateful: bool = False) -> None:
     """Mark op type ``name`` as micro-batchable.
 
     ``fn(ops, inputs_list, ctxs)`` executes a whole bucket at once; pass
     ``None`` to install the member-loop fallback (amortizes per-op engine
-    overhead without vectorizing the math).  ``batch_attrs`` names the op
+    overhead without vectorizing the math).  ``stacked`` installs the
+    columnar entry (see ``stacked_kernel`` above); builders in
+    :mod:`repro.ops.common` derive ``fn`` from it so both conventions
+    share one implementation.  ``batch_attrs`` names the op
     attrs that must match for two instances to share a bucket (e.g. a
     Concat axis) — they become part of the batch signature.
 
@@ -146,7 +162,20 @@ def register_batched_kernel(name: str, fn=None, *,
                          "read-only state access)")
     definition.batched_kernel = fn if fn is not None \
         else _member_loop(definition)
+    definition.stacked_kernel = stacked
     definition.meta["batch_attrs"] = tuple(batch_attrs)
+    _bump_version()
+
+
+def register_stacked_kernel(name: str, fn) -> None:
+    """Install only the columnar entry of op type ``name``.
+
+    For ops that are deliberately *not* micro-batchable (no
+    ``batched_kernel``, so the dynamic coalescer never buckets them) but
+    whose compiled-sweep instances can still run as one columnar call —
+    ``Slice`` is a view of its input column.
+    """
+    _REGISTRY[name].stacked_kernel = fn
     _bump_version()
 
 

@@ -9,7 +9,7 @@ from repro.graph.registry import register_op
 from repro.graph.sparse import IndexedSlices, sparse_gather_grads_enabled
 from repro.graph.tensor import Tensor
 
-from .common import build, out1
+from .common import build, num_rows, out1
 
 __all__ = [
     "reshape", "transpose", "concat", "gather", "stack", "unstack",
@@ -517,136 +517,142 @@ def size_of(x, name="size") -> Tensor:
     return out1("Size", [x], name=name)
 
 
-# -- batched kernels (cross-instance dynamic micro-batching) -----------------
+# -- stacked / batched kernels -------------------------------------------------
+#
+# Columnar kernels (see repro.ops.common): pure data movement over the
+# batch axis, so every row equals the scalar kernel's result exactly.
 
-def _batched_gather(ops, inputs_list, ctxs):
-    """Fuse many lookups into one ``np.take`` when they read the same table.
+def _member_index(rows: int, idx: np.ndarray) -> np.ndarray:
+    """``arange(rows)`` shaped to broadcast against the index column."""
+    return np.arange(rows).reshape((rows,) + (1,) * (idx.ndim - 1))
 
-    The common case is the embedding lookup of many concurrent tree leaves:
-    every member gathers from the *same* variable value, so stacking the
-    index operands gives one vectorized row-gather.  Distinct tables fall
-    back to the member loop.
+
+def _stacked_gather(op, cols, inv, ctx):
+    """Row gathers of a whole bucket as one indexing call.
+
+    The common case is the embedding lookup of many concurrent tree
+    leaves — one shared table, a column of indices, one ``np.take``;
+    per-member tables pair row ``i`` with index ``i``, and a shared
+    index selects along the member axis.
     """
-    params = inputs_list[0][0]
-    if (isinstance(params, np.ndarray)
-            and all(inputs[0] is params for inputs in inputs_list)):
-        idx = np.stack([np.asarray(inputs[1]) for inputs in inputs_list])
-        out = np.take(params, idx, axis=0)
-        return [[out[i]] for i in range(len(inputs_list))]
-    return [[np.take(inputs[0], inputs[1], axis=0)]
-            for inputs in inputs_list]
+    params, idx = cols
+    if inv[0]:
+        return [np.take(params, idx, axis=0)]
+    if inv[1]:
+        return [np.take(params, idx, axis=1)]
+    if params.ndim < 2:
+        return None
+    return [params[_member_index(len(idx), idx), idx]]
 
 
-def _batched_gather_grad(ops, inputs_list, ctxs):
+def _stacked_gather_grad(op, cols, inv, ctx):
     """Fused embedding-scatter: N dense table gradients in one scatter-add.
 
     The backward-pass hot path of every leaf frame is ``GatherGrad`` — a
     dense ``zeros_like(table)`` with ``np.add.at`` scatter per member.
-    Stacking members along a new axis 0 and prefixing the index operand
-    with the member index turns the bucket into *one* ``np.add.at`` call.
-    Iteration order of the combined call is member-major and preserves
-    each member's own index order, so every member's slice accumulates in
-    exactly the order its scalar kernel would — bit-identical.
+    Prefixing the index operand with the member index turns the bucket
+    into *one* ``np.add.at`` call.  Iteration order of the combined call
+    is member-major and preserves each member's own index order, so
+    every member's slice accumulates in exactly the order its scalar
+    kernel would — bit-identical.  Sparse gradients stay per member
+    (O(touched rows) each, no ``[n, vocab, embed]`` scratch at all), as
+    do buckets mixing tables.
     """
-    first = inputs_list[0]
-    if not all(isinstance(v, np.ndarray) for v in first):
-        return [[_gather_grad_kernel(op, inputs, ctx)[0]]
-                for op, inputs, ctx in zip(ops, inputs_list, ctxs)]
-    if sparse_gather_grads_enabled():
-        # O(touched rows) per member: no [n, vocab, embed] scratch at all.
-        return [[IndexedSlices.from_scatter(inputs[1], inputs[0],
-                                            inputs[2].shape,
-                                            dtype=inputs[2].dtype)]
-                for inputs in inputs_list]
-    # Dense path: fuse per distinct table so a bucket mixing embedding
-    # tables still vectorizes instead of degrading to the scalar loop.
-    results: list = [None] * len(inputs_list)
-    groups: dict = {}
-    for i, inputs in enumerate(inputs_list):
-        groups.setdefault(id(inputs[2]), []).append(i)
-    for members in groups.values():
-        params = inputs_list[members[0]][2]
-        n = len(members)
-        g = np.stack([inputs_list[i][0] for i in members])
-        idx = np.stack([np.asarray(inputs_list[i][1]) for i in members])
-        out = np.zeros((n,) + params.shape, dtype=params.dtype)
-        member = np.arange(n).reshape((n,) + (1,) * (idx.ndim - 1))
-        np.add.at(out, (np.broadcast_to(member, idx.shape), idx), g)
-        for j, i in enumerate(members):
-            results[i] = [out[j]]
-    return results
+    g, idx, params = cols
+    if sparse_gather_grads_enabled() or inv[0] or inv[1] or not inv[2]:
+        return None
+    rows = len(idx)
+    out = np.zeros((rows,) + params.shape, dtype=params.dtype)
+    member = _member_index(rows, idx)
+    np.add.at(out, (np.broadcast_to(member, idx.shape), idx), g)
+    return [out]
 
 
-def _batched_transpose(ops, inputs_list, ctxs):
+def _stacked_transpose(op, cols, inv, ctx):
     """Stacked transpose (the matmul-grad companion): member permutations
-    shift by one past the new leading batch axis."""
-    x0 = inputs_list[0][0]
-    if not isinstance(x0, np.ndarray):
-        return [[np.transpose(inputs[0], ops[0].attrs.get("perm"))]
-                for inputs in inputs_list]
-    perm = ops[0].attrs.get("perm")
+    shift by one past the leading batch axis."""
+    x = cols[0]
+    perm = op.attrs.get("perm")
     if perm is None:
-        perm = tuple(reversed(range(x0.ndim)))
-    x = np.stack([inputs[0] for inputs in inputs_list])
-    out = np.transpose(x, (0,) + tuple(p + 1 for p in perm))
-    return [[out[i]] for i in range(len(inputs_list))]
+        perm = tuple(reversed(range(x.ndim - 1)))
+    return [np.transpose(x, (0,) + tuple(p + 1 for p in perm))]
 
 
-def _batched_reshape(ops, inputs_list, ctxs):
-    target = tuple(ops[0].attrs["shape"])
-    x0 = inputs_list[0][0]
-    if not isinstance(x0, np.ndarray) or any(d < 0 for d in target):
-        return [[np.reshape(inputs[0], ops[0].attrs["shape"])]
-                for inputs in inputs_list]
-    x = np.stack([inputs[0] for inputs in inputs_list])
-    out = np.reshape(x, (len(inputs_list),) + target)
-    return [[out[i]] for i in range(len(inputs_list))]
+def _stacked_reshape(op, cols, inv, ctx):
+    x = cols[0]
+    return [np.reshape(x, x.shape[:1] + tuple(op.attrs["shape"]))]
 
 
-def _batched_concat(ops, inputs_list, ctxs):
-    axis = ops[0].attrs["axis"]
-    first = inputs_list[0]
-    if axis < 0 or not all(isinstance(v, np.ndarray) for v in first):
-        return [[np.concatenate(inputs, axis=ops[0].attrs["axis"])]
-                for inputs in inputs_list]
-    cols = [np.stack([inputs[j] for inputs in inputs_list])
-            for j in range(len(first))]
-    out = np.concatenate(cols, axis=axis + 1)
-    return [[out[i]] for i in range(len(inputs_list))]
+def _stacked_reshape_like(op, cols, inv, ctx):
+    if inv[0]:
+        return None
+    x = cols[0]
+    like = np.shape(cols[1]) if inv[1] else cols[1].shape[1:]
+    return [np.reshape(x, x.shape[:1] + like)]
+
+
+def _stacked_concat(op, cols, inv, ctx):
+    axis = op.attrs["axis"]
+    rows = num_rows(cols, inv)
+    parts = [np.broadcast_to(c, (rows,) + np.shape(c)) if shared else c
+             for c, shared in zip(cols, inv)]
+    return [np.concatenate(parts, axis=axis + 1 if axis >= 0 else axis)]
 
 
 def _stacked_axis_op(np_fn):
-    """ExpandDims/Squeeze over stacked members: non-negative member axes
-    shift by one past the new batch axis; negative axes are unchanged."""
-    def batched(ops, inputs_list, ctxs):
-        axis = ops[0].attrs["axis"]
-        if not isinstance(inputs_list[0][0], np.ndarray):
-            return [[np_fn(inputs[0], axis)] for inputs in inputs_list]
-        x = np.stack([inputs[0] for inputs in inputs_list])
-        out = np_fn(x, axis + 1 if axis >= 0 else axis)
-        return [[out[i]] for i in range(len(inputs_list))]
-    return batched
+    """ExpandDims/Squeeze over a column: non-negative member axes shift
+    by one past the batch axis; negative axes are unchanged."""
+    def stacked(op, cols, inv, ctx):
+        axis = op.attrs["axis"]
+        return [np_fn(cols[0], axis + 1 if axis >= 0 else axis)]
+    return stacked
+
+
+def _column_slice(op) -> tuple:
+    """The op's static slice, shifted past the batch axis."""
+    return (slice(None),) + tuple(
+        slice(b, None if s == -1 else b + s)
+        for b, s in zip(op.attrs["begin"], op.attrs["size"]))
+
+
+def _stacked_slice(op, cols, inv, ctx):
+    """A static slice of every member is one view of the column."""
+    return [cols[0][_column_slice(op)]]
+
+
+def _stacked_slice_grad(op, cols, inv, ctx):
+    g, ref = cols
+    shape = np.shape(ref) if inv[1] else ref.shape[1:]
+    out = np.zeros((num_rows(cols, inv),) + shape, dtype=ref.dtype)
+    out[_column_slice(op)] = g
+    return [out]
 
 
 def _register_batched_array():
-    from repro.graph.registry import register_batched_kernel
+    from repro.graph.registry import (register_batched_kernel,
+                                      register_stacked_kernel)
 
-    register_batched_kernel("Gather", _batched_gather)
-    register_batched_kernel("Reshape", _batched_reshape,
-                            batch_attrs=("shape",))
-    register_batched_kernel("Concat", _batched_concat, batch_attrs=("axis",))
-    register_batched_kernel("ExpandDims", _stacked_axis_op(np.expand_dims),
-                            batch_attrs=("axis",))
-    register_batched_kernel("Squeeze", _stacked_axis_op(np.squeeze),
-                            batch_attrs=("axis",))
+    from .common import register_stacked
+
+    register_stacked("Gather", _stacked_gather)
+    register_stacked("Reshape", _stacked_reshape, batch_attrs=("shape",))
+    register_stacked("Concat", _stacked_concat, batch_attrs=("axis",))
+    register_stacked("ExpandDims", _stacked_axis_op(np.expand_dims),
+                     batch_attrs=("axis",))
+    register_stacked("Squeeze", _stacked_axis_op(np.squeeze),
+                     batch_attrs=("axis",))
     # Backward-pass hot kernels: fused scatter-add for embedding gradients
     # and stacked permutation for the matmul-grad transposes.
-    register_batched_kernel("GatherGrad", _batched_gather_grad)
-    register_batched_kernel("Transpose", _batched_transpose,
-                            batch_attrs=("perm",))
+    register_stacked("GatherGrad", _stacked_gather_grad)
+    register_stacked("Transpose", _stacked_transpose, batch_attrs=("perm",))
     # Member-loop only: their entire cost is the per-op engine overhead.
     register_batched_kernel("ZerosLike")
     register_batched_kernel("OnesLike")
+    # Columnar only: never coalesced dynamically, but a compiled sweep's
+    # instances of one op run as a single view / reshape of the column.
+    register_stacked_kernel("Slice", _stacked_slice)
+    register_stacked_kernel("SliceGrad", _stacked_slice_grad)
+    register_stacked_kernel("ReshapeLike", _stacked_reshape_like)
 
 
 _register_batched_array()

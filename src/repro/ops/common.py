@@ -21,8 +21,9 @@ from repro.graph.tensor import Tensor
 
 __all__ = ["build", "out1", "convert", "constant", "to_graph",
            "role_captures", "static_broadcast_shape", "elementwise_infer",
-           "like_infer", "scalar_infer", "batched_elementwise",
-           "batched_rowwise"]
+           "like_infer", "scalar_infer", "stack_members",
+           "batched_from_stacked", "register_stacked", "num_rows",
+           "stacked_elementwise", "stacked_rowwise"]
 
 
 def role_captures(op, role: str) -> tuple:
@@ -143,60 +144,105 @@ def scalar_infer(dtype):
     return infer
 
 
-# -- batched-kernel builders -------------------------------------------------
+# -- stacked / batched kernel builders -----------------------------------------
 #
-# Factories for the registry's ``batched_kernel`` slot (cross-instance
-# dynamic micro-batching, :mod:`repro.runtime.batching`).  Each returned
-# kernel receives parallel lists ``(ops, inputs_list, ctxs)`` for the
-# instances of one bucket — all sharing a batch signature, so input kinds,
-# dtypes and shapes are identical across members — and must produce outputs
-# bit-identical to the scalar kernel.  When a vectorized formulation cannot
-# guarantee that (non-ndarray inputs), the builders fall back to looping the
-# scalar kernel, which still amortizes per-op engine overhead.
+# One implementation, two calling conventions.  A *stacked* kernel
+# ``stacked(op, cols, inv, ctx)`` (the registry's ``stacked_kernel`` slot,
+# driven by compiled level sweeps) sees each input once for the whole
+# bucket: an ndarray with members on axis 0, or — where ``inv[j]`` — one
+# value every member shares, handed to numpy to broadcast instead of being
+# copied per member.  It returns one column per output, or ``None`` to
+# decline.  :func:`batched_from_stacked` wraps it into the registry's
+# ``batched_kernel`` convention ``(ops, inputs_list, ctxs)`` used by the
+# dynamic coalescer, whose buckets share a batch signature (same kinds,
+# dtypes and shapes per input): members are stacked once, the stacked
+# kernel runs, rows are handed back.  Whenever that cannot be bit-identical
+# to the scalar kernel (non-array inputs, every operand shared so no batch
+# axis appears, the stacked kernel declining) the scalar kernel is looped.
 
 def _loop_members(kernel, ops, inputs_list, ctxs):
     return [kernel(op, inputs, ctx)
             for op, inputs, ctx in zip(ops, inputs_list, ctxs)]
 
 
-def _all_ndarray(inputs):
-    return all(isinstance(v, np.ndarray) for v in inputs)
+def stack_members(inputs_list):
+    """``(cols, inv)`` for one bucket's parallel input lists, else None.
 
-
-def batched_elementwise(fn, kernel):
-    """Vectorize an n-ary elementwise op by stacking along a new axis 0.
-
-    Members may use numpy broadcasting internally (e.g. ``[1,H] + [H]``);
-    each input is broadcast to the member result shape *before* stacking so
-    the stacked application is exactly the per-member one.
+    An input that is the *same object* for every member (a weight, a
+    bias, a feed) is passed through as a shared operand; anything else
+    must be numpy values (same dtype and shape by the batch signature)
+    and is stacked.
     """
+    cols, inv = [], []
+    for j, v in enumerate(inputs_list[0]):
+        if not isinstance(v, (np.ndarray, np.generic)):
+            return None
+        shared = all(member[j] is v for member in inputs_list)
+        cols.append(v if shared
+                    else np.stack([member[j] for member in inputs_list]))
+        inv.append(shared)
+    if all(inv):
+        return None  # no batch axis would appear
+    return cols, tuple(inv)
+
+
+def batched_from_stacked(stacked, kernel):
+    """The ``batched_kernel`` entry into a stacked kernel's numerics."""
     def batched(ops, inputs_list, ctxs):
-        first = inputs_list[0]
-        if not _all_ndarray(first):
-            return _loop_members(kernel, ops, inputs_list, ctxs)
-        shape = np.broadcast_shapes(*(v.shape for v in first))
-        cols = [np.stack([np.broadcast_to(member[j], shape)
-                          for member in inputs_list])
-                for j in range(len(first))]
-        out = fn(*cols)
-        return [[out[i]] for i in range(len(inputs_list))]
+        stacked_in = stack_members(inputs_list)
+        if stacked_in is not None:
+            outs = stacked(ops[0], stacked_in[0], stacked_in[1], ctxs[0])
+            if outs is not None:
+                return [[out[i] for out in outs]
+                        for i in range(len(inputs_list))]
+        return _loop_members(kernel, ops, inputs_list, ctxs)
     return batched
 
 
-def batched_rowwise(kernel):
-    """Vectorize a kernel whose math is independent along leading axes.
+def register_stacked(name: str, stacked, **kwargs) -> None:
+    """Register ``stacked`` and the batched kernel derived from it."""
+    from repro.graph.registry import op_def, register_batched_kernel
+    register_batched_kernel(
+        name, batched_from_stacked(stacked, op_def(name).kernel),
+        stacked=stacked, **kwargs)
+
+
+def num_rows(cols, inv) -> int:
+    """Member count of a stacked call (axis 0 of any non-shared input)."""
+    return next(c.shape[0] for c, shared in zip(cols, inv) if not shared)
+
+
+def stacked_elementwise(fn):
+    """An n-ary elementwise op over stacked operands.
+
+    Members may broadcast internally (``[1,H] + [H]``): stacked operands
+    of lower member rank get unit axes after the batch axis, shared ones
+    broadcast as they are, so the stacked application is exactly the
+    per-member one.
+    """
+    def stacked(op, cols, inv, ctx):
+        rank = max(c.ndim - (not shared) for c, shared in zip(cols, inv))
+        args = []
+        for c, shared in zip(cols, inv):
+            if not shared and c.ndim - 1 < rank:
+                c = c.reshape(c.shape[:1] + (1,) * (rank - c.ndim + 1)
+                              + c.shape[1:])
+            args.append(c)
+        return [fn(*args)]
+    return stacked
+
+
+def stacked_rowwise(kernel):
+    """A kernel whose math is independent along leading axes.
 
     Valid for kernels built purely from elementwise ufuncs and reductions
-    over ``axis=-1`` (softmax, cross-entropy, ...): stacking members along
-    a new axis 0 leaves every per-member row computation untouched, so one
-    kernel call over the stacked inputs is bit-identical to member calls.
+    over ``axis=-1`` (softmax, cross-entropy, ...): a new leading batch
+    axis leaves every per-member row computation untouched, so one
+    kernel call over the columns is bit-identical to member calls.
     """
-    def batched(ops, inputs_list, ctxs):
-        first = inputs_list[0]
-        if not _all_ndarray(first):
-            return _loop_members(kernel, ops, inputs_list, ctxs)
-        stacked = [np.stack([member[j] for member in inputs_list])
-                   for j in range(len(first))]
-        outs = kernel(ops[0], stacked, ctxs[0])
-        return [[out[i] for out in outs] for i in range(len(inputs_list))]
-    return batched
+    def stacked(op, cols, inv, ctx):
+        rows = num_rows(cols, inv)
+        return kernel(op, [np.broadcast_to(c, (rows,) + np.shape(c))
+                           if shared else c
+                           for c, shared in zip(cols, inv)], ctx)
+    return stacked

@@ -14,8 +14,8 @@ from repro.graph import dtypes
 from repro.graph.registry import register_op
 from repro.graph.tensor import Tensor
 
-from .common import (batched_elementwise, build, constant, convert,
-                     elementwise_infer, like_infer, out1)
+from .common import (build, constant, convert, elementwise_infer,
+                     like_infer, out1, stacked_elementwise)
 
 __all__ = [
     "constant", "placeholder", "identity", "add", "subtract", "multiply",
@@ -535,63 +535,57 @@ def cast(x, dtype, name="cast") -> Tensor:
     return out1("Cast", [x], {"dtype": dtypes.as_dtype(dtype)}, name=name)
 
 
-# -- batched kernels (cross-instance dynamic micro-batching) -----------------
+# -- stacked / batched kernels -------------------------------------------------
 #
-# Vectorized many-instance kernels for the hot math ops, used when an
-# engine runs with ``batching=True`` (see repro.runtime.batching).  All of
-# them are value-preserving: elementwise ufuncs applied to stacked member
-# inputs and per-slice gufunc matmuls produce bit-identical results to the
-# scalar kernels, which the equivalence tests assert.
+# Columnar kernels for the hot math ops (see repro.ops.common): compiled
+# level sweeps call them directly, the dynamic coalescer (``batching=True``)
+# through the derived batched entry.  All of them are value-preserving:
+# elementwise ufuncs over stacked operands and per-slice gufunc matmuls
+# produce bit-identical results to the scalar kernels, which the
+# equivalence tests assert.
 
-def _batched_matmul(ops, inputs_list, ctxs):
-    first = inputs_list[0]
-    if not (isinstance(first[0], np.ndarray)
-            and isinstance(first[1], np.ndarray)
-            and first[0].ndim == 2 and first[1].ndim == 2):
-        return [[inputs[0] @ inputs[1]] for inputs in inputs_list]
-    a = np.stack([inputs[0] for inputs in inputs_list])
-    b = np.stack([inputs[1] for inputs in inputs_list])
-    out = np.matmul(a, b)  # gufunc: one BLAS call per member slice
-    return [[out[i]] for i in range(len(inputs_list))]
+def _stacked_matmul(op, cols, inv, ctx):
+    a, b = cols
+    if a.ndim - (not inv[0]) != 2 or b.ndim - (not inv[1]) != 2:
+        return None
+    # gufunc: one BLAS call per member slice, a shared operand broadcast.
+    # Never reshape members into one [B*n, K] GEMM: BLAS blocks a tall
+    # product differently and the result is not bit-identical.
+    return [np.matmul(a, b)]
 
 
-def _batched_reduce_to_like(ops, inputs_list, ctxs):
-    """Vectorized broadcast-gradient reduction (elementwise-grad hot path).
+def _stacked_reduce_to_like(op, cols, inv, ctx):
+    """Broadcast-gradient reduction (elementwise-grad hot path).
 
-    ``ReduceToLike`` sums a gradient down to a reference shape; members of
-    one bucket share both shapes (the batch signature includes them), so
-    the member loop of axis-wise ``sum`` calls becomes axis-shifted sums
-    over the stacked array.  ``np.sum`` over one axis of a stacked array
-    performs the same reduction per member slice as the per-member call —
-    bit-identical.
+    ``ReduceToLike`` sums a gradient down to a reference shape; members
+    share both shapes, so the per-member axis-wise ``sum`` calls become
+    axis-shifted sums over the gradient column.  ``np.sum`` over one axis
+    of a stacked array performs the same reduction per member slice as
+    the per-member call — bit-identical.
     """
-    first = inputs_list[0]
-    if not (isinstance(first[0], np.ndarray)
-            and isinstance(first[1], np.ndarray)):
-        return [[_reduce_to_shape(inputs[0], np.asarray(inputs[1]).shape)]
-                for inputs in inputs_list]
-    shape = first[1].shape
-    grad = np.stack([inputs[0] for inputs in inputs_list])
+    if inv[0]:
+        return None
+    grad = cols[0]
+    shape = cols[1].shape if inv[1] else cols[1].shape[1:]
     while grad.ndim - 1 > len(shape):
         grad = grad.sum(axis=1)
     for axis, (gdim, sdim) in enumerate(zip(grad.shape[1:], shape)):
         if sdim == 1 and gdim != 1:
             grad = grad.sum(axis=axis + 1, keepdims=True)
-    return [[grad[i]] for i in range(len(inputs_list))]
+    return [grad]
 
 
-def _batched_cast(ops, inputs_list, ctxs):
-    target = ops[0].attrs["dtype"].np_dtype
-    x = np.stack([np.asarray(inputs[0]) for inputs in inputs_list])
-    out = x.astype(target)
-    return [[out[i]] for i in range(len(inputs_list))]
+def _stacked_cast(op, cols, inv, ctx):
+    return [cols[0].astype(op.attrs["dtype"].np_dtype)]
 
 
 def _register_batched_math():
-    from repro.graph.registry import op_def, register_batched_kernel
+    from repro.graph.registry import register_batched_kernel
 
-    register_batched_kernel("MatMul", _batched_matmul)
-    register_batched_kernel("Cast", _batched_cast, batch_attrs=("dtype",))
+    from .common import register_stacked
+
+    register_stacked("MatMul", _stacked_matmul)
+    register_stacked("Cast", _stacked_cast, batch_attrs=("dtype",))
 
     binary = {"Add": np.add, "Sub": np.subtract, "Mul": np.multiply,
               "Div": np.divide, "Maximum": np.maximum,
@@ -606,14 +600,13 @@ def _register_batched_math():
              "Abs": np.abs, "Sign": np.sign, "LogicalNot": np.logical_not}
     ternary = {"Select": np.where}
     for name, fn in {**binary, **unary, **ternary}.items():
-        register_batched_kernel(
-            name, batched_elementwise(fn, op_def(name).kernel))
+        register_stacked(name, stacked_elementwise(fn))
     # Pure pass-through: the member loop already removes the per-op
     # engine overhead, which is its entire cost.
     register_batched_kernel("Identity")
     # Broadcast-gradient reduction is on every binary elementwise op's
     # backward path; it vectorizes because bucket members share shapes.
-    register_batched_kernel("ReduceToLike", _batched_reduce_to_like)
+    register_stacked("ReduceToLike", _stacked_reduce_to_like)
 
 
 _register_batched_math()

@@ -118,19 +118,19 @@ def softmax_cross_entropy_with_logits(logits, labels,
     return out1("SoftmaxCrossEntropy", [logits, labels], name=name)
 
 
-# -- batched kernels (cross-instance dynamic micro-batching) -----------------
+# -- stacked / batched kernels -------------------------------------------------
 #
 # Softmax-family kernels compute independently along the last axis, so the
 # stacked-members application is bit-identical to per-member calls.
 
 def _register_batched_nn():
-    from repro.graph.registry import op_def, register_batched_kernel
+    from repro.graph.registry import op_def
 
-    from .common import batched_rowwise
+    from .common import register_stacked, stacked_rowwise
 
     for name in ("Softmax", "LogSoftmax", "SoftmaxCrossEntropy",
                  "SoftmaxCEGrad"):
-        register_batched_kernel(name, batched_rowwise(op_def(name).kernel))
+        register_stacked(name, stacked_rowwise(op_def(name).kernel))
 
 
 _register_batched_nn()

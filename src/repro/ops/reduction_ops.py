@@ -153,17 +153,42 @@ def reduce_max(x, axis=None, keepdims=False, name="reduce_max") -> Tensor:
                 name=name)
 
 
-# -- batched kernels (cross-instance dynamic micro-batching) -----------------
+# -- stacked / batched kernels -------------------------------------------------
 #
-# Reductions mix axes with the stacked batch axis, so only the member-loop
-# form is registered: one fused dispatch, scalar math per member.  The hot
-# case (per-node scalar loss reductions) is pure per-op overhead anyway.
+# Reductions mix axes with the stacked batch axis, and numpy does not
+# promise the same summation order over a stacked array as over each
+# member, so the batched form is the member loop: one fused dispatch,
+# scalar math per member.  The one case that is exact by construction
+# — every reduced axis has extent 1, the per-node scalar loss
+# ``reduce_sum(loss[1])`` of the tree models — runs columnar.
+
+def _stacked_unit_reduce(op, cols, inv, ctx):
+    """Reducing float axes of extent 1 moves no data and rounds
+    nothing: the result is a reshape of the column (integer sums would
+    widen, so they decline)."""
+    x = cols[0]
+    rank = x.ndim - 1
+    axes = _axes(op)
+    if axes is None:
+        axes = set(range(rank))
+    elif all(-rank <= a < rank for a in axes):
+        axes = {a % rank for a in axes}
+    else:
+        return None  # let the scalar kernel raise its own axis error
+    if x.dtype.kind != "f" or any(x.shape[a + 1] != 1 for a in axes):
+        return None
+    keepdims = op.attrs["keepdims"]
+    return [x.reshape(x.shape[:1] + tuple(
+        d for i, d in enumerate(x.shape[1:]) if keepdims or i not in axes))]
+
 
 def _register_batched_reductions():
     from repro.graph.registry import register_batched_kernel
 
-    for name in ("ReduceSum", "ReduceMean", "ReduceMax", "ReduceSumGrad",
-                 "ReduceMeanGrad", "ReduceMaxGrad"):
+    for name in ("ReduceSum", "ReduceMean", "ReduceMax"):
+        register_batched_kernel(name, stacked=_stacked_unit_reduce,
+                                batch_attrs=("axis", "keepdims"))
+    for name in ("ReduceSumGrad", "ReduceMeanGrad", "ReduceMaxGrad"):
         register_batched_kernel(name, batch_attrs=("axis", "keepdims"))
 
 

@@ -14,20 +14,27 @@ This module compiles a per-(root plan, shape profile, record mode)
 :class:`LevelPlan`: the recursion is unrolled into a flat node list
 (placeholder bindings, kernels, and call-site "finisher" nodes that
 replicate the async starters' completion semantics), leveled with a
-Kahn pass, and pre-bucketed — per level, kernel nodes sharing a batch
-signature prefix form one fused dispatch.  Executing a LevelPlan is a
-fixed sequence of batched kernel calls with precomputed index wiring;
-no frames are spawned and no signatures are matched.  Several
-concurrent roots with the *same* profile share one wavefront: the
-executor widens every bucket across runs (cross-request level
-merging in serving mode).
+Kahn pass, pre-bucketed — per level, kernel nodes sharing a batch
+signature prefix form one fused dispatch — and lowered to *columns*
+(:func:`_wire_columns`): each bucket produces one array per output
+with its members on axis 0, and every bucket input is wired at compile
+time to the producer column itself (same members, same order), a
+precomputed row-index array into it (one ``take``), or an invariant
+(``Const`` / ``ReadVariable`` / a feed every member reads whole: one
+value, never copied per member).  Executing a LevelPlan is a fixed
+sequence of stacked kernel calls over those columns; no frames are
+spawned, no signatures matched, no per-member Python runs.  Several
+concurrent roots with the *same* profile share one wavefront: every
+column extends run-major across runs (cross-request level merging in
+serving mode).
 
 Equivalence contract: values and gradients are bit-identical to the
 dynamic path.  The compiler replays the exact binding semantics of the
 four async starters (Invoke, Cond, InvokeGrad, CondGrad), derives
 frame cache keys from the same ``child_key`` suffix scheme (so
-selective-cache stores and ``CacheLookup`` reads hit the same entries),
-and executes stateful kernels (``AccumGrad``) with the same frame keys
+selective-cache stores write the same entries; a compiled
+``CacheLookup`` reads its frame's stored column directly), and
+executes stateful kernels (``AccumGrad``) with the same frame keys
 — the canonical-order :class:`GradientAccumulator` then makes the
 replayed backward schedule sum gradients in the dynamic order.
 
@@ -40,8 +47,8 @@ falls back to the dynamic coalescer, counted in
 * structure is profile-determined: a profiled body either contains
   exactly as many recursive call sites as the profile has children, or
   exactly one ``Cond`` whose branches differ in recursive-call count
-  (the profile selects the branch — the compiled finisher *verifies*
-  the predicate at run time and raises on mismatch);
+  (the profile selects the branch — the sweep *verifies* each level's
+  predicates at run time, one vector compare, and raises on mismatch);
 * no ``Loop``/``LoopGrad``, no async op behind a control dependency,
   no unbound placeholders.
 
@@ -54,25 +61,26 @@ every cache hit, so ``set_cache_filter`` on a body graph recompiles).
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from collections import deque
+from collections import deque, namedtuple
 from typing import Optional
 
 import numpy as np
 
 from repro.core.autodiff import cond_grad_slot_tensors
-from repro.graph.registry import ExecContext
-from repro.graph.sparse import IndexedSlices
+from repro.graph.registry import ExecContext, OpDef
 from repro.ops import tensor_array
 from repro.ops.common import role_captures
 
 from .plan import plan_for
 from .plan import _PERSISTENT_ALIAS_OPS
 from .scheduler import EngineError, SchedulerCore, _values_bytes, densify
+from .stats import RunStats
 
 __all__ = ["LevelPlan", "level_plan_for", "execute_level_plan",
-           "build_level_calls", "execute_level_call", "complete_level_call"]
+           "execute_level_call", "complete_level_call"]
 
 #: LRU caps for the per-graph plan memo — compiled plans are a few KB
 #: each, the ineligible sentinel is one dict row; both grow without
@@ -90,10 +98,6 @@ _FIN_COND = 4      # Cond finisher: verify predicate, forward branch outputs
 _FIN_IGRAD = 5     # InvokeGrad finisher: forward outputs + done flag
 _FIN_CGRAD = 6     # CondGrad finisher: scatter grads / zeros + done flag
 
-_FINISHERS = (_FIN_PASS, _FIN_COND, _FIN_IGRAD, _FIN_CGRAD)
-
-#: memo sentinel for shapes that compiled to "not eligible"
-_INELIGIBLE = object()
 
 
 def _profile_depth(profile) -> int:
@@ -118,18 +122,14 @@ class _CNode:
     """One compiled node: a value producer in the flattened frame tree."""
 
     __slots__ = ("kind", "frame_idx", "op", "defn", "inputs", "extra_deps",
-                 "store_mask", "graph_id", "sig_prefix", "feed_op_id",
-                 "expected", "recipe", "src_plan", "src_slot")
+                 "store_mask", "graph_id", "sig_prefix", "expected",
+                 "recipe")
 
     def __init__(self, kind, frame_idx, op, defn):
         self.kind = kind
         self.frame_idx = frame_idx
         self.op = op
         self.defn = defn
-        #: originating (FramePlan, slot) — lets process-pool shipping
-        #: reuse the per-slot ship masks and plan-reference transport
-        self.src_plan = None
-        self.src_slot = -1
         #: value inputs: tuple of (producer node id, output index)
         self.inputs = ()
         #: ordering-only dependencies (node ids) for the level assignment
@@ -139,7 +139,6 @@ class _CNode:
         self.graph_id = -1
         #: interned batch-signature prefix (kernel nodes only)
         self.sig_prefix = None
-        self.feed_op_id = -1
         #: expected predicate value (Cond/CondGrad finishers)
         self.expected = False
         #: per-output take-grad/zero booleans (CondGrad finisher)
@@ -161,66 +160,55 @@ class _CFrame:
         self.record = record
 
 
-class _FrameJob:
-    """One frame context queued for expansion (BFS over the frame tree)."""
-
-    __slots__ = ("plan", "suffix", "depth", "mode", "profile", "bindings",
-                 "frame_idx", "fill")
-
-    def __init__(self, plan, suffix, depth, mode, profile, bindings,
-                 frame_idx, fill):
-        self.plan = plan
-        self.suffix = suffix
-        self.depth = depth
-        self.mode = mode          # "root" | "node" | "branch" | "helper" | "grad"
-        self.profile = profile    # children profiles (profiled frames) or None
-        self.bindings = bindings  # op id -> (node id, out idx), child frames
-        self.frame_idx = frame_idx
-        self.fill = fill          # finisher wiring callback, run after the scan
+#: One frame context queued for expansion (BFS over the frame tree).
+#: ``mode``: "root" | "subroot" | "node" | "branch" | "helper" | "grad";
+#: ``profile``: children profiles (profiled frames) or None; ``bindings``:
+#: op id -> (node id, out idx) in child frames; ``fill``: finisher wiring
+#: callback, run after the scan.
+_FrameJob = namedtuple("_FrameJob", "plan suffix depth mode profile "
+                       "bindings frame_idx fill")
 
 
 class LevelPlan:
     """A compiled level-synchronous schedule for one (root plan, profile).
 
-    ``nodes`` is the flattened frame tree; ``levels`` is the wavefront
-    schedule — per level, a tuple of scalar node ids (binds, finishers,
-    unfusable kernels) and a tuple of fused buckets (node-id tuples
-    sharing a batch-signature prefix).  ``frames`` holds per-frame
-    ``(key suffix, record)`` pairs; a run's frame key is its root key
-    plus the suffix, which is exactly the dynamic ``child_key`` chain.
+    ``levels`` is the wavefront schedule — per level, a tuple of scalar
+    node ids (binds, finishers, unfusable kernels) and a tuple of fused
+    buckets (node-id tuples sharing a batch-signature prefix) — kept for
+    the cost model; ``program`` is its executable columnar form (see
+    :func:`_wire_columns`).  ``suffixes`` / ``records`` hold each
+    compiled frame's key suffix and record flag; a run's frame key is
+    its root key plus the suffix, which is exactly the dynamic
+    ``child_key`` chain.
     """
 
-    __slots__ = ("nodes", "levels", "frames", "root_node_of", "body_deps",
-                 "max_depth", "num_nodes", "num_frames", "profiles",
-                 "scalar_counts", "releases", "scratch_nodes")
+    __slots__ = ("levels", "suffixes", "records", "root_node_of",
+                 "body_deps", "max_depth", "num_nodes", "scalar_counts",
+                 "program", "step_m", "root_refs", "booked")
 
     def __init__(self, nodes, levels, frames, root_node_of, body_deps,
-                 max_depth, profiles, scalar_counts, releases):
-        self.nodes = nodes
-        #: mirrors FramePlan.scratch_slots: nodes whose outputs alias
-        #: persistent storage don't count toward live scratch bytes
-        self.scratch_nodes = tuple(
-            node.op.op_type not in _PERSISTENT_ALIAS_OPS for node in nodes)
+                 max_depth, scalar_counts):
         self.levels = levels
-        self.frames = frames
+        self.suffixes = tuple(suffix for suffix, _ in frames)
+        self.records = tuple(record for _, record in frames)
         self.root_node_of = root_node_of
         self.body_deps = body_deps
         self.max_depth = max_depth
         self.num_nodes = len(nodes)
-        self.num_frames = len(frames)
-        self.profiles = profiles
         #: per-plan op counts for the scalar schedule (op type -> count):
-        #: the fixed schedule makes scalar accounting static, so a sweep
-        #: books these once per run instead of calling note_op per node
+        #: the fixed schedule makes scalar accounting static
         self.scalar_counts = scalar_counts
-        #: per-level tuples of node ids whose last value reader sits in
-        #: that level: the sweep nulls them right after the level runs.
-        #: Root-frame nodes are pinned (any of them may be fetched).
-        self.releases = releases
+        #: per level: predicate check, master-side steps, bucket steps,
+        #: bucket accounting, cache stores, and the column groups whose
+        #: last reader sits in that level (dropped right after it)
+        self.program, self.step_m, self.root_refs = _wire_columns(
+            nodes, levels, any(self.records))
+        #: memoised accounting of one sweep: ``(key, RunStats delta)``
+        self.booked = None
 
     def __repr__(self):
         return (f"<LevelPlan nodes={self.num_nodes} levels={len(self.levels)} "
-                f"frames={self.num_frames} depth={self.max_depth}>")
+                f"frames={len(self.suffixes)} depth={self.max_depth}>")
 
 
 def level_plan_for(graph, root_plan, shape_profile, record: bool,
@@ -251,12 +239,16 @@ def level_plan_for(graph, root_plan, shape_profile, record: bool,
         key = (root_plan, profiles, bool(record))
     else:
         key = (root_plan, profiles, bool(record), "sub")
+    # two insertion-ordered maps, one per verdict, so a miss evicts in
+    # O(1) instead of scanning the whole memo for entries of its kind
     cache = graph._level_plans
-    entry = cache.get(key)
-    if entry is _INELIGIBLE:
+    compiled = cache.setdefault("compiled", {})
+    ineligible = cache.setdefault("ineligible", {})
+    if key in ineligible:
         if stats is not None:
             stats.level_plan_cache_hits += 1
         return None
+    entry = compiled.get(key)
     if entry is not None:
         # revalidate baked-in body plans: set_cache_filter (installed by
         # differentiate_subgraph) invalidates a *body* graph's frame
@@ -265,9 +257,9 @@ def level_plan_for(graph, root_plan, shape_profile, record: bool,
             if stats is not None:
                 stats.level_plan_cache_hits += 1
             with graph._lock:
-                if cache.get(key) is entry:  # LRU touch: move to end
-                    del cache[key]
-                    cache[key] = entry
+                if compiled.get(key) is entry:  # LRU touch: move to end
+                    del compiled[key]
+                    compiled[key] = entry
             return entry
     if stats is not None:
         stats.level_plan_cache_misses += 1
@@ -279,17 +271,16 @@ def level_plan_for(graph, root_plan, shape_profile, record: bool,
     if stats is not None:
         stats.level_plan_compile_ms += (time.perf_counter() - t0) * 1e3
     with graph._lock:
-        cache[key] = lp if lp is not None else _INELIGIBLE
-        cap = LEVEL_PLAN_CAP if lp is not None else LEVEL_PLAN_INELIGIBLE_CAP
-        if cap > 0:
-            same_kind = [k for k, v in cache.items()
-                         if (v is _INELIGIBLE) == (lp is None)]
-            evicted = 0
-            for k in same_kind[:max(0, len(same_kind) - cap)]:
-                del cache[k]
-                evicted += 1
-            if evicted and stats is not None:
-                stats.level_plan_evictions += evicted
+        if lp is None:
+            compiled.pop(key, None)  # a stale plan that no longer compiles
+            memo, cap = ineligible, LEVEL_PLAN_INELIGIBLE_CAP
+        else:
+            memo, cap = compiled, LEVEL_PLAN_CAP
+        memo[key] = lp
+        while cap > 0 and len(memo) > cap:
+            del memo[next(iter(memo))]
+            if stats is not None:
+                stats.level_plan_evictions += 1
     return lp
 
 
@@ -355,6 +346,16 @@ def _compile(root_plan, profiles, session_record, subtree=None) -> "LevelPlan":
         jobs.append(_FrameJob(plan, suffix, depth, mode, profile, bindings,
                               frame_idx, fill))
 
+    def forward_outputs(node, child_plan, out_locs, head, base_extra):
+        """Finisher wiring: ``head`` + the child frame's output values,
+        ordered after every node of the child frame."""
+        def fill(child_nos, own):
+            node.inputs = head + tuple(
+                (child_nos[child_plan.index_of[oid]], i)
+                for oid, i in out_locs)
+            node.extra_deps = base_extra + own
+        return fill
+
     def _scan(job):
         plan = job.plan
         suffix = job.suffix
@@ -370,8 +371,6 @@ def _compile(root_plan, profiles, session_record, subtree=None) -> "LevelPlan":
         def emit(kind, op, defn, slot):
             nid = len(nodes)
             node = _CNode(kind, frame_idx, op, defn)
-            node.src_plan = plan
-            node.src_slot = slot
             if record:
                 mask = plan.store_masks[slot]
                 if any(mask):
@@ -388,16 +387,15 @@ def _compile(root_plan, profiles, session_record, subtree=None) -> "LevelPlan":
         # Capture placeholders can sit at *later* plan slots than their
         # in-frame consumers (they are created lazily at capture time), so
         # every binding node must exist before the wiring pass reads it.
+        fed, bindings = job.mode in ("root", "subroot"), job.bindings
         for slot, op in enumerate(plan.ops):
-            defn = plan.defs[slot]
-            if job.mode in ("root", "subroot"):
+            if fed:
                 if op.op_type == "Placeholder":
-                    _, node = emit(_BIND_FEED, op, defn, slot)
-                    node.feed_op_id = op.id
+                    emit(_BIND_FEED, op, plan.defs[slot], slot)
             else:
-                bound = job.bindings.get(op.id)
+                bound = bindings.get(op.id)
                 if bound is not None:
-                    _, node = emit(_BIND_ALIAS, op, defn, slot)
+                    _, node = emit(_BIND_ALIAS, op, plan.defs[slot], slot)
                     node.inputs = (bound,)
                 elif op.op_type == "Placeholder":
                     raise _Ineligible(f"unbound placeholder {op.name}")
@@ -439,9 +437,9 @@ def _compile(root_plan, profiles, session_record, subtree=None) -> "LevelPlan":
                     if storer is None:
                         raise _Ineligible(
                             "cache lookup without a compiled producer")
-                    # order after the store: same-level fusion would read
-                    # the cache before the producing level flushed it
-                    extra = extra + (storer,)
+                    # the producer is compiled in: the lookup reads its
+                    # column (ordered after it) instead of the cache
+                    in_refs = [(storer, skey[3])]
                 nid, node = emit(_KERNEL, op, defn, slot)
                 node.inputs = tuple(in_refs)
                 node.extra_deps = extra
@@ -475,17 +473,10 @@ def _compile(root_plan, profiles, session_record, subtree=None) -> "LevelPlan":
                     bindings[ph_id] = in_refs[pos]
                 child_plan = body_plan(sg.graph)
                 nid, node = emit(_FIN_PASS, op, defn, slot)
-                out_locs = sg.output_locs
-
-                def fill(child_nos, own, node=node, out_locs=out_locs,
-                         child_plan=child_plan, base_extra=extra):
-                    node.inputs = tuple(
-                        (child_nos[child_plan.index_of[oid]], i)
-                        for oid, i in out_locs)
-                    node.extra_deps = base_extra + own
-
                 add_job(child_plan, suffix + (op.id,), job.depth + 1,
-                        child_mode, child_profile, bindings, fill)
+                        child_mode, child_profile, bindings,
+                        forward_outputs(node, child_plan, sg.output_locs,
+                                        (), extra))
 
             elif op_type == "Cond":
                 if job.mode not in ("node", "subroot") or cond_seen:
@@ -515,17 +506,10 @@ def _compile(root_plan, profiles, session_record, subtree=None) -> "LevelPlan":
                 child_plan = body_plan(chosen.graph)
                 nid, node = emit(_FIN_COND, op, defn, slot)
                 node.expected = (role == "true")
-                out_locs = chosen.output_locs
-
-                def fill(child_nos, own, node=node, out_locs=out_locs,
-                         child_plan=child_plan, pred=pred, base_extra=extra):
-                    node.inputs = (pred,) + tuple(
-                        (child_nos[child_plan.index_of[oid]], i)
-                        for oid, i in out_locs)
-                    node.extra_deps = base_extra + own
-
                 add_job(child_plan, suffix + (op.id,), job.depth + 1,
-                        "branch", children, bindings, fill)
+                        "branch", children, bindings,
+                        forward_outputs(node, child_plan, chosen.output_locs,
+                                        (pred,), extra))
 
             elif op_type == "InvokeGrad":
                 if job.mode not in ("root", "grad"):
@@ -542,17 +526,10 @@ def _compile(root_plan, profiles, session_record, subtree=None) -> "LevelPlan":
                 site_id = op.attrs["site_id"]
                 child_plan = body_plan(gsg.graph)
                 nid, node = emit(_FIN_IGRAD, op, defn, slot)
-                out_locs = gsg.output_locs
-
-                def fill(child_nos, own, node=node, out_locs=out_locs,
-                         child_plan=child_plan, base_extra=extra):
-                    node.inputs = tuple(
-                        (child_nos[child_plan.index_of[oid]], i)
-                        for oid, i in out_locs)
-                    node.extra_deps = base_extra + own
-
                 add_job(child_plan, suffix + (site_id,), job.depth + 1,
-                        "grad", None, bindings, fill)
+                        "grad", None, bindings,
+                        forward_outputs(node, child_plan, gsg.output_locs,
+                                        (), extra))
 
             elif op_type == "CondGrad":
                 if job.mode not in ("root", "grad"):
@@ -634,10 +611,9 @@ def _compile(root_plan, profiles, session_record, subtree=None) -> "LevelPlan":
         _scan(jobs.popleft())
 
     _collapse_aliases(nodes)
-    levels, scalar_counts, releases = _level_schedule(nodes)
-    return LevelPlan(tuple(nodes), levels, tuple(frames), root_node_of,
-                     tuple(body_deps.items()), max_depth[0], profiles,
-                     scalar_counts, releases)
+    levels, scalar_counts = _level_schedule(nodes)
+    return LevelPlan(nodes, levels, frames, root_node_of,
+                     tuple(body_deps.items()), max_depth[0], scalar_counts)
 
 
 def _collapse_aliases(nodes) -> None:
@@ -652,19 +628,21 @@ def _collapse_aliases(nodes) -> None:
     a side effect the schedule must retain), so chains stop there: a dep
     pointing at a recording alias still orders after its store.
     """
+    pure = [node.kind == _BIND_ALIAS and node.store_mask is None
+            for node in nodes]
+
     def resolve(nid, idx):
-        node = nodes[nid]
-        while node.kind == _BIND_ALIAS and node.store_mask is None:
-            nid, idx = node.inputs[0]
-            node = nodes[nid]
+        while pure[nid]:
+            nid, idx = nodes[nid].inputs[0]
         return nid, idx
 
     for node in nodes:
         if node.inputs:
-            node.inputs = tuple(resolve(s, i) for s, i in node.inputs)
+            node.inputs = tuple([resolve(s, i) if pure[s] else (s, i)
+                                 for s, i in node.inputs])
         if node.extra_deps:
-            node.extra_deps = tuple(resolve(d, 0)[0]
-                                    for d in node.extra_deps)
+            node.extra_deps = tuple([resolve(d, 0)[0] if pure[d] else d
+                                     for d in node.extra_deps])
 
 
 def _level_schedule(nodes) -> tuple:
@@ -676,24 +654,18 @@ def _level_schedule(nodes) -> tuple:
     stateful kernels) runs scalar in node-id order.  Collapsed aliases
     (store-less ``_BIND_ALIAS`` nodes left unreferenced by
     :func:`_collapse_aliases`) are dropped from the schedule entirely.
-    Returns ``(levels, scalar_counts, releases)``: the wavefront
-    schedule, the static per-op-type counts of scheduled scalar nodes
-    that the dynamic path would have booked through ``note_op``, and —
-    per level — the node ids whose last value reader sits in that level
-    (the sweep nulls their values right after the level; root-frame
-    nodes are pinned because any of them may be fetched at the end).
+    Returns ``(levels, scalar_counts)``: the wavefront schedule and the
+    static per-op-type counts of scheduled scalar nodes that the dynamic
+    path would have booked through ``note_op``.
     """
     n = len(nodes)
-    referenced = set()
-    for node in nodes:
-        referenced.update(s for s, _ in node.inputs)
-        referenced.update(node.extra_deps)
     indeg = [0] * n
-    out: list = [[] for _ in range(n)]
+    out: list = [[] for _ in range(n)]  # dependants; empty: unreferenced
     level = [0] * n
     for nid, node in enumerate(nodes):
-        deps = {s for s, _ in node.inputs}
-        deps.update(node.extra_deps)
+        deps = set(node.extra_deps)
+        for s, _ in node.inputs:
+            deps.add(s)
         indeg[nid] = len(deps)
         for d in deps:
             out[d].append(nid)
@@ -717,7 +689,6 @@ def _level_schedule(nodes) -> tuple:
         by_level.setdefault(level[nid], []).append(nid)
     levels = []
     scalar_counts: dict = {}
-    node_pos = [None] * n  # scheduled node -> index into `levels`
     for li in sorted(by_level):
         scalars = []
         buckets: dict = {}
@@ -726,365 +697,700 @@ def _level_schedule(nodes) -> tuple:
             kind = node.kind
             if kind == _KERNEL and node.sig_prefix is not None:
                 buckets.setdefault(node.sig_prefix, []).append(nid)
-                node_pos[nid] = len(levels)
                 continue
             if kind == _BIND_ALIAS and node.store_mask is None \
-                    and nid not in referenced:
+                    and not out[nid]:
                 continue  # collapsed: every consumer reads the source
             scalars.append(nid)
-            node_pos[nid] = len(levels)
             if kind != _BIND_FEED and kind != _BIND_ALIAS:
                 op_type = node.op.op_type
                 scalar_counts[op_type] = scalar_counts.get(op_type, 0) + 1
         if scalars or buckets:
             levels.append((tuple(scalars),
                            tuple(tuple(b) for b in buckets.values())))
-    # last value-reader level per scheduled node -> per-level release set
-    last_pos = [None] * n
+    return tuple(levels), tuple(scalar_counts.items())
+
+
+# ---------------------------------------------------------------------------
+# column wiring
+# ---------------------------------------------------------------------------
+
+class _Step:
+    """Members of one level that execute as one columnar call.
+
+    A step owns column group ``cid``: one column per output, member
+    ``j`` of run ``r`` on row ``r * m + j``.  ``inputs[p]`` wires input
+    ``p`` (see :func:`_input_spec`).  ``once`` steps are invariants
+    (``Const``, ``ReadVariable`` and pure ops over them, canonicalised
+    to one step per op): their kernel runs once per sweep.  ``frames``
+    (stateful kernels only) is each member's compiled frame, for its
+    cache / accumulator key.
+    """
+
+    __slots__ = ("cid", "defn", "op", "m", "frames", "inputs", "n_out",
+                 "once", "scratch")
+
+    def __init__(self, cid, defn, op, m, frames, inputs, once=False):
+        self.cid = cid
+        self.defn = defn
+        self.op = op
+        self.m = m
+        self.frames = frames
+        self.inputs = inputs
+        self.n_out = 1 if defn is _ZEROS else len(op.outputs)
+        self.once = once
+        self.scratch = op.op_type not in _PERSISTENT_ALIAS_OPS
+
+
+def _zeros_stacked(op, cols, inv, ctx):
+    return [np.zeros_like(cols[0])]
+
+
+#: pseudo-op behind a CondGrad finisher's untaken outputs: a zero
+#: gradient shaped like the forward value
+_ZEROS = OpDef(
+    name="CondGradZeros", infer=None, stacked_kernel=_zeros_stacked,
+    kernel=lambda op, ins, ctx: [tensor_array.zero_value_like(ins[0])])
+
+
+def _statically_big(op) -> bool:
+    """True unless every output is statically known to be tiny: a tiny
+    invariant is cheaper to materialise per member than to split a
+    bucket on (the per-tree ``Const`` batch index, a gather position)."""
+    for t in op.outputs:
+        if t.shape is None or None in t.shape or math.prod(t.shape) > 64:
+            return True
+    return False
+
+
+def _input_spec(refs, step_m) -> tuple:
+    """Wire one input from its per-member ``(cid, out, row)`` addresses.
+
+    ``(cid, out, rows)`` when one producer feeds every member (``rows is
+    None``: the column itself — same members, same order; else an
+    ``intp`` row index for one ``take``), otherwise ``(parts, perm)``:
+    one such triple per producer, and the permutation that puts their
+    concatenation into member order (``None`` when it already is).
+    """
+    by_src: dict = {}
+    for pos, (cid, out, row) in enumerate(refs):
+        src = by_src.get((cid, out))
+        if src is None:
+            src = by_src[(cid, out)] = ([], [])
+        src[0].append(row)
+        src[1].append(pos)
+    if len(by_src) == 1:
+        cid, out, _ = refs[0]
+        rows = src[0]
+        if len(rows) == step_m[cid] and rows == list(range(len(rows))):
+            return cid, out, None
+        return cid, out, np.array(rows, dtype=np.intp)
+    parts = tuple((cid, out, np.array(rows, dtype=np.intp))
+                  for (cid, out), (rows, _) in by_src.items())
+    order = [pos for _, positions in by_src.values() for pos in positions]
+    perm = (None if order == sorted(order)
+            else np.argsort(order).astype(np.intp))
+    return parts, perm
+
+
+def _producers(spec):
+    """The column groups a wired input reads."""
+    return (spec[0],) if len(spec) == 3 else (p[0] for p in spec[0])
+
+
+def _wire_columns(nodes, levels, recording: bool) -> tuple:
+    """Lower the level schedule to columnar steps with index wiring.
+
+    Every scheduled value gets a static address ``(cid, out, row)``.
+    Kernel nodes are grouped into :class:`_Step` s — scalar kernels per
+    op, bucket members per (static input specs, big-invariant sources),
+    so one step's members agree on shapes and share their loop-invariant
+    operands — and bindings / finishers dissolve into their sources'
+    addresses, leaving behind only what they *do*: predicate checks,
+    cache stores, zero gradients.  Returns ``(program, step_m,
+    root_refs)``: per level ``(checks, steps, bucket_steps, books,
+    stores, release)``, the member count per column group, and the
+    addresses of every root-frame value (fetch candidates, pinned).
+    """
+    n = len(nodes)
+    made = [None] * n     # kernel / feed node -> (cid, row)
+    fwd = [None] * n      # binding / finisher node -> per-output addresses
+    step_m = [1]          # cid 0: the shared ``True`` done flag
+    static_inv = [True]
+    big = [False]         # split buckets on this source (feeds, weights)
+    once_of: dict = {}    # invariant key -> cid
+    spec_ids: dict = {}
+    last_use: dict = {}
+    born = []             # (cid, level) of every releasable column group
+    program = []
+
+    def address(s, i):
+        f = fwd[s]
+        if f is not None:
+            return f[i]
+        cid, row = made[s]
+        return (cid, i, row)
+
+    def new_cid(m, inv=False, is_big=False):
+        step_m.append(m)
+        static_inv.append(inv)
+        big.append(is_big)
+        return len(step_m) - 1
+
+    def static_spec(op):
+        sid = spec_ids.get(op)
+        if sid is None:
+            spec = tuple((t.dtype, t.shape) for t in op.inputs)
+            sid = spec_ids[op] = spec_ids.setdefault(spec, len(spec_ids))
+        return sid
+
+    for li, (scalars, buckets) in enumerate(levels):
+        groups: dict = {}   # key -> (defn, booked, [(target, refs, frame)])
+        steps, bucket_steps, books, stores = [], [], [], []
+        preds, expected, names = [], [], []
+
+        def enlist(key, defn, booked, member):
+            group = groups.get(key)
+            if group is None:
+                groups[key] = (defn, booked, [member])
+            else:
+                group[2].append(member)
+
+        def kernel_member(nid, node, bucket):
+            """Route one kernel node: invariant, or member of a step."""
+            defn, op = node.defn, node.op
+            refs, split = [], []
+            invariant = not node.extra_deps
+            for s, i in node.inputs:
+                f = fwd[s]
+                ref = f[i] if f is not None else (made[s][0], i, made[s][1])
+                refs.append(ref)
+                cid = ref[0]
+                if not static_inv[cid]:
+                    invariant = False
+                split.append(cid if big[cid] else -1)
+            if op.op_type == "CacheLookup":
+                fwd[nid] = refs  # an alias of the value its frame stored
+                return 0
+            if invariant and (not defn.stateful if refs else
+                              op.op_type in _PERSISTENT_ALIAS_OPS):
+                key = (op if bucket < 0 else node.sig_prefix, tuple(refs))
+                cid = once_of.get(key)
+                if cid is None:
+                    cid = once_of[key] = new_cid(1, True, _statically_big(op))
+                    steps.append(_Step(
+                        cid, defn, op, 1, (),
+                        tuple(_input_spec([r], step_m) for r in refs),
+                        once=True))
+                made[nid] = (cid, 0)
+                return cid
+            if bucket < 0:
+                key = (-1, op)
+            else:
+                # ops sharing a stacked kernel differ only in attrs it
+                # never reads (``batch_attrs`` are in the bucket key);
+                # a row loop runs each op's own scalar kernel
+                key = (bucket,
+                       op if defn.stacked_kernel is None else static_spec(op),
+                       tuple(split))
+            enlist(key, defn, bucket >= 0, (nid, refs, node.frame_idx))
+            return None
+
+        for nid in scalars:
+            node = nodes[nid]
+            kind = node.kind
+            if kind == _KERNEL:
+                kernel_member(nid, node, -1)
+            elif kind == _BIND_FEED:
+                cid = new_cid(1, False, True)
+                steps.append(_Step(cid, None, node.op, 1, (), ()))
+                made[nid] = (cid, 0)
+                born.append((cid, li))
+            elif kind in (_BIND_ALIAS, _FIN_PASS):
+                fwd[nid] = [address(s, i) for s, i in node.inputs]
+            else:
+                refs = [address(s, i) for s, i in node.inputs]
+                if kind != _FIN_IGRAD:
+                    preds.append(refs.pop(0))
+                    expected.append(node.expected)
+                    names.append(node.op.name)
+                if kind == _FIN_CGRAD:
+                    for pos, (take, (s, i)) in enumerate(
+                            zip(node.recipe, node.inputs[1:])):
+                        if not take:
+                            t = nodes[s].op.outputs[i]
+                            enlist(("zeros", t.dtype, t.shape), _ZEROS, False,
+                                   ((nid, pos), (refs[pos],), node.frame_idx))
+                if kind != _FIN_COND:
+                    refs.append((0, 0, 0))  # done flag
+                fwd[nid] = refs
+        for bi, bucket in enumerate(buckets):
+            first = nodes[bucket[0]]
+            items: dict = {}
+            for nid in bucket:
+                cid = kernel_member(nid, nodes[nid], bi)
+                if cid is not None:
+                    items[cid] = items.get(cid, 0) + 1
+            books.append((first.op.op_type, first.sig_prefix, items))
+
+        for key, (defn, booked, members) in groups.items():
+            cid = new_cid(len(members))
+            first = members[0][0]
+            op = nodes[first if booked or key[0] == -1 else first[0]].op
+            arity = len(members[0][1])
+            step = _Step(
+                cid, defn, op, len(members),
+                tuple(f for _, _, f in members) if defn.stateful else (),
+                tuple(_input_spec([refs[p] for _, refs, _ in members],
+                                  step_m) for p in range(arity)))
+            for row, (target, _, _) in enumerate(members):
+                if defn is _ZEROS:
+                    fwd[target[0]][target[1]] = (cid, 0, row)
+                else:
+                    made[target] = (cid, row)
+            born.append((cid, li))
+            if booked:
+                books[key[0]][2][cid] = len(members)
+                bucket_steps.append(step)
+            else:
+                steps.append(step)
+
+        touched = set()
+        for step in steps + bucket_steps:
+            for spec in step.inputs:
+                touched.update(_producers(spec))
+        check = None
+        if preds:
+            check = (_input_spec(preds, step_m),
+                     np.array(expected, dtype=bool), tuple(names))
+            touched.update(_producers(check[0]))
+        for nid in (scalars + tuple(x for b in buckets for x in b)
+                    if recording else ()):
+            node = nodes[nid]
+            if node.store_mask is not None:
+                for i, keep in enumerate(node.store_mask):
+                    if keep:
+                        cid, out, row = address(nid, i)
+                        touched.add(cid)
+                        stores.append((cid, out, row, node.frame_idx,
+                                       node.graph_id, node.op.id, i))
+        for cid in touched:
+            last_use[cid] = li
+        program.append((check, tuple(steps), tuple(bucket_steps),
+                        tuple((t, p, tuple(items.items()))
+                              for t, p, items in books),
+                        tuple(stores)))
+
+    root_refs = {}
+    pinned = set()
     for nid, node in enumerate(nodes):
-        pos = node_pos[nid]
-        if pos is None:
-            continue  # collapsed alias: reads nothing at run time
-        for s, _ in node.inputs:
-            prev = last_pos[s]
-            if prev is None or pos > prev:
-                last_pos[s] = pos
-    releases = [[] for _ in levels]
-    for nid in range(n):
-        if node_pos[nid] is None or nodes[nid].frame_idx == 0:
-            continue  # unscheduled, or pinned (fetchable root value)
-        pos = last_pos[nid]
-        if pos is None:
-            pos = node_pos[nid]  # no reader: dies right after it runs
-        releases[pos].append(nid)
-    return (tuple(levels), tuple(scalar_counts.items()),
-            tuple(tuple(r) for r in releases))
+        if node.frame_idx == 0 and (made[nid] or fwd[nid]) is not None:
+            refs = (fwd[nid] if fwd[nid] is not None else
+                    [address(nid, i) for i in range(len(node.op.outputs))])
+            root_refs[nid] = tuple(refs)
+            pinned.update(cid for cid, _, _ in refs)
+    release = [[] for _ in program]
+    for cid, li in born:
+        if cid not in pinned:
+            release[last_use.get(cid, li)].append(cid)
+    return (tuple(level + (tuple(cids),)
+                  for level, cids in zip(program, release)),
+            tuple(step_m), root_refs)
 
 
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
 
-def _ctx_of(core: SchedulerCore, lp: LevelPlan, run, frame_idx: int):
-    ctx = run.ctxs[frame_idx]
-    if ctx is None:
-        suffix, record = lp.frames[frame_idx]
-        frame = _CFrame(run.prefix + suffix, record)
-        ctx = run.ctxs[frame_idx] = ExecContext(core.runtime, frame, record)
-    return ctx
+class _Inv:
+    """A column whose every row is the same value: an invariant, or a
+    feed all merged runs share.  Never copied per member — kernels get
+    it as a shared operand."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-def _run_scalar(core, lp, node, nid, run, entries):
-    # scalar stats are booked in bulk by execute_level_plan (the scalar
-    # schedule is static per plan), so this path never touches note_op
-    values = run.node_values
-    ins = [values[s][i] for s, i in node.inputs]
-    kind = node.kind
-    if kind == _KERNEL:
-        ctx = _ctx_of(core, lp, run, node.frame_idx)
-        try:
-            outputs = node.defn.kernel(node.op, ins, ctx)
-        except EngineError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - wrapped like the dynamic path
-            raise SchedulerCore._wrap_error(exc, node.op) from exc
-    elif kind == _BIND_FEED:
-        try:
-            outputs = [run.feed[node.feed_op_id]]
-        except KeyError:
-            raise EngineError(
-                f"placeholder {node.op.name} was not fed") from None
-    elif kind == _BIND_ALIAS:
-        outputs = [ins[0]]
-    elif kind == _FIN_PASS:
-        outputs = ins
-    elif kind == _FIN_COND:
-        if bool(np.asarray(ins[0])) != node.expected:
-            raise EngineError(
-                f"shape profile mismatch at {node.op.name}: the fed data "
-                "disagrees with the compiled branch decision")
-        outputs = ins[1:]
-    elif kind == _FIN_IGRAD:
-        outputs = list(ins)
-        outputs.append(np.bool_(True))
-    else:  # _FIN_CGRAD
-        if bool(np.asarray(ins[0])) != node.expected:
-            raise EngineError(
-                f"shape profile mismatch at {node.op.name}: the fed data "
-                "disagrees with the compiled branch decision")
-        outputs = [v if take else tensor_array.zero_value_like(v)
-                   for take, v in zip(node.recipe, ins[1:])]
-        outputs.append(np.bool_(True))
-    values[nid] = outputs
-    mask = node.store_mask
-    if mask is not None:
-        key = _ctx_of(core, lp, run, node.frame_idx).frame.key
-        gid = node.graph_id
-        oid = node.op.id
-        for i, v in enumerate(outputs):
-            if mask[i]:
-                entries.append((key, gid, oid, i, v))
+def _as_column(values: list):
+    """Stack row values into an array column when they agree on dtype and
+    shape; otherwise keep the list (its consumers loop over rows)."""
+    first = values[0]
+    if not isinstance(first, (np.ndarray, np.generic)):
+        return values
+    shape, dtype = first.shape, first.dtype
+    for v in values:
+        if not (isinstance(v, (np.ndarray, np.generic))
+                and v.shape == shape and v.dtype == dtype):
+            return values
+    return np.stack(values)
 
 
-def _member_sig(ins):
-    """Lean per-member fusion-legality key: dtype + shape per input.
-
-    Equivalent partitioning to the coalescer's ``value_signature`` but
-    cheap enough for the per-member hot loop: ndarrays key on
-    ``(dtype.num, shape)``, numpy scalars on ``(-1, dtype.num)``, other
-    python values on their type name (the three forms cannot collide).
-    """
-    sig = []
-    for v in ins:
-        cls = v.__class__
-        if cls is np.ndarray:
-            sig.append((v.dtype.num, v.shape))
-        elif isinstance(v, np.generic):
-            sig.append((-1, v.dtype.num))
-        elif cls is IndexedSlices:
-            # sparse gradients: same partitioning rule as the
-            # coalescer's _value_sig — never fused with dense members
-            sig.append((-2, v.values.dtype.num, v.values.shape,
-                        v.dense_shape))
-        else:
-            sig.append(cls.__name__)
-    return tuple(sig)
+def columns_of(results: list, n_out: int) -> list:
+    """Per-member output lists (a row loop, a pool reply) as columns."""
+    cols = []
+    for j in range(n_out):
+        values = [outputs[j] for outputs in results]
+        first = values[0]
+        cols.append(_Inv(first) if all(v is first for v in values)
+                    else _as_column(values))
+    return cols
 
 
-def _scatter(member, outputs, entries, core, lp):
-    node, nid, run, _ = member
-    run.node_values[nid] = outputs
-    mask = node.store_mask
-    if mask is not None:
-        key = _ctx_of(core, lp, run, node.frame_idx).frame.key
-        gid = node.graph_id
-        oid = node.op.id
-        for j, v in enumerate(outputs):
-            if mask[j]:
-                entries.append((key, gid, oid, j, v))
+def _take(col, rows, k: int, m: int):
+    """Member ``rows`` of a producer column holding ``k`` run-major runs
+    of ``m`` members each."""
+    if col.__class__ is list:
+        return _as_column([col[r * m + i] for r in range(k) for i in rows])
+    if k == 1:
+        return col.take(rows, 0)
+    tail = col.shape[1:]
+    return (col.reshape((k, m) + tail).take(rows, 1)
+            .reshape((k * len(rows),) + tail))
+
+
+class _Sweep:
+    """Mutable state of one wavefront sweep: the live runs and their
+    columns (``cols[cid][out]``: ndarray with rows on axis 0, a list of
+    row values, or an :class:`_Inv`)."""
+
+    __slots__ = ("core", "lp", "live", "k", "cols", "sigs", "keys", "ctx",
+                 "bytes")
+
+    def __init__(self, core, lp, live):
+        self.core = core
+        self.lp = lp
+        self.live = live
+        self.k = len(live)
+        self.cols = [None] * len(lp.step_m)
+        self.cols[0] = [_Inv(np.bool_(True))]
+        #: per column group, its call's member signature (bucket steps;
+        #: group 0 stands in for zero-input members: the empty signature)
+        self.sigs = [None] * len(lp.step_m)
+        self.sigs[0] = ()
+        self.keys = None
+        #: shared by every pure kernel; kernels that read ``ctx.frame``
+        #: are stateful and get one context per row
+        self.ctx = ExecContext(core.runtime, None, False)
+        self.bytes = {} if core._track_live else None
+
+    def frame_keys(self) -> list:
+        """Per live run, the cache key of every compiled frame."""
+        if self.keys is None:
+            suffixes = self.lp.suffixes
+            self.keys = [suffixes if not run.prefix else
+                         [run.prefix + suffix for suffix in suffixes]
+                         for run in self.live]
+        return self.keys
+
+    def operand(self, spec):
+        """Gather one wired input: a column in member order."""
+        cols, k, step_m = self.cols, self.k, self.lp.step_m
+        if len(spec) == 3:
+            cid, out, rows = spec
+            col = cols[cid][out]
+            if col.__class__ is _Inv:
+                return col
+            if rows is None:
+                return _as_column(col) if col.__class__ is list else col
+            return _take(col, rows, k, step_m[cid])
+        parts, perm = spec
+        pieces = []
+        for cid, out, rows in parts:
+            col = cols[cid][out]
+            if col.__class__ is not _Inv:
+                pieces.append(_take(col, rows, k, step_m[cid]))
+            elif isinstance(col.value, (np.ndarray, np.generic)):
+                pieces.append(np.broadcast_to(
+                    col.value, (k * len(rows),) + col.value.shape))
+            else:
+                pieces.append([col.value] * (k * len(rows)))
+        first = pieces[0]
+        sizes = [len(rows) for _, _, rows in parts]
+        if all(p.__class__ is np.ndarray and p.dtype == first.dtype
+               and p.shape[1:] == first.shape[1:] for p in pieces):
+            if k == 1:
+                joined = np.concatenate(pieces)
+                return joined if perm is None else joined.take(perm, 0)
+            tail = first.shape[1:]
+            joined = np.concatenate(
+                [p.reshape((k, n) + tail) for p, n in zip(pieces, sizes)],
+                axis=1)
+            if perm is not None:
+                joined = joined.take(perm, 1)
+            return joined.reshape((-1,) + tail)
+        # producers disagree on member shape or dtype: a list column
+        column = []
+        for r in range(k):
+            run = [v for p, n in zip(pieces, sizes)
+                   for v in p[r * n:(r + 1) * n]]
+            column.extend(run if perm is None else [run[i] for i in perm])
+        return column
+
+    def value(self, ref, r: int):
+        """The value at a static address for live run ``r``."""
+        cid, out, row = ref
+        col = self.cols[cid][out]
+        if col.__class__ is _Inv:
+            return col.value
+        return col[r * self.lp.step_m[cid] + row]
+
+    def drop_cancelled(self) -> None:
+        """Compact every live column down to the runs still wanted."""
+        keep = [r for r, run in enumerate(self.live) if not run.cancelled]
+        k, step_m = self.k, self.lp.step_m
+        for cid, outs in enumerate(self.cols):
+            if outs is None:
+                continue
+            m = step_m[cid]
+            kept = []
+            for col in outs:
+                if col.__class__ is np.ndarray:
+                    tail = col.shape[1:]
+                    col = (col.reshape((k, m) + tail)[keep]
+                           .reshape((-1,) + tail))
+                elif col.__class__ is list:
+                    col = [v for r in keep for v in col[r * m:(r + 1) * m]]
+                kept.append(col)
+            self.cols[cid] = kept
+        self.live = [self.live[r] for r in keep]
+        self.k = len(keep)
+        self.keys = None
 
 
 class _LevelCall:
-    """One prepared kernel dispatch of a level: a single or fused call.
+    """One prepared kernel dispatch of a level.
 
-    The master builds these (input gather, fusion grouping, ExecContext
-    creation) so that *executing* one — the kernel invocation alone, in
-    :func:`execute_level_call` — is free of shared mutable state and can
-    run on a pool thread or be shipped to a worker process.  Scatter,
-    stats, histogram, and cache-store bookkeeping happen back on the
-    master in :func:`complete_level_call`, in original call order.
+    The master builds these (operand gather, per-row contexts for
+    stateful kernels) so that *executing* one — the kernel invocation
+    alone, in :func:`execute_level_call` — is free of shared mutable
+    state and can run on a pool thread or be shipped to a worker
+    process.  Column hand-over and live-bytes accounting happen back on
+    the master in :func:`complete_level_call`, in original call order.
     """
 
-    __slots__ = ("defn", "members", "sig", "ctxs")
+    __slots__ = ("step", "operands", "inv", "stackable", "shared", "rows",
+                 "ctx", "ctxs", "sig")
 
     #: duck-type marker: pool workers discriminate task payloads without
     #: importing this module at load time
     is_level_call = True
 
-    def __init__(self, defn, members, sig, ctxs):
-        self.defn = defn
-        #: list of (node, nid, run, inputs)
-        self.members = members
-        #: interned member signature for fused calls; None -> width-1
-        self.sig = sig
-        #: per-member ExecContexts, prebuilt on the master (worker
-        #: threads must never lazily touch ``run.ctxs``)
-        self.ctxs = ctxs
+    def __init__(self, sweep, step):
+        self.step = step
+        self.rows = sweep.k * step.m
+        self.ctx = sweep.ctx
+        #: operands as kernels take them: an array column (a list when
+        #: rows disagree on shape), or — where ``inv`` — the one value
+        #: every row shares
+        self.operands = operands = []
+        inv, sig = [], []
+        self.stackable = True
+        for spec in step.inputs:
+            o = sweep.operand(spec)
+            shared = o.__class__ is _Inv
+            if shared:
+                o = o.value
+            inv.append(shared)
+            operands.append(o)
+            # members' dtype + shape per input: what the dynamic
+            # coalescer would have bucketed on
+            if o.__class__ is np.ndarray:
+                sig.append((o.dtype.num, o.shape if shared else o.shape[1:]))
+            elif shared and isinstance(o, np.generic):
+                sig.append((-1, o.dtype.num))
+            else:  # rows that disagree on shape, or not a numpy value
+                sig.append(None)
+                self.stackable = False
+        self.inv = tuple(inv)
+        self.sig = tuple(sig)
+        stateful = step.defn.stateful
+        #: no operand has a batch axis: one scalar kernel call
+        self.shared = step.once or (not stateful and all(inv))
+        self.ctxs = None
+        if stateful and not step.once:
+            runtime, records = sweep.core.runtime, sweep.lp.records
+            self.ctxs = [
+                ExecContext(runtime, _CFrame(keys[f], records[f]), records[f])
+                for keys in sweep.frame_keys() for f in step.frames]
+
+    def member_inputs(self) -> list:
+        """Per-member input lists (row views), for the scalar kernel."""
+        rows = self.rows
+        if not self.operands:
+            return [[] for _ in range(rows)]
+        return [list(ins) for ins in zip(*(
+            [o] * rows if shared else o
+            for o, shared in zip(self.operands, self.inv)))]
 
 
-def build_level_calls(core, lp, buckets, live):
-    """Gather one level's buckets across ``live`` runs into _LevelCalls.
+def execute_level_call(call) -> list:
+    """Run one prepared call's kernel; return its output columns.
 
-    Replicates the serial grouping exactly: one fused call per uniform
-    bucket, signature regrouping otherwise, width-1 groups as singles.
+    The only piece of a sweep that may leave the master thread.  An
+    invariant runs its scalar kernel once; a step with a stacked kernel
+    and array columns is one columnar call; anything else (no stacked
+    form, members disagreeing on shape, a kernel declining) loops the
+    scalar kernel over rows.  EngineError passes through, any other
+    error is wrapped with the offending op.
     """
-    nodes = lp.nodes
-    calls = []
-    for bucket in buckets:
-        defn = nodes[bucket[0]].defn
-        members = []  # (node, nid, run, inputs)
-        for nid in bucket:
-            node = nodes[nid]
-            node_inputs = node.inputs
-            for run in live:
-                values = run.node_values
-                members.append((node, nid, run,
-                                [values[s][i] for s, i in node_inputs]))
-        if len(members) == 1:
-            m = members[0]
-            calls.append(_LevelCall(
-                defn, members, None,
-                [_ctx_of(core, lp, m[2], m[0].frame_idx)]))
-            continue
-        sigs = [_member_sig(m[3]) for m in members]
-        sig0 = sigs[0]
-        uniform = True
-        for s in sigs:
-            if s != sig0:
-                uniform = False
-                break
-        if uniform:
-            # the common case on profiled workloads: one fused call, no
-            # regrouping — every member stacked the same way
-            ctxs = [_ctx_of(core, lp, m[2], m[0].frame_idx)
-                    for m in members]
-            calls.append(_LevelCall(defn, members, sig0, ctxs))
-            continue
-        groups: dict = {}
-        for i, s in enumerate(sigs):
-            groups.setdefault(s, []).append(i)
-        for sig, idxs in groups.items():
-            group = [members[i] for i in idxs]
-            ctxs = [_ctx_of(core, lp, m[2], m[0].frame_idx) for m in group]
-            calls.append(_LevelCall(defn, group,
-                                    sig if len(group) > 1 else None, ctxs))
-    return calls
-
-
-def execute_level_call(call):
-    """Run one prepared call's kernel(s); return the per-member outputs.
-
-    The only piece of a sweep that may leave the master thread: pure
-    kernel execution against prebuilt contexts.  Errors match the serial
-    path — EngineError passes through, anything else is wrapped with the
-    offending op.
-    """
-    members = call.members
-    if call.sig is None:
-        node, _, _, ins = members[0]
-        try:
-            return [call.defn.kernel(node.op, ins, call.ctxs[0])]
-        except EngineError:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            raise SchedulerCore._wrap_error(exc, node.op) from exc
-    ops = [m[0].op for m in members]
-    b_inputs = [m[3] for m in members]
+    step = call.step
+    defn, op = step.defn, step.op
     try:
-        outputs_list = call.defn.batched_kernel(ops, b_inputs, call.ctxs)
+        if call.shared:
+            return [_Inv(v) for v in defn.kernel(op, call.operands, call.ctx)]
+        if call.stackable and defn.stacked_kernel is not None:
+            outs = defn.stacked_kernel(op, call.operands, call.inv, call.ctx)
+            if outs is not None:
+                if len(outs) != step.n_out or len(outs[0]) != call.rows:
+                    raise EngineError(
+                        f"stacked kernel for {op.op_type} returned a "
+                        f"malformed result for {call.rows} members")
+                return outs
+        ctxs = call.ctxs or [call.ctx] * call.rows
+        return columns_of([defn.kernel(op, ins, ctx) for ins, ctx
+                           in zip(call.member_inputs(), ctxs)], step.n_out)
     except EngineError:
         raise
-    except Exception as exc:  # noqa: BLE001
-        raise SchedulerCore._wrap_error(exc, ops[0]) from exc
-    if len(outputs_list) != len(members):
+    except Exception as exc:  # noqa: BLE001 - wrapped like the dynamic path
+        raise SchedulerCore._wrap_error(exc, op) from exc
+
+
+def complete_level_call(sweep, call, outs) -> None:
+    """Master-side completion: publish the columns, book their bytes."""
+    step = call.step
+    sweep.cols[step.cid] = outs
+    sweep.sigs[step.cid] = call.sig
+    if sweep.bytes is not None and step.scratch:
+        added = sweep.bytes[step.cid] = sum(
+            _values_bytes(col) if col.__class__ is list
+            else getattr(col, "nbytes", 0) for col in outs)
+        core = sweep.core
+        peak = (core._live_bytes + added
+                + core.runtime.accumulators.retained_bytes)
+        core._live_bytes += added
+        if peak > core.stats.peak_live_bytes:
+            core.stats.peak_live_bytes = peak
+
+
+def _feed_column(sweep, step) -> list:
+    try:
+        values = [run.feed[step.op.id] for run in sweep.live]
+    except KeyError:
         raise EngineError(
-            f"batched kernel for {members[0][0].op.op_type} returned "
-            f"{len(outputs_list)} results for {len(members)} ops")
-    return outputs_list
+            f"placeholder {step.op.name} was not fed") from None
+    return columns_of([[v] for v in values], 1)
 
 
-def complete_level_call(core, lp, call, outputs_list, entries, hist):
-    """Master-side completion: stats, histogram, value scatter, stores."""
-    members = call.members
-    first_node = members[0][0]
-    if call.sig is None:
-        core.stats.note_op(first_node.op.op_type, 0.0)
-        hist[1] = hist.get(1, 0) + 1
-        _scatter(members[0], outputs_list[0], entries, core, lp)
-        return
-    width = len(members)
-    core.stats.note_batch(first_node.op.op_type, width, 0.0,
-                          first_node.sig_prefix + (call.sig,))
-    hist[width] = hist.get(width, 0) + 1
-    for member, outputs in zip(members, outputs_list):
-        _scatter(member, outputs, entries, core, lp)
+def _verify_predicates(sweep, check) -> None:
+    """One vector compare per level: every Cond/CondGrad predicate of
+    the level against the branch the shape profile compiled in."""
+    spec, expected, names = check
+    col = sweep.operand(spec)
+    if col.__class__ is _Inv:
+        got = np.full(len(expected), bool(np.asarray(col.value)))
+    elif col.__class__ is list:
+        got = np.array([bool(np.asarray(v)) for v in col])
+    else:
+        got = col.astype(bool)
+    wrong = got.reshape(-1, len(expected)) != expected
+    if wrong.any():
+        raise EngineError(
+            f"shape profile mismatch at {names[int(wrong.any(0).argmax())]}"
+            ": the fed data disagrees with the compiled branch decision")
+
+
+def _book(sweep, widths: tuple) -> None:
+    """Account one sweep's ops exactly like the dynamic tier would have
+    grouped them: scalars per node, buckets per member signature.
+
+    The schedule is static, so the bookings are too once the runs per
+    level (``widths``) and the member signatures are fixed: they are
+    built once as a RunStats delta, memoised on the plan and merged per
+    sweep (runs cancelled mid-sweep keep their scalar counts, matching
+    the dynamic path's best-effort stats under cancellation).
+    """
+    lp = sweep.lp
+    key = (widths, tuple(sweep.sigs))
+    if lp.booked is None or lp.booked[0] != key:
+        delta, sigs = RunStats(), sweep.sigs
+        for op_type, count in lp.scalar_counts if widths else ():
+            delta.ops_executed += count * widths[0]
+            delta.per_type_count[op_type] = count * widths[0]
+        for level_idx, k in enumerate(widths):
+            hist = {}
+            for op_type, prefix, items in lp.program[level_idx][3]:
+                groups: dict = {}
+                for cid, count in items:
+                    groups[sigs[cid]] = groups.get(sigs[cid], 0) + count * k
+                for sig, width in groups.items():
+                    if width == 1:
+                        delta.note_op(op_type, 0.0)
+                    else:
+                        delta.note_batch(op_type, width, 0.0,
+                                         prefix + (sig,))
+                    hist[width] = hist.get(width, 0) + 1
+            if hist:
+                delta.level_width_hist[level_idx] = hist
+        lp.booked = (key, delta)
+    sweep.core.stats.merge(lp.booked[1])
 
 
 def execute_level_plan(core: SchedulerCore, lp: LevelPlan, runs) -> list:
     """Execute one wavefront sweep for ``runs`` (same LevelPlan).
 
-    Buckets widen across runs — concurrent same-profile roots share one
-    fused dispatch per level.  Returns one entry per run: the fetched
-    values, or ``None`` for runs cancelled mid-sweep.
+    Buckets widen across runs — concurrent same-profile roots extend
+    every column run-major and share one fused dispatch per step.
+    Returns one entry per run: the fetched values, or ``None`` for runs
+    cancelled mid-sweep.
     """
-    cache = core.runtime.cache
-    live = []
-    for run in runs:
-        if run.cancelled:
-            continue
-        run.node_values = [None] * lp.num_nodes
-        run.ctxs = [None] * lp.num_frames
-        live.append(run)
-    if live and lp.scalar_counts:
-        # the scalar schedule is static, so its op accounting is too:
-        # one bulk book-in per sweep instead of note_op per node (runs
-        # cancelled mid-sweep keep the full count, matching the spirit
-        # of the dynamic path's best-effort stats under cancellation)
-        stats = core.stats
-        k = len(live)
-        counts, times = stats.per_type_count, stats.per_type_time
-        for op_type, count in lp.scalar_counts:
-            c = count * k
-            stats.ops_executed += c
-            counts[op_type] = counts.get(op_type, 0) + c
-            times[op_type] = times.get(op_type, 0.0)
-    nodes = lp.nodes
-    track = core._track_live
-    for level_idx, (scalars, buckets) in enumerate(lp.levels):
-        live = [r for r in live if not r.cancelled]
-        if not live:
+    sweep = _Sweep(core, lp, [run for run in runs if not run.cancelled])
+    cols = sweep.cols
+    widths = []
+    for check, steps, bucket_steps, _, stores, release in lp.program:
+        if any(run.cancelled for run in sweep.live):
+            sweep.drop_cancelled()
+        if not sweep.live:
             break
-        entries: list = []
-        for nid in scalars:
-            node = nodes[nid]
-            for run in live:
-                _run_scalar(core, lp, node, nid, run, entries)
-        if buckets:
-            hist = core.stats.level_width_hist.setdefault(level_idx, {})
-            calls = build_level_calls(core, lp, buckets, live)
-            core._execute_level_calls(lp, calls, entries, hist)
-        if entries:
-            # one bulk store per level, after every node of the level —
+        widths.append(sweep.k)
+        if check is not None:
+            _verify_predicates(sweep, check)
+        for step in steps:
+            if step.defn is None:
+                cols[step.cid] = _feed_column(sweep, step)
+            else:
+                call = _LevelCall(sweep, step)
+                complete_level_call(sweep, call, execute_level_call(call))
+        if bucket_steps:
+            core._execute_level_calls(
+                lp, [_LevelCall(sweep, step) for step in bucket_steps], sweep)
+        if stores:
+            # one bulk store per level, after every step of the level —
             # CacheLookup consumers are ordered into later levels
-            cache.store_many(entries)
-        if track:
-            scratch = lp.scratch_nodes
-            produced = [nid for nid in scalars if scratch[nid]]
-            for bucket in buckets:
-                produced.extend(nid for nid in bucket if scratch[nid])
-            added = 0
-            for run in live:
-                values = run.node_values
-                for nid in produced:
-                    outputs = values[nid]
-                    if outputs is not None:
-                        added += _values_bytes(outputs)
-            peak = (core._live_bytes + added
-                    + core.runtime.accumulators.retained_bytes)
-            core._live_bytes += added
-            if peak > core.stats.peak_live_bytes:
-                core.stats.peak_live_bytes = peak
-        release = lp.releases[level_idx]
-        if release:
-            for run in live:
-                values = run.node_values
-                for nid in release:
-                    outputs = values[nid]
-                    if outputs is not None:
-                        if track and lp.scratch_nodes[nid]:
-                            core._live_bytes -= _values_bytes(outputs)
-                        values[nid] = None
+            core.runtime.cache.store_many([
+                (run_keys[frame_idx], gid, oid, i, sweep.value(ref, r))
+                for r, run_keys in enumerate(sweep.frame_keys())
+                for *ref, frame_idx, gid, oid, i in stores])
+        for cid in release:
+            cols[cid] = None
+            if sweep.bytes is not None:
+                core._live_bytes -= sweep.bytes.pop(cid, 0)
+    _book(sweep, tuple(widths))
+    if sweep.bytes is not None:
+        core._live_bytes -= sum(sweep.bytes.values())
+    row_of = {id(run): r for r, run in enumerate(sweep.live)}
     results = []
     for run in runs:
-        if run.cancelled or run.node_values is None:
+        r = row_of.get(id(run))
+        if r is None or run.cancelled:
             results.append(None)
-        else:
-            values = run.node_values
-            if track:
-                scratch = lp.scratch_nodes
-                freed = 0
-                for nid, outputs in enumerate(values):
-                    if outputs is not None and scratch[nid]:
-                        freed += _values_bytes(outputs)
-                core._live_bytes -= freed
-            if run.densify_fetches:
-                results.append([densify(values[nid][i])
-                                for nid, i in run.fetch_locs])
-            else:
-                # subtree boundary: hand back raw values (incl. sparse
-                # IndexedSlices) exactly like the dynamic finish_async
-                results.append([values[nid][i]
-                                for nid, i in run.fetch_locs])
-        run.node_values = None
-        run.ctxs = None
+            continue
+        values = [sweep.value(lp.root_refs[nid][i], r)
+                  for nid, i in run.fetch_locs]
+        # root fetches leave the runtime dense; a subtree boundary hands
+        # back raw values (incl. sparse IndexedSlices) exactly like the
+        # dynamic finish_async
+        results.append([densify(v) for v in values]
+                       if run.densify_fetches else values)
     return results

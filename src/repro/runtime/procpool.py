@@ -419,9 +419,6 @@ class ProcPoolEngine(WorkerPoolEngine):
         self._task_seq = itertools.count()
         self._shipped_tasks = 0
         self._inline_tasks = 0
-        #: shipped compiled-sweep calls awaiting the barrier, keyed by
-        #: task id: tid -> (call, task segment)
-        self._level_outstanding: dict = {}
         #: wavefront feed coalescing (one queue put per worker per
         #: wavefront instead of one per task; see _send_task)
         self._coalesce_feed = os.environ.get(
@@ -486,7 +483,6 @@ class ProcPoolEngine(WorkerPoolEngine):
         self._pinned.clear()
         self._arena.destroy()
         self._outstanding.clear()
-        self._level_outstanding.clear()
 
     # -- pool mechanics hooks (see WorkerPoolEngine) --------------------------
 
@@ -604,8 +600,7 @@ class ProcPoolEngine(WorkerPoolEngine):
         # Buffer this wavefront's shipped tasks and flush them as one
         # multi-task message per worker: each feed-queue put pays a
         # pickle + queue-lock round trip that sub-millisecond kernels
-        # amortize badly.  Barrier sends (compiled sweeps) bypass the
-        # buffer — their completions are awaited before _dispatch ends.
+        # amortize badly.
         if not self._coalesce_feed or self._feed_buffer is not None:
             return super()._dispatch()
         self._feed_buffer = buf = []
@@ -616,10 +611,10 @@ class ProcPoolEngine(WorkerPoolEngine):
             if buf:
                 self._flush_feed_buffer(buf)
 
-    def _send_task(self, msg, barrier: bool = False) -> None:
+    def _send_task(self, msg) -> None:
         """Queue one task message, or file it with the wavefront buffer."""
         buf = self._feed_buffer
-        if barrier or buf is None:
+        if buf is None:
             self._feed_puts += 1
             self._feed_tasks += 1
             self._tasks.put(msg)
@@ -685,105 +680,14 @@ class ProcPoolEngine(WorkerPoolEngine):
                          tuple(members), "b", fused))
         return True
 
-    # -- parallel compiled sweeps (see WorkerPoolEngine) ----------------------
+    # -- compiled sweeps ------------------------------------------------------
 
     def _level_pool_open(self) -> bool:
-        return (self._level_parallel and bool(self._procs)
-                and self._ship_open())
-
-    def _ship_level_call(self, call) -> bool:
-        """Ship one compiled-sweep call through the shm transport.
-
-        Per-member gate: every member's source (plan, slot) must pass
-        the pure-kernel ship mask and its gathered inputs must be
-        transportable; tiny calls stay inline like tiny dynamic tasks.
-        Level tasks live in ``_level_outstanding`` (never ``_inflight``
-        / ``_outstanding``): the sweep barrier owns their completion.
-        """
-        total = 0
-        for node, _nid, _run, inputs in call.members:
-            plan = node.src_plan
-            if plan is None or plan.graph_id in self._master_only_graphs:
-                return False
-            if not self._ship_mask(plan)[node.src_slot]:
-                return False
-            t = self._values_ship_bytes(inputs)
-            if t < 0:
-                return False
-            total += t
-        if total < self._ship_min:
-            return False
-        seg, descs = _encode_lists([m[3] for m in call.members],
-                                   self._arena.acquire, self._pinned_desc)
-        plan_table: list = []
-        plan_index: dict = {}
-        rows = []
-        for (node, _nid, _run, _inputs), row in zip(call.members, descs):
-            plan = node.src_plan
-            idx = plan_index.get(plan)
-            if idx is None:
-                idx = plan_index[plan] = len(plan_table)
-                plan_table.append(self._plan_ref(plan))
-            rows.append((idx, node.src_slot, row))
-        fused = call.sig is not None
-        tid = next(self._task_seq)
-        self._level_outstanding[tid] = (call, seg)
-        self._shipped_tasks += 1
-        self._send_task(("t", tid, self._stamp, tuple(plan_table),
-                         tuple(rows), "b" if fused else "s", fused),
-                        barrier=True)
-        return True
-
-    def _match_level_item(self, item):
-        if type(item) is not tuple or not item:
-            return None
-        kind = item[0]
-        if kind == "t-done":
-            entry = self._level_outstanding.pop(item[1], None)
-            if entry is None:
-                return None
-            call, seg = entry
-            if seg is not None:
-                self._arena.release(seg)
-            _, _, wid, seg_name, out_descs = item
-            try:
-                outputs_list = _decode_lists(
-                    out_descs, self._resolve_result_seg, copy=True)
-            except Exception as exc:  # noqa: BLE001
-                return call, None, exc
-            finally:
-                if seg_name is not None:
-                    self._recycle_qs[wid].put(seg_name)
-            return call, outputs_list, None
-        if kind == "t-err":
-            entry = self._level_outstanding.pop(item[1], None)
-            if entry is None:
-                return None
-            call, seg = entry
-            if seg is not None:
-                self._arena.release(seg)
-            exc = item[2]
-            if not isinstance(exc, EngineError):
-                # match the serial sweep's wrapping of kernel errors
-                exc = self._wrap_error(exc, call.members[0][0].op)
-            return call, None, exc
-        if kind == "t-noplan":
-            entry = self._level_outstanding.pop(item[1], None)
-            if entry is None:
-                return None
-            call, seg = entry
-            if seg is not None:
-                self._arena.release(seg)
-            # worker lacks the graph (created after the fork): run the
-            # call inline and stop shipping that graph
-            self._master_only_graphs.add(item[2])
-            self._inline_tasks += 1
-            from .level_plan import execute_level_call
-            try:
-                return call, execute_level_call(call), None
-            except Exception as exc:  # noqa: BLE001
-                return call, None, exc
-        return None
+        """Compiled-sweep calls stay on the master.  A call's operands
+        are whole columns; the task format ships per-member rows, and
+        slicing columns back into rows to cross the process boundary is
+        exactly the per-member work a sweep no longer does."""
+        return False
 
     def _pinned_desc(self, arr: np.ndarray):
         """Descriptor for a pinned (persistently resident) array.
@@ -829,16 +733,6 @@ class ProcPoolEngine(WorkerPoolEngine):
 
     def _apply(self, item) -> None:
         kind = item[0]
-        if (kind in ("t-done", "t-err", "t-noplan")
-                and item[1] in self._level_outstanding):
-            # straggler from a sweep barrier the session error aborted:
-            # recover the transport segments and drop the result
-            call, seg = self._level_outstanding.pop(item[1])
-            if seg is not None:
-                self._arena.release(seg)
-            if kind == "t-done" and item[3] is not None:
-                self._recycle_qs[item[2]].put(item[3])
-            return
         if kind == "t-done":
             self._apply_done(item)
         elif kind == "t-err":

@@ -291,7 +291,7 @@ class _LevelRun:
     densify_fetches = True
 
     __slots__ = ("lp", "prefix", "feed", "fetch_locs", "on_complete",
-                 "cancelled", "done", "node_values", "ctxs")
+                 "cancelled", "done")
 
     def __init__(self, lp, prefix: tuple, feed: dict, fetch_list,
                  on_complete: Optional[Callable]):
@@ -303,8 +303,6 @@ class _LevelRun:
         self.on_complete = on_complete
         self.cancelled = False
         self.done = False
-        self.node_values = None
-        self.ctxs = None
 
 
 class _SubtreeRun:
@@ -323,8 +321,7 @@ class _SubtreeRun:
     is_subtree = True
     densify_fetches = False
 
-    __slots__ = ("lp", "prefix", "feed", "fetch_locs", "inst", "done",
-                 "node_values", "ctxs")
+    __slots__ = ("lp", "prefix", "feed", "fetch_locs", "inst", "done")
 
     def __init__(self, lp, prefix: tuple, feed: dict, subgraph, inst):
         self.lp = lp
@@ -334,8 +331,6 @@ class _SubtreeRun:
                            for op_id, i in subgraph.output_locs]
         self.inst = inst
         self.done = False
-        self.node_values = None
-        self.ctxs = None
 
     @property
     def cancelled(self):
@@ -1139,7 +1134,7 @@ class SchedulerCore:
             if values is not None:
                 self._complete_level_run(run, values)
 
-    def _execute_level_calls(self, lp, calls, entries, hist) -> None:
+    def _execute_level_calls(self, lp, calls, sweep) -> None:
         """Run one level's prepared kernel calls.  The base implementation
         executes serially on the calling thread; pool-backed executors
         override it to fan independent calls out to their workers with a
@@ -1147,8 +1142,7 @@ class SchedulerCore:
         the master, in original call order)."""
         from .level_plan import complete_level_call, execute_level_call
         for call in calls:
-            complete_level_call(self, lp, call, execute_level_call(call),
-                                entries, hist)
+            complete_level_call(sweep, call, execute_level_call(call))
 
     def _complete_level_run(self, run, values) -> None:
         """Retire one compiled root (mirrors the dynamic ``frame_done``:

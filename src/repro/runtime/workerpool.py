@@ -403,56 +403,29 @@ class WorkerPoolEngine(SchedulerCore):
         """True when compiled-sweep calls may fan out to the pool."""
         return self._level_parallel and bool(getattr(self, "_pool", None))
 
-    def _ship_level_call(self, call) -> bool:
-        """Hand one prepared level call to the pool; True if shipped.
-
-        Level tasks do not bump ``_inflight``: the per-level barrier in
-        :meth:`_execute_level_calls` accounts for them, and a sweep
-        never spans a serving idle check (the whole barrier runs inside
-        one master step).  Process pools override this with a
-        shippability check and shared-memory transport.
-        """
-        self._tasks.put((call, None))
-        return True
-
-    def _match_level_item(self, item):
-        """Decode a results-queue item as a level-call completion.
-
-        Returns ``(call, outputs_list, exc)``, or None when the item is
-        an ordinary dynamic-path completion.
-        """
-        if type(item) is tuple and item and item[0] == "lvl":
-            return item[1], item[2], item[3]
-        return None
-
-    def _execute_level_calls(self, lp, calls, entries, hist) -> None:
+    def _execute_level_calls(self, lp, calls, sweep) -> None:
         """Fan one level's independent calls out to the kernel pool.
 
-        All but the last call ship to the workers; the master executes
-        the last inline (it would otherwise idle at the barrier) plus
-        any call the transport rejects.  The barrier then collects the
-        shipped completions — applying interleaved dynamic-path items,
-        which is safe because the sweep runs outside the master lock —
-        and completes every call *on the master, in original call
-        order*, so scatter, stats and cache-store order are
-        bit-identical to the serial path.  The first failing call in
-        that order wins, exactly like serial execution.
+        All but the last call go to the workers as task-queue payloads
+        (they never bump ``_inflight``: the barrier below accounts for
+        them, and a sweep never spans a serving idle check); the master
+        executes the last inline — it would otherwise idle at the
+        barrier.  The barrier then collects the shipped completions —
+        applying interleaved dynamic-path items, which is safe because
+        the sweep runs outside the master lock — and completes every
+        call *on the master, in original call order*, so column
+        hand-over and byte accounting match the serial path.  The first
+        failing call in that order wins, exactly like serial execution.
         """
         if len(calls) < 2 or not self._level_pool_open():
-            super()._execute_level_calls(lp, calls, entries, hist)
+            super()._execute_level_calls(lp, calls, sweep)
             return
         from .level_plan import complete_level_call, execute_level_call
-        results: dict = {}
-        outstanding = 0
         for call in calls[:-1]:
-            if self._ship_level_call(call):
-                outstanding += 1
-            else:
-                try:
-                    results[id(call)] = (execute_level_call(call), None)
-                except Exception as exc:  # noqa: BLE001
-                    results[id(call)] = (None, exc)
+            self._tasks.put((call, None))
+        outstanding = len(calls) - 1
         last = calls[-1]
+        results: dict = {}
         try:
             results[id(last)] = (execute_level_call(last), None)
         except Exception as exc:  # noqa: BLE001
@@ -463,23 +436,23 @@ class WorkerPoolEngine(SchedulerCore):
             except queue.Empty:
                 self._check_health()
                 continue
-            matched = self._match_level_item(item)
-            if matched is not None:
-                call, outputs_list, exc = matched
-                results[id(call)] = (outputs_list, exc)
+            if self._is_wake(item):
+                continue
+            if item[0] == "lvl":
+                _, call, outs, exc = item
+                results[id(call)] = (outs, exc)
                 outstanding -= 1
-            elif not self._is_wake(item):
+            else:
                 self._apply(item)
         if outstanding:
             # session failed under the barrier (dead worker, dynamic
             # error): abort the sweep; stragglers are dropped by _apply
             raise self._error
         for call in calls:
-            outputs_list, exc = results[id(call)]
+            outs, exc = results[id(call)]
             if exc is not None:
                 raise exc
-            complete_level_call(self, lp, call, outputs_list, entries,
-                                hist)
+            complete_level_call(sweep, call, outs)
 
     def _apply(self, item) -> None:
         """Apply one pool completion to master state."""
