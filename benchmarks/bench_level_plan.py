@@ -281,14 +281,13 @@ def profile_feeds(placeholders, profile, rng):
     return {values: vals, children: kids, is_leaf: leaf, root: root_idx}
 
 
-def run_canon_stream(requests: int, canon_depth: int, seed: int,
-                     max_depth: int = 9) -> dict:
-    """Serve ``requests`` heavy-tailed tree shapes through one
-    canonicalizing session; returns the aggregated level-plan counters."""
+def run_canon_stream(requests: int, seed: int, max_depth: int = 9) -> dict:
+    """Serve ``requests`` heavy-tailed tree shapes through one session;
+    returns the aggregated level-plan counters plus the number of
+    templates the graph ended up with."""
     rng = np.random.default_rng(seed)
     graph, out, placeholders = tree_sum_graph(f"canon-stream-{seed}")
-    session = repro.Session(graph, repro.Runtime(), num_workers=2,
-                            level_canon_depth=canon_depth)
+    session = repro.Session(graph, repro.Runtime(), num_workers=2)
     totals = {"hits": 0, "misses": 0, "fallbacks": 0, "partial_roots": 0,
               "subtree_runs": 0, "evictions": 0, "compile_ms": 0.0}
     shapes = set()
@@ -308,39 +307,40 @@ def run_canon_stream(requests: int, canon_depth: int, seed: int,
         totals["subtree_runs"] += stats.level_plan_subtree_runs
         totals["evictions"] += stats.level_plan_evictions
         totals["compile_ms"] += stats.level_plan_compile_ms
-    probes = totals["hits"] + totals["misses"]
-    return {"requests": requests, "canon_depth": canon_depth,
-            "distinct_shapes": len(shapes),
-            "compiled_plans": totals["misses"],
-            "cache_hit_rate": totals["hits"] / probes if probes else 0.0,
+    return {"requests": requests, "distinct_shapes": len(shapes),
+            "templates": len(graph._level_plans.get("templates", ())),
+            "instantiations": totals["misses"],
             "wall_s": wall, **totals}
 
 
 def test_level_canonicalization_stream_bench():
-    """The heavy-tailed acceptance row: 500 requests, canon depth 3.
+    """The heavy-tailed acceptance row: 500 requests.
 
-    Without canonicalization every distinct shape compiles its own plan
-    (500 shapes -> ~480+ plans).  With the depth-3 bucket the cache must
-    converge onto the canonical subtree set — compiled-plan count <= 10%
-    of the distinct shapes seen, compile-cache hit rate >= 0.9, zero
-    fallbacks.
+    Before the level templates every distinct shape compiled its own
+    plan (500 shapes -> ~480+ plans) unless the depth-3 bucket
+    decomposed it into a dynamic spine over 5 canonical sub-plans.  Now
+    the definition compiles once: one template, no spine, no fallbacks,
+    and one cheap instantiation per distinct shape.
     """
-    row = run_canon_stream(requests=500, canon_depth=3, seed=17)
+    row = run_canon_stream(requests=500, seed=17)
     payload = {
-        "description": "heavy-tailed shape stream through one "
-                       "canonicalizing session (fed-root binary "
-                       "reduction, event backend)",
+        "description": "heavy-tailed shape stream through one session "
+                       "(fed-root binary reduction, event backend)",
         **{k: v for k, v in row.items() if not k.startswith("_")},
     }
     merge_bench_json("overhead", {"level_plan_canonicalization": payload})
-    print(f"\ncanonicalization stream bench ({row['requests']} requests):")
-    print(f"  distinct shapes: {row['distinct_shapes']}, compiled plans: "
-          f"{row['compiled_plans']}, hit rate: {row['cache_hit_rate']:.3f}")
+    print(f"\nshape stream bench ({row['requests']} requests):")
+    print(f"  distinct shapes: {row['distinct_shapes']}, templates: "
+          f"{row['templates']}, instantiations: {row['instantiations']}")
     print(f"  partial roots: {row['partial_roots']}, subtree sweeps: "
-          f"{row['subtree_runs']}, compile: {row['compile_ms']:.1f} ms")
+          f"{row['subtree_runs']}, compile: {row['compile_ms']:.1f} ms "
+          f"({row['compile_ms'] / row['requests']:.2f} ms/request)")
     assert row["fallbacks"] == 0
-    assert row["compiled_plans"] <= row["distinct_shapes"] // 10, row
-    assert row["cache_hit_rate"] >= 0.9, row
+    assert row["templates"] == 1, row
+    assert row["partial_roots"] == 0 and row["subtree_runs"] == 0, row
+    # a re-instantiation only ever follows an LRU eviction
+    assert (row["instantiations"] - row["evictions"]
+            <= row["distinct_shapes"]), row
 
 
 def test_level_plan_values_match_dynamic():

@@ -121,20 +121,62 @@ def test_smoke_level_plan_canary():
 
 
 def test_smoke_level_canon_canary():
-    """Canonicalization canary: a 50-shape heavy-tailed stream through
-    one canonicalizing session (canon depth 3) must produce zero
-    fallbacks and a compile-cache hit rate >= 0.9 — the always-on guard
-    that deep shape streams converge onto the small canonical plan set
-    (the full 500-request row is ``make bench-level``)."""
+    """Shape-stream canary: a 50-shape heavy-tailed stream through one
+    session compiles exactly one template and never decomposes a fully
+    determined tree (the full 500-request row is ``make bench-level``)."""
     from benchmarks.bench_level_plan import run_canon_stream
 
-    row = run_canon_stream(requests=50, canon_depth=3, seed=23,
-                           max_depth=7)
+    row = run_canon_stream(requests=50, seed=23, max_depth=7)
     assert row["fallbacks"] == 0
-    assert row["partial_roots"] == 50
-    assert row["subtree_runs"] >= 50
-    assert row["cache_hit_rate"] >= 0.9, row
-    assert row["compiled_plans"] <= 5  # binary shapes of depth <= 3
+    assert row["templates"] == 1
+    assert row["partial_roots"] == 0
+    assert row["subtree_runs"] == 0
+    assert row["hits"] + row["misses"] == 50  # one probe per request
+
+
+def test_smoke_level_template_canary():
+    """Count-based compile-cost canary (no timing): 20 fresh shapes of
+    one definition — a ~600-node batch — flushed together are *one*
+    instantiation of *one* template, the template is no bigger than for
+    a single leaf, and the instantiated program's size follows the
+    forest's depth and height, never its node count: the compile path
+    creates no per-tree-node Python objects beyond the O(nodes) key /
+    offset lists."""
+    from benchmarks.bench_level_plan import (profile_feeds, rand_profile,
+                                             tree_sum_graph)
+    from repro.runtime.level_plan import instance_for, linearise
+
+    rng = np.random.default_rng(31)
+    graph, out, placeholders = tree_sum_graph("template-canary")
+    session = repro.Session(graph, repro.Runtime(), num_workers=2)
+    session.run(out, profile_feeds(placeholders, (), rng),
+                shape_profile=((),))
+    (template,) = graph._level_plans["templates"].values()
+    size = (template.num_steps, len(template.classes))
+    shapes = set()
+    while len(shapes) < 20:
+        shapes.add(rand_profile(rng, 6, force=4))
+    shapes = sorted(shapes, key=repr)
+    nodes = sum(str(p).count("(") for p in shapes)
+    assert nodes >= 600
+    with session.serve(max_in_flight=len(shapes)) as server:
+        tickets = [server.submit(out, profile_feeds(placeholders, p, rng),
+                                 at=0.0, shape_profile=(p,))
+                   for p in shapes]
+        server.drain()
+        assert all(t.done for t in tickets)
+        stats = server.stats
+    assert stats.level_plan_hits == 20 and stats.level_plan_fallbacks == 0
+    assert stats.level_plan_cache_misses == 1
+    assert stats.level_plan_cache_hits == 0
+    assert list(graph._level_plans["templates"].values()) == [template]
+    assert (template.num_steps, len(template.classes)) == size
+    # program size: (template steps) x (depth + height keys), not nodes
+    lp = instance_for(template, [linearise(template, (p,)) for p in shapes])
+    n, depths, heights = lp.shape
+    assert n == nodes + len(shapes)  # plus one virtual root per run
+    assert len(lp.step_m) <= template.num_steps * (depths + heights + 1)
+    assert len(lp.step_m) < nodes
 
 
 def test_smoke_continuous_serving_canary():

@@ -22,9 +22,9 @@ def shape_profile_of(node: "TreeNode") -> tuple:
 
     A leaf is ``()``; an internal node is the tuple of its children's
     profiles — so two trees have equal profiles iff they have identical
-    shape (ignoring words/labels).  This is the key the level-plan
-    compiler (:mod:`repro.runtime.level_plan`) memoizes on: equal
-    profiles reuse one compiled wavefront schedule.
+    shape (ignoring words/labels).  This is what the compiled tier
+    (:mod:`repro.runtime.level_plan`) instantiates its level template
+    from, and what its instantiation memo keys on.
     """
     # iterative post-order build: degenerate chain trees exceed the
     # default recursion limit long before they exceed memory

@@ -149,18 +149,22 @@ def format_level_histogram(stats, max_levels: int = 16,
     ``stats`` is a :class:`~repro.runtime.stats.RunStats` whose
     ``level_plan_hits``/``level_plan_fallbacks`` and ``level_width_hist``
     were filled by the compiled fast path
-    (:mod:`repro.runtime.level_plan`).  One row per depth level (deepest
-    mass first): fused-dispatch width buckets with counts and a bar
-    scaled to the level's most common width.  Healthy compiled sweeps
-    show widths near ``batch × merged runs``; a high fallback count
-    means admissions are missing the fast path (ineligible graph shape,
-    no profile, or plan-cache invalidation churn).
+    (:mod:`repro.runtime.level_plan`).  One row per schedule block — a
+    frame class's segment at one depth or height — heaviest first:
+    fused-dispatch width buckets with counts and a bar scaled to the
+    block's most common width.  Healthy compiled sweeps show widths
+    near the forest's node count per depth / height; fallbacks are
+    listed with their reasons (an ineligible definition, or a profile
+    that does not match it).
     """
     hits, fallbacks = stats.level_plan_hits, stats.level_plan_fallbacks
     partial = getattr(stats, "level_plan_partial_roots", 0)
     if not (hits or fallbacks or partial):
         return "level-plan: (no profiled admissions)"
     lines = [f"level-plan: hits={hits}  fallbacks={fallbacks}"]
+    for reason, count in sorted(
+            getattr(stats, "level_plan_fallback_reasons", {}).items()):
+        lines.append(f"  fallback x{count}: {reason}")
     if partial or getattr(stats, "level_plan_subtree_runs", 0):
         lines.append(f"  partial roots={partial}  "
                      f"subtree sweeps={stats.level_plan_subtree_runs}")
@@ -168,7 +172,7 @@ def format_level_histogram(stats, max_levels: int = 16,
               + getattr(stats, "level_plan_cache_misses", 0))
     if probes:
         lines.append(
-            f"  compile cache: hit rate="
+            f"  instantiation memo: hit rate="
             f"{stats.level_plan_cache_hit_rate:.2f} "
             f"(hits={stats.level_plan_cache_hits}, "
             f"misses={stats.level_plan_cache_misses}, "

@@ -82,13 +82,10 @@ class BatchPolicy:
     #: completing deep subtrees (draining live frames) over breadth-first
     #: fan-out — work is reordered, never shed.
     memory_budget: Optional[int] = None
-    #: profile-canonicalization depth for the compiled level-plan tier.
-    #: ``None`` compiles one plan per distinct shape profile (exact
-    #: behavior).  An integer ``d`` caps compiled plans at subtrees of
-    #: node depth <= ``d``: a deeper or partially-determined (``None``
-    #: holes) profile runs its root dynamically and launches compiled
-    #: sub-sweeps per determined subtree, so heavy-tailed shape streams
-    #: share a small canonical plan set instead of compiling per shape.
+    #: accepted and validated (``None`` or >= 1), no longer consulted:
+    #: it used to cap compiled level plans at subtrees of node depth
+    #: <= ``d``; the compiled tier now instantiates a fully determined
+    #: profile of any depth from the definition's one template.
     level_canon_depth: Optional[int] = None
 
     def __post_init__(self):

@@ -250,30 +250,25 @@ class CostModel:
                 total += self.op_overhead
         return total
 
-    def level_plan_cost(self, lp, runs: int = 1) -> float:
+    def level_plan_cost(self, lp) -> float:
         """Static virtual cost of one compiled level-plan sweep.
 
-        What a compiled sweep (:mod:`repro.runtime.level_plan`) pays per
-        level: each scalar node is one per-run kernel dispatch, each
-        pre-fused bucket is *one* kernel call whose members (bucket
-        width × merged runs) add only the gather/scatter term.  The
-        frame-spawn machinery the plan eliminated (``invoke_overhead``,
-        coalescer bookkeeping, per-op cache round-trips) is deliberately
-        absent — that omission *is* the modelled speedup.
+        What a compiled sweep (:mod:`repro.runtime.level_plan`) pays:
+        each scalar member is one kernel dispatch, each pre-fused bucket
+        step is *one* kernel call whose members (over every run of the
+        forest) add only the gather/scatter term.  The frame-spawn
+        machinery the plan eliminated (``invoke_overhead``, coalescer
+        bookkeeping, per-op cache round-trips) is deliberately absent —
+        that omission *is* the modelled speedup.
 
         Sums the dataclass constants directly (never the overridable
         cost methods): :func:`unit_cost` replaces those methods by
         attribute assignment, and the compiled path must stay cheap and
         deterministic under every profile.
         """
-        total = 0.0
-        for scalars, buckets in lp.levels:
-            total += runs * len(scalars) * (self.dispatch_cost
-                                            + self.op_overhead)
-            for bucket in buckets:
-                total += (self.dispatch_cost + self.op_overhead
-                          + len(bucket) * runs * self.batch_member_cost)
-        return total
+        scalars, calls, members = lp.cost_terms
+        return ((scalars + calls) * (self.dispatch_cost + self.op_overhead)
+                + members * self.batch_member_cost)
 
 
 def calibrate_batch_member_cost(widths=(4, 8, 16, 32, 64),

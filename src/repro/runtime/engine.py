@@ -150,7 +150,7 @@ class EventEngine(SchedulerCore):
         except Exception as exc:  # noqa: BLE001 - session failure path
             self._fail_level(exc)
             return
-        done_at = self._now + self.cost_model.level_plan_cost(lp, len(runs))
+        done_at = self._now + self.cost_model.level_plan_cost(lp)
         for run, values in zip(runs, results):
             if values is None:
                 continue

@@ -1,62 +1,41 @@
-"""Level-synchronous tree compilation: the compiled fast path.
+"""Shape-generic level templates: the compiled fast path.
 
-The dynamic runtime discovers batching at execution time — every tree
-node is a frame spawn, and the coalescer finds same-signature work in
-the live ready queue.  That flexibility costs a per-node scheduling
-floor (frame spawn, signature matching, bucket bookkeeping) that
-dominates on small trees.  When the *shape* of a recursive input is
-known at admission (the data loader has it — ``TreeBatch.profiles``),
-none of that discovery is necessary: the entire frame tree, every
-branch decision, and every fusable wavefront can be computed once per
-shape and replayed.
+When the *shape* of a recursive input is known at admission
+(``TreeBatch.profiles``) the dynamic runtime's discovery — a frame per
+tree node, signature matching in the ready queue — is unnecessary.  The
+paper's point is that a recursive *definition* gives the runtime the
+relation between nodes instead of a per-input topological index; this
+module takes it literally (ARCHITECTURE.md, "Two-tier dispatch", has the
+full account):
 
-This module compiles a per-(root plan, shape profile, record mode)
-:class:`LevelPlan`: the recursion is unrolled into a flat node list
-(placeholder bindings, kernels, and call-site "finisher" nodes that
-replicate the async starters' completion semantics), leveled with a
-Kahn pass, pre-bucketed — per level, kernel nodes sharing a batch
-signature prefix form one fused dispatch — and lowered to *columns*
-(:func:`_wire_columns`): each bucket produces one array per output
-with its members on axis 0, and every bucket input is wired at compile
-time to the producer column itself (same members, same order), a
-precomputed row-index array into it (one ``take``), or an invariant
-(``Const`` / ``ReadVariable`` / a feed every member reads whole: one
-value, never copied per member).  Executing a LevelPlan is a fixed
-sequence of stacked kernel calls over those columns; no frames are
-spawned, no signatures matched, no per-member Python runs.  Several
-concurrent roots with the *same* profile share one wavefront: every
-column extends run-major across runs (cross-request level merging in
-serving mode).
+**Template** — once per (root plan, record mode[, subtree SubGraph]).
+Every *frame class* — the root frame, per recursive child count ``c``
+the node body with the ``Cond`` branch ``c`` selects and helper bodies
+inlined (``U_c``), and its ``InvokeGrad`` / ``CondGrad`` mirror
+(``GU_c``) — is scanned once, with the async starters' binding
+semantics, into kernel ops with *symbolic* inputs.  Ops split into a
+pre-call segment (feeds a recursive call or a ``Cond`` predicate) and a
+post-call segment, Kahn-levelled and pre-bucketed into steps; the root
+frame is staged around its call sites.  Ineligibility is a property of
+the definition, recorded once with its reason.
 
-Equivalence contract: values and gradients are bit-identical to the
-dynamic path.  The compiler replays the exact binding semantics of the
-four async starters (Invoke, Cond, InvokeGrad, CondGrad), derives
-frame cache keys from the same ``child_key`` suffix scheme (so
-selective-cache stores write the same entries; a compiled
-``CacheLookup`` reads its frame's stored column directly), and
-executes stateful kernels (``AccumGrad``) with the same frame keys
-— the canonical-order :class:`GradientAccumulator` then makes the
-replayed backward schedule sum gradients in the dynamic order.
+**Instantiate** — per admitted forest (all runs flushed together, of
+any shapes).  One linearisation walk per run yields per-node arrays;
+members of a step are the nodes of its class at one depth (pre-call,
+top-down) or one height (post-call, bottom-up), and every input spec is
+filled by numpy index arithmetic: Python work is O(instantiated steps)
+plus O(nodes) for frame-key suffixes — never O(nodes × body ops).
 
-Eligibility (anything else raises an internal marker and the root
-falls back to the dynamic coalescer, counted in
-``RunStats.level_plan_fallbacks``):
+**Sweep** — a fixed sequence of stacked kernel calls over columns (one
+array per step output, members on axis 0).  No frames are spawned, no
+signatures matched, no per-member Python runs.
 
-* every root ``Invoke`` targets one shared recursive SubGraph, one
-  profile per call site;
-* structure is profile-determined: a profiled body either contains
-  exactly as many recursive call sites as the profile has children, or
-  exactly one ``Cond`` whose branches differ in recursive-call count
-  (the profile selects the branch — the sweep *verifies* each level's
-  predicates at run time, one vector compare, and raises on mismatch);
-* no ``Loop``/``LoopGrad``, no async op behind a control dependency,
-  no unbound placeholders.
-
-Plans are memoized on ``graph._level_plans`` keyed by the root
-FramePlan object, invalidated by graph mutation and by the op-registry
-version stamp (via :func:`plan_for` — a LevelPlan additionally records
-the body FramePlans it baked in and revalidates their identity on
-every cache hit, so ``set_cache_filter`` on a body graph recompiles).
+Values, gradients, selective-cache entries and accumulator sums are
+bit-identical to the dynamic path (same ``child_key`` frame keys, same
+stateful-kernel contexts), and the sweep *verifies* every ``Cond``
+predicate against the branch the profile selected.  Anything ineligible
+falls back to the dynamic coalescer, counted by reason in
+``RunStats.level_plan_fallback_reasons``.
 """
 
 from __future__ import annotations
@@ -64,7 +43,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from collections import deque, namedtuple
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
@@ -79,677 +58,40 @@ from .plan import _PERSISTENT_ALIAS_OPS
 from .scheduler import EngineError, SchedulerCore, _values_bytes, densify
 from .stats import RunStats
 
-__all__ = ["LevelPlan", "level_plan_for", "execute_level_plan",
+__all__ = ["LevelPlan", "Template", "template_for", "linearise",
+           "instance_for", "level_plan_for", "execute_level_plan",
            "execute_level_call", "complete_level_call"]
 
-#: LRU caps for the per-graph plan memo — compiled plans are a few KB
-#: each, the ineligible sentinel is one dict row; both grow without
-#: bound on adversarial long-tail shape streams unless capped
+#: LRU cap of the per-graph instantiation memo: an instantiation holds
+#: index arrays proportional to its forest, so adversarial long-tail
+#: shape streams must not grow the memo without bound
 LEVEL_PLAN_CAP = int(os.environ.get("REPRO_LEVEL_PLAN_CAP", "256"))
-LEVEL_PLAN_INELIGIBLE_CAP = int(
-    os.environ.get("REPRO_LEVEL_PLAN_INELIGIBLE_CAP", "512"))
 
-# node kinds
-_KERNEL = 0        # synchronous op: run its kernel
-_BIND_FEED = 1     # root placeholder: read the run's feed map
-_BIND_ALIAS = 2    # bound op in a child frame: alias the wired value
-_FIN_PASS = 3      # Invoke finisher: forward the child frame's outputs
-_FIN_COND = 4      # Cond finisher: verify predicate, forward branch outputs
-_FIN_IGRAD = 5     # InvokeGrad finisher: forward outputs + done flag
-_FIN_CGRAD = 6     # CondGrad finisher: scatter grads / zeros + done flag
-
-
-
-def _profile_depth(profile) -> int:
-    """Node depth of a shape profile: a leaf ``()`` is depth 1."""
-    if not profile:
-        return 1
-    return 1 + max(_profile_depth(child) for child in profile)
-
-
-def _profile_has_holes(profile) -> bool:
-    """True when any subtree of the profile is undetermined (``None``)."""
-    if profile is None:
-        return True
-    return any(_profile_has_holes(child) for child in profile)
+# symbolic value references: (_S, op index, out) a member op of the same
+# class; (_O, cid, out) an invariant; (_B, placeholder id) bound by the
+# parent frame; (_C, site index, out) a recursive call site's output;
+# (_M, ref) a value of the mirrored forward class
+_S, _O, _B, _C, _M = range(5)
+#: the shared ``True`` completion flag of gradient call sites (cid 0)
+_DONE = (_O, 0, 0)
+#: sentinel reason: the profile has undetermined (``None``) subtrees
+HOLES = "profile has undetermined subtrees"
 
 
 class _Ineligible(Exception):
-    """Internal: this root cannot be level-compiled; use the dynamic path."""
+    """Internal: not compilable; ``args[0]`` is the countable reason."""
 
 
-class _CNode:
-    """One compiled node: a value producer in the flattened frame tree."""
+#: stand-in for :class:`Frame` inside compiled ExecContexts: kernels only
+#: touch ``ctx.frame.key`` (cache / accumulator order keys) and ``.record``
+_CFrame = namedtuple("_CFrame", "key record")
 
-    __slots__ = ("kind", "frame_idx", "op", "defn", "inputs", "extra_deps",
-                 "store_mask", "graph_id", "sig_prefix", "expected",
-                 "recipe")
 
-    def __init__(self, kind, frame_idx, op, defn):
-        self.kind = kind
-        self.frame_idx = frame_idx
-        self.op = op
-        self.defn = defn
-        #: value inputs: tuple of (producer node id, output index)
-        self.inputs = ()
-        #: ordering-only dependencies (node ids) for the level assignment
-        self.extra_deps = ()
-        #: per-output store booleans (None when this node records nothing)
-        self.store_mask = None
-        self.graph_id = -1
-        #: interned batch-signature prefix (kernel nodes only)
-        self.sig_prefix = None
-        #: expected predicate value (Cond/CondGrad finishers)
-        self.expected = False
-        #: per-output take-grad/zero booleans (CondGrad finisher)
-        self.recipe = ()
-
-
-class _CFrame:
-    """Stand-in for :class:`Frame` inside compiled ExecContexts.
-
-    Kernels only touch ``ctx.frame.key`` (cache keys, accumulator order
-    keys) and ``ctx.frame.record``; compiled execution never needs the
-    rest of the frame machinery.
-    """
-
-    __slots__ = ("key", "record")
-
-    def __init__(self, key, record):
-        self.key = key
-        self.record = record
-
-
-#: One frame context queued for expansion (BFS over the frame tree).
-#: ``mode``: "root" | "subroot" | "node" | "branch" | "helper" | "grad";
-#: ``profile``: children profiles (profiled frames) or None; ``bindings``:
-#: op id -> (node id, out idx) in child frames; ``fill``: finisher wiring
-#: callback, run after the scan.
-_FrameJob = namedtuple("_FrameJob", "plan suffix depth mode profile "
-                       "bindings frame_idx fill")
-
-
-class LevelPlan:
-    """A compiled level-synchronous schedule for one (root plan, profile).
-
-    ``levels`` is the wavefront schedule — per level, a tuple of scalar
-    node ids (binds, finishers, unfusable kernels) and a tuple of fused
-    buckets (node-id tuples sharing a batch-signature prefix) — kept for
-    the cost model; ``program`` is its executable columnar form (see
-    :func:`_wire_columns`).  ``suffixes`` / ``records`` hold each
-    compiled frame's key suffix and record flag; a run's frame key is
-    its root key plus the suffix, which is exactly the dynamic
-    ``child_key`` chain.
-    """
-
-    __slots__ = ("levels", "suffixes", "records", "root_node_of",
-                 "body_deps", "max_depth", "num_nodes", "scalar_counts",
-                 "program", "step_m", "root_refs", "booked")
-
-    def __init__(self, nodes, levels, frames, root_node_of, body_deps,
-                 max_depth, scalar_counts):
-        self.levels = levels
-        self.suffixes = tuple(suffix for suffix, _ in frames)
-        self.records = tuple(record for _, record in frames)
-        self.root_node_of = root_node_of
-        self.body_deps = body_deps
-        self.max_depth = max_depth
-        self.num_nodes = len(nodes)
-        #: per-plan op counts for the scalar schedule (op type -> count):
-        #: the fixed schedule makes scalar accounting static
-        self.scalar_counts = scalar_counts
-        #: per level: predicate check, master-side steps, bucket steps,
-        #: bucket accounting, cache stores, and the column groups whose
-        #: last reader sits in that level (dropped right after it)
-        self.program, self.step_m, self.root_refs = _wire_columns(
-            nodes, levels, any(self.records))
-        #: memoised accounting of one sweep: ``(key, RunStats delta)``
-        self.booked = None
-
-    def __repr__(self):
-        return (f"<LevelPlan nodes={self.num_nodes} levels={len(self.levels)} "
-                f"frames={len(self.suffixes)} depth={self.max_depth}>")
-
-
-def level_plan_for(graph, root_plan, shape_profile, record: bool,
-                   stats=None, subtree=None) -> Optional["LevelPlan"]:
-    """Compile (or fetch the memoized) LevelPlan for one root shape.
-
-    ``shape_profile`` is a sequence of per-root-call-site shape profiles
-    in op-id order — ``TreeBatch.profiles`` for the tree models.
-    Returns ``None`` when the root is not eligible (the caller falls
-    back to the dynamic path).  Memoized on ``graph._level_plans``;
-    ineligible shapes are memoized too, so repeated fallbacks are one
-    dict probe.  The memo is LRU-bounded (``REPRO_LEVEL_PLAN_CAP`` /
-    ``REPRO_LEVEL_PLAN_INELIGIBLE_CAP``) so adversarial long-tail shape
-    streams cannot grow it without bound.
-
-    When ``subtree`` is a recursive SubGraph, the compiled plan covers
-    one *subtree* of the recursion (``shape_profile`` is that node's
-    children tuple) — the partial-compilation path launched from a
-    dynamic spine frame.  When ``stats`` (a RunStats) is given, cache
-    probes book ``level_plan_cache_hits``/``_misses`` and compile time
-    accrues into ``level_plan_compile_ms``.
-    """
-    try:
-        profiles = tuple(shape_profile)
-    except TypeError:
-        return None
-    if subtree is None:
-        key = (root_plan, profiles, bool(record))
-    else:
-        key = (root_plan, profiles, bool(record), "sub")
-    # two insertion-ordered maps, one per verdict, so a miss evicts in
-    # O(1) instead of scanning the whole memo for entries of its kind
-    cache = graph._level_plans
-    compiled = cache.setdefault("compiled", {})
-    ineligible = cache.setdefault("ineligible", {})
-    if key in ineligible:
-        if stats is not None:
-            stats.level_plan_cache_hits += 1
-        return None
-    entry = compiled.get(key)
-    if entry is not None:
-        # revalidate baked-in body plans: set_cache_filter (installed by
-        # differentiate_subgraph) invalidates a *body* graph's frame
-        # plans without touching this root graph's caches
-        if all(plan_for(g) is p for g, p in entry.body_deps):
-            if stats is not None:
-                stats.level_plan_cache_hits += 1
-            with graph._lock:
-                if compiled.get(key) is entry:  # LRU touch: move to end
-                    del compiled[key]
-                    compiled[key] = entry
-            return entry
-    if stats is not None:
-        stats.level_plan_cache_misses += 1
-    t0 = time.perf_counter()
-    try:
-        lp = _compile(root_plan, profiles, record, subtree)
-    except _Ineligible:
-        lp = None
-    if stats is not None:
-        stats.level_plan_compile_ms += (time.perf_counter() - t0) * 1e3
-    with graph._lock:
-        if lp is None:
-            compiled.pop(key, None)  # a stale plan that no longer compiles
-            memo, cap = ineligible, LEVEL_PLAN_INELIGIBLE_CAP
-        else:
-            memo, cap = compiled, LEVEL_PLAN_CAP
-        memo[key] = lp
-        while cap > 0 and len(memo) > cap:
-            del memo[next(iter(memo))]
-            if stats is not None:
-                stats.level_plan_evictions += 1
-    return lp
-
-
-# ---------------------------------------------------------------------------
-# compilation
-# ---------------------------------------------------------------------------
-
-def _compile(root_plan, profiles, session_record, subtree=None) -> "LevelPlan":
-    # -- pre-pass: identify the recursive SubGraph at the root ------------
-    if subtree is not None:
-        # partial compilation: the "root" of this plan is one recursive
-        # subtree body, launched from a dynamic spine frame; its feed is
-        # the runtime binding dict the starter would have passed to
-        # spawn_frame, and ``profiles`` is the subtree node's children
-        s_rec = subtree
-        if not s_rec.finalized:
-            raise _Ineligible("recursive SubGraph is not finalized")
-    else:
-        root_invokes = [op for op in root_plan.ops if op.op_type == "Invoke"]
-        if not root_invokes:
-            raise _Ineligible("no recursive call sites in the root plan")
-        s_rec = root_invokes[0].attrs["subgraph"]
-        for op in root_invokes[1:]:
-            if op.attrs["subgraph"] is not s_rec:
-                raise _Ineligible(
-                    "root call sites target multiple SubGraphs")
-        if len(root_invokes) != len(profiles):
-            raise _Ineligible("profile count does not match root call sites")
-        if not s_rec.finalized:
-            raise _Ineligible("recursive SubGraph is not finalized")
-
-    nodes: list[_CNode] = []
-    frames: list[tuple] = []
-    body_deps: dict = {}          # body graph -> FramePlan baked in
-    cond_roles: dict = {}         # (frame suffix, cond op id) -> "true"/"false"
-    store_index: dict = {}        # (suffix, graph_id, op_id, out_idx) -> node
-    root_node_of: dict = {}       # root op id -> node id
-    jobs: deque = deque()
-    max_depth = [0]
-
-    def body_plan(g):
-        p = body_deps.get(g)
-        if p is None:
-            p = body_deps[g] = plan_for(g)
-        return p
-
-    def struct_count_of(sg):
-        """Recursive call sites (Invokes of s_rec) in a SubGraph body."""
-        return sum(1 for o in body_plan(sg.graph).ops
-                   if o.op_type == "Invoke"
-                   and o.attrs.get("subgraph") is s_rec)
-
-    def add_job(plan, suffix, depth, mode, profile, bindings, fill):
-        if mode == "root":
-            record = False
-        else:
-            record = (session_record
-                      and not getattr(plan.graph, "is_backward_body", False))
-        frame_idx = len(frames)
-        frames.append((suffix, record))
-        if depth > max_depth[0]:
-            max_depth[0] = depth
-        jobs.append(_FrameJob(plan, suffix, depth, mode, profile, bindings,
-                              frame_idx, fill))
-
-    def forward_outputs(node, child_plan, out_locs, head, base_extra):
-        """Finisher wiring: ``head`` + the child frame's output values,
-        ordered after every node of the child frame."""
-        def fill(child_nos, own):
-            node.inputs = head + tuple(
-                (child_nos[child_plan.index_of[oid]], i)
-                for oid, i in out_locs)
-            node.extra_deps = base_extra + own
-        return fill
-
-    def _scan(job):
-        plan = job.plan
-        suffix = job.suffix
-        frame_idx = job.frame_idx
-        record = frames[frame_idx][1]
-        index_of = plan.index_of
-        node_of_slot: list = [None] * plan.num_slots
-        first_node = len(nodes)
-        children = job.profile
-        cursor = 0
-        cond_seen = False
-
-        def emit(kind, op, defn, slot):
-            nid = len(nodes)
-            node = _CNode(kind, frame_idx, op, defn)
-            if record:
-                mask = plan.store_masks[slot]
-                if any(mask):
-                    node.store_mask = mask
-                    node.graph_id = plan.graph_id
-                    for i, m in enumerate(mask):
-                        if m:
-                            store_index[(suffix, plan.graph_id, op.id, i)] = nid
-            nodes.append(node)
-            node_of_slot[slot] = nid
-            return nid, node
-
-        # -- pass 1: bound / fed slots (bypass deps, like seed_frame) ------
-        # Capture placeholders can sit at *later* plan slots than their
-        # in-frame consumers (they are created lazily at capture time), so
-        # every binding node must exist before the wiring pass reads it.
-        fed, bindings = job.mode in ("root", "subroot"), job.bindings
-        for slot, op in enumerate(plan.ops):
-            if fed:
-                if op.op_type == "Placeholder":
-                    emit(_BIND_FEED, op, plan.defs[slot], slot)
-            else:
-                bound = bindings.get(op.id)
-                if bound is not None:
-                    _, node = emit(_BIND_ALIAS, op, plan.defs[slot], slot)
-                    node.inputs = (bound,)
-                elif op.op_type == "Placeholder":
-                    raise _Ineligible(f"unbound placeholder {op.name}")
-
-        # -- pass 2: kernels and call sites in slot order ------------------
-        for slot, op in enumerate(plan.ops):
-            if node_of_slot[slot] is not None:
-                continue
-            defn = plan.defs[slot]
-            op_type = op.op_type
-
-            # -- value wiring + control dependencies ----------------------
-            in_refs = []
-            for s, i in plan.input_locs[slot]:
-                src = node_of_slot[s]
-                if src is None:
-                    raise _Ineligible(f"unwired input of {op.name}")
-                in_refs.append((src, i))
-            extra = ()
-            if op.control_inputs:
-                if defn.is_async:
-                    # the dynamic path gates the *spawn* on control deps;
-                    # a compiled child would not wait — bail out
-                    raise _Ineligible("control dependency on a call site")
-                ex = []
-                for c in op.control_inputs:
-                    s2 = index_of.get(c.id)
-                    if s2 is None or node_of_slot[s2] is None:
-                        raise _Ineligible("control producer outside the plan")
-                    ex.append(node_of_slot[s2])
-                extra = tuple(ex)
-
-            if not defn.is_async:
-                if op_type == "CacheLookup":
-                    skey = (suffix, op.attrs["target_graph_id"],
-                            op.attrs["target_op_id"],
-                            op.attrs["target_out_idx"])
-                    storer = store_index.get(skey)
-                    if storer is None:
-                        raise _Ineligible(
-                            "cache lookup without a compiled producer")
-                    # the producer is compiled in: the lookup reads its
-                    # column (ordered after it) instead of the cache
-                    in_refs = [(storer, skey[3])]
-                nid, node = emit(_KERNEL, op, defn, slot)
-                node.inputs = tuple(in_refs)
-                node.extra_deps = extra
-                node.sig_prefix = plan.sig_prefixes[slot]
-                continue
-
-            # -- async call sites: finisher node + child frame job ---------
-            if op_type == "Invoke":
-                sg = op.attrs["subgraph"]
-                if not sg.finalized:
-                    raise _Ineligible("call target is not finalized")
-                if sg is s_rec:
-                    if job.mode in ("helper", "grad"):
-                        raise _Ineligible(
-                            "recursive call outside the profiled structure")
-                    if children is None or cursor >= len(children):
-                        raise _Ineligible("more call sites than the profile")
-                    child_profile = children[cursor]
-                    cursor += 1
-                    child_mode = "node"
-                else:
-                    child_profile = None
-                    child_mode = "helper"
-                input_ids = sg.input_op_ids[:op.attrs["n_args"]]
-                if len(in_refs) < len(input_ids):
-                    raise _Ineligible("call site is missing arguments")
-                bindings = dict(zip(input_ids, in_refs))
-                for ph_id, pos in role_captures(op, "main"):
-                    if pos >= len(in_refs):
-                        raise _Ineligible("capture position out of range")
-                    bindings[ph_id] = in_refs[pos]
-                child_plan = body_plan(sg.graph)
-                nid, node = emit(_FIN_PASS, op, defn, slot)
-                add_job(child_plan, suffix + (op.id,), job.depth + 1,
-                        child_mode, child_profile, bindings,
-                        forward_outputs(node, child_plan, sg.output_locs,
-                                        (), extra))
-
-            elif op_type == "Cond":
-                if job.mode not in ("node", "subroot") or cond_seen:
-                    raise _Ineligible("data-dependent control flow here")
-                cond_seen = True
-                c = len(children)
-                t_sg = op.attrs["true_subgraph"]
-                f_sg = op.attrs["false_subgraph"]
-                if not (t_sg.finalized and f_sg.finalized):
-                    raise _Ineligible("branch body is not finalized")
-                tc, fc = struct_count_of(t_sg), struct_count_of(f_sg)
-                if tc == c and fc != c:
-                    role = "true"
-                elif fc == c and tc != c:
-                    role = "false"
-                else:
-                    raise _Ineligible(
-                        "branch is not determined by the shape profile")
-                cond_roles[(suffix, op.id)] = role
-                chosen = t_sg if role == "true" else f_sg
-                bindings = {}
-                for ph_id, pos in role_captures(op, role):
-                    if pos >= len(in_refs):
-                        raise _Ineligible("capture position out of range")
-                    bindings[ph_id] = in_refs[pos]
-                pred = in_refs[0]
-                child_plan = body_plan(chosen.graph)
-                nid, node = emit(_FIN_COND, op, defn, slot)
-                node.expected = (role == "true")
-                add_job(child_plan, suffix + (op.id,), job.depth + 1,
-                        "branch", children, bindings,
-                        forward_outputs(node, child_plan, chosen.output_locs,
-                                        (pred,), extra))
-
-            elif op_type == "InvokeGrad":
-                if job.mode not in ("root", "grad"):
-                    raise _Ineligible("backward call in a forward body")
-                fwd = op.attrs["fwd_subgraph"]
-                if fwd._grad_subgraph is None:
-                    raise _Ineligible("gradient body not built yet")
-                gsg = fwd.grad_subgraph
-                if not gsg.finalized:
-                    raise _Ineligible("gradient body is not finalized")
-                if len(in_refs) < len(gsg.input_op_ids):
-                    raise _Ineligible("backward call is missing seeds")
-                bindings = dict(zip(gsg.input_op_ids, in_refs))
-                site_id = op.attrs["site_id"]
-                child_plan = body_plan(gsg.graph)
-                nid, node = emit(_FIN_IGRAD, op, defn, slot)
-                add_job(child_plan, suffix + (site_id,), job.depth + 1,
-                        "grad", None, bindings,
-                        forward_outputs(node, child_plan, gsg.output_locs,
-                                        (), extra))
-
-            elif op_type == "CondGrad":
-                if job.mode not in ("root", "grad"):
-                    raise _Ineligible("backward branch in a forward body")
-                site_id = op.attrs["site_id"]
-                role = cond_roles.get((suffix, site_id))
-                if role is None:
-                    raise _Ineligible("no compiled branch decision to mirror")
-                sg = op.attrs[f"{role}_subgraph"]
-                if sg._grad_subgraph is None:
-                    raise _Ineligible("gradient body not built yet")
-                backward = sg.grad_subgraph
-                if not backward.finalized:
-                    raise _Ineligible("gradient body is not finalized")
-                n_seeds = op.attrs["n_seeds"]
-                entries = op.attrs["cap_entries"]
-                if len(in_refs) < 1 + n_seeds:
-                    raise _Ineligible("backward branch is missing seeds")
-                pred = in_refs[0]
-                seeds = in_refs[1:1 + n_seeds]
-                refs = in_refs[1 + n_seeds:]
-                if len(refs) != len(entries):
-                    raise _Ineligible("capture entries out of sync")
-                if len(seeds) < len(backward.input_op_ids):
-                    raise _Ineligible("backward branch is missing seeds")
-                bindings = dict(zip(backward.input_op_ids, seeds))
-                slot_tensors = cond_grad_slot_tensors(sg)
-                child_plan = body_plan(backward.graph)
-                nid, node = emit(_FIN_CGRAD, op, defn, slot)
-                node.expected = (role == "true")
-
-                def fill(child_nos, own, node=node, child_plan=child_plan,
-                         pred=pred, refs=tuple(refs), entries=entries,
-                         role=role, slot_tensors=slot_tensors,
-                         base_extra=extra):
-                    srcs = []
-                    takes = []
-                    for (entry_role, ph_id), ref in zip(entries, refs):
-                        t = (slot_tensors.get(ph_id)
-                             if entry_role == role else None)
-                        if t is not None:
-                            srcs.append(
-                                (child_nos[child_plan.index_of[t.op.id]],
-                                 t.index))
-                            takes.append(True)
-                        else:
-                            srcs.append(ref)
-                            takes.append(False)
-                    node.inputs = (pred,) + tuple(srcs)
-                    node.recipe = tuple(takes)
-                    node.extra_deps = base_extra + own
-
-                add_job(child_plan, suffix + (site_id,), job.depth + 1,
-                        "grad", None, bindings, fill)
-
-            else:
-                raise _Ineligible(f"async op {op_type} is not compilable")
-
-        # -- structural accounting ----------------------------------------
-        if children is not None:
-            if cond_seen:
-                if cursor != 0:
-                    raise _Ineligible(
-                        "mixed direct recursion and branch recursion")
-            elif cursor != len(children):
-                raise _Ineligible("fewer call sites than the profile")
-        if job.mode in ("root", "subroot"):
-            for slot, op in enumerate(plan.ops):
-                root_node_of[op.id] = node_of_slot[slot]
-        if job.fill is not None:
-            job.fill(node_of_slot, tuple(range(first_node, len(nodes))))
-
-    if subtree is not None:
-        add_job(body_plan(s_rec.graph), (), 0, "subroot", profiles,
-                None, None)
-    else:
-        add_job(root_plan, (), 0, "root", profiles, None, None)
-    while jobs:
-        _scan(jobs.popleft())
-
-    _collapse_aliases(nodes)
-    levels, scalar_counts = _level_schedule(nodes)
-    return LevelPlan(nodes, levels, frames, root_node_of,
-                     tuple(body_deps.items()), max_depth[0], scalar_counts)
-
-
-def _collapse_aliases(nodes) -> None:
-    """Forward consumers of pure ``_BIND_ALIAS`` nodes to their source.
-
-    A binding alias is pure data movement (a child placeholder reading
-    the parent's wired value) — one scheduled node per binding per frame,
-    a large fraction of the scalar sweep on deep trees.  Rewriting every
-    value input and ordering dep through store-less aliases leaves them
-    unreferenced; ``_level_schedule`` then drops them from the schedule.
-    Aliases that record to the value cache keep their node (the store is
-    a side effect the schedule must retain), so chains stop there: a dep
-    pointing at a recording alias still orders after its store.
-    """
-    pure = [node.kind == _BIND_ALIAS and node.store_mask is None
-            for node in nodes]
-
-    def resolve(nid, idx):
-        while pure[nid]:
-            nid, idx = nodes[nid].inputs[0]
-        return nid, idx
-
-    for node in nodes:
-        if node.inputs:
-            node.inputs = tuple([resolve(s, i) if pure[s] else (s, i)
-                                 for s, i in node.inputs])
-        if node.extra_deps:
-            node.extra_deps = tuple([resolve(d, 0)[0] if pure[d] else d
-                                     for d in node.extra_deps])
-
-
-def _level_schedule(nodes) -> tuple:
-    """Kahn-level the node DAG and pre-bucket each level.
-
-    Level of a node = longest dependency chain below it; per level,
-    kernel nodes with the same batch-signature prefix form one fused
-    bucket and everything else (bindings, finishers, unfusable or
-    stateful kernels) runs scalar in node-id order.  Collapsed aliases
-    (store-less ``_BIND_ALIAS`` nodes left unreferenced by
-    :func:`_collapse_aliases`) are dropped from the schedule entirely.
-    Returns ``(levels, scalar_counts)``: the wavefront schedule and the
-    static per-op-type counts of scheduled scalar nodes that the dynamic
-    path would have booked through ``note_op``.
-    """
-    n = len(nodes)
-    indeg = [0] * n
-    out: list = [[] for _ in range(n)]  # dependants; empty: unreferenced
-    level = [0] * n
-    for nid, node in enumerate(nodes):
-        deps = set(node.extra_deps)
-        for s, _ in node.inputs:
-            deps.add(s)
-        indeg[nid] = len(deps)
-        for d in deps:
-            out[d].append(nid)
-    queue = deque(nid for nid in range(n) if indeg[nid] == 0)
-    seen = 0
-    while queue:
-        nid = queue.popleft()
-        seen += 1
-        base = level[nid] + 1
-        for c in out[nid]:
-            if base > level[c]:
-                level[c] = base
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    if seen != n:
-        raise _Ineligible("compiled schedule has a cycle")
-
-    by_level: dict = {}
-    for nid in range(n):
-        by_level.setdefault(level[nid], []).append(nid)
-    levels = []
-    scalar_counts: dict = {}
-    for li in sorted(by_level):
-        scalars = []
-        buckets: dict = {}
-        for nid in by_level[li]:
-            node = nodes[nid]
-            kind = node.kind
-            if kind == _KERNEL and node.sig_prefix is not None:
-                buckets.setdefault(node.sig_prefix, []).append(nid)
-                continue
-            if kind == _BIND_ALIAS and node.store_mask is None \
-                    and not out[nid]:
-                continue  # collapsed: every consumer reads the source
-            scalars.append(nid)
-            if kind != _BIND_FEED and kind != _BIND_ALIAS:
-                op_type = node.op.op_type
-                scalar_counts[op_type] = scalar_counts.get(op_type, 0) + 1
-        if scalars or buckets:
-            levels.append((tuple(scalars),
-                           tuple(tuple(b) for b in buckets.values())))
-    return tuple(levels), tuple(scalar_counts.items())
-
-
-# ---------------------------------------------------------------------------
-# column wiring
-# ---------------------------------------------------------------------------
-
-class _Step:
-    """Members of one level that execute as one columnar call.
-
-    A step owns column group ``cid``: one column per output, member
-    ``j`` of run ``r`` on row ``r * m + j``.  ``inputs[p]`` wires input
-    ``p`` (see :func:`_input_spec`).  ``once`` steps are invariants
-    (``Const``, ``ReadVariable`` and pure ops over them, canonicalised
-    to one step per op): their kernel runs once per sweep.  ``frames``
-    (stateful kernels only) is each member's compiled frame, for its
-    cache / accumulator key.
-    """
-
-    __slots__ = ("cid", "defn", "op", "m", "frames", "inputs", "n_out",
-                 "once", "scratch")
-
-    def __init__(self, cid, defn, op, m, frames, inputs, once=False):
-        self.cid = cid
-        self.defn = defn
-        self.op = op
-        self.m = m
-        self.frames = frames
-        self.inputs = inputs
-        self.n_out = 1 if defn is _ZEROS else len(op.outputs)
-        self.once = once
-        self.scratch = op.op_type not in _PERSISTENT_ALIAS_OPS
-
-
-def _zeros_stacked(op, cols, inv, ctx):
-    return [np.zeros_like(cols[0])]
-
-
-#: pseudo-op behind a CondGrad finisher's untaken outputs: a zero
-#: gradient shaped like the forward value
+#: pseudo-op behind a CondGrad's untaken outputs: a zero gradient shaped
+#: like the forward value
 _ZEROS = OpDef(
-    name="CondGradZeros", infer=None, stacked_kernel=_zeros_stacked,
+    name="CondGradZeros", infer=None,
+    stacked_kernel=lambda op, cols, inv, ctx: [np.zeros_like(cols[0])],
     kernel=lambda op, ins, ctx: [tensor_array.zero_value_like(ins[0])])
 
 
@@ -757,40 +99,658 @@ def _statically_big(op) -> bool:
     """True unless every output is statically known to be tiny: a tiny
     invariant is cheaper to materialise per member than to split a
     bucket on (the per-tree ``Const`` batch index, a gather position)."""
-    for t in op.outputs:
-        if t.shape is None or None in t.shape or math.prod(t.shape) > 64:
-            return True
-    return False
+    return any(t.shape is None or None in t.shape or math.prod(t.shape) > 64
+               for t in op.outputs)
 
 
-def _input_spec(refs, step_m) -> tuple:
-    """Wire one input from its per-member ``(cid, out, row)`` addresses.
+# ---------------------------------------------------------------------------
+# template: every frame class scanned once
+# ---------------------------------------------------------------------------
 
-    ``(cid, out, rows)`` when one producer feeds every member (``rows is
-    None``: the column itself — same members, same order; else an
-    ``intp`` row index for one ``take``), otherwise ``(parts, perm)``:
-    one such triple per producer, and the permutation that puts their
-    concatenation into member order (``None`` when it already is).
+class _Op:
+    """One member op of a class (a kernel, a root feed or a zero fill):
+    ``inputs`` are value refs; ``step`` is its template step and ``k``
+    its position among the ops merged there."""
+
+    __slots__ = ("op", "defn", "frame", "inputs", "prefix", "seg", "level",
+                 "step", "k")
+
+    def __init__(self, op, defn, frame, inputs, prefix=None):
+        self.op, self.defn, self.frame = op, defn, frame  # defn None: feed
+        #: ``prefix``: the batch-signature prefix, None for a scalar step
+        self.inputs, self.prefix = tuple(inputs), prefix
+        self.seg = self.level = self.k = 0
+        self.step = None
+
+
+#: template step: same-signature ops of one level of one segment
+_TStep = namedtuple("_TStep", "index defn booked ops")
+#: one frame inlined into a class: ``rel`` is its key suffix below the
+#: class's node frame (its length the frame-depth offset), ``refs[slot]``
+#: its per-output value refs
+_SubFrame = namedtuple("_SubFrame", "plan rel record refs")
+
+
+#: a recursive call site — the child frame is another class member:
+#: ``family`` is the child's ("fwd" | "grad"), ``child`` which child node
+#: it is, ``path`` the child's key suffix below the node frame, ``bind``
+#: maps the child's placeholder ids to refs in this class
+_Site = namedtuple("_Site", "family child path bind")
+
+
+class _Class:
+    """One frame class: the root frame, the unit ``U_c`` of a node with
+    ``c`` children, or its gradient mirror ``GU_c``."""
+
+    def __init__(self, index, family, count, mirror=None):
+        self.index, self.family, self.count = index, family, count
+        self.mirror = mirror
+        self.frames: list = []
+        self.ops: list = []
+        self.sites: list = []
+        self.checks: list = []    # (pred ref, expected, Cond name)
+        self.stores: list = []    # (ref, frame, graph id, op id, out)
+        self.counts: dict = {}    # op type -> ops per member (all kinds)
+        self.cond_roles: dict = {}  # (rel, Cond op id) -> "true"/"false"
+        self.outputs: tuple = ()  # refs of the node frame's outputs
+        #: per segment: levels ``(scalar steps, bucket steps, checks)``,
+        #: and the stores that ride the segment's last level
+        self.segments: list = []
+        self.seg_stores: list = []
+        self.static: tuple = ()   # counts of ops outside bucket steps
+
+
+class Template:
+    """The compiled definition: frame classes with symbolic wiring."""
+
+    def __init__(self, graph, root_plan, record, subtree):
+        self.graph = graph
+        self.record = record
+        self.body_deps: dict = {}     # body graph -> FramePlan baked in
+        self.once: list = []          # prologue steps, cid = 1 + index
+        self._once_of: dict = {}
+        self._once_big = [False]
+        self._spec_ids: dict = {}
+        self._tsteps = 0
+        #: a value address packs ``cid << out_bits | out`` into one
+        #: integer: wide enough for the most outputs any scanned op has
+        self.out_bits = 0
+        self.classes: list = []
+        self.fwd: dict = {}           # child count -> U_c
+        self.grad: dict = {}          # child count -> GU_c
+        self.s_rec = subtree
+        if subtree is None:
+            targets = {id(op.attrs["subgraph"]): op.attrs["subgraph"]
+                       for op in root_plan.ops if op.op_type == "Invoke"}
+            if len(targets) != 1:
+                raise _Ineligible(
+                    "root call sites target multiple SubGraphs" if targets
+                    else "no recursive call sites in the root plan")
+            self.s_rec, = targets.values()
+        if not self.s_rec.finalized:
+            raise _Ineligible("recursive SubGraph is not finalized")
+        body = self._body_plan(self.s_rec.graph)
+        for c in self._child_counts(body):
+            cls = self.fwd[c] = self._new_class("fwd", c)
+            frame = self._scan(cls, body, (), "node", lambda op: (_B, op.id))
+            cls.outputs = self._values(frame, self.s_rec.output_locs)
+        self.root = root = self._new_class("root", None)
+        #: what a subtree run hands back: its one call site's outputs
+        self.fetch_refs = ()
+        if subtree is None:
+            self._scan(root, root_plan, (), "root", None)
+        else:
+            # the root of a *subtree* template is one call site whose
+            # bound placeholders are fed from the spine frame's bindings
+            feeds = {op.id: (_S, self._add_op(root, op, None, 0, ()), 0)
+                     for op in body.ops if op.op_type == "Placeholder"}
+            root.sites.append(_Site("fwd", 0, (), feeds))
+            self.fetch_refs = tuple(
+                (_C, 0, j) for j in range(len(self.s_rec.output_locs)))
+        self.root_sites = [s for s in root.sites if s.family == "fwd"]
+        for family, classes in (("fwd", self.fwd), ("grad", self.grad)):
+            self._check_family(classes, family)
+        self._stage_root()
+        for cls in self.classes:
+            self._segment(cls)
+        self.inherited = {"fwd": self._inherited(self.fwd, "fwd"),
+                          "grad": self._inherited(self.grad, "grad")}
+        for cls in self.classes:
+            self._form_steps(cls)
+        #: frame levels per recursion level, and below the deepest node
+        self.stride = 1 + max([len(s.path) - 1 for cls in self.fwd.values()
+                               for s in cls.sites], default=0)
+        self.depth_off = max(len(f.rel) for cls in self.classes
+                             if cls.family != "root" for f in cls.frames)
+        #: most ops any one step merges (sizes the shared index ramp)
+        self.max_merge = max([len(o.step.ops) for cls in self.classes
+                              for o in cls.ops], default=1)
+        self.body_deps = tuple(self.body_deps.items())
+
+    @property
+    def num_steps(self) -> int:
+        """Template steps over all classes: independent of any shape."""
+        return self._tsteps + len(self.once)
+
+    # -- scanning ------------------------------------------------------------
+
+    def _new_class(self, family, count, mirror=None) -> _Class:
+        cls = _Class(len(self.classes), family, count, mirror)
+        self.classes.append(cls)
+        return cls
+
+    def _body_plan(self, g):
+        p = self.body_deps.get(g)
+        if p is None:
+            p = self.body_deps[g] = plan_for(g)
+        return p
+
+    def _rec_sites(self, sg) -> int:
+        """Direct recursive call sites (Invokes of s_rec) in a body."""
+        return sum(1 for o in self._body_plan(sg.graph).ops
+                   if o.op_type == "Invoke"
+                   and o.attrs.get("subgraph") is self.s_rec)
+
+    def _child_counts(self, body) -> tuple:
+        """The child counts the definition can realise: its direct call
+        sites, or what its one ``Cond`` selects between."""
+        conds = [op for op in body.ops if op.op_type == "Cond"]
+        direct = self._rec_sites(self.s_rec)
+        if not conds:
+            return (direct,)
+        if len(conds) > 1:
+            raise _Ineligible("data-dependent control flow here")
+        if direct:
+            raise _Ineligible("mixed direct recursion and branch recursion")
+        branches = [conds[0].attrs[f"{role}_subgraph"]
+                    for role in ("true", "false")]
+        if not all(sg.finalized for sg in branches):
+            raise _Ineligible("branch body is not finalized")
+        tc, fc = (self._rec_sites(sg) for sg in branches)
+        if tc == fc:
+            raise _Ineligible("branch is not determined by the shape profile")
+        return (tc, fc)
+
+    @staticmethod
+    def _add_op(cls, op, defn, frame, inputs, prefix=None) -> int:
+        cls.ops.append(_Op(op, defn, frame, inputs, prefix))
+        return len(cls.ops) - 1
+
+    @staticmethod
+    def _values(frame, locs) -> tuple:
+        index_of = frame.plan.index_of
+        return tuple(frame.refs[index_of[oid]][i] for oid, i in locs)
+
+    def _scan(self, cls, plan, rel, mode, bind) -> _SubFrame:
+        """Inline one frame into ``cls`` with the starters' binding
+        semantics.  ``mode``: "root" | "node" | "branch" | "helper" |
+        "grad"; ``bind(op)`` is a bound placeholder's ref (None: unbound)."""
+        record = (mode != "root" and self.record
+                  and not getattr(plan.graph, "is_backward_body", False))
+        frame = _SubFrame(plan, rel, record, [None] * plan.num_slots)
+        fi = len(cls.frames)
+        cls.frames.append(frame)
+        refs = frame.refs
+        for slot, op in enumerate(plan.ops):
+            # bound / fed slots first, like seed_frame: capture
+            # placeholders can sit at later slots than their consumers
+            if op.op_type == "Placeholder":
+                if mode == "root":
+                    ref = (_S, self._add_op(cls, op, None, fi, ()), 0)
+                else:
+                    ref = bind(op)
+                    if ref is None:
+                        raise _Ineligible("unbound placeholder")
+                refs[slot] = [ref]
+                self._note_stores(cls, fi, frame, slot, refs[slot])
+        for slot, op in enumerate(plan.ops):
+            if refs[slot] is not None:
+                continue
+            defn = plan.defs[slot]
+            in_refs = [refs[s][i] for s, i in plan.input_locs[slot]]
+            if op.control_inputs:
+                raise _Ineligible("control dependency in a compiled body")
+            cls.counts[op.op_type] = cls.counts.get(op.op_type, 0) + 1
+            if op.op_type == "CacheLookup":
+                refs[slot] = [self._lookup(cls, frame, op)]
+            elif not defn.is_async:
+                refs[slot] = self._kernel(cls, fi, plan.sig_prefixes[slot],
+                                          op, defn, in_refs)
+            elif hasattr(self, "_call_" + op.op_type):
+                refs[slot] = getattr(self, "_call_" + op.op_type)(
+                    cls, frame, op, in_refs, mode)
+            else:
+                raise _Ineligible(f"async op {op.op_type} is not compilable")
+            self._note_stores(cls, fi, frame, slot, refs[slot])
+        return frame
+
+    @staticmethod
+    def _note_stores(cls, fi, frame, slot, refs) -> None:
+        if frame.record:
+            plan = frame.plan
+            for i, keep in enumerate(plan.store_masks[slot]):
+                if keep:
+                    cls.stores.append((refs[i], fi, plan.graph_id,
+                                       plan.ops[slot].id, i))
+
+    def _kernel(self, cls, fi, prefix, op, defn, in_refs) -> list:
+        """Route one kernel op: an invariant (``Const``, ``ReadVariable``
+        and pure ops over them, canonicalised to one prologue step per
+        op), or a member op of the class."""
+        n_out = len(op.outputs)
+        self.out_bits = max(self.out_bits, (n_out - 1).bit_length())
+        if (all(r[0] == _O for r in in_refs)
+                and (not defn.stateful if in_refs
+                     else op.op_type in _PERSISTENT_ALIAS_OPS)):
+            key = (op if prefix is None else prefix, tuple(in_refs))
+            cid = self._once_of.get(key)
+            if cid is None:
+                cid = self._once_of[key] = len(self.once) + 1
+                self._once_big.append(_statically_big(op))
+                self.once.append(_Step(
+                    cid, defn, op, 1,
+                    tuple((r[1], r[2], None) for r in in_refs), once=True))
+            return [(_O, cid, i) for i in range(n_out)]
+        opx = self._add_op(cls, op, defn, fi, in_refs,
+                           None if defn.stateful else prefix)
+        return [(_S, opx, i) for i in range(n_out)]
+
+    def _lookup(self, cls, frame, op):
+        """A compiled ``CacheLookup`` is an alias of the value its
+        forward frame stored."""
+        out = op.attrs["target_out_idx"]
+        for fwd in (cls.mirror.frames if cls.mirror is not None else ()):
+            slot = fwd.plan.index_of.get(op.attrs["target_op_id"])
+            if (fwd.rel == frame.rel and fwd.record and slot is not None
+                    and fwd.plan.graph_id == op.attrs["target_graph_id"]
+                    and fwd.plan.store_masks[slot][out]):
+                ref = fwd.refs[slot][out]
+                return ref if ref[0] == _O else (_M, ref)
+        raise _Ineligible("cache lookup without a compiled producer")
+
+    def _inline(self, cls, frame, sg, site, mode, bindings) -> tuple:
+        """Inline the frame a non-recursive call site spawns; returns
+        it and its output refs."""
+        if not sg.finalized:
+            raise _Ineligible("call target is not finalized")
+        child = self._scan(cls, self._body_plan(sg.graph),
+                           frame.rel + (site,), mode,
+                           lambda o: bindings.get(o.id))
+        return child, list(self._values(child, sg.output_locs))
+
+    def _call_Invoke(self, cls, frame, op, in_refs, mode) -> list:
+        sg = op.attrs["subgraph"]
+        ids = sg.input_op_ids[:op.attrs["n_args"]]
+        bindings = dict(zip(ids, in_refs))
+        for ph_id, pos in role_captures(op, "main"):
+            bindings[ph_id] = in_refs[pos]
+        if sg is not self.s_rec:
+            return self._inline(cls, frame, sg, op.id, "helper",
+                                bindings)[1]
+        if mode in ("helper", "grad"):
+            raise _Ineligible("recursive call outside the profiled structure")
+        child = sum(1 for s in cls.sites if s.family == "fwd")
+        cls.sites.append(_Site("fwd", child, frame.rel + (op.id,), bindings))
+        return [(_C, len(cls.sites) - 1, j)
+                for j in range(len(sg.output_locs))]
+
+    def _call_Cond(self, cls, frame, op, in_refs, mode) -> list:
+        if mode != "node":
+            raise _Ineligible("data-dependent control flow here")
+        role = ("true" if self._rec_sites(op.attrs["true_subgraph"])
+                == cls.count else "false")
+        cls.cond_roles[(frame.rel, op.id)] = role
+        cls.checks.append((in_refs[0], role == "true", op.name))
+        bindings = {ph_id: in_refs[pos]
+                    for ph_id, pos in role_captures(op, role)}
+        return self._inline(cls, frame, op.attrs[f"{role}_subgraph"],
+                            op.id, "branch", bindings)[1]
+
+    def _grad_body(self, fwd, mode, seeds):
+        if mode not in ("root", "grad"):
+            raise _Ineligible("backward call in a forward body")
+        if fwd._grad_subgraph is None:
+            raise _Ineligible("gradient body not built yet")
+        gsg = fwd.grad_subgraph  # too few seeds: an unbound placeholder
+        return gsg, dict(zip(gsg.input_op_ids, seeds))
+
+    def _call_InvokeGrad(self, cls, frame, op, in_refs, mode) -> list:
+        fwd, site_id = op.attrs["fwd_subgraph"], op.attrs["site_id"]
+        gsg, bindings = self._grad_body(fwd, mode, in_refs)
+        if fwd is not self.s_rec:
+            return self._inline(cls, frame, gsg, site_id, "grad",
+                                bindings)[1] + [_DONE]
+        # the mirror of forward call site ``site_id``: same child, same
+        # key suffix
+        path = frame.rel + (site_id,)
+        sites = (self.root if cls.family == "root" else cls.mirror).sites
+        mirrored = [s for s in sites if s.family == "fwd" and s.path == path]
+        if not mirrored or not gsg.finalized:
+            raise _Ineligible("gradient call sites do not mirror the "
+                              "forward recursion")
+        if not self.grad:  # scan GU_c for every forward class, once
+            body = self._body_plan(gsg.graph)
+            for c, fwd_cls in self.fwd.items():
+                self.grad[c] = self._new_class("grad", c, mirror=fwd_cls)
+            for gcls in self.grad.values():
+                top = self._scan(gcls, body, (), "grad",
+                                 lambda o: (_B, o.id))
+                gcls.outputs = self._values(top, gsg.output_locs)
+        cls.sites.append(_Site("grad", mirrored[0].child, path, bindings))
+        return [(_C, len(cls.sites) - 1, j)
+                for j in range(len(gsg.output_locs))] + [_DONE]
+
+    def _call_CondGrad(self, cls, frame, op, in_refs, mode) -> list:
+        site_id, n_seeds = op.attrs["site_id"], op.attrs["n_seeds"]
+        role = (cls.mirror.cond_roles.get((frame.rel, site_id))
+                if cls.mirror is not None else None)
+        if role is None:
+            raise _Ineligible("no compiled branch decision to mirror")
+        sg = op.attrs[f"{role}_subgraph"]
+        backward, bindings = self._grad_body(sg, mode,
+                                             in_refs[1:1 + n_seeds])
+        entries, fwd_refs = op.attrs["cap_entries"], in_refs[1 + n_seeds:]
+        if len(fwd_refs) != len(entries):
+            raise _Ineligible("capture entries out of sync")
+        slot_tensors = cond_grad_slot_tensors(sg)
+        child = self._inline(cls, frame, backward, site_id, "grad",
+                             bindings)[0]
+        fi = cls.frames.index(frame)
+        outs = []
+        for pos, ((entry_role, ph_id), ref) in enumerate(
+                zip(entries, fwd_refs)):
+            t = slot_tensors.get(ph_id) if entry_role == role else None
+            if t is not None:
+                outs.append(child.refs[child.plan.index_of[t.op.id]][t.index])
+            else:  # untaken: a zero gradient shaped like the forward value
+                like = op.inputs[1 + n_seeds + pos]
+                outs.append((_S, self._add_op(
+                    cls, op, _ZEROS, fi, (ref,),
+                    ("zeros", like.dtype, like.shape)), 0))
+        return outs + [_DONE]
+
+    # -- static analysis -----------------------------------------------------
+
+    def _check_family(self, classes, family) -> None:
+        """Every class of a family must be enterable from every call
+        site (all placeholders bound, gradient sites mirroring the
+        forward ones one for one), recurse at one frame depth, and never
+        hand a recursive result straight back up (an unbounded alias
+        chain)."""
+        if not classes:
+            return
+        first = next(iter(classes.values()))
+        names = [op.id for op in first.frames[0].plan.ops
+                 if op.op_type == "Placeholder"]
+        for cls in [self.root, *classes.values()]:
+            sites = [s for s in cls.sites if s.family == family]
+            want = (len(self.root_sites) if cls is self.root else cls.count)
+            # forward sites number their children as scanned; a gradient
+            # site is missing when a call's result never reaches the loss
+            if sorted(s.child for s in sites) != list(range(want)):
+                raise _Ineligible("gradient call sites do not mirror the "
+                                  "forward recursion")
+            if any(n not in s.bind for s in sites for n in names):
+                raise _Ineligible("unbound placeholder")
+            if cls is not self.root and any(r[0] == _C for r in cls.outputs):
+                raise _Ineligible("a recursive result is returned unchanged")
+
+    def _inherited(self, classes, family) -> frozenset:
+        """Bound placeholders every recursive site passes down unchanged
+        (the batch index, every captured feed): their value is the tree
+        root's.  Any other cycle through the bindings would be an
+        unbounded alias chain."""
+        edges: dict = {}
+        for cls in classes.values():
+            for site in cls.sites:
+                for ph_id, ref in site.bind.items():
+                    edges.setdefault(ph_id, set()).add(
+                        ref[1] if ref[0] == _B else None)
+        inherited = frozenset(n for n, to in edges.items() if to == {n})
+        hop = set(edges) - inherited
+        for _ in edges:  # a rename chain longer than the names: a cycle
+            hop = {to for n in hop for to in edges[n]
+                   if to in edges and to not in inherited}
+        if hop:
+            raise _Ineligible("bindings permute across recursion levels")
+        return inherited
+
+    def _stage_root(self) -> None:
+        """Stage the root frame: stage ``s + 1`` consumes the call sites
+        of stage ``s``; each family's sites must share one stage."""
+        root = self.root
+        of_site: dict = {}
+
+        def stage(ref):
+            if ref[0] == _S:
+                return root.ops[ref[1]].seg
+            if ref[0] != _C:
+                return 0
+            if ref[1] not in of_site:
+                of_site[ref[1]] = max(
+                    map(stage, root.sites[ref[1]].bind.values()), default=0)
+            return of_site[ref[1]] + 1
+
+        for o in root.ops:  # scan order is a topological order
+            o.seg = max(map(stage, o.inputs), default=0)
+        self.stages = {}
+        for i, site in enumerate(root.sites):
+            at = stage((_C, i, 0)) - 1
+            if self.stages.setdefault(site.family, at) != at:
+                raise _Ineligible("root call sites depend on each other")
+        if self.stages.get("grad", math.inf) <= self.stages["fwd"]:
+            raise _Ineligible("root call sites depend on each other")
+
+    def _segment(self, cls) -> None:
+        """Split a class into its pre-call segment — what feeds a
+        recursive call or a ``Cond`` predicate, scheduled top-down by
+        depth — and its post-call segment (the rest, bottom-up by
+        height); then Kahn-level each segment."""
+        ops = cls.ops
+        if cls.family != "root":
+            for o in ops:
+                o.seg = 1
+            stack = [r for site in cls.sites for r in site.bind.values()]
+            if cls.sites:
+                stack += [check[0] for check in cls.checks]
+            while stack:
+                ref = stack.pop()
+                if ref[0] == _C:
+                    raise _Ineligible(
+                        "call argument depends on a call result")
+                if ref[0] == _S and ops[ref[1]].seg:
+                    ops[ref[1]].seg = 0
+                    stack += ops[ref[1]].inputs
+        for o in ops:  # scan order is a topological order
+            o.level = max([ops[r[1]].level + 1 for r in o.inputs
+                           if r[0] == _S and ops[r[1]].seg == o.seg],
+                          default=0)
+
+    def _big(self, cls, ref):
+        """Identity of the big invariant behind a ref (a feed, a weight:
+        buckets split on it so one step shares the operand), else -1."""
+        if ref[0] == _O:
+            return ref if self._once_big[ref[1]] else -1
+        if ref[0] == _S:
+            return ref if cls.ops[ref[1]].defn is None else -1
+        if ref[0] == _B and cls.family != "root" \
+                and ref[1] in self.inherited[cls.family]:
+            roots = {site.bind[ref[1]] for site in self.root.sites
+                     if site.family == cls.family}
+            if len(roots) == 1:
+                return self._big(self.root, next(iter(roots)))
+        return -1
+
+    def _form_steps(self, cls) -> None:
+        """Pre-bucket each level: ops sharing a batch-signature prefix,
+        static input specs and big-invariant sources form one step."""
+        n_seg = 1 + max([o.seg for o in cls.ops]
+                        + ([1] if cls.family != "root" else
+                           [s + 1 for s in self.stages.values()]))
+        cls.segments = [[] for _ in range(n_seg)]
+        cls.seg_stores = [[] for _ in range(n_seg)]
+        groups: dict = {}
+        static = dict(cls.counts)
+        for opx, o in enumerate(cls.ops):
+            booked = False
+            if o.defn is None or o.prefix is None:
+                key = opx
+            elif o.defn is _ZEROS:
+                key = o.prefix
+            else:
+                # ops sharing a stacked kernel differ only in attrs it
+                # never reads (``batch_attrs`` are in the prefix); a row
+                # loop runs each op's own scalar kernel
+                spec = tuple((t.dtype, t.shape) for t in o.op.inputs)
+                key = (o.prefix,
+                       o.op if o.defn.stacked_kernel is None else
+                       self._spec_ids.setdefault(spec, len(self._spec_ids)),
+                       tuple(self._big(cls, r) for r in o.inputs))
+                booked = True
+                static[o.op.op_type] -= 1
+            step = groups.get((o.seg, o.level, key))
+            if step is None:
+                step = groups[(o.seg, o.level, key)] = _TStep(
+                    self._tsteps, o.defn, booked, [])
+                self._tsteps += 1
+                self._level(cls, o.seg, o.level)[booked].append(step)
+            o.step, o.k = step, len(step.ops)
+            step.ops.append(o)
+        cls.static = tuple((t, n) for t, n in static.items() if n)
+        first = 0 if cls.family == "root" or cls.sites else 1
+        for ref, expected, name in cls.checks:
+            o = cls.ops[ref[1]] if ref[0] == _S else None
+            seg, level = (o.seg, o.level + 1) if o else (first, 0)
+            self._level(cls, seg, level)[2].append((ref, expected, name))
+        for store in cls.stores:
+            ref = store[0]
+            seg = (cls.ops[ref[1]].seg if ref[0] == _S
+                   else 1 if ref[0] == _C else first)
+            self._level(cls, seg, 0)
+            cls.seg_stores[seg].append(store)
+
+    @staticmethod
+    def _level(cls, seg, level) -> tuple:
+        levels = cls.segments[seg]
+        while len(levels) <= level:
+            levels.append(([], [], []))
+        return levels[level]
+
+
+def template_for(graph, root_plan, record: bool, subtree=None, stats=None):
+    """The (memoized) :class:`Template` of one definition, or the reason
+    string it is ineligible.  Memoized on ``graph._level_plans`` keyed by
+    the root FramePlan object — dropped by graph mutation and by the
+    op-registry version stamp (via :func:`plan_for`); a template also
+    revalidates the identity of the body FramePlans it baked in, so
+    ``set_cache_filter`` on a body graph recompiles."""
+    templates = graph._level_plans.setdefault("templates", {})
+    key = (root_plan, bool(record), subtree)
+    entry = templates.get(key)
+    if entry is not None and (isinstance(entry, str) or all(
+            plan_for(g) is p for g, p in entry.body_deps)):
+        return entry
+    t0 = time.perf_counter()
+    try:
+        built = Template(graph, root_plan, bool(record), subtree)
+    except _Ineligible as exc:
+        built = exc.args[0]
+    if stats is not None:
+        stats.level_plan_compile_ms += (time.perf_counter() - t0) * 1e3
+    with graph._lock:
+        templates[key] = built
+        if entry is not None:  # instantiations of the stale template
+            graph._level_plans.pop("instances", None)
+    return built
+
+
+# ---------------------------------------------------------------------------
+# linearisation: one walk per admitted profile
+# ---------------------------------------------------------------------------
+
+#: one run's profile as per-node lists in BFS order; node 0 is the run's
+#: virtual root (the root frame), whose children are the trees;
+#: ``max_depth`` is the deepest frame the run would spawn
+_Lin = namedtuple("_Lin", "profiles c parent site depth height first tree "
+                  "max_depth")
+
+
+def linearise(tpl: Template, shape_profile):
+    """Walk one run's profiles once: returns its :class:`_Lin`, or the
+    reason string it cannot be instantiated (:data:`HOLES` when a
+    subtree is undetermined — the caller runs a dynamic spine)."""
+    try:
+        profiles = tuple(shape_profile)
+        hash(profiles)  # the instantiation memo keys on it
+    except TypeError:
+        return "profile is not a nested tuple"
+    if len(profiles) != len(tpl.root_sites):
+        return "profile count does not match root call sites"
+    counts = tpl.fwd
+    c, parent, site, depth, first, tree = [], [], [], [], [], []
+    frontier = [(profiles, -1, 0)]
+    d = -1
+    try:
+        while frontier:
+            d += 1
+            base = len(c) + len(frontier)
+            nxt = []
+            for p, par, s in frontier:
+                if p is None:
+                    return HOLES
+                if d and len(p) not in counts:
+                    return "profile child count does not match call sites"
+                i = len(c)
+                tree.append(i if d < 2 else tree[par])
+                first.append(base + len(nxt))
+                c.append(len(p))
+                parent.append(par)
+                site.append(s)
+                depth.append(d)
+                for j, child in enumerate(p):
+                    nxt.append((child, i, j))
+            frontier = nxt
+    except TypeError:
+        return "profile is not a nested tuple"
+    height = [0] * len(c)
+    for i in range(len(c) - 1, 0, -1):
+        par = parent[i]
+        if height[par] <= height[i]:
+            height[par] = height[i] + 1
+    return _Lin(profiles, c, parent, site, depth, height, first, tree,
+                1 + (d - 1) * tpl.stride + tpl.depth_off)
+
+
+# ---------------------------------------------------------------------------
+# instantiation: index arithmetic over the linearised forest
+# ---------------------------------------------------------------------------
+
+class _Step:
+    """Members of one level that execute as one columnar call.
+
+    A step owns column group ``cid``: one column per output, member
+    ``j`` of merged op ``k`` on row ``k * (m / ops) + j``.  ``inputs[p]``
+    wires input ``p``: ``(cid, out, rows)`` when one producer feeds every
+    member (``rows is None``: the column itself — same members, same
+    order; else an ``intp`` row index for one ``take``), otherwise
+    ``(parts, perm)``: one such triple per producer, and the permutation
+    that puts their concatenation into member order (``None`` when it
+    already is).  ``once`` steps are invariants: their kernel runs once
+    per sweep.  ``keys`` (stateful kernels only) addresses each member's
+    frame — per merged op ``(runs, suffixes, record)`` — for its cache /
+    accumulator key.
     """
-    by_src: dict = {}
-    for pos, (cid, out, row) in enumerate(refs):
-        src = by_src.get((cid, out))
-        if src is None:
-            src = by_src[(cid, out)] = ([], [])
-        src[0].append(row)
-        src[1].append(pos)
-    if len(by_src) == 1:
-        cid, out, _ = refs[0]
-        rows = src[0]
-        if len(rows) == step_m[cid] and rows == list(range(len(rows))):
-            return cid, out, None
-        return cid, out, np.array(rows, dtype=np.intp)
-    parts = tuple((cid, out, np.array(rows, dtype=np.intp))
-                  for (cid, out), (rows, _) in by_src.items())
-    order = [pos for _, positions in by_src.values() for pos in positions]
-    perm = (None if order == sorted(order)
-            else np.argsort(order).astype(np.intp))
-    return parts, perm
+
+    __slots__ = ("cid", "defn", "op", "m", "keys", "inputs", "n_out",
+                 "once", "scratch", "prefix")
+
+    def __init__(self, cid, defn, op, m, inputs, once=False, keys=None,
+                 prefix=None):
+        self.cid, self.defn, self.op, self.m = cid, defn, op, m
+        self.inputs, self.once, self.keys, self.prefix = (inputs, once, keys,
+                                                          prefix)
+        self.n_out = 1 if defn is _ZEROS else len(op.outputs)
+        self.scratch = op.op_type not in _PERSISTENT_ALIAS_OPS
 
 
 def _producers(spec):
@@ -798,204 +758,386 @@ def _producers(spec):
     return (spec[0],) if len(spec) == 3 else (p[0] for p in spec[0])
 
 
-def _wire_columns(nodes, levels, recording: bool) -> tuple:
-    """Lower the level schedule to columnar steps with index wiring.
+class _Pop:
+    """The members of one class population — the virtual roots, or the
+    nodes of one child count — grouped by depth (kind 0) and by height
+    (kind 1): member lists, per-key counts, per-node ranks."""
 
-    Every scheduled value gets a static address ``(cid, out, row)``.
-    Kernel nodes are grouped into :class:`_Step` s — scalar kernels per
-    op, bucket members per (static input specs, big-invariant sources),
-    so one step's members agree on shapes and share their loop-invariant
-    operands — and bindings / finishers dissolve into their sources'
-    addresses, leaving behind only what they *do*: predicate checks,
-    cache stores, zero gradients.  Returns ``(program, step_m,
-    root_refs)``: per level ``(checks, steps, bucket_steps, books,
-    stores, release)``, the member count per column group, and the
-    addresses of every root-frame value (fetch candidates, pinned).
+    __slots__ = ("cnt", "rank", "start", "members")
+
+    def __init__(self, nodes, keys, n):
+        self.cnt, self.rank, self.start, self.members = [], [], [], []
+        for key in keys:
+            k = key[nodes]
+            order = np.argsort(k, kind="stable")
+            members = nodes[order]
+            cnt = np.bincount(k, minlength=int(key.max()) + 2)
+            start = np.concatenate(([0], np.cumsum(cnt)))
+            rank = np.zeros(n, dtype=np.intp)
+            rank[members] = np.arange(len(nodes)) - start[k[order]]
+            self.cnt.append(cnt)
+            self.rank.append(rank)
+            self.start.append(start.tolist())
+            self.members.append(members)
+
+    def at(self, kind, key):
+        start = self.start[kind]
+        return self.members[kind][start[key]:start[key + 1]]
+
+
+def _kind(cls, seg) -> int:
+    """What keys a class segment's members: 0 depth (every root stage,
+    pre-call segments), 1 height (post-call segments)."""
+    return 1 if cls.family != "root" and seg else 0
+
+
+class _Forest:
+    """The linearised forest of one instantiation and the index
+    arithmetic over it; lives only while :class:`LevelPlan` is built."""
+
+    def __init__(self, tpl: Template, lins):
+        self.template = tpl
+        self.bits, self.mask = tpl.out_bits, (1 << tpl.out_bits) - 1
+        sizes = [len(lin.c) for lin in lins]
+        offs = np.concatenate(([0], np.cumsum(sizes)))[:-1]
+        self.n_nodes = n = sum(sizes)
+
+        def column(name, shift=False):
+            return np.concatenate([
+                np.asarray(getattr(lin, name), dtype=np.intp)
+                + (off if shift else 0) for lin, off in zip(lins, offs)])
+
+        self.C, self.S = column("c"), column("site")
+        self.D, self.H = column("depth"), column("height")
+        # a virtual root's parent (-1 + off) is never read
+        self.P, self.F = column("parent", True), column("first", True)
+        self.T = column("tree", True)
+        self.R = np.repeat(np.arange(len(lins), dtype=np.intp), sizes)
+        self._iota = np.arange(n * tpl.max_merge + 1, dtype=np.intp)
+        keys = (self.D, self.H)
+        self.pops = {c: _Pop(np.flatnonzero((self.C == c) & (self.D > 0)),
+                             keys, n) for c in tpl.fwd}
+        self.pops[None] = _Pop(offs.astype(np.intp), keys, n)
+        self._resolved: dict = {}     # (class / family, ref) -> arrays
+        self._keyed: dict = {}        # (class, frame, segment, key) -> keys
+        self._suffixes = None
+        # one column group per (template step, depth or height) that has
+        # members; ids need not follow execution order
+        self.step_m = step_m = [1] * (1 + len(tpl.once))
+        self.cidtab: dict = {}
+        for cls in tpl.classes:
+            for seg, levels in enumerate(cls.segments):
+                cnt = self.pops[cls.count].cnt[_kind(cls, seg)]
+                present = np.flatnonzero(cnt)
+                for scalars, buckets, _ in levels:
+                    for ts in scalars + buckets:
+                        tab = np.zeros(len(cnt), dtype=np.int64)
+                        tab[present] = len(step_m) + self._iota[:len(present)]
+                        self.cidtab[ts.index] = tab
+                        step_m.extend((cnt[present] * len(ts.ops)).tolist())
+
+    # -- symbolic refs -> (address, row) arrays ------------------------------
+
+    def resolve(self, cls, ref):
+        """Per node (valid on the members of ``cls``): the packed column
+        address and the row holding ``ref``'s value."""
+        key = (cls.family if ref[0] in (_B, _O) else cls.index, ref)
+        hit = self._resolved.get(key)
+        if hit is not None:
+            return hit
+        kind = ref[0]
+        if kind == _S:
+            o = cls.ops[ref[1]]
+            pop, by = self.pops[cls.count], _kind(cls, o.seg)
+            key_of = self.H if by else self.D
+            addr = self.cidtab[o.step.index][key_of] << self.bits | ref[2]
+            row = o.k * pop.cnt[by][key_of] + pop.rank[by]
+        elif kind == _O:
+            addr = np.full(self.n_nodes, ref[1] << self.bits | ref[2])
+            row = np.zeros(self.n_nodes, dtype=np.intp)
+        elif kind == _M:
+            addr, row = self.resolve(cls.mirror, ref[1])
+        elif kind == _B:
+            addr, row = self._bound(cls.family, ref[1])
+        else:
+            addr, row = self._called(cls, cls.sites[ref[1]], ref[2])
+        self._resolved[key] = addr, row
+        return addr, row
+
+    def family(self, name) -> list:
+        return list(getattr(self.template, name).values())
+
+    def _read(self, nodes, src, picks):
+        """Per node: ``nodes[sel]`` holds what ``src[sel]`` holds for
+        ``ref`` in ``cls``, over the ``(cls, ref, mask)`` picks."""
+        addr = np.zeros(self.n_nodes, dtype=np.int64)
+        row = np.zeros(self.n_nodes, dtype=np.intp)
+        for cls, ref, mask in picks:
+            sel = np.flatnonzero(mask)
+            if len(sel):
+                a, r = self.resolve(cls, ref)
+                addr[nodes[sel]] = a[src[sel]]
+                row[nodes[sel]] = r[src[sel]]
+        return addr, row
+
+    def _bound(self, family, name):
+        """A bound placeholder: the parent's value at the call site —
+        the tree root's call site for names passed down unchanged."""
+        inherited = name in self.template.inherited[family]
+        nodes = np.flatnonzero(self.D > 0)
+        src = self.T[nodes] if inherited else nodes
+        par = self.P[src]
+        top, pc, ps = self.D[par] == 0, self.C[par], self.S[src]
+        root = self.template.root
+        return self._read(nodes, par, (
+            (cls, site.bind[name], (ps == site.child)
+             & (top if cls is root else ~top & (pc == cls.count)))
+            for cls in ([root] if inherited else [root, *self.family(family)])
+            for site in cls.sites if site.family == family))
+
+    def _called(self, cls, site, j):
+        """Output ``j`` of a recursive call site: the child frame's
+        output, whichever class the child's own count selects."""
+        at = self.pops[cls.count].members[0]
+        child = self.F[at] + site.child
+        cc = self.C[child]
+        return self._read(at, child, ((u, u.outputs[j], cc == u.count)
+                                      for u in self.family(site.family)))
+
+    # -- input specs ---------------------------------------------------------
+
+    def _pack(self, addr, rows):
+        """Wire one input from its per-member addresses and rows."""
+        first = int(addr[0])
+        if int(addr[-1]) == first and (addr == first).all():
+            cid, n = first >> self.bits, len(rows)
+            if self.step_m[cid] == n and int(rows[0]) == 0 \
+                    and (rows == self._iota[:n]).all():
+                rows = None
+            return cid, first & self.mask, rows
+        order = np.argsort(addr, kind="stable")
+        sa, sr = addr[order], rows[order]
+        cuts = [0, *(np.flatnonzero(sa[1:] != sa[:-1]) + 1).tolist(),
+                len(sa)]
+        parts = tuple((int(sa[b]) >> self.bits, int(sa[b]) & self.mask,
+                       sr[b:e]) for b, e in zip(cuts, cuts[1:]))
+        if (order[1:] > order[:-1]).all():
+            return parts, None
+        perm = np.empty(len(order), dtype=np.intp)
+        perm[order] = self._iota[:len(order)]
+        return parts, perm
+
+    def spec(self, cls, refs, seg, key, mem):
+        """Input spec of one (possibly merged) step input: ``refs[k]``
+        is merged op ``k``'s source."""
+        if len(refs) == 1:
+            ref = refs[0]
+            if ref[0] == _O:
+                return ref[1], ref[2], None
+            if ref[0] == _S:
+                src = cls.ops[ref[1]]
+                if src.seg == seg:  # same frame, same segment: an alias
+                    cid, m = int(self.cidtab[src.step.index][key]), len(mem)
+                    if len(src.step.ops) == 1:
+                        return cid, ref[2], None
+                    return cid, ref[2], self._iota[src.k * m:(src.k + 1) * m]
+        pairs = [self.resolve(cls, ref) for ref in refs]
+        return self._pack(np.concatenate([a[mem] for a, _ in pairs]),
+                          np.concatenate([r[mem] for _, r in pairs]))
+
+    def keys(self, cls, fi, seg, key, mem) -> tuple:
+        """``(runs, suffixes, record)`` of frame ``fi`` of the members
+        ``mem`` of one block — shared by every store and stateful step
+        of that frame there.  Node suffixes are O(nodes) tuple
+        concatenations along the parent chain — the one per-node Python
+        loop, run only when something needs a key."""
+        memo_key = (cls.index, fi, seg, key)
+        got = self._keyed.get(memo_key)
+        if got is not None:
+            return got
+        if self._suffixes is None:
+            tpl = self.template
+            paths = {c: [s.path for s in u.sites] for c, u in tpl.fwd.items()}
+            roots = [s.path for s in tpl.root_sites]
+            C, P, S = self.C.tolist(), self.P.tolist(), self.S.tolist()
+            out = self._suffixes = [()] * self.n_nodes
+            for n, d in enumerate(self.D.tolist()):
+                if d:
+                    p = P[n]
+                    out[n] = (roots[S[n]] if d == 1
+                              else out[p] + paths[C[p]][S[n]])
+        base, frame = self._suffixes, cls.frames[fi]
+        got = self._keyed[memo_key] = (
+            self.R[mem].tolist(), [base[n] + frame.rel for n in mem.tolist()],
+            frame.record)
+        return got
+
+
+class LevelPlan:
+    """One instantiated forest: the columnar program of a sweep.
+
+    ``program`` is the sweep — per level ``(checks, steps, bucket steps,
+    stores, release)`` — and ``step_m`` the member count per column
+    group.  A frame's key is its run's root key plus the node's suffix,
+    which is exactly the dynamic ``child_key`` chain.  An instantiation
+    keeps its program, not its forest.
     """
-    n = len(nodes)
-    made = [None] * n     # kernel / feed node -> (cid, row)
-    fwd = [None] * n      # binding / finisher node -> per-output addresses
-    step_m = [1]          # cid 0: the shared ``True`` done flag
-    static_inv = [True]
-    big = [False]         # split buckets on this source (feeds, weights)
-    once_of: dict = {}    # invariant key -> cid
-    spec_ids: dict = {}
-    last_use: dict = {}
-    born = []             # (cid, level) of every releasable column group
-    program = []
 
-    def address(s, i):
-        f = fwd[s]
-        if f is not None:
-            return f[i]
-        cid, row = made[s]
-        return (cid, i, row)
+    def __init__(self, tpl: Template, lins):
+        self.template = tpl
+        self.n_runs = len(lins)
+        #: memoised accounting of one sweep: ``(sigs, RunStats delta)``
+        self.booked = None
+        forest = _Forest(tpl, lins)
+        self.step_m = forest.step_m
+        #: per program level, its block (one class segment at one depth
+        #: or height): the key of ``RunStats.level_width_hist``
+        self.hist_level = [0]
+        #: [scalar members, bucket calls, bucket members]: what the cost
+        #: model charges a sweep
+        self.cost_terms = [len(tpl.once), 0, 0]
+        program = [([], list(tpl.once), [], [])]
+        last_use: dict = {}
+        born: list = []
+        root, block = tpl.root, 0
+        forests = {stage: family for family, stage in tpl.stages.items()}
+        tops = (int(forest.D.max()), int(forest.H.max()))
+        #: (nodes, depth keys, height keys) of the forest
+        self.shape = (forest.n_nodes, tops[0], tops[1] + 1)
+        for stage in range(len(root.segments)):
+            block += 1
+            self._block(forest, program, last_use, born, root, stage, 0,
+                        block)
+            classes = forest.family(forests[stage]) if stage in forests \
+                else ()
+            for seg in (0, 1):  # top-down by depth, bottom-up by height
+                for key in range(1 - seg, tops[seg] + 1):
+                    block += 1
+                    for cls in classes:
+                        self._block(forest, program, last_use, born, cls,
+                                    seg, key, block)
+        # columns behind any root-frame value stay (fetch candidates):
+        # per root op its (column, merge position), per call-site output
+        # its per-run address
+        self._root = [(int(forest.cidtab[o.step.index][0]), o.k)
+                      for o in root.ops]
+        self._fetch: dict = {}
+        pinned = {cid for cid, _ in self._root}
+        at = forest.pops[None].members[0]
+        for ref in {r for f in root.frames for rs in f.refs for r in rs
+                    if r[0] == _C}.union(tpl.fetch_refs):
+            addr, row = forest.resolve(root, ref)
+            cids = (addr[at] >> forest.bits).tolist()
+            self._fetch[ref] = (cids, (addr[at] & forest.mask).tolist(),
+                                row[at].tolist())
+            pinned.update(cids)
+        release = [[] for _ in program]
+        for cid, li in born:
+            if cid not in pinned:
+                release[last_use.get(cid, li)].append(cid)
+        self.program = tuple(
+            (tuple(c), tuple(s), tuple(b), tuple(st), tuple(cids))
+            for (c, s, b, st), cids in zip(program, release))
+        #: per class its member count (accounting)
+        self.members = [len(forest.pops[cls.count].members[0])
+                        for cls in tpl.classes]
 
-    def new_cid(m, inv=False, is_big=False):
-        step_m.append(m)
-        static_inv.append(inv)
-        big.append(is_big)
-        return len(step_m) - 1
+    def fetch_ref(self, ref, r: int) -> tuple:
+        """The ``(cid, out, row)`` address of a root value for run ``r``."""
+        if ref[0] == _S:
+            cid, k = self._root[ref[1]]
+            return cid, ref[2], k * self.n_runs + r
+        if ref[0] == _O:
+            return ref[1], ref[2], 0
+        cids, outs, rows = self._fetch[ref]
+        return cids[r], outs[r], rows[r]
 
-    def static_spec(op):
-        sid = spec_ids.get(op)
-        if sid is None:
-            spec = tuple((t.dtype, t.shape) for t in op.inputs)
-            sid = spec_ids[op] = spec_ids.setdefault(spec, len(spec_ids))
-        return sid
+    def _block(self, forest, program, last_use, born, cls, seg, key,
+               block) -> None:
+        """Instantiate one class segment for its members at one depth /
+        height: steps, predicate checks, cache stores."""
+        mem = forest.pops[cls.count].at(_kind(cls, seg), key)
+        if not len(mem) or not cls.segments[seg]:
+            return
 
-    for li, (scalars, buckets) in enumerate(levels):
-        groups: dict = {}   # key -> (defn, booked, [(target, refs, frame)])
-        steps, bucket_steps, books, stores = [], [], [], []
-        preds, expected, names = [], [], []
+        def wire(refs, li):
+            spec = forest.spec(cls, refs, seg, key, mem)
+            for cid in _producers(spec):
+                last_use[cid] = li
+            return spec
 
-        def enlist(key, defn, booked, member):
-            group = groups.get(key)
-            if group is None:
-                groups[key] = (defn, booked, [member])
-            else:
-                group[2].append(member)
-
-        def kernel_member(nid, node, bucket):
-            """Route one kernel node: invariant, or member of a step."""
-            defn, op = node.defn, node.op
-            refs, split = [], []
-            invariant = not node.extra_deps
-            for s, i in node.inputs:
-                f = fwd[s]
-                ref = f[i] if f is not None else (made[s][0], i, made[s][1])
-                refs.append(ref)
-                cid = ref[0]
-                if not static_inv[cid]:
-                    invariant = False
-                split.append(cid if big[cid] else -1)
-            if op.op_type == "CacheLookup":
-                fwd[nid] = refs  # an alias of the value its frame stored
-                return 0
-            if invariant and (not defn.stateful if refs else
-                              op.op_type in _PERSISTENT_ALIAS_OPS):
-                key = (op if bucket < 0 else node.sig_prefix, tuple(refs))
-                cid = once_of.get(key)
-                if cid is None:
-                    cid = once_of[key] = new_cid(1, True, _statically_big(op))
-                    steps.append(_Step(
-                        cid, defn, op, 1, (),
-                        tuple(_input_spec([r], step_m) for r in refs),
-                        once=True))
-                made[nid] = (cid, 0)
-                return cid
-            if bucket < 0:
-                key = (-1, op)
-            else:
-                # ops sharing a stacked kernel differ only in attrs it
-                # never reads (``batch_attrs`` are in the bucket key);
-                # a row loop runs each op's own scalar kernel
-                key = (bucket,
-                       op if defn.stacked_kernel is None else static_spec(op),
-                       tuple(split))
-            enlist(key, defn, bucket >= 0, (nid, refs, node.frame_idx))
-            return None
-
-        for nid in scalars:
-            node = nodes[nid]
-            kind = node.kind
-            if kind == _KERNEL:
-                kernel_member(nid, node, -1)
-            elif kind == _BIND_FEED:
-                cid = new_cid(1, False, True)
-                steps.append(_Step(cid, None, node.op, 1, (), ()))
-                made[nid] = (cid, 0)
+        for scalars, buckets, checks in cls.segments[seg]:
+            li = len(program)
+            level = ([], [], [], [])
+            for ref, expected, name in checks:
+                level[0].append((wire((ref,), li), expected, name,
+                                 forest.R[mem]))
+            for ts in scalars + buckets:
+                ops = ts.ops
+                first = ops[0]
+                cid = int(forest.cidtab[ts.index][key])
+                inputs = tuple(wire([o.inputs[p] for o in ops], li)
+                               for p in range(len(first.inputs)))
+                keys = None
+                if ts.defn is not None and ts.defn.stateful:
+                    keys = [forest.keys(cls, o.frame, seg, key, mem)
+                            for o in ops]  # op-major, like the rows
+                step = _Step(cid, ts.defn, first.op, len(mem) * len(ops),
+                             inputs, keys=keys, prefix=first.prefix)
                 born.append((cid, li))
-            elif kind in (_BIND_ALIAS, _FIN_PASS):
-                fwd[nid] = [address(s, i) for s, i in node.inputs]
-            else:
-                refs = [address(s, i) for s, i in node.inputs]
-                if kind != _FIN_IGRAD:
-                    preds.append(refs.pop(0))
-                    expected.append(node.expected)
-                    names.append(node.op.name)
-                if kind == _FIN_CGRAD:
-                    for pos, (take, (s, i)) in enumerate(
-                            zip(node.recipe, node.inputs[1:])):
-                        if not take:
-                            t = nodes[s].op.outputs[i]
-                            enlist(("zeros", t.dtype, t.shape), _ZEROS, False,
-                                   ((nid, pos), (refs[pos],), node.frame_idx))
-                if kind != _FIN_COND:
-                    refs.append((0, 0, 0))  # done flag
-                fwd[nid] = refs
-        for bi, bucket in enumerate(buckets):
-            first = nodes[bucket[0]]
-            items: dict = {}
-            for nid in bucket:
-                cid = kernel_member(nid, nodes[nid], bi)
-                if cid is not None:
-                    items[cid] = items.get(cid, 0) + 1
-            books.append((first.op.op_type, first.sig_prefix, items))
-
-        for key, (defn, booked, members) in groups.items():
-            cid = new_cid(len(members))
-            first = members[0][0]
-            op = nodes[first if booked or key[0] == -1 else first[0]].op
-            arity = len(members[0][1])
-            step = _Step(
-                cid, defn, op, len(members),
-                tuple(f for _, _, f in members) if defn.stateful else (),
-                tuple(_input_spec([refs[p] for _, refs, _ in members],
-                                  step_m) for p in range(arity)))
-            for row, (target, _, _) in enumerate(members):
-                if defn is _ZEROS:
-                    fwd[target[0]][target[1]] = (cid, 0, row)
+                if ts.booked:
+                    level[2].append(step)
+                    self.cost_terms[1] += 1
+                    self.cost_terms[2] += step.m
                 else:
-                    made[target] = (cid, row)
-            born.append((cid, li))
-            if booked:
-                books[key[0]][2][cid] = len(members)
-                bucket_steps.append(step)
-            else:
-                steps.append(step)
+                    level[1].append(step)
+                    self.cost_terms[0] += step.m
+            program.append(level)
+            self.hist_level.append(block)
+        li = len(program) - 1
+        for ref, fi, gid, oid, i in cls.seg_stores[seg]:
+            runs, sufs, _ = forest.keys(cls, fi, seg, key, mem)
+            program[li][3].append((wire((ref,), li), runs, sufs, gid, oid, i))
 
-        touched = set()
-        for step in steps + bucket_steps:
-            for spec in step.inputs:
-                touched.update(_producers(spec))
-        check = None
-        if preds:
-            check = (_input_spec(preds, step_m),
-                     np.array(expected, dtype=bool), tuple(names))
-            touched.update(_producers(check[0]))
-        for nid in (scalars + tuple(x for b in buckets for x in b)
-                    if recording else ()):
-            node = nodes[nid]
-            if node.store_mask is not None:
-                for i, keep in enumerate(node.store_mask):
-                    if keep:
-                        cid, out, row = address(nid, i)
-                        touched.add(cid)
-                        stores.append((cid, out, row, node.frame_idx,
-                                       node.graph_id, node.op.id, i))
-        for cid in touched:
-            last_use[cid] = li
-        program.append((check, tuple(steps), tuple(bucket_steps),
-                        tuple((t, p, tuple(items.items()))
-                              for t, p, items in books),
-                        tuple(stores)))
 
-    root_refs = {}
-    pinned = set()
-    for nid, node in enumerate(nodes):
-        if node.frame_idx == 0 and (made[nid] or fwd[nid]) is not None:
-            refs = (fwd[nid] if fwd[nid] is not None else
-                    [address(nid, i) for i in range(len(node.op.outputs))])
-            root_refs[nid] = tuple(refs)
-            pinned.update(cid for cid, _, _ in refs)
-    release = [[] for _ in program]
-    for cid, li in born:
-        if cid not in pinned:
-            release[last_use.get(cid, li)].append(cid)
-    return (tuple(level + (tuple(cids),)
-                  for level, cids in zip(program, release)),
-            tuple(step_m), root_refs)
+def instance_for(tpl: Template, lins, stats=None) -> "LevelPlan":
+    """The instantiation of one forest — ``lins`` in run order.  A probe
+    is one LRU lookup keyed by the profile tuple, a miss builds one
+    :class:`LevelPlan`; the memo is LRU-bounded (``REPRO_LEVEL_PLAN_CAP``)
+    and holds one-run forests only (a repeated ``Session.run`` batch, a
+    lone request): a merged forest is keyed by the ordered profiles of
+    all its runs, which a request stream does not repeat."""
+    graph, stats = tpl.graph, stats or RunStats()
+    instances = graph._level_plans.setdefault("instances", {})
+    key = (tpl, lins[0].profiles) if len(lins) == 1 else None
+    lp = instances.get(key)
+    if lp is not None:
+        stats.level_plan_cache_hits += 1
+        with graph._lock:  # LRU touch: move to end
+            instances[key] = instances.pop(key, lp)
+        return lp
+    stats.level_plan_cache_misses += 1
+    t0 = time.perf_counter()
+    lp = LevelPlan(tpl, lins)
+    stats.level_plan_compile_ms += (time.perf_counter() - t0) * 1e3
+    with graph._lock:
+        if key is not None:
+            instances[key] = lp
+        while LEVEL_PLAN_CAP > 0 and len(instances) > LEVEL_PLAN_CAP:
+            del instances[next(iter(instances))]
+            stats.level_plan_evictions += 1
+    return lp
+
+
+def level_plan_for(graph, root_plan, shape_profile, record: bool,
+                   stats=None, subtree=None) -> Optional["LevelPlan"]:
+    """Template + linearise + instantiate for one run: the compiled
+    program of ``shape_profile`` (per-root-call-site shape profiles in
+    op-id order — ``TreeBatch.profiles`` for the tree models), or
+    ``None`` when the definition or the profile is not compilable."""
+    tpl = template_for(graph, root_plan, record, subtree, stats)
+    lin = tpl if isinstance(tpl, str) else linearise(tpl, shape_profile)
+    return None if isinstance(lin, str) else instance_for(tpl, [lin], stats)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,55 +1180,50 @@ def columns_of(results: list, n_out: int) -> list:
     return cols
 
 
-def _take(col, rows, k: int, m: int):
-    """Member ``rows`` of a producer column holding ``k`` run-major runs
-    of ``m`` members each."""
+def _take(col, rows):
+    """Member ``rows`` of a producer column."""
     if col.__class__ is list:
-        return _as_column([col[r * m + i] for r in range(k) for i in rows])
-    if k == 1:
-        return col.take(rows, 0)
-    tail = col.shape[1:]
-    return (col.reshape((k, m) + tail).take(rows, 1)
-            .reshape((k * len(rows),) + tail))
+        return _as_column([col[i] for i in rows])
+    return col.take(rows, 0)
 
 
 class _Sweep:
-    """Mutable state of one wavefront sweep: the live runs and their
-    columns (``cols[cid][out]``: ndarray with rows on axis 0, a list of
-    row values, or an :class:`_Inv`)."""
+    """Mutable state of one wavefront sweep: the runs and their columns
+    (``cols[cid][out]``: ndarray with rows on axis 0, a list of row
+    values, or an :class:`_Inv`)."""
 
-    __slots__ = ("core", "lp", "live", "k", "cols", "sigs", "keys", "ctx",
-                 "bytes")
+    __slots__ = ("core", "lp", "runs", "dead", "cols", "sigs", "ctx",
+                 "bytes", "prefixed")
 
-    def __init__(self, core, lp, live):
+    def __init__(self, core, lp, runs):
         self.core = core
         self.lp = lp
-        self.live = live
-        self.k = len(live)
+        self.runs = runs
+        #: per run: cancelled — its pure rows keep flowing (the index
+        #: wiring is fixed), its stores, stateful rows, predicate checks
+        #: and result are dropped
+        self.dead = None
         self.cols = [None] * len(lp.step_m)
         self.cols[0] = [_Inv(np.bool_(True))]
-        #: per column group, its call's member signature (bucket steps;
-        #: group 0 stands in for zero-input members: the empty signature)
+        #: per column group, its call's member signature (bucket steps)
         self.sigs = [None] * len(lp.step_m)
-        self.sigs[0] = ()
-        self.keys = None
         #: shared by every pure kernel; kernels that read ``ctx.frame``
         #: are stateful and get one context per row
         self.ctx = ExecContext(core.runtime, None, False)
         self.bytes = {} if core._track_live else None
+        self.prefixed = any(run.prefix for run in runs)
 
-    def frame_keys(self) -> list:
-        """Per live run, the cache key of every compiled frame."""
-        if self.keys is None:
-            suffixes = self.lp.suffixes
-            self.keys = [suffixes if not run.prefix else
-                         [run.prefix + suffix for suffix in suffixes]
-                         for run in self.live]
-        return self.keys
+    def refresh(self) -> bool:
+        """Note runs cancelled since the last level; False when none is
+        left to compute for."""
+        if any(run.cancelled for run in self.runs):
+            self.dead = np.array([run.cancelled for run in self.runs])
+            return not self.dead.all()
+        return True
 
     def operand(self, spec):
         """Gather one wired input: a column in member order."""
-        cols, k, step_m = self.cols, self.k, self.lp.step_m
+        cols = self.cols
         if len(spec) == 3:
             cid, out, rows = spec
             col = cols[cid][out]
@@ -1094,69 +1231,40 @@ class _Sweep:
                 return col
             if rows is None:
                 return _as_column(col) if col.__class__ is list else col
-            return _take(col, rows, k, step_m[cid])
+            return _take(col, rows)
         parts, perm = spec
         pieces = []
         for cid, out, rows in parts:
             col = cols[cid][out]
             if col.__class__ is not _Inv:
-                pieces.append(_take(col, rows, k, step_m[cid]))
+                pieces.append(_take(col, rows))
             elif isinstance(col.value, (np.ndarray, np.generic)):
                 pieces.append(np.broadcast_to(
-                    col.value, (k * len(rows),) + col.value.shape))
+                    col.value, (len(rows),) + col.value.shape))
             else:
-                pieces.append([col.value] * (k * len(rows)))
+                pieces.append([col.value] * len(rows))
         first = pieces[0]
-        sizes = [len(rows) for _, _, rows in parts]
         if all(p.__class__ is np.ndarray and p.dtype == first.dtype
                and p.shape[1:] == first.shape[1:] for p in pieces):
-            if k == 1:
-                joined = np.concatenate(pieces)
-                return joined if perm is None else joined.take(perm, 0)
-            tail = first.shape[1:]
-            joined = np.concatenate(
-                [p.reshape((k, n) + tail) for p, n in zip(pieces, sizes)],
-                axis=1)
-            if perm is not None:
-                joined = joined.take(perm, 1)
-            return joined.reshape((-1,) + tail)
+            joined = np.concatenate(pieces)
+            return joined if perm is None else joined.take(perm, 0)
         # producers disagree on member shape or dtype: a list column
-        column = []
-        for r in range(k):
-            run = [v for p, n in zip(pieces, sizes)
-                   for v in p[r * n:(r + 1) * n]]
-            column.extend(run if perm is None else [run[i] for i in perm])
-        return column
+        column = [v for p in pieces for v in p]
+        return column if perm is None else [column[i] for i in perm]
 
-    def value(self, ref, r: int):
-        """The value at a static address for live run ``r``."""
-        cid, out, row = ref
-        col = self.cols[cid][out]
-        if col.__class__ is _Inv:
-            return col.value
-        return col[r * self.lp.step_m[cid] + row]
+    def keys(self, runs, sufs) -> list:
+        """Full frame keys: each run's root key plus the frame suffix."""
+        if not self.prefixed:
+            return sufs
+        prefixes = [run.prefix for run in self.runs]
+        return [prefixes[r] + s for r, s in zip(runs, sufs)]
 
-    def drop_cancelled(self) -> None:
-        """Compact every live column down to the runs still wanted."""
-        keep = [r for r, run in enumerate(self.live) if not run.cancelled]
-        k, step_m = self.k, self.lp.step_m
-        for cid, outs in enumerate(self.cols):
-            if outs is None:
-                continue
-            m = step_m[cid]
-            kept = []
-            for col in outs:
-                if col.__class__ is np.ndarray:
-                    tail = col.shape[1:]
-                    col = (col.reshape((k, m) + tail)[keep]
-                           .reshape((-1,) + tail))
-                elif col.__class__ is list:
-                    col = [v for r in keep for v in col[r * m:(r + 1) * m]]
-                kept.append(col)
-            self.cols[cid] = kept
-        self.live = [self.live[r] for r in keep]
-        self.k = len(keep)
-        self.keys = None
+    def contexts(self, step) -> list:
+        """One kernel context per member of a stateful step."""
+        runtime = self.core.runtime
+        return [ExecContext(runtime, _CFrame(key, rec), rec)
+                for runs, sufs, rec in step.keys
+                for key in self.keys(runs, sufs)]
 
 
 class _LevelCall:
@@ -1179,7 +1287,7 @@ class _LevelCall:
 
     def __init__(self, sweep, step):
         self.step = step
-        self.rows = sweep.k * step.m
+        self.rows = step.m
         self.ctx = sweep.ctx
         #: operands as kernels take them: an array column (a list when
         #: rows disagree on shape), or — where ``inv`` — the one value
@@ -1210,10 +1318,7 @@ class _LevelCall:
         self.shared = step.once or (not stateful and all(inv))
         self.ctxs = None
         if stateful and not step.once:
-            runtime, records = sweep.core.runtime, sweep.lp.records
-            self.ctxs = [
-                ExecContext(runtime, _CFrame(keys[f], records[f]), records[f])
-                for keys in sweep.frame_keys() for f in step.frames]
+            self.ctxs = sweep.contexts(step)
 
     def member_inputs(self) -> list:
         """Per-member input lists (row views), for the scalar kernel."""
@@ -1274,9 +1379,29 @@ def complete_level_call(sweep, call, outs) -> None:
             core.stats.peak_live_bytes = peak
 
 
+def _run_live_rows(sweep, step) -> None:
+    """A stateful step while some runs are cancelled: only the live
+    rows execute; cancelled rows inherit a live row's outputs (nothing
+    of a cancelled run is ever stored, accumulated or returned)."""
+    call = _LevelCall(sweep, step)
+    live = np.flatnonzero(~sweep.dead[[r for runs, _, _ in step.keys
+                                       for r in runs]])
+    if len(live) == 0:
+        sweep.cols[step.cid] = [_Inv(None)] * step.n_out
+        return
+    back = np.zeros(call.rows, dtype=np.intp)
+    back[live] = np.arange(len(live))
+    call.operands = [o if shared else _take(o, live)
+                     for o, shared in zip(call.operands, call.inv)]
+    call.ctxs, call.rows = [call.ctxs[i] for i in live], len(live)
+    complete_level_call(sweep, call, [
+        col if col.__class__ is _Inv else _take(col, back)
+        for col in execute_level_call(call)])
+
+
 def _feed_column(sweep, step) -> list:
     try:
-        values = [run.feed[step.op.id] for run in sweep.live]
+        values = [run.feed[step.op.id] for run in sweep.runs]
     except KeyError:
         raise EngineError(
             f"placeholder {step.op.name} was not fed") from None
@@ -1284,81 +1409,82 @@ def _feed_column(sweep, step) -> list:
 
 
 def _verify_predicates(sweep, check) -> None:
-    """One vector compare per level: every Cond/CondGrad predicate of
-    the level against the branch the shape profile compiled in."""
-    spec, expected, names = check
+    """One vector compare per class per level: every ``Cond`` predicate
+    against the branch the shape profile selected."""
+    spec, expected, name, runs = check
     col = sweep.operand(spec)
     if col.__class__ is _Inv:
-        got = np.full(len(expected), bool(np.asarray(col.value)))
+        wrong = np.full(len(runs), bool(np.asarray(col.value)) != expected)
     elif col.__class__ is list:
-        got = np.array([bool(np.asarray(v)) for v in col])
+        wrong = np.array([bool(np.asarray(v)) for v in col]) != expected
     else:
-        got = col.astype(bool)
-    wrong = got.reshape(-1, len(expected)) != expected
+        wrong = col.astype(bool).reshape(-1) != expected
+    if sweep.dead is not None:
+        wrong &= ~sweep.dead[runs]
     if wrong.any():
         raise EngineError(
-            f"shape profile mismatch at {names[int(wrong.any(0).argmax())]}"
+            f"shape profile mismatch at {name}"
             ": the fed data disagrees with the compiled branch decision")
 
 
-def _book(sweep, widths: tuple) -> None:
-    """Account one sweep's ops exactly like the dynamic tier would have
-    grouped them: scalars per node, buckets per member signature.
+def _book(sweep) -> None:
+    """Account one sweep's ops exactly like the dynamic tier counts
+    them: every op of every frame once, whatever step executed it.
 
-    The schedule is static, so the bookings are too once the runs per
-    level (``widths``) and the member signatures are fixed: they are
-    built once as a RunStats delta, memoised on the plan and merged per
-    sweep (runs cancelled mid-sweep keep their scalar counts, matching
-    the dynamic path's best-effort stats under cancellation).
+    The schedule is static, so the bookings are too once the member
+    signatures are fixed: they are built once as a RunStats delta,
+    memoised on the plan and merged per sweep (a sweep abandoned because
+    every run was cancelled books nothing — best-effort stats under
+    cancellation, like the dynamic path).
     """
     lp = sweep.lp
-    key = (widths, tuple(sweep.sigs))
-    if lp.booked is None or lp.booked[0] != key:
-        delta, sigs = RunStats(), sweep.sigs
-        for op_type, count in lp.scalar_counts if widths else ():
-            delta.ops_executed += count * widths[0]
-            delta.per_type_count[op_type] = count * widths[0]
-        for level_idx, k in enumerate(widths):
-            hist = {}
-            for op_type, prefix, items in lp.program[level_idx][3]:
-                groups: dict = {}
-                for cid, count in items:
-                    groups[sigs[cid]] = groups.get(sigs[cid], 0) + count * k
-                for sig, width in groups.items():
-                    if width == 1:
-                        delta.note_op(op_type, 0.0)
-                    else:
-                        delta.note_batch(op_type, width, 0.0,
-                                         prefix + (sig,))
-                    hist[width] = hist.get(width, 0) + 1
-            if hist:
-                delta.level_width_hist[level_idx] = hist
-        lp.booked = (key, delta)
+    sigs = tuple(sweep.sigs)
+    if lp.booked is None or lp.booked[0] != sigs:
+        delta, tpl = RunStats(), lp.template
+        for cls, members in zip(tpl.classes, lp.members):
+            for op_type, count in cls.static if members else ():
+                delta.ops_executed += count * members
+                delta.per_type_count[op_type] = (
+                    delta.per_type_count.get(op_type, 0) + count * members)
+        for level, block in zip(lp.program, lp.hist_level):
+            for step in level[2]:
+                op_type = step.op.op_type
+                if step.m == 1:
+                    delta.note_op(op_type, 0.0)
+                else:
+                    delta.note_batch(op_type, step.m, 0.0,
+                                     step.prefix + (sigs[step.cid],))
+                hist = delta.level_width_hist.setdefault(block, {})
+                hist[step.m] = hist.get(step.m, 0) + 1
+        lp.booked = (sigs, delta)
     sweep.core.stats.merge(lp.booked[1])
 
 
 def execute_level_plan(core: SchedulerCore, lp: LevelPlan, runs) -> list:
-    """Execute one wavefront sweep for ``runs`` (same LevelPlan).
+    """Execute one wavefront sweep for ``runs`` — the forest ``lp`` was
+    instantiated for, in the same order, of any mix of shapes.
 
-    Buckets widen across runs — concurrent same-profile roots extend
-    every column run-major and share one fused dispatch per step.
     Returns one entry per run: the fetched values, or ``None`` for runs
-    cancelled mid-sweep.
+    cancelled before or during the sweep.
     """
-    sweep = _Sweep(core, lp, [run for run in runs if not run.cancelled])
+    sweep = _Sweep(core, lp, runs)
     cols = sweep.cols
-    widths = []
-    for check, steps, bucket_steps, _, stores, release in lp.program:
-        if any(run.cancelled for run in sweep.live):
-            sweep.drop_cancelled()
-        if not sweep.live:
+    cache = core.runtime.cache
+    done = True
+    for li, (checks, steps, bucket_steps, stores, release) in enumerate(
+            lp.program):
+        # cancellation is polled every few levels: a cancelled run's
+        # rows only stop mattering, they never have to stop flowing
+        if not li & 7 and not sweep.refresh():
+            done = False
             break
-        widths.append(sweep.k)
-        if check is not None:
+        for check in checks:
             _verify_predicates(sweep, check)
         for step in steps:
             if step.defn is None:
                 cols[step.cid] = _feed_column(sweep, step)
+            elif step.keys is not None and sweep.dead is not None:
+                _run_live_rows(sweep, step)
             else:
                 call = _LevelCall(sweep, step)
                 complete_level_call(sweep, call, execute_level_call(call))
@@ -1366,28 +1492,36 @@ def execute_level_plan(core: SchedulerCore, lp: LevelPlan, runs) -> list:
             core._execute_level_calls(
                 lp, [_LevelCall(sweep, step) for step in bucket_steps], sweep)
         if stores:
-            # one bulk store per level, after every step of the level —
-            # CacheLookup consumers are ordered into later levels
-            core.runtime.cache.store_many([
-                (run_keys[frame_idx], gid, oid, i, sweep.value(ref, r))
-                for r, run_keys in enumerate(sweep.frame_keys())
-                for *ref, frame_idx, gid, oid, i in stores])
+            # one bulk store per class segment, after its last level —
+            # compiled CacheLookups read the columns, never the cache
+            entries = []
+            for spec, srun, sufs, gid, oid, i in stores:
+                col = sweep.operand(spec)
+                values = ([col.value] * len(sufs) if col.__class__ is _Inv
+                          else col)
+                entries.extend(
+                    (key, gid, oid, i, v) for key, v, r
+                    in zip(sweep.keys(srun, sufs), values, srun)
+                    if sweep.dead is None or not sweep.dead[r])
+            cache.store_many(entries)
         for cid in release:
             cols[cid] = None
             if sweep.bytes is not None:
                 core._live_bytes -= sweep.bytes.pop(cid, 0)
-    _book(sweep, tuple(widths))
+    if done:
+        _book(sweep)
     if sweep.bytes is not None:
         core._live_bytes -= sum(sweep.bytes.values())
-    row_of = {id(run): r for r, run in enumerate(sweep.live)}
     results = []
-    for run in runs:
-        r = row_of.get(id(run))
-        if r is None or run.cancelled:
+    for r, run in enumerate(runs):
+        if not done or run.cancelled:
             results.append(None)
             continue
-        values = [sweep.value(lp.root_refs[nid][i], r)
-                  for nid, i in run.fetch_locs]
+        values = []
+        for ref in run.fetch_refs:
+            cid, out, row = lp.fetch_ref(ref, r)
+            col = cols[cid][out]
+            values.append(col.value if col.__class__ is _Inv else col[row])
         # root fetches leave the runtime dense; a subtree boundary hands
         # back raw values (incl. sparse IndexedSlices) exactly like the
         # dynamic finish_async

@@ -53,6 +53,7 @@ take the lock themselves when one exists.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import threading
@@ -278,8 +279,10 @@ class _LevelRun:
     Plays the :class:`Frame` role in the admission bookkeeping — the
     server holds it, ``cancel_root`` flips it, ``drain`` waits on it —
     without any frame machinery: a compiled root spawns no frames.
-    ``prefix`` is the root cache key; every compiled frame's key is
-    ``prefix + suffix`` with the suffixes baked into the LevelPlan, so
+    ``tpl`` is the definition's template and ``lin`` this run's
+    linearised profile; runs of one template flush as one forest,
+    whatever their shapes.  ``prefix`` is the root cache key; a compiled
+    frame's key is ``prefix`` plus a suffix derived from the profile, so
     cache entries and accumulator order keys match the dynamic path
     bit-for-bit.
     """
@@ -290,47 +293,37 @@ class _LevelRun:
     #: fetch-boundary behavior: root fetches leave the runtime dense
     densify_fetches = True
 
-    __slots__ = ("lp", "prefix", "feed", "fetch_locs", "on_complete",
-                 "cancelled", "done")
+    __slots__ = ("tpl", "lin", "prefix", "feed", "fetch_refs",
+                 "on_complete", "cancelled", "done")
 
-    def __init__(self, lp, prefix: tuple, feed: dict, fetch_list,
+    def __init__(self, tpl, lin, prefix: tuple, feed: dict, fetch_refs,
                  on_complete: Optional[Callable]):
-        self.lp = lp
-        self.prefix = prefix
-        self.feed = feed
-        self.fetch_locs = [(lp.root_node_of[t.op.id], t.index)
-                           for t in fetch_list]
-        self.on_complete = on_complete
-        self.cancelled = False
-        self.done = False
+        self.tpl, self.lin, self.prefix, self.feed = tpl, lin, prefix, feed
+        self.fetch_refs, self.on_complete = fetch_refs, on_complete
+        self.cancelled = self.done = False
 
 
 class _SubtreeRun:
-    """One recursive subtree executed as a compiled sub-sweep.
+    """One recursive subtree executed inside a compiled sub-forest.
 
     The partial-compilation handle: a dynamic spine frame's Invoke
     starter launches it instead of spawning a child frame tree, and its
     boundary values return through ``finish_async`` exactly like a
     dynamic child's ``on_complete`` — raw (no densify), so sparse
     gradients cross the boundary bit-identically.  ``prefix`` is the
-    dynamic ``child_key`` the child frame would have had, so cache
-    entries and accumulator order keys match the dynamic path.
+    dynamic ``child_key`` the child frame would have had.
     """
 
     is_level_run = True
     is_subtree = True
     densify_fetches = False
 
-    __slots__ = ("lp", "prefix", "feed", "fetch_locs", "inst", "done")
+    __slots__ = ("tpl", "lin", "prefix", "feed", "fetch_refs", "inst",
+                 "done")
 
-    def __init__(self, lp, prefix: tuple, feed: dict, subgraph, inst):
-        self.lp = lp
-        self.prefix = prefix
-        self.feed = feed
-        self.fetch_locs = [(lp.root_node_of[op_id], i)
-                           for op_id, i in subgraph.output_locs]
-        self.inst = inst
-        self.done = False
+    def __init__(self, tpl, lin, prefix: tuple, feed: dict, inst):
+        self.tpl, self.lin, self.prefix, self.feed = tpl, lin, prefix, feed
+        self.fetch_refs, self.inst, self.done = tpl.fetch_refs, inst, False
 
     @property
     def cancelled(self):
@@ -434,6 +427,10 @@ class _MemoryBudgetReady:
     popleft = pop
 
 
+#: what ``SchedulerCore._locked`` hands single-threaded executors
+_NO_LOCK = contextlib.nullcontext()
+
+
 def _unconfigured_push(inst) -> None:
     raise EngineError("executor has no active session (run/begin_serving "
                       "must configure the ready sink before frames start)")
@@ -527,10 +524,6 @@ class SchedulerCore:
         #: (workerpool/procpool — a starter-context flush would execute
         #: sweeps under the master lock, inverting the barrier's order)
         self._level_flush_wanted = False
-        #: depth bucket for canonical profiles (None = exact profiles);
-        #: mirrored from the batch policy so every admission sees it
-        self._level_canon_depth = getattr(self.batch_policy,
-                                          "level_canon_depth", None)
         #: one-shot stash: _try_level_run parks the root's site map here
         #: for the dynamic root frame _make_frame is about to build
         self._root_site_map: Optional[dict] = None
@@ -613,6 +606,13 @@ class SchedulerCore:
         if depth > self.stats.max_frame_depth:
             self.stats.max_frame_depth = depth
         return frame
+
+    @property
+    def _locked(self):
+        """The master lock as a context manager (a no-op on the
+        single-threaded event engine): for per-admission paths, not the
+        per-op hot path."""
+        return self._master_lock or _NO_LOCK
 
     def _over_budget(self) -> bool:
         """Is estimated live scratch above the configured budget?"""
@@ -848,8 +848,7 @@ class SchedulerCore:
             if cv is not None:
                 cv.notify_all()
 
-        lock = self._master_lock
-        if lock is None:
+        with self._locked:
             self._open_roots += 1
             frame = self._make_frame(plan, feed_map, key=key, depth=0,
                                      record=False, on_complete=frame_done,
@@ -857,74 +856,60 @@ class SchedulerCore:
             if site_map is not None:
                 frame.rec_profiles = site_map
             self._start_frame(frame)
-        else:
-            with lock:
-                self._open_roots += 1
-                frame = self._make_frame(plan, feed_map, key=key, depth=0,
-                                         record=False, on_complete=frame_done,
-                                         owner=None, pin_locs=pins)
-                if site_map is not None:
-                    frame.rec_profiles = site_map
-                self._start_frame(frame)
         self._admitted()
         return frame
 
     # -- compiled level-plan path ---------------------------------------------
     #
     # When the caller knows the tree shape at admission, the recursion
-    # lowers to a fixed wavefront schedule (repro.runtime.level_plan).
+    # lowers to a fixed wavefront schedule (repro.runtime.level_plan):
+    # the definition compiles once into a template, and the pending runs
+    # of one template — whatever their shapes — flush as one forest.
     # The scheduler owns the admission/merge/complete bookkeeping so all
     # backends share it; the event engine overrides the two small hooks
     # (`_schedule_level_flush`, `_execute_level_group`) to run the sweep
     # at virtual instants with modeled cost.
 
-    def _root_profile_map(self, plan, profiles):
-        """Map root Invoke op ids to their per-call-site sub-profiles.
+    def _note_fallback(self, reason: str) -> None:
+        """Count one profiled admission (or spine subtree) that runs
+        dynamically, under the reason it could not be compiled."""
+        with self._locked:
+            self.stats.level_plan_fallbacks += 1
+            reasons = self.stats.level_plan_fallback_reasons
+            reasons[reason] = reasons.get(reason, 0) + 1
 
-        The spine-admission precondition: every root call site targets
-        one shared recursive SubGraph and the profile count matches.
-        Returns ``{op.id: (s_rec, profile)}`` or None.
+    def _admit_profile(self, graph, plan, fetch_list, shape_profile):
+        """Resolve one profiled root admission against its template.
+
+        ``(tpl, lin, fetch_refs)`` — fully determined, of any depth: the
+        whole root runs compiled, instantiated with whatever else
+        flushes with it.  A site-map *dict* ``{root Invoke id: (s_rec,
+        profile)}`` — the profile has holes (undetermined subtrees): the
+        root runs as a dynamic spine whose determined subtrees join
+        compiled sub-forests.  ``None`` — plain dynamic fallback,
+        already counted with its reason.  The profile is walked once.
         """
-        invokes = [op for op in plan.ops if op.op_type == "Invoke"]
-        if not invokes or len(invokes) != len(profiles):
-            return None
-        s_rec = invokes[0].attrs["subgraph"]
-        for op in invokes[1:]:
-            if op.attrs["subgraph"] is not s_rec:
-                return None
-        return {op.id: (s_rec, prof)
-                for op, prof in zip(invokes, profiles)}
-
-    def _resolve_level_profile(self, plan, shape_profile):
-        """Classify an admission profile for the compiled tier.
-
-        ``("full", profiles)``  — fully determined and within the canon
-        depth bucket (or canonicalization off): compile the whole root,
-        exactly the pre-canonicalization behavior.
-        ``("spine", site_map)`` — holes (undetermined subtrees) or a
-        tree deeper than ``level_canon_depth``: run the root dynamically
-        and launch compiled sub-sweeps per determined subtree of depth
-        ≤ the canon bucket, so many distinct shapes share the small
-        canonical plan set.
-        ``("dynamic", None)``   — profile unusable; plain fallback.
-        """
-        from .level_plan import _profile_depth, _profile_has_holes
+        from .level_plan import HOLES, linearise, template_for
+        tpl = template_for(graph, plan, self.record, stats=self.stats)
+        if isinstance(tpl, str):
+            return self._note_fallback(tpl)
+        lin = linearise(tpl, shape_profile)
+        if lin is HOLES:
+            with self._locked:
+                self.stats.level_plan_partial_roots += 1
+            return {site.path[-1]: (tpl.s_rec, prof) for site, prof
+                    in zip(tpl.root_sites, shape_profile)}
+        if isinstance(lin, str):
+            return self._note_fallback(lin)
+        if lin.max_depth > self.max_depth:
+            return self._note_fallback("max_depth exceeded")
+        refs, index_of = tpl.root.frames[0].refs, plan.index_of
         try:
-            profiles = tuple(shape_profile)
-        except TypeError:
-            return "dynamic", None
-        holes = any(_profile_has_holes(p) for p in profiles)
-        canon = self._level_canon_depth
-        too_deep = (canon is not None
-                    and any(not _profile_has_holes(p)
-                            and _profile_depth(p) > canon
-                            for p in profiles))
-        if not holes and not too_deep:
-            return "full", profiles
-        site_map = self._root_profile_map(plan, profiles)
-        if site_map is not None:
-            return "spine", site_map
-        return "dynamic", None
+            fetch_refs = [refs[index_of[t.op.id]][t.index]
+                          for t in fetch_list]
+        except (KeyError, IndexError):
+            return self._note_fallback("fetch outside the root plan")
+        return tpl, lin, fetch_refs
 
     def _try_level_run(self, graph, fetch_list, feed_map, shape_profile):
         """One-shot compiled execution for ``run()``.
@@ -933,79 +918,42 @@ class SchedulerCore:
         The run's key prefix is the root key ``()``, so cache entries
         and accumulator order keys are bit-identical to the dynamic
         path.  Errors propagate to the caller like dynamic ``run``.
-        A spine-mode profile (holes / canonicalized depth) returns None
-        after parking the site map for the dynamic root frame.
+        A profile with holes returns None after parking the site map
+        for the dynamic root frame.
         """
-        from .level_plan import execute_level_plan, level_plan_for
+        from .level_plan import execute_level_plan, instance_for
         self._root_site_map = None
         plan = plan_for_fetches(graph, {t.op for t in fetch_list})
-        mode, resolved = self._resolve_level_profile(plan, shape_profile)
-        if mode == "dynamic":
-            self.stats.level_plan_fallbacks += 1
+        admitted = self._admit_profile(graph, plan, fetch_list,
+                                       shape_profile)
+        if admitted is None or isinstance(admitted, dict):
+            self._root_site_map = admitted
             return None
-        if mode == "spine":
-            self.stats.level_plan_partial_roots += 1
-            self._root_site_map = resolved
-            return None
-        lp = level_plan_for(graph, plan, resolved, self.record,
-                            stats=self.stats)
-        if lp is None or lp.max_depth > self.max_depth:
-            self.stats.level_plan_fallbacks += 1
-            return None
-        try:
-            run = _LevelRun(lp, (), feed_map, fetch_list, None)
-        except KeyError:
-            self.stats.level_plan_fallbacks += 1
-            return None
+        tpl, lin, fetch_refs = admitted
+        run = _LevelRun(tpl, lin, (), feed_map, fetch_refs, None)
         self.stats.level_plan_hits += 1
+        lp = instance_for(tpl, [lin], stats=self.stats)
         values = execute_level_plan(self, lp, [run])[0]
-        return values, self.cost_model.level_plan_cost(lp, 1)
+        return values, self.cost_model.level_plan_cost(lp)
 
     def _try_submit_level_root(self, graph, plan, fetch_list, feed_map,
                                key, on_complete, shape_profile):
         """Serving-mode admission onto the compiled path.
 
-        Returns a ``_LevelRun`` handle on a full compiled hit, the root
-        site-map *dict* for spine-mode profiles (the caller builds a
-        dynamic frame and attaches it), or None for plain fallback.
+        Returns a ``_LevelRun`` handle when the root is compiled, the
+        root site-map *dict* for a profile with holes (the caller builds
+        a dynamic frame and attaches it), or None for plain fallback.
         """
-        from .level_plan import level_plan_for
-        lock = self._master_lock
-        mode, resolved = self._resolve_level_profile(plan, shape_profile)
-        if mode == "spine":
-            if lock is None:
-                self.stats.level_plan_partial_roots += 1
-            else:
-                with lock:
-                    self.stats.level_plan_partial_roots += 1
-            return resolved
-        lp = None
-        if mode == "full":
-            lp = level_plan_for(graph, plan, resolved, self.record,
-                                stats=self.stats)
-        eligible = lp is not None and lp.max_depth <= self.max_depth
-        run = None
-        if eligible:
-            try:
-                run = _LevelRun(lp, key, feed_map, fetch_list, on_complete)
-            except KeyError:  # fetch outside the compiled root plan
-                run = None
-        if run is None:
-            if lock is None:
-                self.stats.level_plan_fallbacks += 1
-            else:
-                with lock:
-                    self.stats.level_plan_fallbacks += 1
-            return None
-        if lock is None:
+        admitted = self._admit_profile(graph, plan, fetch_list,
+                                       shape_profile)
+        if admitted is None or isinstance(admitted, dict):
+            return admitted
+        run = _LevelRun(admitted[0], admitted[1], key, feed_map,
+                        admitted[2], on_complete)
+        with self._locked:
             self.stats.level_plan_hits += 1
             self._open_roots += 1
             self._pending_level_runs.append(run)
-        else:
-            with lock:
-                self.stats.level_plan_hits += 1
-                self._open_roots += 1
-                self._pending_level_runs.append(run)
         self._schedule_level_flush()
         self._admitted()
         return run
@@ -1037,30 +985,31 @@ class SchedulerCore:
 
     def _spawn_profiled_child(self, inst: Instance, subgraph, bindings,
                               key, profile) -> bool:
-        """Try to run one recursive subtree as a compiled sub-sweep.
+        """Try to run one recursive subtree inside a compiled sub-forest.
 
         The partial-compilation launch point, called from the Invoke
         starter of a frame carrying ``rec_profiles``.  Returns False —
         the caller spawns a dynamic child frame instead — when the
-        subtree still has holes, is deeper than the canon bucket
-        (intentional decomposition, not a fallback), or fails to
-        compile (counted per-subtree in ``level_plan_fallbacks``).
+        subtree still has holes (its sub-profiles are threaded one level
+        down) or cannot be compiled (counted per subtree, with the
+        reason, in ``level_plan_fallbacks``).  Every determined subtree
+        of one flush joins the same forest.
         """
-        from .level_plan import (_profile_depth, _profile_has_holes,
-                                 level_plan_for)
-        if _profile_has_holes(profile):
-            return False
-        canon = self._level_canon_depth
-        if canon is not None and _profile_depth(profile) > canon:
-            return False
+        from .level_plan import HOLES, linearise, template_for
         graph = subgraph.graph
-        lp = level_plan_for(graph, plan_for(graph), profile, self.record,
-                            stats=self.stats, subtree=subgraph)
-        if lp is None or lp.max_depth > self.max_depth - inst.frame.depth:
-            self.stats.level_plan_fallbacks += 1
+        tpl = template_for(graph, plan_for(graph), self.record,
+                           subtree=subgraph, stats=self.stats)
+        lin = tpl if isinstance(tpl, str) else linearise(tpl, (profile,))
+        if lin is HOLES:
             return False
-        run = _SubtreeRun(lp, key, bindings, subgraph, inst)
-        self._pending_level_runs.append(run)
+        if not isinstance(lin, str) \
+                and lin.max_depth > self.max_depth - inst.frame.depth:
+            lin = "max_depth exceeded"
+        if isinstance(lin, str):
+            self._note_fallback(lin)
+            return False
+        self._pending_level_runs.append(
+            _SubtreeRun(tpl, lin, key, bindings, inst))
         self.stats.level_plan_subtree_runs += 1
         self._schedule_level_flush()
         return True
@@ -1084,19 +1033,7 @@ class SchedulerCore:
         submitting the next request) append and return immediately; the
         outer loop picks them up.
         """
-        lock = self._master_lock
-        if lock is None:
-            if self._level_flushing:
-                return
-            self._level_flushing = True
-            try:
-                while self._pending_level_runs:
-                    batch = self._pending_level_runs
-                    self._pending_level_runs = []
-                    self._run_level_batch(batch)
-            finally:
-                self._level_flushing = False
-            return
+        lock = self._locked
         with lock:
             if self._level_flushing:
                 return
@@ -1116,10 +1053,20 @@ class SchedulerCore:
                 raise
 
     def _run_level_batch(self, batch) -> None:
-        groups: dict = {}
+        """Flush pending compiled runs: one forest — one instantiation
+        lookup, one sweep — per template, whatever the runs' shapes."""
+        from .level_plan import instance_for
+        forests: dict = {}
         for run in batch:
-            groups.setdefault(id(run.lp), (run.lp, []))[1].append(run)
-        for lp, runs in groups.values():
+            if not run.cancelled:
+                forests.setdefault(id(run.tpl), []).append(run)
+        for runs in forests.values():
+            try:
+                lp = instance_for(runs[0].tpl, [run.lin for run in runs],
+                                  stats=self.stats)
+            except Exception as exc:  # noqa: BLE001 - session failure path
+                self._fail_level(exc)
+                return
             self._execute_level_group(lp, runs)
 
     def _execute_level_group(self, lp, runs) -> None:
@@ -1147,6 +1094,7 @@ class SchedulerCore:
     def _complete_level_run(self, run, values) -> None:
         """Retire one compiled root (mirrors the dynamic ``frame_done``:
         bookkeeping and the completion callback under the master lock)."""
+        run.lin = run.feed = None  # a kept ticket holds the run, not these
         if run.is_subtree:
             # sub-sweep boundary: hand the subtree outputs to the parent
             # Invoke instance exactly like a dynamic child frame's
@@ -1154,15 +1102,7 @@ class SchedulerCore:
             run.done = True
             self.finish_async(run.inst, values)
             return
-        lock = self._master_lock
-        if lock is None:
-            if run.cancelled or run.done:
-                return
-            run.done = True
-            self._open_roots -= 1
-            run.on_complete(values)
-            return
-        with lock:
+        with self._locked:
             if run.cancelled or run.done:
                 return
             run.done = True
@@ -1212,10 +1152,7 @@ class SchedulerCore:
         completed or was already cancelled: completion and cancellation
         race atomically under the master lock, exactly one wins.
         """
-        lock = self._master_lock
-        if lock is None:
-            return self._cancel_root_locked(frame)
-        with lock:
+        with self._locked:
             return self._cancel_root_locked(frame)
 
     def _cancel_root_locked(self, frame: Frame) -> bool:

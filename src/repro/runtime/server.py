@@ -583,15 +583,14 @@ class RecursiveServer:
           ``tree.num_nodes``); multiplies the root plan's static cost in
           the admission-time prediction.
         * ``shape_profile`` — per-call-site tree shapes (in op-id
-          order, e.g. ``TreeBatch.profiles``): eligible requests take
-          the compiled level-plan fast path, and concurrent
-          same-profile requests merge into one wavefront; ineligible
-          ones fall back to the dynamic path transparently.  Profiles
-          with ``None`` holes — or any profile when the session sets
-          ``level_canon_depth`` — admit a dynamic root spine that
-          launches compiled sub-sweeps per determined subtree, so
-          heavy-tailed shape streams share a small canonical plan set
-          (``RunStats.level_plan_cache_hit_rate``).
+          order, e.g. ``TreeBatch.profiles``): the request takes the
+          compiled level-plan fast path, and every profiled request in
+          flight at one flush — whatever its shape — joins the same
+          forest and shares one sweep; an ineligible definition or a
+          mismatching profile falls back to the dynamic path
+          transparently (``RunStats.level_plan_fallback_reasons``).
+          Only a profile with ``None`` holes admits a dynamic root
+          spine whose determined subtrees join compiled sub-forests.
         """
         if deadline is not None and timeout is not None:
             raise ValueError("pass deadline= (absolute) or timeout= "

@@ -96,15 +96,14 @@ class Session:
             sheds it).  Values stay bit-identical.
         track_live_bytes: maintain the live-bytes estimate (and its
             ``RunStats.peak_live_bytes`` peak) even without a budget.
-        level_canon_depth: profile-canonicalization depth for the
-            compiled level-plan tier (``None`` = one compiled plan per
-            distinct shape profile).  With an integer ``d``, compiled
-            plans are capped at subtrees of node depth <= ``d`` — deeper
-            or partially-determined profiles run a dynamic root spine
-            with compiled sub-sweeps per determined subtree, bounding
-            the compile-cache footprint on heavy-tailed shape streams
-            (``RunStats.level_plan_cache_hit_rate``).  Shorthand for
-            setting the field on ``batch_policy``.
+        level_canon_depth: accepted and validated (``None`` or an
+            integer >= 1), no longer consulted.  It used to cap compiled
+            plans at subtrees of node depth <= ``d`` so heavy-tailed
+            shape streams shared a small canonical plan set; the
+            compiled tier now compiles the recursive *definition* once
+            and instantiates a fully determined profile of any depth
+            whole, so there is nothing left to canonicalize.  Shorthand
+            for setting the field on ``batch_policy``.
     """
 
     def __init__(self, graph: Optional[Graph] = None,
@@ -151,15 +150,16 @@ class Session:
         ``shape_profile`` — per-call-site tree shape signatures in
         op-id order (``TreeBatch.profiles`` for the tree models) —
         enables the compiled level-plan fast path
-        (:mod:`repro.runtime.level_plan`): eligible roots execute as a
-        fixed pre-bucketed wavefront schedule, bit-identical to the
-        dynamic path; ineligible ones fall back transparently
-        (``last_stats.level_plan_fallbacks``).  Profiles with ``None``
+        (:mod:`repro.runtime.level_plan`): the root executes as a fixed
+        pre-bucketed sweep instantiated from the definition's one
+        template, bit-identical to the dynamic path; an ineligible
+        definition or a mismatching profile falls back transparently
+        (``last_stats.level_plan_fallbacks``, by reason in
+        ``level_plan_fallback_reasons``).  Only a profile with ``None``
         holes (undetermined subtrees, e.g. behind a data-dependent
-        ``cond``) — or any profile when the session sets
-        ``level_canon_depth`` — run partially compiled: a dynamic root
-        spine launches compiled sub-sweeps for each fully-determined
-        subtree (``last_stats.level_plan_subtree_runs``).
+        ``cond``) runs partially compiled: a dynamic root spine whose
+        fully determined subtrees join compiled sub-forests
+        (``last_stats.level_plan_subtree_runs``).
         """
         single = isinstance(fetches, Tensor)
         fetch_list = [fetches] if single else list(fetches)

@@ -95,19 +95,24 @@ class RunStats:
     #: roots that carried a shape profile but fell back to dynamic
     #: execution (ineligible graph shape, depth cap, stale plan)
     level_plan_fallbacks: int = 0
-    #: roots admitted as a dynamic spine with compiled sub-sweeps (the
-    #: partial-compilation / canonicalization path — not fallbacks)
+    #: why: reason -> count, from the template compile (a property of
+    #: the definition) and from admission-time mismatches (profile child
+    #: count vs call sites, fetch outside the root plan, ``max_depth``)
+    level_plan_fallback_reasons: dict = field(default_factory=dict)
+    #: roots admitted as a dynamic spine with compiled sub-forests
+    #: (profiles with undetermined subtrees — not fallbacks)
     level_plan_partial_roots: int = 0
-    #: recursive subtrees executed as compiled sub-sweeps
+    #: recursive subtrees executed inside compiled sub-forests
     level_plan_subtree_runs: int = 0
-    #: compiled-plan memo probes that found a valid plan (or a memoized
-    #: ineligible verdict) — the canonicalization hit-rate numerator
+    #: forests whose instantiation was found in the memo (one probe per
+    #: flushed forest / one-shot run; only one-run forests are kept)
     level_plan_cache_hits: int = 0
-    #: memo probes that had to compile (or re-verify a stale plan)
+    #: forests that had to be instantiated (every merged forest is)
     level_plan_cache_misses: int = 0
-    #: wall-clock milliseconds spent inside level-plan compilation
+    #: wall-clock milliseconds spent compiling templates and
+    #: instantiating forests
     level_plan_compile_ms: float = 0.0
-    #: plan-memo entries evicted by the LRU caps
+    #: instantiations evicted by the LRU cap
     level_plan_evictions: int = 0
     #: per-level fused-dispatch width histograms for compiled sweeps:
     #: level index -> {width: count}.  The compiled-path analogue of
@@ -290,8 +295,8 @@ class RunStats:
 
     @property
     def level_plan_cache_hit_rate(self) -> float:
-        """Compiled-plan memo hit rate — the canonicalization /
-        amortization measurement (0.0 before any probe)."""
+        """Instantiation-memo hit rate: how often a flushed forest had
+        been seen before (0.0 before any probe)."""
         probes = self.level_plan_cache_hits + self.level_plan_cache_misses
         return self.level_plan_cache_hits / probes if probes else 0.0
 
@@ -332,6 +337,9 @@ class RunStats:
                 into[width] = into.get(width, 0) + count
         self.level_plan_hits += other.level_plan_hits
         self.level_plan_fallbacks += other.level_plan_fallbacks
+        for k, v in other.level_plan_fallback_reasons.items():
+            self.level_plan_fallback_reasons[k] = (
+                self.level_plan_fallback_reasons.get(k, 0) + v)
         self.level_plan_partial_roots += other.level_plan_partial_roots
         self.level_plan_subtree_runs += other.level_plan_subtree_runs
         self.level_plan_cache_hits += other.level_plan_cache_hits
@@ -379,6 +387,9 @@ class RunStats:
                 lines.append(
                     f"level_partial_roots={self.level_plan_partial_roots}  "
                     f"level_subtree_runs={self.level_plan_subtree_runs}")
+            for reason, count in sorted(
+                    self.level_plan_fallback_reasons.items()):
+                lines.append(f"  level_fallback x{count}: {reason}")
         if self.level_plan_cache_hits or self.level_plan_cache_misses:
             lines.append(
                 f"level_compile_cache hit_rate="

@@ -1,13 +1,13 @@
 """Columnar compiled sweeps: one stacked array per bucket, index-wired.
 
 The compiled tier stores a level's values as *columns* — one array per
-bucket output, members on axis 0 — and the LevelPlan compiler wires
+bucket output, members on axis 0 — and instantiating a forest wires
 every bucket input to its producer column (alias, row-index ``take`` or
 invariant).  The contract with the dynamic tier is unchanged:
 bit-identical values and gradients, identical cache contents, the same
-``RunStats`` accounting.  These tests pin the pieces the columns added:
-the list-column fallback, run-major merging (and compaction when a run
-is cancelled mid-sweep), the vectorised predicate check, and the stacked
+op counts.  These tests pin the pieces the columns added: the
+list-column fallback, forest merging (and what happens to a run
+cancelled mid-sweep), the vectorised predicate check, and the stacked
 kernel entries.
 """
 
@@ -227,16 +227,14 @@ class TestListColumnFallback:
 
 
 class TestMergedRuns:
-    """(c) k same-plan runs extend every column run-major; the result of
-    each equals its own separate run."""
+    """(c) Runs flushed together form one forest — whatever their
+    shapes; the result of each equals its own separate run."""
 
-    def _serve(self, bank, n, cancel_at=None, monkeypatch=None):
+    def _serve(self, bank, trees, cancel_at=None, monkeypatch=None):
         runtime = repro.Runtime()
         model = TreeLSTMSentiment(LSTM, runtime)
         built = model.build_recursive(1)
-        # same shape, different words: one plan, distinct feeds
-        tree = bank.train[0]
-        batches = [batch_trees([tree]) for _ in range(n)]
+        batches = [batch_trees([tree]) for tree in trees]
         feeds = []
         for i, b in enumerate(batches):
             feed = built.feed_dict(b)
@@ -245,10 +243,10 @@ class TestMergedRuns:
             feeds.append(feed)
         session = repro.Session(built.graph, runtime, num_workers=4)
         refs = [session.run(built.root_logits, f) for f in feeds]
-        profile = built.shape_profiles(batches[0])
         with session.serve(max_in_flight=8) as server:
             tickets = [server.submit(built.root_logits, f, at=0.0,
-                                     shape_profile=profile) for f in feeds]
+                                     shape_profile=built.shape_profiles(b))
+                       for f, b in zip(feeds, batches)]
             if cancel_at is not None:
                 calls = {"n": 0}
                 real = SchedulerCore._execute_level_calls
@@ -266,25 +264,96 @@ class TestMergedRuns:
         return refs, tickets, stats
 
     def test_serving_burst_matches_separate_runs(self, bank):
-        refs, tickets, stats = self._serve(bank, 4)
+        # same shape, different words
+        refs, tickets, stats = self._serve(bank, [bank.train[0]] * 4)
         assert stats.level_plan_hits == 4
         assert max(w for hist in stats.level_width_hist.values()
                    for w in hist) >= 4
         for ref, ticket in zip(refs, tickets):
             assert np.array_equal(ref, ticket.result())
 
+    def test_mixed_shapes_share_one_sweep(self, bank):
+        """Four *different* shapes arriving together: one forest, one
+        instantiation, one sweep."""
+        trees = bank.train[:4]
+        assert len({t.shape_profile for t in trees}) == 4
+        refs, tickets, stats = self._serve(bank, trees)
+        assert stats.level_plan_hits == 4
+        assert (stats.level_plan_cache_hits
+                + stats.level_plan_cache_misses) == 1
+        for ref, ticket in zip(refs, tickets):
+            assert np.array_equal(ref, ticket.result())
+
     def test_run_cancelled_mid_sweep_is_compacted_out(self, bank,
                                                       monkeypatch):
-        refs, tickets, _ = self._serve(bank, 4, cancel_at=5,
-                                       monkeypatch=monkeypatch)
+        """One of several *different* shapes cancelled mid-sweep: its
+        rows keep flowing (the forest's index wiring is fixed) but its
+        result is dropped; the others are untouched."""
+        trees = bank.train[:4]
+        refs, tickets, stats = self._serve(bank, trees, cancel_at=5,
+                                           monkeypatch=monkeypatch)
         with pytest.raises(RequestCancelled):
             tickets[1].result()
         for i in (0, 2, 3):
             assert np.array_equal(refs[i], tickets[i].result())
+        assert stats.cancelled_requests == 1
+
+    def test_cancelled_run_stores_and_accumulates_nothing(self, bank):
+        """Training forest with one dead run: its rows flow through the
+        pure steps, but none of its cache stores or gradient
+        accumulations happen; the others' are complete."""
+        from repro.runtime.level_plan import (execute_level_plan,
+                                              instance_for, linearise,
+                                              template_for)
+        from repro.runtime.plan import plan_for_fetches
+        from repro.runtime.scheduler import _LevelRun
+
+        trees = bank.train[:3]
+        runtime = repro.Runtime()
+        model = TreeLSTMSentiment(LSTM, runtime)
+        built = model.build_recursive(1)
+        _, updates = repro.gradients(built.loss, [])
+        fetches = [built.loss] + [op.outputs[-1] for op in updates]
+        batches = [batch_trees([t]) for t in trees]
+        session = repro.Session(built.graph, runtime, record=True)
+        plan = plan_for_fetches(built.graph, {t.op for t in fetches})
+        core = session._engine
+        core._reset()
+        tpl = template_for(built.graph, plan, True)
+        refs = tpl.root.frames[0].refs
+        runs = [_LevelRun(tpl, linearise(tpl, b.profiles), (i,),
+                          {t.op.id: v for t, v
+                           in built.feed_dict(b).items()},
+                          [refs[plan.index_of[t.op.id]][t.index]
+                           for t in fetches], None)
+                for i, b in enumerate(batches)]
+        lp = instance_for(tpl, [run.lin for run in runs])
+        runs[1].cancelled = True
+        runtime.accumulators.zero()
+        results = execute_level_plan(core, lp, runs)
+        assert results[1] is None
+        assert results[0] is not None and results[2] is not None
+        stored = {key[0][0] for shard in runtime.cache._shards
+                  for key in shard.table}
+        assert stored == {0, 2}
+        # the survivors' gradients equal a forest of just the two
+        got = {n: np.copy(runtime.accumulators.read(n))
+               for n in runtime.accumulators.names()}
+        runtime.accumulators.zero()
+        runtime.cache.clear()
+        keep = [runs[0], runs[2]]
+        execute_level_plan(core, instance_for(
+            tpl, [run.lin for run in keep]), keep)
+        for n in got:
+            assert np.array_equal(got[n], runtime.accumulators.read(n)), n
 
     @pytest.mark.parametrize("train", [False, True],
                              ids=["forward", "train"])
     def test_subtree_runs_merge_under_canon_depth(self, bank, train):
+        """Profiles with holes still run a dynamic spine, and every
+        determined subtree launched at one instant joins the same
+        sub-forest: more subtree runs than instantiation probes.
+        ``level_canon_depth`` is accepted but decomposes nothing."""
         trees = [t for t in bank.train if t.depth > 4][:2]
         dynamic = _lstm_run("event", trees, train, profile=False)
         runtime = repro.Runtime()
@@ -295,17 +364,37 @@ class TestMergedRuns:
         if train:
             _, updates = repro.gradients(built.loss, [])
             fetches += [op.outputs[-1] for op in updates]
+        # batching fuses the two spines' Invoke spawns, so their subtree
+        # launches land on the same virtual instant
         session = repro.Session(built.graph, runtime, num_workers=4,
-                                record=train, level_canon_depth=3)
+                                record=train, level_canon_depth=3,
+                                batching=True)
         runtime.accumulators.zero()
+        # punch a hole two levels down each tree: the spine is the path
+        # to the hole, every subtree hanging off it is determined
+        holed = tuple(_with_hole(p) for p in built.shape_profiles(batch))
         values = session.run(fetches, built.feed_dict(batch),
-                             shape_profile=built.shape_profiles(batch))
+                             shape_profile=holed)
         grads = {n: np.copy(runtime.accumulators.read(n))
                  for n in runtime.accumulators.names()}
         stats = session.last_stats
-        assert stats.level_plan_subtree_runs > stats.level_plan_cache_misses
+        probes = stats.level_plan_cache_hits + stats.level_plan_cache_misses
+        assert stats.level_plan_partial_roots == 1
+        assert stats.level_plan_subtree_runs > probes >= 1
         assert stats.level_plan_fallbacks == 0
         _assert_same(dynamic, (values, grads, stats))
+
+
+def _with_hole(profile, depth=2):
+    """``profile`` with its leftmost internal node ``depth`` levels down
+    replaced by a hole."""
+    if depth == 0:
+        return None
+    for i, child in enumerate(profile):
+        if child:
+            return (profile[:i] + (_with_hole(child, depth - 1),)
+                    + profile[i + 1:])
+    return profile
 
 
 class TestLyingProfile:
@@ -407,17 +496,26 @@ class TestStackedKernels:
 
 
 class TestAccounting:
-    """(f) A compiled run books exactly what the per-member sweep booked
-    for the same input.  Recorded from the parent commit (f1a1145) with
-    this very scenario — TreeLSTM h6/e5, ``make_treebank(seed=11)``
-    trees ``[:3]`` (57 nodes):
+    """(f) A compiled run books exactly the dynamic tier's op counts for
+    the same input (``ops_executed``, ``per_type_count``); how those
+    ops were *grouped* into fused calls depends on the schedule.
+    Scenario: TreeLSTM h6/e5, ``make_treebank(seed=11)`` trees ``[:3]``
+    (57 nodes).  Recorded at the parent commit (501062a, per-shape Kahn
+    levels) and re-pinned here for the depth/height schedule of the
+    level templates — leaves of every depth now run as one step per op,
+    internal nodes group by height instead of by earliest-possible
+    level, and a compiled ``CacheLookup`` (an alias, no call at all) is
+    no longer booked as a fused batch:
 
-    ========  ============  =======  ===========  =========  ==========
-    mode      ops_executed  batches  batched_ops  max_batch  hist levels
-    ========  ============  =======  ===========  =========  ==========
-    forward   2338          265      1548         114        113
-    train     8002          704      5921         114        231
-    ========  ============  =======  ===========  =========  ==========
+    ========  ============  ==========  ============  =========  =======
+    mode      ops_executed  batches     batched_ops   max_batch  levels
+    ========  ============  ==========  ============  =========  =======
+    forward   2338          265 -> 169  1548 -> 1590  114 -> 60  113->13
+    train     8002          704 -> 388  5921 -> 4569  114 -> 60  231->24
+    ========  ============  ==========  ============  =========  =======
+
+    (``level_width_hist`` is now keyed by schedule block — one class
+    segment at one depth or height — instead of by Kahn level.)
     """
 
     FORWARD_TYPES = {
@@ -426,17 +524,13 @@ class TestAccounting:
         "ReadVariable": 287, "ReduceMean": 1, "ReduceSum": 57,
         "Reshape": 87, "Sigmoid": 168, "Slice": 225,
         "SoftmaxCrossEntropy": 57, "Stack": 1, "Tanh": 114}
-    FORWARD_WIDTHS = {1: 46, 2: 114, 3: 20, 4: 51, 5: 16, 6: 11, 8: 5,
-                      9: 2, 10: 14, 12: 6, 14: 12, 16: 2, 20: 4, 22: 1,
-                      24: 2, 28: 1, 34: 1, 57: 2, 114: 1}
-    FORWARD_FIRST_LEVELS = {1: {6: 1, 57: 2, 114: 1}, 2: {3: 4},
-                            3: {3: 1, 6: 1}, 4: {6: 3}, 5: {6: 1, 12: 1}}
-    TRAIN_WIDTHS = {1: 61, 2: 192, 3: 45, 4: 109, 5: 28, 6: 77, 7: 3,
-                    8: 19, 9: 6, 10: 51, 11: 6, 12: 45, 13: 2, 14: 33,
-                    15: 2, 16: 5, 17: 3, 18: 1, 19: 1, 20: 22, 22: 3,
-                    24: 17, 26: 1, 27: 1, 28: 5, 29: 1, 30: 1, 34: 2,
-                    36: 3, 37: 1, 38: 3, 40: 5, 44: 1, 47: 1, 50: 1,
-                    52: 2, 54: 1, 57: 3, 58: 1, 114: 1}
+    FORWARD_WIDTHS = {1: 4, 2: 44, 3: 8, 4: 9, 5: 20, 6: 29, 10: 8,
+                      12: 26, 20: 1, 24: 4, 30: 18, 60: 2}
+    FORWARD_FIRST_LEVELS = {1: {3: 3}, 2: {3: 4, 6: 1}, 3: {6: 4, 12: 1},
+                            4: {10: 4, 20: 1}, 5: {6: 4, 12: 1}}
+    TRAIN_WIDTHS = {1: 12, 2: 63, 3: 23, 4: 28, 5: 23, 6: 75, 8: 4,
+                    10: 23, 12: 65, 15: 1, 18: 1, 20: 16, 24: 14, 30: 35,
+                    36: 1, 40: 4, 60: 12}
 
     @staticmethod
     def _widths(stats):
@@ -449,9 +543,9 @@ class TestAccounting:
     def test_forward_counts_unchanged(self, bank):
         stats = _lstm_run("event", bank.train[:3], False, True)[2]
         assert (stats.ops_executed, stats.batches, stats.batched_ops,
-                stats.max_batch) == (2338, 265, 1548, 114)
+                stats.max_batch) == (2338, 169, 1590, 60)
         assert stats.per_type_count == self.FORWARD_TYPES
-        assert len(stats.level_width_hist) == 113
+        assert len(stats.level_width_hist) == 13
         assert self._widths(stats) == self.FORWARD_WIDTHS
         for level, hist in self.FORWARD_FIRST_LEVELS.items():
             assert stats.level_width_hist[level] == hist
@@ -459,8 +553,8 @@ class TestAccounting:
     def test_train_counts_unchanged(self, bank):
         stats = _lstm_run("event", bank.train[:3], True, True)[2]
         assert (stats.ops_executed, stats.batches, stats.batched_ops,
-                stats.max_batch) == (8002, 704, 5921, 114)
-        assert len(stats.level_width_hist) == 231
+                stats.max_batch) == (8002, 388, 4569, 60)
+        assert len(stats.level_width_hist) == 24
         assert self._widths(stats) == self.TRAIN_WIDTHS
         assert stats.per_type_count["CacheLookup"] == 1260
         assert stats.per_type_count["AccumGrad"] == 285

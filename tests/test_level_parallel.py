@@ -1,13 +1,14 @@
-"""Parallel compiled sweeps + profile canonicalization (level-plan tier).
+"""Parallel compiled sweeps + partial compilation (level-plan tier).
 
-Two perf features share one contract with the serial compiled path:
-*bit-identity*.  Parallel sweeps fan independent same-level buckets out
-to the pool workers behind a per-level barrier; canonicalization caps
-compiled plans at a depth bucket and runs deeper/partially-determined
-trees as a dynamic root spine launching compiled sub-sweeps.  Values,
-gradients and cache keys must match the dynamic scheduler exactly, and
-failures (lying profiles, uncompilable subtrees) must keep their serial
-semantics.
+Parallel sweeps fan independent same-level buckets out to the pool
+workers behind a per-level barrier.  A fully determined profile of any
+depth is instantiated whole from the definition's one template
+(``level_canon_depth`` is still accepted and validated, but no longer
+decomposes such profiles); only a profile with ``None`` holes runs as a
+dynamic root spine whose determined subtrees join compiled sub-forests.
+Values, gradients and cache keys must match the dynamic scheduler
+exactly, and failures (lying profiles, uncompilable subtrees) must keep
+their serial semantics.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.core.subgraph import SubGraph
 from repro.data import batch_trees, make_treebank
 from repro.models import ModelConfig, TreeRNNSentiment
 from repro.runtime.batching import BatchPolicy
-from repro.runtime.level_plan import level_plan_for
+from repro.runtime.level_plan import Template, level_plan_for
 from repro.runtime.plan import plan_for_fetches
 from repro.runtime.scheduler import available_executors
 from repro.runtime.stats import RunStats
@@ -203,8 +204,10 @@ class TestParallelSweeps:
 
 
 class TestCanonicalization:
-    """level_canon_depth trades one-plan-per-shape for a dynamic spine
-    over a small canonical plan set — values unchanged."""
+    """level_canon_depth used to trade one-plan-per-shape for a dynamic
+    spine over a small canonical plan set.  The template made the trade
+    unnecessary: the knob is accepted, and a fully determined tree of
+    any depth compiles whole."""
 
     @pytest.mark.parametrize("train", [False, True],
                              ids=["forward", "train"])
@@ -215,10 +218,10 @@ class TestCanonicalization:
         dynamic = _run_model(engine, trees, train, profile=False)
         canon = _run_model(engine, trees, train, canon=2)
         stats = canon[2]
-        assert stats.level_plan_partial_roots == 1
-        assert stats.level_plan_subtree_runs >= 1
+        assert stats.level_plan_hits == 1
+        assert stats.level_plan_partial_roots == 0
+        assert stats.level_plan_subtree_runs == 0
         assert stats.level_plan_fallbacks == 0
-        assert stats.level_plan_hits == 0
         _assert_same_results(dynamic, canon)
 
     def test_shallow_profile_still_compiles_fully(self, bank):
@@ -229,9 +232,10 @@ class TestCanonicalization:
         assert full[2].level_plan_partial_roots == 0
 
     def test_heavy_tailed_stream_bounded_compiles(self):
-        """50 distinct deep shapes, canon depth 3: the compile cache
-        converges onto the tiny canonical subtree set (there are only 5
-        binary shapes of depth <= 3), with no fallbacks."""
+        """50 distinct deep shapes, canon depth 3: compile cost does not
+        depend on how many shapes the session sees — one template for
+        the definition, one (cheap) instantiation per shape, no spine,
+        no fallbacks."""
         rng = np.random.default_rng(101)
         graph, out, placeholders = _tree_sum_graph("stream")
         session = repro.Session(graph, repro.Runtime(), num_workers=2,
@@ -242,22 +246,21 @@ class TestCanonicalization:
             if p not in seen:
                 seen.add(p)
                 profiles.append(p)
-        hits = misses = fallbacks = subtree_runs = 0
+        total = RunStats()
         for p in profiles:
             feeds = _feeds(placeholders, p, rng)
             ref = session.run(out, feeds)
             got = session.run(out, feeds, shape_profile=(p,))
             assert np.array_equal(ref, got)
-            stats = session.last_stats
-            hits += stats.level_plan_cache_hits
-            misses += stats.level_plan_cache_misses
-            fallbacks += stats.level_plan_fallbacks
-            subtree_runs += stats.level_plan_subtree_runs
-        assert fallbacks == 0
-        assert subtree_runs >= len(profiles)
-        # compiled-plan count <= 10% of distinct shapes in the stream
-        assert misses <= len(profiles) // 10
-        assert hits / (hits + misses) >= 0.9
+            total.merge(session.last_stats)
+        assert total.level_plan_hits == len(profiles)
+        assert total.level_plan_fallbacks == 0
+        assert total.level_plan_partial_roots == 0
+        assert total.level_plan_subtree_runs == 0
+        assert total.level_plan_cache_misses == len(profiles)
+        templates = graph._level_plans["templates"]
+        assert len(templates) == 1
+        assert all(isinstance(t, Template) for t in templates.values())
 
 
 class TestPartialCompilation:
@@ -293,9 +296,10 @@ class TestPartialCompilation:
         assert session.last_stats.level_plan_partial_roots == 1
         assert session.last_stats.level_plan_fallbacks == 0
 
-    def test_uncompilable_subtree_falls_back_per_subtree(self):
-        """A shape-invisible Cond inside the spine costs one per-subtree
-        fallback, not the whole admission."""
+    def test_uncompilable_definition_falls_back_once(self):
+        """Ineligibility is a property of the definition, not of a
+        subtree: a shape-invisible Cond costs one fallback for the whole
+        admission — counted with its reason — holes or no holes."""
         graph = repro.Graph("amb-spine")
         with graph.as_default():
             with SubGraph("amb") as amb:
@@ -315,32 +319,37 @@ class TestPartialCompilation:
         session = repro.Session(graph, repro.Runtime(), num_workers=2,
                                 level_canon_depth=2)
         ref = session.run(out)
-        got = session.run(out, shape_profile=((((),),),))
-        stats = session.last_stats
-        assert got == ref
-        assert stats.level_plan_partial_roots == 1
-        assert stats.level_plan_fallbacks >= 1
-        assert stats.level_plan_hits == 0
+        for profile in (((),),), ((None,),):
+            got = session.run(out, shape_profile=(profile,))
+            stats = session.last_stats
+            assert got == ref
+            assert stats.level_plan_partial_roots == 0
+            assert stats.level_plan_subtree_runs == 0
+            assert stats.level_plan_hits == 0
+            assert stats.level_plan_fallbacks == 1
+            assert stats.level_plan_fallback_reasons == {
+                "branch is not determined by the shape profile": 1}
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_lying_canonical_profile_raises(self, engine):
         """Spine mode keeps the verified-predicate contract: a compiled
-        sub-sweep launched from a lying canonical profile errors instead
-        of returning a wrong value."""
+        sub-forest launched from a lying profile errors instead of
+        returning a wrong value."""
         rng = np.random.default_rng(29)
         graph, out, placeholders = _tree_sum_graph(f"liar-{engine}")
-        feeds = _feeds(placeholders, (((), ()), ()), rng)
+        feeds = _feeds(placeholders, ((((), ()), ()), ()), rng)
         session = repro.Session(graph, repro.Runtime(), num_workers=2,
                                 engine=engine, level_canon_depth=1)
         session.run(out, feeds)  # sanity: the data itself is fine
-        # depth 2 > canon 1 forces the spine; both claimed children
-        # contradict the data (left is internal, right is a leaf)
+        # the hole forces the spine; the determined right child claims
+        # to be internal where the data has a leaf
         with pytest.raises(repro.EngineError, match="shape profile"):
-            session.run(out, feeds, shape_profile=(((), ((), ())),))
+            session.run(out, feeds, shape_profile=((None, ((), ())),))
 
 
 class TestPlanCacheLRU:
-    """Compiled plans and the ineligible-shape memo are LRU-bounded."""
+    """The instantiation memo is LRU-bounded (``REPRO_LEVEL_PLAN_CAP``);
+    the template map needs no cap — it holds one entry per definition."""
 
     def test_compiled_plans_evict_lru(self, monkeypatch):
         from repro.runtime import level_plan
@@ -356,11 +365,13 @@ class TestPlanCacheLRU:
         # the most-recent entries survived ...
         assert level_plan_for(graph, plan, profiles[2], False,
                               stats=stats) is plans[2]
-        # ... the oldest did not: recompiling it is a fresh miss
+        # ... the oldest did not: re-instantiating it is a fresh miss
         before = stats.level_plan_cache_misses
         fresh = level_plan_for(graph, plan, profiles[0], False, stats=stats)
         assert fresh is not plans[0]
         assert stats.level_plan_cache_misses == before + 1
+        # all of them share the definition's one template
+        assert len({id(lp.template) for lp in plans + [fresh]}) == 1
 
     def test_recent_hit_refreshes_lru_order(self, monkeypatch):
         from repro.runtime import level_plan
@@ -375,20 +386,6 @@ class TestPlanCacheLRU:
         assert level_plan_for(graph, plan, a, False, stats=stats) is lp_a
         level_plan_for(graph, plan, (((), ((), ())),), False, stats=stats)
         assert level_plan_for(graph, plan, a, False, stats=stats) is lp_a
-        assert stats.level_plan_evictions == 1
-
-    def test_ineligible_memo_evicts_lru(self, monkeypatch):
-        from repro.runtime import level_plan
-        monkeypatch.setattr(level_plan, "LEVEL_PLAN_INELIGIBLE_CAP", 1)
-        graph = repro.Graph("flat-lru")
-        with graph.as_default():
-            x = ops.constant(0.5)
-            y = ops.tanh(x)
-        plan = plan_for_fetches(graph, {y.op})
-        stats = RunStats()
-        assert level_plan_for(graph, plan, ((),), False, stats=stats) is None
-        assert level_plan_for(graph, plan, (((), ()),), False,
-                              stats=stats) is None
         assert stats.level_plan_evictions == 1
 
 

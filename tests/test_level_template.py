@@ -1,0 +1,449 @@
+"""Shape-generic level templates: one compile per definition.
+
+The compiled tier scans a recursive definition once into a template and
+instantiates any forest of shapes by index arithmetic
+(:mod:`repro.runtime.level_plan`).  These tests pin what that buys and
+what it must not cost:
+
+* a forest of *mixed* shapes flushed together is one sweep, and every
+  request's values, gradients, selective-cache entries (keys *and*
+  values), accumulator sums and op counts equal the dynamic tier's —
+  generated forests, binary and 3-ary definitions, forward and train,
+  on every sweep executor;
+* the recursion cases by induction (leaf root, depth 2, ``n -> n + 1``
+  by grafting one node) rather than by sampling shapes alone;
+* compile cost is independent of the shapes seen: one template for 100
+  shapes, of the same size for a 5-node and a 500-node tree;
+* a lying profile anywhere in a merged forest is an error naming the
+  ``Cond``; a profile with holes runs spine + compiled sub-forest.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro import ops
+from repro.core.subgraph import SubGraph
+from repro.runtime.level_plan import Template, template_for
+from repro.runtime.plan import plan_for_fetches
+from repro.runtime.scheduler import available_executors
+from repro.runtime.variables import Variable
+
+SWEEP_ENGINES = [e for e in ("event", "workerpool", "procpool")
+                 if e in available_executors()]
+
+
+def _settings(examples):
+    return settings(max_examples=examples, deadline=None,
+                    suppress_health_check=list(HealthCheck))
+
+
+class _Model:
+    """``h(node) = tanh(w * sum(h(children)) + v * x[node])`` over a fed
+    array-encoded tree of fixed arity; ``w`` and ``v`` are trainable."""
+
+    _built: dict = {}
+
+    def __init__(self, arity):
+        self.arity = arity
+        self.runtime = runtime = repro.Runtime()
+        name = f"tpl{arity}"
+        self.graph = graph = repro.Graph(name)
+        with graph.as_default():
+            x = ops.placeholder(repro.float32, (None, 4))
+            children = ops.placeholder(repro.int32, (None, arity))
+            is_leaf = ops.placeholder(repro.bool_, (None,))
+            root = ops.placeholder(repro.int32, ())
+            w = Variable(f"{name}/w", np.full((4,), 0.5, np.float32),
+                         runtime=runtime)
+            v = Variable(f"{name}/v",
+                         np.linspace(-1, 1, 4, dtype=np.float32),
+                         runtime=runtime)
+            with SubGraph(f"{name}_node") as node:
+                idx = node.input(repro.int32, ())
+                node.declare_outputs([(repro.float32, (4,))])
+
+                def leaf():
+                    return ops.tanh(ops.multiply(v.read(),
+                                                 ops.gather(x, idx)))
+
+                def internal():
+                    kids = ops.gather(children, idx)
+                    total = node(ops.gather(kids, 0))
+                    for j in range(1, arity):
+                        total = ops.add(total, node(ops.gather(kids, j)))
+                    return ops.tanh(ops.add(
+                        ops.multiply(w.read(), total),
+                        ops.multiply(v.read(), ops.gather(x, idx))))
+
+                node.output(ops.cond(ops.gather(is_leaf, idx), leaf,
+                                     internal, name="leaf_or_internal"))
+            self.loss = ops.reduce_sum(ops.square(node(root)))
+            _, updates = repro.gradients(self.loss, [])
+        self.updates = [op.outputs[-1] for op in updates]
+        self.placeholders = (x, children, is_leaf, root)
+
+    @classmethod
+    def of(cls, arity) -> "_Model":
+        """One graph per arity for the whole module: a template is
+        compiled per definition, so sharing it across cases is the
+        point."""
+        if arity not in cls._built:
+            cls._built[arity] = cls(arity)
+        return cls._built[arity]
+
+    def fetches(self, train):
+        return [self.loss] + (self.updates if train else [])
+
+    def feeds(self, profile):
+        """Post-order array encoding of ``profile``; node inputs are
+        seeded by the shape."""
+        kids = []
+
+        def build(p):
+            mine = [build(c) for c in p]
+            kids.append(mine if mine else [0] * self.arity)
+            return len(kids) - 1
+
+        root = build(profile)
+        rng = np.random.default_rng(len(kids) * 7919 + self.arity)
+        return dict(zip(self.placeholders, (
+            rng.normal(size=(len(kids), 4)).astype(np.float32),
+            np.array(kids, dtype=np.int32),
+            np.array([not p for p in _postorder(profile)]), root)))
+
+    def reset(self):
+        self.runtime.accumulators.zero()
+        self.runtime.cache.clear()
+
+    def state(self):
+        """Everything a run leaves behind: gradients and cache."""
+        acc = self.runtime.accumulators
+        grads = {n: np.copy(acc.read(n)) for n in acc.names()}
+        cache = {key: value for shard in self.runtime.cache._shards
+                 for key, value in shard.table.items()}
+        return grads, cache
+
+
+def _postorder(profile):
+    for child in profile:
+        yield from _postorder(child)
+    yield profile
+
+
+def _profiles(arity, max_leaves=8):
+    return st.recursive(st.just(()),
+                        lambda kids: st.tuples(*[kids] * arity),
+                        max_leaves=max_leaves)
+
+
+def _serve(model, engine, profiles, train, compiled, feeds=None):
+    """All requests through one server, submitted together; returns
+    (per-request values, gradients, cache contents, server stats)."""
+    model.reset()
+    session = repro.Session(model.graph, model.runtime, num_workers=4,
+                            engine=engine, record=train)
+    with session.serve(max_in_flight=len(profiles)) as server:
+        tickets = []
+        for i, p in enumerate(profiles):
+            kwargs = {"shape_profile": (p,)} if compiled else {}
+            if engine == "event":
+                kwargs["at"] = 0.0
+            tickets.append(server.submit(
+                model.fetches(train),
+                feeds[i] if feeds else model.feeds(p), **kwargs))
+        server.drain()
+        values = [t.result() for t in tickets]
+        stats = server.stats
+    return (values,) + model.state() + (stats,)
+
+
+def _assert_same_state(ref, got):
+    (ref_values, ref_grads, ref_cache, ref_stats) = ref
+    (values, grads, cache, stats) = got
+    for a, b in zip(ref_values, values):
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+    assert set(grads) == set(ref_grads)
+    for name in ref_grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert set(cache) == set(ref_cache)
+    for key in ref_cache:
+        assert np.array_equal(cache[key], ref_cache[key]), key
+    # (vi) the same ops executed, whatever grouped them
+    assert stats.ops_executed == ref_stats.ops_executed
+    assert stats.per_type_count == ref_stats.per_type_count
+
+
+class TestMixedForests:
+    """(i) Generated forests of mixed shapes, merged in one sweep."""
+
+    @pytest.mark.parametrize("train", [False, True],
+                             ids=["forward", "train"])
+    @pytest.mark.parametrize("arity", [2, 3])
+    @_settings(12)
+    @given(data=st.data())
+    def test_event_forest_equals_dynamic(self, arity, train, data):
+        model = _Model.of(arity)
+        forest = data.draw(st.lists(_profiles(arity), min_size=2,
+                                    max_size=5))
+        dynamic = _serve(model, "event", forest, train, compiled=False)
+        compiled = _serve(model, "event", forest, train, compiled=True)
+        stats = compiled[3]
+        assert stats.level_plan_hits == len(forest)
+        assert stats.level_plan_fallbacks == 0
+        # one instant, one template: one forest, one instantiation probe
+        assert (stats.level_plan_cache_hits
+                + stats.level_plan_cache_misses) == 1
+        _assert_same_state(dynamic, compiled)
+
+    @pytest.mark.timeout(180)
+    @pytest.mark.parametrize("train", [False, True],
+                             ids=["forward", "train"])
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("engine",
+                             [e for e in SWEEP_ENGINES if e != "event"])
+    @_settings(4)
+    @given(data=st.data())
+    def test_pool_forest_equals_dynamic(self, engine, arity, train, data):
+        """Wall-clock executors group arrivals by timing — any grouping
+        must produce the event/dynamic bits."""
+        model = _Model.of(arity)
+        forest = data.draw(st.lists(_profiles(arity), min_size=2,
+                                    max_size=4))
+        dynamic = _serve(model, "event", forest, train, compiled=False)
+        compiled = _serve(model, engine, forest, train, compiled=True)
+        assert compiled[3].level_plan_hits == len(forest)
+        assert compiled[3].level_plan_fallbacks == 0
+        _assert_same_state(dynamic, compiled)
+
+
+def _run_pair(model, profile, train):
+    """One-shot ``Session.run`` on both tiers: (dynamic, compiled)."""
+    session = repro.Session(model.graph, model.runtime, num_workers=2,
+                            record=train)
+    out = []
+    for kwargs in ({}, {"shape_profile": (profile,)}):
+        model.reset()
+        values = session.run(model.fetches(train), model.feeds(profile),
+                             **kwargs)
+        out.append(([values],) + model.state() + (session.last_stats,))
+    assert out[1][3].level_plan_hits == 1
+    assert out[1][3].level_plan_fallbacks == 0
+    return out
+
+
+def _graft(profile, path, arity):
+    """``profile`` with the leaf reached by ``path`` (child choices,
+    taken modulo the fan-out) replaced by one internal node."""
+    if not profile:
+        return ((),) * arity
+    i = path[0] % len(profile)
+    return (profile[:i] + (_graft(profile[i], path[1:] or (0,), arity),)
+            + profile[i + 1:])
+
+
+class TestRecursionCases:
+    """(ii) Base cases and the step, not sampled shapes alone."""
+
+    @pytest.mark.parametrize("train", [False, True],
+                             ids=["forward", "train"])
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_base_cases(self, arity, train):
+        model = _Model.of(arity)
+        leaf = ()
+        depth2 = (leaf,) * arity
+        for profile in (leaf, depth2):
+            _assert_same_state(*_run_pair(model, profile, train))
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @_settings(10)
+    @given(paths=st.lists(st.lists(st.integers(0, 5), min_size=1,
+                                   max_size=6), min_size=1, max_size=8))
+    def test_step_by_grafting(self, arity, paths):
+        """If shape ``n`` agrees, so must ``n`` with one more node."""
+        model = _Model.of(arity)
+        profile = ()
+        for path in paths:
+            profile = _graft(profile, tuple(path), arity)
+            _assert_same_state(*_run_pair(model, profile, train=True))
+
+
+def _chain(n, arity):
+    """A left-deep tree with ``n`` internal nodes."""
+    profile = ()
+    for _ in range(n):
+        profile = (profile,) + ((),) * (arity - 1)
+    return profile
+
+
+class TestCompileOnce:
+    """(iii) Compile cost is a property of the definition."""
+
+    def test_hundred_shapes_one_template(self):
+        model = _Model(2)  # a fresh graph: count its templates
+        rng = np.random.default_rng(3)
+        forest, seen = [], set()
+        while len(forest) < 100:
+            p = ()
+            for _ in range(int(rng.integers(1, 12))):
+                p = _graft(p, tuple(rng.integers(0, 6, size=5)), 2)
+            if p not in seen:
+                seen.add(p)
+                forest.append(p)
+        session = repro.Session(model.graph, model.runtime, num_workers=4)
+        with session.serve(max_in_flight=10) as server:
+            tickets = [server.submit(model.loss, model.feeds(p), at=0.0,
+                                     shape_profile=(p,)) for p in forest]
+            server.drain()
+            assert all(t.done for t in tickets)
+            stats = server.stats
+        assert stats.level_plan_hits == 100
+        assert stats.level_plan_fallbacks == 0
+        assert stats.level_plan_partial_roots == 0
+        templates = model.graph._level_plans["templates"]
+        assert len(templates) == 1
+        assert isinstance(next(iter(templates.values())), Template)
+        # ten forests of ten: ten instantiations, not a hundred plans
+        assert stats.level_plan_cache_misses == 10
+
+    def test_template_size_is_shape_independent(self):
+        model = _Model.of(2)
+        plan = plan_for_fetches(model.graph, {model.loss.op})
+        session = repro.Session(model.graph, model.runtime)
+        sizes = []
+        for n in (2, 249):  # 5 nodes, 499 nodes
+            profile = _chain(n, 2)
+            assert sum(1 for _ in _postorder(profile)) == 2 * n + 1
+            session.run(model.loss, model.feeds(profile),
+                        shape_profile=(profile,))
+            assert session.last_stats.level_plan_hits == 1
+            tpl = template_for(model.graph, plan, False)
+            sizes.append((id(tpl), tpl.num_steps, len(tpl.classes)))
+        assert sizes[0] == sizes[1]
+
+
+class TestLyingForest:
+    """(iv) One lying profile inside a merged forest is an error that
+    names the ``Cond`` — in both directions."""
+
+    @pytest.mark.parametrize("claim", [
+        ((), ((), ())), ((((), ()), ()), ((), ()))],
+        ids=["claims-leaf", "claims-deeper"])
+    def test_raises_engine_error(self, claim):
+        model = _Model.of(2)
+        honest = [((), ()), (((), ()), ()), ()]
+        data = (((), ()), ((), ()))  # what the liar's feed really holds
+        feeds = [model.feeds(p) for p in honest + [data]]
+        with pytest.raises(repro.EngineError,
+                           match="shape profile mismatch at "
+                                 "leaf_or_internal"):
+            _serve(model, "event", honest + [claim], False, compiled=True,
+                   feeds=feeds)
+        # the same forest with the honest profile is fine
+        _serve(model, "event", honest + [data], False, compiled=True,
+               feeds=feeds)
+
+
+class TestHoles:
+    """(v) A profile with holes runs spine + compiled sub-forest."""
+
+    @pytest.mark.parametrize("train", [False, True],
+                             ids=["forward", "train"])
+    def test_matches_dynamic(self, train):
+        model = _Model.of(3)
+        full = ((((), (), ()), (), ()), ((), (), ()), ())
+        holed = ((None, (), ()), ((), (), ()), ())
+        session = repro.Session(model.graph, model.runtime, num_workers=2,
+                                record=train)
+        model.reset()
+        ref = session.run(model.fetches(train), model.feeds(full))
+        dynamic = ([ref],) + model.state() + (session.last_stats,)
+        model.reset()
+        got = session.run(model.fetches(train), model.feeds(full),
+                          shape_profile=(holed,))
+        stats = session.last_stats
+        assert stats.level_plan_partial_roots == 1
+        assert stats.level_plan_subtree_runs >= 2
+        assert stats.level_plan_fallbacks == 0
+        assert stats.level_plan_hits == 0
+        _assert_same_state(dynamic, ([got],) + model.state() + (stats,))
+
+
+class TestWideOps:
+    """A value address packs (column, output) into one integer whose
+    width the template derives from its widest op: ``Stack``'s gradient
+    has one output per stacked tree, so a training batch above 64 trees
+    is where a fixed width would alias columns."""
+
+    def test_train_batch_of_65_equals_dynamic(self):
+        from repro.data import batch_trees, make_treebank
+        from repro.models import ModelConfig, TreeRNNSentiment
+        bank = make_treebank(num_train=16, num_val=2, vocab_size=50,
+                             max_words=6, mean_log_words=1.2, seed=11)
+        trees = [bank.train[i % 16] for i in range(65)]
+        out = []
+        for compiled in (False, True):
+            runtime = repro.Runtime()
+            model = TreeRNNSentiment(
+                ModelConfig(vocab_size=50, hidden=8, embed_dim=8), runtime)
+            built = model.build_recursive(len(trees))
+            batch = batch_trees(trees)
+            _, updates = repro.gradients(built.loss, [])
+            fetches = ([built.loss, built.root_logits]
+                       + [op.outputs[-1] for op in updates])
+            session = repro.Session(built.graph, runtime, num_workers=4,
+                                    record=True)
+            kwargs = ({"shape_profile": built.shape_profiles(batch)}
+                      if compiled else {})
+            values = session.run(fetches, built.feed_dict(batch), **kwargs)
+            acc = runtime.accumulators
+            out.append((values, {n: np.copy(acc.read(n))
+                                 for n in acc.names()}))
+            if compiled:
+                assert session.last_stats.level_plan_hits == 1
+                plan = plan_for_fetches(built.graph,
+                                        {t.op for t in fetches})
+                assert template_for(built.graph, plan, True).out_bits == 7
+        (ref_values, ref_grads), (values, grads) = out
+        for a, b in zip(ref_values, values):
+            assert np.array_equal(a, b)
+        assert set(grads) == set(ref_grads)
+        for name in ref_grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+class TestFallbackReasons:
+    """Every profiled admission that runs dynamically is counted under
+    the reason it could not be compiled — and still returns the dynamic
+    tier's values."""
+
+    @pytest.mark.parametrize("data, profile, kwargs, reason", [
+        (((), (), ()), ((((), ()), (), ()),), {},
+         "profile child count does not match call sites"),
+        (((), (), ()), (((), (), ()), ()), {},
+         "profile count does not match root call sites"),
+        # the claimed shape would spawn frames the session forbids; the
+        # fed leaf does not
+        ((), (((), (), ()),), {"max_depth": 3}, "max_depth exceeded"),
+    ], ids=["child-count", "root-sites", "max-depth"])
+    def test_instantiate_time_mismatch(self, data, profile, kwargs, reason):
+        model = _Model.of(3)
+        session = repro.Session(model.graph, model.runtime, **kwargs)
+        ref = session.run(model.loss, model.feeds(data))
+        got = session.run(model.loss, model.feeds(data),
+                          shape_profile=profile)
+        stats = session.last_stats
+        assert stats.level_plan_hits == 0
+        assert stats.level_plan_fallbacks == 1
+        assert stats.level_plan_fallback_reasons == {reason: 1}
+        assert np.array_equal(ref, got)
+
+    def test_reasons_merge(self):
+        a, b = repro.RunStats(), repro.RunStats()
+        a.level_plan_fallback_reasons = {"x": 1, "y": 2}
+        b.level_plan_fallback_reasons = {"y": 1, "z": 4}
+        a.merge(b)
+        assert a.level_plan_fallback_reasons == {"x": 1, "y": 3, "z": 4}
