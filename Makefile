@@ -4,7 +4,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 .PHONY: test test-fast check test-batching test-serving test-procpool \
         soak soak-ci bench bench-fig8 bench-serving bench-serving-slo \
         bench-smoke bench-overhead bench-level bench-procpool \
-        bench-memory profile bench-e2e bench-e2e-selfcheck \
+        bench-memory profile profile-step bench-e2e bench-e2e-selfcheck \
         bench-e2e-compare test-bench-e2e
 
 # Tier-1: the full test suite (what CI gates on).
@@ -128,3 +128,12 @@ bench-e2e-compare:
 # cumulative hot spots of the scheduler/serving path.
 profile:
 	PYTHONPATH=src:. $(PYTHON) benchmarks/profile_serving.py
+
+# One warm bench_e2e step taken apart: cProfile, kernel time per op type
+# and the operand-copy bytes of the compiled sweep (BLAS on one thread,
+# like the benchmark's worker):
+#   make profile-step W=train_b10 C=lvl
+W ?= train_b10
+C ?= lvl
+profile-step:
+	OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:. $(PYTHON) benchmarks/profile_step.py --workload $(W) --config $(C)

@@ -120,6 +120,38 @@ def test_smoke_level_plan_canary():
     assert np.array_equal(ref, got)
 
 
+def test_smoke_level_row_loop_canary():
+    """Columnar-training canary: a compiled TreeLSTM training sweep
+    hands the accumulator whole columns and broadcasts reduce-gradients
+    in one call — neither may fall back to looping its scalar kernel
+    over rows (``RunStats.level_row_loop_steps`` names what did), and
+    the gradients equal the dynamic tier's bit for bit."""
+    bank = smoke_bank()
+    batch = batch_trees(bank.train[:6])
+    model = SMOKE_FACTORIES["TreeLSTM"]()
+    built = model.build_recursive(6)
+    _, updates = repro.gradients(built.loss, [])
+    fetches = [built.loss] + [op.outputs[-1] for op in updates]
+    session = repro.Session(built.graph, model.runtime, record=True,
+                            num_workers=runner_config().num_workers)
+    accumulators = model.runtime.accumulators
+    grads = []
+    for kwargs in ({}, {"shape_profile": built.shape_profiles(batch)}):
+        accumulators.zero()
+        session.run(fetches, built.feed_dict(batch), **kwargs)
+        grads.append({n: np.copy(accumulators.read(n))
+                      for n in accumulators.names()})
+    stats = session.last_stats
+    assert stats.level_plan_hits == 1 and stats.level_plan_fallbacks == 0
+    looped = set(stats.level_row_loop_steps)
+    assert "AccumGrad" not in looped, stats.level_row_loop_steps
+    assert not {t for t in looped if t.startswith("Reduce")
+                and t.endswith("Grad")}, stats.level_row_loop_steps
+    assert grads[0].keys() == grads[1].keys()
+    for name in grads[0]:
+        assert np.array_equal(grads[0][name], grads[1][name]), name
+
+
 def test_smoke_level_canon_canary():
     """Shape-stream canary: a 50-shape heavy-tailed stream through one
     session compiles exactly one template and never decomposes a fully

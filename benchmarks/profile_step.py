@@ -1,0 +1,158 @@
+"""``make profile-step W=train_b10 C=lvl``: one warm ``bench_e2e`` step,
+taken apart.
+
+Sizing a dispatch optimisation needs three numbers the benchmark does
+not print: where the Python time of one warm step goes (cProfile), how
+much of it is kernels and of which op types (every registered kernel
+entry timed in place), and how many bytes the compiled tier copies to
+marshal operands (``take`` / ``stack`` calls of the level sweep).  The
+step is the benchmark's own — its workload class, ``Config`` and
+``_Program`` are imported from ``bench_e2e`` and driven exactly like
+``harness.measure`` drives them — so what is profiled here is what
+``python -m bench_e2e --workload W`` times as config ``C``.
+
+The three passes are separate warm steps: the profiler and the timing
+wrappers each distort the other's numbers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pstats
+import time
+from collections import defaultdict
+
+from bench_e2e.harness import confined
+from bench_e2e.sweep import SweepBench
+from bench_e2e.trace import Tracer
+from bench_e2e.verify import Checker
+from bench_e2e.worker import bench_classes
+from repro.graph import registry
+from repro.runtime import level_plan
+from repro.runtime.scheduler import _values_bytes
+
+WARM_STEPS = 8
+KERNEL_ENTRIES = ("kernel", "stacked_kernel", "keyed_kernel",
+                  "batched_kernel")
+
+
+class _Probes:
+    """Timing wrappers around every registered kernel entry and byte
+    counters around the sweep's operand copies; ``reset()`` between
+    passes, ``remove()`` restores what was patched."""
+
+    def __init__(self):
+        self.kernel_s = defaultdict(float)
+        self.kernel_calls = defaultdict(int)
+        self.copies = defaultdict(lambda: [0, 0])   # name -> [calls, bytes]
+        self._undo = []
+        for name in registry.all_op_types():
+            defn = registry.op_def(name)
+            for entry in KERNEL_ENTRIES:
+                fn = getattr(defn, entry, None)
+                if fn is not None:
+                    self._patch(defn, entry, self._timed(name, entry, fn))
+        for name in ("_take", "_as_column"):
+            self._patch(level_plan, name,
+                        self._counted(name, getattr(level_plan, name)))
+
+    def _patch(self, owner, attr, new) -> None:
+        self._undo.append((owner, attr, getattr(owner, attr)))
+        setattr(owner, attr, new)
+
+    def _timed(self, op_type, entry, fn):
+        key = f"{op_type}.{entry}"
+
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                self.kernel_s[key] += time.perf_counter() - t0
+                self.kernel_calls[key] += 1
+        return timed
+
+    def _counted(self, name, fn):
+        def counted(*args):
+            out = fn(*args)
+            view = getattr(out, "base", None) is not None
+            tally = self.copies[name + (" (view)" if view else "")]
+            tally[0] += 1
+            tally[1] += (_values_bytes(out) if isinstance(out, list)
+                         else getattr(out, "nbytes", 0))
+            return out
+        return counted
+
+    def reset(self) -> None:
+        self.kernel_s.clear()
+        self.kernel_calls.clear()
+        self.copies.clear()
+
+    def remove(self) -> None:
+        for owner, attr, old in reversed(self._undo):
+            setattr(owner, attr, old)
+
+
+def _step(bench, config):
+    bench.prepare(config, 0)
+    with confined(config):
+        t0 = time.perf_counter()
+        bench.step(config, 0)
+        return time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="profile_step")
+    parser.add_argument("--workload", default="train_b10")
+    parser.add_argument("--config", default="lvl")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--top", type=int, default=25)
+    args = parser.parse_args(argv)
+
+    cls = bench_classes()[args.workload]
+    if not issubclass(cls, SweepBench):
+        parser.error(f"{args.workload} is not a Session.run workload")
+    bench = cls(args.seed, Tracer(), Checker())
+    config = bench.config(args.config)
+    bench.setup(keep=True, cold=config.name)
+    bench.open(config)
+    walls = [_step(bench, config) for _ in range(WARM_STEPS)]
+    nodes = bench.nodes[0]
+    print(f"{args.workload}/{config.name} seed={args.seed}: {nodes} nodes, "
+          f"warm step {min(walls) * 1e3:.2f} ms "
+          f"({nodes / min(walls):.0f} inst/s) unprofiled\n")
+
+    probes = _Probes()
+    try:
+        _step(bench, config)            # the wrappers' own first-call cost
+        probes.reset()
+        wall = _step(bench, config)
+    finally:
+        probes.remove()
+    total = sum(probes.kernel_s.values())
+    print(f"kernel time by op type ({total * 1e3:.2f} ms of a "
+          f"{wall * 1e3:.2f} ms instrumented step):")
+    for key, secs in sorted(probes.kernel_s.items(),
+                            key=lambda kv: -kv[1])[:args.top]:
+        print(f"  {key:<34} n={probes.kernel_calls[key]:<6} "
+              f"{secs * 1e3:8.3f} ms")
+    print("operand marshalling of the compiled sweep (views copy nothing):")
+    for name, (calls, nbytes) in sorted(probes.copies.items()):
+        print(f"  {name:<18} calls={calls:<6} {nbytes / 2**20:8.2f} MiB")
+    print()
+
+    profiler = cProfile.Profile()
+    bench.prepare(config, 0)
+    with confined(config):
+        profiler.enable()
+        bench.step(config, 0)
+        profiler.disable()
+    bench.close(config)
+    stats = pstats.Stats(profiler)
+    stats.sort_stats("tottime").print_stats(args.top)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -100,6 +100,9 @@ class GradContext:
         self.forward_graph = forward_graph
         self.mode = mode
         self.update_ops: list[Operation] = []
+        #: refs whose symbolic gradient the caller asked for: gradient
+        #: functions must not divert those into side effects
+        self.wanted: frozenset = frozenset()
         #: refs that became CacheLookups (drives selective caching)
         self._lookup_memo: dict[tuple[int, int], Optional[Tensor]] = {}
         self._rematerialize_memo: dict[tuple[int, int], Tensor] = {}
@@ -211,6 +214,7 @@ def gradients(ys, xs, grad_ys=None):
         if y.graph is not graph:
             raise ValueError("all ys must live in the same graph")
     gb = GradContext(graph, graph, "direct")
+    gb.wanted = frozenset(x.ref for x in xs)
     with graph.as_default():
         seeds: dict[tuple[int, int], Tensor] = {}
         for i, y in enumerate(ys):

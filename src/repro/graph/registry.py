@@ -30,6 +30,15 @@ Every operation type used in a graph must be registered here.  An
   scalar kernel over rows).  Rows must be independent along axis 0, inputs
   must not be mutated, and every row must be bit-identical to the scalar
   kernel's result — which forbids collapsing members into one GEMM.
+* ``keyed_kernel``: the columnar entry of a *stateful* op whose side
+  effect is addressed by its frame (gradient accumulation).  The contract
+  is ``keyed_kernel(op, cols, keys, ctx) -> list of output columns``:
+  ``cols[j]`` is input ``j`` for every member — an array with members on
+  axis 0 or a list of row values (``IndexedSlices``, ragged rows), never
+  a shared value — and ``keys[i]`` is what the scalar kernel derives from
+  member ``i``'s context, ``order_key((ctx.frame.key, op.id))``.  The
+  effect must equal running the scalar kernel once per member, in any
+  order; output columns may alias input columns.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 __all__ = ["OpDef", "register_op", "register_grad", "register_batched_kernel",
-           "register_stacked_kernel", "register_batched_async", "op_def",
+           "register_stacked_kernel", "register_keyed_kernel",
+           "register_batched_async", "op_def",
            "ExecContext", "all_op_types", "registry_version"]
 
 
@@ -77,6 +87,9 @@ class OpDef:
     #: Optional columnar kernel over one bucket's stacked inputs:
     #: ``stacked_kernel(op, cols, inv, ctx) -> list[column] | None``.
     stacked_kernel: Optional[Callable[[Any, list, tuple, Any], Any]] = None
+    #: Optional columnar kernel of a frame-addressed stateful op:
+    #: ``keyed_kernel(op, cols, keys, ctx) -> list[column]``.
+    keyed_kernel: Optional[Callable[[Any, list, list, Any], list]] = None
     #: Extra metadata, e.g. cost-model hints.
     meta: dict = field(default_factory=dict)
 
@@ -176,6 +189,14 @@ def register_stacked_kernel(name: str, fn) -> None:
     ``Slice`` is a view of its input column.
     """
     _REGISTRY[name].stacked_kernel = fn
+    _bump_version()
+
+
+def register_keyed_kernel(name: str, fn) -> None:
+    """Install the keyed columnar entry of stateful op type ``name``
+    (see ``keyed_kernel`` above): compiled sweeps then hand it a step's
+    whole columns instead of looping the scalar kernel over rows."""
+    _REGISTRY[name].keyed_kernel = fn
     _bump_version()
 
 

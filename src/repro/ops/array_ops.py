@@ -645,8 +645,11 @@ def _register_batched_array():
     # and stacked permutation for the matmul-grad transposes.
     register_stacked("GatherGrad", _stacked_gather_grad)
     register_stacked("Transpose", _stacked_transpose, batch_attrs=("perm",))
-    # Member-loop only: their entire cost is the per-op engine overhead.
-    register_batched_kernel("ZerosLike")
+    # Member loop when coalesced (their entire cost is the per-op engine
+    # overhead); a compiled sweep fills one column.
+    register_batched_kernel(
+        "ZerosLike",
+        stacked=lambda op, cols, inv, ctx: [np.zeros_like(cols[0])])
     register_batched_kernel("OnesLike")
     # Columnar only: never coalesced dynamically, but a compiled sweep's
     # instances of one op run as a single view / reshape of the column.

@@ -393,7 +393,16 @@ def _matmul_infer(op):
 def _matmul_grad(gb, op, g):
     a, b = gb.val(op.inputs[0]), gb.val(op.inputs[1])
     from .array_ops import transpose
-    return [matmul(g[0], transpose(b)), matmul(transpose(a), g[0])]
+    grad_a = matmul(g[0], transpose(b))
+    weight = op.inputs[1]
+    if weight.op.op_type != "ReadVariable" or weight.ref in gb.wanted:
+        return [grad_a, matmul(transpose(a), g[0])]
+    # A weight: no per-frame [K, H] outer product.  The frame hands its
+    # factor rows to the accumulator, whose read contracts every frame's
+    # rows in one ``A.T @ G`` (see GradientAccumulator).
+    from .var_ops import accum_grad
+    gb.add_update(accum_grad(weight.op.attrs["var_name"], g[0], a).op)
+    return [grad_a, None]
 
 
 register_op(

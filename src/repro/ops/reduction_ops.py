@@ -42,15 +42,15 @@ def _reduce_infer(op):
     return [(x.dtype, tuple(shape))]
 
 
-def _expand_grad_to(g: np.ndarray, ref: np.ndarray, axis, keepdims):
-    """Broadcast a reduced gradient back to the reference shape."""
+def _expand_grad_to(g: np.ndarray, shape: tuple, axis, keepdims):
+    """Broadcast a reduced gradient back to the reference ``shape``."""
     if axis is None:
-        return np.broadcast_to(g, ref.shape)
+        return np.broadcast_to(g, shape)
     if not keepdims:
-        axes = tuple(a if a >= 0 else ref.ndim + a for a in axis)
+        axes = tuple(a if a >= 0 else len(shape) + a for a in axis)
         for a in sorted(axes):
             g = np.expand_dims(g, a)
-    return np.broadcast_to(g, ref.shape)
+    return np.broadcast_to(g, shape)
 
 
 def _sum_kernel(op, inputs, ctx):
@@ -64,7 +64,7 @@ def _sum_grad(gb, op, g):
 
 def _sum_grad_kernel(op, inputs, ctx):
     g, ref = inputs
-    expanded = _expand_grad_to(np.asarray(g), np.asarray(ref), _axes(op),
+    expanded = _expand_grad_to(np.asarray(g), np.shape(ref), _axes(op),
                                op.attrs["keepdims"])
     # copy: broadcast_to returns a read-only view (and note that
     # ascontiguousarray would promote 0-d arrays to 1-d)
@@ -99,7 +99,7 @@ def _mean_grad_kernel(op, inputs, ctx):
     axis = _axes(op)
     count = (ref.size if axis is None else
              int(np.prod([ref.shape[a] for a in axis])))
-    expanded = _expand_grad_to(np.asarray(g), ref, axis,
+    expanded = _expand_grad_to(np.asarray(g), ref.shape, axis,
                                op.attrs["keepdims"])
     return [np.array(expanded) / count]
 
@@ -131,8 +131,9 @@ def _max_grad_kernel(op, inputs, ctx):
     g, ref, result = inputs
     axis = _axes(op)
     keepdims = op.attrs["keepdims"]
-    expanded_res = _expand_grad_to(np.asarray(result), ref, axis, keepdims)
-    expanded_g = _expand_grad_to(np.asarray(g), ref, axis, keepdims)
+    expanded_res = _expand_grad_to(np.asarray(result), ref.shape, axis,
+                                   keepdims)
+    expanded_g = _expand_grad_to(np.asarray(g), ref.shape, axis, keepdims)
     mask = (ref == expanded_res)
     # Split ties evenly, matching the subgradient convention.
     counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
@@ -182,14 +183,39 @@ def _stacked_unit_reduce(op, cols, inv, ctx):
         d for i, d in enumerate(x.shape[1:]) if keepdims or i not in axes))]
 
 
+def _stacked_reduce_grad(op, cols, inv, ctx):
+    """``ReduceSumGrad`` / ``ReduceMeanGrad`` broadcast ``g`` back to the
+    reference shape — and divide elementwise — so the columnar form
+    rounds nothing: the members' reduced axes, shifted past the batch
+    axis."""
+    if inv[0]:
+        return None
+    g, ref = cols
+    shape = np.shape(ref) if inv[1] else ref.shape[1:]
+    rank = len(shape)
+    axes = _axes(op)
+    if axes is None:
+        axes = range(rank)
+    elif not all(-rank <= a < rank for a in axes):
+        return None  # let the scalar kernel raise its own axis error
+    out = np.array(_expand_grad_to(
+        g, g.shape[:1] + shape, tuple(a % rank + 1 for a in axes),
+        op.attrs["keepdims"]))
+    if op.op_type == "ReduceMeanGrad":
+        out = out / int(np.prod([shape[a] for a in axes]))
+    return [out]
+
+
 def _register_batched_reductions():
     from repro.graph.registry import register_batched_kernel
 
     for name in ("ReduceSum", "ReduceMean", "ReduceMax"):
         register_batched_kernel(name, stacked=_stacked_unit_reduce,
                                 batch_attrs=("axis", "keepdims"))
-    for name in ("ReduceSumGrad", "ReduceMeanGrad", "ReduceMaxGrad"):
-        register_batched_kernel(name, batch_attrs=("axis", "keepdims"))
+    for name in ("ReduceSumGrad", "ReduceMeanGrad"):
+        register_batched_kernel(name, stacked=_stacked_reduce_grad,
+                                batch_attrs=("axis", "keepdims"))
+    register_batched_kernel("ReduceMaxGrad", batch_attrs=("axis", "keepdims"))
 
 
 _register_batched_reductions()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph import dtypes
-from repro.graph.registry import register_op
+from repro.graph.registry import register_keyed_kernel, register_op
 from repro.graph.sparse import IndexedSlices
 from repro.graph.tensor import Tensor
 
@@ -111,23 +111,32 @@ def _accum_kernel(op, inputs, ctx):
     # across engines and scheduling modes (see GradientAccumulator).
     # Sparse embedding gradients are retained as-is — O(touched rows),
     # never densified here.
-    grad = inputs[0]
-    if not isinstance(grad, IndexedSlices):
-        grad = np.asarray(grad)
-    ctx.accumulators.add(op.attrs["var_name"], grad,
+    ctx.accumulators.add(op.attrs["var_name"], *inputs,
                          order=(ctx.frame.key, op.id))
-    return [inputs[0]]
+    return [inputs[-1]]
 
 
+def _accum_keyed(op, cols, keys, ctx):
+    """Every member of a compiled step at once: the accumulator keeps
+    the columns as handed over, and the output *is* the input column."""
+    ctx.accumulators.add_block(op.attrs["var_name"], keys, *cols)
+    return [cols[-1]]
+
+
+# ``AccumGrad(grad)`` retains a gradient; ``AccumGrad(a, grad)`` — what
+# MatMul's gradient emits for a weight operand — retains the factor rows
+# of ``aᵀ @ grad`` and leaves the contraction to the accumulator's read.
 register_op("AccumGrad",
-            infer=lambda op: [(op.inputs[0].dtype, op.inputs[0].shape)],
+            infer=lambda op: [(op.inputs[-1].dtype, op.inputs[-1].shape)],
             kernel=_accum_kernel, grad=None, stateful=True, cost="trivial")
+register_keyed_kernel("AccumGrad", _accum_keyed)
 
 
-def accum_grad(var_name: str, grad, name=None) -> Tensor:
-    """Add ``grad`` into the runtime gradient accumulator for ``var_name``."""
-    return out1("AccumGrad", [grad], {"var_name": var_name},
-                name=name or f"accum_{var_name}")
+def accum_grad(var_name: str, grad, a=None, name=None) -> Tensor:
+    """Add ``grad`` — or, given ``a``, the deferred product ``aᵀ @ grad``
+    — into the runtime gradient accumulator for ``var_name``."""
+    return out1("AccumGrad", [grad] if a is None else [a, grad],
+                {"var_name": var_name}, name=name or f"accum_{var_name}")
 
 
 def _read_accum_kernel(op, inputs, ctx):

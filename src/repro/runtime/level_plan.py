@@ -57,6 +57,7 @@ from .plan import plan_for
 from .plan import _PERSISTENT_ALIAS_OPS
 from .scheduler import EngineError, SchedulerCore, _values_bytes, densify
 from .stats import RunStats
+from .variables import order_key
 
 __all__ = ["LevelPlan", "Template", "template_for", "linearise",
            "instance_for", "level_plan_for", "execute_level_plan",
@@ -732,23 +733,26 @@ class _Step:
     ``j`` of merged op ``k`` on row ``k * (m / ops) + j``.  ``inputs[p]``
     wires input ``p``: ``(cid, out, rows)`` when one producer feeds every
     member (``rows is None``: the column itself — same members, same
-    order; else an ``intp`` row index for one ``take``), otherwise
+    order; a slice: a view of it; else an ``intp`` row index for one
+    ``take``), otherwise
     ``(parts, perm)``: one such triple per producer, and the permutation
     that puts their concatenation into member order (``None`` when it
     already is).  ``once`` steps are invariants: their kernel runs once
     per sweep.  ``keys`` (stateful kernels only) addresses each member's
     frame — per merged op ``(runs, suffixes, record)`` — for its cache /
-    accumulator key.
+    accumulator key; ``okeys`` memoises the members' order keys, which
+    are static while no run carries a key prefix.
     """
 
-    __slots__ = ("cid", "defn", "op", "m", "keys", "inputs", "n_out",
-                 "once", "scratch", "prefix")
+    __slots__ = ("cid", "defn", "op", "m", "keys", "okeys", "inputs",
+                 "n_out", "once", "scratch", "prefix")
 
     def __init__(self, cid, defn, op, m, inputs, once=False, keys=None,
                  prefix=None):
         self.cid, self.defn, self.op, self.m = cid, defn, op, m
         self.inputs, self.once, self.keys, self.prefix = (inputs, once, keys,
                                                           prefix)
+        self.okeys = None
         self.n_out = 1 if defn is _ZEROS else len(op.outputs)
         self.scratch = op.op_type not in _PERSISTENT_ALIAS_OPS
 
@@ -906,6 +910,16 @@ class _Forest:
 
     # -- input specs ---------------------------------------------------------
 
+    def _wired(self, rows):
+        """A row index as wired: a contiguous ascending run becomes a
+        basic slice, so the operand is a view of the producer column
+        instead of a copy (kernels never write their inputs)."""
+        first, n = int(rows[0]), len(rows)
+        if int(rows[-1]) - first == n - 1 and (
+                n < 3 or (rows == self._iota[first:first + n]).all()):
+            return slice(first, first + n)
+        return rows
+
     def _pack(self, addr, rows):
         """Wire one input from its per-member addresses and rows."""
         first = int(addr[0])
@@ -913,14 +927,14 @@ class _Forest:
             cid, n = first >> self.bits, len(rows)
             if self.step_m[cid] == n and int(rows[0]) == 0 \
                     and (rows == self._iota[:n]).all():
-                rows = None
-            return cid, first & self.mask, rows
+                return cid, first & self.mask, None
+            return cid, first & self.mask, self._wired(rows)
         order = np.argsort(addr, kind="stable")
         sa, sr = addr[order], rows[order]
         cuts = [0, *(np.flatnonzero(sa[1:] != sa[:-1]) + 1).tolist(),
                 len(sa)]
         parts = tuple((int(sa[b]) >> self.bits, int(sa[b]) & self.mask,
-                       sr[b:e]) for b, e in zip(cuts, cuts[1:]))
+                       self._wired(sr[b:e])) for b, e in zip(cuts, cuts[1:]))
         if (order[1:] > order[:-1]).all():
             return parts, None
         perm = np.empty(len(order), dtype=np.intp)
@@ -940,7 +954,7 @@ class _Forest:
                     cid, m = int(self.cidtab[src.step.index][key]), len(mem)
                     if len(src.step.ops) == 1:
                         return cid, ref[2], None
-                    return cid, ref[2], self._iota[src.k * m:(src.k + 1) * m]
+                    return cid, ref[2], slice(src.k * m, (src.k + 1) * m)
         pairs = [self.resolve(cls, ref) for ref in refs]
         return self._pack(np.concatenate([a[mem] for a, _ in pairs]),
                           np.concatenate([r[mem] for _, r in pairs]))
@@ -1181,7 +1195,9 @@ def columns_of(results: list, n_out: int) -> list:
 
 
 def _take(col, rows):
-    """Member ``rows`` of a producer column."""
+    """Member ``rows`` of a producer column: a view for a slice."""
+    if rows.__class__ is slice:
+        return _as_column(col[rows]) if col.__class__ is list else col[rows]
     if col.__class__ is list:
         return _as_column([col[i] for i in rows])
     return col.take(rows, 0)
@@ -1238,11 +1254,14 @@ class _Sweep:
             col = cols[cid][out]
             if col.__class__ is not _Inv:
                 pieces.append(_take(col, rows))
-            elif isinstance(col.value, (np.ndarray, np.generic)):
-                pieces.append(np.broadcast_to(
-                    col.value, (len(rows),) + col.value.shape))
+                continue
+            n = (rows.stop - rows.start if rows.__class__ is slice
+                 else len(rows))
+            if isinstance(col.value, (np.ndarray, np.generic)):
+                pieces.append(np.broadcast_to(col.value,
+                                              (n,) + col.value.shape))
             else:
-                pieces.append([col.value] * len(rows))
+                pieces.append([col.value] * n)
         first = pieces[0]
         if all(p.__class__ is np.ndarray and p.dtype == first.dtype
                and p.shape[1:] == first.shape[1:] for p in pieces):
@@ -1259,6 +1278,18 @@ class _Sweep:
         prefixes = [run.prefix for run in self.runs]
         return [prefixes[r] + s for r, s in zip(runs, sufs)]
 
+    def order_keys(self, step) -> list:
+        """Per member of a keyed step, the order key its scalar kernel
+        would pass on."""
+        keys = step.okeys
+        if keys is None:
+            op_id = step.op.id
+            keys = [order_key((key, op_id)) for runs, sufs, _ in step.keys
+                    for key in self.keys(runs, sufs)]
+            if not self.prefixed:
+                step.okeys = keys
+        return keys
+
     def contexts(self, step) -> list:
         """One kernel context per member of a stateful step."""
         runtime = self.core.runtime
@@ -1270,16 +1301,16 @@ class _Sweep:
 class _LevelCall:
     """One prepared kernel dispatch of a level.
 
-    The master builds these (operand gather, per-row contexts for
-    stateful kernels) so that *executing* one — the kernel invocation
-    alone, in :func:`execute_level_call` — is free of shared mutable
-    state and can run on a pool thread or be shipped to a worker
+    The master builds these (operand gather; order keys or per-row
+    contexts for stateful kernels) so that *executing* one — the kernel
+    invocation alone, in :func:`execute_level_call` — is free of shared
+    mutable state and can run on a pool thread or be shipped to a worker
     process.  Column hand-over and live-bytes accounting happen back on
     the master in :func:`complete_level_call`, in original call order.
     """
 
     __slots__ = ("step", "operands", "inv", "stackable", "shared", "rows",
-                 "ctx", "ctxs", "sig")
+                 "ctx", "ctxs", "keys", "sig", "row_loop")
 
     #: duck-type marker: pool workers discriminate task payloads without
     #: importing this module at load time
@@ -1316,9 +1347,14 @@ class _LevelCall:
         stateful = step.defn.stateful
         #: no operand has a batch axis: one scalar kernel call
         self.shared = step.once or (not stateful and all(inv))
-        self.ctxs = None
+        self.ctxs = self.keys = None
+        #: set by the execution: the step looped its scalar kernel
+        self.row_loop = False
         if stateful and not step.once:
-            self.ctxs = sweep.contexts(step)
+            if step.defn.keyed_kernel is not None and not any(inv):
+                self.keys = sweep.order_keys(step)
+            else:
+                self.ctxs = sweep.contexts(step)
 
     def member_inputs(self) -> list:
         """Per-member input lists (row views), for the scalar kernel."""
@@ -1334,17 +1370,19 @@ def execute_level_call(call) -> list:
     """Run one prepared call's kernel; return its output columns.
 
     The only piece of a sweep that may leave the master thread.  An
-    invariant runs its scalar kernel once; a step with a stacked kernel
-    and array columns is one columnar call; anything else (no stacked
-    form, members disagreeing on shape, a kernel declining) loops the
-    scalar kernel over rows.  EngineError passes through, any other
-    error is wrapped with the offending op.
+    invariant runs its scalar kernel once; a step with a stacked (or,
+    stateful, a keyed) kernel and array columns is one columnar call;
+    anything else (no columnar form, members disagreeing on shape, a
+    kernel declining) loops the scalar kernel over rows.  EngineError
+    passes through, any other error is wrapped with the offending op.
     """
     step = call.step
     defn, op = step.defn, step.op
     try:
         if call.shared:
             return [_Inv(v) for v in defn.kernel(op, call.operands, call.ctx)]
+        if call.keys is not None:
+            return defn.keyed_kernel(op, call.operands, call.keys, call.ctx)
         if call.stackable and defn.stacked_kernel is not None:
             outs = defn.stacked_kernel(op, call.operands, call.inv, call.ctx)
             if outs is not None:
@@ -1353,6 +1391,7 @@ def execute_level_call(call) -> list:
                         f"stacked kernel for {op.op_type} returned a "
                         f"malformed result for {call.rows} members")
                 return outs
+        call.row_loop = True
         ctxs = call.ctxs or [call.ctx] * call.rows
         return columns_of([defn.kernel(op, ins, ctx) for ins, ctx
                            in zip(call.member_inputs(), ctxs)], step.n_out)
@@ -1367,6 +1406,9 @@ def complete_level_call(sweep, call, outs) -> None:
     step = call.step
     sweep.cols[step.cid] = outs
     sweep.sigs[step.cid] = call.sig
+    if call.row_loop:
+        loops = sweep.core.stats.level_row_loop_steps
+        loops[step.op.op_type] = loops.get(step.op.op_type, 0) + 1
     if sweep.bytes is not None and step.scratch:
         added = sweep.bytes[step.cid] = sum(
             _values_bytes(col) if col.__class__ is list
@@ -1393,7 +1435,11 @@ def _run_live_rows(sweep, step) -> None:
     back[live] = np.arange(len(live))
     call.operands = [o if shared else _take(o, live)
                      for o, shared in zip(call.operands, call.inv)]
-    call.ctxs, call.rows = [call.ctxs[i] for i in live], len(live)
+    if call.keys is not None:
+        call.keys = [call.keys[i] for i in live]
+    else:
+        call.ctxs = [call.ctxs[i] for i in live]
+    call.rows = len(live)
     complete_level_call(sweep, call, [
         col if col.__class__ is _Inv else _take(col, back)
         for col in execute_level_call(call)])
@@ -1446,6 +1492,8 @@ def _book(sweep) -> None:
                 delta.ops_executed += count * members
                 delta.per_type_count[op_type] = (
                     delta.per_type_count.get(op_type, 0) + count * members)
+                # note_op assumes a counted type also has a time entry
+                delta.per_type_time.setdefault(op_type, 0.0)
         for level, block in zip(lp.program, lp.hist_level):
             for step in level[2]:
                 op_type = step.op.op_type

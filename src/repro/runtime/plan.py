@@ -60,9 +60,12 @@ _ALL_OPS = "__all_ops__"
 
 
 #: Ops whose output arrays alias persistent runtime state (the variable
-#: store, the gradient accumulators, graph-owned constants) rather than
-#: fresh frame-owned scratch; excluded from live-bytes accounting.
-_PERSISTENT_ALIAS_OPS = frozenset({"ReadVariable", "ReadAccum", "Const"})
+#: store, the gradient accumulators, graph-owned constants) or their own
+#: input (``AccumGrad`` passes its gradient through, already booked by its
+#: producer) rather than fresh frame-owned scratch; excluded from
+#: live-bytes accounting.
+_PERSISTENT_ALIAS_OPS = frozenset({"ReadVariable", "ReadAccum", "Const",
+                                   "AccumGrad"})
 
 
 class FramePlan:

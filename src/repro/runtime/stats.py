@@ -99,6 +99,10 @@ class RunStats:
     #: the definition) and from admission-time mismatches (profile child
     #: count vs call sites, fetch outside the root plan, ``max_depth``)
     level_plan_fallback_reasons: dict = field(default_factory=dict)
+    #: compiled-sweep steps that had no columnar form to run (no stacked
+    #: or keyed kernel, members disagreeing on shape, a kernel declining)
+    #: and looped their scalar kernel over rows: op type -> steps
+    level_row_loop_steps: dict = field(default_factory=dict)
     #: roots admitted as a dynamic spine with compiled sub-forests
     #: (profiles with undetermined subtrees — not fallbacks)
     level_plan_partial_roots: int = 0
@@ -340,6 +344,9 @@ class RunStats:
         for k, v in other.level_plan_fallback_reasons.items():
             self.level_plan_fallback_reasons[k] = (
                 self.level_plan_fallback_reasons.get(k, 0) + v)
+        for k, v in other.level_row_loop_steps.items():
+            self.level_row_loop_steps[k] = (
+                self.level_row_loop_steps.get(k, 0) + v)
         self.level_plan_partial_roots += other.level_plan_partial_roots
         self.level_plan_subtree_runs += other.level_plan_subtree_runs
         self.level_plan_cache_hits += other.level_plan_cache_hits
@@ -390,6 +397,10 @@ class RunStats:
             for reason, count in sorted(
                     self.level_plan_fallback_reasons.items()):
                 lines.append(f"  level_fallback x{count}: {reason}")
+            if self.level_row_loop_steps:
+                lines.append("level_row_loop_steps: " + "  ".join(
+                    f"{t}={n}" for t, n
+                    in sorted(self.level_row_loop_steps.items())))
         if self.level_plan_cache_hits or self.level_plan_cache_misses:
             lines.append(
                 f"level_compile_cache hit_rate="

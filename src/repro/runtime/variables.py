@@ -9,7 +9,8 @@ unbounded number of backward frames a recursive model produces.
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -18,7 +19,13 @@ from repro.graph.graph import get_default_graph
 from repro.graph.sparse import IndexedSlices
 from repro.graph.tensor import Tensor
 
-__all__ = ["VariableStore", "GradientAccumulator", "Variable"]
+__all__ = ["VariableStore", "GradientAccumulator", "Variable", "order_key"]
+
+
+def order_key(order) -> str:
+    """The sortable form of a structural order key — ``(frame key, op
+    id)`` for the engines' side effects."""
+    return repr(order)
 
 
 class VariableStore:
@@ -92,50 +99,78 @@ class GradientAccumulator:
     contribution is retained with an optional *order key* — the engines
     pass ``(frame key, op id)``, which is structural (the paper's frame-key
     uniqueness argument) and thus identical across schedules — and
-    :meth:`read` sums contributions in canonical order-key order.  The
+    :meth:`read` reduces contributions in canonical order-key order.  The
     result: **bit-identical** gradients for any execution mode of the same
     step.  Contributions without an order key (host-side callers) are
     summed last, in arrival order.
 
-    Contributions may be dense ndarrays or
+    A contribution is a gradient — a dense ndarray or an
     :class:`~repro.graph.sparse.IndexedSlices` (the sparse embedding
-    gradients ``GatherGrad`` emits).  Sparse entries are retained as-is —
-    O(touched rows) each instead of O(vocab) — and reduced in canonical
-    order at the :meth:`read` boundary: scattered into the single dense
-    output buffer (``dense=True``, the default) or combined into one
-    canonical ``IndexedSlices`` (``dense=False``, the sparse-optimizer
-    fast path).  Each retained slice carries unique row indices, so the
-    canonical-order reduction performs the same per-row additions in the
-    same order as the dense chain — gradients stay bit-identical.
+    gradients ``GatherGrad`` emits) — or the *factor rows* ``(a, g)`` of
+    one frame's weight gradient ``aᵀ @ g``, which ``MatMul``'s gradient
+    defers to here.  :meth:`read` sorts a variable's factor rows by order
+    key, contracts them in **one** GEMM ``A.T @ G`` and adds the gradient
+    entries in canonical order.  Every executor, tier and batching mode
+    reaches the same ``read`` with the same keyed rows, so their bits
+    agree by construction — and differ in the last place from the
+    per-frame fold of dense outer products computed up to PR 18, which
+    remains the fallback for factor rows that disagree on shape or dtype.
+    Everything is retained by reference until :meth:`zero`.
+
+    Sparse entries stay O(touched rows) and are reduced in canonical order
+    at the :meth:`read` boundary: scattered into the dense output buffer
+    (``dense=True``, the default) or combined into one canonical
+    ``IndexedSlices`` (``dense=False``, the sparse-optimizer fast path).
+    Each slice carries unique row indices, so this performs the same
+    per-row additions in the same order as the dense chain.
     """
 
     def __init__(self):
-        #: name -> list of (order_key_repr, grad); summed lazily by read()
+        #: name -> blocks ``(keys, columns)``; flattened by read()
         self._entries: dict[str, list] = {}
         self._sums: dict[str, np.ndarray] = {}
         self._sparse_sums: dict[str, IndexedSlices] = {}
         self._retained = 0
         self._lock = threading.Lock()
 
-    def add(self, name: str, grad, order=None) -> None:
-        key = repr(order) if order is not None else None
+    def add(self, name: str, *values, order=None) -> None:
+        """Retain one contribution: a gradient, or factor rows ``a, g``."""
+        self.add_block(name, None if order is None else [order_key(order)],
+                       *[[v] for v in values])
+
+    def add_block(self, name: str, keys, *cols) -> None:
+        """Retain one contribution per member: ``cols[j][i]`` belongs to
+        the member whose order key is ``keys[i]`` (``keys=None``: none has
+        one).  One column holds gradients, two hold factor rows; a column
+        is an array with members on axis 0 or a list, kept as handed over
+        and split into rows only by :meth:`read`."""
+        nbytes = sum(col.nbytes if isinstance(col, np.ndarray) else
+                     sum(getattr(v, "nbytes", 0) for v in col)
+                     for col in cols)
         with self._lock:
-            self._entries.setdefault(name, []).append((key, grad))
+            self._entries.setdefault(name, []).append((keys, cols))
             self._sums.pop(name, None)
             self._sparse_sums.pop(name, None)
-            self._retained += int(getattr(grad, "nbytes", 0))
+            self._retained += int(nbytes)
 
     @property
     def retained_bytes(self) -> int:
-        """Bytes currently held by unreduced contributions (the dominant
-        live-memory term of a backward pass; feeds the live-bytes
-        estimate in :class:`~repro.runtime.stats.RunStats`)."""
+        """Bytes currently held by unreduced contributions, factor rows
+        included (the dominant live-memory term of a backward pass; feeds
+        the live-bytes estimate in :class:`~repro.runtime.stats.RunStats`)."""
         return self._retained
 
-    def _ordered(self, entries):
-        ordered = sorted((e for e in entries if e[0] is not None),
-                         key=lambda e: e[0])
-        ordered += [e for e in entries if e[0] is None]
+    @staticmethod
+    def _ordered(blocks) -> list:
+        """Entries ``(key, gradient)`` / ``(key, a, g)`` in canonical
+        order: keyed ones by key (stable: rows sharing a key keep their
+        order), then the un-keyed in arrival order."""
+        flat = [entry for keys, cols in blocks
+                for entry in zip(repeat(None) if keys is None else keys,
+                                 *cols)]
+        ordered = sorted((e for e in flat if e[0] is not None),
+                         key=itemgetter(0))
+        ordered += [e for e in flat if e[0] is None]
         return ordered
 
     def read(self, name: str, shape=None, np_dtype=np.float32, *,
@@ -144,30 +179,26 @@ class GradientAccumulator:
 
         ``dense=True`` (the default — and the explicit densification
         boundary of the sparse pipeline) always returns an ndarray,
-        accumulated **in place** into one freshly-allocated output buffer:
-        canonical order and bit-identity are preserved (same ufunc loop as
-        the pairwise chain) without the old per-entry reallocation.
+        accumulated **in place** into one freshly-allocated output buffer.
         ``dense=False`` returns an :class:`IndexedSlices` when every
         contribution is sparse (rows deduplicated in canonical entry
         order), else the dense sum.
         """
         with self._lock:
-            entries = self._entries.get(name)
-            if entries:
-                if not dense:
-                    cached = self._sparse_sums.get(name)
-                    if cached is not None:
-                        return cached
-                    if all(isinstance(g, IndexedSlices)
-                           for _, g in entries):
-                        combined = self._combine_sparse(entries)
-                        self._sparse_sums[name] = combined
-                        return combined
-                cached = self._sums.get(name)
+            blocks = self._entries.get(name)
+            if blocks:
+                cached = (self._sums if dense else self._sparse_sums).get(name)
                 if cached is not None:
                     return cached
-                total = self._reduce_dense(entries)
-                self._sums[name] = total
+                ordered = self._ordered(blocks)
+                if not dense and all(isinstance(e[-1], IndexedSlices)
+                                     for e in ordered):
+                    combined = self._combine_sparse(ordered)
+                    self._sparse_sums[name] = combined
+                    return combined
+                total = self._sums.get(name)
+                if total is None:
+                    total = self._sums[name] = self._reduce_dense(ordered)
                 return total
         if shape is None:
             raise KeyError(
@@ -175,28 +206,39 @@ class GradientAccumulator:
                 "to synthesize zeros from")
         return np.zeros(shape, dtype=np_dtype)
 
-    def _reduce_dense(self, entries) -> np.ndarray:
-        """Canonical-order in-place reduction into one fresh buffer."""
-        ordered = self._ordered(entries)
-        first = ordered[0][1]
-        if isinstance(first, IndexedSlices):
-            total = first.to_dense()
-        else:
-            total = np.array(first)
-        for _, grad in ordered[1:]:
+    @staticmethod
+    def _reduce_dense(ordered) -> np.ndarray:
+        """The one combination rule: the contraction of all factor rows,
+        then every gradient entry added in canonical order."""
+        chain = [e[1] for e in ordered if len(e) == 2]
+        factors = [e for e in ordered if len(e) == 3]
+        total = None
+        kinds = {(a.ndim, a.dtype, a.shape[1:], g.dtype, g.shape[1:])
+                 for _, a, g in factors}
+        if len(kinds) == 1 and next(iter(kinds))[0] == 2:
+            total = (np.concatenate([a for _, a, _ in factors]).T
+                     @ np.concatenate([g for _, _, g in factors]))
+        elif factors:  # the exact per-frame fold, each in its key's place
+            chain = [e[1] if len(e) == 2 else e[1].T @ e[2] for e in ordered]
+        if total is None:
+            first = chain.pop(0)
+            total = (first.to_dense() if isinstance(first, IndexedSlices)
+                     else np.array(first))
+        for grad in chain:
             if isinstance(grad, IndexedSlices):
                 # unique rows: exactly one add per touched row, in the
                 # same order the dense chain would apply them
                 grad.add_to(total)
-            elif (isinstance(grad, np.ndarray)
-                    and grad.dtype == total.dtype
-                    and grad.shape == total.shape):
+                continue
+            grad = np.asarray(grad)
+            if grad.dtype == total.dtype and grad.shape == total.shape:
                 total += grad  # same ufunc loop as ``total = total + grad``
             else:
                 total = total + grad  # dtype/shape promotion: keep exact
         return total
 
-    def _combine_sparse(self, entries) -> IndexedSlices:
+    @staticmethod
+    def _combine_sparse(ordered) -> IndexedSlices:
         """Concatenate canonical-order slices, then deduplicate rows.
 
         The concatenation preserves entry order and every segment has
@@ -204,8 +246,7 @@ class GradientAccumulator:
         adds that row's contributions in canonical entry order — the
         exact additions the dense reduction performs for that row.
         """
-        ordered = self._ordered(entries)
-        slices = [g for _, g in ordered]
+        slices = [e[1] for e in ordered]
         combined = IndexedSlices(
             np.concatenate([s.indices for s in slices]),
             np.concatenate([s.values for s in slices]),
