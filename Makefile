@@ -133,7 +133,8 @@ profile:
 # and the operand-copy bytes of the compiled sweep (BLAS on one thread,
 # like the benchmark's worker):
 #   make profile-step W=train_b10 C=lvl
+#   make profile-step W=infer_b10 F=1    (warm step vs bare-kernel replay)
 W ?= train_b10
 C ?= lvl
 profile-step:
-	OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:. $(PYTHON) benchmarks/profile_step.py --workload $(W) --config $(C)
+	OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:. $(PYTHON) benchmarks/profile_step.py --workload $(W) --config $(C) $(if $(F),--floor)

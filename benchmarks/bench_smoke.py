@@ -152,6 +152,29 @@ def test_smoke_level_row_loop_canary():
         assert np.array_equal(grads[0][name], grads[1][name]), name
 
 
+def test_smoke_level_block_canary():
+    """Block-dispatch canary: a compiled TreeLSTM inference sweep makes
+    the per-step schedule's kernel calls (366 at the parent commit: 28
+    prologue invariants + 338 class steps over 192 levels) in one
+    framework dispatch per class segment and depth / height — a count
+    that follows the forest's depth and height, never its steps."""
+    bank = smoke_bank()
+    batch = batch_trees(bank.train[:6])
+    model = SMOKE_FACTORIES["TreeLSTM"]()
+    built = model.build_recursive(6)
+    session = repro.Session(built.graph, model.runtime,
+                            num_workers=runner_config().num_workers)
+    session.run(built.root_logits, built.feed_dict(batch),
+                shape_profile=built.shape_profiles(batch))
+    stats = session.last_stats
+    assert stats.level_plan_hits == 1 and stats.level_plan_fallbacks == 0
+    (lp,) = built.graph._level_plans["instances"].values()
+    _, depths, heights = lp.shape
+    assert stats.level_kernel_calls == 366
+    assert stats.level_blocks == lp.n_blocks <= 2 * (depths + heights) + 4
+    assert "level_blocks=22  level_kernel_calls=366" in stats.summary()
+
+
 def test_smoke_level_canon_canary():
     """Shape-stream canary: a 50-shape heavy-tailed stream through one
     session compiles exactly one template and never decomposes a fully
@@ -203,11 +226,18 @@ def test_smoke_level_template_canary():
     assert stats.level_plan_cache_hits == 0
     assert list(graph._level_plans["templates"].values()) == [template]
     assert (template.num_steps, len(template.classes)) == size
-    # program size: (template steps) x (depth + height keys), not nodes
+    # program size: blocks follow the (depth + height) keys, columns the
+    # exported steps per block — neither the node count
     lp = instance_for(template, [linearise(template, (p,)) for p in shapes])
     n, depths, heights = lp.shape
     assert n == nodes + len(shapes)  # plus one virtual root per run
-    assert len(lp.step_m) <= template.num_steps * (depths + heights + 1)
+    blocks = [blk for level in lp.program for blk in level]
+    assert len(blocks) == lp.n_blocks <= (
+        1 + len(template.classes) * (depths + heights + 1))
+    exports = sum(len(blk.prog.exports) for blk in blocks)
+    assert len(lp.step_m) == 1 + exports <= template.num_steps * len(blocks)
+    assert sum(len(blk.prog.steps) + len(blk.prog.feeds) for blk in blocks) \
+        <= template.num_steps * (depths + heights + 1)
     assert len(lp.step_m) < nodes
 
 

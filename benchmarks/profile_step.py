@@ -13,6 +13,12 @@ step is the benchmark's own — its workload class, ``Config`` and
 
 The three passes are separate warm steps: the profiler and the timing
 wrappers each distort the other's numbers.
+
+``--floor`` (``make profile-step F=1``) instead prints how far a warm
+step sits above its *kernel floor*: every kernel entry call of one warm
+step is recorded with its prepared arguments and replayed back to back,
+so what separates the two numbers is the framework — instantiation
+probe, import gathers, register traffic, accounting — and nothing else.
 """
 
 from __future__ import annotations
@@ -37,6 +43,16 @@ KERNEL_ENTRIES = ("kernel", "stacked_kernel", "keyed_kernel",
                   "batched_kernel")
 
 
+def _kernel_entries():
+    """Every registered kernel entry: ``(op type, OpDef, slot, fn)``."""
+    for name in registry.all_op_types():
+        defn = registry.op_def(name)
+        for entry in KERNEL_ENTRIES:
+            fn = getattr(defn, entry, None)
+            if fn is not None:
+                yield name, defn, entry, fn
+
+
 class _Probes:
     """Timing wrappers around every registered kernel entry and byte
     counters around the sweep's operand copies; ``reset()`` between
@@ -47,12 +63,8 @@ class _Probes:
         self.kernel_calls = defaultdict(int)
         self.copies = defaultdict(lambda: [0, 0])   # name -> [calls, bytes]
         self._undo = []
-        for name in registry.all_op_types():
-            defn = registry.op_def(name)
-            for entry in KERNEL_ENTRIES:
-                fn = getattr(defn, entry, None)
-                if fn is not None:
-                    self._patch(defn, entry, self._timed(name, entry, fn))
+        for name, defn, entry, fn in list(_kernel_entries()):
+            self._patch(defn, entry, self._timed(name, entry, fn))
         for name in ("_take", "_as_column"):
             self._patch(level_plan, name,
                         self._counted(name, getattr(level_plan, name)))
@@ -94,6 +106,33 @@ class _Probes:
             setattr(owner, attr, old)
 
 
+def _floor(bench, config, repeats: int = 30) -> tuple:
+    """(warm step, bare-kernel replay) in seconds, min of ``repeats``:
+    the replay calls every kernel entry of one warm step again with the
+    very operands the sweep prepared for it."""
+    calls, undo = [], list(_kernel_entries())
+    for _, defn, entry, fn in undo:
+        def recorded(*args, _fn=fn):
+            calls.append((_fn, args))
+            return _fn(*args)
+        setattr(defn, entry, recorded)
+    try:
+        _step(bench, config)
+    finally:
+        for _, defn, entry, fn in undo:
+            setattr(defn, entry, fn)
+    warm = min(_step(bench, config) for _ in range(repeats))
+    replays = []
+    for _ in range(repeats):
+        bench.prepare(config, 0)        # stateful kernels: zeroed sums
+        with confined(config):
+            t0 = time.perf_counter()
+            for fn, args in calls:
+                fn(*args)
+            replays.append(time.perf_counter() - t0)
+    return warm, min(replays), len(calls)
+
+
 def _step(bench, config):
     bench.prepare(config, 0)
     with confined(config):
@@ -108,6 +147,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default="lvl")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--floor", action="store_true",
+                        help="warm step vs bare-kernel replay, then exit")
     args = parser.parse_args(argv)
 
     cls = bench_classes()[args.workload]
@@ -122,6 +163,13 @@ def main(argv=None) -> int:
     print(f"{args.workload}/{config.name} seed={args.seed}: {nodes} nodes, "
           f"warm step {min(walls) * 1e3:.2f} ms "
           f"({nodes / min(walls):.0f} inst/s) unprofiled\n")
+    if args.floor:
+        warm, floor, n = _floor(bench, config)
+        bench.close(config)
+        print(f"warm step {warm * 1e3:.2f} ms vs bare-kernel replay "
+              f"{floor * 1e3:.2f} ms ({n} kernel calls): "
+              f"{warm / floor:.2f}x its kernel floor")
+        return 0
 
     probes = _Probes()
     try:

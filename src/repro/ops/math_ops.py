@@ -214,12 +214,11 @@ def tanh(x, name="tanh") -> Tensor:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # e = exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere: both
+    # branches of the stable form, evaluated without a mask gather
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 register_op(

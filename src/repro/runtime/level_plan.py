@@ -16,19 +16,25 @@ inlined (``U_c``), and its ``InvokeGrad`` / ``CondGrad`` mirror
 semantics, into kernel ops with *symbolic* inputs.  Ops split into a
 pre-call segment (feeds a recursive call or a ``Cond`` predicate) and a
 post-call segment, Kahn-levelled and pre-bucketed into steps; the root
-frame is staged around its call sites.  Ineligibility is a property of
-the definition, recorded once with its reason.
+frame is staged around its call sites.  Each class segment is then a
+**block program**: its steps in Kahn order over local *registers*, with
+every same-segment operand resolved once, here; what crosses a block
+boundary is an *import* (wired per forest) or an *export* (a column).
+Ineligibility is a property of the definition, recorded once with its
+reason.
 
 **Instantiate** — per admitted forest (all runs flushed together, of
 any shapes).  One linearisation walk per run yields per-node arrays;
-members of a step are the nodes of its class at one depth (pre-call,
-top-down) or one height (post-call, bottom-up), and every input spec is
-filled by numpy index arithmetic: Python work is O(instantiated steps)
-plus O(nodes) for frame-key suffixes — never O(nodes × body ops).
+members of a block are the nodes of its class at one depth (pre-call,
+top-down) or one height (post-call, bottom-up), and every import spec
+is filled by numpy index arithmetic: Python work is O(blocks) plus
+O(nodes) for frame-key suffixes — never O(nodes × body ops), nor
+O(template steps × depths).
 
-**Sweep** — a fixed sequence of stacked kernel calls over columns (one
-array per step output, members on axis 0).  No frames are spawned, no
-signatures matched, no per-member Python runs.
+**Sweep** — a fixed sequence of block dispatches: gather the imports,
+run the stacked kernels back to back over registers (one array per step
+output, members on axis 0), publish the exports as columns.  No frames
+are spawned, no signatures matched, no per-member Python runs.
 
 Values, gradients, selective-cache entries and accumulator sums are
 bit-identical to the dynamic path (same ``child_key`` frame keys, same
@@ -44,6 +50,7 @@ import math
 import os
 import time
 from collections import namedtuple
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -60,8 +67,7 @@ from .stats import RunStats
 from .variables import order_key
 
 __all__ = ["LevelPlan", "Template", "template_for", "linearise",
-           "instance_for", "level_plan_for", "execute_level_plan",
-           "execute_level_call", "complete_level_call"]
+           "instance_for", "level_plan_for", "execute_level_plan"]
 
 #: LRU cap of the per-graph instantiation memo: an instantiation holds
 #: index arrays proportional to its forest, so adversarial long-tail
@@ -124,8 +130,135 @@ class _Op:
         self.step = None
 
 
-#: template step: same-signature ops of one level of one segment
-_TStep = namedtuple("_TStep", "index defn booked ops")
+class _TStep:
+    """One kernel call of a block program: the same-signature ops of one
+    level of a class segment, merged op-major (or one prologue
+    invariant, or — ``defn is None`` — a root feed).
+
+    Its outputs are registers ``reg .. reg + n_out - 1`` of the block.
+    ``inputs[p]`` reads registers: ``(reg, k0, k1)`` is the whole
+    register (``k0 is None``) or the rows of merged ops ``k0 .. k1 - 1``
+    of it; ``(pieces, reg, None)`` concatenates several such reads
+    (``reg``: the one register all of them read, else ``None``).
+    ``xi`` is its export slot (-1: the value never leaves the block),
+    ``checks`` the predicate checks that run right after it, ``last``
+    the last level of the block that reads it.
+    """
+
+    __slots__ = ("defn", "op", "prefix", "booked", "level", "ops", "n_out",
+                 "scratch", "reg", "xi", "inputs", "checks", "last")
+
+    def __init__(self, defn, op, prefix, booked, level):
+        self.defn, self.op, self.prefix = defn, op, prefix
+        self.booked, self.level, self.last = booked, level, level
+        self.ops: list = []
+        self.n_out = 1 if defn is _ZEROS else len(op.outputs)
+        self.scratch = op.op_type not in _PERSISTENT_ALIAS_OPS
+        self.reg, self.xi, self.inputs, self.checks = 0, -1, (), ()
+
+
+def _export(cls, ref) -> None:
+    """Mark the step behind a value another block reads."""
+    if ref[0] == _M:
+        _export(cls.mirror, ref[1])
+    elif ref[0] == _S:
+        cls.ops[ref[1]].step.xi = 0
+
+
+class _BlockProg:
+    """One class segment (or the prologue) compiled: ``steps`` in Kahn
+    order over the block's registers.  ``imports`` are the values that
+    cross into the block — per import its refs, one per merged op —
+    and ``exports`` the steps whose outputs leave it (read
+    by another block, a mirror, a call site or a fetch); everything else
+    lives and dies in a register."""
+
+    def __init__(self, cls, seg, once=False):
+        self.cls, self.seg, self.once = cls, seg, once
+        self.steps: list = []
+        self.feeds: list = []      # root placeholders: steps with no kernel
+        #: per import ``[refs, last level reading it]``; import ``i`` is
+        #: register ``n_regs - len(imports) + i`` (after every step's)
+        self.imports: list = []
+        self._import_of: dict = {}
+        self.checks: list = []     # on imports, run on entry
+        self.stores: list = []     # (source, frame, graph id, op id, out)
+        self.exports: list = []
+        self.frames: tuple = ()    # frames whose keys the block needs
+        self.frees: dict = {}      # level -> registers dead after it
+        self.n_regs = self.n_levels = 0
+        #: [scalar ops, bucket steps, bucket ops] per member: cost terms
+        self.terms = [0, 0, 0]
+
+    def add(self, step) -> None:
+        (self.feeds if step.defn is None else self.steps).append(step)
+        self.n_levels = max(self.n_levels, step.level + 1)
+
+    def source(self, refs, level):
+        """Resolve one (possibly merged) operand read at ``level``:
+        ``refs[k]`` is merged op ``k``'s source.  A value of this very
+        segment is a register; anything else is imported."""
+        cls = self.cls
+        self.n_levels = max(self.n_levels, level + 1)
+        reads: list = []  # [register, k0, k1, merged ops there] | import refs
+        for ref in refs:
+            o = cls.ops[ref[1]] if ref[0] == _S else None
+            last = reads[-1] if reads else None
+            if o is None or o.seg != self.seg:
+                if last.__class__ is tuple:
+                    reads[-1] = last + (ref,)
+                else:
+                    reads.append((ref,))
+                continue
+            step = o.step
+            step.last = max(step.last, level)
+            if (last.__class__ is list and last[0] == step.reg + ref[2]
+                    and last[2] == o.k):
+                last[2] += 1
+            else:
+                reads.append([step.reg + ref[2], o.k, o.k + 1,
+                              len(step.ops)])
+        reads = [[self._import(r, level), 0, len(r), len(r)]
+                 if r.__class__ is tuple else r for r in reads]
+        if len(reads) == 1:
+            reg, k0, k1, n = reads[0]
+            return (reg, None, None) if (k0, k1) == (0, n) else (reg, k0, k1)
+        # every part reads one register: a shared value stays shared
+        regs = {r[0] for r in reads}
+        return (tuple(tuple(r[:3]) for r in reads),
+                regs.pop() if len(regs) == 1 else None, None)
+
+    def _import(self, refs, level) -> int:
+        entry = self._import_of.get(refs)
+        if entry is None:
+            entry = self._import_of[refs] = [refs, level, self.n_regs]
+            self.imports.append(entry)
+            self.n_regs += 1
+            for ref in refs:
+                _export(self.cls, ref)
+        entry[1] = max(entry[1], level)
+        return entry[2]
+
+    def finish(self) -> None:
+        """Number the exports; derive what instantiation and the sweep
+        read per block instead of per step."""
+        self.exports = [st for st in self.feeds + self.steps if st.xi >= 0]
+        frames = {store[1] for store in self.stores}
+        for xi, st in enumerate(self.exports):
+            st.xi = xi
+        for st in self.feeds + self.steps:
+            if st.booked:
+                self.terms[1] += 1
+                self.terms[2] += len(st.ops)
+            else:
+                self.terms[0] += len(st.ops)
+            if st.defn is not None and st.defn.stateful:
+                frames.update(o.frame for o in st.ops)
+            if st.xi < 0 and st.scratch:
+                self.frees.setdefault(st.last, []).append(st.reg)
+        self.frames = tuple(sorted(frames))
+
+
 #: one frame inlined into a class: ``rel`` is its key suffix below the
 #: class's node frame (its length the frame-depth offset), ``refs[slot]``
 #: its per-output value refs
@@ -154,10 +287,7 @@ class _Class:
         self.counts: dict = {}    # op type -> ops per member (all kinds)
         self.cond_roles: dict = {}  # (rel, Cond op id) -> "true"/"false"
         self.outputs: tuple = ()  # refs of the node frame's outputs
-        #: per segment: levels ``(scalar steps, bucket steps, checks)``,
-        #: and the stores that ride the segment's last level
-        self.segments: list = []
-        self.seg_stores: list = []
+        self.blocks: list = []    # per segment its :class:`_BlockProg`
         self.static: tuple = ()   # counts of ops outside bucket steps
 
 
@@ -168,7 +298,9 @@ class Template:
         self.graph = graph
         self.record = record
         self.body_deps: dict = {}     # body graph -> FramePlan baked in
-        self.once: list = []          # prologue steps, cid = 1 + index
+        #: the invariants, one block: step ``i`` owns column group 1 + i
+        self.prologue = _BlockProg(None, 0, once=True)
+        self.once = self.prologue.steps
         self._once_of: dict = {}
         self._once_big = [False]
         self._spec_ids: dict = {}
@@ -218,6 +350,11 @@ class Template:
                           "grad": self._inherited(self.grad, "grad")}
         for cls in self.classes:
             self._form_steps(cls)
+        for cls in self.classes:
+            self._wire(cls)
+        for prog in [self.prologue, *(p for cls in self.classes
+                                      for p in cls.blocks)]:
+            prog.finish()
         #: frame levels per recursion level, and below the deepest node
         self.stride = 1 + max([len(s.path) - 1 for cls in self.fwd.values()
                                for s in cls.sites], default=0)
@@ -348,9 +485,12 @@ class Template:
             if cid is None:
                 cid = self._once_of[key] = len(self.once) + 1
                 self._once_big.append(_statically_big(op))
-                self.once.append(_Step(
-                    cid, defn, op, 1,
-                    tuple((r[1], r[2], None) for r in in_refs), once=True))
+                prog, step = self.prologue, _TStep(defn, op, None, False, 0)
+                step.reg, step.xi = prog.n_regs, len(self.once)
+                step.inputs = tuple((self.once[r[1] - 1].reg + r[2], None,
+                                     None) for r in in_refs)
+                prog.n_regs += n_out
+                prog.add(step)
             return [(_O, cid, i) for i in range(n_out)]
         opx = self._add_op(cls, op, defn, fi, in_refs,
                            None if defn.stateful else prefix)
@@ -583,13 +723,14 @@ class Template:
         return -1
 
     def _form_steps(self, cls) -> None:
-        """Pre-bucket each level: ops sharing a batch-signature prefix,
-        static input specs and big-invariant sources form one step."""
+        """Pre-bucket each level — ops sharing a batch-signature prefix,
+        static input specs and big-invariant sources form one step — and
+        lay each segment's steps out in Kahn order (level by level,
+        scalar steps first) over the registers of its block program."""
         n_seg = 1 + max([o.seg for o in cls.ops]
                         + ([1] if cls.family != "root" else
                            [s + 1 for s in self.stages.values()]))
-        cls.segments = [[] for _ in range(n_seg)]
-        cls.seg_stores = [[] for _ in range(n_seg)]
+        cls.blocks = [_BlockProg(cls, seg) for seg in range(n_seg)]
         groups: dict = {}
         static = dict(cls.counts)
         for opx, o in enumerate(cls.ops):
@@ -612,30 +753,45 @@ class Template:
             step = groups.get((o.seg, o.level, key))
             if step is None:
                 step = groups[(o.seg, o.level, key)] = _TStep(
-                    self._tsteps, o.defn, booked, [])
+                    o.defn, o.op, o.prefix, booked, o.level)
                 self._tsteps += 1
-                self._level(cls, o.seg, o.level)[booked].append(step)
+                cls.blocks[o.seg].add(step)
             o.step, o.k = step, len(step.ops)
             step.ops.append(o)
         cls.static = tuple((t, n) for t, n in static.items() if n)
+        for prog in cls.blocks:
+            prog.steps.sort(key=lambda st: (st.level, st.booked))
+            for st in prog.feeds + prog.steps:
+                st.reg, prog.n_regs = prog.n_regs, prog.n_regs + st.n_out
+                if cls.family == "root":  # every root value: a fetch candidate
+                    st.xi = 0
+
+    def _wire(self, cls) -> None:
+        """Resolve every operand, predicate check and cache store of a
+        class against its block programs (all steps are formed: marking
+        an export may reach into the mirror class)."""
+        for ref in [*cls.outputs, *(r for site in cls.sites
+                                    for r in site.bind.values())]:
+            _export(cls, ref)
+        for prog in cls.blocks:
+            for st in prog.steps:
+                st.inputs = tuple(
+                    prog.source([o.inputs[p] for o in st.ops], st.level)
+                    for p in range(len(st.ops[0].inputs)))
         first = 0 if cls.family == "root" or cls.sites else 1
         for ref, expected, name in cls.checks:
-            o = cls.ops[ref[1]] if ref[0] == _S else None
-            seg, level = (o.seg, o.level + 1) if o else (first, 0)
-            self._level(cls, seg, level)[2].append((ref, expected, name))
-        for store in cls.stores:
-            ref = store[0]
-            seg = (cls.ops[ref[1]].seg if ref[0] == _S
-                   else 1 if ref[0] == _C else first)
-            self._level(cls, seg, 0)
-            cls.seg_stores[seg].append(store)
-
-    @staticmethod
-    def _level(cls, seg, level) -> tuple:
-        levels = cls.segments[seg]
-        while len(levels) <= level:
-            levels.append(([], [], []))
-        return levels[level]
+            if ref[0] == _S:  # right after its producer, inside the block
+                o = cls.ops[ref[1]]
+                o.step.checks += ((cls.blocks[o.seg].source(
+                    (ref,), o.level + 1), expected, name),)
+            else:
+                prog = cls.blocks[first]
+                prog.checks.append((prog.source((ref,), 0), expected, name))
+        for ref, *store in cls.stores:  # ride the segment's last level
+            prog = cls.blocks[cls.ops[ref[1]].seg if ref[0] == _S
+                              else 1 if ref[0] == _C else first]
+            prog.stores.append((prog.source(
+                (ref,), max(prog.n_levels - 1, 0)), *store))
 
 
 def template_for(graph, root_plan, record: bool, subtree=None, stats=None):
@@ -682,9 +838,13 @@ def linearise(tpl: Template, shape_profile):
     subtree is undetermined — the caller runs a dynamic spine)."""
     try:
         profiles = tuple(shape_profile)
-        hash(profiles)  # the instantiation memo keys on it
+        # the instantiation memo keys on it: a repeated batch finds its
+        # walk there (read-only) instead of redoing it
+        lp = tpl.graph._level_plans.get("instances", {}).get((tpl, profiles))
     except TypeError:
         return "profile is not a nested tuple"
+    if lp is not None:
+        return lp.lin
     if len(profiles) != len(tpl.root_sites):
         return "profile count does not match root call sites"
     counts = tpl.fwd
@@ -726,35 +886,38 @@ def linearise(tpl: Template, shape_profile):
 # instantiation: index arithmetic over the linearised forest
 # ---------------------------------------------------------------------------
 
-class _Step:
-    """Members of one level that execute as one columnar call.
+class _Block:
+    """One block program instantiated for its members — the nodes of its
+    class at one depth or height: the unit of dispatch of a sweep.
 
-    A step owns column group ``cid``: one column per output, member
-    ``j`` of merged op ``k`` on row ``k * (m / ops) + j``.  ``inputs[p]``
-    wires input ``p``: ``(cid, out, rows)`` when one producer feeds every
-    member (``rows is None``: the column itself — same members, same
-    order; a slice: a view of it; else an ``intp`` row index for one
-    ``take``), otherwise
+    Export slot ``xi`` of the program owns column group ``base + xi``:
+    one column per output, member ``j`` of merged op ``k`` on row
+    ``k * m + j``.  ``imports[i]`` wires the program's import ``i``:
+    ``(cid, out, rows)`` when one producer feeds every member (``rows is
+    None``: the column itself — same members, same order; a slice: a
+    view of it; else an ``intp`` row index for one ``take``), otherwise
     ``(parts, perm)``: one such triple per producer, and the permutation
     that puts their concatenation into member order (``None`` when it
-    already is).  ``once`` steps are invariants: their kernel runs once
-    per sweep.  ``keys`` (stateful kernels only) addresses each member's
-    frame — per merged op ``(runs, suffixes, record)`` — for its cache /
-    accumulator key; ``okeys`` memoises the members' order keys, which
-    are static while no run carries a key prefix.
+    already is).  ``keys[frame]`` addresses the members' frames —
+    ``(runs, suffixes, record)`` — for cache and accumulator keys;
+    ``okeys`` memoises per keyed step the members' order keys, which are
+    static while no run carries a key prefix.  ``release`` lists the
+    column groups whose last reader is this block, by level; ``memo``
+    the member signatures of its steps under the import signature they
+    were computed for.
     """
 
-    __slots__ = ("cid", "defn", "op", "m", "keys", "okeys", "inputs",
-                 "n_out", "once", "scratch", "prefix")
+    __slots__ = ("prog", "m", "seq", "hist", "base", "imports", "keys",
+                 "runs", "release", "okeys", "memo")
 
-    def __init__(self, cid, defn, op, m, inputs, once=False, keys=None,
-                 prefix=None):
-        self.cid, self.defn, self.op, self.m = cid, defn, op, m
-        self.inputs, self.once, self.keys, self.prefix = (inputs, once, keys,
-                                                          prefix)
-        self.okeys = None
-        self.n_out = 1 if defn is _ZEROS else len(op.outputs)
-        self.scratch = op.op_type not in _PERSISTENT_ALIAS_OPS
+    def __init__(self, prog, m, seq, hist, base, imports=(), keys=None,
+                 runs=None):
+        self.prog, self.m, self.seq, self.hist = prog, m, seq, hist
+        self.base, self.imports, self.keys, self.runs = (base, imports, keys,
+                                                         runs)
+        self.release: list = []
+        self.okeys: dict = {}
+        self.memo = None
 
 
 def _producers(spec):
@@ -825,20 +988,23 @@ class _Forest:
         self._resolved: dict = {}     # (class / family, ref) -> arrays
         self._keyed: dict = {}        # (class, frame, segment, key) -> keys
         self._suffixes = None
-        # one column group per (template step, depth or height) that has
-        # members; ids need not follow execution order
+        # one column group per (exported step, depth or height) that has
+        # members, a block's exports adjacent; ids need not follow
+        # execution order
         self.step_m = step_m = [1] * (1 + len(tpl.once))
-        self.cidtab: dict = {}
+        self.base: dict = {}          # (class, segment) -> first cid by key
         for cls in tpl.classes:
-            for seg, levels in enumerate(cls.segments):
-                cnt = self.pops[cls.count].cnt[_kind(cls, seg)]
+            for prog in cls.blocks:
+                cnt = self.pops[cls.count].cnt[_kind(cls, prog.seg)]
                 present = np.flatnonzero(cnt)
-                for scalars, buckets, _ in levels:
-                    for ts in scalars + buckets:
-                        tab = np.zeros(len(cnt), dtype=np.int64)
-                        tab[present] = len(step_m) + self._iota[:len(present)]
-                        self.cidtab[ts.index] = tab
-                        step_m.extend((cnt[present] * len(ts.ops)).tolist())
+                widths = np.array([len(st.ops) for st in prog.exports],
+                                  dtype=np.intp)
+                tab = np.zeros(len(cnt), dtype=np.int64)
+                tab[present] = (len(step_m)
+                                + self._iota[:len(present)] * len(widths))
+                self.base[cls.index, prog.seg] = tab
+                step_m.extend(np.multiply.outer(cnt[present],
+                                                widths).ravel().tolist())
 
     # -- symbolic refs -> (address, row) arrays ------------------------------
 
@@ -854,7 +1020,9 @@ class _Forest:
             o = cls.ops[ref[1]]
             pop, by = self.pops[cls.count], _kind(cls, o.seg)
             key_of = self.H if by else self.D
-            addr = self.cidtab[o.step.index][key_of] << self.bits | ref[2]
+            assert o.step.xi >= 0, "a block-local value read across blocks"
+            addr = (self.base[cls.index, o.seg][key_of] + o.step.xi
+                    << self.bits | ref[2])
             row = o.k * pop.cnt[by][key_of] + pop.rank[by]
         elif kind == _O:
             addr = np.full(self.n_nodes, ref[1] << self.bits | ref[2])
@@ -941,20 +1109,11 @@ class _Forest:
         perm[order] = self._iota[:len(order)]
         return parts, perm
 
-    def spec(self, cls, refs, seg, key, mem):
-        """Input spec of one (possibly merged) step input: ``refs[k]``
-        is merged op ``k``'s source."""
-        if len(refs) == 1:
-            ref = refs[0]
-            if ref[0] == _O:
-                return ref[1], ref[2], None
-            if ref[0] == _S:
-                src = cls.ops[ref[1]]
-                if src.seg == seg:  # same frame, same segment: an alias
-                    cid, m = int(self.cidtab[src.step.index][key]), len(mem)
-                    if len(src.step.ops) == 1:
-                        return cid, ref[2], None
-                    return cid, ref[2], slice(src.k * m, (src.k + 1) * m)
+    def spec(self, cls, refs, mem):
+        """Wire one import of a block: ``refs[k]`` is merged op ``k``'s
+        source."""
+        if len(refs) == 1 and refs[0][0] == _O:
+            return refs[0][1], refs[0][2], None
         pairs = [self.resolve(cls, ref) for ref in refs]
         return self._pack(np.concatenate([a[mem] for a, _ in pairs]),
                           np.concatenate([r[mem] for _, r in pairs]))
@@ -988,53 +1147,56 @@ class _Forest:
 
 
 class LevelPlan:
-    """One instantiated forest: the columnar program of a sweep.
+    """One instantiated forest: the block program of a sweep.
 
-    ``program`` is the sweep — per level ``(checks, steps, bucket steps,
-    stores, release)`` — and ``step_m`` the member count per column
-    group.  A frame's key is its run's root key plus the node's suffix,
-    which is exactly the dynamic ``child_key`` chain.  An instantiation
-    keeps its program, not its forest.
+    ``program`` is the sweep — per level the :class:`_Block`s of one
+    depth or height, one per class with members there, independent of
+    each other — and ``step_m`` the member count per column group.  A
+    frame's key is its run's root key plus the node's suffix, which is
+    exactly the dynamic ``child_key`` chain.  An instantiation keeps its
+    program, not its forest (a one-run forest also its read-only
+    linearisation: the memo probe hands it back instead of a re-walk).
     """
 
     def __init__(self, tpl: Template, lins):
         self.template = tpl
         self.n_runs = len(lins)
+        self.lin = lins[0] if len(lins) == 1 else None
         #: memoised accounting of one sweep: ``(sigs, RunStats delta)``
         self.booked = None
         forest = _Forest(tpl, lins)
         self.step_m = forest.step_m
-        #: per program level, its block (one class segment at one depth
-        #: or height): the key of ``RunStats.level_width_hist``
-        self.hist_level = [0]
         #: [scalar members, bucket calls, bucket members]: what the cost
         #: model charges a sweep
         self.cost_terms = [len(tpl.once), 0, 0]
-        program = [([], list(tpl.once), [], [])]
+        prologue = _Block(tpl.prologue, 1, 0, 0, 1)
+        program = [(prologue,)]
+        self.n_blocks = 1
+        #: per column group the (block, level) that reads it last: while
+        #: nobody outside its block does, the block's own last read
+        born = [(1 + i, (prologue, 0)) for i in range(len(tpl.once))]
         last_use: dict = {}
-        born: list = []
-        root, block = tpl.root, 0
+        root, hist = tpl.root, 0
         forests = {stage: family for family, stage in tpl.stages.items()}
         tops = (int(forest.D.max()), int(forest.H.max()))
         #: (nodes, depth keys, height keys) of the forest
         self.shape = (forest.n_nodes, tops[0], tops[1] + 1)
-        for stage in range(len(root.segments)):
-            block += 1
-            self._block(forest, program, last_use, born, root, stage, 0,
-                        block)
+        for stage in range(len(root.blocks)):
+            hist += 1
+            self._level(forest, program, last_use, born, (root,), stage, 0,
+                        hist)
             classes = forest.family(forests[stage]) if stage in forests \
                 else ()
             for seg in (0, 1):  # top-down by depth, bottom-up by height
                 for key in range(1 - seg, tops[seg] + 1):
-                    block += 1
-                    for cls in classes:
-                        self._block(forest, program, last_use, born, cls,
-                                    seg, key, block)
+                    hist += 1
+                    self._level(forest, program, last_use, born, classes,
+                                seg, key, hist)
         # columns behind any root-frame value stay (fetch candidates):
         # per root op its (column, merge position), per call-site output
         # its per-run address
-        self._root = [(int(forest.cidtab[o.step.index][0]), o.k)
-                      for o in root.ops]
+        self._root = [(int(forest.base[root.index, o.seg][0]) + o.step.xi,
+                       o.k) for o in root.ops]
         self._fetch: dict = {}
         pinned = {cid for cid, _ in self._root}
         at = forest.pops[None].members[0]
@@ -1045,13 +1207,11 @@ class LevelPlan:
             self._fetch[ref] = (cids, (addr[at] & forest.mask).tolist(),
                                 row[at].tolist())
             pinned.update(cids)
-        release = [[] for _ in program]
-        for cid, li in born:
+        for cid, at in born:
             if cid not in pinned:
-                release[last_use.get(cid, li)].append(cid)
-        self.program = tuple(
-            (tuple(c), tuple(s), tuple(b), tuple(st), tuple(cids))
-            for (c, s, b, st), cids in zip(program, release))
+                blk, level = last_use.get(cid, at)
+                blk.release.append((level, cid))
+        self.program = tuple(program)
         #: per class its member count (accounting)
         self.members = [len(forest.pops[cls.count].members[0])
                         for cls in tpl.classes]
@@ -1066,52 +1226,41 @@ class LevelPlan:
         cids, outs, rows = self._fetch[ref]
         return cids[r], outs[r], rows[r]
 
-    def _block(self, forest, program, last_use, born, cls, seg, key,
-               block) -> None:
-        """Instantiate one class segment for its members at one depth /
-        height: steps, predicate checks, cache stores."""
-        mem = forest.pops[cls.count].at(_kind(cls, seg), key)
-        if not len(mem) or not cls.segments[seg]:
-            return
-
-        def wire(refs, li):
-            spec = forest.spec(cls, refs, seg, key, mem)
-            for cid in _producers(spec):
-                last_use[cid] = li
-            return spec
-
-        for scalars, buckets, checks in cls.segments[seg]:
-            li = len(program)
-            level = ([], [], [], [])
-            for ref, expected, name in checks:
-                level[0].append((wire((ref,), li), expected, name,
-                                 forest.R[mem]))
-            for ts in scalars + buckets:
-                ops = ts.ops
-                first = ops[0]
-                cid = int(forest.cidtab[ts.index][key])
-                inputs = tuple(wire([o.inputs[p] for o in ops], li)
-                               for p in range(len(first.inputs)))
-                keys = None
-                if ts.defn is not None and ts.defn.stateful:
-                    keys = [forest.keys(cls, o.frame, seg, key, mem)
-                            for o in ops]  # op-major, like the rows
-                step = _Step(cid, ts.defn, first.op, len(mem) * len(ops),
-                             inputs, keys=keys, prefix=first.prefix)
-                born.append((cid, li))
-                if ts.booked:
-                    level[2].append(step)
-                    self.cost_terms[1] += 1
-                    self.cost_terms[2] += step.m
-                else:
-                    level[1].append(step)
-                    self.cost_terms[0] += step.m
-            program.append(level)
-            self.hist_level.append(block)
-        li = len(program) - 1
-        for ref, fi, gid, oid, i in cls.seg_stores[seg]:
-            runs, sufs, _ = forest.keys(cls, fi, seg, key, mem)
-            program[li][3].append((wire((ref,), li), runs, sufs, gid, oid, i))
+    def _level(self, forest, program, last_use, born, classes, seg, key,
+               hist) -> None:
+        """Instantiate one program level: per class with members at this
+        depth / height its block — imports wired, export columns
+        allocated, frame keys addressed.  O(imports + exports) each."""
+        level = []
+        for cls in classes:
+            prog = cls.blocks[seg]
+            mem = forest.pops[cls.count].at(_kind(cls, seg), key)
+            if not len(mem) or not prog.n_levels:
+                continue
+            m = len(mem)
+            blk = _Block(
+                prog, m, self.n_blocks, hist,
+                int(forest.base[cls.index, seg][key]),
+                tuple(forest.spec(cls, refs, mem)
+                      for refs, _, _ in prog.imports),
+                {fi: forest.keys(cls, fi, seg, key, mem)
+                 for fi in prog.frames},
+                forest.R[mem] if cls.checks else None)
+            self.n_blocks += 1
+            for spec, (_, at, _) in zip(blk.imports, prog.imports):
+                for cid in _producers(spec):
+                    seen = last_use.get(cid)
+                    if seen is None or seen[0] is not blk or seen[1] < at:
+                        last_use[cid] = blk, at
+            born.extend((blk.base + st.xi, (blk, st.last))
+                        for st in prog.exports)
+            scalars, calls, members = prog.terms
+            self.cost_terms[0] += scalars * m
+            self.cost_terms[1] += calls
+            self.cost_terms[2] += members * m
+            level.append(blk)
+        if level:
+            program.append(tuple(level))
 
 
 def instance_for(tpl: Template, lins, stats=None) -> "LevelPlan":
@@ -1203,6 +1352,49 @@ def _take(col, rows):
     return col.take(rows, 0)
 
 
+def _rows(value, n: int):
+    """``n`` rows of one shared value: an invariant part of a merged
+    operand, filled directly (never a Python-level broadcast + copy)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        piece = np.empty((n,) + value.shape, value.dtype)
+        piece[...] = value
+        return piece
+    return [value] * n
+
+
+def _join(pieces: list, perm=None):
+    """Concatenate the parts of one operand into member order."""
+    first = pieces[0]
+    if all(p.__class__ is np.ndarray and p.dtype == first.dtype
+           and p.shape[1:] == first.shape[1:] for p in pieces):
+        joined = np.concatenate(pieces)
+        return joined if perm is None else joined.take(perm, 0)
+    # producers disagree on member shape or dtype: a list column
+    column = [v for p in pieces for v in p]
+    return column if perm is None else [column[i] for i in perm]
+
+
+def _member_sig(operands, inv) -> tuple:
+    """Members' dtype + shape per input of one step: what the dynamic
+    coalescer would have bucketed on."""
+    return tuple(
+        (o.dtype.num, o.shape if shared else o.shape[1:])
+        if o.__class__ is np.ndarray
+        else (-1, o.dtype.num) if shared and isinstance(o, np.generic)
+        else None for o, shared in zip(operands, inv))
+
+
+def _signature(col):
+    """What a block's step signatures depend on, per imported column
+    (``None``: not derivable from dtype and shape — a list column)."""
+    if col.__class__ is np.ndarray:
+        return col.dtype.num, col.shape
+    value = col.value if col.__class__ is _Inv else None
+    if isinstance(value, (np.ndarray, np.generic)):
+        return -1, value.dtype.num, value.shape
+    return None
+
+
 class _Sweep:
     """Mutable state of one wavefront sweep: the runs and their columns
     (``cols[cid][out]``: ndarray with rows on axis 0, a list of row
@@ -1221,8 +1413,8 @@ class _Sweep:
         self.dead = None
         self.cols = [None] * len(lp.step_m)
         self.cols[0] = [_Inv(np.bool_(True))]
-        #: per column group, its call's member signature (bucket steps)
-        self.sigs = [None] * len(lp.step_m)
+        #: per block, the member signatures of its steps
+        self.sigs = [None] * lp.n_blocks
         #: shared by every pure kernel; kernels that read ``ctx.frame``
         #: are stateful and get one context per row
         self.ctx = ExecContext(core.runtime, None, False)
@@ -1230,7 +1422,7 @@ class _Sweep:
         self.prefixed = any(run.prefix for run in runs)
 
     def refresh(self) -> bool:
-        """Note runs cancelled since the last level; False when none is
+        """Note runs cancelled since the last poll; False when none is
         left to compute for."""
         if any(run.cancelled for run in self.runs):
             self.dead = np.array([run.cancelled for run in self.runs])
@@ -1238,7 +1430,7 @@ class _Sweep:
         return True
 
     def operand(self, spec):
-        """Gather one wired input: a column in member order."""
+        """Gather one wired import: a column in member order."""
         cols = self.cols
         if len(spec) == 3:
             cid, out, rows = spec
@@ -1252,24 +1444,13 @@ class _Sweep:
         pieces = []
         for cid, out, rows in parts:
             col = cols[cid][out]
-            if col.__class__ is not _Inv:
-                pieces.append(_take(col, rows))
-                continue
-            n = (rows.stop - rows.start if rows.__class__ is slice
-                 else len(rows))
-            if isinstance(col.value, (np.ndarray, np.generic)):
-                pieces.append(np.broadcast_to(col.value,
-                                              (n,) + col.value.shape))
+            if col.__class__ is _Inv:
+                pieces.append(_rows(col.value, (
+                    rows.stop - rows.start if rows.__class__ is slice
+                    else len(rows))))
             else:
-                pieces.append([col.value] * n)
-        first = pieces[0]
-        if all(p.__class__ is np.ndarray and p.dtype == first.dtype
-               and p.shape[1:] == first.shape[1:] for p in pieces):
-            joined = np.concatenate(pieces)
-            return joined if perm is None else joined.take(perm, 0)
-        # producers disagree on member shape or dtype: a list column
-        column = [v for p in pieces for v in p]
-        return column if perm is None else [column[i] for i in perm]
+                pieces.append(_take(col, rows))
+        return _join(pieces, perm)
 
     def keys(self, runs, sufs) -> list:
         """Full frame keys: each run's root key plus the frame suffix."""
@@ -1278,199 +1459,280 @@ class _Sweep:
         prefixes = [run.prefix for run in self.runs]
         return [prefixes[r] + s for r, s in zip(runs, sufs)]
 
-    def order_keys(self, step) -> list:
-        """Per member of a keyed step, the order key its scalar kernel
-        would pass on."""
-        keys = step.okeys
-        if keys is None:
-            op_id = step.op.id
-            keys = [order_key((key, op_id)) for runs, sufs, _ in step.keys
-                    for key in self.keys(runs, sufs)]
-            if not self.prefixed:
-                step.okeys = keys
-        return keys
 
-    def contexts(self, step) -> list:
-        """One kernel context per member of a stateful step."""
-        runtime = self.core.runtime
-        return [ExecContext(runtime, _CFrame(key, rec), rec)
-                for runs, sufs, rec in step.keys
-                for key in self.keys(runs, sufs)]
+class _BlockCall:
+    """One prepared dispatch of a sweep: a block with its imports
+    gathered into registers.
 
-
-class _LevelCall:
-    """One prepared kernel dispatch of a level.
-
-    The master builds these (operand gather; order keys or per-row
-    contexts for stateful kernels) so that *executing* one — the kernel
-    invocation alone, in :func:`execute_level_call` — is free of shared
-    mutable state and can run on a pool thread or be shipped to a worker
-    process.  Column hand-over and live-bytes accounting happen back on
-    the master in :func:`complete_level_call`, in original call order.
+    The master builds these (import gather, root feeds) so that
+    *executing* one — every kernel of the block back to back over the
+    call's own registers, predicate checks at their producers, exports
+    published, cache stores — touches no sweep state another block of
+    the same level reads, and can run on a pool thread.  What is left
+    for the master, in original call order (:meth:`complete`): row-loop
+    counts, the signature memo, dropping columns nobody reads again.
+    With live-bytes tracking on, execution books registers and columns
+    as they come and go, so such sweeps stay on the master.
     """
 
-    __slots__ = ("step", "operands", "inv", "stackable", "shared", "rows",
-                 "ctx", "ctxs", "keys", "sig", "row_loop")
+    __slots__ = ("sweep", "blk", "regs", "key", "sigs", "loops", "live")
 
     #: duck-type marker: pool workers discriminate task payloads without
     #: importing this module at load time
     is_level_call = True
 
-    def __init__(self, sweep, step):
-        self.step = step
-        self.rows = step.m
-        self.ctx = sweep.ctx
-        #: operands as kernels take them: an array column (a list when
-        #: rows disagree on shape), or — where ``inv`` — the one value
-        #: every row shares
-        self.operands = operands = []
-        inv, sig = [], []
-        self.stackable = True
-        for spec in step.inputs:
-            o = sweep.operand(spec)
-            shared = o.__class__ is _Inv
-            if shared:
-                o = o.value
-            inv.append(shared)
-            operands.append(o)
-            # members' dtype + shape per input: what the dynamic
-            # coalescer would have bucketed on
-            if o.__class__ is np.ndarray:
-                sig.append((o.dtype.num, o.shape if shared else o.shape[1:]))
-            elif shared and isinstance(o, np.generic):
-                sig.append((-1, o.dtype.num))
-            else:  # rows that disagree on shape, or not a numpy value
-                sig.append(None)
-                self.stackable = False
-        self.inv = tuple(inv)
-        self.sig = tuple(sig)
-        stateful = step.defn.stateful
-        #: no operand has a batch axis: one scalar kernel call
-        self.shared = step.once or (not stateful and all(inv))
-        self.ctxs = self.keys = None
-        #: set by the execution: the step looped its scalar kernel
-        self.row_loop = False
-        if stateful and not step.once:
-            if step.defn.keyed_kernel is not None and not any(inv):
-                self.keys = sweep.order_keys(step)
-            else:
-                self.ctxs = sweep.contexts(step)
+    def __init__(self, sweep, blk):
+        self.sweep, self.blk = sweep, blk
+        prog = blk.prog
+        # the imports' registers follow the steps'
+        imports = [sweep.operand(spec) for spec in blk.imports]
+        self.regs = regs = [None] * (prog.n_regs - len(imports)) + imports
+        self.loops, self.live = [], {}
+        key = [_signature(col) for col in imports]
+        for st in prog.feeds:
+            outs = sweep.cols[blk.base + st.xi] = self._feed(st.op)
+            regs[st.reg] = outs[0]
+            key.append(_signature(outs[0]))
+        #: member signatures depend on the imports' dtypes and shapes
+        #: only: recomputed when those change, else the block's memo
+        self.key = None if None in key else tuple(key)
+        memo = blk.memo
+        self.sigs = (memo[1] if memo is not None and memo[0] == self.key
+                     else None)
 
-    def member_inputs(self) -> list:
-        """Per-member input lists (row views), for the scalar kernel."""
-        rows = self.rows
-        if not self.operands:
-            return [[] for _ in range(rows)]
-        return [list(ins) for ins in zip(*(
-            [o] * rows if shared else o
-            for o, shared in zip(self.operands, self.inv)))]
+    def _feed(self, op) -> list:
+        try:
+            values = [run.feed[op.id] for run in self.sweep.runs]
+        except KeyError:
+            raise EngineError(f"placeholder {op.name} was not fed") from None
+        return columns_of([[v] for v in values], 1)
 
+    def read(self, src, part=False):
+        """One register read outside the kernel loop: a check, a store,
+        a concatenated operand (whose ``part``s materialise a shared
+        value's rows)."""
+        reg, k0, k1 = src
+        m = self.blk.m
+        if reg.__class__ is tuple:
+            if k0 is not None and self.regs[k0].__class__ is _Inv:
+                return self.regs[k0]
+            return _join([self.read(piece, True) for piece in reg])
+        col = self.regs[reg]
+        if col.__class__ is _Inv:
+            return _rows(col.value, (k1 - k0) * m) if part else col
+        if k0 is None:
+            return _as_column(col) if col.__class__ is list else col
+        return _take(col, slice(k0 * m, k1 * m))
 
-def execute_level_call(call) -> list:
-    """Run one prepared call's kernel; return its output columns.
+    def execute(self) -> "_BlockCall":
+        """Run the block.  A step whose operands are all shared runs its
+        scalar kernel once; one with a stacked (or, stateful, a keyed)
+        kernel and array operands is one columnar call; anything else
+        (no columnar form, members disagreeing on shape, a kernel
+        declining) loops the scalar kernel over rows.  EngineError
+        passes through, any other error is wrapped with the offending
+        op — never the block."""
+        sweep, blk, regs = self.sweep, self.blk, self.regs
+        prog, m, cols = blk.prog, blk.m, sweep.cols
+        ctx, once = sweep.ctx, prog.once
+        track = sweep.bytes is not None
+        sigs = [] if self.sigs is None else None
+        level = 0
+        for check in prog.checks:
+            self._verify(*check)
+        op = None
+        try:
+            for st in prog.steps:
+                defn, op = st.defn, st.op
+                operands, inv, stackable = [], [], True
+                for reg, k0, k1 in st.inputs:
+                    if reg.__class__ is tuple:
+                        o, k0 = self.read((reg, k0, k1)), None
+                    else:
+                        o = regs[reg]
+                    if o.__class__ is np.ndarray:
+                        inv.append(False)
+                        operands.append(o if k0 is None
+                                        else o[k0 * m:k1 * m])
+                        continue
+                    if o.__class__ is _Inv:
+                        o = o.value
+                        inv.append(True)
+                        if not (o.__class__ is np.ndarray
+                                or isinstance(o, np.generic)):
+                            stackable = False
+                    else:  # rows that disagree on shape: a list column
+                        o = _as_column(o if k0 is None else o[k0 * m:k1 * m])
+                        inv.append(False)
+                        stackable = o.__class__ is np.ndarray and stackable
+                    operands.append(o)
+                if track and st.level != level:
+                    self._release(level, st.level)
+                    level = st.level
+                if once or not (defn.stateful or False in inv):
+                    outs = [_Inv(v) for v in defn.kernel(op, operands, ctx)]
+                elif defn.stateful:
+                    outs = self._stateful(st, operands, inv, stackable)
+                else:
+                    kernel = defn.stacked_kernel if stackable else None
+                    outs = (None if kernel is None
+                            else kernel(op, operands, tuple(inv), ctx))
+                    if outs is None:
+                        outs = self._loop(st, operands, inv, None)
+                    elif (len(outs) != st.n_out
+                          or len(outs[0]) != m * len(st.ops)):
+                        raise EngineError(
+                            f"stacked kernel for {op.op_type} returned a "
+                            f"malformed result for {m * len(st.ops)} members")
+                if st.n_out == 1:
+                    regs[st.reg] = outs[0]
+                else:
+                    regs[st.reg:st.reg + st.n_out] = outs
+                if st.xi >= 0:
+                    cols[blk.base + st.xi] = outs
+                if sigs is not None:
+                    sigs.append(_member_sig(operands, inv))
+                if track and st.scratch:
+                    self._book(st, outs)
+                for check in st.checks:
+                    self._verify(*check)
+        except EngineError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - wrapped like the dynamic path
+            raise SchedulerCore._wrap_error(exc, op) from exc
+        if sigs is not None:
+            self.sigs = tuple(sigs)
+        if prog.stores:
+            # one bulk store per block, before its registers die —
+            # compiled CacheLookups read the columns, never the cache
+            entries, dead = [], sweep.dead
+            for src, fi, gid, oid, i in prog.stores:
+                runs, sufs, _ = blk.keys[fi]
+                col = self.read(src)
+                rows = zip(sweep.keys(runs, sufs), repeat(gid), repeat(oid),
+                           repeat(i), repeat(col.value)
+                           if col.__class__ is _Inv else col)
+                entries.extend(rows if dead is None else [
+                    row for row, r in zip(rows, runs) if not dead[r]])
+            sweep.core.runtime.cache.store_many(entries)
+        if track:
+            self._release(level, prog.n_levels)
+        return self
 
-    The only piece of a sweep that may leave the master thread.  An
-    invariant runs its scalar kernel once; a step with a stacked (or,
-    stateful, a keyed) kernel and array columns is one columnar call;
-    anything else (no columnar form, members disagreeing on shape, a
-    kernel declining) loops the scalar kernel over rows.  EngineError
-    passes through, any other error is wrapped with the offending op.
-    """
-    step = call.step
-    defn, op = step.defn, step.op
-    try:
-        if call.shared:
-            return [_Inv(v) for v in defn.kernel(op, call.operands, call.ctx)]
-        if call.keys is not None:
-            return defn.keyed_kernel(op, call.operands, call.keys, call.ctx)
-        if call.stackable and defn.stacked_kernel is not None:
-            outs = defn.stacked_kernel(op, call.operands, call.inv, call.ctx)
-            if outs is not None:
-                if len(outs) != step.n_out or len(outs[0]) != call.rows:
-                    raise EngineError(
-                        f"stacked kernel for {op.op_type} returned a "
-                        f"malformed result for {call.rows} members")
-                return outs
-        call.row_loop = True
-        ctxs = call.ctxs or [call.ctx] * call.rows
-        return columns_of([defn.kernel(op, ins, ctx) for ins, ctx
-                           in zip(call.member_inputs(), ctxs)], step.n_out)
-    except EngineError:
-        raise
-    except Exception as exc:  # noqa: BLE001 - wrapped like the dynamic path
-        raise SchedulerCore._wrap_error(exc, op) from exc
+    def _loop(self, st, operands, inv, ctxs) -> list:
+        """The single fallback: the scalar kernel over rows (``ctxs``:
+        per-row contexts of a stateful step, else the shared one)."""
+        self.loops.append(st.op.op_type)
+        rows = len(ctxs) if ctxs else self.blk.m * len(st.ops)
+        members = (zip(*([o] * rows if shared else o
+                         for o, shared in zip(operands, inv)))
+                   if operands else [()] * rows)
+        return columns_of([st.defn.kernel(st.op, list(ins), ctx) for ins, ctx
+                           in zip(members, ctxs or [self.sweep.ctx] * rows)],
+                          st.n_out)
 
+    def _stateful(self, st, operands, inv, stackable) -> list:
+        """A stateful step: members' order keys for the keyed entry,
+        else one frame-keyed context per row.  While some runs are
+        cancelled only the live rows execute; cancelled rows inherit a
+        live row's outputs (nothing of a cancelled run is ever stored,
+        accumulated or returned)."""
+        sweep, blk, defn = self.sweep, self.blk, st.defn
+        frames = [blk.keys[o.frame] for o in st.ops]  # op-major, like rows
+        keyed = defn.keyed_kernel is not None and True not in inv
+        if keyed:
+            keys = blk.okeys.get(st.reg)
+            if keys is None:
+                op_id = st.op.id
+                keys = [order_key((key, op_id)) for runs, sufs, _ in frames
+                        for key in sweep.keys(runs, sufs)]
+                if not sweep.prefixed:
+                    blk.okeys[st.reg] = keys
+        else:
+            runtime = sweep.core.runtime
+            keys = [ExecContext(runtime, _CFrame(key, rec), rec)
+                    for runs, sufs, rec in frames
+                    for key in sweep.keys(runs, sufs)]
+        back = None
+        if sweep.dead is not None:
+            live = np.flatnonzero(~sweep.dead[[r for runs, _, _ in frames
+                                               for r in runs]])
+            if len(live) == 0:
+                return [_Inv(None)] * st.n_out
+            back = np.zeros(len(keys), dtype=np.intp)
+            back[live] = np.arange(len(live))
+            operands = [o if shared else _take(o, live)
+                        for o, shared in zip(operands, inv)]
+            keys = [keys[i] for i in live]
+        outs = None
+        if keyed:
+            outs = defn.keyed_kernel(st.op, operands, keys, sweep.ctx)
+        elif stackable and defn.stacked_kernel is not None:
+            outs = defn.stacked_kernel(st.op, operands, tuple(inv), sweep.ctx)
+        if outs is None:
+            outs = self._loop(st, operands, inv, keys)
+        if back is None:
+            return outs
+        return [col if col.__class__ is _Inv else _take(col, back)
+                for col in outs]
 
-def complete_level_call(sweep, call, outs) -> None:
-    """Master-side completion: publish the columns, book their bytes."""
-    step = call.step
-    sweep.cols[step.cid] = outs
-    sweep.sigs[step.cid] = call.sig
-    if call.row_loop:
-        loops = sweep.core.stats.level_row_loop_steps
-        loops[step.op.op_type] = loops.get(step.op.op_type, 0) + 1
-    if sweep.bytes is not None and step.scratch:
-        added = sweep.bytes[step.cid] = sum(
-            _values_bytes(col) if col.__class__ is list
-            else getattr(col, "nbytes", 0) for col in outs)
-        core = sweep.core
+    def _verify(self, src, expected, name) -> None:
+        """One vector compare per class per block: a ``Cond`` predicate
+        against the branch the shape profile selected."""
+        col, runs, dead = self.read(src), self.blk.runs, self.sweep.dead
+        if col.__class__ is _Inv:
+            wrong = np.full(len(runs), bool(np.asarray(col.value)) != expected)
+        elif col.__class__ is list:
+            wrong = np.array([bool(np.asarray(v)) for v in col]) != expected
+        else:
+            wrong = col.astype(bool).reshape(-1) != expected
+        if dead is not None:
+            wrong &= ~dead[runs]
+        if wrong.any():
+            raise EngineError(
+                f"shape profile mismatch at {name}"
+                ": the fed data disagrees with the compiled branch decision")
+
+    def _book(self, st, outs) -> None:
+        """Live-bytes accounting: a step's outputs, as they are born."""
+        added = sum(_values_bytes(col) if col.__class__ is list
+                    else getattr(col, "nbytes", 0) for col in outs)
+        if st.xi >= 0:
+            self.sweep.bytes[self.blk.base + st.xi] = added
+        else:
+            self.live[st.reg] = added
+        core = self.sweep.core
         peak = (core._live_bytes + added
                 + core.runtime.accumulators.retained_bytes)
         core._live_bytes += added
         if peak > core.stats.peak_live_bytes:
             core.stats.peak_live_bytes = peak
 
+    def _release(self, lo: int, hi: int) -> None:
+        """Live-bytes accounting: what died at levels ``lo .. hi - 1`` —
+        registers last read there, columns whose last reader sat there."""
+        sweep, blk = self.sweep, self.blk
+        freed = sum(self.live.pop(reg, 0) for level in range(lo, hi)
+                    for reg in blk.prog.frees.get(level, ()))
+        for level, cid in blk.release:
+            if lo <= level < hi:
+                sweep.cols[cid] = None
+                freed += sweep.bytes.pop(cid, 0)
+        sweep.core._live_bytes -= freed
 
-def _run_live_rows(sweep, step) -> None:
-    """A stateful step while some runs are cancelled: only the live
-    rows execute; cancelled rows inherit a live row's outputs (nothing
-    of a cancelled run is ever stored, accumulated or returned)."""
-    call = _LevelCall(sweep, step)
-    live = np.flatnonzero(~sweep.dead[[r for runs, _, _ in step.keys
-                                       for r in runs]])
-    if len(live) == 0:
-        sweep.cols[step.cid] = [_Inv(None)] * step.n_out
-        return
-    back = np.zeros(call.rows, dtype=np.intp)
-    back[live] = np.arange(len(live))
-    call.operands = [o if shared else _take(o, live)
-                     for o, shared in zip(call.operands, call.inv)]
-    if call.keys is not None:
-        call.keys = [call.keys[i] for i in live]
-    else:
-        call.ctxs = [call.ctxs[i] for i in live]
-    call.rows = len(live)
-    complete_level_call(sweep, call, [
-        col if col.__class__ is _Inv else _take(col, back)
-        for col in execute_level_call(call)])
-
-
-def _feed_column(sweep, step) -> list:
-    try:
-        values = [run.feed[step.op.id] for run in sweep.runs]
-    except KeyError:
-        raise EngineError(
-            f"placeholder {step.op.name} was not fed") from None
-    return columns_of([[v] for v in values], 1)
-
-
-def _verify_predicates(sweep, check) -> None:
-    """One vector compare per class per level: every ``Cond`` predicate
-    against the branch the shape profile selected."""
-    spec, expected, name, runs = check
-    col = sweep.operand(spec)
-    if col.__class__ is _Inv:
-        wrong = np.full(len(runs), bool(np.asarray(col.value)) != expected)
-    elif col.__class__ is list:
-        wrong = np.array([bool(np.asarray(v)) for v in col]) != expected
-    else:
-        wrong = col.astype(bool).reshape(-1) != expected
-    if sweep.dead is not None:
-        wrong &= ~sweep.dead[runs]
-    if wrong.any():
-        raise EngineError(
-            f"shape profile mismatch at {name}"
-            ": the fed data disagrees with the compiled branch decision")
+    def complete(self) -> None:
+        """Master-side completion, in original call order."""
+        sweep, blk = self.sweep, self.blk
+        sweep.sigs[blk.seq] = self.sigs
+        if self.key is not None and (blk.memo is None
+                                     or blk.memo[1] is not self.sigs):
+            blk.memo = self.key, self.sigs
+        loops = sweep.core.stats.level_row_loop_steps
+        for op_type in self.loops:
+            loops[op_type] = loops.get(op_type, 0) + 1
+        if sweep.bytes is None:
+            for _, cid in blk.release:
+                sweep.cols[cid] = None
 
 
 def _book(sweep) -> None:
@@ -1494,16 +1756,20 @@ def _book(sweep) -> None:
                     delta.per_type_count.get(op_type, 0) + count * members)
                 # note_op assumes a counted type also has a time entry
                 delta.per_type_time.setdefault(op_type, 0.0)
-        for level, block in zip(lp.program, lp.hist_level):
-            for step in level[2]:
-                op_type = step.op.op_type
-                if step.m == 1:
+        for blk in (blk for level in lp.program for blk in level):
+            prog = blk.prog
+            delta.level_blocks += 1
+            delta.level_kernel_calls += len(prog.steps) + len(prog.feeds)
+            for st, sig in zip(prog.steps, sigs[blk.seq]):
+                if not st.booked:
+                    continue
+                op_type, width = st.op.op_type, blk.m * len(st.ops)
+                if width == 1:
                     delta.note_op(op_type, 0.0)
                 else:
-                    delta.note_batch(op_type, step.m, 0.0,
-                                     step.prefix + (sigs[step.cid],))
-                hist = delta.level_width_hist.setdefault(block, {})
-                hist[step.m] = hist.get(step.m, 0) + 1
+                    delta.note_batch(op_type, width, 0.0, st.prefix + (sig,))
+                hist = delta.level_width_hist.setdefault(blk.hist, {})
+                hist[width] = hist.get(width, 0) + 1
         lp.booked = (sigs, delta)
     sweep.core.stats.merge(lp.booked[1])
 
@@ -1517,45 +1783,15 @@ def execute_level_plan(core: SchedulerCore, lp: LevelPlan, runs) -> list:
     """
     sweep = _Sweep(core, lp, runs)
     cols = sweep.cols
-    cache = core.runtime.cache
     done = True
-    for li, (checks, steps, bucket_steps, stores, release) in enumerate(
-            lp.program):
-        # cancellation is polled every few levels: a cancelled run's
+    for li, level in enumerate(lp.program):
+        # cancellation is polled every few blocks: a cancelled run's
         # rows only stop mattering, they never have to stop flowing
-        if not li & 7 and not sweep.refresh():
+        if not li & 3 and not sweep.refresh():
             done = False
             break
-        for check in checks:
-            _verify_predicates(sweep, check)
-        for step in steps:
-            if step.defn is None:
-                cols[step.cid] = _feed_column(sweep, step)
-            elif step.keys is not None and sweep.dead is not None:
-                _run_live_rows(sweep, step)
-            else:
-                call = _LevelCall(sweep, step)
-                complete_level_call(sweep, call, execute_level_call(call))
-        if bucket_steps:
-            core._execute_level_calls(
-                lp, [_LevelCall(sweep, step) for step in bucket_steps], sweep)
-        if stores:
-            # one bulk store per class segment, after its last level —
-            # compiled CacheLookups read the columns, never the cache
-            entries = []
-            for spec, srun, sufs, gid, oid, i in stores:
-                col = sweep.operand(spec)
-                values = ([col.value] * len(sufs) if col.__class__ is _Inv
-                          else col)
-                entries.extend(
-                    (key, gid, oid, i, v) for key, v, r
-                    in zip(sweep.keys(srun, sufs), values, srun)
-                    if sweep.dead is None or not sweep.dead[r])
-            cache.store_many(entries)
-        for cid in release:
-            cols[cid] = None
-            if sweep.bytes is not None:
-                core._live_bytes -= sweep.bytes.pop(cid, 0)
+        core._execute_level_calls(
+            lp, [_BlockCall(sweep, blk) for blk in level], sweep)
     if done:
         _book(sweep)
     if sweep.bytes is not None:

@@ -1082,14 +1082,14 @@ class SchedulerCore:
                 self._complete_level_run(run, values)
 
     def _execute_level_calls(self, lp, calls, sweep) -> None:
-        """Run one level's prepared kernel calls.  The base implementation
-        executes serially on the calling thread; pool-backed executors
-        override it to fan independent calls out to their workers with a
-        per-level completion barrier (completions always happen here on
-        the master, in original call order)."""
-        from .level_plan import complete_level_call, execute_level_call
+        """Run one level's prepared block calls (independent of each
+        other: one per class with members at this depth / height).  The
+        base implementation executes serially on the calling thread;
+        pool-backed executors override it to fan the blocks out to
+        their workers with a per-level completion barrier (completions
+        always happen here on the master, in original call order)."""
         for call in calls:
-            complete_level_call(sweep, call, execute_level_call(call))
+            call.execute().complete()
 
     def _complete_level_run(self, run, values) -> None:
         """Retire one compiled root (mirrors the dynamic ``frame_done``:

@@ -103,6 +103,10 @@ class RunStats:
     #: or keyed kernel, members disagreeing on shape, a kernel declining)
     #: and looped their scalar kernel over rows: op type -> steps
     level_row_loop_steps: dict = field(default_factory=dict)
+    #: framework dispatches of compiled sweeps (one per block: a class
+    #: segment at one depth or height) and the kernel calls they made
+    level_blocks: int = 0
+    level_kernel_calls: int = 0
     #: roots admitted as a dynamic spine with compiled sub-forests
     #: (profiles with undetermined subtrees — not fallbacks)
     level_plan_partial_roots: int = 0
@@ -347,6 +351,8 @@ class RunStats:
         for k, v in other.level_row_loop_steps.items():
             self.level_row_loop_steps[k] = (
                 self.level_row_loop_steps.get(k, 0) + v)
+        self.level_blocks += other.level_blocks
+        self.level_kernel_calls += other.level_kernel_calls
         self.level_plan_partial_roots += other.level_plan_partial_roots
         self.level_plan_subtree_runs += other.level_plan_subtree_runs
         self.level_plan_cache_hits += other.level_plan_cache_hits
@@ -389,7 +395,9 @@ class RunStats:
             lines.append(
                 f"level_plan_hits={self.level_plan_hits}  "
                 f"level_plan_fallbacks={self.level_plan_fallbacks}  "
-                f"level_dispatches={fused}")
+                f"level_dispatches={fused}  "
+                f"level_blocks={self.level_blocks}  "
+                f"level_kernel_calls={self.level_kernel_calls}")
             if self.level_plan_partial_roots or self.level_plan_subtree_runs:
                 lines.append(
                     f"level_partial_roots={self.level_plan_partial_roots}  "

@@ -417,19 +417,19 @@ class WorkerPoolEngine(SchedulerCore):
         hand-over and byte accounting match the serial path.  The first
         failing call in that order wins, exactly like serial execution.
         """
-        if len(calls) < 2 or not self._level_pool_open():
+        if (len(calls) < 2 or sweep.bytes is not None
+                or not self._level_pool_open()):
             super()._execute_level_calls(lp, calls, sweep)
             return
-        from .level_plan import complete_level_call, execute_level_call
         for call in calls[:-1]:
             self._tasks.put((call, None))
         outstanding = len(calls) - 1
-        last = calls[-1]
         results: dict = {}
         try:
-            results[id(last)] = (execute_level_call(last), None)
+            calls[-1].execute()
+            results[id(calls[-1])] = None
         except Exception as exc:  # noqa: BLE001
-            results[id(last)] = (None, exc)
+            results[id(calls[-1])] = exc
         while outstanding and self._error is None:
             try:
                 item = self._results.get(timeout=0.05)
@@ -439,8 +439,8 @@ class WorkerPoolEngine(SchedulerCore):
             if self._is_wake(item):
                 continue
             if item[0] == "lvl":
-                _, call, outs, exc = item
-                results[id(call)] = (outs, exc)
+                _, call, exc = item
+                results[id(call)] = exc
                 outstanding -= 1
             else:
                 self._apply(item)
@@ -449,10 +449,9 @@ class WorkerPoolEngine(SchedulerCore):
             # error): abort the sweep; stragglers are dropped by _apply
             raise self._error
         for call in calls:
-            outs, exc = results[id(call)]
-            if exc is not None:
-                raise exc
-            complete_level_call(sweep, call, outs)
+            if results[id(call)] is not None:
+                raise results[id(call)]
+            call.complete()
 
     def _apply(self, item) -> None:
         """Apply one pool completion to master state."""
@@ -523,14 +522,13 @@ class WorkerPoolEngine(SchedulerCore):
         """
         runtime = self.runtime
         if getattr(payload, "is_level_call", False):
-            # compiled-sweep call: pure kernel execution against
-            # master-prebuilt contexts; completion happens at the
-            # sweep barrier, never through _apply
-            from .level_plan import execute_level_call
+            # compiled-sweep block: its kernels over its own registers
+            # (imports were gathered by the master); completion happens
+            # at the sweep barrier, never through _apply
             try:
-                return ("lvl", payload, execute_level_call(payload), None)
+                return ("lvl", payload.execute(), None)
             except Exception as exc:  # noqa: BLE001
-                return ("lvl", payload, None, exc)
+                return ("lvl", payload, exc)
         if isinstance(payload, Instance):
             inst, inputs = payload, extra
             try:

@@ -500,8 +500,8 @@ class TestMarshalling:
         lp, = model.graph._level_plans["instances"].values()
         slices, gathers = 0, 0
         for level in lp.program:
-            for step in level[1] + level[2]:
-                for spec in step.inputs:
+            for blk in level:
+                for spec in blk.imports:
                     for _, _, rows in ([spec] if len(spec) == 3
                                        else spec[0]):
                         if rows.__class__ is slice:
@@ -527,6 +527,7 @@ class TestMarshalling:
         assert 0 < model.runtime.accumulators.retained_bytes \
             < stats.peak_live_bytes
         lp, = model.graph._level_plans["instances"].values()
-        accumulate = [step for level in lp.program for step in level[1]
+        accumulate = [step for level in lp.program for blk in level
+                      for step in blk.prog.steps
                       if step.op.op_type == "AccumGrad"]
         assert accumulate and not any(step.scratch for step in accumulate)

@@ -224,6 +224,74 @@ class TestListColumnFallback:
         assert stats.level_plan_fallbacks == 0
         assert ref.shape == (7,)
         assert np.array_equal(ref, got)
+        # the ragged column sits in the middle of a block: exactly those
+        # local steps looped, and are counted as before
+        assert stats.level_row_loop_steps == {"Concat": 1, "Tanh": 1}
+
+
+class TestBlockPrograms:
+    """(b') A class segment runs as one block over local registers; what
+    used to happen *between* steps still happens inside it."""
+
+    def _forward(self, name):
+        runtime, graph, loss, _, phs = _nary_graph(name, 2)
+        profile = (((), ()), (((), ()), ()))
+        enc = _encode(profile, 2, np.random.default_rng(2))
+        feeds = dict(zip(phs, (enc["x"], enc["children"], enc["is_leaf"],
+                               enc["root"])))
+        return repro.Session(graph, runtime, num_workers=2), loss, feeds, \
+            profile
+
+    def test_stacked_kernel_declining_mid_block(self, monkeypatch):
+        """A declining kernel row-loops *its* local step — fed from
+        registers, feeding registers — and is counted."""
+        session, loss, feeds, profile = self._forward("decline")
+        ref = session.run(loss, feeds)
+        monkeypatch.setattr(op_def("Tanh"), "stacked_kernel",
+                            lambda op, cols, inv, ctx: None)
+        got = session.run(loss, feeds, shape_profile=(profile,))
+        stats = session.last_stats
+        assert stats.level_plan_hits == 1 and np.array_equal(ref, got)
+        # one Tanh step per block: the leaves', one per internal height
+        assert stats.level_row_loop_steps == {"Tanh": 4}
+        assert stats.level_blocks < stats.level_kernel_calls
+
+    def test_kernel_raising_mid_block_names_its_op(self, monkeypatch):
+        session, loss, feeds, profile = self._forward("raise")
+
+        def boom(op, cols, inv, ctx):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(op_def("Tanh"), "stacked_kernel", boom)
+        with pytest.raises(repro.EngineError,
+                           match=r"error executing tanh\S* \(Tanh\).*boom"):
+            session.run(loss, feeds, shape_profile=(profile,))
+
+    def test_lying_profile_fails_before_dependent_kernels(self, monkeypatch):
+        """The predicate is checked at its producer's position inside
+        the block: the last kernel that runs is the one that computed
+        it — not the rest of its level, nothing downstream."""
+        session, loss, feeds, profile = self._forward("liar-block")
+        ran = []
+        gather = op_def("Gather")
+        for entry in ("kernel", "stacked_kernel"):
+            real = getattr(gather, entry)
+
+            def recording(op, cols, *rest, _real=real):
+                ran.append(np.asarray(cols[0]).dtype)
+                return _real(op, cols, *rest)
+
+            monkeypatch.setattr(gather, entry, recording)
+        session.run(loss, feeds, shape_profile=(profile,))
+        honest, ran[:] = len(ran), []
+        # claims the first leaf of the left subtree is internal
+        claim = (((((), ()), ()), ()), (((), ()), ()))
+        with pytest.raises(repro.EngineError, match="shape profile"):
+            session.run(loss, feeds, shape_profile=(claim,))
+        # depths 1 and 2 ran (3 gathers each: is_leaf, children, child
+        # index); the lying depth-3 block stopped at ``gather(is_leaf)``
+        assert len(ran) == 7 < honest
+        assert ran[-1] == np.bool_
 
 
 class TestMergedRuns:
@@ -552,6 +620,9 @@ class TestAccounting:
                 stats.max_batch) == (2338, 169, 1590, 60)
         assert stats.per_type_count == self.FORWARD_TYPES
         assert len(stats.level_width_hist) == 13
+        # 233 kernel calls — the parent's steps, in 117 levels there —
+        # are dispatched as 14 blocks: prologue + one per width block
+        assert (stats.level_blocks, stats.level_kernel_calls) == (14, 233)
         assert self._widths(stats) == self.FORWARD_WIDTHS
         for level, hist in self.FORWARD_FIRST_LEVELS.items():
             assert stats.level_width_hist[level] == hist
@@ -561,6 +632,7 @@ class TestAccounting:
         assert (stats.ops_executed, stats.batches, stats.batched_ops,
                 stats.max_batch) == (7720, 370, 4293, 60)
         assert len(stats.level_width_hist) == 24
+        assert (stats.level_blocks, stats.level_kernel_calls) == (25, 523)
         assert self._widths(stats) == self.TRAIN_WIDTHS
         assert stats.per_type_count["CacheLookup"] == 1260
         assert stats.per_type_count["AccumGrad"] == 285
@@ -572,6 +644,29 @@ class TestAccounting:
         # and no accumulation or reduce-gradient step looped over rows
         assert not [t for t in stats.level_row_loop_steps
                     if t in ("AccumGrad", "ReduceSumGrad", "ReduceMeanGrad")]
+
+    @pytest.mark.parametrize("engine", ["event", "workerpool"])
+    def test_train_live_bytes_unchanged(self, bank, engine):
+        """Registers are booked while live exactly as the columns they
+        replaced were: the training sweep's peak is the per-step
+        schedule's (42244 bytes at the parent commit), and the books
+        close at zero."""
+        runtime = repro.Runtime()
+        model = TreeLSTMSentiment(LSTM, runtime)
+        built = model.build_recursive(3)
+        batch = batch_trees(bank.train[:3])
+        _, updates = repro.gradients(built.loss, [])
+        session = repro.Session(built.graph, runtime, num_workers=4,
+                                engine=engine, record=True,
+                                track_live_bytes=True)
+        runtime.accumulators.zero()
+        session.run([built.loss, built.root_logits]
+                    + [op.outputs[-1] for op in updates],
+                    built.feed_dict(batch),
+                    shape_profile=built.shape_profiles(batch))
+        assert session.last_stats.level_plan_hits == 1
+        assert session.last_stats.peak_live_bytes == 42244
+        assert session._engine._live_bytes == 0
 
     def test_second_sweep_books_the_same(self, bank):
         """The bookings are memoised per plan; replaying them must not

@@ -175,6 +175,14 @@ def _assert_same_state(ref, got):
     # (vi) the same ops executed, whatever grouped them
     assert stats.ops_executed == ref_stats.ops_executed
     assert stats.per_type_count == ref_stats.per_type_count
+    # ... into blocks: the width histogram books exactly the fused
+    # calls, one block per histogram key at most plus the staged root's
+    hist = [(w, n) for h in stats.level_width_hist.values()
+            for w, n in h.items()]
+    assert sum(n for w, n in hist if w > 1) == stats.batches
+    assert sum(w * n for w, n in hist if w > 1) == stats.batched_ops
+    assert sum(n for _, n in hist) <= stats.level_kernel_calls
+    assert len(stats.level_width_hist) <= stats.level_blocks
 
 
 class TestMixedForests:

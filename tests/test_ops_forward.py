@@ -54,6 +54,50 @@ class TestElementwise:
         out = run(op_fn(const(x)))
         np.testing.assert_allclose(out, np_fn(x), rtol=1e-6, atol=1e-7)
 
+    @staticmethod
+    def _masked_sigmoid(x):
+        """The boolean-mask form the kernel used to be: the reference."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sigmoid_is_the_masked_form_bit_for_bit(self):
+        """The mask-free kernel evaluates the same two formulas on the
+        same operands: equal bits over a strided sweep of every float32
+        pattern (+-0, +-inf, denormals, NaNs), random float64, 0-d and
+        non-contiguous inputs; a row of the stacked entry is the scalar
+        kernel's result."""
+        from repro.graph.registry import op_def
+        from repro.ops.math_ops import _sigmoid
+        x = np.arange(0, 2 ** 32, 4099, dtype=np.uint64).astype(
+            np.uint32).view(np.float32)
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45,
+                             -1e-45, 88.8, -88.8, 104.0, -104.0], np.float32)
+        for case in (x, specials):
+            assert np.array_equal(_sigmoid(case).view(np.uint32),
+                                  self._masked_sigmoid(case).view(np.uint32))
+        wide = np.random.default_rng(0).standard_normal(4096) * 40
+        assert np.array_equal(_sigmoid(wide), self._masked_sigmoid(wide))
+        assert _sigmoid(wide).dtype == np.float64
+        scalar = _sigmoid(np.asarray(np.float32(-0.3)))
+        assert scalar.shape == () and scalar.dtype == np.float32
+        assert scalar == self._masked_sigmoid(np.asarray(np.float32(-0.3)))
+        strided = x[:4000].reshape(40, 100)[::3, ::7]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(_sigmoid(strided).view(np.uint32),
+                              self._masked_sigmoid(strided).view(np.uint32))
+        defn = op_def("Sigmoid")
+        col = x[:640].reshape(10, 64)
+        stacked, = defn.stacked_kernel(None, [col], (False,), None)
+        for i in range(len(col)):
+            row, = defn.kernel(None, [col[i]], None)
+            assert np.array_equal(stacked[i].view(np.uint32),
+                                  row.view(np.uint32))
+
     def test_log_sqrt(self, graph):
         x = np.array([0.5, 1.0, 4.0], dtype=np.float32)
         np.testing.assert_allclose(run(ops.log(const(x))), np.log(x),
