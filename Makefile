@@ -131,7 +131,10 @@ profile:
 
 # One warm bench_e2e step taken apart: cProfile, kernel time per op type
 # and the operand-copy bytes of the compiled sweep (BLAS on one thread,
-# like the benchmark's worker):
+# like the benchmark's worker); for a compiled config also how the warm
+# plan's imports are wired, per family and segment (alias / slice / take
+# / multi / multi + permutation), and how many deferred blocks the value
+# cache holds after the sweep:
 #   make profile-step W=train_b10 C=lvl
 #   make profile-step W=infer_b10 F=1    (warm step vs bare-kernel replay)
 W ?= train_b10

@@ -14,6 +14,13 @@ step is the benchmark's own — its workload class, ``Config`` and
 The three passes are separate warm steps: the profiler and the timing
 wrappers each distort the other's numbers.
 
+For a compiled config it also prints how the warm plan's imports are
+*wired*, per family and segment — a whole-column alias, a slice (a
+view), one ``take``, several producers concatenated, or concatenated and
+then permuted — and how many deferred blocks the value cache holds after
+the sweep (``ValueCache.store_column``; what a recorded sweep hands over
+and nobody split into rows).
+
 ``--floor`` (``make profile-step F=1``) instead prints how far a warm
 step sits above its *kernel floor*: every kernel entry call of one warm
 step is recorded with its prepared arguments and replayed back to back,
@@ -133,6 +140,57 @@ def _floor(bench, config, repeats: int = 30) -> tuple:
     return warm, min(replays), len(calls)
 
 
+WIRINGS = ("alias", "slice", "take", "multi", "multi+perm")
+
+
+def _wiring(spec) -> str:
+    """How one import of an instantiated block reaches its operand."""
+    if len(spec) == 3:
+        rows = spec[2]
+        return ("alias" if rows is None
+                else "slice" if isinstance(rows, slice) else "take")
+    return "multi" if spec[1] is None else "multi+perm"
+
+
+def _mirrors_post_call(cls, refs) -> bool:
+    """A gradient import that leads with a forward post-call value."""
+    ref = refs[0]
+    return (ref[0] == level_plan._M and ref[1][0] == level_plan._S
+            and cls.mirror.ops[ref[1][1]].seg == 1)
+
+
+def _print_wiring(graph, cache) -> None:
+    """The import wiring of the most recently used instantiation."""
+    plans = graph._level_plans.get("instances")
+    if not plans:
+        return
+    lp = list(plans.values())[-1]
+    table = defaultdict(lambda: dict.fromkeys(WIRINGS, 0))
+    for blk in (blk for level in lp.program for blk in level):
+        cls, prog = blk.prog.cls, blk.prog
+        if cls is None:
+            continue
+        for (refs, _, _), spec in zip(prog.imports, blk.imports):
+            table[cls.family, prog.seg][_wiring(spec)] += 1
+            if (cls.family, prog.seg) == ("grad", 0) \
+                    and _mirrors_post_call(cls, refs):
+                table["grad", "0 <- fwd 1"][_wiring(spec)] += 1
+    print(f"import wiring of the warm plan ({lp.n_blocks} blocks):")
+    print(f"  {'family seg':<18}" + "".join(f"{w:>11}" for w in WIRINGS))
+    total = dict.fromkeys(WIRINGS, 0)
+    for (family, seg), row in sorted(table.items(), key=str):
+        print(f"  {family + ' ' + str(seg):<18}"
+              + "".join(f"{row[w]:>11}" for w in WIRINGS))
+        if isinstance(seg, int):
+            for w in WIRINGS:
+                total[w] += row[w]
+    print(f"  {'all':<18}" + "".join(f"{total[w]:>11}" for w in WIRINGS))
+    pending = cache._pending
+    print(f"value cache after the sweep: {len(pending)} pending blocks "
+          f"({sum(len(b[0]) for b in pending)} rows), "
+          f"{sum(len(s.table) for s in cache._shards)} table entries\n")
+
+
 def _step(bench, config):
     bench.prepare(config, 0)
     with confined(config):
@@ -189,6 +247,16 @@ def main(argv=None) -> int:
     for name, (calls, nbytes) in sorted(probes.copies.items()):
         print(f"  {name:<18} calls={calls:<6} {nbytes / 2**20:8.2f} MiB")
     print()
+    if config.compiled:
+        # the sweep alone: a training step's apply run clears the cache
+        program, batch = bench.program, bench.batches[0]
+        bench.prepare(config, 0)
+        program.runtime.accumulators.zero()
+        bench._sessions[config.name].run(
+            program.fetches, program.built.feed_dict(batch),
+            record=program.apply_fetches is not None,
+            shape_profile=program.built.shape_profiles(batch))
+        _print_wiring(program.built.graph, program.runtime.cache)
 
     profiler = cProfile.Profile()
     bench.prepare(config, 0)

@@ -24,12 +24,23 @@ each shard lock once, which is what lets the engines turn the N per-frame
 ``CacheLookup``/store round-trips of a fused micro-batch into one bulk
 cache transaction (the training-path analogue of the batched forward
 kernels).
+
+**Deferred columnar stores.**  A compiled sweep never reads the table (a
+compiled ``CacheLookup`` aliases the forward *column*), so it hands each
+recorded column over whole: :meth:`ValueCache.store_column`, O(1), keys
+and column by reference.  The first reader — :meth:`lookup` /
+:meth:`lookup_many` of a dynamic backward behind a compiled sub-sweep,
+``len``, :meth:`items` — materialises every pending block with one
+:meth:`store_many`; :meth:`clear` drops them unmaterialised.  (Blocks
+materialise in hand-over order but after any row-wise store made
+meanwhile — immaterial, since a frame key is written once per run.)
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable, Iterable, Optional, Sequence
+from itertools import repeat
+from typing import Any, Hashable, Iterable, Sequence
 
 __all__ = ["ValueCache", "ROOT_KEY", "child_key"]
 
@@ -72,6 +83,11 @@ class ValueCache:
         self._shards = [_Shard() for _ in range(num_shards)]
         self._meta: dict[tuple, Any] = {}
         self._meta_lock = threading.Lock()
+        #: deferred blocks ``(keys, graph id, op id, out, column, shared)``
+        self._pending: list = []
+        self._pending_lock = threading.Lock()
+        #: rows handed to store_column that no shard has counted
+        self._deferred = 0
 
     def _shard_of(self, key: tuple) -> _Shard:
         return self._shards[hash(key) % self.num_shards]
@@ -88,6 +104,8 @@ class ValueCache:
 
     def lookup(self, frame_key: tuple, graph_id: int, op_id: int,
                out_idx: int) -> Any:
+        if self._pending:
+            self._materialise()
         key = (frame_key, graph_id, op_id, out_idx)
         shard = self._shard_of(key)
         with shard.lock:
@@ -118,6 +136,29 @@ class ValueCache:
                     shard.table[key] = value
                 shard.stores += len(pairs)
 
+    def store_column(self, keys: Sequence[tuple], graph_id: int, op_id: int,
+                     out_idx: int, column, shared: bool = False) -> None:
+        """Defer one block of stores: ``column[i]`` (``column`` itself
+        when ``shared``) is frame ``keys[i]``'s value.  Both are kept by
+        reference; ``stores`` counts the rows now, once."""
+        with self._pending_lock:
+            self._pending.append((keys, graph_id, op_id, out_idx, column,
+                                  shared))
+            self._deferred += len(keys)
+
+    def _materialise(self) -> None:
+        """Move every pending block into the shards (the list is emptied
+        only once its rows are there: a racing reader waits)."""
+        with self._pending_lock:
+            blocks = self._pending
+            self.store_many(
+                entry for keys, gid, oid, out, col, shared in blocks
+                for entry in zip(keys, repeat(gid), repeat(oid), repeat(out),
+                                 repeat(col) if shared else col))
+            # the shards count them from here on
+            self._deferred -= sum(len(block[0]) for block in blocks)
+            self._pending = []
+
     def lookup_many(self, keys: Sequence[tuple]) -> list:
         """Resolve many ``(frame_key, graph_id, op_id, out_idx)`` keys.
 
@@ -125,6 +166,8 @@ class ValueCache:
         shard — the bulk read the batched ``CacheLookup`` kernel issues for
         a whole bucket of gradient frames.
         """
+        if self._pending:
+            self._materialise()
         results: list = [None] * len(keys)
         by_shard: dict[int, list[int]] = {}
         for position, key in enumerate(keys):
@@ -146,7 +189,9 @@ class ValueCache:
 
     @property
     def stores(self) -> int:
-        return sum(s.stores for s in self._shards)
+        # a lifetime total (clear() keeps it): runs book their difference
+        with self._pending_lock:
+            return sum(s.stores for s in self._shards) + self._deferred
 
     @property
     def lookups(self) -> int:
@@ -169,13 +214,22 @@ class ValueCache:
     # -- maintenance ---------------------------------------------------------
 
     def clear(self) -> None:
+        with self._pending_lock:
+            self._pending = []  # dropped unmaterialised
         for shard in self._shards:
             with shard.lock:
                 shard.table.clear()
         with self._meta_lock:
             self._meta.clear()
 
+    def items(self) -> list:
+        """Every ``((frame key, graph id, op id, out), value)`` entry."""
+        self._materialise()
+        return [item for shard in self._shards
+                for item in tuple(shard.table.items())]
+
     def __len__(self) -> int:
+        self._materialise()
         return sum(len(s.table) for s in self._shards)
 
     @staticmethod

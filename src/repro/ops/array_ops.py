@@ -555,13 +555,24 @@ def _stacked_gather_grad(op, cols, inv, ctx):
     is member-major and preserves each member's own index order, so
     every member's slice accumulates in exactly the order its scalar
     kernel would — bit-identical.  Sparse gradients stay per member
-    (O(touched rows) each, no ``[n, vocab, embed]`` scratch at all), as
-    do buckets mixing tables.
+    (O(touched rows) each, no ``[n, vocab, embed]`` scratch at all): with
+    one scalar index per member — the embedding lookup of a tree leaf —
+    each touches one row, trivially unique, so the column is one cast of
+    ``g`` viewed a row per member (what ``from_scatter`` returns, without
+    its ``unique``); any other index rank, and buckets mixing tables,
+    decline to the row loop.
     """
     g, idx, params = cols
-    if sparse_gather_grads_enabled() or inv[0] or inv[1] or not inv[2]:
+    if inv[0] or inv[1] or not inv[2]:
         return None
     rows = len(idx)
+    if sparse_gather_grads_enabled():
+        if idx.ndim != 1 or not isinstance(params, np.ndarray):
+            return None
+        vals = np.ascontiguousarray(g, dtype=params.dtype).reshape(
+            (rows,) + params.shape[1:])
+        return [[IndexedSlices(idx[i:i + 1], vals[i:i + 1], params.shape)
+                 for i in range(rows)]]
     out = np.zeros((rows,) + params.shape, dtype=params.dtype)
     member = _member_index(rows, idx)
     np.add.at(out, (np.broadcast_to(member, idx.shape), idx), g)

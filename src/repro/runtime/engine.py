@@ -100,8 +100,7 @@ class EventEngine(SchedulerCore):
                 self._now = cost
                 self.stats.virtual_time = self._now
                 self.stats.wall_time = time.perf_counter() - wall0
-                self.stats.cache_stores = self.runtime.cache.stores
-                self.stats.cache_lookups = self.runtime.cache.lookups
+                self._book_cache()
                 return values, self.stats
         plan = plan_for_fetches(graph, {t.op for t in fetches})
         root = self._make_frame(plan, feed_map, key=ROOT_KEY,
@@ -116,8 +115,7 @@ class EventEngine(SchedulerCore):
         values = [densify(root.value_of(t)) for t in fetches]
         self.stats.virtual_time = self._now
         self.stats.wall_time = time.perf_counter() - wall0
-        self.stats.cache_stores = self.runtime.cache.stores
-        self.stats.cache_lookups = self.runtime.cache.lookups
+        self._book_cache()
         return values, self.stats
 
     def schedule(self, when: float, fn: Callable) -> None:
@@ -204,7 +202,7 @@ class EventEngine(SchedulerCore):
         self._level_flushing = False
         self._level_flush_wanted = False
         self._root_site_map = None
-        self.stats = RunStats()
+        self._new_stats()
         # Per-dispatch fast paths, used only while the cost model keeps
         # the stock implementations (instance- or subclass-overridden
         # methods disable them and are called per op as before).

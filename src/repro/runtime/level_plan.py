@@ -25,16 +25,20 @@ reason.
 
 **Instantiate** — per admitted forest (all runs flushed together, of
 any shapes).  One linearisation walk per run yields per-node arrays;
-members of a block are the nodes of its class at one depth (pre-call,
-top-down) or one height (post-call, bottom-up), and every import spec
-is filled by numpy index arithmetic: Python work is O(blocks) plus
-O(nodes) for frame-key suffixes — never O(nodes × body ops), nor
-O(template steps × depths).
+members of a block are the nodes of its class at one depth (forward
+pre-call, top-down) or one height (post-call, bottom-up; gradient
+pre-call, by *descending* height — a parent is higher than its child —
+so a backward block has the members, in the order, of the forward
+post-call block it mirrors and reads that block's columns in place),
+and every import spec is filled by numpy index arithmetic: Python work
+is O(blocks) plus O(nodes) for frame-key suffixes — never O(nodes ×
+body ops), nor O(template steps × depths).
 
 **Sweep** — a fixed sequence of block dispatches: gather the imports,
 run the stacked kernels back to back over registers (one array per step
-output, members on axis 0), publish the exports as columns.  No frames
-are spawned, no signatures matched, no per-member Python runs.
+output, members on axis 0), publish the exports as columns, hand
+recorded columns to the value cache whole (``store_column``: deferred).
+No frames are spawned, no signatures matched, no per-member Python runs.
 
 Values, gradients, selective-cache entries and accumulator sums are
 bit-identical to the dynamic path (same ``child_key`` frame keys, same
@@ -50,7 +54,6 @@ import math
 import os
 import time
 from collections import namedtuple
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -888,7 +891,8 @@ def linearise(tpl: Template, shape_profile):
 
 class _Block:
     """One block program instantiated for its members — the nodes of its
-    class at one depth or height: the unit of dispatch of a sweep.
+    class at one depth or height (:func:`_kind`), in node order: the unit
+    of dispatch of a sweep.
 
     Export slot ``xi`` of the program owns column group ``base + xi``:
     one column per output, member ``j`` of merged op ``k`` on row
@@ -896,9 +900,10 @@ class _Block:
     ``(cid, out, rows)`` when one producer feeds every member (``rows is
     None``: the column itself — same members, same order; a slice: a
     view of it; else an ``intp`` row index for one ``take``), otherwise
-    ``(parts, perm)``: one such triple per producer, and the permutation
-    that puts their concatenation into member order (``None`` when it
-    already is).  ``keys[frame]`` addresses the members' frames —
+    ``(parts, perm)``: one such triple per producer — per merged op, in
+    op order, when each reads one column — and the permutation that puts
+    their concatenation into member order (``None`` when it already
+    is).  ``keys[frame]`` addresses the members' frames —
     ``(runs, suffixes, record)`` — for cache and accumulator keys;
     ``okeys`` memoises per keyed step the members' order keys, which are
     static while no run carries a key prefix.  ``release`` lists the
@@ -954,8 +959,10 @@ class _Pop:
 
 def _kind(cls, seg) -> int:
     """What keys a class segment's members: 0 depth (every root stage,
-    pre-call segments), 1 height (post-call segments)."""
-    return 1 if cls.family != "root" and seg else 0
+    forward pre-call segments), 1 height (post-call segments; both
+    segments of a gradient class, whose blocks thereby have the members,
+    in the order, of the forward post-call blocks they mirror)."""
+    return 1 if cls.family == "grad" or (seg and cls.family == "fwd") else 0
 
 
 class _Forest:
@@ -1114,9 +1121,16 @@ class _Forest:
         source."""
         if len(refs) == 1 and refs[0][0] == _O:
             return refs[0][1], refs[0][2], None
-        pairs = [self.resolve(cls, ref) for ref in refs]
-        return self._pack(np.concatenate([a[mem] for a, _ in pairs]),
-                          np.concatenate([r[mem] for _, r in pairs]))
+        pairs = [(a[mem], r[mem]) for a, r in (self.resolve(cls, ref)
+                                               for ref in refs)]
+        heads = [int(a[0]) for a, _ in pairs]
+        if len(set(heads)) > 1 and all((a == h).all()
+                                       for (a, _), h in zip(pairs, heads)):
+            # each merged op reads one producer column: parts in op order
+            return tuple((h >> self.bits, h & self.mask, self._wired(r))
+                         for (_, r), h in zip(pairs, heads)), None
+        return self._pack(np.concatenate([a for a, _ in pairs]),
+                          np.concatenate([r for _, r in pairs]))
 
     def keys(self, cls, fi, seg, key, mem) -> tuple:
         """``(runs, suffixes, record)`` of frame ``fi`` of the members
@@ -1185,10 +1199,14 @@ class LevelPlan:
             hist += 1
             self._level(forest, program, last_use, born, (root,), stage, 0,
                         hist)
-            classes = forest.family(forests[stage]) if stage in forests \
-                else ()
-            for seg in (0, 1):  # top-down by depth, bottom-up by height
-                for key in range(1 - seg, tops[seg] + 1):
+            family = forests.get(stage)
+            classes = forest.family(family) if family else ()
+            # pre-call top-down: by depth, gradients by descending height
+            # (a parent is higher than its child); post-call bottom-up
+            down = (range(tops[1], -1, -1) if family == "grad"
+                    else range(1, tops[0] + 1))
+            for seg, keys in ((0, down), (1, range(tops[1] + 1))):
+                for key in keys:
                     hist += 1
                     self._level(forest, program, last_use, born, classes,
                                 seg, key, hist)
@@ -1603,18 +1621,19 @@ class _BlockCall:
         if sigs is not None:
             self.sigs = tuple(sigs)
         if prog.stores:
-            # one bulk store per block, before its registers die —
-            # compiled CacheLookups read the columns, never the cache
-            entries, dead = [], sweep.dead
+            # recorded columns are handed over whole, before their
+            # registers die: compiled CacheLookups read the columns, and
+            # the cache splits one into rows only if somebody looks
+            store, dead = sweep.core.runtime.cache.store_column, sweep.dead
             for src, fi, gid, oid, i in prog.stores:
                 runs, sufs, _ = blk.keys[fi]
-                col = self.read(src)
-                rows = zip(sweep.keys(runs, sufs), repeat(gid), repeat(oid),
-                           repeat(i), repeat(col.value)
-                           if col.__class__ is _Inv else col)
-                entries.extend(rows if dead is None else [
-                    row for row, r in zip(rows, runs) if not dead[r]])
-            sweep.core.runtime.cache.store_many(entries)
+                keys, col = sweep.keys(runs, sufs), self.read(src)
+                shared = col.__class__ is _Inv
+                if dead is not None:
+                    live = np.flatnonzero(~dead[runs])
+                    keys = [keys[j] for j in live]
+                    col = col if shared else _take(col, live)
+                store(keys, gid, oid, i, col.value if shared else col, shared)
         if track:
             self._release(level, prog.n_levels)
         return self

@@ -496,7 +496,7 @@ class SchedulerCore:
         self._track_live = (self.memory_budget is not None
                             or track_live_bytes)
         self._live_bytes = 0
-        self.stats = RunStats()
+        self._new_stats()
         #: master-state mutex (None on single-threaded executors); see
         #: the module docstring for the locking contract.
         self._master_lock: Optional[threading.RLock] = None
@@ -1179,6 +1179,19 @@ class SchedulerCore:
             cv.notify_all()
         return True
 
+    def _new_stats(self) -> None:
+        """Fresh stats for a run or serving session.  The cache's
+        counters are lifetime totals: snapshot them, so that
+        :meth:`_book_cache` books what this run stored and looked up."""
+        cache = self.runtime.cache
+        self._cache_base = cache.stores, cache.lookups
+        self.stats = RunStats()
+
+    def _book_cache(self) -> None:
+        cache, (stores, lookups) = self.runtime.cache, self._cache_base
+        self.stats.cache_stores = cache.stores - stores
+        self.stats.cache_lookups = cache.lookups - lookups
+
     def drain(self) -> RunStats:
         """Complete all admitted work (and, on the event engine, all
         scheduled arrivals); returns the session-cumulative stats.
@@ -1188,8 +1201,7 @@ class SchedulerCore:
         stats = self.stats
         self._stamp_clock(stats)
         stats.wall_time = time.perf_counter() - self._serve_wall0
-        stats.cache_stores = self.runtime.cache.stores
-        stats.cache_lookups = self.runtime.cache.lookups
+        self._book_cache()
         if self._error is not None:
             error, self._error = self._error, None
             self._fatal_error = error

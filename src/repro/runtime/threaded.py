@@ -131,8 +131,7 @@ class ThreadedEngine(SchedulerCore):
                 values, _ = hit
                 self.stats.wall_time = time.perf_counter() - wall0
                 self.stats.virtual_time = self.stats.wall_time
-                self.stats.cache_stores = self.runtime.cache.stores
-                self.stats.cache_lookups = self.runtime.cache.lookups
+                self._book_cache()
                 return values, self.stats
         plan = plan_for_fetches(graph, {t.op for t in fetches})
 
@@ -163,6 +162,7 @@ class ThreadedEngine(SchedulerCore):
         values = [densify(root.value_of(t)) for t in fetches]
         self.stats.wall_time = time.perf_counter() - wall0
         self.stats.virtual_time = self.stats.wall_time
+        self._book_cache()
         return values, self.stats
 
     # -- internals ------------------------------------------------------------
@@ -184,7 +184,7 @@ class ThreadedEngine(SchedulerCore):
         self._level_flushing = False
         self._level_flush_wanted = False
         self._root_site_map = None
-        self.stats = RunStats()
+        self._new_stats()
 
     def _execute_level_group(self, lp, runs) -> None:
         # Sweeps flush on the admitting thread (a submit_root caller, or

@@ -190,15 +190,15 @@ class GradientAccumulator:
                 cached = (self._sums if dense else self._sparse_sums).get(name)
                 if cached is not None:
                     return cached
-                ordered = self._ordered(blocks)
-                if not dense and all(isinstance(e[-1], IndexedSlices)
-                                     for e in ordered):
-                    combined = self._combine_sparse(ordered)
-                    self._sparse_sums[name] = combined
-                    return combined
+                if not dense and all(len(cols) == 1 for _, cols in blocks):
+                    ordered = self._ordered(blocks)
+                    if all(isinstance(e[1], IndexedSlices) for e in ordered):
+                        combined = self._combine_sparse(ordered)
+                        self._sparse_sums[name] = combined
+                        return combined
                 total = self._sums.get(name)
                 if total is None:
-                    total = self._sums[name] = self._reduce_dense(ordered)
+                    total = self._sums[name] = self._reduce_dense(blocks)
                 return total
         if shape is None:
             raise KeyError(
@@ -207,19 +207,51 @@ class GradientAccumulator:
         return np.zeros(shape, dtype=np_dtype)
 
     @staticmethod
-    def _reduce_dense(ordered) -> np.ndarray:
+    def _contract(blocks):
+        """``A.T @ G`` over every factor row in canonical order: each
+        block's columns flattened to rows once, one stable permutation
+        over the per-row keys (rows sharing a key keep their order,
+        un-keyed rows come last as they arrived) — the matrices a
+        per-row sort would build.  None when rows disagree on rank,
+        dtype or inner shape."""
+        kinds, sides, keys = set(), ([], []), []
+        for block_keys, (a, g) in blocks:
+            if a.__class__ is g.__class__ is np.ndarray and a.ndim > 1:
+                kinds.add((a.ndim - 1, a.dtype, a.shape[2:], g.dtype,
+                           g.shape[2:]))
+                counts = repeat(a.shape[1], len(a))
+            else:
+                kinds.update((x.ndim, x.dtype, x.shape[1:], y.dtype,
+                              y.shape[1:]) for x, y in zip(a, g))
+                counts = [len(x) for x in a]
+            if len(kinds) != 1 or next(iter(kinds))[0] != 2:
+                return None
+            for side, col in zip(sides, (a, g)):
+                side.append(col.reshape((-1,) + col.shape[2:])
+                            if col.__class__ is np.ndarray
+                            else np.concatenate(col))
+            keys.extend(key for key, n in zip(block_keys or repeat(None),
+                                              counts) for _ in range(n))
+        keyed = [i for i, key in enumerate(keys) if key is not None]
+        order = sorted(keyed, key=keys.__getitem__) + [
+            i for i, key in enumerate(keys) if key is None]
+        return (np.concatenate(sides[0]).take(order, 0).T
+                @ np.concatenate(sides[1]).take(order, 0))
+
+    @classmethod
+    def _reduce_dense(cls, blocks) -> np.ndarray:
         """The one combination rule: the contraction of all factor rows,
-        then every gradient entry added in canonical order."""
-        chain = [e[1] for e in ordered if len(e) == 2]
-        factors = [e for e in ordered if len(e) == 3]
-        total = None
-        kinds = {(a.ndim, a.dtype, a.shape[1:], g.dtype, g.shape[1:])
-                 for _, a, g in factors}
-        if len(kinds) == 1 and next(iter(kinds))[0] == 2:
-            total = (np.concatenate([a for _, a, _ in factors]).T
-                     @ np.concatenate([g for _, _, g in factors]))
-        elif factors:  # the exact per-frame fold, each in its key's place
-            chain = [e[1] if len(e) == 2 else e[1].T @ e[2] for e in ordered]
+        then every gradient entry added in canonical order — one by one:
+        a pairwise reduction would change the bits."""
+        factors = [b for b in blocks if len(b[1]) == 2]
+        total = cls._contract(factors) if factors else None
+        if factors and total is None:
+            # the exact per-frame fold, each ``aᵀ g`` in its key's place
+            chain = [e[1] if len(e) == 2 else e[1].T @ e[2]
+                     for e in cls._ordered(blocks)]
+        else:
+            chain = [e[1] for e in cls._ordered(
+                [b for b in blocks if len(b[1]) == 1])]
         if total is None:
             first = chain.pop(0)
             total = (first.to_dense() if isinstance(first, IndexedSlices)

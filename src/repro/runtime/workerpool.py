@@ -182,8 +182,7 @@ class WorkerPoolEngine(SchedulerCore):
                     values, _ = hit
                     self.stats.wall_time = time.perf_counter() - wall0
                     self.stats.virtual_time = self.stats.wall_time
-                    self.stats.cache_stores = self.runtime.cache.stores
-                    self.stats.cache_lookups = self.runtime.cache.lookups
+                    self._book_cache()
                     return values, self.stats
             plan = plan_for_fetches(graph, {t.op for t in fetches})
             with self._master_lock:
@@ -205,8 +204,7 @@ class WorkerPoolEngine(SchedulerCore):
         values = [densify(root.value_of(t)) for t in fetches]
         self.stats.wall_time = time.perf_counter() - wall0
         self.stats.virtual_time = self.stats.wall_time
-        self.stats.cache_stores = self.runtime.cache.stores
-        self.stats.cache_lookups = self.runtime.cache.lookups
+        self._book_cache()
         return values, self.stats
 
     # -- master ---------------------------------------------------------------
@@ -235,7 +233,7 @@ class WorkerPoolEngine(SchedulerCore):
         #: serial-vs-parallel benchmarking and as an escape hatch)
         self._level_parallel = os.environ.get(
             "REPRO_LEVEL_PARALLEL", "1") != "0"
-        self.stats = RunStats()
+        self._new_stats()
 
     def _start_pool(self) -> None:
         self._pool = [threading.Thread(target=self._kernel_worker,

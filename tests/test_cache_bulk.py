@@ -3,12 +3,17 @@
 The bulk ``store_many``/``lookup_many`` paths must be indistinguishable
 from scalar ``store``/``lookup`` sequences — same values, same counters,
 same miss errors — under arbitrary interleavings of concurrent frames
-(threads standing in for engine workers).
+(threads standing in for engine workers).  The deferred columnar entry
+``store_column`` (what a compiled sweep hands over) must be
+indistinguishable from both once anybody reads, and cost nothing when
+nobody does.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -145,6 +150,125 @@ class TestConcurrentFrames:
         assert errors == []
         assert cache.stores == 6 * 50
         assert cache.lookups == 6 * 50
+
+
+# One hand-over of any of the three store entries: ("store" | "many",
+# rows) or ("column", column kind, rows) — rows are (frame key, value).
+_rows = st.lists(st.tuples(frame_keys, st.integers(-1000, 1000)),
+                 min_size=1, max_size=6)
+_handover = st.tuples(
+    st.sampled_from(["store", "many", "array", "list", "shared"]),
+    st.integers(0, 3), st.integers(0, 6), st.integers(0, 1), _rows)
+
+
+def _hand_over(cache, kind, gid, oid, out, rows):
+    """Store ``rows`` under ``(gid, oid, out)`` through entry ``kind``;
+    returns the equivalent one-by-one entries.  Deferred and row-wise
+    entries get disjoint op ids: a frame key is written once per run
+    (the paper's uniqueness argument), so a row-wise store never has to
+    order itself against a pending column of the same key."""
+    if kind in ("array", "list", "shared"):
+        oid += 10
+    keys = [key for key, _ in rows]
+    values = [np.float32(v) for _, v in rows]
+    if kind == "shared":
+        values = values[:1] * len(rows)
+        cache.store_column(keys, gid, oid, out, values[0], shared=True)
+    elif kind == "array":
+        cache.store_column(keys, gid, oid, out, np.array(values))
+    elif kind == "list":
+        cache.store_column(keys, gid, oid, out, values)
+    elif kind == "many":
+        cache.store_many(zip(keys, [gid] * len(keys), [oid] * len(keys),
+                             [out] * len(keys), values))
+    else:
+        for key, value in zip(keys, values):
+            cache.store(key, gid, oid, out, value)
+    return [(key, gid, oid, out, value) for key, value in zip(keys, values)]
+
+
+class TestDeferredColumns:
+    @SETTINGS
+    @given(handovers=st.lists(_handover, min_size=1, max_size=12),
+           reader=st.sampled_from(["lookup", "lookup_many", "len", "items"]))
+    def test_any_interleaving_equals_scalar_stores(self, handovers, reader):
+        """Whatever mix of entries stored them, whoever reads first
+        sees the same table (last write per key wins, in hand-over
+        order) and ``stores`` counted every row once."""
+        cache, scalar = ValueCache(), ValueCache()
+        for kind, gid, oid, out, rows in handovers:
+            for entry in _hand_over(cache, kind, gid, oid, out, rows):
+                scalar.store(*entry)
+        want = dict(scalar.items())
+        assert cache.stores == scalar.stores
+        if reader == "lookup":
+            got = {key: cache.lookup(*key) for key in want}
+        elif reader == "lookup_many":
+            got = dict(zip(want, cache.lookup_many(list(want))))
+        else:
+            assert len(cache) == len(want)
+            got = dict(cache.items())
+        assert got == want
+        assert not cache._pending
+        assert cache.stores == scalar.stores  # ... and still once
+
+    def test_column_rows_are_stored_by_reference(self):
+        cache = ValueCache()
+        column = np.arange(12.0).reshape(3, 4)
+        cache.store_column([(0,), (1,), (2,)], 1, 2, 0, column)
+        row = cache.lookup((1,), 1, 2, 0)
+        assert np.shares_memory(row, column)
+        assert np.array_equal(row, column[1])
+
+    def test_clear_before_a_read_drops_columns_unmaterialised(self):
+        cache = ValueCache()
+        column = np.zeros((64, 8), np.float32)
+        alive = weakref.ref(column)
+        cache.store_column([(i,) for i in range(64)], 0, 0, 0, column)
+        del column
+        assert alive() is not None  # retained by reference until read
+        assert cache.stores == 64
+        assert sum(len(s.table) for s in cache._shards) == 0
+        cache.clear()
+        gc.collect()
+        assert alive() is None
+        assert len(cache) == 0 and cache.items() == []
+        assert cache.stores == 64  # a lifetime counter: handed over once
+        with pytest.raises(KeyError, match="record=True"):
+            cache.lookup((3,), 0, 0, 0)
+
+    @pytest.mark.timeout(60)
+    def test_concurrent_store_column_loses_nothing(self):
+        cache = ValueCache(num_shards=4)
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def sweep(tid):
+            try:
+                barrier.wait()
+                for block in range(25):
+                    keys = [(tid, block, i) for i in range(8)]
+                    cache.store_column(keys, 0, block, 0,
+                                       np.full((8, 2), tid * 100 + block))
+                    if block % 8 == tid:  # a reader amid the writers
+                        assert cache.lookup(keys[3], 0, block, 0)[0] \
+                            == tid * 100 + block
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=sweep, args=(t,))
+                   for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert cache.stores == 4 * 25 * 8
+        assert len(cache) == 4 * 25 * 8
+        for tid in range(4):
+            for block in range(25):
+                assert cache.lookup((tid, block, 5), 0, block, 0)[1] \
+                    == tid * 100 + block
 
 
 class TestShardingInvariants:

@@ -401,8 +401,7 @@ class TestMergedRuns:
         results = execute_level_plan(core, lp, runs)
         assert results[1] is None
         assert results[0] is not None and results[2] is not None
-        stored = {key[0][0] for shard in runtime.cache._shards
-                  for key in shard.table}
+        stored = {key[0][0] for key, _ in runtime.cache.items()}
         assert stored == {0, 2}
         # the survivors' gradients equal a forest of just the two
         got = {n: np.copy(runtime.accumulators.read(n))
@@ -591,6 +590,12 @@ class TestAccounting:
     7720 ops; ``AccumGrad`` keeps its 285, 141 of them now taking the
     factor rows), and ``ReduceSumGrad`` / ``ZerosLike`` run columnar
     (388 -> 370 batches, 4569 -> 4293 batched ops).
+
+    ``TRAIN_WIDTHS`` alone was re-pinned when the gradient pre-call
+    segment went from ascending depth to descending height (a backward
+    block mirrors the forward post-call block member for member): the
+    same 370 fused calls over the same 4293 ops in the same 24 schedule
+    blocks, grouped differently.
     """
 
     FORWARD_TYPES = {
@@ -603,8 +608,8 @@ class TestAccounting:
                       12: 26, 20: 1, 24: 4, 30: 18, 60: 2}
     FORWARD_FIRST_LEVELS = {1: {3: 3}, 2: {3: 4, 6: 1}, 3: {6: 4, 12: 1},
                             4: {10: 4, 20: 1}, 5: {6: 4, 12: 1}}
-    TRAIN_WIDTHS = {1: 6, 2: 61, 3: 23, 4: 26, 5: 22, 6: 73, 8: 4,
-                    10: 22, 12: 63, 20: 16, 24: 13, 30: 31, 40: 4, 60: 12}
+    TRAIN_WIDTHS = {1: 6, 2: 74, 3: 10, 4: 41, 5: 35, 6: 45, 8: 8,
+                    10: 24, 12: 57, 20: 5, 24: 24, 30: 31, 48: 4, 60: 12}
 
     @staticmethod
     def _widths(stats):
@@ -648,9 +653,10 @@ class TestAccounting:
     @pytest.mark.parametrize("engine", ["event", "workerpool"])
     def test_train_live_bytes_unchanged(self, bank, engine):
         """Registers are booked while live exactly as the columns they
-        replaced were: the training sweep's peak is the per-step
-        schedule's (42244 bytes at the parent commit), and the books
-        close at zero."""
+        replaced were, and the books close at zero.  The peak was 42244
+        bytes while gradient blocks ran by ascending depth; by
+        descending height the forward columns die in the reverse order
+        they were born."""
         runtime = repro.Runtime()
         model = TreeLSTMSentiment(LSTM, runtime)
         built = model.build_recursive(3)
@@ -665,8 +671,38 @@ class TestAccounting:
                     built.feed_dict(batch),
                     shape_profile=built.shape_profiles(batch))
         assert session.last_stats.level_plan_hits == 1
-        assert session.last_stats.peak_live_bytes == 42244
+        assert session.last_stats.peak_live_bytes == 35268
         assert session._engine._live_bytes == 0
+
+    @pytest.mark.parametrize("engine", ["event", "workerpool", "threaded"])
+    def test_cache_counters_are_the_runs_own(self, bank, engine):
+        """``cache_stores`` / ``cache_lookups`` are what *this* run
+        stored and looked up — not the cache's lifetime totals, which
+        ``clear()`` never resets — and the compiled tier, which defers
+        its stores by column and never looks one up, books the dynamic
+        tier's store count."""
+        runtime = repro.Runtime()
+        model = TreeLSTMSentiment(LSTM, runtime)
+        built = model.build_recursive(3)
+        batch = batch_trees(bank.train[:3])
+        _, updates = repro.gradients(built.loss, [])
+        fetches = [built.loss] + [op.outputs[-1] for op in updates]
+        session = repro.Session(built.graph, runtime, num_workers=2,
+                                engine=engine, record=True)
+        profile = ({} if engine == "threaded" else
+                   {"shape_profile": built.shape_profiles(batch)})
+        booked = []
+        for kwargs in ({}, {}, profile, profile):
+            runtime.accumulators.zero()
+            session.run(fetches, built.feed_dict(batch), **kwargs)
+            booked.append((session.last_stats.cache_stores,
+                           session.last_stats.cache_lookups))
+        stores = booked[0][0]
+        assert stores == len(runtime.cache) > 0
+        assert booked[0] == booked[1] == (stores, stores)
+        assert booked[2] == booked[3]
+        assert booked[2] == (stores, 0 if profile else stores)
+        assert runtime.cache.stores == 4 * stores  # the lifetime counter
 
     def test_second_sweep_books_the_same(self, bank):
         """The bookings are memoised per plan; replaying them must not

@@ -15,7 +15,11 @@ what it must not cost:
 * compile cost is independent of the shapes seen: one template for 100
   shapes, of the same size for a 5-node and a 500-node tree;
 * a lying profile anywhere in a merged forest is an error naming the
-  ``Cond``; a profile with holes runs spine + compiled sub-forest.
+  ``Cond``; a profile with holes runs spine + compiled sub-forest —
+  recorded, its dynamic backward reads the stores the sub-forest
+  deferred;
+* gradient blocks are keyed by height: a mirrored forward post-call
+  value is wired in place, never gathered through an index.
 """
 
 import numpy as np
@@ -26,7 +30,8 @@ from hypothesis import strategies as st
 import repro
 from repro import ops
 from repro.core.subgraph import SubGraph
-from repro.runtime.level_plan import Template, template_for
+from repro.runtime.level_plan import (_M, _S, Template, instance_for,
+                                      linearise, template_for)
 from repro.runtime.plan import plan_for_fetches
 from repro.runtime.scheduler import available_executors
 from repro.runtime.variables import Variable
@@ -122,8 +127,7 @@ class _Model:
         """Everything a run leaves behind: gradients and cache."""
         acc = self.runtime.accumulators
         grads = {n: np.copy(acc.read(n)) for n in acc.names()}
-        cache = {key: value for shard in self.runtime.cache._shards
-                 for key, value in shard.table.items()}
+        cache = dict(self.runtime.cache.items())
         return grads, cache
 
 
@@ -378,6 +382,83 @@ class TestHoles:
         assert stats.level_plan_fallbacks == 0
         assert stats.level_plan_hits == 0
         _assert_same_state(dynamic, ([got],) + model.state() + (stats,))
+
+
+    @pytest.mark.parametrize("engine", ["event", "workerpool"])
+    def test_recorded_spine_reads_deferred_stores(self, engine, monkeypatch):
+        """``record=True`` through a hole: the determined subtrees run
+        compiled and hand their forward state over by column; the
+        backward, dynamic, is the first reader of the cache and finds
+        every row there — gradients and cache equal the all-dynamic
+        run's bit for bit."""
+        model = _Model.of(3)
+        full = ((((), (), ()), (), ()), ((), (), ()), ())
+        holed = ((None, (), ()), ((), (), ()), ())
+        cache = model.runtime.cache
+        deferred = []
+        store_column = cache.store_column
+
+        def spy(keys, *rest, **kwargs):
+            deferred.append(len(keys))
+            return store_column(keys, *rest, **kwargs)
+
+        monkeypatch.setattr(cache, "store_column", spy)
+        out = []
+        for kwargs in ({}, {"shape_profile": (holed,)}):
+            session = repro.Session(model.graph, model.runtime,
+                                    num_workers=2, engine=engine,
+                                    record=True)
+            model.reset()
+            values = session.run(model.fetches(True), model.feeds(full),
+                                 **kwargs)
+            out.append(([values],) + model.state()
+                       + (session.last_stats,))
+            if not kwargs:
+                assert not deferred  # the dynamic tier stores row-wise
+        stats = out[1][3]
+        assert stats.level_plan_partial_roots == 1
+        assert stats.level_plan_subtree_runs >= 2
+        assert sum(deferred) > 0 and not cache._pending
+        assert stats.cache_lookups == out[0][3].cache_lookups > 0
+        assert stats.cache_stores == out[0][3].cache_stores
+        _assert_same_state(*out)
+
+
+class TestHeightAlignedBackward:
+    """A ``GU_c`` pre-call block has the members, in the order, of the
+    forward post-call block ``(U_c, h)`` it mirrors."""
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @_settings(15)
+    @given(data=st.data())
+    def test_mirrored_post_call_values_are_wired_in_place(self, arity, data):
+        model = _Model.of(arity)
+        forest = data.draw(st.lists(_profiles(arity), min_size=1,
+                                    max_size=4))
+        plan = plan_for_fetches(model.graph,
+                                {t.op for t in model.fetches(True)})
+        tpl = template_for(model.graph, plan, True)
+        assert isinstance(tpl, Template)
+        lp = instance_for(tpl, [linearise(tpl, (p,)) for p in forest])
+        mirrored = 0
+        for blk in (blk for level in lp.program for blk in level):
+            cls, prog = blk.prog.cls, blk.prog
+            if cls is None or cls.family != "grad" or prog.seg:
+                continue
+            for (refs, _, _), spec in zip(prog.imports, blk.imports):
+                if not all(r[0] == _M and r[1][0] == _S
+                           and cls.mirror.ops[r[1][1]].seg == 1
+                           for r in refs):
+                    continue
+                mirrored += 1
+                # one producer: the column itself, or one merged op's
+                # rows of it; a merged import: such slices in op order —
+                # never an index array, never a permutation
+                parts, perm = ((spec,), None) if len(spec) == 3 else spec
+                assert perm is None
+                assert all(rows is None or isinstance(rows, slice)
+                           for _, _, rows in parts)
+        assert mirrored or not any(forest)
 
 
 class TestWideOps:

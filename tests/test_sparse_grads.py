@@ -107,6 +107,53 @@ class TestIndexedSlices:
         assert sl.nbytes == 4 * 8 + 4 * 8 * 4
 
 
+class TestStackedSparseGatherGrad:
+    """The columnar sparse ``GatherGrad``: one scalar index per member
+    touches one row, so the column is ``from_scatter`` per member
+    without its ``unique`` — bit for bit."""
+
+    @pytest.mark.parametrize("g_dtype, table_dtype", [
+        (np.float32, np.float32), (np.float16, np.float32),
+        (np.float64, np.float32), (np.float32, np.float64)])
+    @pytest.mark.parametrize("idx_dtype", [np.int32, np.int64])
+    def test_column_equals_from_scatter_per_member(self, g_dtype,
+                                                   table_dtype, idx_dtype):
+        from repro.graph.registry import op_def
+        set_sparse_gather_grads(True)
+        defn = op_def("GatherGrad")
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((9, 4)).astype(table_dtype)
+        for members in (1, 2, 7):
+            idx = rng.integers(0, 9, size=members).astype(idx_dtype)
+            g = rng.standard_normal((members, 4)).astype(g_dtype)
+            (column,) = defn.stacked_kernel(None, [g, idx, table],
+                                            (False, False, True), None)
+            assert len(column) == members
+            for i, got in enumerate(column):
+                (want,) = defn.kernel(None, [g[i], idx[i], table], None)
+                assert isinstance(got, IndexedSlices)
+                assert got.dense_shape == want.dense_shape
+                assert got.indices.dtype == want.indices.dtype
+                assert got.values.dtype == want.values.dtype == table_dtype
+                assert np.array_equal(got.indices, want.indices)
+                assert np.array_equal(got.values, want.values)
+
+    def test_other_operand_forms_decline_to_the_row_loop(self):
+        from repro.graph.registry import op_def
+        set_sparse_gather_grads(True)
+        stacked = op_def("GatherGrad").stacked_kernel
+        table = np.zeros((9, 4), np.float32)
+        g = np.ones((3, 2, 4), np.float32)
+        idx = np.array([[0, 0], [1, 2], [3, 3]])  # duplicate rows: unique
+        assert stacked(None, [g, idx, table], (False, False, True),
+                       None) is None
+        # per-member tables, a shared index
+        assert stacked(None, [g[:, 0], idx[:, 0], np.stack([table] * 3)],
+                       (False, False, False), None) is None
+        assert stacked(None, [g[:, 0], idx[0, 0], table],
+                       (False, True, True), None) is None
+
+
 # -- sparse-vs-dense equivalence matrix ---------------------------------------
 
 def _train_once(engine, cls, config, trees, sparse, use_profile, workers=4):
