@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-fast check test-batching test-serving test-procpool \
+.PHONY: test test-fast check test-batching test-serving \
         soak soak-ci bench bench-fig8 bench-serving bench-serving-slo \
-        bench-smoke bench-overhead bench-level bench-procpool \
+        bench-smoke bench-overhead bench-level \
         bench-memory profile profile-step bench-e2e bench-e2e-selfcheck \
         bench-e2e-compare test-bench-e2e
 
@@ -20,7 +20,7 @@ test-fast:
 # and SLO counters under sustained load), plus the bench-smoke canaries
 # (tiny fig7/table2 sweeps, the continuous-serving canary and the
 # spawn-overhead regression gate).  REPRO_TEST_TIMEOUT arms the conftest
-# watchdog for every unmarked test so a wedged procpool worker fails the
+# watchdog for every unmarked test so a wedged pool thread fails the
 # gate fast instead of hanging it on a queue read.
 check: export REPRO_TEST_TIMEOUT ?= 180
 check: test-fast soak-ci bench-smoke test-bench-e2e
@@ -50,12 +50,6 @@ bench:
 # The serving-path subset (server semantics, latency accounting, soak).
 test-serving:
 	$(PYTHON) -m pytest -q -m serving
-
-# The multi-process backend: crash robustness, registry staleness,
-# measured data-parallel training, plus the cross-executor equivalence
-# matrix procpool is parametrized into.
-test-procpool:
-	REPRO_TEST_TIMEOUT=180 $(PYTHON) -m pytest -q tests/test_procpool.py tests/test_executors.py
 
 # The inference-throughput bench; refreshes BENCH_fig8.json.
 bench-fig8:
@@ -92,14 +86,6 @@ bench-overhead:
 # bench-smoke; this is the full paired measurement.
 bench-level:
 	PYTHONPATH=src:. $(PYTHON) -m pytest benchmarks/bench_level_plan.py -q -s
-
-# Multi-process pool scaling: serving throughput at 1/2/4 procpool
-# workers against the threaded workerpool, plus measured data-parallel
-# cluster scaling; merges the "procpool_scaling" section into
-# BENCH_overhead.json (host cpu_count provenance stamps the rows —
-# expect ~1.0x on a 1-CPU host).
-bench-procpool:
-	PYTHONPATH=src:. $(PYTHON) -m pytest benchmarks/bench_procpool.py -q -s
 
 # Memory-aware execution bench: dense vs sparse embedding gradients and
 # unbounded vs budgeted dispatch on a large-vocab TreeLSTM training step

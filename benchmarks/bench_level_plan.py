@@ -19,7 +19,6 @@ equivalence canary.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -127,92 +126,6 @@ def test_level_plan_dispatch_bench():
         assert speedup >= 1.5, (
             f"compiled {mode} path {speedup:.2f}x at batch 10 — "
             "below the 1.5x acceptance bar")
-
-
-def _sweep_once(session, built, batches, fetches) -> tuple:
-    """One profiled epoch sweep; returns (wall_s, hits, fallbacks)."""
-    t0 = time.perf_counter()
-    for batch in batches:
-        session.run(fetches, built.feed_dict(batch),
-                    shape_profile=built.shape_profiles(batch))
-    return time.perf_counter() - t0
-
-
-def _measure_parallel_sweeps(parallel: bool) -> dict:
-    """Best-of-N compiled epoch sweep on the workerpool, with the
-    level-parallel knob pinned for the whole measurement."""
-    previous = os.environ.get("REPRO_LEVEL_PARALLEL")
-    os.environ["REPRO_LEVEL_PARALLEL"] = "1" if parallel else "0"
-    try:
-        model = fresh_model(MODEL)
-        built = model.build_recursive(10)
-        fetches = [built.loss, built.root_logits]
-        session = repro.Session(built.graph, model.runtime, num_workers=4,
-                                engine="workerpool")
-        batches = _epoch_batches(10)
-        _sweep_once(session, built, batches, fetches)  # warm plan caches
-        best = float("inf")
-        for _ in range(REPEATS):
-            best = min(best, _sweep_once(session, built, batches, fetches))
-        hits = fallbacks = 0
-        logits = []
-        for batch in batches:
-            _, batch_logits = session.run(
-                fetches, built.feed_dict(batch),
-                shape_profile=built.shape_profiles(batch))
-            logits.append(batch_logits)
-            hits += session.last_stats.level_plan_hits
-            fallbacks += session.last_stats.level_plan_fallbacks
-        instances = sum(sum(t.num_nodes for t in b.trees) for b in batches)
-        return {"parallel": parallel, "wall_s": best,
-                "us_per_instance": 1e6 * best / instances,
-                "level_plan_hits": hits,
-                "level_plan_fallbacks": fallbacks,
-                "_logits": logits}
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_LEVEL_PARALLEL", None)
-        else:
-            os.environ["REPRO_LEVEL_PARALLEL"] = previous
-
-
-def test_level_parallel_sweep_bench():
-    """Paired serial-vs-parallel compiled sweeps on the workerpool.
-
-    The parallel path fans independent same-level buckets out to the
-    kernel pool behind a per-level barrier; it must be bit-identical and
-    never fall back.  The >= 1.3x acceptance bar needs real cores to be
-    physically expressible — on fewer than 4 the bench records the
-    honest (likely ~1x or below) row plus cpu_count provenance and gates
-    nothing.
-    """
-    serial = _measure_parallel_sweeps(parallel=False)
-    parallel = _measure_parallel_sweeps(parallel=True)
-    for row in (serial, parallel):
-        assert row["level_plan_fallbacks"] == 0
-        assert row["level_plan_hits"] > 0
-    for ref, got in zip(serial.pop("_logits"), parallel.pop("_logits")):
-        assert np.array_equal(ref, got)
-
-    speedup = serial["us_per_instance"] / parallel["us_per_instance"]
-    payload = {
-        "description": "paired serial vs parallel compiled sweeps "
-                       "(workerpool kernel pool, host wall-clock)",
-        "model": MODEL, "batch_size": 10, "workers": 4,
-        "cpu_count": os.cpu_count(),
-        "serial": serial, "parallel": parallel,
-        "speedup": speedup,
-    }
-    merge_bench_json("overhead", {"level_plan_parallel": payload})
-    print(f"\nparallel sweep bench (host wall-clock, "
-          f"{os.cpu_count()} cpus):")
-    print(f"  serial   {serial['us_per_instance']:.1f} us/inst")
-    print(f"  parallel {parallel['us_per_instance']:.1f} us/inst "
-          f"-> {speedup:.2f}x")
-    if (os.cpu_count() or 1) >= 4:
-        assert speedup >= 1.3, (
-            f"parallel sweeps {speedup:.2f}x on a multi-core host — "
-            "below the 1.3x acceptance bar")
 
 
 # ---------------------------------------------------------------------------

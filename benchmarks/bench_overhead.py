@@ -28,9 +28,8 @@ workload against the recorded ``after`` as a 2x regression canary.
 
 The ``workerpool_buckets`` block is the **concurrent-bucket serving
 canary** for the worker-pool executor backend: a burst of concurrent
-TreeLSTM requests served with micro-batching on the two wall-clock
-backends, recording the worker-pool's wall-clock win over the threaded
-backend and its pool-scaling headroom (host-core bound).
+TreeLSTM requests served with micro-batching, recording its
+pool-scaling headroom (host-core bound).
 """
 
 from __future__ import annotations
@@ -209,18 +208,15 @@ def measure_batched_dispatch() -> dict:
 
 # -- worker-pool concurrent-bucket canary -------------------------------------
 #
-# The multi-instance serving workload the scheduler/executor split's
-# third backend exists for: a burst of concurrent TreeLSTM requests
-# (irregular trees, so wavefronts stagger across requests) served with
-# micro-batching on the two wall-clock backends.  The worker-pool
-# backend's centralized master drains whole ready wavefronts into the
-# coalescer and lands independent fused buckets on its kernel pool,
-# where its workers never touch the master lock — against the threaded
-# backend's racing workers (3+ lock round-trips per instance) that is a
-# stable wall-clock win even on one host core, and on a multi-core host
-# the independent buckets additionally execute concurrently (numpy
-# kernels release the GIL; ``pool_scaling_speedup`` records that
-# headroom and is ~1.0 on a single-CPU host).
+# The multi-instance serving workload the worker-pool backend exists
+# for: a burst of concurrent TreeLSTM requests (irregular trees, so
+# wavefronts stagger across requests) served with micro-batching.  The
+# centralized master drains whole ready wavefronts into the coalescer
+# and lands independent fused buckets on its kernel pool, where its
+# workers never touch the master lock; on a multi-core host the
+# independent buckets execute concurrently (numpy kernels release the
+# GIL; ``pool_scaling_speedup`` records that headroom and is ~1.0 on a
+# single-CPU host).
 
 BUCKET_REQUESTS = 24   # concurrent root instances (multi-instance serving)
 BUCKET_IN_FLIGHT = 12
@@ -265,15 +261,13 @@ def _serve_bucket_burst(bank, stream, make_model, engine: str,
 
 
 def measure_workerpool_buckets() -> dict:
-    """Worker-pool vs threaded backend on the serving canary, plus pool
-    width 1 vs BUCKET_WORKERS on the worker-pool backend."""
+    """The worker-pool backend on the serving canary at pool width 1
+    vs BUCKET_WORKERS."""
     bank, stream, make_model = _bucket_canary_setup()
     pool = _serve_bucket_burst(bank, stream, make_model,
                                "workerpool", BUCKET_WORKERS)
     pool_serial = _serve_bucket_burst(bank, stream, make_model,
                                       "workerpool", 1)
-    threaded = _serve_bucket_burst(bank, stream, make_model,
-                                   "threaded", BUCKET_WORKERS)
     return {
         "workload": {"model": "TreeLSTM", "hidden": BUCKET_HIDDEN,
                      "requests": BUCKET_REQUESTS,
@@ -281,11 +275,8 @@ def measure_workerpool_buckets() -> dict:
         "host_cpus": os.cpu_count(),
         "workerpool": pool,
         "workerpool_serial": pool_serial,
-        "threaded": threaded,
         # pool concurrency win; bounded by host cores (~1.0 on 1 CPU)
         "pool_scaling_speedup": pool_serial["wall_s"] / pool["wall_s"],
-        # centralized scheduling + off-master kernels vs racing workers
-        "vs_threaded_speedup": threaded["wall_s"] / pool["wall_s"],
     }
 
 
@@ -373,7 +364,6 @@ def test_scheduler_overhead_microbench():
     print(f"  workerpool buckets: {buckets['workerpool']['wall_s'] * 1e3:.0f}"
           f" ms @ {BUCKET_WORKERS} workers "
           f"(mean batch {buckets['workerpool']['mean_batch']:.1f}), "
-          f"{buckets['vs_threaded_speedup']:.2f}x vs threaded, "
           f"pool scaling {buckets['pool_scaling_speedup']:.2f}x "
           f"on {buckets['host_cpus']} host cpu(s)")
     assert headline["spawn_frames_per_sec"] > 0

@@ -92,7 +92,7 @@ def test_smoke_batched_training_is_equivalent_and_fused():
     # regression canary: batching must never slow training down at this
     # concurrency (generous 0.9 bound to stay noise-proof).  Only the
     # deterministic virtual-time backend supports a ratio gate; under
-    # --engine threaded/workerpool the times are host wall-clock noise.
+    # --engine workerpool the times are host wall-clock noise.
     if runner_config().engine == "event":
         assert vtimes["BatchedRecursive"] <= vtimes["Recursive"] / 0.9
 

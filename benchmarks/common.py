@@ -4,10 +4,10 @@ Under the default ``event`` backend every benchmark measures **virtual
 testbed time** (the deterministic discrete-event simulation of the
 paper's 36-core machine / Titan X GPU), so reported instances/second are
 stable across host machines; wall-clock time of the bench process itself
-is what pytest-benchmark records.  Routing the suite through a
-wall-clock backend (``--engine threaded`` / ``workerpool``, or
-REPRO_BENCH_ENGINE) makes the reported times **host wall-clock** —
-useful for comparing backends on one machine, not portable baselines;
+is what pytest-benchmark records.  Routing the suite through the
+wall-clock backend (``--engine workerpool``, or REPRO_BENCH_ENGINE)
+makes the reported times **host wall-clock** — useful for comparing
+backends on one machine, not portable baselines;
 the recorded BENCH_*.json files carry an ``engine_provenance`` stamp so
 rows stay attributable.
 
@@ -38,7 +38,7 @@ BATCH_SIZES = (1, 10, 25)
 STEPS = 2
 
 #: Executor backend every bench resolves its sessions/runners through.
-#: One knob for the whole suite: ``pytest benchmarks --engine threaded``
+#: One knob for the whole suite: ``pytest benchmarks --engine workerpool``
 #: (see benchmarks/conftest.py) or the REPRO_BENCH_ENGINE environment
 #: variable; defaults to the deterministic virtual-time backend the
 #: recorded baselines were measured on.

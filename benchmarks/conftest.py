@@ -1,6 +1,6 @@
 """Bench-suite options: one ``--engine`` flag for every bench script.
 
-``pytest benchmarks --engine threaded`` routes every bench session /
+``pytest benchmarks --engine workerpool`` routes every bench session /
 runner / serving driver through the named executor backend, resolved via
 the runtime executor registry (:mod:`repro.runtime.scheduler`) instead
 of each script hard-coding engine construction.  The default ("event",
@@ -15,7 +15,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--engine", default=None,
         help="executor backend for the benches (a name registered in the "
-             "runtime executor registry, e.g. event | threaded | workerpool)")
+             "runtime executor registry, i.e. event | workerpool)")
 
 
 def pytest_configure(config):

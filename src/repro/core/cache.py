@@ -17,8 +17,8 @@ complete in nondeterministic order, so values could be routed to the wrong
 gradient operation (as the paper notes).
 
 The table is *sharded*: keys hash to one of ``num_shards`` independently
-locked dictionaries, so concurrent frames (threaded engine workers) do not
-serialize on a single lock.  The bulk APIs — :meth:`ValueCache.store_many`
+locked dictionaries, so concurrent frames (workerpool's kernel threads)
+do not serialize on a single lock.  The bulk APIs — :meth:`ValueCache.store_many`
 and :meth:`ValueCache.lookup_many` — group their entries by shard and take
 each shard lock once, which is what lets the engines turn the N per-frame
 ``CacheLookup``/store round-trips of a fused micro-batch into one bulk
@@ -47,8 +47,8 @@ __all__ = ["ValueCache", "ROOT_KEY", "child_key"]
 #: Key of the root (main-graph) frame.
 ROOT_KEY: tuple = ()
 
-#: Default shard count: enough to make lock collisions rare at the
-#: threaded engine's worker counts, small enough to stay cheap to clear.
+#: Default shard count: enough to make lock collisions rare at
+#: workerpool's worker counts, small enough to stay cheap to clear.
 DEFAULT_SHARDS = 16
 
 

@@ -1,9 +1,8 @@
-"""Multi-machine data-parallel training (paper Figure 10).
+"""Multi-machine data-parallel training (paper Figure 10), simulated.
 
 The paper scales TreeLSTM training to 8 machines with synchronous data
-parallelism over a parameter server [12].  Two execution modes:
-
-``execution="simulated"`` (the original mode):
+parallelism over a parameter server [12].  This module reproduces the
+step-time arithmetic of that setup on one host:
 
 * the global batch is split into per-machine shards;
 * every machine runs the recursive implementation on its shard (its
@@ -14,20 +13,6 @@ parallelism over a parameter server [12].  Two execution modes:
   + parameter update``, where communication is a push+pull of the full
   parameter set over the configured link.
 
-``execution="procpool"`` (measured): per-machine compute is *real*.  The
-global batch's trees are admitted concurrently into one serving session
-on the multi-process :mod:`~repro.runtime.procpool` backend with
-``num_workers = num_machines`` — each worker process stands in for one
-machine, kernels execute in parallel across them, and the compute term
-is the measured wall clock of the fan-out instead of virtual time.
-Cross-replica reduction reuses the canonical-order
-:class:`~repro.runtime.variables.GradientAccumulator`: every tree's root
-frame is keyed by its *global* batch index, so the accumulated gradient
-is a sum in one canonical order no matter how many workers (replicas)
-computed the pieces — bit-identical at any ``num_machines``.  The
-communication term stays modeled (the workers share memory; a real
-parameter-server link does not).
-
 Near-linear scaling emerges because per-step compute falls ~1/M while the
 communication term (a few MB of parameters) stays small — with stragglers
 (the max over unevenly-sized shards) providing the paper's slight
@@ -36,7 +21,6 @@ sublinearity (1.85×/3.65×/7.34× at 2/4/8 machines).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,8 +28,7 @@ import numpy as np
 
 from repro.data.batching import TreeBatch, batch_trees
 from repro.nn.trainer import Trainer
-from repro.runtime.scheduler import available_executors
-from repro.runtime.session import Runtime, Session
+from repro.runtime.session import Runtime
 
 __all__ = ["CommunicationModel", "DataParallelCluster"]
 
@@ -67,57 +50,27 @@ class CommunicationModel:
 
 
 class DataParallelCluster:
-    """Synchronous data parallelism over M machines.
-
-    ``execution="simulated"`` runs shards sequentially and reports
-    virtual compute times; ``execution="procpool"`` fans the batch out
-    over ``num_machines`` worker *processes* and measures real wall
-    clock (see the module docstring).  Measured clusters hold a live
-    serving session — call :meth:`close` (or use as a context manager)
-    when done.
-    """
+    """Synchronous data parallelism over M simulated machines: shards
+    run sequentially and report virtual compute times (see the module
+    docstring)."""
 
     def __init__(self, model, global_batch: int, num_machines: int,
                  optimizer, runtime: Runtime,
                  comm: Optional[CommunicationModel] = None,
-                 session_kwargs: Optional[dict] = None,
-                 execution: str = "simulated"):
+                 session_kwargs: Optional[dict] = None):
         if global_batch % num_machines:
             raise ValueError(
                 f"global batch {global_batch} does not divide across "
                 f"{num_machines} machines")
-        if execution not in ("simulated", "procpool"):
-            raise ValueError(f"unknown execution mode {execution!r}")
-        if execution == "procpool" and "procpool" not in available_executors():
-            raise ValueError(
-                "execution='procpool' needs the multi-process backend, "
-                "which is unavailable on this platform (no fork)")
         self.model = model
         self.runtime = runtime
         self.num_machines = num_machines
         self.global_batch = global_batch
         self.shard_size = global_batch // num_machines
         self.comm = comm or CommunicationModel()
-        self.execution = execution
-        if execution == "procpool":
-            # per-tree roots: every tree is admitted as its own request,
-            # keyed by global batch index for canonical-order reduction
-            built = model.build_recursive(1)
-            kwargs = dict(session_kwargs or {})
-            kwargs.update(engine="procpool", num_workers=num_machines,
-                          record=True, batching=True)
-            self.trainer = Trainer(built.graph, built.loss, optimizer,
-                                   runtime, session_kwargs=kwargs)
-            # parameter updates run on the in-process reference engine:
-            # they are a handful of stateful ops (master-inline anyway)
-            # and virtual apply time matches the simulated mode's
-            self._apply_session = Session(built.graph, runtime,
-                                          engine="event")
-            self._serving = False
-        else:
-            built = model.build_recursive(self.shard_size)
-            self.trainer = Trainer(built.graph, built.loss, optimizer,
-                                   runtime, session_kwargs=session_kwargs)
+        built = model.build_recursive(self.shard_size)
+        self.trainer = Trainer(built.graph, built.loss, optimizer,
+                               runtime, session_kwargs=session_kwargs)
         self.built = built
         self.param_bytes = sum(
             runtime.variables.read(v.name).nbytes
@@ -136,13 +89,7 @@ class DataParallelCluster:
         return [batch_trees(shard) for shard in shards]
 
     def train_step(self, trees: Sequence) -> tuple[float, float]:
-        """One synchronous step; returns (mean loss, step time).
-
-        Step time is virtual in simulated mode and measured wall clock
-        (plus the modeled communication term) in procpool mode.
-        """
-        if self.execution == "procpool":
-            return self._measured_step(trees)
+        """One synchronous step; returns (mean loss, virtual step time)."""
         shards = self.split(trees)
         self.runtime.accumulators.zero()
         losses = []
@@ -162,66 +109,6 @@ class DataParallelCluster:
                                             self.num_machines)
                      + apply_time)
         return float(np.mean(losses)), step_time
-
-    def _measured_step(self, trees: Sequence) -> tuple[float, float]:
-        """One synchronous step on the multi-process pool.
-
-        All trees of the global batch are admitted concurrently (each a
-        root keyed by its global index), the pool's worker processes
-        execute the kernels in parallel, and the compute term is the
-        measured wall clock of submit-to-drain.  Gradients land in the
-        shared accumulators under canonical keys, so the reduction
-        order — and therefore the summed gradient, bit for bit — is
-        independent of ``num_machines``.
-        """
-        if len(trees) != self.global_batch:
-            raise ValueError(
-                f"need {self.global_batch} trees, got {len(trees)}")
-        engine = self.trainer.session._engine
-        if not self._serving:
-            # one long-lived serving session: the pool forks once, not
-            # per step (workers re-read nothing — variable reads are
-            # master-side and ship current values with each task)
-            engine.begin_serving()
-            self._serving = True
-        session = self.trainer.session
-        fetches = self.trainer._grad_fetches
-        self.runtime.accumulators.zero()
-        self.runtime.cache.clear()
-        losses = [None] * len(trees)
-
-        def completer(i):
-            def on_complete(values):
-                losses[i] = float(values[0])
-            return on_complete
-
-        start = time.perf_counter()
-        for i, tree in enumerate(trees):
-            feed_map = session._build_feed_map(
-                self.built.feed_dict(batch_trees([tree])))
-            engine.submit_root(self.built.graph, fetches, feed_map,
-                               key=(i,), on_complete=completer(i))
-        engine.drain()
-        wall = time.perf_counter() - start
-        self._apply_session.run(self.trainer._apply_fetches, record=False)
-        apply_time = self._apply_session.last_stats.virtual_time
-        step_time = (wall
-                     + self.comm.round_trip(self.param_bytes,
-                                            self.num_machines)
-                     + apply_time)
-        return float(np.mean(losses)), step_time
-
-    def close(self) -> None:
-        """Stop the measured-mode pool (no-op for simulated clusters)."""
-        if getattr(self, "_serving", False):
-            self.trainer.session._engine.end_serving()
-            self._serving = False
-
-    def __enter__(self) -> "DataParallelCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def throughput(self, trees: Sequence, steps: int = 3) -> float:
         """Instances/second over ``steps`` synchronous steps."""

@@ -18,34 +18,15 @@ their values into the backpropagation cache.
 from __future__ import annotations
 
 import threading
-import weakref
 from typing import Any, Iterable, Optional, Sequence
 
 from . import dtypes, registry
 from .tensor import Shape, Tensor
 
-__all__ = ["Operation", "Graph", "get_default_graph", "reset_default_graph",
-           "graph_by_id"]
+__all__ = ["Operation", "Graph", "get_default_graph", "reset_default_graph"]
 
 _graph_counter = [0]
 _graph_counter_lock = threading.Lock()
-
-#: Weak index of every live graph by its ``graph_id``.  Multi-process
-#: executors resolve slot-level work descriptors through this — a forked
-#: worker inherits the parent's graphs at fork time and looks them up by
-#: id, never unpickling graph structure off the wire.
-_graphs_by_id: "weakref.WeakValueDictionary[int, Graph]" = \
-    weakref.WeakValueDictionary()
-
-
-def graph_by_id(graph_id: int) -> Optional["Graph"]:
-    """Return the live :class:`Graph` with ``graph_id``, or ``None``.
-
-    Graphs register themselves on construction and the index holds them
-    weakly, so a returned graph is always the same object the id was
-    minted for — ids are process-global and never reused.
-    """
-    return _graphs_by_id.get(graph_id)
 
 
 class Operation:
@@ -109,7 +90,6 @@ class Graph:
         with _graph_counter_lock:
             _graph_counter[0] += 1
             self.graph_id = _graph_counter[0]
-            _graphs_by_id[self.graph_id] = self
         self.name = f"{name}_{self.graph_id}"
         self.is_subgraph_body = is_subgraph_body
         #: The SubGraph that owns this body graph (set by SubGraph).

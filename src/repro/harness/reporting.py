@@ -36,7 +36,7 @@ def host_provenance() -> dict:
     """Provenance stamp for bench rows: what host produced them.
 
     Pool-scaling numbers are meaningless without the core count — a
-    workerpool/procpool speedup of ~1.0 is *expected* on a 1-CPU bench
+    workerpool speedup of ~1.0 is *expected* on a 1-CPU bench
     host and a regression on an 8-CPU one.  Returns::
 
         {"cpu_count": os.cpu_count(), "platform": ..., "python": ...}
@@ -202,15 +202,14 @@ def format_adaptive_policy(policy, max_rows: int = 16) -> str:
     """Render an AdaptiveBatchPolicy's tuned per-signature state.
 
     Shows, for the most-flushed signatures, the width EMA the policy has
-    converged to and the per-signature min-size/timeout it derived —
+    converged to and the per-signature minimum size it derived —
     ``snapshot()`` keys are batch signatures whose first element is the
     op type.
     """
     from repro.runtime.batching import AdaptiveBatchPolicy
 
     if not isinstance(policy, AdaptiveBatchPolicy):
-        return f"policy: fixed (min={policy.min_batch}, " \
-               f"timeout={policy.flush_timeout * 1e3:.2f} ms)"
+        return f"policy: fixed (min={policy.min_batch})"
     rows = sorted(policy.snapshot().items(),
                   key=lambda kv: -kv[1]["flushes"])
     lines = ["adaptive flush policy (per-signature tuned state)"]
@@ -221,8 +220,7 @@ def format_adaptive_policy(policy, max_rows: int = 16) -> str:
         lines.append(
             f"  {op_type:<22} flushes={state['flushes']:<6d} "
             f"width_ema={state['width_ema']:6.1f}  "
-            f"min={state['min_batch']:<3d} "
-            f"timeout={state['timeout'] * 1e3:.2f} ms")
+            f"min={state['min_batch']}")
     if len(rows) > max_rows:
         lines.append(f"  ... {len(rows) - max_rows} more signatures")
     return "\n".join(lines)

@@ -43,7 +43,7 @@ class RunnerConfig:
     cost_model: Optional[CostModel] = None
     scheduler: str = "fifo"
     #: executor backend name, resolved through the runtime executor
-    #: registry ("event" | "threaded" | "workerpool" | any registered
+    #: registry ("event" | "workerpool" | any registered
     #: backend).  The virtual-time paper figures use "event".
     engine: str = "event"
     learning_rate: float = 0.05

@@ -72,8 +72,8 @@ class RequestStream:
 
     ``arrivals`` is a time-sorted tuple of ``(arrival_time, tree_index)``
     pairs: under the event engine the times are virtual seconds at which
-    the request enters the server queue; under the threaded engine they
-    are wall-clock offsets the driver replays with real sleeps.
+    the request enters the server queue; under workerpool they are
+    wall-clock offsets the driver replays with real sleeps.
     """
 
     arrivals: tuple
@@ -280,9 +280,7 @@ def serve_stream(model, trees: Sequence, *,
 
     When ``batching`` is enabled and no explicit ``batch_policy`` is
     given, the queue-aware policy is installed: per-signature minimum
-    batch sizes adapt on both engines, and on the threaded engine flush
-    timeouts additionally track server load (the event engine flushes on
-    wavefront drain, so timeouts never bind there).  Returns a
+    batch sizes adapt on both engines.  Returns a
     :class:`ServingResult` with per-request logits and latency
     percentiles.
     """

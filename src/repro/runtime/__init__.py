@@ -4,14 +4,11 @@ The frame-lifecycle scheduler (:mod:`repro.runtime.scheduler`,
 :class:`SchedulerCore`) owns the recursion-aware execution semantics —
 frame spawn/seed/complete over compiled plans, serving admission,
 selective caching, micro-batching decisions — and executor backends
-supply only the mechanics: the virtual-time :class:`EventEngine`
-(``engine="event"``), the wall-clock :class:`~repro.runtime.threaded
-.ThreadedEngine` (``"threaded"``), the centralized-master
-:class:`~repro.runtime.workerpool.WorkerPoolEngine` (``"workerpool"``)
-with a concurrent kernel pool, and the multi-process
-:class:`~repro.runtime.procpool.ProcPoolEngine` (``"procpool"``) that
-ships fused buckets to worker processes over shared memory, escaping
-the GIL.  Backends register by name
+supply only the mechanics.  Two are built in: the virtual-time
+:class:`EventEngine` (``engine="event"``, the deterministic oracle) and
+the centralized-master :class:`~repro.runtime.workerpool
+.WorkerPoolEngine` (``"workerpool"``), the wall-clock backend with a
+concurrent kernel pool.  Backends register by name
 (:func:`register_executor`) and :class:`Session` resolves ``engine=``
 through the registry.  See ARCHITECTURE.md for the layer diagram.
 
@@ -35,14 +32,12 @@ from .cost_model import (CostModel, calibrate_batch_member_cost, client_eager,
                          gpu_profile, testbed_cpu, unit_cost)
 from .engine import EngineError, EventEngine
 from .plan import FramePlan, plan_for, plan_for_fetches
-from .procpool import ProcPoolEngine
 from .scheduler import (SchedulerCore, available_executors,
                         register_executor, resolve_executor)
 from .server import (DeadlineExceeded, RecursiveServer, RequestCancelled,
                      RequestTicket, ServerOverloaded)
 from .session import Runtime, Session, default_runtime, reset_default_runtime
 from .stats import RunStats, percentile
-from .threaded import ThreadedEngine
 from .variables import GradientAccumulator, Variable, VariableStore
 from .workerpool import WorkerPoolEngine
 
@@ -50,8 +45,8 @@ __all__ = ["AdaptiveBatchPolicy", "BatchPolicy", "Coalescer",
            "QueueAwareBatchPolicy", "batch_signature", "CostModel",
            "calibrate_batch_member_cost",
            "client_eager", "gpu_profile", "testbed_cpu",
-           "unit_cost", "EngineError", "EventEngine", "ThreadedEngine",
-           "WorkerPoolEngine", "ProcPoolEngine", "SchedulerCore",
+           "unit_cost", "EngineError", "EventEngine",
+           "WorkerPoolEngine", "SchedulerCore",
            "available_executors",
            "register_executor", "resolve_executor", "FramePlan",
            "plan_for", "plan_for_fetches", "RecursiveServer",

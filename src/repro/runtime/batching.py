@@ -22,13 +22,11 @@ Components:
 
 * :func:`batch_signature` — the bucketing key of one ready instance;
 * :class:`Bucket` — an ordered group of same-signature instances;
-* :class:`Coalescer` — the signature-keyed pending-bucket table with the
-  flush policy and an amortized-O(1) deadline queue for expiry;
-* :class:`BatchPolicy` — fixed knobs: bucket capacity, minimum profitable
-  size and (wall-clock engine only) the flush timeout bounding how long a
-  partially-filled bucket may wait;
+* :class:`Coalescer` — the signature-keyed pending-bucket table;
+* :class:`BatchPolicy` — fixed knobs: bucket capacity and minimum
+  profitable size;
 * :class:`AdaptiveBatchPolicy` — per-signature feedback control of the
-  minimum size and flush timeout, driven by observed flush widths.
+  minimum size, driven by observed flush widths.
 
 Both engines share the same discipline:
 
@@ -37,19 +35,12 @@ Both engines share the same discipline:
    the coalescer instead of executing immediately;
 2. a bucket that reaches ``max_batch`` flushes at once;
 3. when the engine runs out of other ready work (the current wavefront is
-   exhausted), all pending buckets flush ("flush on drain");
-4. the wall-clock engine additionally expires buckets: whenever a
-   worker's queue wait times out (every ``flush_timeout`` seconds of
-   quiet), it flushes the bucket with the earliest deadline that has aged
-   past its signature's timeout — so once no other ready work remains, a
-   held bucket is released within roughly two idle polls, ruling out
-   deadlock.
+   exhausted), all pending buckets flush ("flush on drain").  No bucket
+   waits for work that is not already ready, so none needs a deadline.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -74,9 +65,6 @@ class BatchPolicy:
     #: buckets smaller than this execute through the scalar path on flush
     #: (a batch of one op is pure overhead, hence the >= 2 floor)
     min_batch: int = 2
-    #: wall-clock engines flush buckets older than this (seconds); also the
-    #: idle-poll interval of workers waiting for new ready work
-    flush_timeout: float = 0.002
     #: soft cap (bytes) on the engine's live-value estimate.  ``None``
     #: disables budgeting.  Under pressure the dispatch loop prefers
     #: completing deep subtrees (draining live frames) over breadth-first
@@ -95,8 +83,6 @@ class BatchPolicy:
             raise ValueError(
                 "min_batch must be >= 2 (a batch of one is just scalar "
                 "execution)")
-        if self.flush_timeout <= 0:
-            raise ValueError("flush_timeout must be positive")
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ValueError("memory_budget must be positive (or None)")
         if self.level_canon_depth is not None and self.level_canon_depth < 1:
@@ -108,16 +94,12 @@ class BatchPolicy:
         """Minimum profitable bucket size for ``signature``."""
         return self.min_batch
 
-    def timeout_for(self, signature) -> float:
-        """Flush deadline (seconds past bucket open) for ``signature``."""
-        return self.flush_timeout
-
     def observe(self, signature, width: int, cause: str) -> None:
         """Feedback hook: a ``signature`` bucket flushed at ``width``.
 
-        ``cause`` is ``"full"`` (hit max_batch), ``"drain"`` (wavefront
-        exhausted) or ``"timeout"`` (deadline expiry).  The fixed policy
-        ignores it; :class:`AdaptiveBatchPolicy` tunes per-signature knobs.
+        ``cause`` is ``"full"`` (hit max_batch) or ``"drain"`` (wavefront
+        exhausted).  The fixed policy ignores it;
+        :class:`AdaptiveBatchPolicy` tunes the per-signature minimum.
         """
 
 
@@ -127,7 +109,6 @@ class _SignatureState:
 
     width_ema: float
     min_batch: int
-    timeout: float
     flushes: int = 0
 
 
@@ -135,54 +116,39 @@ class _SignatureState:
 class AdaptiveBatchPolicy(BatchPolicy):
     """Per-signature adaptive flush policy.
 
-    The fixed :class:`BatchPolicy` forces one global trade-off on every op
-    type: a min-size/timeout that suits wide, frequent signatures (TreeLSTM
-    internal-node matmuls) starves rare ones (root classifiers, scalar
-    control ops) and vice versa.  This policy observes every flush and
-    tunes each signature independently:
+    The fixed :class:`BatchPolicy` forces one global minimum size on
+    every op type: one that suits wide, frequent signatures (TreeLSTM
+    internal-node matmuls) is wrong for rare ones (root classifiers,
+    scalar control ops) and vice versa.  This policy observes every
+    flush and tunes each signature independently:
 
     * the **width EMA** tracks how many same-signature instances are
       typically in flight when a bucket flushes;
     * the **minimum profitable size** follows ``width_ema / 2`` (clamped
       to ``[min_batch, max_batch]``) — a signature that reliably fuses 30
       wide should not execute 2-wide slivers through the fused path, while
-      a signature that never exceeds 3 must not wait for 8;
-    * the **flush timeout** shrinks multiplicatively whenever a deadline
-      expiry catches a bucket below its minimum size (waiting longer was
-      pure latency) and grows additively while buckets flush full
-      (traffic is dense; patience buys width), bounded by
-      ``[min_timeout, max_timeout]``.
+      a signature that never exceeds 3 must not require 8.
 
     Convergence: for a stationary arrival width W the EMA is a contraction
-    toward W, so ``min_batch_for`` settles at ``clamp(W/2)`` and the
-    timeout settles at a bound — ``tests/test_adaptive_policy.py`` asserts
-    both.  ``snapshot()`` exposes the per-signature state for reporting.
+    toward W, so ``min_batch_for`` settles at ``clamp(W/2)`` —
+    ``tests/test_adaptive_policy.py`` asserts it.  ``snapshot()`` exposes
+    the per-signature state for reporting.
     """
 
     #: EMA smoothing factor for observed flush widths
     ema_alpha: float = 0.25
-    #: bounds for the per-signature adaptive timeout (seconds)
-    min_timeout: float = 0.0005
-    max_timeout: float = 0.01
-    #: multiplicative decrease on a starved expiry / additive increase step
-    timeout_decay: float = 0.5
-    timeout_growth: float = 1.25
     _signatures: dict = field(default_factory=dict, repr=False)
 
     def _state(self, signature) -> _SignatureState:
         state = self._signatures.get(signature)
         if state is None:
             state = _SignatureState(width_ema=float(self.min_batch),
-                                    min_batch=self.min_batch,
-                                    timeout=self.flush_timeout)
+                                    min_batch=self.min_batch)
             self._signatures[signature] = state
         return state
 
     def min_batch_for(self, signature) -> int:
         return self._state(signature).min_batch
-
-    def timeout_for(self, signature) -> float:
-        return self._state(signature).timeout
 
     def observe(self, signature, width: int, cause: str) -> None:
         state = self._state(signature)
@@ -191,99 +157,30 @@ class AdaptiveBatchPolicy(BatchPolicy):
         state.min_batch = int(min(self.max_batch,
                                   max(self.min_batch,
                                       round(state.width_ema / 2))))
-        if cause == "timeout" and width < state.min_batch:
-            state.timeout = max(self.min_timeout,
-                                state.timeout * self.timeout_decay)
-        elif cause == "full":
-            state.timeout = min(self.max_timeout,
-                                state.timeout * self.timeout_growth)
 
     def snapshot(self) -> dict:
         """Per-signature tuned state, for reporting/inspection.
 
-        Returns ``{signature: {"width_ema", "min_batch", "timeout",
-        "flushes"}}`` — the stable surface consumed by
+        Returns ``{signature: {"width_ema", "min_batch", "flushes"}}`` —
+        the stable surface consumed by
         :func:`repro.harness.reporting.format_adaptive_policy`.
         """
         return {sig: {"width_ema": state.width_ema,
                       "min_batch": state.min_batch,
-                      "timeout": state.timeout,
                       "flushes": state.flushes}
                 for sig, state in self._signatures.items()}
 
 
 @dataclass
 class QueueAwareBatchPolicy(AdaptiveBatchPolicy):
-    """Load-scaled flush timeouts for continuous-batching serving.
+    """The serving engine's batch policy: :class:`AdaptiveBatchPolicy`
+    under the name serving callers construct.
 
-    A serving engine sees two regimes.  When the request queue is
-    *shallow* there is little future work to fuse with: holding a
-    partially-filled bucket open buys no width and only adds tail
-    latency, so flush deadlines should tighten.  When the queue is *deep*
-    (the server is backlogged) more same-signature work is guaranteed to
-    arrive within the flush window, so patience buys width and throughput
-    — deadlines should widen.
-
-    The :class:`~repro.runtime.server.RecursiveServer` reports its queue
-    occupancy through :meth:`note_queue_depth` whenever a request is
-    enqueued or admitted; ``timeout_for`` then scales the adaptive
-    per-signature timeout by a factor interpolated between
-    ``shallow_scale`` (empty queue) and ``deep_scale`` (queue at cap).
-    Deadlines are fixed at bucket-open time (see
-    :class:`Coalescer`), so a load change applies from the next bucket.
-    All other behaviour (width EMA, per-signature minimum size) is
-    inherited from :class:`AdaptiveBatchPolicy`.
-
-    Scope: bucket deadlines are consulted by the *wall-clock* engine's
-    idle expiry path (``Coalescer.pop_expired``); the event engine
-    flushes on wavefront drain and never ages buckets, so there the
-    load scaling is inert and only the inherited adaptive minimum-size
-    control is in play.
+    Both engines flush buckets at wavefront drain and never age one, so
+    a flush deadline — scaled by request-queue load or clamped by
+    deadline slack — would have nothing to act on; the per-signature
+    minimum size is the whole policy.
     """
-
-    #: timeout multiplier when the request queue is empty
-    shallow_scale: float = 0.25
-    #: timeout multiplier when the request queue is at its cap
-    deep_scale: float = 2.0
-    #: deadline pressure: flush deadlines are clamped to this fraction of
-    #: the nearest queued request's deadline slack, so an urgent request
-    #: is never parked behind a patient flush timer
-    urgency_fraction: float = 0.25
-    _load: float = field(default=0.0, repr=False)
-    _slack: Optional[float] = field(default=None, repr=False)
-
-    def note_queue_depth(self, depth: int, cap: int) -> None:
-        """Report request-queue occupancy (``depth`` of ``cap`` slots)."""
-        if cap <= 0:
-            raise ValueError("queue cap must be positive")
-        self._load = min(1.0, max(0.0, depth / cap))
-
-    def note_deadline_slack(self, slack: Optional[float]) -> None:
-        """Report the tightest queued deadline's remaining slack (seconds).
-
-        ``None`` clears the pressure (no deadline-carrying requests
-        waiting).  The server refreshes this alongside
-        :meth:`note_queue_depth` on every enqueue/admit, outside its own
-        lock — see the serving lock-ordering rules in ARCHITECTURE.md.
-        """
-        self._slack = slack
-
-    @property
-    def load(self) -> float:
-        """Last reported queue occupancy in ``[0, 1]``."""
-        return self._load
-
-    def timeout_for(self, signature) -> float:
-        base = super().timeout_for(signature)
-        scale = (self.shallow_scale
-                 + self._load * (self.deep_scale - self.shallow_scale))
-        timeout = base * scale
-        if self._slack is not None:
-            # EDF pressure: the widest acceptable flush delay is a
-            # fraction of the most urgent waiting request's slack
-            timeout = min(timeout, max(0.0, self._slack)
-                          * self.urgency_fraction)
-        return min(self.max_timeout, max(self.min_timeout, timeout))
 
 
 def resolve_batching(batching, policy: Optional[BatchPolicy]):
@@ -397,14 +294,13 @@ def batch_signature(op, inputs, definition: Optional[OpDef] = None):
 class Bucket:
     """Same-signature instances awaiting one fused kernel call."""
 
-    __slots__ = ("signature", "op_type", "instances", "inputs", "opened_at")
+    __slots__ = ("signature", "op_type", "instances", "inputs")
 
-    def __init__(self, signature, op_type: str, opened_at: float):
+    def __init__(self, signature, op_type: str):
         self.signature = signature
         self.op_type = op_type
         self.instances: list = []
         self.inputs: list = []
-        self.opened_at = opened_at  # engine time of the first offer
 
     def add(self, inst, inputs: list) -> None:
         self.instances.append(inst)
@@ -417,61 +313,28 @@ class Bucket:
 class Coalescer:
     """Signature-keyed table of pending buckets (insertion-ordered).
 
-    Alongside the bucket table an insertion-ordered min-heap of
-    ``(deadline, bucket)`` entries supports :meth:`pop_expired` in
-    amortized O(1): flushed buckets leave stale heap entries behind that
-    are discarded lazily when they surface, so expiry never scans the
-    live table.  Deadlines are fixed at bucket-open time from the
-    policy's per-signature timeout.
-
-    Not thread-safe by itself; the threaded engine serializes access under
-    its master lock, the event engine is single-threaded.
+    Not thread-safe by itself; workerpool serializes access under its
+    master lock, the event engine is single-threaded.
     """
 
-    __slots__ = ("policy", "_buckets", "_deadlines", "_seq", "_pending")
+    __slots__ = ("policy", "_buckets", "_pending")
 
     def __init__(self, policy: Optional[BatchPolicy] = None):
         self.policy = policy or BatchPolicy()
         self._buckets: OrderedDict[Any, Bucket] = OrderedDict()
-        # (deadline, seq, signature, opened_at): deliberately *not* the
-        # bucket object, so stale entries never pin flushed buckets (and
-        # their frames' values) in memory
-        self._deadlines: list = []
-        self._seq = itertools.count()
         self._pending = 0
 
-    def offer(self, signature, inst, inputs: list,
-              now: float = 0.0) -> Optional[Bucket]:
+    def offer(self, signature, inst, inputs: list) -> Optional[Bucket]:
         """Queue one ready instance; returns the bucket if it became full."""
-        self._drain_stale_deadlines()
         bucket = self._buckets.get(signature)
         if bucket is None:
-            bucket = Bucket(signature, inst.op.op_type, now)
+            bucket = Bucket(signature, inst.op.op_type)
             self._buckets[signature] = bucket
-            heapq.heappush(self._deadlines,
-                           (now + self.policy.timeout_for(signature),
-                            next(self._seq), signature, bucket.opened_at))
         bucket.add(inst, inputs)
         self._pending += 1
         if len(bucket) >= self.policy.max_batch:
             return self._remove(signature, "full")
         return None
-
-    def _is_stale(self, signature, opened_at: float) -> bool:
-        bucket = self._buckets.get(signature)
-        return bucket is None or bucket.opened_at != opened_at
-
-    def _drain_stale_deadlines(self) -> None:
-        """Drop leading heap entries for already-flushed buckets.
-
-        Called opportunistically on offer so engines that never expire
-        (the event engine flushes on drain) do not accumulate one heap
-        tuple per flushed bucket across a long run.  Amortized O(1):
-        each entry is pushed once and popped once.
-        """
-        while self._deadlines and self._is_stale(self._deadlines[0][2],
-                                                 self._deadlines[0][3]):
-            heapq.heappop(self._deadlines)
 
     def pop(self) -> Optional[Bucket]:
         """Remove and return the oldest pending bucket (FIFO fairness)."""
@@ -479,26 +342,6 @@ class Coalescer:
             return None
         signature = next(iter(self._buckets))
         return self._remove(signature, "drain")
-
-    def pop_expired(self, now: float) -> Optional[Bucket]:
-        """Remove the earliest-deadline bucket whose deadline has passed.
-
-        The threaded engine's idle path calls this so a partially-filled
-        bucket is deferred at most ~its signature's timeout once the queue
-        goes quiet.  Stale heap entries (buckets flushed through
-        :meth:`offer`/:meth:`pop` since being filed) are discarded lazily,
-        keeping each call O(1) amortized regardless of table size.
-        """
-        while self._deadlines:
-            deadline, _, signature, opened_at = self._deadlines[0]
-            if self._is_stale(signature, opened_at):
-                heapq.heappop(self._deadlines)  # stale: already flushed
-                continue
-            if deadline > now:
-                return None
-            heapq.heappop(self._deadlines)
-            return self._remove(signature, "timeout")
-        return None
 
     def _remove(self, signature, cause: str) -> Bucket:
         bucket = self._buckets.pop(signature)
@@ -509,9 +352,8 @@ class Coalescer:
     def discard_root(self, root) -> int:
         """Evict every pending instance whose frame tree is rooted at
         ``root`` (request cancellation).  Buckets emptied by the
-        eviction vanish from the table; their deadline-heap entries go
-        stale and are discarded lazily like any flushed bucket's.  Not a
-        flush: the policy's ``observe`` feedback is not invoked.
+        eviction vanish from the table.  Not a flush: the policy's
+        ``observe`` feedback is not invoked.
         Returns the number of instances dropped.
         """
         dropped = 0

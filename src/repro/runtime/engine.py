@@ -22,10 +22,9 @@ mechanics* of the deterministic discrete-event backend registered as
 
 Kernels really run (values are exact) but time advances virtually, so
 a fixed workload yields bit-identical values *and* identical virtual
-times run over run.  Wall-clock backends with identical scheduling
-semantics live in :mod:`repro.runtime.threaded` (worker threads that
-both schedule and execute) and :mod:`repro.runtime.workerpool` (one
-scheduling master, a concurrent kernel pool).
+times run over run.  The wall-clock backend with identical scheduling
+semantics lives in :mod:`repro.runtime.workerpool` (one scheduling
+master, a concurrent kernel pool).
 """
 
 from __future__ import annotations
@@ -141,13 +140,7 @@ class EventEngine(SchedulerCore):
         # arrivals merge into a single wavefront deterministically
         self._post(self._now, self._flush_level_runs)
 
-    def _execute_level_group(self, lp, runs) -> None:
-        from .level_plan import execute_level_plan
-        try:
-            results = execute_level_plan(self, lp, runs)
-        except Exception as exc:  # noqa: BLE001 - session failure path
-            self._fail_level(exc)
-            return
+    def _complete_level_group(self, lp, runs, results) -> None:
         done_at = self._now + self.cost_model.level_plan_cost(lp)
         for run, values in zip(runs, results):
             if values is None:
@@ -300,8 +293,7 @@ class EventEngine(SchedulerCore):
                     if prefix is not None:
                         signature = self._batch_signature_of(inst, inputs,
                                                              prefix)
-                        full = coalescer.offer(signature, inst, inputs,
-                                               self._now)
+                        full = coalescer.offer(signature, inst, inputs)
                         if full is not None:
                             self._execute_batch(full)
                         continue

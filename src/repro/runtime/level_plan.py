@@ -1351,7 +1351,7 @@ def _as_column(values: list):
 
 
 def columns_of(results: list, n_out: int) -> list:
-    """Per-member output lists (a row loop, a pool reply) as columns."""
+    """Per-member output lists (a row loop, the root feeds) as columns."""
     cols = []
     for j in range(n_out):
         values = [outputs[j] for outputs in results]
@@ -1479,25 +1479,12 @@ class _Sweep:
 
 
 class _BlockCall:
-    """One prepared dispatch of a sweep: a block with its imports
-    gathered into registers.
+    """One dispatch of a sweep: a block with its imports gathered into
+    registers.  The calls of one level are all built before any of them
+    executes; :meth:`execute` runs every kernel of the block back to
+    back over the call's own registers."""
 
-    The master builds these (import gather, root feeds) so that
-    *executing* one — every kernel of the block back to back over the
-    call's own registers, predicate checks at their producers, exports
-    published, cache stores — touches no sweep state another block of
-    the same level reads, and can run on a pool thread.  What is left
-    for the master, in original call order (:meth:`complete`): row-loop
-    counts, the signature memo, dropping columns nobody reads again.
-    With live-bytes tracking on, execution books registers and columns
-    as they come and go, so such sweeps stay on the master.
-    """
-
-    __slots__ = ("sweep", "blk", "regs", "key", "sigs", "loops", "live")
-
-    #: duck-type marker: pool workers discriminate task payloads without
-    #: importing this module at load time
-    is_level_call = True
+    __slots__ = ("sweep", "blk", "regs", "key", "sigs", "live")
 
     def __init__(self, sweep, blk):
         self.sweep, self.blk = sweep, blk
@@ -1505,7 +1492,7 @@ class _BlockCall:
         # the imports' registers follow the steps'
         imports = [sweep.operand(spec) for spec in blk.imports]
         self.regs = regs = [None] * (prog.n_regs - len(imports)) + imports
-        self.loops, self.live = [], {}
+        self.live = {}
         key = [_signature(col) for col in imports]
         for st in prog.feeds:
             outs = sweep.cols[blk.base + st.xi] = self._feed(st.op)
@@ -1542,14 +1529,15 @@ class _BlockCall:
             return _as_column(col) if col.__class__ is list else col
         return _take(col, slice(k0 * m, k1 * m))
 
-    def execute(self) -> "_BlockCall":
+    def execute(self) -> None:
         """Run the block.  A step whose operands are all shared runs its
         scalar kernel once; one with a stacked (or, stateful, a keyed)
         kernel and array operands is one columnar call; anything else
         (no columnar form, members disagreeing on shape, a kernel
         declining) loops the scalar kernel over rows.  EngineError
         passes through, any other error is wrapped with the offending
-        op — never the block."""
+        op — never the block.  Then publishes the member signatures and
+        drops the columns nobody reads again."""
         sweep, blk, regs = self.sweep, self.blk, self.regs
         prog, m, cols = blk.prog, blk.m, sweep.cols
         ctx, once = sweep.ctx, prog.once
@@ -1620,6 +1608,10 @@ class _BlockCall:
             raise SchedulerCore._wrap_error(exc, op) from exc
         if sigs is not None:
             self.sigs = tuple(sigs)
+        sweep.sigs[blk.seq] = self.sigs
+        if self.key is not None and (blk.memo is None
+                                     or blk.memo[1] is not self.sigs):
+            blk.memo = self.key, self.sigs
         if prog.stores:
             # recorded columns are handed over whole, before their
             # registers die: compiled CacheLookups read the columns, and
@@ -1636,12 +1628,15 @@ class _BlockCall:
                 store(keys, gid, oid, i, col.value if shared else col, shared)
         if track:
             self._release(level, prog.n_levels)
-        return self
+        else:
+            for _, cid in blk.release:
+                cols[cid] = None
 
     def _loop(self, st, operands, inv, ctxs) -> list:
         """The single fallback: the scalar kernel over rows (``ctxs``:
         per-row contexts of a stateful step, else the shared one)."""
-        self.loops.append(st.op.op_type)
+        loops = self.sweep.core.stats.level_row_loop_steps
+        loops[st.op.op_type] = loops.get(st.op.op_type, 0) + 1
         rows = len(ctxs) if ctxs else self.blk.m * len(st.ops)
         members = (zip(*([o] * rows if shared else o
                          for o, shared in zip(operands, inv)))
@@ -1739,20 +1734,6 @@ class _BlockCall:
                 freed += sweep.bytes.pop(cid, 0)
         sweep.core._live_bytes -= freed
 
-    def complete(self) -> None:
-        """Master-side completion, in original call order."""
-        sweep, blk = self.sweep, self.blk
-        sweep.sigs[blk.seq] = self.sigs
-        if self.key is not None and (blk.memo is None
-                                     or blk.memo[1] is not self.sigs):
-            blk.memo = self.key, self.sigs
-        loops = sweep.core.stats.level_row_loop_steps
-        for op_type in self.loops:
-            loops[op_type] = loops.get(op_type, 0) + 1
-        if sweep.bytes is None:
-            for _, cid in blk.release:
-                sweep.cols[cid] = None
-
 
 def _book(sweep) -> None:
     """Account one sweep's ops exactly like the dynamic tier counts
@@ -1809,8 +1790,8 @@ def execute_level_plan(core: SchedulerCore, lp: LevelPlan, runs) -> list:
         if not li & 3 and not sweep.refresh():
             done = False
             break
-        core._execute_level_calls(
-            lp, [_BlockCall(sweep, blk) for blk in level], sweep)
+        for call in [_BlockCall(sweep, blk) for blk in level]:
+            call.execute()
     if done:
         _book(sweep)
     if sweep.bytes is not None:

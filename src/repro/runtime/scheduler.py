@@ -20,13 +20,15 @@ are ultimately executed.  This module makes that layering explicit:
   ``run``, and the dispatch loop that takes ready instances to kernels:
 
   - ``"event"`` — :class:`~repro.runtime.engine.EventEngine`, the
-    deterministic virtual-time discrete-event simulator;
-  - ``"threaded"`` — :class:`~repro.runtime.threaded.ThreadedEngine`,
-    wall-clock thread-pool workers that both schedule and execute;
+    deterministic virtual-time discrete-event simulator and the oracle
+    every other backend is checked against;
   - ``"workerpool"`` — :class:`~repro.runtime.workerpool
     .WorkerPoolEngine`, a wall-clock backend with one centralized
     scheduling master and a kernel pool that executes independent
     fused buckets concurrently.
+
+  On both, a compiled level-plan sweep runs its blocks back to back on
+  the thread that flushes it.
 
 The split follows Cortex (Fegade et al.) and the static-dataflow
 recursion work (see PAPERS.md): scheduling decisions for recursive
@@ -43,7 +45,7 @@ registered names (the cross-executor equivalence tests and the bench
 provenance stamps iterate it).
 
 Locking contract: ``_master_lock`` is ``None`` on single-threaded
-executors (the event engine) and an ``RLock`` on multi-threaded ones.
+executors (the event engine) and an ``RLock`` on workerpool.
 ``_complete_instance`` and ``_start_frame`` mutate master state and are
 *lock-free by design*: every entry point either holds the lock already
 (worker completions, starters, ``submit_root``) or runs on the only
@@ -521,8 +523,8 @@ class SchedulerCore:
         #: admissions just append and the running flush picks them up
         self._level_flushing = False
         #: set by backends that defer sweep flushes to their master loop
-        #: (workerpool/procpool — a starter-context flush would execute
-        #: sweeps under the master lock, inverting the barrier's order)
+        #: (workerpool — a starter-context flush would execute the sweep
+        #: under the master lock)
         self._level_flush_wanted = False
         #: one-shot stash: _try_level_run parks the root's site map here
         #: for the dynamic root frame _make_frame is about to build
@@ -867,7 +869,7 @@ class SchedulerCore:
     # of one template — whatever their shapes — flush as one forest.
     # The scheduler owns the admission/merge/complete bookkeeping so all
     # backends share it; the event engine overrides the two small hooks
-    # (`_schedule_level_flush`, `_execute_level_group`) to run the sweep
+    # (`_schedule_level_flush`, `_complete_level_group`) to run the sweep
     # at virtual instants with modeled cost.
 
     def _note_fallback(self, reason: str) -> None:
@@ -1055,7 +1057,7 @@ class SchedulerCore:
     def _run_level_batch(self, batch) -> None:
         """Flush pending compiled runs: one forest — one instantiation
         lookup, one sweep — per template, whatever the runs' shapes."""
-        from .level_plan import instance_for
+        from .level_plan import execute_level_plan, instance_for
         forests: dict = {}
         for run in batch:
             if not run.cancelled:
@@ -1064,32 +1066,18 @@ class SchedulerCore:
             try:
                 lp = instance_for(runs[0].tpl, [run.lin for run in runs],
                                   stats=self.stats)
+                results = execute_level_plan(self, lp, runs)
             except Exception as exc:  # noqa: BLE001 - session failure path
                 self._fail_level(exc)
                 return
-            self._execute_level_group(lp, runs)
+            self._complete_level_group(lp, runs, results)
 
-    def _execute_level_group(self, lp, runs) -> None:
-        """Execute one merged wavefront sweep and complete its runs."""
-        from .level_plan import execute_level_plan
-        try:
-            results = execute_level_plan(self, lp, runs)
-        except Exception as exc:  # noqa: BLE001 - session failure path
-            self._fail_level(exc)
-            return
+    def _complete_level_group(self, lp, runs, results) -> None:
+        """Retire the runs of one executed sweep (the event engine
+        defers this to the sweep's modeled finish instant)."""
         for run, values in zip(runs, results):
             if values is not None:
                 self._complete_level_run(run, values)
-
-    def _execute_level_calls(self, lp, calls, sweep) -> None:
-        """Run one level's prepared block calls (independent of each
-        other: one per class with members at this depth / height).  The
-        base implementation executes serially on the calling thread;
-        pool-backed executors override it to fan the blocks out to
-        their workers with a per-level completion barrier (completions
-        always happen here on the master, in original call order)."""
-        for call in calls:
-            call.execute().complete()
 
     def _complete_level_run(self, run, values) -> None:
         """Retire one compiled root (mirrors the dynamic ``frame_done``:
@@ -1128,11 +1116,7 @@ class SchedulerCore:
                 self._error = err
                 listener = self._error_listener
                 self._error_delivered = listener is not None
-            done = getattr(self, "_done", None)
-            if done is not None:
-                done.set()
-            if self._roots_cv is not None:
-                self._roots_cv.notify_all()
+            self._roots_cv.notify_all()
         if listener is not None:
             listener(err)
 
@@ -1230,7 +1214,7 @@ class SchedulerCore:
         err.__cause__ = exc
         return err
 
-    # -- wall-clock serving helpers (shared by the threaded backends) ---------
+    # -- wall-clock serving helpers (workerpool) --------------------------------
 
     def _wait_for_roots(self) -> None:
         """Block until every admitted root completed (or the session
@@ -1250,15 +1234,14 @@ class SchedulerCore:
 
 _EXECUTORS: dict[str, type] = {}
 #: modules whose import registers the built-in backends.  In practice
-#: ``repro.runtime.__init__`` imports all three eagerly (they are public
+#: ``repro.runtime.__init__`` imports both eagerly (they are public
 #: API), so this list is a guarantee, not the common path: it keeps
 #: ``resolve_executor``/``available_executors`` correct under any import
 #: order without creating an import cycle in this module.  A new
 #: built-in backend must appear here *and* in the package ``__init__``;
 #: third-party backends need neither (importing their module runs their
 #: ``register_executor`` call).
-_BUILTIN_MODULES = ("repro.runtime.engine", "repro.runtime.threaded",
-                    "repro.runtime.workerpool", "repro.runtime.procpool")
+_BUILTIN_MODULES = ("repro.runtime.engine", "repro.runtime.workerpool")
 
 
 def register_executor(name: str, cls: type, *, replace: bool = False) -> None:

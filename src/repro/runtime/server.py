@@ -56,9 +56,9 @@ complete/cancel) and the full lock-ordering rules between server,
 scheduler core and executors are documented in ARCHITECTURE.md.  The
 short form of the lock discipline: completions and cancellations enter
 server code *under the engine's master lock*, so the server never holds
-its own lock while calling into engine-side code — admission decisions,
-policy notifications and frame cancellations are snapshotted under the
-server lock and executed after releasing it.
+its own lock while calling into engine-side code — admission decisions
+and frame cancellations are snapshotted under the server lock and
+executed after releasing it.
 
 The server runs on any registered executor through the shared
 incremental-admission API (``begin_serving`` / ``submit_root`` /
@@ -73,16 +73,9 @@ incremental-admission API (``begin_serving`` / ``submit_root`` /
   latencies run over run.  (Enforced deadlines post one simulation
   event per deadline-carrying request; an expiry after completion is a
   no-op.)
-* **wall-clock engines** — ``submit`` may be called from any thread
-  while kernels execute; deadlines are enforced by daemon timers;
-  ``drain()`` blocks until the queue and the engine are empty.
-
-If the engine batches with a policy exposing ``note_queue_depth`` /
-``note_deadline_slack`` (the
-:class:`~repro.runtime.batching.QueueAwareBatchPolicy`), the server
-reports queue occupancy and the most urgent queued deadline's slack on
-every enqueue/admit, so flush timeouts tighten when the queue is
-shallow or a deadline looms and widen under load.
+* **workerpool** — ``submit`` may be called from any thread while
+  kernels execute; deadlines are enforced by daemon timers; ``drain()``
+  blocks until the queue and the engine are empty.
 
 Per-request values are **bit-identical** to a one-shot ``Session.run``
 of the same fetches: admission changes only *when* operations execute,
@@ -127,7 +120,7 @@ class RequestTicket:
     """Completion future of one submitted request.
 
     Times are engine-clock seconds (virtual under the event engine,
-    wall-clock under the threaded engines):
+    wall-clock under workerpool):
 
     * ``arrival_time`` — the request entered the server queue;
     * ``admit_time`` — it was admitted into the engine as a root instance;
@@ -359,18 +352,6 @@ class _RequestQueue:
         self._len -= 1
         self.total_cost -= ticket.predicted_cost
 
-    def nearest_deadline(self) -> Optional[float]:
-        """The tightest deadline among the lane heads (a flush-pressure
-        hint for the batch policy; with mixed priorities a deadline
-        deeper in a lane may be tighter — close enough for a timer)."""
-        best = None
-        for lane in self._lanes.values():
-            head = self._live_head(lane)
-            if head is not None and head.deadline is not None:
-                if best is None or head.deadline < best:
-                    best = head.deadline
-        return best
-
     def clear(self) -> None:
         self._lanes.clear()
         self._len = 0
@@ -496,10 +477,6 @@ class RecursiveServer:
         self._plan_costs: dict = {}
         #: EWMA calibration: observed engine_time / predicted cost
         self._cost_scale = 1.0
-        policy = getattr(self._engine, "batch_policy", None)
-        self._policy_note_depth = getattr(policy, "note_queue_depth", None)
-        self._policy_note_slack = getattr(policy, "note_deadline_slack",
-                                          None)
         session.runtime.cache.clear()
         self._engine.begin_serving(error_listener=self._on_engine_error)
 
@@ -680,14 +657,13 @@ class RecursiveServer:
 
     # -- internals -----------------------------------------------------------
     #
-    # Lock discipline (wall-clock engines): completions arrive under the
+    # Lock discipline (workerpool): completions arrive under the
     # ENGINE master lock (frame.on_complete) and then take the server
     # lock, so the server must never hold its own lock while acquiring
     # the engine lock — _pump snapshots its admission decision under the
     # server lock, releases it, and only then calls engine.submit_root;
-    # batch-policy notifications are likewise snapshotted under the lock
-    # and delivered outside it; cancel paths call engine.cancel_root
-    # before taking the server lock.  See ARCHITECTURE.md.
+    # cancel paths call engine.cancel_root before taking the server
+    # lock.  See ARCHITECTURE.md.
 
     def _base_cost(self, fetch_list: list, size_hint: int) -> float:
         """Uncalibrated engine-cost estimate: root-plan op costs scaled
@@ -707,7 +683,6 @@ class RecursiveServer:
         if ticket._rel_timeout is not None:
             ticket.deadline = ticket.arrival_time + ticket._rel_timeout
         schedule_pump = False
-        snapshot = None
         with self._cond:
             self._arriving -= 1
             if ticket.done:
@@ -732,7 +707,6 @@ class RecursiveServer:
                 self._cond.notify_all()
                 return
             self._queue.push(ticket)
-            snapshot = self._policy_snapshot_locked()
             if self._virtual:
                 # Defer admission to a same-instant event: simultaneous
                 # arrivals (a burst, a busy Poisson tick) all enqueue
@@ -741,7 +715,6 @@ class RecursiveServer:
                 # in-flight slot before any of their ops dispatch.
                 schedule_pump = not self._pump_scheduled
                 self._pump_scheduled = True
-        self._notify_policy(snapshot)
         self._arm_deadline(ticket)
         if not self._virtual:
             self._pump()
@@ -801,7 +774,6 @@ class RecursiveServer:
     def _pump(self) -> None:
         """Admit queued requests while admission control allows it."""
         while True:
-            snapshot = None
             with self._lock:
                 if self._fatal is not None or not len(self._queue):
                     return
@@ -824,8 +796,6 @@ class RecursiveServer:
                 if not admitted:
                     return
                 self._in_flight += len(admitted)
-                snapshot = self._policy_snapshot_locked()
-            self._notify_policy(snapshot)
             for ticket in admitted:
                 # set admit_time before submission: a trivial root frame
                 # may complete synchronously inside submit_root
@@ -964,32 +934,6 @@ class RecursiveServer:
             self._outstanding.clear()
             self._queue.clear()
             self._cond.notify_all()
-
-    def _policy_snapshot_locked(self) -> Optional[tuple]:
-        """Snapshot queue state for the batch policy under the lock;
-        the notification itself happens outside it (lock discipline)."""
-        if self._policy_note_depth is None \
-                and self._policy_note_slack is None:
-            return None
-        slack = None
-        if self._policy_note_slack is not None:
-            nearest = self._queue.nearest_deadline()
-            if nearest is not None:
-                slack = nearest - self._engine.now
-        return (len(self._queue), slack)
-
-    def _notify_policy(self, snapshot: Optional[tuple]) -> None:
-        """Feed queue occupancy / deadline pressure to a queue-aware
-        flush policy — outside the server lock: policy state lives on
-        the engine side of the lock-ordering fence."""
-        if snapshot is None:
-            return
-        depth, slack = snapshot
-        if self._policy_note_depth is not None:
-            cap = self.queue_cap or 4 * self.max_in_flight
-            self._policy_note_depth(depth, cap)
-        if self._policy_note_slack is not None:
-            self._policy_note_slack(slack)
 
     def _wait_for(self, ticket: RequestTicket,
                   timeout: Optional[float]) -> None:

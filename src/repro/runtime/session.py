@@ -75,10 +75,10 @@ class Session:
         scheduler: "fifo" (paper default) or "depth" priority scheduling.
         engine: executor backend name, resolved through the executor
             registry (:mod:`repro.runtime.scheduler`): "event" for the
-            deterministic virtual-time backend, "threaded" for the
-            wall-clock thread-pool backend, "workerpool" for the
-            centralized-master backend with a concurrent kernel pool —
-            plus any backend registered via ``register_executor``.
+            deterministic virtual-time backend (the oracle),
+            "workerpool" for the wall-clock centralized-master backend
+            with a concurrent kernel pool — plus any backend registered
+            via ``register_executor``.
         batching: fuse same-signature ready ops from concurrent frames
             into vectorized kernel calls (cross-instance dynamic
             micro-batching, :mod:`repro.runtime.batching`).  ``True``

@@ -7,7 +7,7 @@ Besides per-op and per-batch accounting, :class:`RunStats` tracks
 :meth:`RunStats.latency_summary` reduces the samples to p50/p95/p99
 percentiles for the queue, engine and total components.  Times are
 engine-clock seconds — virtual seconds under the event engine, wall-clock
-seconds under the threaded engine.
+seconds under workerpool.
 """
 
 from __future__ import annotations

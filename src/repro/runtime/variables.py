@@ -91,7 +91,7 @@ class GradientAccumulator:
     """Thread-safe per-variable gradient sums (zeroed before each step).
 
     Contributions arrive from an unbounded number of concurrent backward
-    frames in nondeterministic order (threaded engine) or in an order that
+    frames in nondeterministic order (workerpool) or in an order that
     depends on the scheduling mode (micro-batching reorders completions).
     Floating-point addition is not associative, so summing eagerly in
     arrival order would make gradients differ in their last bits between

@@ -1,40 +1,35 @@
 """Worker-pool executor backend (``engine="workerpool"``).
 
-The proof-of-layering backend the scheduler/executor split unlocks: a
-wall-clock executor whose *scheduling* is centralized in one master
-(like the event engine) while *kernel execution* runs on a pool of
-worker threads (like the threaded engine).  The division of labour:
+The wall-clock backend: *scheduling* is centralized in one master (like
+the event engine) while *kernel execution* runs on a pool of worker
+threads.  The division of labour:
 
 * the **master** — the calling thread during ``run``, a dedicated
   thread while serving — owns all frame state.  It applies completions,
   resolves dependents, and drains the entire ready wavefront into the
   shared :class:`~repro.runtime.batching.Coalescer` before flushing, so
-  fused buckets reach event-engine widths instead of the narrower
-  buckets the threaded backend's racing workers produce;
+  fused buckets reach event-engine widths;
 * the **kernel pool** executes the flushed buckets (and non-batchable
   scalar kernels) off-thread: independent buckets — different batch
   signatures ready in the same wavefront — run *concurrently*, since
   numpy kernels release the GIL.  Async starters (frame spawns) mutate
   master state and therefore run in the master under the lock.
 
-Compared to the threaded backend, workers never touch the master lock:
-they pull ``(kernel, inputs)`` tasks and push results, so lock traffic
-is one acquisition per completion batch instead of several per
-instance.  Values and gradients are bit-identical to both existing
-backends (batched kernels are value-preserving and the gradient
+Workers never touch the master lock: they pull ``(kernel, inputs)``
+tasks and push results, so lock traffic is one acquisition per
+completion batch.  Values and gradients are bit-identical to the event
+engine (batched kernels are value-preserving and the gradient
 accumulator is canonically ordered); completion *order* is
-nondeterministic exactly as in the threaded backend.
+nondeterministic.
 
-This backend exists to demonstrate that a new execution strategy is now
-~250 lines of mechanics with zero scheduling logic; see ARCHITECTURE.md
-for the recipe it instantiates and ``benchmarks/bench_overhead.py``
-(``workerpool_buckets``) for the measured payoff on the multi-instance
-serving canary.
+A compiled level-plan sweep runs on the master, block after block: a
+``run`` starts the kernel pool only when it takes the dynamic path (a
+serving session keeps it up throughout).  See ARCHITECTURE.md for the
+executor recipe this backend instantiates.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -68,7 +63,7 @@ class WorkerPoolEngine(SchedulerCore):
     (it schedules, it does not execute sync kernels).  See
     :class:`~repro.runtime.scheduler.SchedulerCore` for the shared
     knobs; ``scheduler="depth"`` is accepted but the ready queue is
-    FIFO, like the threaded backend.
+    FIFO.
     """
 
     def __init__(self, runtime, num_workers: int = 4,
@@ -116,7 +111,7 @@ class WorkerPoolEngine(SchedulerCore):
 
     def _stop_serving(self) -> None:
         self._stop_master = True
-        self._post_wake()
+        self._results.put(_WAKE)
         self._master_thread.join()
         self._stop_pool()
         self.stats.wall_time = time.perf_counter() - self._serve_wall0
@@ -126,40 +121,7 @@ class WorkerPoolEngine(SchedulerCore):
         # submit_root may run on any thread while the serving master
         # sleeps on the results queue: poke it so admission latency is
         # bounded by the queue wake-up, not the idle poll.
-        self._post_wake()
-
-    # -- pool mechanics hooks -------------------------------------------------
-    #
-    # The seams a process-based subclass overrides: thread pools share
-    # one address space, so tasks/results are plain object queues, the
-    # wake sentinel is compared by identity, and workers cannot die.  A
-    # multi-process backend replaces exactly these — serialization at
-    # the submit/apply boundary, a picklable wake token, and a liveness
-    # check — while the master loops above stay untouched.
-
-    def _is_wake(self, item) -> bool:
-        """True when a results-queue item is the master wake sentinel."""
-        return item is _WAKE
-
-    def _post_wake(self) -> None:
-        """Poke the master's results wait (admission, shutdown)."""
         self._results.put(_WAKE)
-
-    def _check_health(self) -> None:
-        """Liveness hook, called whenever the master's results wait
-        times out.  Worker threads cannot die independently, so this is
-        a no-op; process pools override it to turn a dead worker into a
-        sticky session error instead of an infinite wait."""
-
-    def _submit_single(self, inst: Instance, inputs: list) -> None:
-        """Hand one non-batchable sync instance to the kernel pool."""
-        self._inflight += 1
-        self._tasks.put((inst, inputs))
-
-    def _submit_bucket_task(self, bucket, fused: bool) -> None:
-        """Hand one flushed sync bucket to the kernel pool."""
-        self._inflight += 1
-        self._tasks.put((bucket, fused))
 
     # -- run ------------------------------------------------------------------
 
@@ -168,23 +130,20 @@ class WorkerPoolEngine(SchedulerCore):
             shape_profile=None) -> tuple[list, RunStats]:
         wall0 = time.perf_counter()
         self._begin_session()
-        self._start_pool()
+        if shape_profile is not None:
+            # a compiled sweep runs right here: no kernel pool needed
+            hit = self._try_level_run(graph, list(fetches), feed_map,
+                                      shape_profile)
+            if hit is not None:
+                values, _ = hit
+                self.stats.wall_time = time.perf_counter() - wall0
+                self.stats.virtual_time = self.stats.wall_time
+                self._book_cache()
+                return values, self.stats
+        plan = plan_for_fetches(graph, {t.op for t in fetches})
         done = threading.Event()
+        self._start_pool()
         try:
-            if shape_profile is not None:
-                # the pool is already up: a compiled sweep fans each
-                # level's independent buckets out to the kernel workers
-                # (see _execute_level_calls), with the master running
-                # the residue and the per-level barrier
-                hit = self._try_level_run(graph, list(fetches), feed_map,
-                                          shape_profile)
-                if hit is not None:
-                    values, _ = hit
-                    self.stats.wall_time = time.perf_counter() - wall0
-                    self.stats.virtual_time = self.stats.wall_time
-                    self._book_cache()
-                    return values, self.stats
-            plan = plan_for_fetches(graph, {t.op for t in fetches})
             with self._master_lock:
                 root = self._make_frame(plan, feed_map, key=ROOT_KEY, depth=0,
                                         record=False,
@@ -228,11 +187,6 @@ class WorkerPoolEngine(SchedulerCore):
         self._level_flushing = False
         self._level_flush_wanted = False
         self._root_site_map = None
-        #: fan compiled-sweep buckets out to the kernel pool (the
-        #: parallel path is bit-identical; the knob exists for paired
-        #: serial-vs-parallel benchmarking and as an escape hatch)
-        self._level_parallel = os.environ.get(
-            "REPRO_LEVEL_PARALLEL", "1") != "0"
         self._new_stats()
 
     def _start_pool(self) -> None:
@@ -257,9 +211,8 @@ class WorkerPoolEngine(SchedulerCore):
             try:
                 item = self._results.get(timeout=0.05)
             except queue.Empty:
-                self._check_health()
                 continue
-            if not self._is_wake(item):
+            if item is not _WAKE:
                 self._apply(item)
 
     def _serve_master(self) -> None:
@@ -280,19 +233,18 @@ class WorkerPoolEngine(SchedulerCore):
             try:
                 item = self._results.get(timeout=0.02)
             except queue.Empty:
-                self._check_health()
                 continue
-            if not self._is_wake(item):
+            if item is not _WAKE:
                 self._apply(item)
 
     def _schedule_level_flush(self) -> None:
-        # Compiled-root admissions (submit_root) and subtree launches
-        # (Invoke starters) run under the master lock; the sweep itself
-        # must not — its per-level barrier applies interleaved pool
-        # completions, and a sweep error delivers to the serving error
-        # listener outside the lock.  Defer to the master loop.
+        # Compiled-root admissions (submit_root, on any thread) and
+        # subtree launches (Invoke starters, under the master lock) defer
+        # the sweep to the master loop: it shares stats and the value
+        # cache with the dynamic path, and a sweep error delivers to the
+        # serving error listener outside the lock.
         self._level_flush_wanted = True
-        self._post_wake()
+        self._results.put(_WAKE)
 
     def _master_step(self) -> bool:
         """Apply every queued completion, then dispatch ready work."""
@@ -306,7 +258,7 @@ class WorkerPoolEngine(SchedulerCore):
                 item = self._results.get_nowait()
             except queue.Empty:
                 break
-            if not self._is_wake(item):
+            if item is not _WAKE:
                 self._apply(item)
             progressed = True
         if self._error is None:
@@ -345,7 +297,7 @@ class WorkerPoolEngine(SchedulerCore):
                         batchable = True
                         full = coalescer.offer(
                             self._batch_signature_of(inst, inputs, prefix),
-                            inst, inputs, time.perf_counter())
+                            inst, inputs)
             progressed = True
             if batchable:
                 if full is not None:
@@ -365,7 +317,8 @@ class WorkerPoolEngine(SchedulerCore):
                     # serving error listener, which takes the server lock
                     self._set_error(spawn_exc, inst.op)
             else:
-                self._submit_single(inst, inputs)
+                self._inflight += 1
+                self._tasks.put((inst, inputs))
         # wavefront drained: flush every pending bucket — independent
         # signatures land on the pool together and execute concurrently
         if coalescer is not None:
@@ -393,70 +346,11 @@ class WorkerPoolEngine(SchedulerCore):
             except Exception as exc:
                 self._set_error(exc, first.op)
             return
-        self._submit_bucket_task(bucket, fused)
-
-    # -- parallel compiled sweeps ---------------------------------------------
-
-    def _level_pool_open(self) -> bool:
-        """True when compiled-sweep calls may fan out to the pool."""
-        return self._level_parallel and bool(getattr(self, "_pool", None))
-
-    def _execute_level_calls(self, lp, calls, sweep) -> None:
-        """Fan one level's independent calls out to the kernel pool.
-
-        All but the last call go to the workers as task-queue payloads
-        (they never bump ``_inflight``: the barrier below accounts for
-        them, and a sweep never spans a serving idle check); the master
-        executes the last inline — it would otherwise idle at the
-        barrier.  The barrier then collects the shipped completions —
-        applying interleaved dynamic-path items, which is safe because
-        the sweep runs outside the master lock — and completes every
-        call *on the master, in original call order*, so column
-        hand-over and byte accounting match the serial path.  The first
-        failing call in that order wins, exactly like serial execution.
-        """
-        if (len(calls) < 2 or sweep.bytes is not None
-                or not self._level_pool_open()):
-            super()._execute_level_calls(lp, calls, sweep)
-            return
-        for call in calls[:-1]:
-            self._tasks.put((call, None))
-        outstanding = len(calls) - 1
-        results: dict = {}
-        try:
-            calls[-1].execute()
-            results[id(calls[-1])] = None
-        except Exception as exc:  # noqa: BLE001
-            results[id(calls[-1])] = exc
-        while outstanding and self._error is None:
-            try:
-                item = self._results.get(timeout=0.05)
-            except queue.Empty:
-                self._check_health()
-                continue
-            if self._is_wake(item):
-                continue
-            if item[0] == "lvl":
-                _, call, exc = item
-                results[id(call)] = exc
-                outstanding -= 1
-            else:
-                self._apply(item)
-        if outstanding:
-            # session failed under the barrier (dead worker, dynamic
-            # error): abort the sweep; stragglers are dropped by _apply
-            raise self._error
-        for call in calls:
-            if results[id(call)] is not None:
-                raise results[id(call)]
-            call.complete()
+        self._inflight += 1
+        self._tasks.put((bucket, fused))
 
     def _apply(self, item) -> None:
         """Apply one pool completion to master state."""
-        if item[0] == "lvl":
-            # straggler from a sweep barrier the session error aborted;
-            # level tasks never bumped _inflight, so just drop it
-            return
         self._inflight -= 1
         kind = item[0]
         if kind == "error":
@@ -510,23 +404,11 @@ class WorkerPoolEngine(SchedulerCore):
             self._results.put(self._execute_task(*task))
 
     def _execute_task(self, payload, extra) -> tuple:
-        """Execute one pool task and return its completion item.
-
-        The item is exactly what :meth:`_apply` consumes —
-        ``("single", inst, outputs)``, ``("bucket", bucket,
-        outputs_list, fused)`` or ``("error", op, exc)`` — so the same
-        code serves the pool workers and any master-side inline
-        execution path a subclass adds.
-        """
+        """Execute one pool task and return its completion item, exactly
+        what :meth:`_apply` consumes: ``("single", inst, outputs)``,
+        ``("bucket", bucket, outputs_list, fused)`` or ``("error", op,
+        exc)``."""
         runtime = self.runtime
-        if getattr(payload, "is_level_call", False):
-            # compiled-sweep block: its kernels over its own registers
-            # (imports were gathered by the master); completion happens
-            # at the sweep barrier, never through _apply
-            try:
-                return ("lvl", payload.execute(), None)
-            except Exception as exc:  # noqa: BLE001
-                return ("lvl", payload, exc)
         if isinstance(payload, Instance):
             inst, inputs = payload, extra
             try:

@@ -1,15 +1,15 @@
 """Shared fixtures: isolated graphs/runtimes per test.
 
 Also implements the ``@pytest.mark.timeout(seconds)`` marker (declared in
-pytest.ini) via ``SIGALRM``: threaded-engine tests use it as a watchdog so
+pytest.ini) via ``SIGALRM``: workerpool tests use it as a watchdog so
 a scheduler deadlock fails the test instead of hanging CI.  The offline
 environment has no pytest-timeout plugin; this covers the same need for
 main-thread tests on POSIX.
 
 Setting ``REPRO_TEST_TIMEOUT=<seconds>`` additionally arms the watchdog
 for every test *without* an explicit marker — ``make check`` sets it so
-a wedged worker process (procpool) fails the run fast instead of
-hanging CI on a queue read.  Explicit markers always win.
+a wedged pool thread fails the run fast instead of hanging CI on a
+queue read.  Explicit markers always win.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def _watchdog(request):
     def _expired(signum, frame):
         raise TimeoutError(
             f"test exceeded its {seconds}s watchdog — likely a deadlock "
-            "(threaded engine / flush policy) or a wedged worker process")
+            "(workerpool master / kernel pool) or a wedged worker thread")
 
     previous = signal.signal(signal.SIGALRM, _expired)
     signal.alarm(seconds)

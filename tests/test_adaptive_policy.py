@@ -1,4 +1,4 @@
-"""AdaptiveBatchPolicy feedback control and the coalescer deadline queue."""
+"""AdaptiveBatchPolicy feedback control."""
 
 from __future__ import annotations
 
@@ -8,16 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.runtime.batching import (AdaptiveBatchPolicy, BatchPolicy, Bucket,
-                                    Coalescer, resolve_batching)
+from repro.runtime.batching import (AdaptiveBatchPolicy, BatchPolicy,
+                                    resolve_batching)
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-class _FakeInstance:
-    def __init__(self, op_type="Tanh"):
-        self.op = type("Op", (), {"op_type": op_type})()
 
 
 class TestAdaptiveConvergence:
@@ -39,27 +34,9 @@ class TestAdaptiveConvergence:
             policy.observe("wide", 500, "full")
         assert policy.min_batch_for("wide") <= policy.max_batch
 
-    def test_timeout_decays_when_starved(self):
-        """Deadline expiries below min size shrink the signature timeout to
-        its floor — waiting longer was pure latency."""
-        policy = AdaptiveBatchPolicy()
-        t0 = policy.timeout_for("sig")
-        for _ in range(40):
-            policy.observe("sig", 1, "timeout")
-        assert policy.timeout_for("sig") < t0
-        assert policy.timeout_for("sig") == pytest.approx(policy.min_timeout)
-
-    def test_timeout_grows_when_buckets_run_full(self):
-        policy = AdaptiveBatchPolicy()
-        t0 = policy.timeout_for("sig")
-        for _ in range(40):
-            policy.observe("sig", policy.max_batch, "full")
-        assert policy.timeout_for("sig") > t0
-        assert policy.timeout_for("sig") <= policy.max_timeout
-
     @SETTINGS
     @given(widths=st.lists(st.integers(1, 64), min_size=1, max_size=200),
-           causes=st.lists(st.sampled_from(["full", "drain", "timeout"]),
+           causes=st.lists(st.sampled_from(["full", "drain"]),
                            min_size=1, max_size=200))
     def test_knobs_always_stay_in_bounds(self, widths, causes):
         """Whatever the observation stream, the tuned knobs stay sane."""
@@ -68,16 +45,13 @@ class TestAdaptiveConvergence:
             policy.observe("sig", width, cause)
             assert (policy.min_batch <= policy.min_batch_for("sig")
                     <= policy.max_batch)
-            assert (policy.min_timeout <= policy.timeout_for("sig")
-                    <= max(policy.max_timeout, policy.flush_timeout))
 
     def test_signatures_tuned_independently(self):
         policy = AdaptiveBatchPolicy()
         for _ in range(40):
             policy.observe("hot", 32, "drain")
-            policy.observe("cold", 1, "timeout")
+            policy.observe("cold", 1, "drain")
         assert policy.min_batch_for("hot") > policy.min_batch_for("cold")
-        assert policy.timeout_for("cold") < policy.timeout_for("hot")
 
     def test_snapshot_exposes_state(self):
         policy = AdaptiveBatchPolicy()
@@ -86,7 +60,7 @@ class TestAdaptiveConvergence:
         assert ("MatMul", (), ()) in snap
         state = snap[("MatMul", (), ())]
         assert state["width_ema"] > 0 and state["min_batch"] >= 2
-        assert state["timeout"] > 0 and state["flushes"] == 1
+        assert state["flushes"] == 1
 
 
 class TestResolveBatching:
@@ -102,75 +76,6 @@ class TestResolveBatching:
     def test_adaptive_keeps_explicit_policy(self):
         mine = AdaptiveBatchPolicy(max_batch=8)
         assert resolve_batching("adaptive", mine) == (True, mine)
-
-
-class TestDeadlineQueue:
-    """pop_expired through the insertion-ordered deadline heap."""
-
-    def test_earliest_deadline_pops_first(self):
-        policy = BatchPolicy(max_batch=10, flush_timeout=1.0)
-        co = Coalescer(policy)
-        co.offer("a", _FakeInstance(), [1], now=0.0)
-        co.offer("b", _FakeInstance(), [2], now=0.5)
-        assert co.pop_expired(now=0.9) is None
-        assert co.pop_expired(now=1.2).signature == "a"
-        assert co.pop_expired(now=1.2) is None
-        assert co.pop_expired(now=1.6).signature == "b"
-
-    def test_stale_entries_are_discarded_lazily(self):
-        """Buckets flushed by other paths leave stale heap entries that
-        must not resurface — including when the same signature reopens."""
-        policy = BatchPolicy(max_batch=2, flush_timeout=1.0)
-        co = Coalescer(policy)
-        co.offer("a", _FakeInstance(), [1], now=0.0)
-        full = co.offer("a", _FakeInstance(), [2], now=0.1)  # flushes full
-        assert full is not None and len(full) == 2
-        # reopen the same signature later; its deadline is fresh
-        co.offer("a", _FakeInstance(), [3], now=5.0)
-        assert co.pop_expired(now=1.5) is None  # stale entry skipped
-        bucket = co.pop_expired(now=6.1)
-        assert bucket is not None and bucket.inputs == [[3]]
-
-    def test_pop_drain_leaves_no_expirable_ghost(self):
-        co = Coalescer(BatchPolicy(max_batch=10, flush_timeout=0.5))
-        co.offer("a", _FakeInstance(), [1], now=0.0)
-        assert co.pop() is not None
-        assert co.pop_expired(now=100.0) is None
-
-    def test_per_signature_timeouts_drive_deadlines(self):
-        """With an adaptive policy, a starved signature's shrunken timeout
-        expires its buckets sooner than a fresh signature's."""
-        policy = AdaptiveBatchPolicy(flush_timeout=1.0, min_timeout=0.01)
-        for _ in range(40):
-            policy.observe("starved", 1, "timeout")
-        co = Coalescer(policy)
-        co.offer("fresh", _FakeInstance(), [1], now=0.0)
-        co.offer("starved", _FakeInstance(), [2], now=0.0)
-        bucket = co.pop_expired(now=0.05)
-        assert bucket is not None and bucket.signature == "starved"
-        assert co.pop_expired(now=0.05) is None  # "fresh" still waiting
-
-    @SETTINGS
-    @given(offers=st.lists(
-        st.tuples(st.sampled_from(["a", "b", "c"]), st.floats(0, 10)),
-        min_size=1, max_size=60))
-    def test_expiry_never_loses_instances(self, offers):
-        """Arbitrary offer/expiry interleavings conserve instances."""
-        co = Coalescer(BatchPolicy(max_batch=4, flush_timeout=0.5))
-        flushed = 0
-        now = 0.0
-        for signature, dt in sorted(offers, key=lambda o: o[1]):
-            now = max(now, dt)
-            full = co.offer(signature, _FakeInstance(), [signature], now=now)
-            if full is not None:
-                flushed += len(full)
-            expired = co.pop_expired(now)
-            if expired is not None:
-                flushed += len(expired)
-        while (bucket := co.pop()) is not None:
-            flushed += len(bucket)
-        assert flushed == len(offers)
-        assert len(co) == 0
 
 
 class TestAdaptiveEndToEnd:

@@ -71,12 +71,12 @@ class TestEquivalence:
         assert np.array_equal(np.asarray(ref_loss), np.asarray(loss))
 
     @pytest.mark.parametrize("model_name", ALL_MODELS)
-    def test_threaded_engine_bitwise(self, model_name, bank):
+    def test_workerpool_engine_bitwise(self, model_name, bank):
         model, built, feeds = _recursive_setup(model_name, bank, 4)
         ref = repro.Session(built.graph, model.runtime,
                             num_workers=36).run(built.root_logits, feeds)
         sess = repro.Session(built.graph, model.runtime, num_workers=4,
-                             engine="threaded", batching=True)
+                             engine="workerpool", batching=True)
         out = sess.run(built.root_logits, feeds)
         assert np.array_equal(ref, out)
         assert sess.last_stats.batches > 0
@@ -260,21 +260,11 @@ class TestCoalescer:
         assert sum(len(b) for b in buckets) == 4
         assert len(co) == 0
 
-    def test_pop_expired_honours_flush_timeout(self):
-        co = Coalescer(BatchPolicy(max_batch=10, flush_timeout=1.0))
-        co.offer("a", _FakeInstance(), [1], now=5.0)
-        assert co.pop_expired(now=5.5) is None
-        bucket = co.pop_expired(now=6.1)
-        assert bucket is not None and bucket.signature == "a"
-        assert co.pop_expired(now=100.0) is None  # table now empty
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             BatchPolicy(max_batch=0)
         with pytest.raises(ValueError):
             BatchPolicy(min_batch=1)  # a batch of one is scalar execution
-        with pytest.raises(ValueError):
-            BatchPolicy(flush_timeout=0.0)
 
 
 # -- scheduler accounting ------------------------------------------------------

@@ -1,14 +1,12 @@
 """Concurrency stress tests for the coalescing schedulers.
 
-Real threads, deep recursion near the configured ``max_depth``, and many
-concurrent root instances — the situations where a flush-policy bug shows
-up as nondeterminism or deadlock.  Every test carries a ``timeout``
+Real threads (workerpool), deep recursion near the configured
+``max_depth``, and many concurrent root instances — the situations where
+a flush-policy bug shows up as nondeterminism or deadlock.  Every test carries a ``timeout``
 watchdog (see conftest) so a deadlock fails fast instead of hanging.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from repro.data import make_treebank
 from repro.data.batching import batch_trees
 from repro.models import TreeRNNSentiment
 from repro.models.common import ModelConfig
-from repro.runtime.batching import BatchPolicy
 
 pytestmark = pytest.mark.stress
 
@@ -57,7 +54,7 @@ class TestDeepRecursionThreaded:
         # frame, so the frame depth is ~2 levels per call
         for batching in (False, True):
             sess = repro.Session(graph, runtime, num_workers=workers,
-                                 engine="threaded", batching=batching,
+                                 engine="workerpool", batching=batching,
                                  max_depth=2 * depth + 12)
             assert sess.run(y) == pytest.approx(expected, rel=1e-6)
 
@@ -69,7 +66,7 @@ class TestDeepRecursionThreaded:
             sg = _chain_subgraph("chain_guard")
             y = sg(ops.constant(0.0), ops.constant(100))
         sess = repro.Session(graph, runtime, num_workers=2,
-                             engine="threaded", batching=True, max_depth=20)
+                             engine="workerpool", batching=True, max_depth=20)
         with pytest.raises(repro.EngineError, match="recursion limit"):
             sess.run(y)
 
@@ -89,37 +86,14 @@ class TestConcurrentRootsThreaded:
                             num_workers=36).run(built.root_logits, feeds)
         for attempt in range(3):
             sess = repro.Session(built.graph, model.runtime,
-                                 num_workers=workers, engine="threaded",
+                                 num_workers=workers, engine="workerpool",
                                  batching=True)
             out = sess.run(built.root_logits, feeds)
             assert np.array_equal(ref, out), \
                 f"workers={workers} attempt={attempt} diverged"
 
-    @pytest.mark.timeout(60)
-    def test_flush_timeout_bounds_wall_clock(self):
-        """A starved bucket must flush within ``flush_timeout``: total wall
-        clock stays far below the watchdog even with a large min_batch that
-        can never fill (worst case for the holding heuristic)."""
-        bank = make_treebank(num_train=4, num_val=1, vocab_size=40, seed=29)
-        model = TreeRNNSentiment(ModelConfig(hidden=8, embed_dim=8,
-                                             vocab_size=40), repro.Runtime())
-        built = model.build_recursive(2)
-        feeds = built.feed_dict(batch_trees(bank.train[:2]))
-        ref = repro.Session(built.graph, model.runtime,
-                            num_workers=8).run(built.root_logits, feeds)
-        policy = BatchPolicy(max_batch=4096, min_batch=2,
-                             flush_timeout=0.001)
-        start = time.perf_counter()
-        sess = repro.Session(built.graph, model.runtime, num_workers=2,
-                             engine="threaded", batching=True,
-                             batch_policy=policy)
-        out = sess.run(built.root_logits, feeds)
-        elapsed = time.perf_counter() - start
-        assert np.array_equal(ref, out)
-        assert elapsed < 30.0, f"flush policy stalled: {elapsed:.1f}s"
-
     @pytest.mark.timeout(120)
-    def test_event_and_threaded_agree_under_stress(self):
+    def test_event_and_workerpool_agree_under_stress(self):
         """Virtual-time and wall-clock engines agree bit-for-bit with
         batching on, across scheduler policies."""
         bank = make_treebank(num_train=12, num_val=2, vocab_size=40, seed=31)
@@ -130,8 +104,8 @@ class TestConcurrentRootsThreaded:
         results = []
         for engine, workers, scheduler in (("event", 36, "fifo"),
                                            ("event", 36, "depth"),
-                                           ("threaded", 4, "fifo")):
-            kwargs = {} if engine == "threaded" else \
+                                           ("workerpool", 4, "fifo")):
+            kwargs = {} if engine == "workerpool" else \
                 {"scheduler": scheduler}
             sess = repro.Session(built.graph, model.runtime,
                                  num_workers=workers, engine=engine,

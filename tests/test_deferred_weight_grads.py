@@ -35,11 +35,9 @@ from repro.graph.sparse import IndexedSlices
 from repro.models import (ModelConfig, RNTNSentiment, TreeLSTMSentiment,
                           TreeRNNSentiment, tree_lstm_config)
 from repro.runtime import level_plan
-from repro.runtime.scheduler import available_executors
 from repro.runtime.variables import GradientAccumulator, Variable, order_key
 
-ENGINES = [e for e in ("event", "workerpool", "threaded")
-           if e in available_executors()]
+ENGINES = ["event", "workerpool"]
 K, H = 3, 2
 
 

@@ -1,4 +1,4 @@
-"""Engine tests: scheduling, virtual time, priority policy, threaded parity."""
+"""Engine tests: scheduling, virtual time, priority policy, frame keys."""
 
 import numpy as np
 import pytest
@@ -169,77 +169,6 @@ class TestErrorHandling:
         sess = repro.Session(graph, runtime)
         with pytest.raises(repro.EngineError):
             sess.run(out)
-
-
-class TestThreadedEngineParity:
-    def _recursive_workload(self):
-        graph = repro.Graph("parity")
-        runtime = repro.Runtime()
-        with graph.as_default():
-            with SubGraph("fib") as fib:
-                n = fib.input(repro.int32, ())
-                fib.declare_outputs([(repro.int32, ())])
-                fib.output(ops.cond(ops.less_equal(n, 1),
-                                    lambda: ops.identity(n),
-                                    lambda: ops.add(fib(n - 1), fib(n - 2))))
-            out = fib(ops.constant(12))
-        return graph, runtime, out
-
-    def test_threaded_matches_event_engine(self):
-        graph, runtime, out = self._recursive_workload()
-        event = repro.Session(graph, runtime, num_workers=4)
-        threaded = repro.Session(graph, runtime, num_workers=4,
-                                 engine="threaded")
-        assert event.run(out) == threaded.run(out) == 144
-
-    def test_threaded_runs_loops(self):
-        graph = repro.Graph("tl")
-        runtime = repro.Runtime()
-        with graph.as_default():
-            _, s = ops.while_loop(
-                lambda i, s: ops.less(i, 20),
-                lambda i, s: (ops.add(i, 1),
-                              ops.add(s, ops.cast(i, repro.float32))),
-                [ops.constant(0), ops.constant(0.0)])
-        sess = repro.Session(graph, runtime, num_workers=3,
-                             engine="threaded")
-        assert sess.run(s) == pytest.approx(190.0)
-
-    def test_threaded_training_gradients_match(self):
-        graph = repro.Graph("tg")
-        runtime = repro.Runtime()
-        w = repro.Variable("tw", np.float32(2.0), runtime=runtime)
-        with graph.as_default():
-            with SubGraph("chain") as chain:
-                n = chain.input(repro.int32, ())
-                chain.declare_outputs([(repro.float32, ())])
-                chain.output(ops.cond(
-                    ops.less_equal(n, 0),
-                    lambda: ops.constant(1.0),
-                    lambda: ops.multiply(w.read(), chain(n - 1))))
-            y = chain(ops.constant(3))
-            _, updates = repro.gradients(y, [])
-        fetches = [y] + [op.outputs[-1] for op in updates]
-        sess = repro.Session(graph, runtime, num_workers=4,
-                             engine="threaded", record=True)
-        runtime.accumulators.zero()
-        sess.run(fetches)
-        # d(w^3)/dw = 3 w^2 = 12
-        assert runtime.accumulators.read("tw") == pytest.approx(12.0)
-
-    def test_threaded_error_propagates(self):
-        graph = repro.Graph("te")
-        runtime = repro.Runtime()
-        with graph.as_default():
-            bad = ops.reshape(ops.constant([1.0, 2.0]), (3,))
-        sess = repro.Session(graph, runtime, engine="threaded")
-        with pytest.raises(repro.EngineError):
-            sess.run(bad)
-
-    def test_unknown_engine_rejected(self):
-        graph, out = chain_graph(1)
-        with pytest.raises(ValueError, match="unknown engine"):
-            repro.Session(graph, repro.Runtime(), engine="quantum")
 
 
 class TestFrameKeys:

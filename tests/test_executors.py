@@ -62,16 +62,20 @@ def _reference_logits(model, built, bank):
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"event", "threaded", "workerpool"} <= set(ENGINES)
+        assert available_executors() == ["event", "workerpool"]
 
     def test_legacy_names_resolve_to_legacy_engines(self):
-        from repro.runtime.threaded import ThreadedEngine
         from repro.runtime.workerpool import WorkerPoolEngine
         assert resolve_executor("event") is EventEngine
-        assert resolve_executor("threaded") is ThreadedEngine
         assert resolve_executor("workerpool") is WorkerPoolEngine
         for name in ENGINES:
             assert issubclass(resolve_executor(name), SchedulerCore)
+
+    @pytest.mark.parametrize("name", ["threaded", "procpool"])
+    def test_removed_engines_rejected(self, name):
+        with pytest.raises(ValueError, match="registered executors: "
+                                             "event, workerpool"):
+            repro.Session(repro.Graph("x"), repro.Runtime(), engine=name)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -20,13 +20,12 @@ from repro.core.subgraph import SubGraph
 from repro.data import batch_trees, make_treebank
 from repro.graph.registry import op_def
 from repro.models import TreeLSTMSentiment, tree_lstm_config
-from repro.runtime.scheduler import SchedulerCore, available_executors
+from repro.runtime import level_plan
+from repro.runtime.scheduler import available_executors
 from repro.runtime.server import RequestCancelled
 from repro.runtime.variables import Variable
 
 ENGINES = available_executors()
-SWEEP_ENGINES = [e for e in ("event", "workerpool", "procpool")
-                 if e in ENGINES]
 LSTM = tree_lstm_config(vocab_size=50, hidden=6, embed_dim=5)
 
 
@@ -127,7 +126,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("train", [False, True],
                              ids=["forward", "train"])
-    @pytest.mark.parametrize("engine", SWEEP_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_randomized_binary_trees(self, engine, train):
         wide = make_treebank(num_train=8, num_val=0, vocab_size=50,
                              max_words=16, mean_log_words=2.4, seed=41)
@@ -141,7 +140,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("train", [False, True],
                              ids=["forward", "train"])
-    @pytest.mark.parametrize("engine", SWEEP_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_randomized_nary_trees(self, engine, train):
         rng = np.random.default_rng(5)
         runtime, graph, loss, updates, phs = _nary_graph(
@@ -197,7 +196,7 @@ class TestListColumnFallback:
             out = tcat(root)
         return graph, out, (values, children, is_leaf, root)
 
-    @pytest.mark.parametrize("engine", SWEEP_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_ragged_members_match_dynamic(self, engine):
         graph, out, phs = self._graph(f"ragged-{engine}")
         # two height-3 siblings with 3 and 4 leaves: their Concat / Tanh
@@ -317,15 +316,15 @@ class TestMergedRuns:
                        for f, b in zip(feeds, batches)]
             if cancel_at is not None:
                 calls = {"n": 0}
-                real = SchedulerCore._execute_level_calls
+                real = level_plan._BlockCall.execute
 
-                def cancelling(core, lp, level_calls, sweep):
+                def cancelling(call):
                     calls["n"] += 1
                     if calls["n"] == cancel_at:
                         assert tickets[1].cancel()
-                    real(core, lp, level_calls, sweep)
+                    real(call)
 
-                monkeypatch.setattr(SchedulerCore, "_execute_level_calls",
+                monkeypatch.setattr(level_plan._BlockCall, "execute",
                                     cancelling)
             server.drain()
             stats = server.stats
@@ -674,7 +673,7 @@ class TestAccounting:
         assert session.last_stats.peak_live_bytes == 35268
         assert session._engine._live_bytes == 0
 
-    @pytest.mark.parametrize("engine", ["event", "workerpool", "threaded"])
+    @pytest.mark.parametrize("engine", ["event", "workerpool"])
     def test_cache_counters_are_the_runs_own(self, bank, engine):
         """``cache_stores`` / ``cache_lookups`` are what *this* run
         stored and looked up — not the cache's lifetime totals, which
@@ -689,8 +688,7 @@ class TestAccounting:
         fetches = [built.loss] + [op.outputs[-1] for op in updates]
         session = repro.Session(built.graph, runtime, num_workers=2,
                                 engine=engine, record=True)
-        profile = ({} if engine == "threaded" else
-                   {"shape_profile": built.shape_profiles(batch)})
+        profile = {"shape_profile": built.shape_profiles(batch)}
         booked = []
         for kwargs in ({}, {}, profile, profile):
             runtime.accumulators.zero()

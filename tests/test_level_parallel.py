@@ -1,14 +1,12 @@
-"""Parallel compiled sweeps + partial compilation (level-plan tier).
+"""Canonicalization knobs + partial compilation (level-plan tier).
 
-Parallel sweeps fan independent same-level buckets out to the pool
-workers behind a per-level barrier.  A fully determined profile of any
-depth is instantiated whole from the definition's one template
-(``level_canon_depth`` is still accepted and validated, but no longer
-decomposes such profiles); only a profile with ``None`` holes runs as a
-dynamic root spine whose determined subtrees join compiled sub-forests.
-Values, gradients and cache keys must match the dynamic scheduler
-exactly, and failures (lying profiles, uncompilable subtrees) must keep
-their serial semantics.
+A fully determined profile of any depth is instantiated whole from the
+definition's one template (``level_canon_depth`` is still accepted and
+validated, but no longer decomposes such profiles); only a profile with
+``None`` holes runs as a dynamic root spine whose determined subtrees
+join compiled sub-forests.  Values, gradients and cache keys must match
+the dynamic scheduler exactly, and failures (lying profiles,
+uncompilable subtrees) must keep their semantics.
 """
 
 import numpy as np
@@ -26,7 +24,6 @@ from repro.runtime.scheduler import available_executors
 from repro.runtime.stats import RunStats
 
 ENGINES = available_executors()
-POOL_ENGINES = [e for e in ENGINES if e in ("workerpool", "procpool")]
 
 CONFIG = ModelConfig(vocab_size=50, hidden=8, embed_dim=8)
 
@@ -129,78 +126,6 @@ def _rand_profile(rng, depth, force):
         return ()
     return (_rand_profile(rng, depth - 1, force - 1),
             _rand_profile(rng, depth - 1, force - 1))
-
-
-class TestParallelSweeps:
-    """REPRO_LEVEL_PARALLEL=1 must change wall-clock only: values,
-    gradients and level-plan stats stay identical to the serial sweep
-    and to the dynamic scheduler."""
-
-    @pytest.mark.parametrize("train", [False, True],
-                             ids=["forward", "train"])
-    @pytest.mark.parametrize("engine", POOL_ENGINES)
-    def test_parallel_matches_serial_and_dynamic(self, bank, engine, train,
-                                                 monkeypatch):
-        trees = bank.train[:3]
-        dynamic = _run_model(engine, trees, train, profile=False)
-        monkeypatch.setenv("REPRO_LEVEL_PARALLEL", "0")
-        serial = _run_model(engine, trees, train)
-        monkeypatch.setenv("REPRO_LEVEL_PARALLEL", "1")
-        parallel = _run_model(engine, trees, train)
-        for compiled in (serial, parallel):
-            assert compiled[2].level_plan_hits == 1
-            assert compiled[2].level_plan_fallbacks == 0
-            _assert_same_results(dynamic, compiled)
-
-    @pytest.mark.parametrize("engine", POOL_ENGINES)
-    def test_randomized_trees_parallel_identical(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_LEVEL_PARALLEL", "1")
-        wide = make_treebank(num_train=8, num_val=0, vocab_size=50,
-                             max_words=18, mean_log_words=2.5, seed=37)
-        dynamic = _run_model(engine, wide.train[:4], train=True,
-                             profile=False)
-        parallel = _run_model(engine, wide.train[:4], train=True)
-        assert parallel[2].level_plan_hits == 1
-        assert parallel[2].level_plan_fallbacks == 0
-        _assert_same_results(dynamic, parallel)
-
-    @pytest.mark.parametrize("engine", POOL_ENGINES)
-    def test_nary_parallel_identical(self, engine, monkeypatch):
-        """The barrier is not binary-specific: 3-ary reductions too."""
-        monkeypatch.setenv("REPRO_LEVEL_PARALLEL", "1")
-        graph = repro.Graph(f"nary-par-{engine}")
-        with graph.as_default():
-            values = ops.placeholder(repro.float32, (None,))
-            children = ops.placeholder(repro.int32, (None, 3))
-            is_leaf = ops.placeholder(repro.bool_, (None,))
-            with SubGraph("tsum3") as tsum:
-                idx = tsum.input(repro.int32, ())
-                tsum.declare_outputs([(repro.float32, ())])
-
-                def leaf():
-                    return ops.gather(values, idx)
-
-                def internal():
-                    kids = ops.gather(children, idx)
-                    return ops.add(
-                        ops.add(tsum(ops.gather(kids, 0)),
-                                tsum(ops.gather(kids, 1))),
-                        ops.add(tsum(ops.gather(kids, 2)),
-                                ops.gather(values, idx)))
-
-                tsum.output(ops.cond(ops.gather(is_leaf, idx), leaf,
-                                     internal))
-            out = tsum(ops.constant(6))
-        feeds = {values: np.arange(7, dtype=np.float32),
-                 children: np.array([[-1] * 3] * 6 + [[0, 1, 2]],
-                                    dtype=np.int32),
-                 is_leaf: np.array([True] * 6 + [False])}
-        session = repro.Session(graph, repro.Runtime(), num_workers=4,
-                                engine=engine)
-        ref = session.run(out, feeds)
-        got = session.run(out, feeds, shape_profile=(((), (), ()),))
-        assert session.last_stats.level_plan_hits == 1
-        assert np.array_equal(ref, got)
 
 
 class TestCanonicalization:

@@ -33,12 +33,7 @@ from repro.core.subgraph import SubGraph
 from repro.runtime.level_plan import (_M, _S, Template, instance_for,
                                       linearise, template_for)
 from repro.runtime.plan import plan_for_fetches
-from repro.runtime.scheduler import available_executors
 from repro.runtime.variables import Variable
-
-SWEEP_ENGINES = [e for e in ("event", "workerpool", "procpool")
-                 if e in available_executors()]
-
 
 def _settings(examples):
     return settings(max_examples=examples, deadline=None,
@@ -215,13 +210,12 @@ class TestMixedForests:
     @pytest.mark.parametrize("train", [False, True],
                              ids=["forward", "train"])
     @pytest.mark.parametrize("arity", [2, 3])
-    @pytest.mark.parametrize("engine",
-                             [e for e in SWEEP_ENGINES if e != "event"])
+    @pytest.mark.parametrize("engine", ["workerpool"])
     @_settings(4)
     @given(data=st.data())
     def test_pool_forest_equals_dynamic(self, engine, arity, train, data):
-        """Wall-clock executors group arrivals by timing — any grouping
-        must produce the event/dynamic bits."""
+        """The wall-clock executor groups arrivals by timing — any
+        grouping must produce the event/dynamic bits."""
         model = _Model.of(arity)
         forest = data.draw(st.lists(_profiles(arity), min_size=2,
                                     max_size=4))

@@ -163,7 +163,7 @@ class TestPlanCompilation:
 # -- the no-graph-walk guarantee ----------------------------------------------
 
 class TestNoGraphWalksAfterFirstSpawn:
-    @pytest.mark.parametrize("engine", ["event", "threaded"])
+    @pytest.mark.parametrize("engine", ["event", "workerpool"])
     @pytest.mark.timeout(60)
     def test_second_run_does_zero_walks(self, engine, monkeypatch, graph,
                                         runtime):
@@ -225,9 +225,9 @@ class TestHotPathSlots:
             plan,
             frame,
             Instance(a.op, frame, plan.index_of[a.op.id]),
-            Bucket("sig", "Tanh", 0.0),
+            Bucket("sig", "Tanh"),
             Coalescer(),
-            _SignatureState(width_ema=1.0, min_batch=2, timeout=0.001),
+            _SignatureState(width_ema=1.0, min_batch=2),
             _FifoReady(),
             _DepthPriorityReady(),
             RequestTicket(0, [], {}, True, None),
@@ -303,8 +303,9 @@ class TestRandomTreePlanEquivalence:
         for label, kwargs in (
                 ("event", dict(num_workers=8)),
                 ("event_batched", dict(num_workers=8, batching=True)),
-                ("threaded_batched", dict(num_workers=2, engine="threaded",
-                                          batching=True))):
+                ("workerpool_batched", dict(num_workers=2,
+                                            engine="workerpool",
+                                            batching=True))):
             sess = repro.Session(graph, repro.Runtime(), **kwargs)
             results[label] = sess.run(root, feeds)
         for label, value in results.items():

@@ -25,7 +25,6 @@ from repro.harness import (compare_admission, compare_batching,
 from repro.harness.serving import burst_request_stream
 from repro.models import ModelConfig, TreeLSTMSentiment, TreeRNNSentiment
 from repro.runtime import available_executors, resolve_executor
-from repro.runtime.batching import QueueAwareBatchPolicy
 from repro.runtime.server import ServerOverloaded
 
 pytestmark = pytest.mark.serving
@@ -349,43 +348,6 @@ class TestLatencyAccounting:
         assert result.stats.queue_times == [0.0] * 5
 
 
-# -- queue-aware flush policy -------------------------------------------------
-
-
-class TestQueueAwarePolicy:
-    def test_timeout_scales_with_load(self):
-        policy = QueueAwareBatchPolicy()
-        sig = ("MatMul", (), ())
-        base = super(QueueAwareBatchPolicy, policy).timeout_for(sig)
-        policy.note_queue_depth(0, 10)
-        shallow = policy.timeout_for(sig)
-        policy.note_queue_depth(10, 10)
-        deep = policy.timeout_for(sig)
-        assert shallow == pytest.approx(
-            max(policy.min_timeout, base * policy.shallow_scale))
-        assert deep == pytest.approx(
-            min(policy.max_timeout, base * policy.deep_scale))
-        assert deep > shallow
-        # depth beyond cap clamps to full load
-        policy.note_queue_depth(25, 10)
-        assert policy.load == 1.0
-        with pytest.raises(ValueError):
-            policy.note_queue_depth(1, 0)
-
-    def test_server_feeds_queue_depth_to_policy(self, bank):
-        """The server reports occupancy on enqueue/admit transitions."""
-        model = _model(bank)
-        policy = QueueAwareBatchPolicy()
-        result = serve_stream(model, bank.train, num_requests=12,
-                              max_in_flight=2, queue_cap=16, batching=True,
-                              batch_policy=policy, seed=4)
-        assert result.instances == 12
-        # the burst filled the queue (load seen > 0) and the drain
-        # emptied it again (final load 0)
-        assert policy.load == 0.0
-        assert policy.snapshot()   # flushes were observed per signature
-
-
 # -- failure isolation --------------------------------------------------------
 
 
@@ -414,20 +376,3 @@ class TestErrors:
         assert queued.done
         with pytest.raises(repro.EngineError):
             queued.result()
-
-    @pytest.mark.timeout(60)
-    def test_threaded_engine_error_does_not_hang_drain(self):
-        graph = repro.Graph("serving_err_threaded")
-        with graph.as_default():
-            table = ops.constant(np.arange(4, dtype=np.float32))
-            idx = ops.placeholder(repro.int32, (), "idx")
-            out = ops.gather(table, idx)
-        session = repro.Session(graph, repro.Runtime(), num_workers=2,
-                                engine="threaded")
-        server = session.serve(max_in_flight=2)
-        bad = server.submit(out, {idx: 77})
-        with pytest.raises(repro.EngineError):
-            server.drain()
-        with pytest.raises(repro.EngineError):
-            bad.result(timeout=10)
-        server.close()

@@ -37,7 +37,6 @@ from repro.graph.registry import all_op_types, register_op
 from repro.harness import serve_stream
 from repro.models import ModelConfig, TreeRNNSentiment
 from repro.runtime import available_executors, resolve_executor
-from repro.runtime.batching import QueueAwareBatchPolicy
 from repro.runtime.server import (DeadlineExceeded, RequestCancelled,
                                   ServerOverloaded)
 
@@ -431,7 +430,7 @@ class TestDeadlines:
 
     @pytest.mark.timeout(60)
     def test_result_timeout_honored_on_wall_clock(self):
-        server, gate, x, out, _ = _gated_server("threaded",
+        server, gate, x, out, _ = _gated_server("workerpool",
                                                 max_in_flight=1)
         ticket = server.submit(out, {x: 3.0})
         with pytest.raises(TimeoutError):
@@ -531,7 +530,7 @@ class TestAdmissionRaces:
             gate.set()
             graph, x, out = _gated_graph(gate)
             session = repro.Session(graph, repro.Runtime(), num_workers=2,
-                                    engine="threaded")
+                                    engine="workerpool")
             server = session.serve(max_in_flight=2)
             accepted, refused = [], []
             started = threading.Event()
@@ -555,32 +554,3 @@ class TestAdmissionRaces:
             # dropped into a torn-down engine
             assert all(t.done for t in accepted)
             assert all(t.error is None for t in accepted)
-
-    def test_policy_notified_outside_lock_with_slack(self, bank):
-        """The queue-aware policy hears depth and deadline slack; its
-        flush timeout clamps toward zero as a deadline approaches."""
-        policy = QueueAwareBatchPolicy()
-        sig = ("MatMul", (), ())
-        policy.note_queue_depth(10, 10)
-        relaxed = policy.timeout_for(sig)
-        policy.note_deadline_slack(0.001)
-        urgent = policy.timeout_for(sig)
-        assert urgent <= relaxed
-        assert urgent <= max(policy.min_timeout,
-                             0.001 * policy.urgency_fraction)
-        policy.note_deadline_slack(None)    # queue drained of deadlines
-        assert policy.timeout_for(sig) == relaxed
-
-        calls = []
-
-        class Recorder(QueueAwareBatchPolicy):
-            def note_deadline_slack(self, slack):
-                calls.append(slack)
-                super().note_deadline_slack(slack)
-
-        model = _model(bank)
-        serve_stream(model, bank.train, num_requests=8, max_in_flight=2,
-                     batching=True, batch_policy=Recorder(),
-                     deadline_slack=10.0, enforce_deadlines=False, seed=3)
-        assert calls
-        assert any(s is not None for s in calls)

@@ -1,7 +1,7 @@
-"""Threaded-engine continuous-admission soak.
+"""Wall-clock (workerpool) continuous-admission soak.
 
 Hundreds of requests with random arrival jitter pushed into a live
-thread-pool engine, guarding the serving path against the failure modes
+kernel-pool engine, guarding the serving path against the failure modes
 real servers hit: scheduler deadlock (the watchdog), lost requests
 (every ticket must resolve), and instance leaks (in-flight count, server
 queue and coalescer buckets must all return to zero).
@@ -38,11 +38,11 @@ def setup():
 
 
 @pytest.mark.timeout(180)
-def test_threaded_soak_no_deadlock_no_lost_requests(setup):
-    """200 jittered arrivals through a batching threaded server."""
+def test_workerpool_soak_no_deadlock_no_lost_requests(setup):
+    """200 jittered arrivals through a batching workerpool server."""
     model, built, feeds, reference = setup
     session = repro.Session(built.graph, model.runtime, num_workers=4,
-                            engine="threaded", batching=True,
+                            engine="workerpool", batching=True,
                             batch_policy=QueueAwareBatchPolicy())
     rng = np.random.default_rng(23)
     tree_ids = rng.integers(0, len(feeds), size=NUM_REQUESTS)
@@ -69,7 +69,8 @@ def test_threaded_soak_no_deadlock_no_lost_requests(setup):
         assert server.queue_depth == 0
         engine = session._engine
         assert len(engine._coalescer) == 0
-        assert engine._queue.empty()
+        assert not engine._ready
+        assert engine._inflight == 0
 
         # accounting covered every request exactly once
         stats = server.stats
@@ -81,11 +82,11 @@ def test_threaded_soak_no_deadlock_no_lost_requests(setup):
 
 
 @pytest.mark.timeout(120)
-def test_threaded_soak_reuse_and_second_burst(setup):
+def test_workerpool_soak_reuse_and_second_burst(setup):
     """The pool survives a second burst after going fully idle."""
     model, built, feeds, reference = setup
     session = repro.Session(built.graph, model.runtime, num_workers=3,
-                            engine="threaded", batching=True)
+                            engine="workerpool", batching=True)
     with session.serve(max_in_flight=4) as server:
         for _ in range(2):
             tickets = [server.submit(built.root_logits, feeds[i % len(feeds)])
@@ -93,7 +94,7 @@ def test_threaded_soak_reuse_and_second_burst(setup):
             server.drain()
             assert all(t.done for t in tickets)
             assert server.in_flight == 0
-            # idle gap: flush timers expire, workers sit on empty queues
+            # idle gap: the master and the workers sit on empty queues
             time.sleep(0.05)
         assert server.completed == 80
         for i, ticket in enumerate(tickets):

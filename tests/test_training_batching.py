@@ -78,12 +78,12 @@ class TestBitIdenticalTraining:
 
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("model_key", sorted(MODEL_SETUPS))
-    def test_threaded_engine(self, model_key):
+    def test_workerpool_engine(self, model_key):
         model, built, feeds = _training_setup(model_key, batch_size=2)
         ref_loss, ref_grads, _ = _grad_step(model, built, feeds,
                                             batching=False)
         loss, grads, stats = _grad_step(model, built, feeds,
-                                        engine="threaded", batching=True)
+                                        engine="workerpool", batching=True)
         assert stats.batches > 0
         assert loss == ref_loss
         for name in ref_grads:
@@ -122,7 +122,7 @@ class TestBitIdenticalTraining:
 class TestFiniteDifference:
     """Independent validation: FD of the loss vs batched-training grads."""
 
-    @pytest.mark.parametrize("engine", ["event", "threaded"])
+    @pytest.mark.parametrize("engine", ["event", "workerpool"])
     def test_fd_matches_batched_gradients(self, engine):
         model, built, feeds = _training_setup("TreeLSTM", batch_size=2,
                                               seed=31)
