@@ -79,6 +79,9 @@ class WorkerPoolEngine(SchedulerCore):
                          batching=batching, batch_policy=batch_policy,
                          memory_budget=memory_budget,
                          track_live_bytes=track_live_bytes)
+        #: kernel-pool threads; empty while no pool runs, so stopping a
+        #: pool that never started is a no-op
+        self._pool: list = []
 
     # -- SchedulerCore executor hooks ----------------------------------------
 

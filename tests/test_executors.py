@@ -13,6 +13,8 @@ batched and unbatched.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,100 @@ class TestWorkerPoolSpecifics:
                 assert np.array_equal(expected, ticket.result())
         # the centralized master coalesces whole wavefronts
         assert server.stats.batches > 0
+
+    @staticmethod
+    def _count_pool_starts(monkeypatch):
+        from repro.runtime.workerpool import WorkerPoolEngine
+        starts = []
+        real = WorkerPoolEngine._start_pool
+
+        def start(engine):
+            starts.append(engine.num_workers)
+            real(engine)
+
+        monkeypatch.setattr(WorkerPoolEngine, "_start_pool", start)
+        return starts
+
+    def _tree_session(self, bank, model, built, workers=3):
+        batch = batch_trees([bank.train[0]])
+        session = repro.Session(built.graph, model.runtime,
+                                num_workers=workers, engine="workerpool")
+        return session, built.feed_dict(batch), built.shape_profiles(batch)
+
+    @pytest.mark.timeout(60)
+    def test_compiled_run_starts_no_kernel_pool(self, bank, model, built,
+                                                monkeypatch):
+        starts = self._count_pool_starts(monkeypatch)
+        session, feeds, profile = self._tree_session(bank, model, built)
+        threads = threading.active_count()
+        got = session.run(built.root_logits, feeds, shape_profile=profile)
+        assert session.last_stats.level_plan_hits == 1
+        assert starts == []
+        assert threading.active_count() == threads
+        assert np.array_equal(_reference_logits(model, built, bank)[0], got)
+
+    @pytest.mark.timeout(60)
+    def test_dynamic_run_starts_and_joins_kernel_pool(self, bank, model,
+                                                      built, monkeypatch):
+        starts = self._count_pool_starts(monkeypatch)
+        session, feeds, _ = self._tree_session(bank, model, built)
+        threads = threading.active_count()
+        session.run(built.root_logits, feeds)
+        assert starts == [3]
+        assert session._engine._pool == []
+        assert threading.active_count() == threads
+
+    @pytest.mark.timeout(60)
+    def test_fallback_profile_runs_on_the_kernel_pool(self, bank, model,
+                                                      built, monkeypatch):
+        """A profile that cannot compile (wrong site count) falls back
+        to the dynamic path, which needs the pool after all."""
+        starts = self._count_pool_starts(monkeypatch)
+        session, feeds, profile = self._tree_session(bank, model, built)
+        got = session.run(built.root_logits, feeds,
+                          shape_profile=profile + profile)
+        assert session.last_stats.level_plan_fallbacks == 1
+        assert starts == [3]
+        assert np.array_equal(_reference_logits(model, built, bank)[0], got)
+
+    @pytest.mark.timeout(60)
+    def test_failed_compiled_run_leaves_no_pool(self, bank, model, built,
+                                                monkeypatch):
+        """A profile that contradicts the fed tree raises from the
+        compiled sweep before any pool thread exists."""
+        starts = self._count_pool_starts(monkeypatch)
+        session, feeds, _ = self._tree_session(bank, model, built)
+        threads = threading.active_count()
+        with pytest.raises(repro.EngineError, match="shape profile"):
+            session.run(built.root_logits, feeds, shape_profile=((),))
+        assert starts == []
+        assert threading.active_count() == threads
+
+    def test_stop_pool_before_any_start_is_a_noop(self):
+        from repro.runtime.workerpool import WorkerPoolEngine
+        engine = WorkerPoolEngine(repro.Runtime(), num_workers=2)
+        engine._stop_pool()
+        assert engine._pool == []
+
+    @pytest.mark.timeout(60)
+    def test_serving_pool_outlives_compiled_requests(self, bank, model,
+                                                     built, monkeypatch):
+        """A serving session starts the pool once and keeps it up across
+        compiled and dynamic requests; close joins every thread."""
+        starts = self._count_pool_starts(monkeypatch)
+        session, feeds, profile = self._tree_session(bank, model, built)
+        threads = threading.active_count()
+        with session.serve(max_in_flight=4) as server:
+            compiled = server.submit(built.root_logits, feeds,
+                                     shape_profile=profile)
+            dynamic = server.submit(built.root_logits, feeds)
+            server.drain()
+            stats = server.stats
+        assert starts == [3]
+        assert stats.level_plan_hits == 1
+        assert np.array_equal(compiled.result(), dynamic.result())
+        assert session._engine._pool == []
+        assert threading.active_count() == threads
 
     @pytest.mark.timeout(60)
     def test_serving_error_fails_outstanding(self):
