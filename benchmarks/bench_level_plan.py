@@ -230,10 +230,9 @@ def test_level_canonicalization_stream_bench():
     """The heavy-tailed acceptance row: 500 requests.
 
     Before the level templates every distinct shape compiled its own
-    plan (500 shapes -> ~480+ plans) unless the depth-3 bucket
-    decomposed it into a dynamic spine over 5 canonical sub-plans.  Now
-    the definition compiles once: one template, no spine, no fallbacks,
-    and one cheap instantiation per distinct shape.
+    plan (500 shapes -> ~480+ plans).  Now the definition compiles once:
+    one template, no fallbacks, and one cheap instantiation per distinct
+    shape.
     """
     row = run_canon_stream(requests=500, seed=17)
     payload = {
@@ -245,8 +244,7 @@ def test_level_canonicalization_stream_bench():
     print(f"\nshape stream bench ({row['requests']} requests):")
     print(f"  distinct shapes: {row['distinct_shapes']}, templates: "
           f"{row['templates']}, instantiations: {row['instantiations']}")
-    print(f"  partial roots: {row['partial_roots']}, subtree sweeps: "
-          f"{row['subtree_runs']}, compile: {row['compile_ms']:.1f} ms "
+    print(f"  compile: {row['compile_ms']:.1f} ms "
           f"({row['compile_ms'] / row['requests']:.2f} ms/request)")
     assert row["fallbacks"] == 0
     assert row["templates"] == 1, row

@@ -176,8 +176,8 @@ def test_smoke_level_block_canary():
 
 def test_smoke_level_canon_canary():
     """Shape-stream canary: a 50-shape heavy-tailed stream through one
-    session compiles exactly one template and never decomposes a fully
-    determined tree (the full 500-request row is ``make bench-level``)."""
+    session compiles exactly one template and falls back on no shape
+    (the full 500-request row is ``make bench-level``)."""
     from benchmarks.bench_level_plan import run_canon_stream
 
     row = run_canon_stream(requests=50, seed=23, max_depth=7)

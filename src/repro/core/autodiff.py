@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.cache import child_key
+from repro.core.callsite import start_call
 from repro.core.subgraph import SubGraph, SubGraphError
 from repro.graph import dtypes
 from repro.graph.graph import Graph, Operation
@@ -42,8 +43,7 @@ from repro.graph.tensor import Tensor
 from repro.ops import array_ops, math_ops, tensor_array
 from repro.ops.common import build, out1
 
-__all__ = ["gradients", "differentiate_subgraph", "GradContext",
-           "cond_grad_slot_tensors"]
+__all__ = ["gradients", "differentiate_subgraph", "GradContext"]
 
 
 def _differentiable(dtype: dtypes.DType) -> bool:
@@ -338,62 +338,10 @@ def _cond_grad_infer(op):
     return specs
 
 
-def cond_grad_slot_tensors(subgraph: SubGraph) -> dict:
-    """Map a Cond branch's capture placeholder ids to the backward-body
-    output tensors carrying their gradients.
-
-    This is the slot wiring both CondGrad executions share: the dynamic
-    starter's completion callback reads the tensors out of the finished
-    backward frame, and the level-plan compiler
-    (:mod:`repro.runtime.level_plan`) bakes the same wiring into its
-    CondGrad finisher nodes — keeping the two paths structurally
-    identical.
-    """
-    backward = subgraph.grad_subgraph
-    slot_tensors = {}
-    for (kind, index), t in zip(subgraph.differentiable_input_slots(),
-                                backward.output_tensors):
-        assert kind == "capture", "cond branches have no declared inputs"
-        placeholder = subgraph.captures[index][1]
-        slot_tensors[placeholder.op.id] = t
-    return slot_tensors
-
-
-def _cond_grad_starter(scheduler, inst, inputs):
-    op = inst.op
-    n_seeds = op.attrs["n_seeds"]
-    pred = bool(np.asarray(inputs[0]))
-    seeds = inputs[1:1 + n_seeds]
-    refs = inputs[1 + n_seeds:]
-    entries = op.attrs["cap_entries"]  # [(role, placeholder_op_id)]
-    role = "true" if pred else "false"
-    subgraph: SubGraph = op.attrs[f"{role}_subgraph"]
-    backward = subgraph.grad_subgraph
-    if len(seeds) < len(backward.input_op_ids):
-        raise SubGraphError(
-            f"CondGrad {op.name} received {len(seeds)} seeds for "
-            f"{len(backward.input_op_ids)} backward-body inputs")
-    bindings = dict(zip(backward.input_op_ids, seeds))
-    key = child_key(inst.frame.key, op.attrs["site_id"])
-
-    def on_complete(frame):
-        slot_values = {ph_id: frame.value_of(t)
-                       for ph_id, t in cond_grad_slot_tensors(subgraph).items()}
-        outputs = []
-        for (entry_role, ph_id), ref in zip(entries, refs):
-            if entry_role == role and ph_id in slot_values:
-                outputs.append(slot_values[ph_id])
-            else:
-                outputs.append(tensor_array.zero_value_like(ref))
-        outputs.append(np.bool_(True))
-        scheduler.finish_async(inst, outputs)
-
-    scheduler.spawn_frame(backward, bindings, key, inst.frame.depth + 1,
-                       on_complete, inst)
-
-
+# the starter executes the op's call-site descriptor (repro.core.callsite),
+# which owns the seed / forward-ref split and the branch's slot wiring
 register_op("CondGrad", infer=_cond_grad_infer, is_async=True,
-            starter=_cond_grad_starter, cost="cond")
+            starter=start_call, cost="cond")
 
 
 def _grad_cond(gb, op, out_grads):

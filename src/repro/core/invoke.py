@@ -12,18 +12,19 @@ differentiation: it runs the SubGraph's *backward* SubGraph in a frame
 bound to the same frame key as the forward call, so ``CacheLookup``
 operations inside the backward body retrieve the forward activations from
 the concurrent value cache (paper Section 5).
+
+Both starters execute the op's call-site descriptor
+(:mod:`repro.core.callsite`), the one the compiled tier's template reads.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.cache import child_key
+from repro.core.callsite import start_call
 from repro.core.subgraph import SubGraph, SubGraphError
 from repro.graph import dtypes
 from repro.graph.registry import register_batched_async, register_op
 from repro.graph.tensor import Tensor
-from repro.ops.common import build, role_captures
+from repro.ops.common import build
 
 __all__ = ["invoke"]
 
@@ -33,69 +34,8 @@ def _invoke_infer(op):
     return list(subgraph.output_specs)
 
 
-def _invoke_starter(scheduler, inst, inputs):
-    # ``scheduler`` is the SchedulerCore (any executor backend): starters
-    # only touch the shared frame-lifecycle surface — spawn_frame,
-    # finish_async, post_continuation, record, runtime, cost_model.
-    op = inst.op
-    # spawn-constant spec, resolved once per op at first execution: the
-    # target SubGraph is finalized by then, so its binding ids, capture
-    # routing and output locations are frozen
-    spec = op.attrs.get("_spawn_spec")
-    if spec is None:
-        subgraph: SubGraph = op.attrs["subgraph"]
-        if not subgraph.finalized:
-            raise SubGraphError(
-                f"InvokeOp {op.name} executed before SubGraph "
-                f"{subgraph.name!r} was finalized")
-        # bind only the site's n_args declared inputs (a recursive site
-        # may predate later .input() declarations); captures follow by
-        # position via the capture map
-        spec = (subgraph,
-                subgraph.input_op_ids[:op.attrs["n_args"]],
-                role_captures(op, "main"),
-                subgraph.output_locs)
-        op.attrs["_spawn_spec"] = spec
-    subgraph, input_ids, captures, output_locs = spec
-    if len(inputs) < len(input_ids):
-        raise SubGraphError(
-            f"InvokeOp {op.name} received {len(inputs)} inputs for "
-            f"{len(input_ids)} declared SubGraph inputs")
-    bindings = dict(zip(input_ids, inputs))
-    for placeholder_id, position in captures:
-        bindings[placeholder_id] = inputs[position]
-    key = child_key(inst.frame.key, op.id)
-
-    # partial compilation: a spine frame carries per-call-site shape
-    # profiles; a fully-determined subtree runs as a compiled sub-sweep
-    # instead of a dynamic frame tree, and a partially-determined one
-    # spawns dynamically with its sub-profiles threaded one level down
-    rec = inst.frame.rec_profiles
-    entry = rec.get(op.id) if rec is not None else None
-    if entry is not None and entry[0] is subgraph:
-        profile = entry[1]
-        if scheduler._spawn_profiled_child(inst, subgraph, bindings, key,
-                                           profile):
-            return
-
-        def on_complete(frame):
-            scheduler.finish_async(inst, frame.values_at(output_locs))
-
-        frame = scheduler.spawn_frame(subgraph, bindings, key,
-                                      inst.frame.depth + 1, on_complete,
-                                      inst)
-        scheduler._attach_child_profiles(frame, subgraph, profile)
-        return
-
-    def on_complete(frame):
-        scheduler.finish_async(inst, frame.values_at(output_locs))
-
-    scheduler.spawn_frame(subgraph, bindings, key, inst.frame.depth + 1,
-                       on_complete, inst)
-
-
 register_op("Invoke", infer=_invoke_infer, is_async=True,
-            starter=_invoke_starter, cost="invoke")
+            starter=start_call, cost="invoke")
 # Concurrent calls of the *same* SubGraph with same-shaped arguments fuse
 # into one batched frame spawn (the caller-context setup is paid once for
 # the bucket; every member still gets its own frame).
@@ -122,10 +62,7 @@ def invoke(subgraph: SubGraph, args) -> Tensor | tuple[Tensor, ...]:
             raise SubGraphError(
                 f"argument {i} of {subgraph.name!r} has dtype "
                 f"{given.dtype.name}, expected {declared.dtype.name}")
-    if subgraph.finalized:
-        subgraph.register_site(op, "main")
-    else:
-        subgraph.register_site(op, "main")
+    subgraph.register_site(op, "main")
     if len(outputs) == 1:
         return outputs[0]
     return tuple(outputs)
@@ -147,35 +84,9 @@ def _invoke_grad_infer(op):
     return specs
 
 
-def _invoke_grad_starter(scheduler, inst, inputs):
-    op = inst.op
-    spec = op.attrs.get("_spawn_spec")
-    if spec is None:
-        subgraph: SubGraph = op.attrs["fwd_subgraph"]
-        # resolved lazily at first execution: recursion-safe
-        grad_sg = subgraph.grad_subgraph
-        spec = (grad_sg, grad_sg.input_op_ids, grad_sg.output_locs,
-                op.attrs["site_id"])
-        op.attrs["_spawn_spec"] = spec
-    grad_sg, input_ids, output_locs, site_id = spec
-    if len(inputs) < len(input_ids):
-        raise SubGraphError(
-            f"InvokeGrad {op.name} received {len(inputs)} seeds for "
-            f"{len(input_ids)} backward-body inputs")
-    bindings = dict(zip(input_ids, inputs))
-    key = child_key(inst.frame.key, site_id)
-
-    def on_complete(frame):
-        outputs = frame.values_at(output_locs)
-        outputs.append(np.bool_(True))
-        scheduler.finish_async(inst, outputs)
-
-    scheduler.spawn_frame(grad_sg, bindings, key, inst.frame.depth + 1,
-                       on_complete, inst)
-
-
+# the backward body resolves when the site first runs (recursion-safe)
 register_op("InvokeGrad", infer=_invoke_grad_infer, is_async=True,
-            starter=_invoke_grad_starter, cost="invoke")
+            starter=start_call, cost="invoke")
 # Backward frames of concurrent recursive calls batch exactly like the
 # forward ones: one fused spawn per bucket of same-signature InvokeGrads.
 register_batched_async("InvokeGrad", identity_attrs=("fwd_subgraph",))

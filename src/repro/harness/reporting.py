@@ -158,16 +158,12 @@ def format_level_histogram(stats, max_levels: int = 16,
     that does not match it).
     """
     hits, fallbacks = stats.level_plan_hits, stats.level_plan_fallbacks
-    partial = getattr(stats, "level_plan_partial_roots", 0)
-    if not (hits or fallbacks or partial):
+    if not (hits or fallbacks):
         return "level-plan: (no profiled admissions)"
     lines = [f"level-plan: hits={hits}  fallbacks={fallbacks}"]
     for reason, count in sorted(
             getattr(stats, "level_plan_fallback_reasons", {}).items()):
         lines.append(f"  fallback x{count}: {reason}")
-    if partial or getattr(stats, "level_plan_subtree_runs", 0):
-        lines.append(f"  partial roots={partial}  "
-                     f"subtree sweeps={stats.level_plan_subtree_runs}")
     probes = (getattr(stats, "level_plan_cache_hits", 0)
               + getattr(stats, "level_plan_cache_misses", 0))
     if probes:

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.cache import child_key
+from repro.core.callsite import start_call
 from repro.core.subgraph import SubGraph, SubGraphError
 from repro.graph import dtypes
 from repro.graph.graph import get_default_graph
@@ -51,38 +52,8 @@ def _cond_infer(op):
     return list(op.attrs["true_subgraph"].output_specs)
 
 
-def _cond_starter(scheduler, inst, inputs):
-    op = inst.op
-    # per-branch spawn constants, resolved once per op at first execution
-    spec = op.attrs.get("_spawn_spec")
-    if spec is None:
-        spec = {role: (op.attrs[f"{role}_subgraph"],
-                       role_captures(op, role),
-                       op.attrs[f"{role}_subgraph"].output_locs)
-                for role in ("true", "false")}
-        op.attrs["_spawn_spec"] = spec
-    pred = bool(np.asarray(inputs[0]))
-    subgraph, captures, output_locs = spec["true" if pred else "false"]
-    bindings = {placeholder_id: inputs[position]
-                for placeholder_id, position in captures}
-    key = child_key(inst.frame.key, op.id)
-
-    def on_complete(frame):
-        scheduler.finish_async(inst, frame.values_at(output_locs))
-
-    frame = scheduler.spawn_frame(subgraph, bindings, key,
-                                  inst.frame.depth + 1, on_complete, inst)
-    # partial compilation: a spine frame whose recursion hides behind a
-    # lone Cond stashed its children profiles under this op id — thread
-    # them into the chosen branch frame's call sites
-    rec = inst.frame.rec_profiles
-    if rec is not None:
-        entry = rec.get(op.id)
-        if entry is not None and entry[0] == "cond":
-            scheduler._attach_child_profiles(frame, entry[1], entry[2])
-
-
-register_op("Cond", infer=_cond_infer, is_async=True, starter=_cond_starter,
+# the starter executes the op's call-site descriptor (repro.core.callsite)
+register_op("Cond", infer=_cond_infer, is_async=True, starter=start_call,
             cost="cond")
 
 

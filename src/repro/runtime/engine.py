@@ -194,7 +194,6 @@ class EventEngine(SchedulerCore):
         self._pending_level_runs = []
         self._level_flushing = False
         self._level_flush_wanted = False
-        self._root_site_map = None
         self._new_stats()
         # Per-dispatch fast paths, used only while the cost model keeps
         # the stock implementations (instance- or subclass-overridden

@@ -8,18 +8,20 @@ relation between nodes instead of a per-input topological index; this
 module takes it literally (ARCHITECTURE.md, "Two-tier dispatch", has the
 full account):
 
-**Template** — once per (root plan, record mode[, subtree SubGraph]).
-Every *frame class* — the root frame, per recursive child count ``c``
-the node body with the ``Cond`` branch ``c`` selects and helper bodies
-inlined (``U_c``), and its ``InvokeGrad`` / ``CondGrad`` mirror
-(``GU_c``) — is scanned once, with the async starters' binding
-semantics, into kernel ops with *symbolic* inputs.  Ops split into a
-pre-call segment (feeds a recursive call or a ``Cond`` predicate) and a
-post-call segment, Kahn-levelled and pre-bucketed into steps; the root
-frame is staged around its call sites.  Each class segment is then a
-**block program**: its steps in Kahn order over local *registers*, with
-every same-segment operand resolved once, here; what crosses a block
-boundary is an *import* (wired per forest) or an *export* (a column).
+**Template** — once per (root plan, record mode).  Every *frame class*
+— the root frame, per recursive child count ``c`` the node body with
+the ``Cond`` branch ``c`` selects and helper bodies inlined (``U_c``),
+and its ``InvokeGrad`` / ``CondGrad`` mirror (``GU_c``) — is scanned
+once into kernel ops with *symbolic* inputs; every call is bound, keyed
+and returned by reading its op's call-site descriptor
+(:mod:`repro.core.callsite`), the one the async starters execute.  Ops
+split into a pre-call segment (feeds a recursive call or a ``Cond``
+predicate) and a post-call segment, Kahn-levelled and pre-bucketed into
+steps; the root frame is staged around its call sites.  Each class
+segment is then a **block program**: its steps in Kahn order over local
+*registers*, with every same-segment operand resolved once, here; what
+crosses a block boundary is an *import* (wired per forest) or an
+*export* (a column).
 Ineligibility is a property of the definition, recorded once with its
 reason.
 
@@ -44,7 +46,8 @@ Values, gradients, selective-cache entries and accumulator sums are
 bit-identical to the dynamic path (same ``child_key`` frame keys, same
 stateful-kernel contexts), and the sweep *verifies* every ``Cond``
 predicate against the branch the profile selected.  Anything ineligible
-falls back to the dynamic coalescer, counted by reason in
+— a profile with ``None`` holes included — falls back to the dynamic
+coalescer for the whole root, counted by reason in
 ``RunStats.level_plan_fallback_reasons``.
 """
 
@@ -58,10 +61,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.autodiff import cond_grad_slot_tensors
+from repro.core.callsite import call_site
+from repro.core.subgraph import SubGraphError
 from repro.graph.registry import ExecContext, OpDef
 from repro.ops import tensor_array
-from repro.ops.common import role_captures
 
 from .plan import plan_for
 from .plan import _PERSISTENT_ALIAS_OPS
@@ -84,7 +87,8 @@ LEVEL_PLAN_CAP = int(os.environ.get("REPRO_LEVEL_PLAN_CAP", "256"))
 _S, _O, _B, _C, _M = range(5)
 #: the shared ``True`` completion flag of gradient call sites (cid 0)
 _DONE = (_O, 0, 0)
-#: sentinel reason: the profile has undetermined (``None``) subtrees
+#: reason: the profile has undetermined (``None``) subtrees — the whole
+#: root then runs on the dynamic tier
 HOLES = "profile has undetermined subtrees"
 
 
@@ -297,7 +301,7 @@ class _Class:
 class Template:
     """The compiled definition: frame classes with symbolic wiring."""
 
-    def __init__(self, graph, root_plan, record, subtree):
+    def __init__(self, graph, root_plan, record):
         self.graph = graph
         self.record = record
         self.body_deps: dict = {}     # body graph -> FramePlan baked in
@@ -314,15 +318,13 @@ class Template:
         self.classes: list = []
         self.fwd: dict = {}           # child count -> U_c
         self.grad: dict = {}          # child count -> GU_c
-        self.s_rec = subtree
-        if subtree is None:
-            targets = {id(op.attrs["subgraph"]): op.attrs["subgraph"]
-                       for op in root_plan.ops if op.op_type == "Invoke"}
-            if len(targets) != 1:
-                raise _Ineligible(
-                    "root call sites target multiple SubGraphs" if targets
-                    else "no recursive call sites in the root plan")
-            self.s_rec, = targets.values()
+        targets = {id(op.attrs["subgraph"]): op.attrs["subgraph"]
+                   for op in root_plan.ops if op.op_type == "Invoke"}
+        if len(targets) != 1:
+            raise _Ineligible(
+                "root call sites target multiple SubGraphs" if targets
+                else "no recursive call sites in the root plan")
+        self.s_rec, = targets.values()
         if not self.s_rec.finalized:
             raise _Ineligible("recursive SubGraph is not finalized")
         body = self._body_plan(self.s_rec.graph)
@@ -331,18 +333,7 @@ class Template:
             frame = self._scan(cls, body, (), "node", lambda op: (_B, op.id))
             cls.outputs = self._values(frame, self.s_rec.output_locs)
         self.root = root = self._new_class("root", None)
-        #: what a subtree run hands back: its one call site's outputs
-        self.fetch_refs = ()
-        if subtree is None:
-            self._scan(root, root_plan, (), "root", None)
-        else:
-            # the root of a *subtree* template is one call site whose
-            # bound placeholders are fed from the spine frame's bindings
-            feeds = {op.id: (_S, self._add_op(root, op, None, 0, ()), 0)
-                     for op in body.ops if op.op_type == "Placeholder"}
-            root.sites.append(_Site("fwd", 0, (), feeds))
-            self.fetch_refs = tuple(
-                (_C, 0, j) for j in range(len(self.s_rec.output_locs)))
+        self._scan(root, root_plan, (), "root", None)
         self.root_sites = [s for s in root.sites if s.family == "fwd"]
         for family, classes in (("fwd", self.fwd), ("grad", self.grad)):
             self._check_family(classes, family)
@@ -403,11 +394,9 @@ class Template:
             raise _Ineligible("data-dependent control flow here")
         if direct:
             raise _Ineligible("mixed direct recursion and branch recursion")
-        branches = [conds[0].attrs[f"{role}_subgraph"]
-                    for role in ("true", "false")]
-        if not all(sg.finalized for sg in branches):
-            raise _Ineligible("branch body is not finalized")
-        tc, fc = (self._rec_sites(sg) for sg in branches)
+        bodies = self._site(conds[0]).bodies
+        tc, fc = (self._rec_sites(bodies[role].subgraph)
+                  for role in ("true", "false"))
         if tc == fc:
             raise _Ineligible("branch is not determined by the shape profile")
         return (tc, fc)
@@ -512,104 +501,98 @@ class Template:
                 return ref if ref[0] == _O else (_M, ref)
         raise _Ineligible("cache lookup without a compiled producer")
 
-    def _inline(self, cls, frame, sg, site, mode, bindings) -> tuple:
-        """Inline the frame a non-recursive call site spawns; returns
-        it and its output refs."""
-        if not sg.finalized:
-            raise _Ineligible("call target is not finalized")
-        child = self._scan(cls, self._body_plan(sg.graph),
-                           frame.rel + (site,), mode,
-                           lambda o: bindings.get(o.id))
-        return child, list(self._values(child, sg.output_locs))
+    @staticmethod
+    def _site(op):
+        """``op``'s call-site descriptor; a site that cannot run yet makes
+        the definition ineligible, for the reason it gives."""
+        try:
+            return call_site(op)
+        except SubGraphError as exc:
+            raise _Ineligible(str(exc)) from None
+
+    def _inline(self, cls, frame, site, role, in_refs, mode) -> _SubFrame:
+        """Inline the frame a non-recursive call spawns, bound like the
+        starter binds it."""
+        bindings = site.bind(role, in_refs)
+        return self._scan(cls,
+                          self._body_plan(site.bodies[role].subgraph.graph),
+                          frame.rel + (site.suffix,), mode,
+                          lambda o: bindings.get(o.id))
 
     def _call_Invoke(self, cls, frame, op, in_refs, mode) -> list:
-        sg = op.attrs["subgraph"]
-        ids = sg.input_op_ids[:op.attrs["n_args"]]
-        bindings = dict(zip(ids, in_refs))
-        for ph_id, pos in role_captures(op, "main"):
-            bindings[ph_id] = in_refs[pos]
-        if sg is not self.s_rec:
-            return self._inline(cls, frame, sg, op.id, "helper",
-                                bindings)[1]
+        site = self._site(op)
+        body = site.bodies["main"]
+        if body.subgraph is not self.s_rec:
+            child = self._inline(cls, frame, site, "main", in_refs, "helper")
+            return list(self._values(child, body.output_locs))
         if mode in ("helper", "grad"):
             raise _Ineligible("recursive call outside the profiled structure")
         child = sum(1 for s in cls.sites if s.family == "fwd")
-        cls.sites.append(_Site("fwd", child, frame.rel + (op.id,), bindings))
+        cls.sites.append(_Site("fwd", child, frame.rel + (site.suffix,),
+                               site.bind("main", in_refs)))
         return [(_C, len(cls.sites) - 1, j)
-                for j in range(len(sg.output_locs))]
+                for j in range(len(body.output_locs))]
 
     def _call_Cond(self, cls, frame, op, in_refs, mode) -> list:
         if mode != "node":
             raise _Ineligible("data-dependent control flow here")
-        role = ("true" if self._rec_sites(op.attrs["true_subgraph"])
+        site = self._site(op)
+        role = ("true" if self._rec_sites(site.bodies["true"].subgraph)
                 == cls.count else "false")
-        cls.cond_roles[(frame.rel, op.id)] = role
+        cls.cond_roles[(frame.rel, site.suffix)] = role
         cls.checks.append((in_refs[0], role == "true", op.name))
-        bindings = {ph_id: in_refs[pos]
-                    for ph_id, pos in role_captures(op, role)}
-        return self._inline(cls, frame, op.attrs[f"{role}_subgraph"],
-                            op.id, "branch", bindings)[1]
+        child = self._inline(cls, frame, site, role, in_refs, "branch")
+        return list(self._values(child, site.bodies[role].output_locs))
 
-    def _grad_body(self, fwd, mode, seeds):
+    def _grad_site(self, op, mode):
         if mode not in ("root", "grad"):
             raise _Ineligible("backward call in a forward body")
-        if fwd._grad_subgraph is None:
-            raise _Ineligible("gradient body not built yet")
-        gsg = fwd.grad_subgraph  # too few seeds: an unbound placeholder
-        return gsg, dict(zip(gsg.input_op_ids, seeds))
+        return self._site(op)
 
     def _call_InvokeGrad(self, cls, frame, op, in_refs, mode) -> list:
-        fwd, site_id = op.attrs["fwd_subgraph"], op.attrs["site_id"]
-        gsg, bindings = self._grad_body(fwd, mode, in_refs)
-        if fwd is not self.s_rec:
-            return self._inline(cls, frame, gsg, site_id, "grad",
-                                bindings)[1] + [_DONE]
-        # the mirror of forward call site ``site_id``: same child, same
-        # key suffix
-        path = frame.rel + (site_id,)
+        site = self._grad_site(op, mode)
+        body = site.bodies["main"]
+        # a backward body belongs to one forward body: s_rec's is the
+        # mirror of a recursive call, any other one a helper's
+        if body.subgraph is not self.s_rec._grad_subgraph:
+            child = self._inline(cls, frame, site, "main", in_refs, "grad")
+            return list(self._values(child, body.output_locs)) + [_DONE]
+        # the mirror of the forward call site with the same key suffix
+        path = frame.rel + (site.suffix,)
         sites = (self.root if cls.family == "root" else cls.mirror).sites
         mirrored = [s for s in sites if s.family == "fwd" and s.path == path]
-        if not mirrored or not gsg.finalized:
+        if not mirrored:
             raise _Ineligible("gradient call sites do not mirror the "
                               "forward recursion")
         if not self.grad:  # scan GU_c for every forward class, once
-            body = self._body_plan(gsg.graph)
+            plan = self._body_plan(body.subgraph.graph)
             for c, fwd_cls in self.fwd.items():
                 self.grad[c] = self._new_class("grad", c, mirror=fwd_cls)
             for gcls in self.grad.values():
-                top = self._scan(gcls, body, (), "grad",
+                top = self._scan(gcls, plan, (), "grad",
                                  lambda o: (_B, o.id))
-                gcls.outputs = self._values(top, gsg.output_locs)
-        cls.sites.append(_Site("grad", mirrored[0].child, path, bindings))
+                gcls.outputs = self._values(top, body.output_locs)
+        cls.sites.append(_Site("grad", mirrored[0].child, path,
+                               site.bind("main", in_refs)))
         return [(_C, len(cls.sites) - 1, j)
-                for j in range(len(gsg.output_locs))] + [_DONE]
+                for j in range(len(body.output_locs))] + [_DONE]
 
     def _call_CondGrad(self, cls, frame, op, in_refs, mode) -> list:
-        site_id, n_seeds = op.attrs["site_id"], op.attrs["n_seeds"]
-        role = (cls.mirror.cond_roles.get((frame.rel, site_id))
+        site = self._grad_site(op, mode)
+        role = (cls.mirror.cond_roles.get((frame.rel, site.suffix))
                 if cls.mirror is not None else None)
         if role is None:
             raise _Ineligible("no compiled branch decision to mirror")
-        sg = op.attrs[f"{role}_subgraph"]
-        backward, bindings = self._grad_body(sg, mode,
-                                             in_refs[1:1 + n_seeds])
-        entries, fwd_refs = op.attrs["cap_entries"], in_refs[1 + n_seeds:]
-        if len(fwd_refs) != len(entries):
-            raise _Ineligible("capture entries out of sync")
-        slot_tensors = cond_grad_slot_tensors(sg)
-        child = self._inline(cls, frame, backward, site_id, "grad",
-                             bindings)[0]
+        child = self._inline(cls, frame, site, role, in_refs, "grad")
         fi = cls.frames.index(frame)
         outs = []
-        for pos, ((entry_role, ph_id), ref) in enumerate(
-                zip(entries, fwd_refs)):
-            t = slot_tensors.get(ph_id) if entry_role == role else None
-            if t is not None:
-                outs.append(child.refs[child.plan.index_of[t.op.id]][t.index])
-            else:  # untaken: a zero gradient shaped like the forward value
-                like = op.inputs[1 + n_seeds + pos]
+        for loc, pos in zip(site.bodies[role].output_locs, site.refs):
+            if loc is not None:
+                outs.append(child.refs[child.plan.index_of[loc[0]]][loc[1]])
+            else:  # the other branch's capture: a zero gradient
+                like = op.inputs[pos]
                 outs.append((_S, self._add_op(
-                    cls, op, _ZEROS, fi, (ref,),
+                    cls, op, _ZEROS, fi, (in_refs[pos],),
                     ("zeros", like.dtype, like.shape)), 0))
         return outs + [_DONE]
 
@@ -797,7 +780,7 @@ class Template:
                 (ref,), max(prog.n_levels - 1, 0)), *store))
 
 
-def template_for(graph, root_plan, record: bool, subtree=None, stats=None):
+def template_for(graph, root_plan, record: bool, stats=None):
     """The (memoized) :class:`Template` of one definition, or the reason
     string it is ineligible.  Memoized on ``graph._level_plans`` keyed by
     the root FramePlan object — dropped by graph mutation and by the
@@ -805,14 +788,14 @@ def template_for(graph, root_plan, record: bool, subtree=None, stats=None):
     revalidates the identity of the body FramePlans it baked in, so
     ``set_cache_filter`` on a body graph recompiles."""
     templates = graph._level_plans.setdefault("templates", {})
-    key = (root_plan, bool(record), subtree)
+    key = (root_plan, bool(record))
     entry = templates.get(key)
     if entry is not None and (isinstance(entry, str) or all(
             plan_for(g) is p for g, p in entry.body_deps)):
         return entry
     t0 = time.perf_counter()
     try:
-        built = Template(graph, root_plan, bool(record), subtree)
+        built = Template(graph, root_plan, bool(record))
     except _Ineligible as exc:
         built = exc.args[0]
     if stats is not None:
@@ -838,7 +821,7 @@ _Lin = namedtuple("_Lin", "profiles c parent site depth height first tree "
 def linearise(tpl: Template, shape_profile):
     """Walk one run's profiles once: returns its :class:`_Lin`, or the
     reason string it cannot be instantiated (:data:`HOLES` when a
-    subtree is undetermined — the caller runs a dynamic spine)."""
+    subtree is undetermined)."""
     try:
         profiles = tuple(shape_profile)
         # the instantiation memo keys on it: a repeated batch finds its
@@ -1219,7 +1202,7 @@ class LevelPlan:
         pinned = {cid for cid, _ in self._root}
         at = forest.pops[None].members[0]
         for ref in {r for f in root.frames for rs in f.refs for r in rs
-                    if r[0] == _C}.union(tpl.fetch_refs):
+                    if r[0] == _C}:
             addr, row = forest.resolve(root, ref)
             cids = (addr[at] >> forest.bits).tolist()
             self._fetch[ref] = (cids, (addr[at] & forest.mask).tolist(),
@@ -1311,12 +1294,12 @@ def instance_for(tpl: Template, lins, stats=None) -> "LevelPlan":
 
 
 def level_plan_for(graph, root_plan, shape_profile, record: bool,
-                   stats=None, subtree=None) -> Optional["LevelPlan"]:
+                   stats=None) -> Optional["LevelPlan"]:
     """Template + linearise + instantiate for one run: the compiled
     program of ``shape_profile`` (per-root-call-site shape profiles in
     op-id order — ``TreeBatch.profiles`` for the tree models), or
     ``None`` when the definition or the profile is not compilable."""
-    tpl = template_for(graph, root_plan, record, subtree, stats)
+    tpl = template_for(graph, root_plan, record, stats)
     lin = tpl if isinstance(tpl, str) else linearise(tpl, shape_profile)
     return None if isinstance(lin, str) else instance_for(tpl, [lin], stats)
 
@@ -1805,10 +1788,8 @@ def execute_level_plan(core: SchedulerCore, lp: LevelPlan, runs) -> list:
         for ref in run.fetch_refs:
             cid, out, row = lp.fetch_ref(ref, r)
             col = cols[cid][out]
-            values.append(col.value if col.__class__ is _Inv else col[row])
-        # root fetches leave the runtime dense; a subtree boundary hands
-        # back raw values (incl. sparse IndexedSlices) exactly like the
-        # dynamic finish_async
-        results.append([densify(v) for v in values]
-                       if run.densify_fetches else values)
+            # root fetches leave the runtime dense
+            values.append(densify(col.value if col.__class__ is _Inv
+                                  else col[row]))
+        results.append(values)
     return results

@@ -52,8 +52,7 @@ from repro.graph.registry import _REGISTRY_VERSION, op_def, registry_version
 
 from .batching import signature_prefix
 
-__all__ = ["FramePlan", "plan_for", "plan_for_fetches",
-           "rec_invoke_sites"]
+__all__ = ["FramePlan", "plan_for", "plan_for_fetches"]
 
 #: cache key for the whole-graph plan (every op, the SubGraph-body case)
 _ALL_OPS = "__all_ops__"
@@ -75,7 +74,7 @@ class FramePlan:
                  "ops", "defs", "starters", "dep_counts", "consumer_slots",
                  "zero_dep_slots", "input_locs", "sig_prefixes",
                  "store_masks", "cost_kinds", "n_outputs", "edge_counts",
-                 "scratch_slots", "_release_memo", "_rec_sites_memo")
+                 "scratch_slots", "_release_memo")
 
     def __init__(self, graph, op_ids: Optional[Sequence[int]] = None):
         if op_ids is None:
@@ -131,7 +130,6 @@ class FramePlan:
         self.scratch_slots = [op.op_type not in _PERSISTENT_ALIAS_OPS
                               for op in ops]
         self._release_memo: dict = {}
-        self._rec_sites_memo: dict = {}
 
     def release_counts(self, pin_locs: tuple) -> tuple:
         """Per-slot release counters with pinned locations exempted.
@@ -158,32 +156,6 @@ class FramePlan:
     def __repr__(self) -> str:
         return (f"<FramePlan graph={self.graph.name!r} "
                 f"slots={self.num_slots}>")
-
-
-def rec_invoke_sites(plan: FramePlan, s_rec) -> tuple:
-    """Recursive call-site layout of a body plan, for profile threading.
-
-    Returns ``(invoke_op_ids, lone_cond_op_id)``: the op ids of direct
-    ``Invoke`` sites targeting ``s_rec`` in plan slot order, and — only
-    when there are no direct sites — the op id of the plan's single
-    ``Cond`` (None if there are zero or several).  Memoized on the plan,
-    keyed by the recursive SubGraph's identity.
-    """
-    memo = plan._rec_sites_memo
-    key = id(s_rec)
-    cached = memo.get(key)
-    if cached is None:
-        sites = []
-        conds = []
-        for op in plan.ops:
-            if (op.op_type == "Invoke"
-                    and op.attrs.get("subgraph") is s_rec):
-                sites.append(op.id)
-            elif op.op_type == "Cond":
-                conds.append(op.id)
-        lone_cond = conds[0] if not sites and len(conds) == 1 else None
-        cached = memo[key] = (tuple(sites), lone_cond)
-    return cached
 
 
 def _refresh_registry_version(graph) -> None:

@@ -200,8 +200,7 @@ class Frame:
 
     __slots__ = ("plan", "graph", "key", "depth", "record", "bindings",
                  "values", "pending", "remaining", "on_complete", "owner",
-                 "ctx", "root", "cancelled", "release_counts",
-                 "rec_profiles")
+                 "ctx", "root", "cancelled", "release_counts")
 
     def __init__(self, plan: FramePlan, bindings: dict, key: tuple,
                  depth: int, record: bool, on_complete: Callable,
@@ -227,11 +226,6 @@ class Frame:
         #: (None disables release for this frame); set by ``_make_frame``
         #: from the plan's memoized pin-aware counts
         self.release_counts: Optional[list] = None
-        #: partial-compilation profile map for this frame's call sites:
-        #: op id -> (s_rec, subtree profile) for Invoke sites, or
-        #: ("cond", s_rec, children) under a lone Cond op id.  None on
-        #: frames without attached profiles (the overwhelming default).
-        self.rec_profiles: Optional[dict] = None
 
     def value_of(self, tensor: Tensor):
         return self.values[self.plan.index_of[tensor.op.id]][tensor.index]
@@ -291,9 +285,6 @@ class _LevelRun:
 
     #: duck-type marker consulted by ``_cancel_root_locked``
     is_level_run = True
-    is_subtree = False
-    #: fetch-boundary behavior: root fetches leave the runtime dense
-    densify_fetches = True
 
     __slots__ = ("tpl", "lin", "prefix", "feed", "fetch_refs",
                  "on_complete", "cancelled", "done")
@@ -303,33 +294,6 @@ class _LevelRun:
         self.tpl, self.lin, self.prefix, self.feed = tpl, lin, prefix, feed
         self.fetch_refs, self.on_complete = fetch_refs, on_complete
         self.cancelled = self.done = False
-
-
-class _SubtreeRun:
-    """One recursive subtree executed inside a compiled sub-forest.
-
-    The partial-compilation handle: a dynamic spine frame's Invoke
-    starter launches it instead of spawning a child frame tree, and its
-    boundary values return through ``finish_async`` exactly like a
-    dynamic child's ``on_complete`` — raw (no densify), so sparse
-    gradients cross the boundary bit-identically.  ``prefix`` is the
-    dynamic ``child_key`` the child frame would have had.
-    """
-
-    is_level_run = True
-    is_subtree = True
-    densify_fetches = False
-
-    __slots__ = ("tpl", "lin", "prefix", "feed", "fetch_refs", "inst",
-                 "done")
-
-    def __init__(self, tpl, lin, prefix: tuple, feed: dict, inst):
-        self.tpl, self.lin, self.prefix, self.feed = tpl, lin, prefix, feed
-        self.fetch_refs, self.inst, self.done = tpl.fetch_refs, inst, False
-
-    @property
-    def cancelled(self):
-        return self.inst.frame.root.cancelled
 
 
 class _FifoReady(deque):
@@ -526,9 +490,6 @@ class SchedulerCore:
         #: (workerpool — a starter-context flush would execute the sweep
         #: under the master lock)
         self._level_flush_wanted = False
-        #: one-shot stash: _try_level_run parks the root's site map here
-        #: for the dynamic root frame _make_frame is about to build
-        self._root_site_map: Optional[dict] = None
 
     # -- Executor interface ---------------------------------------------------
     #
@@ -595,11 +556,6 @@ class SchedulerCore:
     def _make_frame(self, plan: FramePlan, bindings, key, depth, record,
                     on_complete, owner, pin_locs=None) -> Frame:
         frame = Frame(plan, bindings, key, depth, record, on_complete, owner)
-        if depth == 0 and self._root_site_map is not None:
-            # partial compilation: _try_level_run parked the root's
-            # per-call-site profile map for this dynamic spine frame
-            frame.rec_profiles = self._root_site_map
-            self._root_site_map = None
         if pin_locs is not None and not record:
             # recording frames keep every slot alive for the backward
             # pass's cache reads; eager release only applies otherwise
@@ -801,7 +757,6 @@ class SchedulerCore:
         self._pending_level_runs = []
         self._level_flushing = False
         self._level_flush_wanted = False
-        self._root_site_map = None
         self._start_serving()
         self._serve_wall0 = time.perf_counter()
         self._error_listener = error_listener
@@ -824,21 +779,17 @@ class SchedulerCore:
         routes the root through the compiled level-plan fast path when
         it is eligible (:mod:`repro.runtime.level_plan`): no frames are
         spawned, and concurrent same-profile roots share one wavefront.
-        Ineligible roots fall back to the dynamic path below, counted in
+        Ineligible roots — and profiles with ``None`` holes — fall back
+        to the dynamic path below, counted in
         ``RunStats.level_plan_fallbacks``.
         """
         fetch_list = list(fetches)
         plan = plan_for_fetches(graph, {t.op for t in fetch_list})
-        site_map = None
         if shape_profile is not None:
             handle = self._try_submit_level_root(
                 graph, plan, fetch_list, feed_map, key, on_complete,
                 shape_profile)
-            if isinstance(handle, dict):
-                # spine root: run dynamically with the per-call-site
-                # profile map attached, compiled sub-sweeps per subtree
-                site_map = handle
-            elif handle is not None:
+            if handle is not None:
                 return handle
         pins = tuple((t.op.id, t.index) for t in fetch_list)
 
@@ -855,8 +806,6 @@ class SchedulerCore:
             frame = self._make_frame(plan, feed_map, key=key, depth=0,
                                      record=False, on_complete=frame_done,
                                      owner=None, pin_locs=pins)
-            if site_map is not None:
-                frame.rec_profiles = site_map
             self._start_frame(frame)
         self._admitted()
         return frame
@@ -873,8 +822,8 @@ class SchedulerCore:
     # at virtual instants with modeled cost.
 
     def _note_fallback(self, reason: str) -> None:
-        """Count one profiled admission (or spine subtree) that runs
-        dynamically, under the reason it could not be compiled."""
+        """Count one profiled admission that runs dynamically, under the
+        reason it could not be compiled."""
         with self._locked:
             self.stats.level_plan_fallbacks += 1
             reasons = self.stats.level_plan_fallback_reasons
@@ -885,22 +834,15 @@ class SchedulerCore:
 
         ``(tpl, lin, fetch_refs)`` — fully determined, of any depth: the
         whole root runs compiled, instantiated with whatever else
-        flushes with it.  A site-map *dict* ``{root Invoke id: (s_rec,
-        profile)}`` — the profile has holes (undetermined subtrees): the
-        root runs as a dynamic spine whose determined subtrees join
-        compiled sub-forests.  ``None`` — plain dynamic fallback,
-        already counted with its reason.  The profile is walked once.
+        flushes with it.  ``None`` — dynamic fallback, already counted
+        with its reason (a profile with ``None`` holes is one of them).
+        The profile is walked once.
         """
-        from .level_plan import HOLES, linearise, template_for
+        from .level_plan import linearise, template_for
         tpl = template_for(graph, plan, self.record, stats=self.stats)
         if isinstance(tpl, str):
             return self._note_fallback(tpl)
         lin = linearise(tpl, shape_profile)
-        if lin is HOLES:
-            with self._locked:
-                self.stats.level_plan_partial_roots += 1
-            return {site.path[-1]: (tpl.s_rec, prof) for site, prof
-                    in zip(tpl.root_sites, shape_profile)}
         if isinstance(lin, str):
             return self._note_fallback(lin)
         if lin.max_depth > self.max_depth:
@@ -920,16 +862,12 @@ class SchedulerCore:
         The run's key prefix is the root key ``()``, so cache entries
         and accumulator order keys are bit-identical to the dynamic
         path.  Errors propagate to the caller like dynamic ``run``.
-        A profile with holes returns None after parking the site map
-        for the dynamic root frame.
         """
         from .level_plan import execute_level_plan, instance_for
-        self._root_site_map = None
         plan = plan_for_fetches(graph, {t.op for t in fetch_list})
         admitted = self._admit_profile(graph, plan, fetch_list,
                                        shape_profile)
-        if admitted is None or isinstance(admitted, dict):
-            self._root_site_map = admitted
+        if admitted is None:
             return None
         tpl, lin, fetch_refs = admitted
         run = _LevelRun(tpl, lin, (), feed_map, fetch_refs, None)
@@ -942,14 +880,13 @@ class SchedulerCore:
                                key, on_complete, shape_profile):
         """Serving-mode admission onto the compiled path.
 
-        Returns a ``_LevelRun`` handle when the root is compiled, the
-        root site-map *dict* for a profile with holes (the caller builds
-        a dynamic frame and attaches it), or None for plain fallback.
+        Returns a ``_LevelRun`` handle when the root is compiled, or None
+        for fallback.
         """
         admitted = self._admit_profile(graph, plan, fetch_list,
                                        shape_profile)
-        if admitted is None or isinstance(admitted, dict):
-            return admitted
+        if admitted is None:
+            return None
         run = _LevelRun(admitted[0], admitted[1], key, feed_map,
                         admitted[2], on_complete)
         with self._locked:
@@ -959,62 +896,6 @@ class SchedulerCore:
         self._schedule_level_flush()
         self._admitted()
         return run
-
-    def _attach_child_profiles(self, frame: Frame, s_rec, children) -> None:
-        """Thread sub-profiles one level down a dynamic spine frame.
-
-        Called by the async starters right after ``spawn_frame`` (safe:
-        starters hold the master lock on every backend, or run on the
-        single event thread).  Invoke sites of ``s_rec`` in plan slot
-        order zip with ``children``; a body with no direct sites and
-        exactly one Cond stashes the children under the Cond op id for
-        the branch frame.  On any mismatch nothing attaches and the
-        subtree silently stays dynamic.
-        """
-        from .plan import rec_invoke_sites
-        if children is None:
-            # fully undetermined subtree: no profiles to thread — the
-            # whole subtree runs dynamically
-            return
-        sites, lone_cond = rec_invoke_sites(frame.plan, s_rec)
-        if sites:
-            if len(sites) == len(children):
-                frame.rec_profiles = {
-                    op_id: (s_rec, child)
-                    for op_id, child in zip(sites, children)}
-        elif lone_cond is not None:
-            frame.rec_profiles = {lone_cond: ("cond", s_rec, children)}
-
-    def _spawn_profiled_child(self, inst: Instance, subgraph, bindings,
-                              key, profile) -> bool:
-        """Try to run one recursive subtree inside a compiled sub-forest.
-
-        The partial-compilation launch point, called from the Invoke
-        starter of a frame carrying ``rec_profiles``.  Returns False —
-        the caller spawns a dynamic child frame instead — when the
-        subtree still has holes (its sub-profiles are threaded one level
-        down) or cannot be compiled (counted per subtree, with the
-        reason, in ``level_plan_fallbacks``).  Every determined subtree
-        of one flush joins the same forest.
-        """
-        from .level_plan import HOLES, linearise, template_for
-        graph = subgraph.graph
-        tpl = template_for(graph, plan_for(graph), self.record,
-                           subtree=subgraph, stats=self.stats)
-        lin = tpl if isinstance(tpl, str) else linearise(tpl, (profile,))
-        if lin is HOLES:
-            return False
-        if not isinstance(lin, str) \
-                and lin.max_depth > self.max_depth - inst.frame.depth:
-            lin = "max_depth exceeded"
-        if isinstance(lin, str):
-            self._note_fallback(lin)
-            return False
-        self._pending_level_runs.append(
-            _SubtreeRun(tpl, lin, key, bindings, inst))
-        self.stats.level_plan_subtree_runs += 1
-        self._schedule_level_flush()
-        return True
 
     def _schedule_level_flush(self) -> None:
         """Arrange for pending compiled roots to execute.  Base backends
@@ -1083,13 +964,6 @@ class SchedulerCore:
         """Retire one compiled root (mirrors the dynamic ``frame_done``:
         bookkeeping and the completion callback under the master lock)."""
         run.lin = run.feed = None  # a kept ticket holds the run, not these
-        if run.is_subtree:
-            # sub-sweep boundary: hand the subtree outputs to the parent
-            # Invoke instance exactly like a dynamic child frame's
-            # on_complete (finish_async takes its own locks as needed)
-            run.done = True
-            self.finish_async(run.inst, values)
-            return
         with self._locked:
             if run.cancelled or run.done:
                 return

@@ -565,9 +565,9 @@ class RecursiveServer:
           flight at one flush — whatever its shape — joins the same
           forest and shares one sweep; an ineligible definition or a
           mismatching profile falls back to the dynamic path
-          transparently (``RunStats.level_plan_fallback_reasons``).
-          Only a profile with ``None`` holes admits a dynamic root
-          spine whose determined subtrees join compiled sub-forests.
+          transparently (``RunStats.level_plan_fallback_reasons``) —
+          a profile with ``None`` holes included: the request runs
+          wholly on the dynamic tier.
         """
         if deadline is not None and timeout is not None:
             raise ValueError("pass deadline= (absolute) or timeout= "

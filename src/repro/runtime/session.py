@@ -155,11 +155,11 @@ class Session:
         template, bit-identical to the dynamic path; an ineligible
         definition or a mismatching profile falls back transparently
         (``last_stats.level_plan_fallbacks``, by reason in
-        ``level_plan_fallback_reasons``).  Only a profile with ``None``
-        holes (undetermined subtrees, e.g. behind a data-dependent
-        ``cond``) runs partially compiled: a dynamic root spine whose
-        fully determined subtrees join compiled sub-forests
-        (``last_stats.level_plan_subtree_runs``).
+        ``level_plan_fallback_reasons``).  So does a profile with
+        ``None`` holes (undetermined subtrees, e.g. behind a
+        data-dependent ``cond``): the whole root runs on the dynamic
+        tier, one fallback under ``"profile has undetermined
+        subtrees"``.
         """
         single = isinstance(fetches, Tensor)
         fetch_list = [fetches] if single else list(fetches)

@@ -107,10 +107,11 @@ class RunStats:
     #: segment at one depth or height) and the kernel calls they made
     level_blocks: int = 0
     level_kernel_calls: int = 0
-    #: roots admitted as a dynamic spine with compiled sub-forests
-    #: (profiles with undetermined subtrees — not fallbacks)
+    #: always 0: partial compilation (a dynamic spine with compiled
+    #: sub-forests) is gone — a profile with holes is one fallback.
+    #: Kept only because ``bench_e2e/harness.py`` reads both as
+    #: attributes; they leave with that benchmark's next revision.
     level_plan_partial_roots: int = 0
-    #: recursive subtrees executed inside compiled sub-forests
     level_plan_subtree_runs: int = 0
     #: forests whose instantiation was found in the memo (one probe per
     #: flushed forest / one-shot run; only one-run forests are kept)
@@ -353,8 +354,6 @@ class RunStats:
                 self.level_row_loop_steps.get(k, 0) + v)
         self.level_blocks += other.level_blocks
         self.level_kernel_calls += other.level_kernel_calls
-        self.level_plan_partial_roots += other.level_plan_partial_roots
-        self.level_plan_subtree_runs += other.level_plan_subtree_runs
         self.level_plan_cache_hits += other.level_plan_cache_hits
         self.level_plan_cache_misses += other.level_plan_cache_misses
         self.level_plan_compile_ms += other.level_plan_compile_ms
@@ -388,8 +387,7 @@ class RunStats:
             lines.append(
                 f"peak_live_bytes={self.peak_live_bytes}"
                 f" ({self.peak_live_bytes / 2**20:.1f} MiB)")
-        if (self.level_plan_hits or self.level_plan_fallbacks
-                or self.level_plan_partial_roots):
+        if self.level_plan_hits or self.level_plan_fallbacks:
             fused = sum(count for hist in self.level_width_hist.values()
                         for count in hist.values())
             lines.append(
@@ -398,10 +396,6 @@ class RunStats:
                 f"level_dispatches={fused}  "
                 f"level_blocks={self.level_blocks}  "
                 f"level_kernel_calls={self.level_kernel_calls}")
-            if self.level_plan_partial_roots or self.level_plan_subtree_runs:
-                lines.append(
-                    f"level_partial_roots={self.level_plan_partial_roots}  "
-                    f"level_subtree_runs={self.level_plan_subtree_runs}")
             for reason, count in sorted(
                     self.level_plan_fallback_reasons.items()):
                 lines.append(f"  level_fallback x{count}: {reason}")

@@ -189,7 +189,6 @@ class WorkerPoolEngine(SchedulerCore):
         self._pending_level_runs = []
         self._level_flushing = False
         self._level_flush_wanted = False
-        self._root_site_map = None
         self._new_stats()
 
     def _start_pool(self) -> None:
@@ -241,10 +240,9 @@ class WorkerPoolEngine(SchedulerCore):
                 self._apply(item)
 
     def _schedule_level_flush(self) -> None:
-        # Compiled-root admissions (submit_root, on any thread) and
-        # subtree launches (Invoke starters, under the master lock) defer
-        # the sweep to the master loop: it shares stats and the value
-        # cache with the dynamic path, and a sweep error delivers to the
+        # Compiled-root admissions (submit_root, on any thread) defer the
+        # sweep to the master loop: it shares stats and the value cache
+        # with the dynamic path, and a sweep error delivers to the
         # serving error listener outside the lock.
         self._level_flush_wanted = True
         self._results.put(_WAKE)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.runtime.level_plan import HOLES
 
 
 @pytest.fixture(autouse=True)
@@ -81,3 +82,13 @@ def run(tensors, feeds=None, *, graph=None, runtime=None, workers=1,
     sess = repro.Session(target, runtime or repro.Runtime(),
                          num_workers=workers, record=record, **kwargs)
     return sess.run(tensors, feeds)
+
+
+def assert_one_hole_fallback(stats):
+    """A shape profile with ``None`` holes costs exactly one fallback,
+    counted by its reason, and compiles nothing."""
+    assert stats.level_plan_hits == 0
+    assert stats.level_plan_fallbacks == 1
+    assert stats.level_plan_fallback_reasons == {HOLES: 1}
+    assert stats.level_plan_partial_roots == 0
+    assert stats.level_plan_subtree_runs == 0

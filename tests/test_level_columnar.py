@@ -24,6 +24,7 @@ from repro.runtime import level_plan
 from repro.runtime.scheduler import available_executors
 from repro.runtime.server import RequestCancelled
 from repro.runtime.variables import Variable
+from tests.conftest import assert_one_hole_fallback
 
 ENGINES = available_executors()
 LSTM = tree_lstm_config(vocab_size=50, hidden=6, embed_dim=5)
@@ -416,12 +417,13 @@ class TestMergedRuns:
     @pytest.mark.parametrize("train", [False, True],
                              ids=["forward", "train"])
     def test_subtree_runs_merge_under_canon_depth(self, bank, train):
-        """Profiles with holes still run a dynamic spine, and every
-        determined subtree launched at one instant joins the same
-        sub-forest: more subtree runs than instantiation probes.
-        ``level_canon_depth`` is accepted but decomposes nothing."""
+        """Profiles with holes launch no subtree runs any more: the
+        whole batch — every determined subtree hanging off the path to
+        each hole — is one fallback to the dynamic tier, equal to an
+        unprofiled run in values, gradients and cache, even where the
+        determined part lies.  ``level_canon_depth`` is accepted but
+        decomposes nothing."""
         trees = [t for t in bank.train if t.depth > 4][:2]
-        dynamic = _lstm_run("event", trees, train, profile=False)
         runtime = repro.Runtime()
         model = TreeLSTMSentiment(LSTM, runtime)
         built = model.build_recursive(len(trees))
@@ -430,25 +432,27 @@ class TestMergedRuns:
         if train:
             _, updates = repro.gradients(built.loss, [])
             fetches += [op.outputs[-1] for op in updates]
-        # batching fuses the two spines' Invoke spawns, so their subtree
-        # launches land on the same virtual instant
-        session = repro.Session(built.graph, runtime, num_workers=4,
-                                record=train, level_canon_depth=3,
-                                batching=True)
-        runtime.accumulators.zero()
-        # punch a hole two levels down each tree: the spine is the path
-        # to the hole, every subtree hanging off it is determined
-        holed = tuple(_with_hole(p) for p in built.shape_profiles(batch))
-        values = session.run(fetches, built.feed_dict(batch),
-                             shape_profile=holed)
-        grads = {n: np.copy(runtime.accumulators.read(n))
-                 for n in runtime.accumulators.names()}
-        stats = session.last_stats
-        probes = stats.level_plan_cache_hits + stats.level_plan_cache_misses
-        assert stats.level_plan_partial_roots == 1
-        assert stats.level_plan_subtree_runs > probes >= 1
-        assert stats.level_plan_fallbacks == 0
-        _assert_same(dynamic, (values, grads, stats))
+        for engine in ENGINES:
+            session = repro.Session(built.graph, runtime, num_workers=4,
+                                    engine=engine, record=train,
+                                    level_canon_depth=3, batching=True)
+            runs = []
+            for holes in (None, _with_hole, _lying_hole):
+                runtime.accumulators.zero()
+                kwargs = ({} if holes is None else {"shape_profile": tuple(
+                    holes(p) for p in built.shape_profiles(batch))})
+                values = session.run(fetches, built.feed_dict(batch),
+                                     **kwargs)
+                runs.append((values, {
+                    n: np.copy(runtime.accumulators.read(n))
+                    for n in runtime.accumulators.names()},
+                    dict(runtime.cache.items()), session.last_stats))
+            for values, grads, cache, stats in runs[1:]:
+                assert_one_hole_fallback(stats)
+                _assert_same(runs[0], (values, grads))
+                assert set(cache) == set(runs[0][2])
+                for key, value in runs[0][2].items():
+                    assert np.array_equal(cache[key], value), key
 
 
 def _with_hole(profile, depth=2):
@@ -461,6 +465,22 @@ def _with_hole(profile, depth=2):
             return (profile[:i] + (_with_hole(child, depth - 1),)
                     + profile[i + 1:])
     return profile
+
+
+def _lying_hole(profile):
+    """``_with_hole(profile)`` whose leftmost determined leaf claims two
+    children."""
+    def lie(p):
+        if p == ():
+            return ((), ()), True
+        out, done = [], False
+        for child in p:
+            if not done and child is not None:
+                child, done = lie(child)
+            out.append(child)
+        return tuple(out), done
+
+    return lie(_with_hole(profile))[0]
 
 
 class TestLyingProfile:

@@ -1,12 +1,12 @@
-"""Canonicalization knobs + partial compilation (level-plan tier).
+"""Canonicalization knobs + holed profiles (level-plan tier).
 
 A fully determined profile of any depth is instantiated whole from the
 definition's one template (``level_canon_depth`` is still accepted and
-validated, but no longer decomposes such profiles); only a profile with
-``None`` holes runs as a dynamic root spine whose determined subtrees
-join compiled sub-forests.  Values, gradients and cache keys must match
-the dynamic scheduler exactly, and failures (lying profiles,
-uncompilable subtrees) must keep their semantics.
+validated, but no longer decomposes such profiles); a profile with
+``None`` holes is one fallback, and its whole root runs on the dynamic
+tier.  Values and cache keys must match the dynamic scheduler exactly,
+and failures (lying profiles, uncompilable definitions) must keep their
+semantics.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from repro.runtime.level_plan import Template, level_plan_for
 from repro.runtime.plan import plan_for_fetches
 from repro.runtime.scheduler import available_executors
 from repro.runtime.stats import RunStats
+from tests.conftest import assert_one_hole_fallback
 
 ENGINES = available_executors()
 
@@ -188,43 +189,47 @@ class TestCanonicalization:
         assert all(isinstance(t, Template) for t in templates.values())
 
 
+def _holed_equals_dynamic(engine, name, data, holed, seed):
+    """The tree-sum graph on a recording session, unprofiled and with
+    ``holed``: the same value and the same cache keys and values, and
+    one fallback for the holed run."""
+    graph, out, placeholders = _tree_sum_graph(name)
+    feeds = _feeds(placeholders, data, np.random.default_rng(seed))
+    runtime = repro.Runtime()
+    session = repro.Session(graph, runtime, num_workers=2, engine=engine,
+                            record=True)
+    runs = []
+    for kwargs in ({}, {"shape_profile": holed}):
+        runs.append((session.run(out, feeds, **kwargs),
+                     dict(runtime.cache.items())))
+    (ref, ref_cache), (got, cache) = runs
+    assert np.array_equal(ref, got)
+    assert set(cache) == set(ref_cache) and ref_cache
+    for key in ref_cache:
+        assert np.array_equal(cache[key], ref_cache[key]), key
+    assert_one_hole_fallback(session.last_stats)
+
+
 class TestPartialCompilation:
-    """Profiles with None holes run the determined subtrees compiled
-    and only the undetermined ones dynamically."""
+    """A profile with ``None`` holes is one more fallback: the whole
+    root runs on the dynamic tier — determined subtrees included — with
+    the dynamic tier's values and cache contents, and the determined
+    part of the profile is never checked against the data."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_hole_profile_runs_determined_subtrees(self, engine):
-        rng = np.random.default_rng(7)
-        graph, out, placeholders = _tree_sum_graph(f"holes-{engine}")
-        full = (((), ()), ())
-        feeds = _feeds(placeholders, full, rng)
-        session = repro.Session(graph, repro.Runtime(), num_workers=2,
-                                engine=engine)
-        ref = session.run(out, feeds)
-        got = session.run(out, feeds, shape_profile=((((), ()), None),))
-        stats = session.last_stats
-        assert np.array_equal(ref, got)
-        assert stats.level_plan_partial_roots == 1
-        assert stats.level_plan_subtree_runs >= 1
-        assert stats.level_plan_fallbacks == 0
+        _holed_equals_dynamic(engine, f"holes-{engine}", (((), ()), ()),
+                              ((((), ()), None),), seed=7)
 
     def test_all_holes_profile_runs_dynamically(self):
-        """A root whose children are all undetermined still succeeds —
-        the spine spawns plain dynamic frames for the holes."""
-        rng = np.random.default_rng(13)
-        graph, out, placeholders = _tree_sum_graph("all-holes")
-        feeds = _feeds(placeholders, (((), ()), ()), rng)
-        session = repro.Session(graph, repro.Runtime(), num_workers=2)
-        ref = session.run(out, feeds)
-        got = session.run(out, feeds, shape_profile=((None, None),))
-        assert np.array_equal(ref, got)
-        assert session.last_stats.level_plan_partial_roots == 1
-        assert session.last_stats.level_plan_fallbacks == 0
+        for engine in ENGINES:
+            _holed_equals_dynamic(engine, f"all-holes-{engine}",
+                                  (((), ()), ()), ((None, None),), seed=13)
 
     def test_uncompilable_definition_falls_back_once(self):
-        """Ineligibility is a property of the definition, not of a
-        subtree: a shape-invisible Cond costs one fallback for the whole
-        admission — counted with its reason — holes or no holes."""
+        """Ineligibility is a property of the definition: a
+        shape-invisible Cond costs one fallback for the whole admission
+        — counted with its reason — holes or no holes."""
         graph = repro.Graph("amb-spine")
         with graph.as_default():
             with SubGraph("amb") as amb:
@@ -241,35 +246,36 @@ class TestPartialCompilation:
 
                 amb.output(ops.cond(ops.less_equal(n, 1), base, rec))
             out = amb(ops.constant(3))
-        session = repro.Session(graph, repro.Runtime(), num_workers=2,
-                                level_canon_depth=2)
-        ref = session.run(out)
-        for profile in (((),),), ((None,),):
-            got = session.run(out, shape_profile=(profile,))
-            stats = session.last_stats
-            assert got == ref
-            assert stats.level_plan_partial_roots == 0
-            assert stats.level_plan_subtree_runs == 0
-            assert stats.level_plan_hits == 0
-            assert stats.level_plan_fallbacks == 1
-            assert stats.level_plan_fallback_reasons == {
-                "branch is not determined by the shape profile": 1}
+        for engine in ENGINES:
+            session = repro.Session(graph, repro.Runtime(), num_workers=2,
+                                    engine=engine, level_canon_depth=2)
+            ref = session.run(out)
+            for profile in (((),),), ((None,),):
+                got = session.run(out, shape_profile=(profile,))
+                stats = session.last_stats
+                assert got == ref
+                assert stats.level_plan_partial_roots == 0
+                assert stats.level_plan_subtree_runs == 0
+                assert stats.level_plan_hits == 0
+                assert stats.level_plan_fallbacks == 1
+                assert stats.level_plan_fallback_reasons == {
+                    "branch is not determined by the shape profile": 1}
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_lying_canonical_profile_raises(self, engine):
-        """Spine mode keeps the verified-predicate contract: a compiled
-        sub-forest launched from a lying profile errors instead of
-        returning a wrong value."""
-        rng = np.random.default_rng(29)
-        graph, out, placeholders = _tree_sum_graph(f"liar-{engine}")
-        feeds = _feeds(placeholders, ((((), ()), ()), ()), rng)
+    def test_lying_holed_profile_falls_back(self, engine):
+        """A holed profile whose determined part lies is never checked
+        against the data: it falls back once and returns the dynamic
+        tier's values.  The same lie without the hole still raises."""
+        data = ((((), ()), ()), ())
+        # the right child claims to be internal where the data has a leaf
+        _holed_equals_dynamic(engine, f"liar-{engine}", data,
+                              ((None, ((), ())),), seed=29)
+        graph, out, placeholders = _tree_sum_graph(f"liar-whole-{engine}")
+        feeds = _feeds(placeholders, data, np.random.default_rng(29))
         session = repro.Session(graph, repro.Runtime(), num_workers=2,
                                 engine=engine, level_canon_depth=1)
-        session.run(out, feeds)  # sanity: the data itself is fine
-        # the hole forces the spine; the determined right child claims
-        # to be internal where the data has a leaf
         with pytest.raises(repro.EngineError, match="shape profile"):
-            session.run(out, feeds, shape_profile=((None, ((), ())),))
+            session.run(out, feeds, shape_profile=((data[0], ((), ())),))
 
 
 class TestPlanCacheLRU:

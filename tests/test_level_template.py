@@ -15,9 +15,8 @@ what it must not cost:
 * compile cost is independent of the shapes seen: one template for 100
   shapes, of the same size for a 5-node and a 500-node tree;
 * a lying profile anywhere in a merged forest is an error naming the
-  ``Cond``; a profile with holes runs spine + compiled sub-forest —
-  recorded, its dynamic backward reads the stores the sub-forest
-  deferred;
+  ``Cond``; a profile with holes is one fallback to the dynamic tier,
+  whatever its determined part claims;
 * gradient blocks are keyed by height: a mirrored forward post-call
   value is wired in place, never gathered through an index.
 """
@@ -33,7 +32,9 @@ from repro.core.subgraph import SubGraph
 from repro.runtime.level_plan import (_M, _S, Template, instance_for,
                                       linearise, template_for)
 from repro.runtime.plan import plan_for_fetches
+from repro.runtime.scheduler import available_executors
 from repro.runtime.variables import Variable
+from tests.conftest import assert_one_hole_fallback
 
 def _settings(examples):
     return settings(max_examples=examples, deadline=None,
@@ -354,40 +355,43 @@ class TestLyingForest:
 
 
 class TestHoles:
-    """(v) A profile with holes runs spine + compiled sub-forest."""
+    """(v) A profile with holes is one fallback: the whole root runs on
+    the dynamic tier, its determined subtrees included, and leaves what
+    an unprofiled run leaves — whatever its determined part claims."""
+
+    FULL = ((((), (), ()), (), ()), ((), (), ()), ())
+    HOLED = ((None, (), ()), ((), (), ()), ())
+    # the same hole, and the last child claims three children where the
+    # data has a leaf
+    LYING = ((None, (), ()), ((), (), ()), ((), (), ()))
 
     @pytest.mark.parametrize("train", [False, True],
                              ids=["forward", "train"])
     def test_matches_dynamic(self, train):
         model = _Model.of(3)
-        full = ((((), (), ()), (), ()), ((), (), ()), ())
-        holed = ((None, (), ()), ((), (), ()), ())
-        session = repro.Session(model.graph, model.runtime, num_workers=2,
-                                record=train)
-        model.reset()
-        ref = session.run(model.fetches(train), model.feeds(full))
-        dynamic = ([ref],) + model.state() + (session.last_stats,)
-        model.reset()
-        got = session.run(model.fetches(train), model.feeds(full),
-                          shape_profile=(holed,))
-        stats = session.last_stats
-        assert stats.level_plan_partial_roots == 1
-        assert stats.level_plan_subtree_runs >= 2
-        assert stats.level_plan_fallbacks == 0
-        assert stats.level_plan_hits == 0
-        _assert_same_state(dynamic, ([got],) + model.state() + (stats,))
-
+        for engine in available_executors():
+            session = repro.Session(model.graph, model.runtime,
+                                    num_workers=2, engine=engine,
+                                    record=train)
+            out = []
+            for kwargs in ({}, {"shape_profile": (self.HOLED,)},
+                           {"shape_profile": (self.LYING,)}):
+                model.reset()
+                values = session.run(model.fetches(train),
+                                     model.feeds(self.FULL), **kwargs)
+                out.append(([values],) + model.state()
+                           + (session.last_stats,))
+            for got in out[1:]:
+                assert_one_hole_fallback(got[3])
+                _assert_same_state(out[0], got)
 
     @pytest.mark.parametrize("engine", ["event", "workerpool"])
-    def test_recorded_spine_reads_deferred_stores(self, engine, monkeypatch):
-        """``record=True`` through a hole: the determined subtrees run
-        compiled and hand their forward state over by column; the
-        backward, dynamic, is the first reader of the cache and finds
-        every row there — gradients and cache equal the all-dynamic
-        run's bit for bit."""
+    def test_recorded_holed_run_stores_row_wise(self, engine, monkeypatch):
+        """``record=True`` through a hole: nothing runs compiled, so no
+        column is handed to the cache — the run stores and looks up row
+        by row exactly as an unprofiled one, and its gradients and cache
+        equal that run's bit for bit."""
         model = _Model.of(3)
-        full = ((((), (), ()), (), ()), ((), (), ()), ())
-        holed = ((None, (), ()), ((), (), ()), ())
         cache = model.runtime.cache
         deferred = []
         store_column = cache.store_column
@@ -398,24 +402,22 @@ class TestHoles:
 
         monkeypatch.setattr(cache, "store_column", spy)
         out = []
-        for kwargs in ({}, {"shape_profile": (holed,)}):
+        for kwargs in ({}, {"shape_profile": (self.HOLED,)},
+                       {"shape_profile": (self.LYING,)}):
             session = repro.Session(model.graph, model.runtime,
                                     num_workers=2, engine=engine,
                                     record=True)
             model.reset()
-            values = session.run(model.fetches(True), model.feeds(full),
-                                 **kwargs)
+            values = session.run(model.fetches(True),
+                                 model.feeds(self.FULL), **kwargs)
             out.append(([values],) + model.state()
                        + (session.last_stats,))
-            if not kwargs:
-                assert not deferred  # the dynamic tier stores row-wise
-        stats = out[1][3]
-        assert stats.level_plan_partial_roots == 1
-        assert stats.level_plan_subtree_runs >= 2
-        assert sum(deferred) > 0 and not cache._pending
-        assert stats.cache_lookups == out[0][3].cache_lookups > 0
-        assert stats.cache_stores == out[0][3].cache_stores
-        _assert_same_state(*out)
+        assert not deferred and not cache._pending
+        for got in out[1:]:
+            assert_one_hole_fallback(got[3])
+            assert got[3].cache_lookups == out[0][3].cache_lookups > 0
+            assert got[3].cache_stores == out[0][3].cache_stores
+            _assert_same_state(out[0], got)
 
 
 class TestHeightAlignedBackward:
