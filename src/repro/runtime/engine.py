@@ -31,20 +31,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable
 
-from repro.core.cache import ROOT_KEY
-from repro.graph.graph import Graph
-from repro.graph.tensor import Tensor
-
-from .batching import BatchPolicy, Coalescer
 from .cost_model import CostModel
-from .plan import plan_for_fetches
 from .scheduler import (EngineError, Frame, Instance, SchedulerCore,
                         _DepthPriorityReady, _FifoReady, _MemoryBudgetReady,
-                        densify, prune_cancelled, register_executor,
-                        should_store)
+                        prune_cancelled, register_executor, should_store)
 from .stats import RunStats
 
 __all__ = ["Frame", "Instance", "EventEngine", "EngineError",
@@ -62,71 +54,19 @@ class EventEngine(SchedulerCore):
     constructor knobs (worker count, cost model, record mode, scheduling
     policy, micro-batching).  This backend honors ``scheduler="depth"``
     priority and is fully deterministic: it is the reference the
-    wall-clock backends are validated against.
+    workerpool backend is validated against.  ``run`` and ``drain``
+    both execute on the caller's thread through :meth:`_loop`; errors
+    surface from ``drain``, which invokes a serving error listener
+    before raising.
     """
 
     virtual_clock = True
-
-    def __init__(self, runtime, num_workers: int = 1,
-                 cost_model: Optional[CostModel] = None, record: bool = False,
-                 scheduler: str = "fifo", max_depth: int = 5000,
-                 batching: bool = False,
-                 batch_policy: Optional[BatchPolicy] = None,
-                 memory_budget: Optional[int] = None,
-                 track_live_bytes: bool = False):
-        super().__init__(runtime, num_workers=num_workers,
-                         cost_model=cost_model, record=record,
-                         scheduler=scheduler, max_depth=max_depth,
-                         batching=batching, batch_policy=batch_policy,
-                         memory_budget=memory_budget,
-                         track_live_bytes=track_live_bytes)
-        self._seq = itertools.count()
-        self._reset()
-
-    # -- public API ---------------------------------------------------------
-
-    def run(self, graph: Graph, fetches: Sequence[Tensor],
-            feed_map: dict[int, Any],
-            shape_profile=None) -> tuple[list, RunStats]:
-        """Execute ``graph`` until all ``fetches`` are produced."""
-        wall0 = time.perf_counter()
-        self._reset()
-        if shape_profile is not None:
-            hit = self._try_level_run(graph, list(fetches), feed_map,
-                                      shape_profile)
-            if hit is not None:
-                values, cost = hit
-                self._now = cost
-                self.stats.virtual_time = self._now
-                self.stats.wall_time = time.perf_counter() - wall0
-                self._book_cache()
-                return values, self.stats
-        plan = plan_for_fetches(graph, {t.op for t in fetches})
-        root = self._make_frame(plan, feed_map, key=ROOT_KEY,
-                                depth=0, record=False,
-                                on_complete=lambda f: None, owner=None,
-                                pin_locs=tuple((t.op.id, t.index)
-                                               for t in fetches))
-        self._start_frame(root)
-        self._loop()
-        if self._error is not None:
-            raise self._error
-        values = [densify(root.value_of(t)) for t in fetches]
-        self.stats.virtual_time = self._now
-        self.stats.wall_time = time.perf_counter() - wall0
-        self._book_cache()
-        return values, self.stats
 
     def schedule(self, when: float, fn: Callable) -> None:
         """Post ``fn`` at absolute virtual time ``when`` (clamped to now)."""
         self._post(max(when, self._now), fn)
 
     # -- SchedulerCore executor hooks ----------------------------------------
-
-    def _start_serving(self) -> None:
-        # single-threaded engine: errors surface from drain(), which
-        # invokes the server's error listener before raising.
-        self._reset()
 
     def _drain_events(self) -> None:
         self._loop()
@@ -171,7 +111,7 @@ class EventEngine(SchedulerCore):
 
     # -- internals -----------------------------------------------------------
 
-    def _reset(self) -> None:
+    def _reset_backend(self) -> None:
         self._now = 0.0
         self._master_clock = 0.0
         # Serialized access to the concurrent backprop cache (the hash
@@ -179,22 +119,13 @@ class EventEngine(SchedulerCore):
         self._cache_clock = 0.0
         self._free = self.num_workers
         self._events: list = []
+        self._seq = itertools.count()
         if self.memory_budget is not None:
             self._ready = _MemoryBudgetReady(self)
         else:
             self._ready = (_DepthPriorityReady() if self.scheduler == "depth"
                            else _FifoReady())
         self._push_ready = self._ready.push
-        self._coalescer = (Coalescer(self.batch_policy) if self.batching
-                           else None)
-        self._error: Optional[Exception] = None
-        self._error_listener = None
-        self._error_delivered = False
-        self._live_bytes = 0
-        self._pending_level_runs = []
-        self._level_flushing = False
-        self._level_flush_wanted = False
-        self._new_stats()
         # Per-dispatch fast paths, used only while the cost model keeps
         # the stock implementations (instance- or subclass-overridden
         # methods disable them and are called per op as before).
@@ -257,9 +188,7 @@ class EventEngine(SchedulerCore):
                 try:
                     payload()
                 except Exception as exc:
-                    self._error = exc if isinstance(exc, EngineError) \
-                        else EngineError(str(exc))
-                    self._error.__cause__ = exc
+                    self._error = self._engine_error(exc)
 
     def _dispatch_ready(self) -> None:
         ready = self._ready

@@ -9,15 +9,16 @@ are ultimately executed.  This module makes that layering explicit:
 * :class:`SchedulerCore` owns everything the execution backends used to
   duplicate: frame spawn/seed/complete, the ready-queue and
   :class:`~repro.runtime.batching.Coalescer` integration points,
-  selective-cache store decisions, serving admission
-  (``begin_serving`` / ``submit_root`` / ``drain`` / ``end_serving``),
+  selective-cache store decisions, root admission (``run`` is a
+  one-request serving session over ``submit_root`` / ``drain``),
   error wrapping, and :class:`~repro.runtime.stats.RunStats`
   accounting.
 
 * **Executor backends** subclass it and implement only the execution
   mechanics — a clock (``now``), deferred callbacks
   (``post_continuation``), async-return posting (``finish_async``),
-  ``run``, and the dispatch loop that takes ready instances to kernels:
+  the session hooks, and the dispatch loop that takes ready instances
+  to kernels:
 
   - ``"event"`` — :class:`~repro.runtime.engine.EventEngine`, the
     deterministic virtual-time discrete-event simulator and the oracle
@@ -63,6 +64,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Optional, Sequence
 
+from repro.core.cache import ROOT_KEY
 from repro.graph.graph import Graph, Operation
 from repro.graph.registry import ExecContext
 from repro.graph.sparse import IndexedSlices
@@ -397,11 +399,6 @@ class _MemoryBudgetReady:
 _NO_LOCK = contextlib.nullcontext()
 
 
-def _unconfigured_push(inst) -> None:
-    raise EngineError("executor has no active session (run/begin_serving "
-                      "must configure the ready sink before frames start)")
-
-
 class SchedulerCore:
     """Frame-lifecycle scheduler shared by every executor backend.
 
@@ -415,11 +412,11 @@ class SchedulerCore:
         runtime: the :class:`~repro.runtime.session.Runtime` providing
             variables, accumulators and the backprop cache.
         num_workers: worker count (virtual workers for the event engine,
-            threads for the wall-clock backends).
+            kernel-pool threads for workerpool).
         cost_model: virtual-time cost model; defaults to the CPU testbed.
         record: cache forward values of recursive frames (training mode).
         scheduler: "fifo" (paper default) or "depth" priority (the
-            event engine honors it; wall-clock backends are FIFO).
+            event engine honors it; workerpool is FIFO).
         max_depth: recursion guard.
         batching: coalesce same-signature ready ops across frames into
             fused vectorized kernel calls (cross-instance micro-batching).
@@ -461,26 +458,30 @@ class SchedulerCore:
         #: budget needs the pressure signal or a caller asked to measure
         self._track_live = (self.memory_budget is not None
                             or track_live_bytes)
-        self._live_bytes = 0
-        self._new_stats()
         #: master-state mutex (None on single-threaded executors); see
         #: the module docstring for the locking contract.
         self._master_lock: Optional[threading.RLock] = None
         #: condition against the master lock, notified when a root frame
-        #: completes (wall-clock executors create it for ``drain``).
+        #: completes (workerpool creates it for ``drain``).
         self._roots_cv: Optional[threading.Condition] = None
+        self._reset_session()
+
+    def _reset_session(self, error_listener: Optional[Callable] = None
+                       ) -> None:
+        """Clear every piece of per-session state — the one reset
+        behind construction, ``run`` and ``begin_serving`` — then let
+        the backend rebuild its clock, lock and ready sink."""
         self._open_roots = 0
-        self._push_ready: Callable = _unconfigured_push
-        self._coalescer: Optional[Coalescer] = None
         self._error: Optional[Exception] = None
-        self._error_listener: Optional[Callable] = None
-        #: True once the error listener has been invoked (wall-clock
-        #: backends deliver at failure time; drain must not re-deliver).
+        #: called once, outside the master lock, when the session fails
+        self._error_listener = error_listener
+        #: True once the error listener has been invoked (workerpool
+        #: delivers at failure time; drain must not re-deliver).
         self._error_delivered = False
         #: sticky copy of a raised session error: failed roots never
         #: complete, so a repeat drain() must raise again, not hang.
         self._fatal_error: Optional[Exception] = None
-        self._serve_wall0 = 0.0
+        self._live_bytes = 0
         #: compiled roots admitted but not yet executed (level-plan path)
         self._pending_level_runs: list = []
         #: True while a thread is inside the level-flush loop; late
@@ -490,17 +491,22 @@ class SchedulerCore:
         #: (workerpool — a starter-context flush would execute the sweep
         #: under the master lock)
         self._level_flush_wanted = False
+        self._coalescer: Optional[Coalescer] = (
+            Coalescer(self.batch_policy) if self.batching else None)
+        self._new_stats()
+        self._reset_backend()
+        self._serve_wall0 = time.perf_counter()
 
     # -- Executor interface ---------------------------------------------------
     #
     # The mechanics a backend must implement.  ``now`` is the backend
     # clock (virtual or wall); ``post_continuation`` defers a callback
     # (loop iterations); ``finish_async`` posts an async op's return
-    # once its child frame(s) completed; ``run`` executes one fixed
-    # fetch set to completion.  The serving hooks (`_start_serving`,
-    # `_drain_events`, `_stamp_clock`, `_stop_serving`, `_admitted`)
-    # back the shared begin_serving/submit_root/drain/end_serving
-    # implementations below.
+    # once its child frame(s) completed; ``_reset_backend`` rebuilds the
+    # clock, lock and ready sink (``self._push_ready``) for a session.
+    # The session hooks (`_start_serving`, `_drive_run`, `_drain_events`,
+    # `_stamp_clock`, `_stop_serving`, `_admitted`) back the shared
+    # run/begin_serving/submit_root/drain/end_serving below.
 
     @property
     def now(self) -> float:
@@ -512,28 +518,34 @@ class SchedulerCore:
     def finish_async(self, inst: Instance, outputs: list) -> None:
         raise NotImplementedError
 
-    def run(self, graph: Graph, fetches: Sequence[Tensor],
-            feed_map: dict[int, Any],
-            shape_profile=None) -> tuple[list, RunStats]:
+    def _reset_backend(self) -> None:
+        """Rebuild the backend's per-session state; must assign
+        ``self._push_ready``."""
         raise NotImplementedError
 
     def _start_serving(self) -> None:
-        """Initialize session state (and start workers, if any)."""
-        raise NotImplementedError
+        """Start a serving session's workers, if any."""
+
+    def _drive_run(self) -> None:
+        """Drive ``run``'s one root on the calling thread before its
+        ``drain``; backends whose ``_drain_events`` runs the work itself
+        (the event loop) need nothing here."""
 
     def _drain_events(self) -> None:
         """Run/await all admitted work (event loop or quiescence wait)."""
         raise NotImplementedError
 
     def _stamp_clock(self, stats: RunStats) -> None:
-        """Record the backend clock's elapsed serving time on ``stats``."""
+        """Record the backend clock's elapsed session time on ``stats``
+        (``stats.wall_time`` is already stamped)."""
         raise NotImplementedError
 
     def _stop_serving(self) -> None:
         """Tear down the serving session (stop workers, stamp clocks)."""
 
-    def _admitted(self) -> None:
-        """Hook: a root was admitted from a (possibly foreign) thread."""
+    def _admitted(self, handle) -> None:
+        """Hook: root ``handle`` (a :class:`Frame`, or a compiled
+        ``_LevelRun``) was admitted from a (possibly foreign) thread."""
 
     # -- frame lifecycle ------------------------------------------------------
 
@@ -730,16 +742,40 @@ class SchedulerCore:
                 for inst in bucket.instances:
                     self.stats.note_op(inst.op.op_type, 0.0)
 
-    # -- serving admission ----------------------------------------------------
+    # -- root admission -------------------------------------------------------
     #
-    # ``run`` executes one fixed fetch set to completion.  The serving
+    # Every root enters through ``submit_root``, which injects it into
+    # the *live* ready queue (so its ops interleave — and fuse — with
+    # whatever is already in flight) or onto the compiled path; ``drain``
+    # runs/awaits the backend until every admitted root has completed.
+    # ``run`` is a one-request session over exactly that.  The serving
     # path (:class:`repro.runtime.server.RecursiveServer`) instead keeps
-    # the executor alive across requests: ``begin_serving`` opens a
-    # persistent session, ``submit_root`` injects a new root instance
-    # into the *live* ready queue (so its ops interleave — and fuse —
-    # with whatever is already in flight), and ``drain`` runs/awaits the
-    # backend until every admitted root has completed.  Clock and stats
-    # accumulate across the whole serving session.
+    # one session open across requests (``begin_serving`` …
+    # ``end_serving``); clock and stats accumulate across all of it.
+
+    def run(self, graph: Graph, fetches: Sequence[Tensor],
+            feed_map: dict[int, Any],
+            shape_profile=None) -> tuple[list, RunStats]:
+        """Execute ``graph`` until all ``fetches`` are produced.
+
+        A one-request serving session: the root is admitted under
+        :data:`~repro.core.cache.ROOT_KEY` exactly like a served request
+        (compiled when ``shape_profile`` allows), the backend runs until
+        it completes, and the values come back in ``fetches`` order with
+        the run's stats.  A failure raises the session's error after
+        retiring the root, so the executor is idle either way.
+        """
+        self._reset_session()
+        result: list = []
+        handle = self.submit_root(graph, fetches, feed_map, ROOT_KEY,
+                                  result.append, shape_profile)
+        try:
+            self._drive_run()
+            stats = self.drain()
+        except BaseException:
+            self.cancel_root(handle)
+            raise
+        return result[0], stats
 
     def begin_serving(self, error_listener: Optional[Callable] = None) -> None:
         """Enter persistent serving mode (clears any previous run state).
@@ -750,16 +786,8 @@ class SchedulerCore:
         On the single-threaded event engine errors surface from
         ``drain()``, which invokes the listener before raising.
         """
-        self._open_roots = 0
-        self._error_listener = None
-        self._error_delivered = False
-        self._fatal_error = None
-        self._pending_level_runs = []
-        self._level_flushing = False
-        self._level_flush_wanted = False
+        self._reset_session(error_listener)
         self._start_serving()
-        self._serve_wall0 = time.perf_counter()
-        self._error_listener = error_listener
 
     def submit_root(self, graph: Graph, fetches: Sequence[Tensor],
                     feed_map: dict[int, Any], key: tuple,
@@ -807,7 +835,7 @@ class SchedulerCore:
                                      record=False, on_complete=frame_done,
                                      owner=None, pin_locs=pins)
             self._start_frame(frame)
-        self._admitted()
+        self._admitted(frame)
         return frame
 
     # -- compiled level-plan path ---------------------------------------------
@@ -855,30 +883,9 @@ class SchedulerCore:
             return self._note_fallback("fetch outside the root plan")
         return tpl, lin, fetch_refs
 
-    def _try_level_run(self, graph, fetch_list, feed_map, shape_profile):
-        """One-shot compiled execution for ``run()``.
-
-        Returns ``(values, modeled_cost)`` on a hit, None on fallback.
-        The run's key prefix is the root key ``()``, so cache entries
-        and accumulator order keys are bit-identical to the dynamic
-        path.  Errors propagate to the caller like dynamic ``run``.
-        """
-        from .level_plan import execute_level_plan, instance_for
-        plan = plan_for_fetches(graph, {t.op for t in fetch_list})
-        admitted = self._admit_profile(graph, plan, fetch_list,
-                                       shape_profile)
-        if admitted is None:
-            return None
-        tpl, lin, fetch_refs = admitted
-        run = _LevelRun(tpl, lin, (), feed_map, fetch_refs, None)
-        self.stats.level_plan_hits += 1
-        lp = instance_for(tpl, [lin], stats=self.stats)
-        values = execute_level_plan(self, lp, [run])[0]
-        return values, self.cost_model.level_plan_cost(lp)
-
     def _try_submit_level_root(self, graph, plan, fetch_list, feed_map,
                                key, on_complete, shape_profile):
-        """Serving-mode admission onto the compiled path.
+        """Admission onto the compiled path.
 
         Returns a ``_LevelRun`` handle when the root is compiled, or None
         for fallback.
@@ -894,7 +901,7 @@ class SchedulerCore:
             self._open_roots += 1
             self._pending_level_runs.append(run)
         self._schedule_level_flush()
-        self._admitted()
+        self._admitted(run)
         return run
 
     def _schedule_level_flush(self) -> None:
@@ -949,7 +956,7 @@ class SchedulerCore:
                                   stats=self.stats)
                 results = execute_level_plan(self, lp, runs)
             except Exception as exc:  # noqa: BLE001 - session failure path
-                self._fail_level(exc)
+                self._fail(exc)
                 return
             self._complete_level_group(lp, runs, results)
 
@@ -974,11 +981,12 @@ class SchedulerCore:
             if cv is not None:
                 cv.notify_all()
 
-    def _fail_level(self, exc: Exception) -> None:
-        """Fail the serving session from the compiled path (one shot)."""
-        err = exc if isinstance(exc, EngineError) else EngineError(str(exc))
-        if err is not exc:
-            err.__cause__ = exc
+    def _fail(self, exc: Exception, op: Optional[Operation] = None) -> None:
+        """Fail the session with ``exc`` (the first failure wins), as
+        :meth:`_engine_error` wraps it.  On workerpool this wakes drain
+        waiters and delivers to the serving error listener outside the
+        master lock."""
+        err = self._engine_error(exc, op)
         lock = self._master_lock
         if lock is None:
             if self._error is None:
@@ -1057,8 +1065,8 @@ class SchedulerCore:
         self._drain_events()
         # stats reflect the session as far as it got, error or not
         stats = self.stats
-        self._stamp_clock(stats)
         stats.wall_time = time.perf_counter() - self._serve_wall0
+        self._stamp_clock(stats)
         self._book_cache()
         if self._error is not None:
             error, self._error = self._error, None
@@ -1088,20 +1096,19 @@ class SchedulerCore:
         err.__cause__ = exc
         return err
 
-    # -- wall-clock serving helpers (workerpool) --------------------------------
-
-    def _wait_for_roots(self) -> None:
-        """Block until every admitted root completed (or the session
-        failed — including a failure already raised by an earlier
-        drain).  Short waits keep the caller responsive to the SIGALRM
-        test watchdog."""
-        with self._roots_cv:
-            while (self._open_roots and self._error is None
-                   and self._fatal_error is None):
-                self._roots_cv.wait(0.05)
-
-    def _stamp_wall_clock(self, stats: RunStats) -> None:
-        stats.virtual_time = time.perf_counter() - self._serve_wall0
+    @staticmethod
+    def _engine_error(exc: Exception,
+                      op: Optional[Operation] = None) -> EngineError:
+        """``exc`` as a session error: an ``EngineError`` passes
+        through; anything else is wrapped with ``op``'s context when
+        there is one, else under its own message."""
+        if isinstance(exc, EngineError):
+            return exc
+        if op is not None:
+            return SchedulerCore._wrap_error(exc, op)
+        err = EngineError(str(exc))
+        err.__cause__ = exc
+        return err
 
 
 # -- executor registry --------------------------------------------------------

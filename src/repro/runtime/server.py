@@ -35,7 +35,7 @@ On top of continuous admission the server is **SLO-aware**:
   their root frame retired in the scheduler core
   (:meth:`~repro.runtime.scheduler.SchedulerCore.cancel_root`): ready
   ops are skipped, pending coalescer-bucket members evicted, and the
-  tree quiesces without producing further work, on all three executor
+  tree quiesces without producing further work, on both executor
   backends.  :meth:`RequestTicket.cancel` gives clients the same lever.
 
 Components:
@@ -801,15 +801,11 @@ class RecursiveServer:
                 # may complete synchronously inside submit_root
                 ticket.admit_time = self._engine.now
                 feed_map, ticket.feed_map = ticket.feed_map, None
-                # pass the kwarg only when set: keeps the positional call
-                # shape for executors (and test doubles) that predate it
-                kwargs = ({"shape_profile": ticket.shape_profile}
-                          if ticket.shape_profile is not None else {})
                 frame = self._engine.submit_root(
                     self._graph, ticket.fetches, feed_map,
                     (f"req{ticket.request_id}",),
                     lambda values, t=ticket: self._request_done(t, values),
-                    **kwargs)
+                    ticket.shape_profile)
                 with self._lock:
                     ticket.frame = frame
                     pending = ticket._cancel_requested

@@ -178,13 +178,8 @@ class Session:
             if policy is not None:
                 self._engine.batch_policy = policy
         self.runtime.cache.clear()
-        if shape_profile is None:
-            # keep the positional call shape for third-party executors
-            # that predate the shape_profile keyword
-            values, stats = self._engine.run(self.graph, fetch_list, feed_map)
-        else:
-            values, stats = self._engine.run(self.graph, fetch_list, feed_map,
-                                             shape_profile=shape_profile)
+        values, stats = self._engine.run(self.graph, fetch_list, feed_map,
+                                         shape_profile=shape_profile)
         self.last_stats = stats
         return values[0] if single else values
 

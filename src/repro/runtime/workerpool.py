@@ -22,8 +22,11 @@ engine (batched kernels are value-preserving and the gradient
 accumulator is canonically ordered); completion *order* is
 nondeterministic.
 
-A compiled level-plan sweep runs on the master, block after block: a
-``run`` starts the kernel pool only when it takes the dynamic path (a
+One master loop serves both modes, with a different stop predicate:
+``run`` drives it on the calling thread until its root completes, a
+serving session on a dedicated thread until ``end_serving``.  A
+compiled level-plan sweep runs on the master, block after block: a
+``run`` starts the kernel pool only when it admits a dynamic root (a
 serving session keeps it up throughout).  See ARCHITECTURE.md for the
 executor recipe this backend instantiates.
 """
@@ -34,18 +37,12 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from repro.core.cache import ROOT_KEY
-from repro.graph.graph import Graph
-from repro.graph.tensor import Tensor
-
-from .batching import BatchPolicy, Coalescer
+from .batching import BatchPolicy
 from .cost_model import CostModel
-from .plan import plan_for_fetches
-from .scheduler import (EngineError, Instance, SchedulerCore,
-                        _MemoryBudgetReady, densify, prune_cancelled,
-                        register_executor)
+from .scheduler import (Instance, SchedulerCore, _MemoryBudgetReady,
+                        prune_cancelled, register_executor)
 from .stats import RunStats
 
 __all__ = ["WorkerPoolEngine"]
@@ -98,19 +95,43 @@ class WorkerPoolEngine(SchedulerCore):
         with self._master_lock:
             self._complete_instance(inst, outputs)
 
+    def _reset_backend(self) -> None:
+        self._master_lock = threading.RLock()
+        self._roots_cv = threading.Condition(self._master_lock)
+        self._ready = (_MemoryBudgetReady(self)
+                       if self.memory_budget is not None else deque())
+        self._push_ready = self._ready.append
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._results: queue.SimpleQueue = queue.SimpleQueue()
+        self._inflight = 0  # pool tasks outstanding (master-only counter)
+
     def _start_serving(self) -> None:
-        self._begin_session()
         self._stop_master = False
         self._start_pool()
-        self._master_thread = threading.Thread(target=self._serve_master,
-                                               daemon=True)
+        self._master_thread = threading.Thread(
+            target=self._master_loop, args=(self._serving_done,),
+            daemon=True)
         self._master_thread.start()
 
+    def _drive_run(self) -> None:
+        # the caller's thread is the master until the root completes
+        try:
+            self._master_loop(lambda: not self._open_roots
+                              or self._error is not None)
+        finally:
+            self._stop_pool()
+
     def _drain_events(self) -> None:
-        self._wait_for_roots()
+        # block until every admitted root completed or the session
+        # failed (also by an earlier drain); short waits keep the caller
+        # responsive to the SIGALRM test watchdog
+        with self._roots_cv:
+            while (self._open_roots and self._error is None
+                   and self._fatal_error is None):
+                self._roots_cv.wait(0.05)
 
     def _stamp_clock(self, stats: RunStats) -> None:
-        self._stamp_wall_clock(stats)
+        stats.virtual_time = stats.wall_time
 
     def _stop_serving(self) -> None:
         self._stop_master = True
@@ -120,76 +141,17 @@ class WorkerPoolEngine(SchedulerCore):
         self.stats.wall_time = time.perf_counter() - self._serve_wall0
         self.stats.virtual_time = self.stats.wall_time
 
-    def _admitted(self) -> None:
+    def _admitted(self, handle) -> None:
+        # a dynamic root needs the kernel pool: a serving session has it
+        # up already, a run starts it here (a compiled root never does)
+        if not self._pool and not getattr(handle, "is_level_run", False):
+            self._start_pool()
         # submit_root may run on any thread while the serving master
         # sleeps on the results queue: poke it so admission latency is
         # bounded by the queue wake-up, not the idle poll.
         self._results.put(_WAKE)
 
-    # -- run ------------------------------------------------------------------
-
-    def run(self, graph: Graph, fetches: Sequence[Tensor],
-            feed_map: dict[int, Any],
-            shape_profile=None) -> tuple[list, RunStats]:
-        wall0 = time.perf_counter()
-        self._begin_session()
-        if shape_profile is not None:
-            # a compiled sweep runs right here: no kernel pool needed
-            hit = self._try_level_run(graph, list(fetches), feed_map,
-                                      shape_profile)
-            if hit is not None:
-                values, _ = hit
-                self.stats.wall_time = time.perf_counter() - wall0
-                self.stats.virtual_time = self.stats.wall_time
-                self._book_cache()
-                return values, self.stats
-        plan = plan_for_fetches(graph, {t.op for t in fetches})
-        done = threading.Event()
-        self._start_pool()
-        try:
-            with self._master_lock:
-                root = self._make_frame(plan, feed_map, key=ROOT_KEY, depth=0,
-                                        record=False,
-                                        on_complete=lambda f: done.set(),
-                                        owner=None,
-                                        pin_locs=tuple((t.op.id, t.index)
-                                                       for t in fetches))
-                self._start_frame(root)
-                if root.remaining == 0:
-                    done.set()
-            self._pump(done.is_set)
-        finally:
-            self._stop_pool()
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-        values = [densify(root.value_of(t)) for t in fetches]
-        self.stats.wall_time = time.perf_counter() - wall0
-        self.stats.virtual_time = self.stats.wall_time
-        self._book_cache()
-        return values, self.stats
-
     # -- master ---------------------------------------------------------------
-
-    def _begin_session(self) -> None:
-        self._master_lock = threading.RLock()
-        self._roots_cv = threading.Condition(self._master_lock)
-        self._ready = (_MemoryBudgetReady(self)
-                       if self.memory_budget is not None else deque())
-        self._push_ready = self._ready.append
-        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self._results: queue.SimpleQueue = queue.SimpleQueue()
-        self._inflight = 0  # pool tasks outstanding (master-only counter)
-        self._error = None
-        self._error_listener = None
-        self._error_delivered = False
-        self._coalescer = (Coalescer(self.batch_policy) if self.batching
-                           else None)
-        self._live_bytes = 0
-        self._pending_level_runs = []
-        self._level_flushing = False
-        self._level_flush_wanted = False
-        self._new_stats()
 
     def _start_pool(self) -> None:
         self._pool = [threading.Thread(target=self._kernel_worker,
@@ -205,31 +167,12 @@ class WorkerPoolEngine(SchedulerCore):
             w.join()
         self._pool = []
 
-    def _pump(self, done: Callable[[], bool]) -> None:
-        """Master loop: apply completions and dispatch until ``done``."""
-        while not done() and self._error is None:
-            if self._master_step():
-                continue
-            try:
-                item = self._results.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            if item is not _WAKE:
-                self._apply(item)
-
-    def _serve_master(self) -> None:
-        """The persistent serving master: runs until end_serving, then
-        drains whatever is still in flight (unless the session failed)."""
+    def _master_loop(self, stop: Callable[[], bool]) -> None:
+        """The master: apply completions and dispatch until ``stop()``."""
         while True:
             progressed = self._master_step()
-            if self._stop_master:
-                with self._master_lock:
-                    idle = (self._inflight == 0 and not self._ready
-                            and (self._coalescer is None
-                                 or len(self._coalescer) == 0))
-                if idle or self._error is not None \
-                        or self._fatal_error is not None:
-                    return
+            if stop():
+                return
             if progressed:
                 continue
             try:
@@ -238,6 +181,18 @@ class WorkerPoolEngine(SchedulerCore):
                 continue
             if item is not _WAKE:
                 self._apply(item)
+
+    def _serving_done(self) -> bool:
+        """The serving master's stop predicate: end_serving was called
+        and nothing is in flight any more (or the session failed)."""
+        if not self._stop_master:
+            return False
+        if self._error is not None or self._fatal_error is not None:
+            return True
+        with self._master_lock:
+            return (self._inflight == 0 and not self._ready
+                    and (self._coalescer is None
+                         or len(self._coalescer) == 0))
 
     def _schedule_level_flush(self) -> None:
         # Compiled-root admissions (submit_root, on any thread) defer the
@@ -314,9 +269,9 @@ class WorkerPoolEngine(SchedulerCore):
                     except Exception as exc:
                         spawn_exc = exc
                 if spawn_exc is not None:
-                    # outside the lock: _set_error delivers to the
+                    # outside the lock: _fail delivers to the
                     # serving error listener, which takes the server lock
-                    self._set_error(spawn_exc, inst.op)
+                    self._fail(spawn_exc, inst.op)
             else:
                 self._inflight += 1
                 self._tasks.put((inst, inputs))
@@ -345,7 +300,7 @@ class WorkerPoolEngine(SchedulerCore):
             try:
                 self._spawn_async_bucket(bucket, fused)
             except Exception as exc:
-                self._set_error(exc, first.op)
+                self._fail(exc, first.op)
             return
         self._inflight += 1
         self._tasks.put((bucket, fused))
@@ -356,7 +311,7 @@ class WorkerPoolEngine(SchedulerCore):
         kind = item[0]
         if kind == "error":
             _, op, exc = item
-            self._set_error(exc, op)
+            self._fail(exc, op)
             return
         try:
             if kind == "single":
@@ -378,21 +333,7 @@ class WorkerPoolEngine(SchedulerCore):
             failed = item[1]
             op = (failed.instances[0].op if kind == "bucket"
                   else failed.op)
-            self._set_error(exc, op)
-
-    def _set_error(self, exc: Exception, op) -> None:
-        listener = None
-        with self._master_lock:
-            if self._error is None:
-                self._error = (exc if isinstance(exc, EngineError)
-                               else self._wrap_error(exc, op))
-                listener = self._error_listener
-                self._error_delivered = listener is not None
-            self._roots_cv.notify_all()
-        if listener is not None:
-            # outside the master lock: the serving error listener takes
-            # the server's own lock to fail pending requests
-            listener(self._error)
+            self._fail(exc, op)
 
     # -- kernel pool -----------------------------------------------------------
 

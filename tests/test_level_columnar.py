@@ -386,7 +386,7 @@ class TestMergedRuns:
         session = repro.Session(built.graph, runtime, record=True)
         plan = plan_for_fetches(built.graph, {t.op for t in fetches})
         core = session._engine
-        core._reset()
+        core._reset_session()
         tpl = template_for(built.graph, plan, True)
         refs = tpl.root.frames[0].refs
         runs = [_LevelRun(tpl, linearise(tpl, b.profiles), (i,),

@@ -257,7 +257,8 @@ class TestBackpressureAllExecutors:
         live = {"now": 0, "peak": 0}
         original = engine_obj.submit_root
 
-        def counting_submit(graph, fetches, feed_map, key, on_complete):
+        def counting_submit(graph, fetches, feed_map, key, on_complete,
+                            shape_profile=None):
             with count_lock:
                 live["now"] += 1
                 live["peak"] = max(live["peak"], live["now"])
@@ -266,7 +267,8 @@ class TestBackpressureAllExecutors:
                 with count_lock:
                     live["now"] -= 1
                 on_complete(values)
-            return original(graph, fetches, feed_map, key, wrapped)
+            return original(graph, fetches, feed_map, key, wrapped,
+                            shape_profile)
 
         engine_obj.submit_root = counting_submit
         kwargs = {"at": 0.0} if virtual else {}
