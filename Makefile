@@ -123,6 +123,7 @@ profile:
 # cache holds after the sweep:
 #   make profile-step W=train_b10 C=lvl
 #   make profile-step W=infer_b10 F=1    (warm step vs bare-kernel replay)
+#   make profile-step W=serve_longtail C=lvl   (per-burst split of warm bursts)
 W ?= train_b10
 C ?= lvl
 profile-step:

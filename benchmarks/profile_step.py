@@ -26,6 +26,14 @@ step sits above its *kernel floor*: every kernel entry call of one warm
 step is recorded with its prepared arguments and replayed back to back,
 so what separates the two numbers is the framework — instantiation
 probe, import gathers, register traffic, accounting — and nothing else.
+
+``serve_longtail`` has no ``Session.run`` step: its step is one burst
+(16 submits, then ``drain``) through the benchmark's own
+``_Service.burst``.  For it the tool prints the mean per-burst split of
+warm bursts — forest instantiation, import gather (a block call's
+operands and feeds), block execute and, inside it, the row loops, the
+sweep's booking, and the rest (submit, admission, fetches) — then
+cProfile of one warm burst.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import time
 from collections import defaultdict
 
 from bench_e2e.harness import confined
+from bench_e2e.serve import BURSTS
 from bench_e2e.sweep import SweepBench
 from bench_e2e.trace import Tracer
 from bench_e2e.verify import Checker
@@ -46,6 +55,8 @@ from repro.runtime import level_plan
 from repro.runtime.scheduler import _values_bytes
 
 WARM_STEPS = 8
+#: warm bursts the serving split averages over
+SPLIT_BURSTS = 40
 KERNEL_ENTRIES = ("kernel", "stacked_kernel", "keyed_kernel",
                   "batched_kernel")
 
@@ -199,6 +210,89 @@ def _step(bench, config):
         return time.perf_counter() - t0
 
 
+class _BurstSplit:
+    """Wall time of one serving burst's compiled-tier phases, summed over
+    the bursts run while installed; ``remove()`` restores the module."""
+
+    PHASES = ("instantiate", "import gather", "block execute",
+              "  of which row loops", "booking")
+
+    def __init__(self):
+        self.secs = dict.fromkeys(self.PHASES, 0.0)
+        self.loops = [0, 0]                 # looped steps, scalar calls
+        self._undo = []
+        call = level_plan._BlockCall
+        self._wrap(level_plan, "instance_for", "instantiate")
+        self._wrap(level_plan, "_book", "booking")
+        self._wrap(call, "__init__", "import gather")
+        self._wrap(call, "execute", "block execute")
+        self._wrap(call, "_loop", "  of which row loops", self._count)
+
+    def _count(self, call, st, operands, inv, ctxs):
+        self.loops[0] += 1
+        self.loops[1] += len(ctxs) if ctxs else call.blk.m * len(st.ops)
+
+    def _wrap(self, owner, attr, phase, note=None) -> None:
+        fn = getattr(owner, attr)
+        secs = self.secs
+
+        def timed(*args, **kwargs):
+            if note is not None:
+                note(*args)
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                secs[phase] += time.perf_counter() - t0
+        self._undo.append((owner, attr, fn))
+        setattr(owner, attr, timed)
+
+    def remove(self) -> None:
+        for owner, attr, fn in reversed(self._undo):
+            setattr(owner, attr, fn)
+
+
+def _profile_bursts(bench, config, top: int) -> int:
+    """The per-burst split of warm serving bursts, then cProfile."""
+    bench.setup(keep=True, cold=config.name)
+    bench.open(config)
+    for s in range(WARM_STEPS):
+        bench.step(config, s % BURSTS)
+    split, walls = _BurstSplit(), []
+    try:
+        with confined(config):
+            for s in range(SPLIT_BURSTS):
+                t0 = time.perf_counter()
+                bench.step(config, s % BURSTS)
+                walls.append(time.perf_counter() - t0)
+    finally:
+        split.remove()
+    n, wall = len(walls), sum(walls) / len(walls)
+    nodes = sum(bench.nodes) / len(bench.nodes)
+    print(f"{bench.name}/{config.name} seed={bench.seed}: "
+          f"{nodes:.0f} nodes a burst, warm burst {wall * 1e3:.2f} ms "
+          f"({nodes / wall:.0f} inst/s), mean of {n} instrumented bursts\n")
+    print("per-burst split (ms, mean):")
+    for phase in _BurstSplit.PHASES:
+        print(f"  {phase:<22} {split.secs[phase] / n * 1e3:8.2f}")
+    top_level = sum(secs for phase, secs in split.secs.items()
+                    if not phase.startswith(" "))
+    print(f"  {'rest':<22} {(wall - top_level / n) * 1e3:8.2f}"
+          "   (submit, admission, fetches)")
+    print(f"row loops: {split.loops[0] / n:.1f} looped steps and "
+          f"{split.loops[1] / n:.1f} scalar calls a burst; "
+          f"level_row_loop_steps "
+          f"{bench._servers[config.name].stats.level_row_loop_steps}\n")
+    profiler = cProfile.Profile()
+    with confined(config):
+        profiler.enable()
+        bench.step(config, 0)
+        profiler.disable()
+    bench.close(config)
+    pstats.Stats(profiler).sort_stats("tottime").print_stats(top)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="profile_step")
     parser.add_argument("--workload", default="train_b10")
@@ -210,10 +304,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cls = bench_classes()[args.workload]
-    if not issubclass(cls, SweepBench):
-        parser.error(f"{args.workload} is not a Session.run workload")
     bench = cls(args.seed, Tracer(), Checker())
     config = bench.config(args.config)
+    if not issubclass(cls, SweepBench):     # a serving workload
+        if args.floor:
+            parser.error("--floor needs a Session.run workload")
+        return _profile_bursts(bench, config, args.top)
     bench.setup(keep=True, cold=config.name)
     bench.open(config)
     walls = [_step(bench, config) for _ in range(WARM_STEPS)]

@@ -610,8 +610,9 @@ def _register_batched_math():
     for name, fn in {**binary, **unary, **ternary}.items():
         register_stacked(name, stacked_elementwise(fn))
     # Pure pass-through: the member loop already removes the per-op
-    # engine overhead, which is its entire cost.
-    register_batched_kernel("Identity")
+    # engine overhead, which is its entire cost; a column passes whole.
+    register_batched_kernel("Identity",
+                            stacked=lambda op, cols, inv, ctx: [cols[0]])
     # Broadcast-gradient reduction is on every binary elementwise op's
     # backward path; it vectorizes because bucket members share shapes.
     register_stacked("ReduceToLike", _stacked_reduce_to_like)

@@ -53,6 +53,7 @@ coalescer for the whole root, counted by reason in
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -1319,6 +1320,96 @@ class _Inv:
         self.value = value
 
 
+class _Rag:
+    """A column whose rows agree on dtype and rank but not on shape (the
+    per-run feeds of a merged forest): one flat ``values`` array and per
+    row its start ``off`` and its ``shape`` (an ``[n, rank]`` array).
+    Selecting rows is index arithmetic on ``off`` and ``shape``; the one
+    consumer that reads it in place is ``Gather`` on axis 0
+    (:func:`_rag_gather`), every other reader gets :meth:`rows`."""
+
+    __slots__ = ("values", "off", "shape")
+
+    def __init__(self, values, off, shape):
+        self.values, self.off, self.shape = values, off, shape
+
+    @property
+    def nbytes(self) -> int:
+        """The rows' bytes, as a list column of them would count."""
+        return int(self.shape.prod(1).sum()) * self.values.itemsize
+
+    def rows(self) -> list:
+        """The row values: views of ``values``."""
+        return [self[i] for i in range(len(self.off))]
+
+    def __getitem__(self, rows):
+        """One row's value (a view) for an ``int``, else the selected
+        rows."""
+        if rows.__class__ is int:
+            o, s = int(self.off[rows]), tuple(self.shape[rows].tolist())
+            return self.values[o:o + math.prod(s)].reshape(s)
+        return _rag_column(self.values, self.off[rows], self.shape[rows])
+
+
+def _rag_column(values, off, shape):
+    """Rows of ``values`` as a :class:`_Rag` — or, once every row has one
+    shape, as an array column through one fancy index."""
+    if not shape.shape[1]:   # scalar rows
+        return values[off]
+    first = shape[0]
+    if not (shape == first).all():
+        return _Rag(values, off, shape)
+    first = tuple(first.tolist())
+    return values[off[:, None] + np.arange(math.prod(first))].reshape(
+        (len(off),) + first)
+
+
+def _feed_column(values: list):
+    """The column of one feed over a forest's runs: shared, stacked, or
+    ragged when the runs' arrays agree on dtype and rank only."""
+    first = values[0]
+    if all(v is first for v in values):
+        return _Inv(first)
+    if not (first.__class__ is np.ndarray and first.ndim and all(
+            v.__class__ is np.ndarray and v.dtype == first.dtype
+            and v.ndim == first.ndim for v in values)) \
+            or all(v.shape == first.shape for v in values):
+        return _as_column(values)
+    off = np.array([0, *itertools.accumulate(v.size for v in values)],
+                   dtype=np.intp)[:-1]
+    return _Rag(np.concatenate([v.reshape(-1) for v in values]), off,
+                np.array([v.shape for v in values], dtype=np.intp))
+
+
+def _rag_gather(params, idx, shared):
+    """``Gather`` on axis 0 of ragged ``params``: each row is
+    ``np.take(params_r, idx_r, axis=0)`` for one integer index per row
+    (``shared``: one for all), as offsets into the same values.  None
+    when an index shape is not that, or an index is out of range: the
+    row loop then raises the scalar kernel's own error."""
+    idx, shape = np.asarray(idx), params.shape
+    rank = shape.shape[1]
+    if (idx.ndim != (0 if shared else 1) or idx.dtype.kind not in "iu"
+            or idx.dtype == np.uint64 or not rank):
+        return None
+    n = shape[:, 0]
+    if shared:
+        i, lo = int(idx), int(n.min())
+        if not -lo <= i < lo:
+            return None
+        idx = i if i >= 0 else i + n
+    else:
+        if idx.min() < 0:
+            idx = np.where(idx < 0, idx + n, idx)
+        if idx.min() < 0 or (idx >= n).any():
+            return None
+    if rank == 1:   # scalar rows
+        return params.values[params.off + idx]
+    inner = shape[:, 1:]
+    return _rag_column(params.values, params.off + idx * (
+        inner[:, 0] if rank == 2 else inner.prod(1)), inner)
+
+
 def _as_column(values: list):
     """Stack row values into an array column when they agree on dtype and
     shape; otherwise keep the list (its consumers loop over rows)."""
@@ -1334,7 +1425,7 @@ def _as_column(values: list):
 
 
 def columns_of(results: list, n_out: int) -> list:
-    """Per-member output lists (a row loop, the root feeds) as columns."""
+    """Per-member output lists (a row loop) as columns."""
     cols = []
     for j in range(n_out):
         values = [outputs[j] for outputs in results]
@@ -1345,11 +1436,14 @@ def columns_of(results: list, n_out: int) -> list:
 
 
 def _take(col, rows):
-    """Member ``rows`` of a producer column: a view for a slice."""
+    """Member ``rows`` of a producer column: a view for a slice, offset
+    arithmetic for a ragged column."""
     if rows.__class__ is slice:
         return _as_column(col[rows]) if col.__class__ is list else col[rows]
     if col.__class__ is list:
         return _as_column([col[i] for i in rows])
+    if col.__class__ is _Rag:
+        return col[rows]
     return col.take(rows, 0)
 
 
@@ -1370,9 +1464,35 @@ def _join(pieces: list, perm=None):
            and p.shape[1:] == first.shape[1:] for p in pieces):
         joined = np.concatenate(pieces)
         return joined if perm is None else joined.take(perm, 0)
+    if first.__class__ is _Rag and all(
+            p.__class__ is _Rag and p.values.dtype == first.values.dtype
+            and p.shape.shape[1] == first.shape.shape[1] for p in pieces):
+        joined = _join_ragged(pieces)
+        return joined if perm is None else joined[perm]
     # producers disagree on member shape or dtype: a list column
-    column = [v for p in pieces for v in p]
+    column = [v for p in pieces for v in _rows_of(p)]
     return column if perm is None else [column[i] for i in perm]
+
+
+def _join_ragged(pieces):
+    """Ragged pieces of one dtype and row rank as one column: their
+    offsets shifted into one values array — the pieces' own when they
+    all share it."""
+    shape = np.concatenate([p.shape for p in pieces])
+    values = pieces[0].values
+    if all(p.values is values for p in pieces):
+        return _rag_column(values, np.concatenate([p.off for p in pieces]),
+                       shape)
+    base = itertools.accumulate((p.values.size for p in pieces[:-1]),
+                                initial=0)
+    return _rag_column(np.concatenate([p.values for p in pieces]),
+                   np.concatenate([p.off + b for p, b in zip(pieces, base)]),
+                   shape)
+
+
+def _rows_of(col):
+    """A column's row values to iterate: a ragged column's rows."""
+    return col.rows() if col.__class__ is _Rag else col
 
 
 def _member_sig(operands, inv) -> tuple:
@@ -1493,7 +1613,7 @@ class _BlockCall:
             values = [run.feed[op.id] for run in self.sweep.runs]
         except KeyError:
             raise EngineError(f"placeholder {op.name} was not fed") from None
-        return columns_of([[v] for v in values], 1)
+        return [_feed_column(values)]
 
     def read(self, src, part=False):
         """One register read outside the kernel loop: a check, a store,
@@ -1533,7 +1653,7 @@ class _BlockCall:
         try:
             for st in prog.steps:
                 defn, op = st.defn, st.op
-                operands, inv, stackable = [], [], True
+                operands, inv, stackable, ragged = [], [], True, False
                 for reg, k0, k1 in st.inputs:
                     if reg.__class__ is tuple:
                         o, k0 = self.read((reg, k0, k1)), None
@@ -1550,6 +1670,10 @@ class _BlockCall:
                         if not (o.__class__ is np.ndarray
                                 or isinstance(o, np.generic)):
                             stackable = False
+                    elif o.__class__ is _Rag:
+                        o = o if k0 is None else o[k0 * m:k1 * m]
+                        inv.append(False)
+                        ragged = ragged or o.__class__ is _Rag
                     else:  # rows that disagree on shape: a list column
                         o = _as_column(o if k0 is None else o[k0 * m:k1 * m])
                         inv.append(False)
@@ -1558,7 +1682,9 @@ class _BlockCall:
                 if track and st.level != level:
                     self._release(level, st.level)
                     level = st.level
-                if once or not (defn.stateful or False in inv):
+                if ragged:
+                    outs = self._ragged_step(st, operands, inv)
+                elif once or not (defn.stateful or False in inv):
                     outs = [_Inv(v) for v in defn.kernel(op, operands, ctx)]
                 elif defn.stateful:
                     outs = self._stateful(st, operands, inv, stackable)
@@ -1602,7 +1728,7 @@ class _BlockCall:
             store, dead = sweep.core.runtime.cache.store_column, sweep.dead
             for src, fi, gid, oid, i in prog.stores:
                 runs, sufs, _ = blk.keys[fi]
-                keys, col = sweep.keys(runs, sufs), self.read(src)
+                keys, col = sweep.keys(runs, sufs), _rows_of(self.read(src))
                 shared = col.__class__ is _Inv
                 if dead is not None:
                     live = np.flatnonzero(~dead[runs])
@@ -1614,6 +1740,22 @@ class _BlockCall:
         else:
             for _, cid in blk.release:
                 cols[cid] = None
+
+    def _ragged_step(self, st, operands, inv) -> list:
+        """A step with ragged operands: ``Gather`` on axis 0 reads its
+        ragged params in place; anything else — another op, an index
+        :func:`_rag_gather` declines — gets the rows as list columns and
+        loops over them like any list column."""
+        params = operands[0]
+        if st.op.op_type == "Gather" and params.__class__ is _Rag \
+                and operands[1].__class__ is not _Rag:
+            out = _rag_gather(params, operands[1], inv[1])
+            if out is not None:
+                return [out]
+        rows = [_rows_of(o) for o in operands]
+        if st.defn.stateful:
+            return self._stateful(st, rows, inv, False)
+        return self._loop(st, rows, inv, None)
 
     def _loop(self, st, operands, inv, ctxs) -> list:
         """The single fallback: the scalar kernel over rows (``ctxs``:
@@ -1679,8 +1821,9 @@ class _BlockCall:
         col, runs, dead = self.read(src), self.blk.runs, self.sweep.dead
         if col.__class__ is _Inv:
             wrong = np.full(len(runs), bool(np.asarray(col.value)) != expected)
-        elif col.__class__ is list:
-            wrong = np.array([bool(np.asarray(v)) for v in col]) != expected
+        elif col.__class__ is list or col.__class__ is _Rag:
+            wrong = np.array([bool(np.asarray(v))
+                              for v in _rows_of(col)]) != expected
         else:
             wrong = col.astype(bool).reshape(-1) != expected
         if dead is not None:

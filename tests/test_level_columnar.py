@@ -483,6 +483,168 @@ def _lying_hole(profile):
     return lie(_with_hole(profile))[0]
 
 
+def _ragged_graph(name):
+    """``h(i) = tanh(vals[pos[i]] + sum(h(children)))`` over fed arrays
+    whose lengths are per request: served together, every feed is a
+    ragged column of the merged forest, read by ``Gather`` only."""
+    graph = repro.Graph(name)
+    with graph.as_default():
+        vals = ops.placeholder(repro.float32, (None,))
+        pos = ops.placeholder(repro.int32, (None,))
+        children = ops.placeholder(repro.int32, (None, 2))
+        is_leaf = ops.placeholder(repro.bool_, (None,))
+        root = ops.placeholder(repro.int32, ())
+        with SubGraph(f"{name}_node") as node:
+            idx = node.input(repro.int32, ())
+            node.declare_outputs([(repro.float32, ())])
+            x = ops.gather(vals, ops.gather(pos, idx))
+
+            def internal():
+                pair = ops.gather(children, idx)
+                return ops.tanh(ops.add(x, ops.add(
+                    node(ops.gather(pair, 0)), node(ops.gather(pair, 1)))))
+
+            node.output(ops.cond(ops.gather(is_leaf, idx),
+                                 lambda: ops.tanh(x), internal))
+        out = node(root)
+    return graph, out, (vals, pos, children, is_leaf, root)
+
+
+def _ragged_requests(phs, n, seed=5, negative=False):
+    """``n`` requests of distinct sizes: ``(feed, shape profile)`` each;
+    ``vals`` is longer than the tree by a per-request margin and ``pos``
+    indexes it — from its end with ``negative``."""
+    rng = np.random.default_rng(seed)
+    requests, sizes = [], set()
+    while len(requests) < n:
+        profile = _rand_profile(rng, 2, 5)
+        enc = _encode(profile, 2, rng)
+        nodes = len(enc["children"])
+        if nodes in sizes:
+            continue
+        sizes.add(nodes)
+        vals = rng.normal(size=nodes + len(requests) + 1).astype(np.float32)
+        pos = rng.integers(0, len(vals), size=nodes).astype(np.int32)
+        if negative:
+            pos -= len(vals)
+        requests.append((dict(zip(phs, (vals, pos, enc["children"],
+                                        enc["is_leaf"], enc["root"]))),
+                         (profile,)))
+    return requests
+
+
+def _serve_together(session, out, requests, cancel_at=None,
+                    monkeypatch=None):
+    """Submit ``requests`` — ``(feed, shape profile)`` pairs — to serve
+    as one merged forest: (server, tickets), not yet drained;
+    ``cancel_at`` cancels ticket 1 at that block dispatch."""
+    server = session.serve(max_in_flight=len(requests))
+    tickets = [server.submit(out, feed, shape_profile=profile)
+               for feed, profile in requests]
+    if cancel_at is not None:
+        calls = {"n": 0}
+        real = level_plan._BlockCall.execute
+
+        def cancelling(call):
+            calls["n"] += 1
+            if calls["n"] == cancel_at:
+                assert tickets[1].cancel()
+            real(call)
+
+        monkeypatch.setattr(level_plan._BlockCall, "execute", cancelling)
+    return server, tickets
+
+
+def _assert_one_exact_sweep(server, tickets, refs):
+    """All requests ran compiled, in one forest, without a row loop, and
+    each equals its own dynamic run."""
+    stats = server.stats
+    assert stats.level_plan_hits == len(refs)
+    assert stats.level_plan_fallbacks == 0
+    assert stats.level_plan_cache_hits + stats.level_plan_cache_misses == 1
+    assert stats.level_row_loop_steps == {}
+    for ref, ticket in zip(refs, tickets):
+        assert np.array_equal(ref, ticket.result())
+
+
+class TestRaggedFeeds:
+    """(c') Requests of different sizes served together: each feed is one
+    ragged column (values plus offsets) of the merged forest, and a
+    ``Gather`` over it is offset arithmetic — no step loops over rows,
+    and every request still equals its own dynamic run."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_merged_treelstm_matches_dynamic_without_row_loops(self, bank,
+                                                               engine):
+        trees = list({t.num_nodes: t for t in bank.train}.values())[:4]
+        assert len(trees) == 4
+        runtime = repro.Runtime()
+        built = TreeLSTMSentiment(LSTM, runtime).build_recursive(1)
+        batches = [batch_trees([tree]) for tree in trees]
+        requests = [(built.feed_dict(b), built.shape_profiles(b))
+                    for b in batches]
+        session = repro.Session(built.graph, runtime, num_workers=4,
+                                engine=engine)
+        refs = [session.run(built.root_logits, feed) for feed, _ in requests]
+        server, tickets = _serve_together(session, built.root_logits,
+                                          requests)
+        server.drain()
+        _assert_one_exact_sweep(server, tickets, refs)
+        server.close()
+
+    @pytest.mark.parametrize("negative", [False, True],
+                             ids=["positive", "negative"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_gather_over_ragged_feeds_matches_dynamic(self, engine,
+                                                      negative):
+        graph, out, phs = _ragged_graph(f"ragged-feeds-{engine}")
+        requests = _ragged_requests(phs, 4, negative=negative)
+        session = repro.Session(graph, repro.Runtime(), engine=engine)
+        refs = [session.run(out, feed) for feed, _ in requests]
+        server, tickets = _serve_together(session, out, requests)
+        server.drain()
+        _assert_one_exact_sweep(server, tickets, refs)
+        server.close()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_out_of_range_index_raises_the_dynamic_error(self, engine):
+        graph, out, phs = _ragged_graph(f"ragged-range-{engine}")
+        requests = _ragged_requests(phs, 3)
+        feed = requests[1][0]
+        feed[phs[1]] = feed[phs[1]].copy()
+        feed[phs[1]][-1] = len(feed[phs[0]])
+        session = repro.Session(graph, repro.Runtime(), engine=engine)
+        with pytest.raises(repro.EngineError) as dynamic:
+            session.run(out, feed)
+        server, tickets = _serve_together(session, out, requests)
+        with pytest.raises(repro.EngineError) as compiled:
+            server.drain()
+        assert str(compiled.value) == str(dynamic.value)
+        assert type(compiled.value.__cause__) is IndexError
+        assert type(dynamic.value.__cause__) is IndexError
+        with pytest.raises(repro.EngineError):
+            tickets[1].result()
+        server.close()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_cancelled_mid_sweep_leaves_the_others_exact(
+            self, engine, monkeypatch):
+        graph, out, phs = _ragged_graph(f"ragged-cancel-{engine}")
+        requests = _ragged_requests(phs, 4)
+        session = repro.Session(graph, repro.Runtime(), engine=engine)
+        refs = [session.run(out, feed) for feed, _ in requests]
+        server, tickets = _serve_together(session, out, requests,
+                                          cancel_at=4,
+                                          monkeypatch=monkeypatch)
+        server.drain()
+        with pytest.raises(RequestCancelled):
+            tickets[1].result()
+        for i in (0, 2, 3):
+            assert np.array_equal(refs[i], tickets[i].result())
+        assert server.stats.cancelled_requests == 1
+        server.close()
+
+
 class TestLyingProfile:
     """(d) The per-level vector compare still refuses a profile the fed
     data contradicts — in either direction, on every executor."""

@@ -87,3 +87,40 @@ def test_run_returns_the_executor_to_idle(trees, engine, train, case,
     assert core._pending_level_runs == []
     assert getattr(core, "_pool", []) == []
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("engine", available_executors())
+@pytest.mark.timeout(60)
+def test_merged_sweep_over_ragged_feeds_closes_its_books(engine):
+    """Requests of different sizes served as one compiled sweep: every
+    feed is a ragged column, every byte the sweep booked is released,
+    and the peak covers at least the feeds themselves."""
+    trees = make_treebank(num_train=6, num_val=0, vocab_size=40,
+                          max_words=9, mean_log_words=2.0, seed=13).train
+    trees = list({t.num_nodes: t for t in trees}.values())[:3]
+    assert len(trees) == 3
+    runtime = repro.Runtime()
+    built = TreeRNNSentiment(
+        ModelConfig(vocab_size=40, hidden=6, embed_dim=6),
+        runtime).build_recursive(1)
+    session = repro.Session(built.graph, runtime, num_workers=3,
+                            engine=engine, track_live_bytes=True)
+    core = session._engine
+    server = session.serve(max_in_flight=len(trees))
+    feeds = []
+    for tree in trees:
+        batch = batch_trees([tree])
+        feeds.append(built.feed_dict(batch))
+        server.submit(built.root_logits, feeds[-1],
+                      shape_profile=built.shape_profiles(batch))
+    server.drain()
+    stats = server.stats
+    assert stats.level_plan_hits == len(trees)
+    assert stats.level_plan_cache_hits + stats.level_plan_cache_misses == 1
+    assert stats.level_row_loop_steps == {}
+    assert core._live_bytes == 0
+    assert stats.peak_live_bytes >= sum(v.nbytes for feed in feeds
+                                        for v in feed.values())
+    server.close()
+    assert core._open_roots == 0
+    assert core._pending_level_runs == []
