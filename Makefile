@@ -20,8 +20,8 @@ test-fast:
 # and SLO counters under sustained load), plus the bench-smoke canaries
 # (tiny fig7/table2 sweeps, the continuous-serving canary and the
 # spawn-overhead regression gate).  REPRO_TEST_TIMEOUT arms the conftest
-# watchdog for every unmarked test so a wedged pool thread fails the
-# gate fast instead of hanging it on a queue read.
+# watchdog for every unmarked test so a wedged serving master fails the
+# gate fast instead of hanging it on a lock or condition wait.
 check: export REPRO_TEST_TIMEOUT ?= 180
 check: test-fast soak-ci bench-smoke test-bench-e2e
 

@@ -26,10 +26,10 @@ block is the headline the ISSUE acceptance gates on (>= 1.5x spawn
 rate).  ``benchmarks/bench_smoke.py`` re-measures a miniature spawn
 workload against the recorded ``after`` as a 2x regression canary.
 
-The ``workerpool_buckets`` block is the **concurrent-bucket serving
-canary** for the worker-pool executor backend: a burst of concurrent
-TreeLSTM requests served with micro-batching, recording its
-pool-scaling headroom (host-core bound).
+The ``workerpool_buckets`` block is the **fused-bucket serving canary**
+for the worker-pool executor backend: a burst of concurrent TreeLSTM
+requests served with micro-batching, recording its wall clock and
+bucket widths.
 """
 
 from __future__ import annotations
@@ -212,11 +212,7 @@ def measure_batched_dispatch() -> dict:
 # for: a burst of concurrent TreeLSTM requests (irregular trees, so
 # wavefronts stagger across requests) served with micro-batching.  The
 # centralized master drains whole ready wavefronts into the coalescer
-# and lands independent fused buckets on its kernel pool, where its
-# workers never touch the master lock; on a multi-core host the
-# independent buckets execute concurrently (numpy kernels release the
-# GIL; ``pool_scaling_speedup`` records that headroom and is ~1.0 on a
-# single-CPU host).
+# and executes the fused buckets itself.
 
 BUCKET_REQUESTS = 24   # concurrent root instances (multi-instance serving)
 BUCKET_IN_FLIGHT = 12
@@ -261,22 +257,15 @@ def _serve_bucket_burst(bank, stream, make_model, engine: str,
 
 
 def measure_workerpool_buckets() -> dict:
-    """The worker-pool backend on the serving canary at pool width 1
-    vs BUCKET_WORKERS."""
+    """The worker-pool backend on the serving canary."""
     bank, stream, make_model = _bucket_canary_setup()
-    pool = _serve_bucket_burst(bank, stream, make_model,
-                               "workerpool", BUCKET_WORKERS)
-    pool_serial = _serve_bucket_burst(bank, stream, make_model,
-                                      "workerpool", 1)
     return {
         "workload": {"model": "TreeLSTM", "hidden": BUCKET_HIDDEN,
                      "requests": BUCKET_REQUESTS,
                      "max_in_flight": BUCKET_IN_FLIGHT},
         "host_cpus": os.cpu_count(),
-        "workerpool": pool,
-        "workerpool_serial": pool_serial,
-        # pool concurrency win; bounded by host cores (~1.0 on 1 CPU)
-        "pool_scaling_speedup": pool_serial["wall_s"] / pool["wall_s"],
+        "workerpool": _serve_bucket_burst(bank, stream, make_model,
+                                          "workerpool", BUCKET_WORKERS),
     }
 
 
@@ -362,9 +351,7 @@ def test_scheduler_overhead_microbench():
           f"({payload['speedup']['batched_dispatch']:.2f}x)")
     buckets = payload["workerpool_buckets"]
     print(f"  workerpool buckets: {buckets['workerpool']['wall_s'] * 1e3:.0f}"
-          f" ms @ {BUCKET_WORKERS} workers "
-          f"(mean batch {buckets['workerpool']['mean_batch']:.1f}), "
-          f"pool scaling {buckets['pool_scaling_speedup']:.2f}x "
+          f" ms (mean batch {buckets['workerpool']['mean_batch']:.1f}) "
           f"on {buckets['host_cpus']} host cpu(s)")
     assert headline["spawn_frames_per_sec"] > 0
     assert buckets["workerpool"]["fused_batches"] > 0

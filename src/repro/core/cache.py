@@ -17,8 +17,9 @@ complete in nondeterministic order, so values could be routed to the wrong
 gradient operation (as the paper notes).
 
 The table is *sharded*: keys hash to one of ``num_shards`` independently
-locked dictionaries, so concurrent frames (workerpool's kernel threads)
-do not serialize on a single lock.  The bulk APIs — :meth:`ValueCache.store_many`
+locked dictionaries, so threads storing into it concurrently (a
+workerpool serving master beside client threads) do not serialize on a
+single lock.  The bulk APIs — :meth:`ValueCache.store_many`
 and :meth:`ValueCache.lookup_many` — group their entries by shard and take
 each shard lock once, which is what lets the engines turn the N per-frame
 ``CacheLookup``/store round-trips of a fused micro-batch into one bulk

@@ -35,9 +35,9 @@ def peak_rss_mb() -> float:
 def host_provenance() -> dict:
     """Provenance stamp for bench rows: what host produced them.
 
-    Pool-scaling numbers are meaningless without the core count — a
-    workerpool speedup of ~1.0 is *expected* on a 1-CPU bench
-    host and a regression on an 8-CPU one.  Returns::
+    Wall-clock numbers are meaningless without the core count: the
+    same throughput row reads differently on a 2-CPU bench host and an
+    8-CPU one.  Returns::
 
         {"cpu_count": os.cpu_count(), "platform": ..., "python": ...}
 

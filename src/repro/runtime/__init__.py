@@ -7,8 +7,8 @@ selective caching, micro-batching decisions — and executor backends
 supply only the mechanics.  Two are built in: the virtual-time
 :class:`EventEngine` (``engine="event"``, the deterministic oracle) and
 the centralized-master :class:`~repro.runtime.workerpool
-.WorkerPoolEngine` (``"workerpool"``), the wall-clock backend with a
-concurrent kernel pool.  Backends register by name
+.WorkerPoolEngine` (``"workerpool"``), the wall-clock backend whose
+master executes every kernel itself.  Backends register by name
 (:func:`register_executor`) and :class:`Session` resolves ``engine=``
 through the registry.  See ARCHITECTURE.md for the layer diagram.
 

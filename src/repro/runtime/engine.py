@@ -23,8 +23,8 @@ mechanics* of the deterministic discrete-event backend registered as
 Kernels really run (values are exact) but time advances virtually, so
 a fixed workload yields bit-identical values *and* identical virtual
 times run over run.  The wall-clock backend with identical scheduling
-semantics lives in :mod:`repro.runtime.workerpool` (one scheduling
-master, a concurrent kernel pool).
+semantics lives in :mod:`repro.runtime.workerpool` (one master that
+schedules and executes every kernel itself).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Callable
 
 from .cost_model import CostModel
 from .scheduler import (EngineError, Frame, Instance, SchedulerCore,
-                        _DepthPriorityReady, _FifoReady, _MemoryBudgetReady,
                         prune_cancelled, register_executor, should_store)
 from .stats import RunStats
 
@@ -120,12 +119,6 @@ class EventEngine(SchedulerCore):
         self._free = self.num_workers
         self._events: list = []
         self._seq = itertools.count()
-        if self.memory_budget is not None:
-            self._ready = _MemoryBudgetReady(self)
-        else:
-            self._ready = (_DepthPriorityReady() if self.scheduler == "depth"
-                           else _FifoReady())
-        self._push_ready = self._ready.push
         # Per-dispatch fast paths, used only while the cost model keeps
         # the stock implementations (instance- or subclass-overridden
         # methods disable them and are called per op as before).

@@ -24,9 +24,9 @@ are ultimately executed.  This module makes that layering explicit:
     deterministic virtual-time discrete-event simulator and the oracle
     every other backend is checked against;
   - ``"workerpool"`` — :class:`~repro.runtime.workerpool
-    .WorkerPoolEngine`, a wall-clock backend with one centralized
-    scheduling master and a kernel pool that executes independent
-    fused buckets concurrently.
+    .WorkerPoolEngine`, a wall-clock backend whose one centralized
+    master both schedules and executes every kernel (scalar or fused
+    bucket), taking its parallelism from bucket and sweep width.
 
   On both, a compiled level-plan sweep runs its blocks back to back on
   the thread that flushes it.
@@ -49,7 +49,7 @@ Locking contract: ``_master_lock`` is ``None`` on single-threaded
 executors (the event engine) and an ``RLock`` on workerpool.
 ``_complete_instance`` and ``_start_frame`` mutate master state and are
 *lock-free by design*: every entry point either holds the lock already
-(worker completions, starters, ``submit_root``) or runs on the only
+(master completions, starters, ``submit_root``) or runs on the only
 thread that touches frames.  ``submit_root`` and ``_complete_batch``
 take the lock themselves when one exists.
 """
@@ -389,11 +389,6 @@ class _MemoryBudgetReady:
     def __len__(self) -> int:
         return self._len
 
-    #: deque-compatible aliases so the wall-clock masters can drop this
-    #: queue in where they use a plain deque
-    append = push
-    popleft = pop
-
 
 #: what ``SchedulerCore._locked`` hands single-threaded executors
 _NO_LOCK = contextlib.nullcontext()
@@ -411,12 +406,13 @@ class SchedulerCore:
     Args:
         runtime: the :class:`~repro.runtime.session.Runtime` providing
             variables, accumulators and the backprop cache.
-        num_workers: worker count (virtual workers for the event engine,
-            kernel-pool threads for workerpool).
+        num_workers: virtual worker count for the event engine
+            (workerpool accepts and ignores it: its master executes
+            every kernel).
         cost_model: virtual-time cost model; defaults to the CPU testbed.
         record: cache forward values of recursive frames (training mode).
-        scheduler: "fifo" (paper default) or "depth" priority (the
-            event engine honors it; workerpool is FIFO).
+        scheduler: "fifo" (paper default) or "depth" priority
+            (deeper frames first).
         max_depth: recursion guard.
         batching: coalesce same-signature ready ops across frames into
             fused vectorized kernel calls (cross-instance micro-batching).
@@ -493,6 +489,15 @@ class SchedulerCore:
         self._level_flush_wanted = False
         self._coalescer: Optional[Coalescer] = (
             Coalescer(self.batch_policy) if self.batching else None)
+        #: the ready queue every backend pops from (``pop`` raises
+        #: IndexError when empty); ``_push_ready`` is its bound push
+        if self.memory_budget is not None:
+            self._ready = _MemoryBudgetReady(self)
+        elif self.scheduler == "depth":
+            self._ready = _DepthPriorityReady()
+        else:
+            self._ready = _FifoReady()
+        self._push_ready = self._ready.push
         self._new_stats()
         self._reset_backend()
         self._serve_wall0 = time.perf_counter()
@@ -503,7 +508,7 @@ class SchedulerCore:
     # clock (virtual or wall); ``post_continuation`` defers a callback
     # (loop iterations); ``finish_async`` posts an async op's return
     # once its child frame(s) completed; ``_reset_backend`` rebuilds the
-    # clock, lock and ready sink (``self._push_ready``) for a session.
+    # clock and lock for a session.
     # The session hooks (`_start_serving`, `_drive_run`, `_drain_events`,
     # `_stamp_clock`, `_stop_serving`, `_admitted`) back the shared
     # run/begin_serving/submit_root/drain/end_serving below.
@@ -519,8 +524,7 @@ class SchedulerCore:
         raise NotImplementedError
 
     def _reset_backend(self) -> None:
-        """Rebuild the backend's per-session state; must assign
-        ``self._push_ready``."""
+        """Rebuild the backend's per-session state (clock, lock)."""
         raise NotImplementedError
 
     def _start_serving(self) -> None:
@@ -600,7 +604,7 @@ class SchedulerCore:
         """Record an instance's outputs, resolve dependents, finish frames.
 
         Mutates master state: on locking executors every entry point
-        (worker completion paths, starters, ``submit_root``, seeding)
+        (master completion paths, starters, ``submit_root``, seeding)
         already holds the master lock when this runs.
 
         Cancelled request trees quiesce here: a completion belonging to

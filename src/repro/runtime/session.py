@@ -67,7 +67,8 @@ class Session:
     Args:
         graph: the graph to execute (defaults to the current default graph).
         runtime: state container (defaults to the process-wide runtime).
-        num_workers: virtual worker threads (the paper's testbed used 36).
+        num_workers: virtual worker threads of the event engine (the
+            paper's testbed used 36); workerpool ignores it.
         cost_model: virtual-time cost model (defaults to the CPU testbed).
         record: training mode — record forward values of recursive frames
             into the backprop cache.  Runs that execute backward ops
@@ -76,9 +77,9 @@ class Session:
         engine: executor backend name, resolved through the executor
             registry (:mod:`repro.runtime.scheduler`): "event" for the
             deterministic virtual-time backend (the oracle),
-            "workerpool" for the wall-clock centralized-master backend
-            with a concurrent kernel pool — plus any backend registered
-            via ``register_executor``.
+            "workerpool" for the wall-clock backend whose one master
+            schedules and executes every kernel — plus any backend
+            registered via ``register_executor``.
         batching: fuse same-signature ready ops from concurrent frames
             into vectorized kernel calls (cross-instance dynamic
             micro-batching, :mod:`repro.runtime.batching`).  ``True``

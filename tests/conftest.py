@@ -8,8 +8,8 @@ main-thread tests on POSIX.
 
 Setting ``REPRO_TEST_TIMEOUT=<seconds>`` additionally arms the watchdog
 for every test *without* an explicit marker — ``make check`` sets it so
-a wedged pool thread fails the run fast instead of hanging CI on a
-queue read.  Explicit markers always win.
+a wedged serving master fails the run fast instead of hanging CI on a
+lock or condition wait.  Explicit markers always win.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _watchdog(request):
     def _expired(signum, frame):
         raise TimeoutError(
             f"test exceeded its {seconds}s watchdog — likely a deadlock "
-            "(workerpool master / kernel pool) or a wedged worker thread")
+            "(workerpool master) or a wedged serving thread")
 
     previous = signal.signal(signal.SIGALRM, _expired)
     signal.alarm(seconds)

@@ -28,6 +28,12 @@ from repro.runtime import (EventEngine, SchedulerCore, available_executors,
                            register_executor, resolve_executor)
 
 ENGINES = available_executors()
+#: (batching, scheduler) cases; the FIFO cases keep the bare batching id
+BATCHING_SCHEDULERS = [
+    pytest.param(batching, scheduler,
+                 id=str(batching) + ("" if scheduler == "fifo"
+                                     else f"-{scheduler}"))
+    for scheduler in ("fifo", "depth") for batching in (False, True)]
 
 
 @pytest.fixture(scope="module")
@@ -99,40 +105,42 @@ class TestRegistry:
 
 @pytest.mark.parametrize("engine", ENGINES)
 class TestCrossExecutorEquivalence:
-    @pytest.mark.parametrize("batching", [False, True])
+    @pytest.mark.parametrize("batching,scheduler", BATCHING_SCHEDULERS)
     @pytest.mark.timeout(120)
     def test_fetches_bit_identical(self, bank, model, built, engine,
-                                   batching):
+                                   batching, scheduler):
         """Per-tree root logits match the event reference exactly."""
         reference = _reference_logits(model, built, bank)
         session = repro.Session(built.graph, model.runtime, num_workers=4,
-                                engine=engine, batching=batching)
+                                engine=engine, batching=batching,
+                                scheduler=scheduler)
         for tree, expected in zip(bank.train, reference):
             got = session.run(built.root_logits,
                               built.feed_dict(batch_trees([tree])))
             assert np.array_equal(expected, got)
 
-    @pytest.mark.parametrize("batching", [False, True])
+    @pytest.mark.parametrize("batching,scheduler", BATCHING_SCHEDULERS)
     @pytest.mark.timeout(120)
     def test_gradients_bit_identical(self, bank, model, built, grad_fetches,
-                                     engine, batching):
+                                     engine, batching, scheduler):
         """Accumulated gradients match the event reference exactly
         (canonical frame-key ordering makes them order-independent)."""
         feed = built.feed_dict(batch_trees([bank.train[0]]))
         accumulators = model.runtime.accumulators
         names = [v.name for v in model.runtime.trainable_variables()]
 
-        def grads_under(engine_name, batching_mode):
+        def grads_under(engine_name, batching_mode, scheduler_name):
             session = repro.Session(built.graph, model.runtime,
                                     num_workers=4, engine=engine_name,
-                                    record=True, batching=batching_mode)
+                                    record=True, batching=batching_mode,
+                                    scheduler=scheduler_name)
             accumulators.zero()
             loss = session.run(grad_fetches, feed)[0]
             return loss, {name: np.copy(accumulators.read(name))
                           for name in names}
 
-        ref_loss, reference = grads_under("event", False)
-        loss, grads = grads_under(engine, batching)
+        ref_loss, reference = grads_under("event", False, "fifo")
+        loss, grads = grads_under(engine, batching, scheduler)
         assert loss == ref_loss
         assert set(grads) == set(reference)
         for name in names:
@@ -209,98 +217,48 @@ class TestWorkerPoolSpecifics:
         # the centralized master coalesces whole wavefronts
         assert server.stats.batches > 0
 
-    @staticmethod
-    def _count_pool_starts(monkeypatch):
-        from repro.runtime.workerpool import WorkerPoolEngine
-        starts = []
-        real = WorkerPoolEngine._start_pool
-
-        def start(engine):
-            starts.append(engine.num_workers)
-            real(engine)
-
-        monkeypatch.setattr(WorkerPoolEngine, "_start_pool", start)
-        return starts
-
-    def _tree_session(self, bank, model, built, workers=3):
+    def _tree_session(self, bank, model, built):
         batch = batch_trees([bank.train[0]])
         session = repro.Session(built.graph, model.runtime,
-                                num_workers=workers, engine="workerpool")
+                                num_workers=3, engine="workerpool")
         return session, built.feed_dict(batch), built.shape_profiles(batch)
 
+    @pytest.mark.parametrize("case", ["compiled", "dynamic", "fallback",
+                                      "failed_compiled", "serving"])
     @pytest.mark.timeout(60)
-    def test_compiled_run_starts_no_kernel_pool(self, bank, model, built,
-                                                monkeypatch):
-        starts = self._count_pool_starts(monkeypatch)
+    def test_master_is_the_only_thread(self, bank, model, built, case):
+        """A run executes every kernel on the calling thread, whichever
+        path it takes (a profile with the wrong site count falls back to
+        the dynamic path; one that contradicts the fed tree raises from
+        the compiled sweep).  A serving session adds exactly one thread,
+        its master, across compiled and dynamic requests; close joins
+        it."""
         session, feeds, profile = self._tree_session(bank, model, built)
+        expected = _reference_logits(model, built, bank)[0]
         threads = threading.active_count()
-        got = session.run(built.root_logits, feeds, shape_profile=profile)
-        assert session.last_stats.level_plan_hits == 1
-        assert starts == []
-        assert threading.active_count() == threads
-        assert np.array_equal(_reference_logits(model, built, bank)[0], got)
-
-    @pytest.mark.timeout(60)
-    def test_dynamic_run_starts_and_joins_kernel_pool(self, bank, model,
-                                                      built, monkeypatch):
-        starts = self._count_pool_starts(monkeypatch)
-        session, feeds, _ = self._tree_session(bank, model, built)
-        threads = threading.active_count()
-        session.run(built.root_logits, feeds)
-        assert starts == [3]
-        assert session._engine._pool == []
-        assert threading.active_count() == threads
-
-    @pytest.mark.timeout(60)
-    def test_fallback_profile_runs_on_the_kernel_pool(self, bank, model,
-                                                      built, monkeypatch):
-        """A profile that cannot compile (wrong site count) falls back
-        to the dynamic path, which needs the pool after all."""
-        starts = self._count_pool_starts(monkeypatch)
-        session, feeds, profile = self._tree_session(bank, model, built)
-        got = session.run(built.root_logits, feeds,
-                          shape_profile=profile + profile)
-        assert session.last_stats.level_plan_fallbacks == 1
-        assert starts == [3]
-        assert np.array_equal(_reference_logits(model, built, bank)[0], got)
-
-    @pytest.mark.timeout(60)
-    def test_failed_compiled_run_leaves_no_pool(self, bank, model, built,
-                                                monkeypatch):
-        """A profile that contradicts the fed tree raises from the
-        compiled sweep before any pool thread exists."""
-        starts = self._count_pool_starts(monkeypatch)
-        session, feeds, _ = self._tree_session(bank, model, built)
-        threads = threading.active_count()
-        with pytest.raises(repro.EngineError, match="shape profile"):
-            session.run(built.root_logits, feeds, shape_profile=((),))
-        assert starts == []
-        assert threading.active_count() == threads
-
-    def test_stop_pool_before_any_start_is_a_noop(self):
-        from repro.runtime.workerpool import WorkerPoolEngine
-        engine = WorkerPoolEngine(repro.Runtime(), num_workers=2)
-        engine._stop_pool()
-        assert engine._pool == []
-
-    @pytest.mark.timeout(60)
-    def test_serving_pool_outlives_compiled_requests(self, bank, model,
-                                                     built, monkeypatch):
-        """A serving session starts the pool once and keeps it up across
-        compiled and dynamic requests; close joins every thread."""
-        starts = self._count_pool_starts(monkeypatch)
-        session, feeds, profile = self._tree_session(bank, model, built)
-        threads = threading.active_count()
-        with session.serve(max_in_flight=4) as server:
-            compiled = server.submit(built.root_logits, feeds,
-                                     shape_profile=profile)
-            dynamic = server.submit(built.root_logits, feeds)
-            server.drain()
-            stats = server.stats
-        assert starts == [3]
-        assert stats.level_plan_hits == 1
-        assert np.array_equal(compiled.result(), dynamic.result())
-        assert session._engine._pool == []
+        if case == "failed_compiled":
+            with pytest.raises(repro.EngineError, match="shape profile"):
+                session.run(built.root_logits, feeds, shape_profile=((),))
+        elif case == "serving":
+            with session.serve(max_in_flight=4) as server:
+                assert threading.active_count() == threads + 1
+                compiled = server.submit(built.root_logits, feeds,
+                                         shape_profile=profile)
+                dynamic = server.submit(built.root_logits, feeds)
+                server.drain()
+                assert threading.active_count() == threads + 1
+            assert server.stats.level_plan_hits == 1
+            assert np.array_equal(expected, compiled.result())
+            assert np.array_equal(expected, dynamic.result())
+        else:
+            run_profile = {"compiled": profile, "dynamic": None,
+                           "fallback": profile + profile}[case]
+            got = session.run(built.root_logits, feeds,
+                              shape_profile=run_profile)
+            stats = session.last_stats
+            assert stats.level_plan_hits == (case == "compiled")
+            assert stats.level_plan_fallbacks == (case == "fallback")
+            assert np.array_equal(expected, got)
         assert threading.active_count() == threads
 
     @pytest.mark.timeout(60)

@@ -21,9 +21,9 @@ from repro.core.subgraph import SubGraph
 from repro.graph.graph import Graph
 from repro.runtime.batching import (Bucket, Coalescer, _SignatureState,
                                     batch_signature, signature_prefix)
-from repro.runtime.engine import (Frame, Instance, _DepthPriorityReady,
-                                  _FifoReady)
+from repro.runtime.engine import Frame, Instance
 from repro.runtime.plan import plan_for, plan_for_fetches
+from repro.runtime.scheduler import _DepthPriorityReady, _FifoReady
 from repro.runtime.server import RequestTicket
 
 SETTINGS = settings(max_examples=12, deadline=None,
