@@ -51,7 +51,7 @@ from bench_e2e.trace import Tracer
 from bench_e2e.verify import Checker
 from bench_e2e.worker import bench_classes
 from repro.graph import registry
-from repro.runtime import level_plan
+from repro.runtime.level_plan import block, forest, sweep
 from repro.runtime.scheduler import _values_bytes
 
 WARM_STEPS = 8
@@ -84,8 +84,8 @@ class _Probes:
         for name, defn, entry, fn in list(_kernel_entries()):
             self._patch(defn, entry, self._timed(name, entry, fn))
         for name in ("_take", "_as_column"):
-            self._patch(level_plan, name,
-                        self._counted(name, getattr(level_plan, name)))
+            self._patch(sweep, name,
+                        self._counted(name, getattr(sweep, name)))
 
     def _patch(self, owner, attr, new) -> None:
         self._undo.append((owner, attr, getattr(owner, attr)))
@@ -166,7 +166,7 @@ def _wiring(spec) -> str:
 def _mirrors_post_call(cls, refs) -> bool:
     """A gradient import that leads with a forward post-call value."""
     ref = refs[0]
-    return (ref[0] == level_plan._M and ref[1][0] == level_plan._S
+    return (ref[0] == block._M and ref[1][0] == block._S
             and cls.mirror.ops[ref[1][1]].seg == 1)
 
 
@@ -221,9 +221,9 @@ class _BurstSplit:
         self.secs = dict.fromkeys(self.PHASES, 0.0)
         self.loops = [0, 0]                 # looped steps, scalar calls
         self._undo = []
-        call = level_plan._BlockCall
-        self._wrap(level_plan, "instance_for", "instantiate")
-        self._wrap(level_plan, "_book", "booking")
+        call = sweep._BlockCall
+        self._wrap(forest, "instance_for", "instantiate")
+        self._wrap(sweep, "_book", "booking")
         self._wrap(call, "__init__", "import gather")
         self._wrap(call, "execute", "block execute")
         self._wrap(call, "_loop", "  of which row loops", self._count)

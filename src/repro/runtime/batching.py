@@ -70,11 +70,6 @@ class BatchPolicy:
     #: completing deep subtrees (draining live frames) over breadth-first
     #: fan-out — work is reordered, never shed.
     memory_budget: Optional[int] = None
-    #: accepted and validated (``None`` or >= 1), no longer consulted:
-    #: it used to cap compiled level plans at subtrees of node depth
-    #: <= ``d``; the compiled tier now instantiates a fully determined
-    #: profile of any depth from the definition's one template.
-    level_canon_depth: Optional[int] = None
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -85,8 +80,6 @@ class BatchPolicy:
                 "execution)")
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ValueError("memory_budget must be positive (or None)")
-        if self.level_canon_depth is not None and self.level_canon_depth < 1:
-            raise ValueError("level_canon_depth must be >= 1 (or None)")
 
     # -- per-signature interface (constant for the fixed policy) -----------
 

@@ -480,13 +480,6 @@ class SchedulerCore:
         self._live_bytes = 0
         #: compiled roots admitted but not yet executed (level-plan path)
         self._pending_level_runs: list = []
-        #: True while a thread is inside the level-flush loop; late
-        #: admissions just append and the running flush picks them up
-        self._level_flushing = False
-        #: set by backends that defer sweep flushes to their master loop
-        #: (workerpool — a starter-context flush would execute the sweep
-        #: under the master lock)
-        self._level_flush_wanted = False
         self._coalescer: Optional[Coalescer] = (
             Coalescer(self.batch_policy) if self.batching else None)
         #: the ready queue every backend pops from (``pop`` raises
@@ -849,9 +842,9 @@ class SchedulerCore:
     # the definition compiles once into a template, and the pending runs
     # of one template — whatever their shapes — flush as one forest.
     # The scheduler owns the admission/merge/complete bookkeeping so all
-    # backends share it; the event engine overrides the two small hooks
-    # (`_schedule_level_flush`, `_complete_level_group`) to run the sweep
-    # at virtual instants with modeled cost.
+    # backends share it; each backend says where the flush runs
+    # (`_schedule_level_flush`), and the event engine also overrides
+    # `_complete_level_group` to retire the sweep at its modeled cost.
 
     def _note_fallback(self, reason: str) -> None:
         """Count one profiled admission that runs dynamically, under the
@@ -909,47 +902,29 @@ class SchedulerCore:
         return run
 
     def _schedule_level_flush(self) -> None:
-        """Arrange for pending compiled roots to execute.  Base backends
-        flush immediately on the admitting thread; the event engine
-        defers to an event at the current virtual instant so
-        same-instant arrivals merge into one wavefront."""
-        self._flush_level_runs()
+        """Arrange for ``_flush_level_runs`` to run on the backend's one
+        dispatching thread (the event loop: an event at the current
+        virtual instant, so same-instant arrivals merge into one
+        wavefront; workerpool: its master)."""
+        raise NotImplementedError
 
     def _flush_level_runs(self) -> None:
-        """Drain ``_pending_level_runs``, batching same-plan runs.
-
-        Single-flusher discipline: the thread that wins the
-        ``_level_flushing`` flag loops until the pending list is empty
-        — the emptiness check and the flag clear happen in the same
-        locked section, so an admission racing with the final check
-        either lands in the observed batch or finds the flag down and
-        flushes itself.  Reentrant admissions (a completion callback
-        submitting the next request) append and return immediately; the
-        outer loop picks them up.
-        """
-        lock = self._locked
-        with lock:
-            if self._level_flushing:
-                return
-            self._level_flushing = True
+        """Drain ``_pending_level_runs``, batching same-plan runs.  Runs
+        only on the dispatching thread; admissions made meanwhile append
+        and are picked up by the next swap."""
         while True:
-            with lock:
-                batch = self._pending_level_runs
-                if not batch:
-                    self._level_flushing = False
-                    return
-                self._pending_level_runs = []
-            try:
-                self._run_level_batch(batch)
-            except BaseException:
-                with lock:
-                    self._level_flushing = False
-                raise
+            with self._locked:
+                batch, self._pending_level_runs = (
+                    self._pending_level_runs, [])
+            if not batch:
+                return
+            self._run_level_batch(batch)
 
     def _run_level_batch(self, batch) -> None:
         """Flush pending compiled runs: one forest — one instantiation
         lookup, one sweep — per template, whatever the runs' shapes."""
-        from .level_plan import execute_level_plan, instance_for
+        from .level_plan.forest import instance_for
+        from .level_plan.sweep import execute_level_plan
         forests: dict = {}
         for run in batch:
             if not run.cancelled:

@@ -103,8 +103,7 @@ class Session:
             shape streams shared a small canonical plan set; the
             compiled tier now compiles the recursive *definition* once
             and instantiates a fully determined profile of any depth
-            whole, so there is nothing left to canonicalize.  Shorthand
-            for setting the field on ``batch_policy``.
+            whole, so there is nothing left to canonicalize.
     """
 
     def __init__(self, graph: Optional[Graph] = None,
@@ -118,16 +117,8 @@ class Session:
                  level_canon_depth: Optional[int] = None):
         self.graph = graph or get_default_graph()
         self.runtime = runtime or default_runtime()
-        if level_canon_depth is not None:
-            if batch_policy is None:
-                batch_policy = BatchPolicy(
-                    level_canon_depth=level_canon_depth)
-            else:
-                batch_policy.level_canon_depth = level_canon_depth
-                # revalidate: direct attribute set skips __post_init__
-                if level_canon_depth < 1:
-                    raise ValueError(
-                        "level_canon_depth must be >= 1 (or None)")
+        if level_canon_depth is not None and level_canon_depth < 1:
+            raise ValueError("level_canon_depth must be >= 1 (or None)")
         executor_cls = resolve_executor(engine)
         self._engine = executor_cls(self.runtime, num_workers=num_workers,
                                     cost_model=cost_model, record=record,

@@ -124,16 +124,13 @@ class WorkerPoolEngine(SchedulerCore):
                          or len(self._coalescer) == 0))
 
     def _schedule_level_flush(self) -> None:
-        # compiled-root admissions (any thread) defer the sweep to the
-        # master, which shares stats and the value cache with it
-        self._level_flush_wanted = True
-        self._wake.set()
+        """Nothing to arrange: the master flushes pending compiled roots
+        on its next step, and ``_admitted`` wakes it."""
 
     def _master_step(self) -> bool:
         """Run a deferred compiled sweep, then dispatch ready work."""
         progressed = False
-        if self._level_flush_wanted:
-            self._level_flush_wanted = False
+        if self._pending_level_runs:
             self._flush_level_runs()
             progressed = True
         if self._error is None:

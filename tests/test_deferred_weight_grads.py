@@ -472,7 +472,7 @@ class TestMarshalling:
         is a view of the producer column.  Hand every such view out
         read-only — a kernel (or the accumulator) writing one would
         raise — and the sweep must still equal the dynamic tier."""
-        real = level_plan._take
+        real = level_plan.sweep._take
         views = {"n": 0}
 
         def guarded(col, rows):
@@ -482,7 +482,7 @@ class TestMarshalling:
                 views["n"] += 1
             return out
 
-        monkeypatch.setattr(level_plan, "_take", guarded)
+        monkeypatch.setattr(level_plan.sweep, "_take", guarded)
         model = _Shared.get()
         lvl = model.run(DEEP, compiled=True)
         monkeypatch.undo()

@@ -317,7 +317,7 @@ class TestMergedRuns:
                        for f, b in zip(feeds, batches)]
             if cancel_at is not None:
                 calls = {"n": 0}
-                real = level_plan._BlockCall.execute
+                real = level_plan.sweep._BlockCall.execute
 
                 def cancelling(call):
                     calls["n"] += 1
@@ -325,7 +325,7 @@ class TestMergedRuns:
                         assert tickets[1].cancel()
                     real(call)
 
-                monkeypatch.setattr(level_plan._BlockCall, "execute",
+                monkeypatch.setattr(level_plan.sweep._BlockCall, "execute",
                                     cancelling)
             server.drain()
             stats = server.stats
@@ -543,7 +543,7 @@ def _serve_together(session, out, requests, cancel_at=None,
                for feed, profile in requests]
     if cancel_at is not None:
         calls = {"n": 0}
-        real = level_plan._BlockCall.execute
+        real = level_plan.sweep._BlockCall.execute
 
         def cancelling(call):
             calls["n"] += 1
@@ -551,7 +551,7 @@ def _serve_together(session, out, requests, cancel_at=None,
                 assert tickets[1].cancel()
             real(call)
 
-        monkeypatch.setattr(level_plan._BlockCall, "execute", cancelling)
+        monkeypatch.setattr(level_plan.sweep._BlockCall, "execute", cancelling)
     return server, tickets
 
 

@@ -279,12 +279,12 @@ class TestPartialCompilation:
 
 
 class TestPlanCacheLRU:
-    """The instantiation memo is LRU-bounded (``REPRO_LEVEL_PLAN_CAP``);
+    """The instantiation memo is LRU-bounded (``LEVEL_PLAN_CAP``);
     the template map needs no cap — it holds one entry per definition."""
 
     def test_compiled_plans_evict_lru(self, monkeypatch):
         from repro.runtime import level_plan
-        monkeypatch.setattr(level_plan, "LEVEL_PLAN_CAP", 2)
+        monkeypatch.setattr(level_plan.forest, "LEVEL_PLAN_CAP", 2)
         graph, out, _ = _tree_sum_graph("lru")
         plan = plan_for_fetches(graph, {out.op})
         stats = RunStats()
@@ -306,7 +306,7 @@ class TestPlanCacheLRU:
 
     def test_recent_hit_refreshes_lru_order(self, monkeypatch):
         from repro.runtime import level_plan
-        monkeypatch.setattr(level_plan, "LEVEL_PLAN_CAP", 2)
+        monkeypatch.setattr(level_plan.forest, "LEVEL_PLAN_CAP", 2)
         graph, out, _ = _tree_sum_graph("lru-touch")
         plan = plan_for_fetches(graph, {out.op})
         stats = RunStats()
@@ -321,10 +321,6 @@ class TestPlanCacheLRU:
 
 
 class TestKnobValidation:
-    def test_batch_policy_rejects_non_positive_depth(self):
-        with pytest.raises(ValueError, match="level_canon_depth"):
-            BatchPolicy(level_canon_depth=0)
-
     def test_session_rejects_non_positive_depth(self):
         with pytest.raises(ValueError, match="level_canon_depth"):
             repro.Session(repro.Graph("bad-knob"), repro.Runtime(),
@@ -334,8 +330,3 @@ class TestKnobValidation:
         with pytest.raises(ValueError, match="level_canon_depth"):
             repro.Session(repro.Graph("bad-knob2"), repro.Runtime(),
                           batch_policy=BatchPolicy(), level_canon_depth=-1)
-
-    def test_session_threads_depth_into_policy(self):
-        session = repro.Session(repro.Graph("knob"), repro.Runtime(),
-                                level_canon_depth=4)
-        assert session._engine.batch_policy.level_canon_depth == 4

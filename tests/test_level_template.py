@@ -18,7 +18,10 @@ what it must not cost:
   ``Cond``; a profile with holes is one fallback to the dynamic tier,
   whatever its determined part claims;
 * gradient blocks are keyed by height: a mirrored forward post-call
-  value is wired in place, never gathered through an index.
+  value is wired in place, never gathered through an index;
+* every block program passes the verifier, a corrupted ``last``, a
+  dropped import or two aliased live registers do not, and a template
+  whose program fails it is a counted fallback.
 """
 
 import numpy as np
@@ -29,8 +32,12 @@ from hypothesis import strategies as st
 import repro
 from repro import ops
 from repro.core.subgraph import SubGraph
-from repro.runtime.level_plan import (_M, _S, Template, instance_for,
+from repro.data import batch_trees, make_treebank
+from repro.models import (ModelConfig, RNTNSentiment, TreeLSTMSentiment,
+                          TreeRNNSentiment, tree_lstm_config)
+from repro.runtime.level_plan import (Template, block, instance_for,
                                       linearise, template_for)
+from repro.runtime.level_plan.block import _M, _S, _Ineligible, check
 from repro.runtime.plan import plan_for_fetches
 from repro.runtime.scheduler import available_executors
 from repro.runtime.variables import Variable
@@ -532,3 +539,135 @@ class TestFallbackReasons:
         b.level_plan_fallback_reasons = {"y": 1, "z": 4}
         a.merge(b)
         assert a.level_plan_fallback_reasons == {"x": 1, "y": 3, "z": 4}
+
+
+_TREE_MODELS = {
+    "TreeRNN": lambda rt: TreeRNNSentiment(
+        ModelConfig(hidden=6, embed_dim=5, vocab_size=30), rt),
+    "RNTN": lambda rt: RNTNSentiment(
+        ModelConfig(hidden=6, embed_dim=6, vocab_size=30), rt),
+    "TreeLSTM": lambda rt: TreeLSTMSentiment(
+        tree_lstm_config(hidden=6, embed_dim=5, vocab_size=30), rt),
+}
+
+
+def _tree_model(name, train):
+    """A fresh tree model: ``(model, built, fetches, root plan)``."""
+    model = _TREE_MODELS[name](repro.Runtime())
+    built = model.build_recursive(2)
+    fetches = [built.loss, built.root_logits]
+    if train:
+        _, updates = repro.gradients(built.loss, [])
+        fetches += [op.outputs[-1] for op in updates]
+    return model, built, fetches, plan_for_fetches(
+        built.graph, {t.op for t in fetches})
+
+
+def _programs(tpl):
+    return [tpl.prologue] + [p for cls in tpl.classes for p in cls.blocks]
+
+
+def _read_regs(prog):
+    """Every register a block program reads."""
+    srcs = [*(c[0] for c in prog.checks), *(s[0] for s in prog.stores)]
+    for st in prog.steps:
+        srcs += [*st.inputs, *(c[0] for c in st.checks)]
+    for reg, _, _ in srcs:
+        yield from ((p[0] for p in reg) if reg.__class__ is tuple
+                    else (reg,))
+
+
+def _read_steps(prog):
+    """The steps whose outputs are read inside their own block."""
+    regs = set(_read_regs(prog))
+    return [st for st in prog.feeds + prog.steps
+            if regs.intersection(range(st.reg, st.reg + st.n_out))]
+
+
+def _live_pair(prog):
+    """Two steps whose registers are live at once — ``a`` is still read
+    when ``b`` writes — or None."""
+    return next(((a, b) for a in _read_steps(prog) for b in prog.steps
+                 if b is not a and a.level <= b.level <= a.last
+                 and a.last > a.level), None)
+
+
+def _rejected(prog, mutate) -> int:
+    mutate(prog)
+    with pytest.raises(_Ineligible, match="failed verification"):
+        check(prog)
+    return 1
+
+
+class TestVerifier:
+    """Every block program a template finishes is checked: registers
+    written once, read only after they are written and no later than
+    their recorded last level, rows inside their producer, ``frees`` as
+    the ``last`` levels imply."""
+
+    @pytest.mark.parametrize("train", [False, True],
+                             ids=["forward", "train"])
+    @pytest.mark.parametrize("name", sorted(_TREE_MODELS))
+    def test_every_program_checks(self, name, train):
+        _, built, _, plan = _tree_model(name, train)
+        tpl = template_for(built.graph, plan, train)
+        assert isinstance(tpl, Template), tpl
+        programs = _programs(tpl)
+        assert len(programs) >= (12 if train else 7)
+        for prog in programs:
+            check(prog)
+
+    @staticmethod
+    def _template():
+        _, built, _, plan = _tree_model("TreeLSTM", True)
+        return Template(built.graph, plan, True)   # fresh, not memoised
+
+    def test_corrupt_last_is_rejected(self):
+        def corrupt(prog):
+            _read_steps(prog)[-1].last -= 1
+        rejected = sum(_rejected(prog, corrupt)
+                       for prog in _programs(self._template())
+                       if _read_steps(prog))
+        assert rejected >= 8
+
+    def test_dropped_import_is_rejected(self):
+        rejected = sum(_rejected(prog, lambda p: p.imports.pop(0))
+                       for prog in _programs(self._template())
+                       if prog.imports)
+        assert rejected >= 8
+
+    def test_aliased_live_registers_are_rejected(self):
+        def alias(prog):
+            a, b = _live_pair(prog)
+            b.reg = a.reg
+        rejected = sum(_rejected(prog, alias)
+                       for prog in _programs(self._template())
+                       if _live_pair(prog))
+        assert rejected >= 8
+
+    @pytest.mark.parametrize("engine", available_executors())
+    def test_failed_program_is_a_counted_fallback(self, engine,
+                                                  monkeypatch):
+        finish = block._BlockProg.finish
+
+        def finish_then_corrupt(prog):
+            finish(prog)
+            if prog.cls is not None and _read_steps(prog):
+                _read_steps(prog)[-1].last -= 1
+        bank = make_treebank(num_train=3, num_val=1, vocab_size=30,
+                             max_words=8, seed=5)
+        batch = batch_trees(bank.train[:2])
+        model, built, fetches, _ = _tree_model("TreeLSTM", False)
+        session = repro.Session(built.graph, model.runtime, engine=engine)
+        ref = session.run(fetches, built.feed_dict(batch))
+        monkeypatch.setattr(block._BlockProg, "finish", finish_then_corrupt)
+        got = session.run(fetches, built.feed_dict(batch),
+                          shape_profile=built.shape_profiles(batch))
+        stats = session.last_stats
+        assert stats.level_plan_hits == 0
+        assert stats.level_plan_fallbacks == 1
+        (reason, count), = stats.level_plan_fallback_reasons.items()
+        assert count == 1
+        assert reason.startswith("block program failed verification: ")
+        for a, b in zip(ref, got):
+            assert np.array_equal(a, b)
