@@ -174,6 +174,37 @@ def test_smoke_level_block_canary():
     assert "level_blocks=22  level_kernel_calls=366" in stats.summary()
 
 
+def test_smoke_level_slab_canary(monkeypatch):
+    """Slab canary: the compiled TreeLSTM inference sweep reads every
+    import that several array columns feed as one read of its slab —
+    no import there is gathered part-wise (per-producer ``take``,
+    concatenate, permute) while all of its parts are arrays."""
+    from repro.runtime.level_plan import sweep
+
+    real, reads = sweep._Sweep.operand, {"slab": 0, "part-wise": []}
+
+    def operand(state, spec):
+        if len(spec) == 4 and state.cols[spec[2]].__class__ is np.ndarray:
+            reads["slab"] += 1
+        elif len(spec) != 3 and all(
+                state.cols[cid][out].__class__ is np.ndarray
+                for cid, out, _ in spec[0]):
+            reads["part-wise"].append(spec[0])
+        return real(state, spec)
+
+    monkeypatch.setattr(sweep._Sweep, "operand", operand)
+    bank = smoke_bank()
+    batch = batch_trees(bank.train[:6])
+    model = SMOKE_FACTORIES["TreeLSTM"]()
+    built = model.build_recursive(6)
+    session = repro.Session(built.graph, model.runtime,
+                            num_workers=runner_config().num_workers)
+    session.run(built.root_logits, built.feed_dict(batch),
+                shape_profile=built.shape_profiles(batch))
+    assert session.last_stats.level_plan_hits == 1
+    assert reads["slab"] > 0 and reads["part-wise"] == []
+
+
 def test_smoke_level_canon_canary():
     """Shape-stream canary: a 50-shape heavy-tailed stream through one
     session compiles exactly one template and falls back on no shape

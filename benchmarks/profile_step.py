@@ -14,12 +14,15 @@ step is the benchmark's own — its workload class, ``Config`` and
 The three passes are separate warm steps: the profiler and the timing
 wrappers each distort the other's numbers.
 
-For a compiled config it also prints how the warm plan's imports are
-*wired*, per family and segment — a whole-column alias, a slice (a
-view), one ``take``, several producers concatenated, or concatenated and
-then permuted — and how many deferred blocks the value cache holds after
-the sweep (``ValueCache.store_column``; what a recorded sweep hands over
-and nobody split into rows).
+For a compiled config it also prints the import-gather time of the
+warm step by the path each import took — a whole-column alias, a slice
+(a view), one ``take``, one read of a slab (the per-sweep array that
+several producer columns fill), or part-wise: several producers
+concatenated, or concatenated and then permuted — then how the warm
+plan's imports are *wired*, per family and segment, and how many
+deferred blocks the value cache holds after the sweep
+(``ValueCache.store_column``; what a recorded sweep hands over and
+nobody split into rows).
 
 ``--floor`` (``make profile-step F=1``) instead prints how far a warm
 step sits above its *kernel floor*: every kernel entry call of one warm
@@ -43,6 +46,8 @@ import cProfile
 import pstats
 import time
 from collections import defaultdict
+
+import numpy as np
 
 from bench_e2e.harness import confined
 from bench_e2e.serve import BURSTS
@@ -80,12 +85,15 @@ class _Probes:
         self.kernel_s = defaultdict(float)
         self.kernel_calls = defaultdict(int)
         self.copies = defaultdict(lambda: [0, 0])   # name -> [calls, bytes]
+        self.gather = defaultdict(lambda: [0, 0.0])  # wiring -> [calls, s]
         self._undo = []
         for name, defn, entry, fn in list(_kernel_entries()):
             self._patch(defn, entry, self._timed(name, entry, fn))
         for name in ("_take", "_as_column"):
             self._patch(sweep, name,
                         self._counted(name, getattr(sweep, name)))
+        self._patch(sweep._Sweep, "operand",
+                    self._gathered(sweep._Sweep.operand))
 
     def _patch(self, owner, attr, new) -> None:
         self._undo.append((owner, attr, getattr(owner, attr)))
@@ -114,10 +122,23 @@ class _Probes:
             return out
         return counted
 
+    def _gathered(self, fn):
+        def gathered(state, spec):
+            kind = _wiring(spec, state.cols)
+            t0 = time.perf_counter()
+            try:
+                return fn(state, spec)
+            finally:
+                tally = self.gather[kind]
+                tally[0] += 1
+                tally[1] += time.perf_counter() - t0
+        return gathered
+
     def reset(self) -> None:
         self.kernel_s.clear()
         self.kernel_calls.clear()
         self.copies.clear()
+        self.gather.clear()
 
     def remove(self) -> None:
         for owner, attr, old in reversed(self._undo):
@@ -151,15 +172,20 @@ def _floor(bench, config, repeats: int = 30) -> tuple:
     return warm, min(replays), len(calls)
 
 
-WIRINGS = ("alias", "slice", "take", "multi", "multi+perm")
+WIRINGS = ("alias", "slice", "take", "slab", "multi", "multi+perm")
 
 
-def _wiring(spec) -> str:
-    """How one import of an instantiated block reaches its operand."""
+def _wiring(spec, cols=None) -> str:
+    """How one import of an instantiated block reaches its operand —
+    given a sweep's ``cols``, by the path it takes there (a slab-wired
+    import whose slab is unfilled reads part-wise)."""
     if len(spec) == 3:
         rows = spec[2]
         return ("alias" if rows is None
                 else "slice" if isinstance(rows, slice) else "take")
+    if len(spec) == 4 and (cols is None or isinstance(cols[spec[2]],
+                                                      np.ndarray)):
+        return "slab"
     return "multi" if spec[1] is None else "multi+perm"
 
 
@@ -342,6 +368,13 @@ def main(argv=None) -> int:
     print("operand marshalling of the compiled sweep (views copy nothing):")
     for name, (calls, nbytes) in sorted(probes.copies.items()):
         print(f"  {name:<18} calls={calls:<6} {nbytes / 2**20:8.2f} MiB")
+    if probes.gather:
+        print("import gather by wiring (part-wise: multi, multi+perm):")
+        for kind in WIRINGS:
+            calls, secs = probes.gather.get(kind, (0, 0.0))
+            print(f"  {kind:<18} n={calls:<6} {secs * 1e3:8.3f} ms")
+        print(f"  {'all':<18} n={sum(c for c, _ in probes.gather.values()):<6}"
+              f" {sum(t for _, t in probes.gather.values()) * 1e3:8.3f} ms")
     print()
     if config.compiled:
         # the sweep alone: a training step's apply run clears the cache

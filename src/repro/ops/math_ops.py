@@ -215,10 +215,12 @@ def tanh(x, name="tanh") -> Tensor:
 
 def _sigmoid(x):
     # e = exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere: both
-    # branches of the stable form, evaluated without a mask gather
+    # branches of the stable form, evaluated without a mask gather.  The
+    # numerator is 1 where x >= 0, else e: as e lies in [0, 1] (or is
+    # NaN, which maximum propagates), max(e, x >= 0) picks it exactly and
+    # without a branching select
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.asarray(np.maximum(e, x >= 0, dtype=e.dtype) / (1.0 + e))
 
 
 register_op(

@@ -159,9 +159,14 @@ def reduce_max(x, axis=None, keepdims=False, name="reduce_max") -> Tensor:
 # Reductions mix axes with the stacked batch axis, and numpy does not
 # promise the same summation order over a stacked array as over each
 # member, so the batched form is the member loop: one fused dispatch,
-# scalar math per member.  The one case that is exact by construction
-# — every reduced axis has extent 1, the per-node scalar loss
-# ``reduce_sum(loss[1])`` of the tree models — runs columnar.
+# scalar math per member.  Two cases run columnar: every reduced axis
+# has extent 1 (the per-node scalar loss ``reduce_sum(loss[1])`` of the
+# tree models), exact by construction; and a float ``ReduceSum`` of a
+# C-contiguous column that keeps the members' innermost axis (RNTN's
+# ``reduce_sum(c3 * tmp3, axis=1)``).  There numpy's inner loop runs
+# along the kept axis and adds the reduced elements one after another in
+# index order, in a member and in the stack alike — no pairwise blocks;
+# ``tests/test_level_columnar.py`` sweeps that domain bit for bit.
 
 def _stacked_unit_reduce(op, cols, inv, ctx):
     """Reducing float axes of extent 1 moves no data and rounds
@@ -181,6 +186,28 @@ def _stacked_unit_reduce(op, cols, inv, ctx):
     keepdims = op.attrs["keepdims"]
     return [x.reshape(x.shape[:1] + tuple(
         d for i, d in enumerate(x.shape[1:]) if keepdims or i not in axes))]
+
+
+def _stacked_sum(op, cols, inv, ctx):
+    """``ReduceSum``: the extent-1 reshape, else the sum over the
+    members' axes shifted past the batch axis — only while the members'
+    innermost axis (the last one of extent other than 1) is kept, the
+    column is C-contiguous float32 / float64 and the axes are explicit;
+    every other shape declines to the member loop."""
+    out = _stacked_unit_reduce(op, cols, inv, ctx)
+    x, axes = cols[0], _axes(op)
+    if out is not None or axes is None or not x.flags.c_contiguous \
+            or x.dtype not in (np.float32, np.float64):
+        return out
+    rank = x.ndim - 1
+    if not all(-rank <= a < rank for a in axes):
+        return None
+    axes = {a % rank for a in axes}
+    inner = [a for a in range(rank) if x.shape[a + 1] != 1]
+    if not inner or inner[-1] in axes:
+        return None
+    return [np.sum(x, axis=tuple(a + 1 for a in sorted(axes)),
+                   keepdims=op.attrs["keepdims"])]
 
 
 def _stacked_reduce_grad(op, cols, inv, ctx):
@@ -209,7 +236,9 @@ def _stacked_reduce_grad(op, cols, inv, ctx):
 def _register_batched_reductions():
     from repro.graph.registry import register_batched_kernel
 
-    for name in ("ReduceSum", "ReduceMean", "ReduceMax"):
+    register_batched_kernel("ReduceSum", stacked=_stacked_sum,
+                            batch_attrs=("axis", "keepdims"))
+    for name in ("ReduceMean", "ReduceMax"):
         register_batched_kernel(name, stacked=_stacked_unit_reduce,
                                 batch_attrs=("axis", "keepdims"))
     for name in ("ReduceSumGrad", "ReduceMeanGrad"):

@@ -100,18 +100,25 @@ class _Block:
     ``(cid, out, rows)`` when one producer feeds every member (``rows is
     None``: the column itself — same members, same order; a slice: a
     view of it; else an ``intp`` row index for one ``take``), otherwise
-    ``(parts, perm)``: one such triple per producer — per merged op, in
-    op order, when each reads one column — and the permutation that puts
-    their concatenation into member order (``None`` when it already
-    is).  ``keys[frame]`` addresses the members' frames —
-    ``(runs, suffixes, record)`` — for cache and accumulator keys;
-    ``okeys`` memoises per keyed step the members' order keys, which are
-    static while no run carries a key prefix.  ``release`` lists the
-    column groups whose last reader is this block, by level.
+    ``(parts, perm, sid, rows)``: one such ``rows`` read of slab
+    ``sid``, which holds the producer columns back to back
+    (:meth:`LevelPlan._lay_slabs`), over the part-wise read that stands
+    in while the slab is unfilled — ``parts``, one such triple per
+    producer (per merged op, in op order, when each reads one column),
+    and ``perm``, the permutation that puts their concatenation into
+    member order (``None`` when it already is); ``(parts, perm)`` alone
+    where no block fills a producer.  ``slabs`` lists the block's
+    writes, ``(xi, out, sid, a, b)``: output ``out`` of export ``xi``
+    fills rows ``a:b`` of slab ``sid``.  ``keys[frame]`` addresses
+    the members' frames — ``(runs, suffixes, record)`` — for cache and
+    accumulator keys; ``okeys`` memoises per keyed step the members'
+    order keys, which are static while no run carries a key prefix.
+    ``release`` lists the column groups and slabs whose last reader is
+    this block, by level.
     """
 
     __slots__ = ("prog", "m", "hist", "base", "imports", "keys", "runs",
-                 "release", "okeys")
+                 "release", "okeys", "slabs")
 
     def __init__(self, prog, m, hist, base, imports=(), keys=None,
                  runs=None):
@@ -120,6 +127,7 @@ class _Block:
                                                          runs)
         self.release: list = []
         self.okeys: dict = {}
+        self.slabs: list = []
 
 
 def _producers(spec):
@@ -315,19 +323,24 @@ class _Forest:
 
     def spec(self, cls, refs, mem):
         """Wire one import of a block: ``refs[k]`` is merged op ``k``'s
-        source."""
+        source.  Several producers: ``(parts, perm, addr, rows)`` — the
+        per-member addresses and rows kept for :meth:`LevelPlan._lay_slabs`
+        to wire the slab read from."""
         if len(refs) == 1 and refs[0][0] == _O:
             return refs[0][1], refs[0][2], None
         pairs = [(a[mem], r[mem]) for a, r in (self.resolve(cls, ref)
                                                for ref in refs)]
         heads = [int(a[0]) for a, _ in pairs]
+        addr, rows = pairs[0] if len(pairs) == 1 else (
+            np.concatenate([a for a, _ in pairs]),
+            np.concatenate([r for _, r in pairs]))
         if len(set(heads)) > 1 and all((a == h).all()
                                        for (a, _), h in zip(pairs, heads)):
             # each merged op reads one producer column: parts in op order
             return tuple((h >> self.bits, h & self.mask, self._wired(r))
-                         for (_, r), h in zip(pairs, heads)), None
-        return self._pack(np.concatenate([a for a, _ in pairs]),
-                          np.concatenate([r for _, r in pairs]))
+                         for (_, r), h in zip(pairs, heads)), None, addr, rows
+        spec = self._pack(addr, rows)
+        return spec if len(spec) == 3 else spec + (addr, rows)
 
     def keys(self, cls, fi, seg, key, mem) -> tuple:
         """``(runs, suffixes, record)`` of frame ``fi`` of the members
@@ -426,10 +439,84 @@ class LevelPlan:
             if cid not in pinned:
                 blk, level = last_use.get(cid, at)
                 blk.release.append((level, cid))
+        #: rows per slab; slab ``i`` is column group ``len(step_m) + i``
+        self.slabs = self._lay_slabs(forest, program, born)
         self.program = tuple(program)
         #: per class its member count (accounting)
         self.members = [len(forest.pops[cls.count].members[0])
                         for cls in tpl.classes]
+
+    def _lay_slabs(self, forest, program, born) -> list:
+        """Give the producer columns of every multi-producer import one
+        slab per sweep: the columns that imports read together (joined
+        transitively) lie back to back in one array, each filled once by
+        its producer block as it finishes, so the import is one read of
+        rows ``offset + row`` — no per-sweep concatenate or permutation.
+        The part-wise wiring stays behind it for a sweep whose columns do
+        not share a dtype and row shape.  A slab dies after its last
+        reader, like a column."""
+        bits, mask = forest.bits, forest.mask
+        # (block, import, last level reading it) of every import that
+        # several producer columns feed, in program order
+        multi = [(blk, i, blk.prog.imports[i][1]) for level in program
+                 for blk in level for i, spec in enumerate(blk.imports)
+                 if len(spec) == 4]
+        root: dict = {}         # union-find over producer addresses
+
+        def find(a):
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            return a
+        for blk, i, _ in multi:
+            first = None
+            for cid, out, _ in blk.imports[i][0]:
+                a = cid << bits | out
+                h = find(root.setdefault(a, a))
+                if first is None:
+                    first = h
+                elif h != first:
+                    root[h] = first
+        groups: dict = {}
+        for a in sorted(root):
+            groups.setdefault(find(a), []).append(a)
+        owner = {cid: blk for cid, (blk, _) in born}
+        step_m, sizes, slab_of = self.step_m, [], {}
+        for head, addrs in groups.items():
+            cids = [a >> bits for a in addrs]
+            if not all(cid in owner for cid in cids):
+                continue  # the shared completion flag: no block fills it
+            sid, n = len(step_m) + len(sizes), 0
+            offs = []
+            for a, cid in zip(addrs, cids):
+                blk = owner[cid]
+                offs.append(n)
+                blk.slabs.append((cid - blk.base, a & mask, sid, n,
+                                  n + step_m[cid]))
+                n += step_m[cid]
+            slab_of[head] = sid, np.array(addrs), np.array(offs)
+            sizes.append(n)
+        if sizes and max(sizes) >= len(forest._iota):
+            forest._iota = np.arange(max(sizes) + 1, dtype=np.intp)
+        last_use: dict = {}
+        for blk, i, level in multi:
+            parts, perm, addr, rows = blk.imports[i]
+            cid, out, _ = parts[0]
+            slab = slab_of.get(find(cid << bits | out))
+            imports = list(blk.imports)
+            if slab is None:
+                imports[i] = parts, perm
+            else:
+                sid, addrs, offs = slab
+                imports[i] = (parts, perm, sid, forest._wired(
+                    offs[np.searchsorted(addrs, addr)] + rows))
+                seen = last_use.get(sid)
+                if seen is None or seen[0] is not blk or seen[1] < level:
+                    last_use[sid] = blk, level
+            blk.imports = tuple(imports)
+        for sid, (blk, level) in last_use.items():
+            blk.release.append((level, sid))
+        return sizes
 
     def fetch_ref(self, ref, r: int) -> tuple:
         """The ``(cid, out, row)`` address of a root value for run ``r``."""

@@ -213,7 +213,9 @@ def _rows_of(col):
 class _Sweep:
     """Mutable state of one wavefront sweep: the runs and their columns
     (``cols[cid][out]``: ndarray with rows on axis 0, a list of row
-    values, an :class:`_Inv` or a :class:`_Rag`)."""
+    values, an :class:`_Inv` or a :class:`_Rag`), then the sweep's slabs
+    (``cols[sid]``: an ndarray, ``None`` until its first producer fills
+    it, ``False`` once a producer could not)."""
 
     __slots__ = ("core", "lp", "runs", "dead", "cols", "ctx", "bytes",
                  "prefixed")
@@ -224,7 +226,7 @@ class _Sweep:
         #: wiring is fixed), its stores, stateful rows, predicate checks
         #: and result are dropped
         self.dead = None
-        self.cols = [None] * len(lp.step_m)
+        self.cols = [None] * (len(lp.step_m) + len(lp.slabs))
         self.cols[0] = [_Inv(np.bool_(True))]
         #: shared by every pure kernel; kernels that read ``ctx.frame``
         #: are stateful and get one context per row
@@ -251,9 +253,13 @@ class _Sweep:
             if rows is None:
                 return _as_column(col) if col.__class__ is list else col
             return _take(col, rows)
-        parts, perm = spec
+        if len(spec) == 4:
+            slab, rows = cols[spec[2]], spec[3]
+            if slab.__class__ is np.ndarray:
+                return slab[rows] if rows.__class__ is slice \
+                    else slab.take(rows, 0)
         pieces = []
-        for cid, out, rows in parts:
+        for cid, out, rows in spec[0]:
             col = cols[cid][out]
             if col.__class__ is _Inv:
                 pieces.append(_rows(col.value, (
@@ -261,7 +267,34 @@ class _Sweep:
                     else len(rows))))
             else:
                 pieces.append(_take(col, rows))
-        return _join(pieces, perm)
+        return _join(pieces, spec[1])
+
+    def fill(self, sid, a, b, col) -> None:
+        """Write one producer column into rows ``a:b`` of slab ``sid`` —
+        a shared value into every row — allocating the slab on its first
+        write.  A column of another dtype or row shape, a list or a
+        ragged column leaves the slab unfilled: its readers then read
+        part-wise."""
+        cols = self.cols
+        slab = cols[sid]
+        shared = col.__class__ is _Inv
+        value = col.value if shared else col
+        if slab is False or not (value.__class__ is np.ndarray
+                                 or isinstance(value, np.generic)):
+            cols[sid] = False
+            return
+        shape = value.shape if shared else value.shape[1:]
+        if slab is None:
+            n = self.lp.slabs[sid - len(self.lp.step_m)]
+            slab = cols[sid] = np.empty((n,) + shape, value.dtype)
+            if self.bytes is not None:
+                self.bytes[sid] = slab.nbytes
+                _grow(self.core, slab.nbytes)
+        if slab.dtype != value.dtype or slab.shape[1:] != shape or not (
+                shared or len(value) == b - a):
+            cols[sid] = False
+            return
+        slab[a:b] = value
 
     def keys(self, runs, sufs) -> list:
         """Full frame keys: each run's root key plus the frame suffix."""
@@ -389,6 +422,8 @@ class _BlockCall:
             raise
         except Exception as exc:  # noqa: BLE001 - wrapped like the dynamic path
             raise SchedulerCore._wrap_error(exc, op) from exc
+        for xi, out, sid, a, b in blk.slabs:
+            sweep.fill(sid, a, b, cols[blk.base + xi][out])
         if prog.stores:
             # recorded columns are handed over whole, before their
             # registers die: compiled CacheLookups read the columns, and
@@ -510,12 +545,7 @@ class _BlockCall:
             self.sweep.bytes[self.blk.base + st.xi] = added
         else:
             self.live[st.reg] = added
-        core = self.sweep.core
-        peak = (core._live_bytes + added
-                + core.runtime.accumulators.retained_bytes)
-        core._live_bytes += added
-        if peak > core.stats.peak_live_bytes:
-            core.stats.peak_live_bytes = peak
+        _grow(self.sweep.core, added)
 
     def _release(self, lo: int, hi: int) -> None:
         """Live-bytes accounting: what died at levels ``lo .. hi - 1`` —
@@ -528,6 +558,15 @@ class _BlockCall:
                 sweep.cols[cid] = None
                 freed += sweep.bytes.pop(cid, 0)
         sweep.core._live_bytes -= freed
+
+
+def _grow(core, added: int) -> None:
+    """Live-bytes accounting: ``added`` bytes were born."""
+    peak = (core._live_bytes + added
+            + core.runtime.accumulators.retained_bytes)
+    core._live_bytes += added
+    if peak > core.stats.peak_live_bytes:
+        core.stats.peak_live_bytes = peak
 
 
 def _book(sweep) -> None:

@@ -6,7 +6,7 @@ or the last instance it executes must:
 
 * surface as one :class:`~repro.runtime.scheduler.EngineError` naming
   the failing op — the run returns, it does not hang;
-* leave no kernel-pool thread behind;
+* leave no executor thread behind;
 * leave the session reusable: its next run equals the run before the
   fault bit for bit — fetched values and, in training mode, every
   accumulated gradient and the size of the recorded value cache.

@@ -19,7 +19,8 @@ from repro import ops
 from repro.core.subgraph import SubGraph
 from repro.data import batch_trees, make_treebank
 from repro.graph.registry import op_def
-from repro.models import TreeLSTMSentiment, tree_lstm_config
+from repro.models import (ModelConfig, RNTNSentiment, TreeLSTMSentiment,
+                          TreeRNNSentiment, tree_lstm_config)
 from repro.runtime import level_plan
 from repro.runtime.scheduler import available_executors
 from repro.runtime.server import RequestCancelled
@@ -36,10 +37,11 @@ def bank():
                          max_words=12, mean_log_words=2.2, seed=11)
 
 
-def _lstm_run(engine, trees, train, profile):
-    """One fresh TreeLSTM build + run: (values, grads, stats)."""
+def _lstm_run(engine, trees, train, profile, make=None):
+    """One fresh TreeLSTM (or ``make(runtime)``) build + run: (values,
+    grads, stats)."""
     runtime = repro.Runtime()
-    model = TreeLSTMSentiment(LSTM, runtime)
+    model = (make or (lambda rt: TreeLSTMSentiment(LSTM, rt)))(runtime)
     built = model.build_recursive(len(trees))
     batch = batch_trees(trees)
     fetches = [built.loss, built.root_logits]
@@ -743,6 +745,53 @@ class TestStackedKernels:
             assert np.shape(outputs[0]) == np.shape(expect)
 
 
+    def test_reduce_sum_keeping_the_inner_axis_is_the_member_sum(self):
+        """(h) Property sweep of the columnar ``ReduceSum``: over random
+        float32 / float64 columns of member rank 1-4 with extent-1 axes,
+        strided views, negative and innermost axes, every shape the
+        stacked entry accepts equals the scalar kernel per member bit
+        for bit, and it accepts exactly the C-contiguous float columns
+        whose innermost axis of extent other than 1 is kept (or whose
+        reduced axes all have extent 1)."""
+        definition = op_def("ReduceSum")
+        rng = np.random.default_rng(3)
+        accepted = declined = 0
+        for case in range(1500):
+            rank = int(rng.integers(1, 5))
+            shape = tuple(int(d) for d in rng.choice(
+                [1, 1, 2, 3, 7, 16, 33, 64], rank))
+            m = int(rng.integers(1, 9))
+            if m * np.prod(shape) > 40000:
+                continue
+            dtype = (np.float32, np.float64)[case % 2]
+            x = (rng.standard_normal((m,) + shape)
+                 * 10.0 ** rng.uniform(-3, 6, (m,) + shape)).astype(dtype)
+            if case % 4 == 0:   # a strided view: members 0, 2, 4, ...
+                x = np.concatenate([x, x])[::2]
+            axes = tuple(int(a) - (rank if rng.random() < 0.3 else 0)
+                         for a in rng.choice(rank, int(rng.integers(
+                             1, rank + 1)), replace=False))
+            op = type("Op", (), {"attrs": {
+                "axis": axes if len(axes) > 1 else axes[0],
+                "keepdims": bool(case % 3 == 0)}})()
+            got = definition.stacked_kernel(op, [x], (False,), None)
+            kept = [a for a in range(rank) if shape[a] != 1]
+            unit = all(shape[a] == 1 for a in axes)
+            expect = unit or (x.flags.c_contiguous and kept
+                              and kept[-1] not in {a % rank for a in axes})
+            assert (got is not None) == expect, (shape, axes, x.strides)
+            if got is None:
+                declined += 1
+                continue
+            accepted += 1
+            for i in range(m):
+                row, = definition.kernel(op, [x[i]], None)
+                assert got[0][i].dtype == row.dtype
+                assert got[0][i].tobytes() == np.asarray(row).tobytes(), \
+                    (shape, axes)
+        assert accepted > 300 and declined > 300
+
+
 class TestAccounting:
     """(f) A compiled run books exactly the dynamic tier's op counts for
     the same input (``ops_executed``, ``per_type_count``); how those
@@ -837,7 +886,9 @@ class TestAccounting:
         replaced were, and the books close at zero.  The peak was 42244
         bytes while gradient blocks ran by ascending depth; by
         descending height the forward columns die in the reverse order
-        they were born."""
+        they were born (35268).  Slabs hold a second copy of the columns
+        multi-producer imports read, booked from their first fill to
+        their last reader: 57164."""
         runtime = repro.Runtime()
         model = TreeLSTMSentiment(LSTM, runtime)
         built = model.build_recursive(3)
@@ -852,7 +903,7 @@ class TestAccounting:
                     built.feed_dict(batch),
                     shape_profile=built.shape_profiles(batch))
         assert session.last_stats.level_plan_hits == 1
-        assert session.last_stats.peak_live_bytes == 35268
+        assert session.last_stats.peak_live_bytes == 57164
         assert session._engine._live_bytes == 0
 
     @pytest.mark.parametrize("engine", ["event", "workerpool"])
@@ -902,3 +953,157 @@ class TestAccounting:
                            {k: dict(v) for k, v
                             in stats.level_width_hist.items()}))
         assert counts[0] == counts[1]
+
+
+def _slab_reads(monkeypatch):
+    """Count the sweep's slab-wired imports by the path each took: one
+    read of a filled slab, or the part-wise read behind it."""
+    taken = {"slab": 0, "parts": 0}
+    real = level_plan.sweep._Sweep.operand
+
+    def operand(sweep, spec):
+        if len(spec) == 4:
+            filled = sweep.cols[spec[2]].__class__ is np.ndarray
+            taken["slab" if filled else "parts"] += 1
+        return real(sweep, spec)
+
+    monkeypatch.setattr(level_plan.sweep._Sweep, "operand", operand)
+    return taken
+
+
+_SLAB_MODELS = {
+    "TreeRNN": lambda rt: TreeRNNSentiment(
+        ModelConfig(hidden=6, embed_dim=5, vocab_size=50), rt),
+    "RNTN": lambda rt: RNTNSentiment(
+        ModelConfig(hidden=6, embed_dim=6, vocab_size=50), rt),
+    "TreeLSTM": lambda rt: TreeLSTMSentiment(LSTM, rt),
+}
+
+
+class TestSlabs:
+    """(i) A multi-producer import is one read of a per-sweep slab that
+    its producer columns fill as their blocks finish; a sweep whose
+    producers cannot fill one reads part-wise — bit-identical either
+    way, books closed.  (Generated merged forests run slab-wired in
+    ``tests/test_level_template.py::TestMixedForests``.)"""
+
+    @pytest.mark.parametrize("train", [False, True],
+                             ids=["forward", "train"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", sorted(_SLAB_MODELS))
+    def test_models_equal_dynamic(self, bank, name, engine, train,
+                                  monkeypatch):
+        make = _SLAB_MODELS[name]
+        trees = bank.train[:4]
+        dynamic = _lstm_run(engine, trees, train, profile=False, make=make)
+        taken = _slab_reads(monkeypatch)
+        compiled = _lstm_run(engine, trees, train, profile=True, make=make)
+        assert compiled[2].level_plan_hits == 1
+        assert compiled[2].level_plan_fallbacks == 0
+        assert taken["slab"] > 0 and taken["parts"] == 0
+        _assert_same(dynamic, compiled)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_list_column_producer_reads_part_wise(self, engine,
+                                                  monkeypatch):
+        """Two height-3 nodes whose first (second) children have heights
+        2 and 1 (1 and 2), while the height-2 column is a list (its
+        members have 3 and 4 leaves): the slab those reads share cannot
+        be filled, so both read part-wise — exact."""
+        graph, out, phs = TestListColumnFallback()._graph(
+            f"slab-list-{engine}")
+        x, y, z = (((), ()), ()), (((), ()), ((), ())), ((), ())
+        profile = ((x, z), (z, y))
+        kids = []
+
+        def build(p):
+            mine = [build(c) for c in p]
+            kids.append(mine or [-1, -1])
+            return len(kids) - 1
+
+        root = build(profile)
+        feeds = dict(zip(phs, (
+            np.linspace(-1, 1, len(kids), dtype=np.float32),
+            np.array(kids, dtype=np.int32),
+            np.array([k[0] < 0 for k in kids]), root)))
+        session = repro.Session(graph, repro.Runtime(), num_workers=4,
+                                engine=engine)
+        ref = session.run(out, feeds)
+        taken = _slab_reads(monkeypatch)
+        got = session.run(out, feeds, shape_profile=(profile,))
+        assert session.last_stats.level_plan_hits == 1
+        assert session.last_stats.level_plan_fallbacks == 0
+        assert taken["parts"] >= 2
+        assert ref.shape == (11,) and np.array_equal(ref, got)
+
+    @pytest.mark.parametrize("second", [
+        np.zeros((2, 1, 3), np.float64),            # another dtype
+        np.zeros((2, 3), np.float32),               # another row shape
+        np.zeros((1, 1, 3), np.float32),            # too few rows
+        [np.zeros((1, 3), np.float32)] * 2,         # a list column
+        level_plan.sweep._Inv(np.float64(1.0)),     # a shared value
+        level_plan.sweep._Inv(None),                # not an array
+    ], ids=["dtype", "shape", "rows", "list", "shared", "object"])
+    def test_fill_leaves_a_mismatched_slab_unfilled(self, second):
+        """A producer column that cannot be written into its slab's rows
+        exactly — never cast, broadcast or truncated — marks the slab
+        unfilled for the rest of the sweep."""
+        sweep = level_plan.sweep._Sweep.__new__(level_plan.sweep._Sweep)
+        sweep.lp = type("LP", (), {"slabs": [6], "step_m": []})()
+        sweep.cols, sweep.bytes = [None], None
+        first = np.arange(12, dtype=np.float32).reshape(4, 1, 3)
+        sweep.fill(0, 0, 4, first)
+        assert np.array_equal(sweep.cols[0][:4], first)
+        sweep.fill(0, 4, 6, second)
+        assert sweep.cols[0] is False
+        sweep.fill(0, 4, 6, np.zeros((2, 1, 3), np.float32))
+        assert sweep.cols[0] is False
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_cancelled_mid_sweep_leaves_the_others_exact(
+            self, bank, engine, monkeypatch):
+        trees = list({t.num_nodes: t for t in bank.train}.values())[:4]
+        runtime = repro.Runtime()
+        built = TreeLSTMSentiment(LSTM, runtime).build_recursive(1)
+        batches = [batch_trees([tree]) for tree in trees]
+        requests = [(built.feed_dict(b), built.shape_profiles(b))
+                    for b in batches]
+        session = repro.Session(built.graph, runtime, num_workers=4,
+                                engine=engine)
+        refs = [session.run(built.root_logits, feed) for feed, _ in requests]
+        taken = _slab_reads(monkeypatch)
+        server, tickets = _serve_together(session, built.root_logits,
+                                          requests, cancel_at=6,
+                                          monkeypatch=monkeypatch)
+        server.drain()
+        with pytest.raises(RequestCancelled):
+            tickets[1].result()
+        for i in (0, 2, 3):
+            assert np.array_equal(refs[i], tickets[i].result())
+        assert taken["slab"] > 0 and taken["parts"] == 0
+        server.close()
+
+    @pytest.mark.parametrize("train", [False, True],
+                             ids=["forward", "train"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_live_bytes_close_at_zero(self, bank, engine, train):
+        """Slabs are booked from their first fill to their last reader,
+        and every sweep's books close at zero."""
+        runtime = repro.Runtime()
+        built = TreeLSTMSentiment(LSTM, runtime).build_recursive(3)
+        batch = batch_trees(bank.train[4:7])
+        fetches = [built.loss]
+        if train:
+            fetches += [op.outputs[-1]
+                        for op in repro.gradients(built.loss, [])[1]]
+        session = repro.Session(built.graph, runtime, num_workers=4,
+                                engine=engine, record=train,
+                                track_live_bytes=True)
+        for _ in range(2):
+            runtime.accumulators.zero()
+            session.run(fetches, built.feed_dict(batch),
+                        shape_profile=built.shape_profiles(batch))
+            assert session.last_stats.level_plan_hits == 1
+            assert session._engine._live_bytes == 0
+        (lp,) = built.graph._level_plans["instances"].values()
+        assert lp.slabs and session.last_stats.peak_live_bytes > 0

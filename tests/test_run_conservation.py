@@ -7,7 +7,7 @@ that fell back, or a kernel fault — it must return the executor to an
 idle state:
 
 * no root is still counted open, and no compiled root is still pending;
-* no kernel-pool thread is left, and the process thread count is back
+* no executor thread is left, and the process thread count is back
   where it started;
 * with live-bytes tracking on, every byte a successful run booked was
   released again.

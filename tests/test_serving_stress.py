@@ -1,7 +1,7 @@
 """Wall-clock (workerpool) continuous-admission soak.
 
 Hundreds of requests with random arrival jitter pushed into a live
-kernel-pool engine, guarding the serving path against the failure modes
+workerpool serving session, guarding the serving path against the failure modes
 real servers hit: scheduler deadlock (the watchdog), lost requests
 (every ticket must resolve), and instance leaks (in-flight count, server
 queue and coalescer buckets must all return to zero).
