@@ -205,6 +205,48 @@ def test_smoke_level_slab_canary(monkeypatch):
     assert reads["slab"] > 0 and reads["part-wise"] == []
 
 
+def test_smoke_level_wiring_canary(monkeypatch):
+    """Instantiation-cost canary (counts, no timing): an 8-run merged
+    TreeLSTM forest is wired by class segment, not by block — one
+    segmented numpy pass per forest that reads each class segment's
+    imports once, whatever the runs' depths and heights.  A regression
+    to per-block wiring (176 spec calls for the 36 (block program,
+    import) pairs of the serving workload's forests) fails here."""
+    from repro.runtime.level_plan import (forest, linearise, template_for,
+                                          wiring)
+    from repro.runtime.plan import plan_for_fetches
+
+    calls = {"wire": 0, "operands": 0}
+    for name in calls:
+        real = getattr(wiring, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(wiring, name, counted)
+    model = SMOKE_FACTORIES["TreeLSTM"]()
+    built = model.build_recursive(1)
+    tpl = template_for(built.graph, plan_for_fetches(
+        built.graph, {built.root_logits.op}), False)
+    lins = [linearise(tpl, built.shape_profiles(batch_trees([tree])))
+            for tree in smoke_bank().train[:8]]
+    counts = []
+    for runs in (lins[:1], lins):
+        calls.update(wire=0, operands=0)
+        lp = forest.LevelPlan(tpl, runs)
+        blocks = [blk for level in lp.program[1:] for blk in level]
+        pairs = {(blk.prog, i) for blk in blocks
+                 for i in range(len(blk.imports))}
+        counts.append(dict(calls))
+        assert calls["wire"] == 1
+        assert calls["operands"] <= len(pairs)
+    # the same calls for 1 run as for 8, and fewer than the pairs the
+    # blocks wire, let alone their imports (per-block wiring's calls)
+    wired = sum(len(blk.imports) for blk in blocks)
+    assert counts[0] == counts[1], counts
+    assert calls["operands"] < len(pairs) < wired, (calls, pairs, wired)
+
+
 def test_smoke_level_canon_canary():
     """Shape-stream canary: a 50-shape heavy-tailed stream through one
     session compiles exactly one template and falls back on no shape

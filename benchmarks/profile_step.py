@@ -33,10 +33,12 @@ probe, import gathers, register traffic, accounting — and nothing else.
 ``serve_longtail`` has no ``Session.run`` step: its step is one burst
 (16 submits, then ``drain``) through the benchmark's own
 ``_Service.burst``.  For it the tool prints the mean per-burst split of
-warm bursts — forest instantiation, import gather (a block call's
-operands and feeds), block execute and, inside it, the row loops, the
-sweep's booking, and the rest (submit, admission, fetches) — then
-cProfile of one warm burst.
+warm bursts — linearising each request's profile at admission, forest
+instantiation and, inside it, the forest arrays, the import wiring and
+the slab layout, import gather (a block call's operands and feeds),
+block execute and, inside it, the row loops, the sweep's booking, and
+the rest (submit, admission, fetches) — then cProfile of one warm
+burst.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from bench_e2e.trace import Tracer
 from bench_e2e.verify import Checker
 from bench_e2e.worker import bench_classes
 from repro.graph import registry
-from repro.runtime.level_plan import block, forest, sweep
+from repro.runtime import level_plan
+from repro.runtime.level_plan import block, forest, sweep, wiring
 from repro.runtime.scheduler import _values_bytes
 
 WARM_STEPS = 8
@@ -163,7 +166,10 @@ def _floor(bench, config, repeats: int = 30) -> tuple:
     warm = min(_step(bench, config) for _ in range(repeats))
     replays = []
     for _ in range(repeats):
-        bench.prepare(config, 0)        # stateful kernels: zeroed sums
+        # stateful kernels: restored variables and zeroed sums, so every
+        # replay accumulates what one real step does
+        bench.prepare(config, 0)
+        bench.program.runtime.accumulators.zero()
         with confined(config):
             t0 = time.perf_counter()
             for fn, args in calls:
@@ -240,19 +246,29 @@ class _BurstSplit:
     """Wall time of one serving burst's compiled-tier phases, summed over
     the bursts run while installed; ``remove()`` restores the module."""
 
-    PHASES = ("instantiate", "import gather", "block execute",
-              "  of which row loops", "booking")
+    PHASES = ("linearise", "instantiate", "  forest arrays",
+              "  import wiring", "  slab layout", "import gather",
+              "block execute", "  of which row loops", "booking")
 
     def __init__(self):
         self.secs = dict.fromkeys(self.PHASES, 0.0)
         self.loops = [0, 0]                 # looped steps, scalar calls
+        self.forests = 0
         self._undo = []
         call = sweep._BlockCall
-        self._wrap(forest, "instance_for", "instantiate")
+        # admission resolves ``linearise`` on the package at call time
+        self._wrap(level_plan, "linearise", "linearise")
+        self._wrap(forest, "instance_for", "instantiate", self._forest)
+        self._wrap(forest._Forest, "__init__", "  forest arrays")
+        self._wrap(wiring, "wire", "  import wiring")
+        self._wrap(wiring, "_lay_slabs", "  slab layout")
         self._wrap(sweep, "_book", "booking")
         self._wrap(call, "__init__", "import gather")
         self._wrap(call, "execute", "block execute")
         self._wrap(call, "_loop", "  of which row loops", self._count)
+
+    def _forest(self, *args):
+        self.forests += 1
 
     def _count(self, call, st, operands, inv, ctxs):
         self.loops[0] += 1
@@ -298,8 +314,14 @@ def _profile_bursts(bench, config, top: int) -> int:
     print(f"{bench.name}/{config.name} seed={bench.seed}: "
           f"{nodes:.0f} nodes a burst, warm burst {wall * 1e3:.2f} ms "
           f"({nodes / wall:.0f} inst/s), mean of {n} instrumented bursts\n")
-    print("per-burst split (ms, mean):")
-    for phase in _BurstSplit.PHASES:
+    # the slab layout runs inside the import wiring: show it apart
+    split.secs["  import wiring"] -= split.secs["  slab layout"]
+    split.secs["  block assembly"] = split.secs["instantiate"] - sum(
+        split.secs[phase] for phase in _BurstSplit.PHASES[2:5])
+    print(f"per-burst split (ms, mean; {split.forests / n:.1f} forests "
+          "instantiated a burst):")
+    for phase in _BurstSplit.PHASES[:5] + ("  block assembly",) \
+            + _BurstSplit.PHASES[5:]:
         print(f"  {phase:<22} {split.secs[phase] / n * 1e3:8.2f}")
     top_level = sum(secs for phase, secs in split.secs.items()
                     if not phase.startswith(" "))

@@ -8,7 +8,8 @@ relation between nodes instead of a per-input topological index; this
 package takes it literally (ARCHITECTURE.md, "Two-tier dispatch", has the
 full account), one module per phase: :mod:`.template` (scan, segment,
 form steps, wire), :mod:`.block` (the block program, the IR, and its
-verifier), :mod:`.forest` (linearise and instantiate) and :mod:`.sweep`
+verifier), :mod:`.forest` (linearise and instantiate), :mod:`.wiring`
+(instantiation's import wiring, by class segment) and :mod:`.sweep`
 (execute).
 
 Values, gradients, selective-cache entries and accumulator sums are

@@ -82,6 +82,13 @@ class _BlockProg:
 
     def __init__(self, cls, seg, once=False):
         self.cls, self.seg, self.once = cls, seg, once
+        #: what keys the segment's members: 0 depth (every root stage,
+        #: forward pre-call segments), 1 height (post-call segments; both
+        #: segments of a gradient class, whose blocks thereby have the
+        #: members, in the order, of the forward post-call blocks they
+        #: mirror)
+        family = cls.family if cls is not None else None
+        self.kind = int(family == "grad" or (seg > 0 and family == "fwd"))
         self.steps: list = []
         self.feeds: list = []      # root placeholders: steps with no kernel
         #: per import ``[refs, last level reading it]``; import ``i`` is

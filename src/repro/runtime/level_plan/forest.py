@@ -1,19 +1,25 @@
 """Instantiate: per admitted forest (all runs flushed together, of any
 shapes).
 
-One linearisation walk per run yields per-node arrays; members of a
-block are the nodes of its class at one depth (forward pre-call,
-top-down) or one height (post-call, bottom-up; gradient pre-call, by
-*descending* height — a parent is higher than its child — so a backward
-block has the members, in the order, of the forward post-call block it
-mirrors and reads that block's columns in place), and every import spec
-is filled by numpy index arithmetic: Python work is O(blocks) plus
-O(nodes) for frame-key suffixes — never O(nodes × body ops), nor
-O(template steps × depths).
+One linearisation walk per run yields per-node lists; the forest stacks
+them into per-node arrays and sorts every class population once, by
+depth and by height.  Members of a block are the nodes of its class at
+one depth (forward pre-call, top-down) or one height (post-call,
+bottom-up; gradient pre-call, by *descending* height — a parent is
+higher than its child — so a backward block has the members, in the
+order, of the forward post-call block it mirrors and reads that block's
+columns in place).  Symbolic refs resolve to per-node (address, row)
+arrays, memoised per ref and computed a kind at a time, and
+:mod:`.wiring` wires each import of each class segment once for all of
+its depths or heights: numpy calls are O(class segments + ref kinds),
+never O(blocks × imports); Python work per block only assembles its
+tuples, plus O(nodes) for frame-key suffixes when something records or
+accumulates.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import namedtuple
 from typing import Optional
@@ -21,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from ..stats import RunStats
+from . import wiring
 from .block import _B, _C, _M, _O, _S
 from .template import Template, template_for
 
@@ -91,7 +98,7 @@ def linearise(tpl: Template, shape_profile):
 
 class _Block:
     """One block program instantiated for its members — the nodes of its
-    class at one depth or height (:func:`_kind`), in node order: the unit
+    class at one depth or height (``prog.kind``), in node order: the unit
     of dispatch of a sweep.
 
     Export slot ``xi`` of the program owns column group ``base + xi``:
@@ -102,7 +109,7 @@ class _Block:
     view of it; else an ``intp`` row index for one ``take``), otherwise
     ``(parts, perm, sid, rows)``: one such ``rows`` read of slab
     ``sid``, which holds the producer columns back to back
-    (:meth:`LevelPlan._lay_slabs`), over the part-wise read that stands
+    (:func:`.wiring._lay_slabs`), over the part-wise read that stands
     in while the slab is unfilled — ``parts``, one such triple per
     producer (per merged op, in op order, when each reads one column),
     and ``perm``, the permutation that puts their concatenation into
@@ -130,44 +137,51 @@ class _Block:
         self.slabs: list = []
 
 
-def _producers(spec):
-    """The column groups a wired input reads."""
-    return (spec[0],) if len(spec) == 3 else (p[0] for p in spec[0])
-
-
 class _Pop:
     """The members of one class population — the virtual roots, or the
     nodes of one child count — grouped by depth (kind 0) and by height
-    (kind 1): member lists, per-key counts, per-node ranks."""
+    (kind 1): per kind the key-sorted member list, per-key counts, per
+    node its rank among its key's members (valid on members), per member
+    the index ``blk`` of its block, and the blocks — the keys with
+    members: ``block`` maps a key to its index, start and size in the
+    member list."""
 
-    __slots__ = ("cnt", "rank", "start", "members")
+    __slots__ = ("cnt", "rank", "members", "block", "blk")
 
-    def __init__(self, nodes, keys, n):
-        self.cnt, self.rank, self.start, self.members = [], [], [], []
-        for key in keys:
-            k = key[nodes]
-            order = np.argsort(k, kind="stable")
-            members = nodes[order]
-            cnt = np.bincount(k, minlength=int(key.max()) + 2)
-            start = np.concatenate(([0], np.cumsum(cnt)))
-            rank = np.zeros(n, dtype=np.intp)
-            rank[members] = np.arange(len(nodes)) - start[k[order]]
-            self.cnt.append(cnt)
-            self.rank.append(rank)
-            self.start.append(start.tolist())
-            self.members.append(members)
-
-    def at(self, kind, key):
-        start = self.start[kind]
-        return self.members[kind][start[key]:start[key + 1]]
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, [])
 
 
-def _kind(cls, seg) -> int:
-    """What keys a class segment's members: 0 depth (every root stage,
-    forward pre-call segments), 1 height (post-call segments; both
-    segments of a gradient class, whose blocks thereby have the members,
-    in the order, of the forward post-call blocks they mirror)."""
-    return 1 if cls.family == "grad" or (seg and cls.family == "fwd") else 0
+def _populations(pop_of, keys, n_pops) -> list:
+    """Every population's members by depth and by height at once: one
+    stable sort over (key kind, population, key)."""
+    pops, n = [_Pop() for _ in range(n_pops)], len(pop_of)
+    width = int(max(key.max() for key in keys)) + 2
+    joint = np.concatenate([(pop_of + kind * n_pops) * width + key
+                            for kind, key in enumerate(keys)])
+    order = joint.argsort(kind="stable")
+    cnt = np.bincount(joint, minlength=len(keys) * n_pops * width)
+    start = cnt.cumsum() - cnt
+    rank = np.empty(len(joint), dtype=np.intp)
+    rank[order] = np.arange(len(joint)) - start[joint[order]]
+    order %= n
+    present = cnt.nonzero()[0]
+    blk = np.arange(len(present)).repeat(cnt[present])
+    spans = list(zip(present.tolist(), start[present].tolist(),
+                     cnt[present].tolist()))
+    bounds = [0, *(cnt.reshape(-1, width) > 0).sum(1).cumsum().tolist()]
+    cnt = cnt.reshape(-1, width)
+    lows = [*start[::width].tolist(), len(joint)]
+    for q, c in enumerate(cnt):
+        pop, b0, lo, hi = pops[q % n_pops], bounds[q], lows[q], lows[q + 1]
+        pop.cnt.append(c)
+        pop.rank.append(rank[q // n_pops * n:][:n])
+        pop.members.append(order[lo:hi])
+        pop.block.append({k - q * width: (b, s - lo, m) for b, (k, s, m)
+                          in enumerate(spans[b0:bounds[q + 1]])})
+        pop.blk.append(blk[lo:hi] - b0)
+    return pops
 
 
 class _Forest:
@@ -179,25 +193,30 @@ class _Forest:
         self.bits, self.mask = tpl.out_bits, (1 << tpl.out_bits) - 1
         sizes = [len(lin.c) for lin in lins]
         offs = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-        self.n_nodes = n = sum(sizes)
-
-        def column(name, shift=False):
-            return np.concatenate([
-                np.asarray(getattr(lin, name), dtype=np.intp)
-                + (off if shift else 0) for lin, off in zip(lins, offs)])
-
-        self.C, self.S = column("c"), column("site")
-        self.D, self.H = column("depth"), column("height")
-        # a virtual root's parent (-1 + off) is never read
-        self.P, self.F = column("parent", True), column("first", True)
-        self.T = column("tree", True)
+        self.n_nodes, self.n_runs = sum(sizes), len(lins)
         self.R = np.repeat(np.arange(len(lins), dtype=np.intp), sizes)
-        self._iota = np.arange(n * tpl.max_merge + 1, dtype=np.intp)
-        keys = (self.D, self.H)
-        self.pops = {c: _Pop(np.flatnonzero((self.C == c) & (self.D > 0)),
-                             keys, n) for c in tpl.fwd}
-        self.pops[None] = _Pop(offs.astype(np.intp), keys, n)
+        cols = np.array(list(itertools.chain.from_iterable(
+            getattr(lin, name) for name in _Lin._fields[1:8] for lin in lins)),
+            dtype=np.intp).reshape(7, -1)
+        # node ids shift by their run's offset; a virtual root's parent
+        # (-1 + off) is never read
+        cols[[1, 5, 6]] += offs[self.R]
+        self.C, self.P, self.S, self.D, self.H, self.F, self.T = cols
+        # population of a node: its child count's class, virtual roots last
+        counts = list(tpl.fwd)
+        table = np.zeros(max(int(self.C.max()), *counts) + 1, dtype=np.intp)
+        table[counts] = np.arange(len(counts))
+        pop_of = table[self.C]
+        pop_of[offs] = len(counts)
+        self.pops = dict(zip(counts + [None], _populations(
+            pop_of, (self.D, self.H), len(counts) + 1)))
         self._resolved: dict = {}     # (class / family, ref) -> arrays
+        self._picks: dict = {}        # what a bound / called ref reads
+        self._bases: dict = {}        # (class, segment) -> per-node keys
+        #: levels of the longest block program: orders reads by (block,
+        #: level) as one integer
+        self.levels = 1 + max(prog.n_levels for cls in tpl.classes
+                              for prog in cls.blocks)
         self._keyed: dict = {}        # (class, frame, segment, key) -> keys
         self._suffixes = None
         # one column group per (exported step, depth or height) that has
@@ -207,140 +226,129 @@ class _Forest:
         self.base: dict = {}          # (class, segment) -> first cid by key
         for cls in tpl.classes:
             for prog in cls.blocks:
-                cnt = self.pops[cls.count].cnt[_kind(cls, prog.seg)]
-                present = np.flatnonzero(cnt)
-                widths = np.array([len(st.ops) for st in prog.exports],
-                                  dtype=np.intp)
-                tab = np.zeros(len(cnt), dtype=np.int64)
-                tab[present] = (len(step_m)
-                                + self._iota[:len(present)] * len(widths))
+                pop, kind = self.pops[cls.count], prog.kind
+                spans, first = pop.block[kind], len(step_m)
+                widths = [len(st.ops) for st in prog.exports]
+                tab = np.zeros(len(pop.cnt[kind]), dtype=np.int64)
+                tab[list(spans)] = [first + b * len(widths)
+                                    for b in range(len(spans))]
                 self.base[cls.index, prog.seg] = tab
-                step_m.extend(np.multiply.outer(cnt[present],
-                                                widths).ravel().tolist())
+                step_m.extend(m * w for _, _, m in spans.values()
+                              for w in widths)
+
+    def own(self, rows):
+        """Index rows a plan keeps: copied out of the forest-wide wiring
+        arrays when the plan is memoised (a one-run forest) — a view
+        would keep those alive as long as the plan — else the view."""
+        return rows.copy() if self.n_runs == 1 else rows
 
     # -- symbolic refs -> (address, row) arrays ------------------------------
 
-    def resolve(self, cls, ref):
-        """Per node (valid on the members of ``cls``): the packed column
-        address and the row holding ``ref``'s value."""
-        key = (cls.family if ref[0] in (_B, _O) else cls.index, ref)
-        hit = self._resolved.get(key)
-        if hit is not None:
-            return hit
-        kind = ref[0]
+    def resolve(self, cls, refs):
+        """Per ref and node (valid on the members of ``cls``): the packed
+        column address and the row holding the ref's value, as one
+        ``[refs, 2, nodes]`` array.  Refs not yet resolved resolve
+        together by kind — one class segment's steps, one family's bound
+        names, one call site's outputs — memoised per ref."""
+        memo = self._resolved
+        keys = [(cls.family if ref[0] in (_B, _O) else cls.index, ref)
+                for ref in refs]
+        groups: dict = {}
+        for key, ref in zip(keys, refs):
+            if key not in memo:
+                kind = ref[0]
+                group = (cls.ops[ref[1]].seg if kind == _S else
+                         ref[1] in self.template.inherited[cls.family]
+                         if kind == _B else ref[1] if kind == _C else None)
+                groups.setdefault((kind, group), {})[key] = ref
+        for (kind, group), todo in groups.items():
+            memo.update(zip(todo, self._resolve(cls, kind, group,
+                                                list(todo.values()))))
+        return np.array([memo[key] for key in keys])
+
+    def _resolve(self, cls, kind, group, refs):
+        """``refs`` of one kind and group resolved together."""
+        n = self.n_nodes
         if kind == _S:
-            o = cls.ops[ref[1]]
-            pop, by = self.pops[cls.count], _kind(cls, o.seg)
-            key_of = self.H if by else self.D
-            assert o.step.xi >= 0, "a block-local value read across blocks"
-            addr = (self.base[cls.index, o.seg][key_of] + o.step.xi
-                    << self.bits | ref[2])
-            row = o.k * pop.cnt[by][key_of] + pop.rank[by]
-        elif kind == _O:
-            addr = np.full(self.n_nodes, ref[1] << self.bits | ref[2])
-            row = np.zeros(self.n_nodes, dtype=np.intp)
-        elif kind == _M:
-            addr, row = self.resolve(cls.mirror, ref[1])
-        elif kind == _B:
-            addr, row = self._bound(cls.family, ref[1])
-        else:
-            addr, row = self._called(cls, cls.sites[ref[1]], ref[2])
-        self._resolved[key] = addr, row
-        return addr, row
+            base = self._bases.get((cls.index, group))
+            if base is None:    # per node: its column group, count, rank
+                pop, by = self.pops[cls.count], cls.blocks[group].kind
+                key_of = self.H if by else self.D
+                base = self._bases[cls.index, group] = (
+                    self.base[cls.index, group][key_of] << self.bits,
+                    pop.cnt[by][key_of], pop.rank[by])
+            ops = [cls.ops[ref[1]] for ref in refs]
+            assert all(o.step.xi >= 0 for o in ops), \
+                "a block-local value read across blocks"
+            got = np.empty((len(refs), 2, n), dtype=np.int64)
+            got[:, 0] = base[0] + np.array(
+                [o.step.xi << self.bits | ref[2]
+                 for o, ref in zip(ops, refs)])[:, None]
+            got[:, 1] = base[1] * np.array([o.k for o in ops])[:, None] \
+                + base[2]
+            return got
+        if kind == _O:
+            got = np.zeros((len(refs), 2, n), dtype=np.int64)
+            got[:, 0] = np.array([ref[1] << self.bits | ref[2]
+                                  for ref in refs])[:, None]
+            return got
+        if kind == _M:
+            return self.resolve(cls.mirror, [ref[1] for ref in refs])
+        if kind == _B:
+            return self._bound(cls.family, group, [ref[1] for ref in refs])
+        return self._called(cls, group, [ref[2] for ref in refs])
 
     def family(self, name) -> list:
         return list(getattr(self.template, name).values())
 
-    def _read(self, nodes, src, picks):
-        """Per node: ``nodes[sel]`` holds what ``src[sel]`` holds for
-        ``ref`` in ``cls``, over the ``(cls, ref, mask)`` picks."""
-        addr = np.zeros(self.n_nodes, dtype=np.int64)
-        row = np.zeros(self.n_nodes, dtype=np.intp)
-        for cls, ref, mask in picks:
-            sel = np.flatnonzero(mask)
-            if len(sel):
-                a, r = self.resolve(cls, ref)
-                addr[nodes[sel]] = a[src[sel]]
-                row[nodes[sel]] = r[src[sel]]
-        return addr, row
+    def _read(self, key, picks, refs_of, n_refs):
+        """Per node: what its source holds for refs in a class, over the
+        ``(cls, site, mask)`` picks (memoised by ``key`` as the nodes and
+        sources each selects): ``refs_of(cls, site)`` are the refs."""
+        got = self._picks.get(key)
+        if got is None:
+            nodes, src, picks = picks()
+            got = self._picks[key] = [
+                (cls, site, nodes[sel], src[sel]) for cls, site, sel in (
+                    (c, s, m.nonzero()[0]) for c, s, m in picks)
+                if len(sel)]
+        out = np.zeros((n_refs, 2, self.n_nodes), dtype=np.int64)
+        for cls, site, nodes, src in got:
+            out[:, :, nodes] = self.resolve(cls, refs_of(cls, site)).take(
+                src, 2)
+        return out
 
-    def _bound(self, family, name):
-        """A bound placeholder: the parent's value at the call site —
-        the tree root's call site for names passed down unchanged."""
-        inherited = name in self.template.inherited[family]
-        nodes = np.flatnonzero(self.D > 0)
-        src = self.T[nodes] if inherited else nodes
-        par = self.P[src]
-        top, pc, ps = self.D[par] == 0, self.C[par], self.S[src]
-        root = self.template.root
-        return self._read(nodes, par, (
-            (cls, site.bind[name], (ps == site.child)
-             & (top if cls is root else ~top & (pc == cls.count)))
-            for cls in ([root] if inherited else [root, *self.family(family)])
-            for site in cls.sites if site.family == family))
+    def _bound(self, family, inherited, names):
+        """Bound placeholders: the parent's value at the call site — the
+        tree root's call site for names passed down unchanged."""
+        def picks():
+            nodes = (self.D > 0).nonzero()[0]
+            src = self.T[nodes] if inherited else nodes
+            par = self.P[src]
+            top, pc, ps = self.D[par] == 0, self.C[par], self.S[src]
+            root = self.template.root
+            return nodes, par, [
+                (cls, site, (ps == site.child)
+                 & (top if cls is root else ~top & (pc == cls.count)))
+                for cls in ([root] if inherited
+                            else [root, *self.family(family)])
+                for site in cls.sites if site.family == family]
+        return self._read((family, inherited), picks, lambda cls, site: [
+            site.bind[name] for name in names], len(names))
 
-    def _called(self, cls, site, j):
-        """Output ``j`` of a recursive call site: the child frame's
-        output, whichever class the child's own count selects."""
-        at = self.pops[cls.count].members[0]
-        child = self.F[at] + site.child
-        cc = self.C[child]
-        return self._read(at, child, ((u, u.outputs[j], cc == u.count)
-                                      for u in self.family(site.family)))
+    def _called(self, cls, si, outs):
+        """Outputs ``outs`` of recursive call site ``si``: the child
+        frame's, whichever class the child's own count selects."""
+        site = cls.sites[si]
 
-    # -- input specs ---------------------------------------------------------
-
-    def _wired(self, rows):
-        """A row index as wired: a contiguous ascending run becomes a
-        basic slice, so the operand is a view of the producer column
-        instead of a copy (kernels never write their inputs)."""
-        first, n = int(rows[0]), len(rows)
-        if int(rows[-1]) - first == n - 1 and (
-                n < 3 or (rows == self._iota[first:first + n]).all()):
-            return slice(first, first + n)
-        return rows
-
-    def _pack(self, addr, rows):
-        """Wire one input from its per-member addresses and rows."""
-        first = int(addr[0])
-        if int(addr[-1]) == first and (addr == first).all():
-            cid, n = first >> self.bits, len(rows)
-            if self.step_m[cid] == n and int(rows[0]) == 0 \
-                    and (rows == self._iota[:n]).all():
-                return cid, first & self.mask, None
-            return cid, first & self.mask, self._wired(rows)
-        order = np.argsort(addr, kind="stable")
-        sa, sr = addr[order], rows[order]
-        cuts = [0, *(np.flatnonzero(sa[1:] != sa[:-1]) + 1).tolist(),
-                len(sa)]
-        parts = tuple((int(sa[b]) >> self.bits, int(sa[b]) & self.mask,
-                       self._wired(sr[b:e])) for b, e in zip(cuts, cuts[1:]))
-        if (order[1:] > order[:-1]).all():
-            return parts, None
-        perm = np.empty(len(order), dtype=np.intp)
-        perm[order] = self._iota[:len(order)]
-        return parts, perm
-
-    def spec(self, cls, refs, mem):
-        """Wire one import of a block: ``refs[k]`` is merged op ``k``'s
-        source.  Several producers: ``(parts, perm, addr, rows)`` — the
-        per-member addresses and rows kept for :meth:`LevelPlan._lay_slabs`
-        to wire the slab read from."""
-        if len(refs) == 1 and refs[0][0] == _O:
-            return refs[0][1], refs[0][2], None
-        pairs = [(a[mem], r[mem]) for a, r in (self.resolve(cls, ref)
-                                               for ref in refs)]
-        heads = [int(a[0]) for a, _ in pairs]
-        addr, rows = pairs[0] if len(pairs) == 1 else (
-            np.concatenate([a for a, _ in pairs]),
-            np.concatenate([r for _, r in pairs]))
-        if len(set(heads)) > 1 and all((a == h).all()
-                                       for (a, _), h in zip(pairs, heads)):
-            # each merged op reads one producer column: parts in op order
-            return tuple((h >> self.bits, h & self.mask, self._wired(r))
-                         for (_, r), h in zip(pairs, heads)), None, addr, rows
-        spec = self._pack(addr, rows)
-        return spec if len(spec) == 3 else spec + (addr, rows)
+        def picks():
+            at = self.pops[cls.count].members[0]
+            child = self.F[at] + site.child
+            cc = self.C[child]
+            return at, child, [(u, None, cc == u.count)
+                               for u in self.family(site.family)]
+        return self._read((cls.index, si), picks, lambda u, _: [
+            u.outputs[j] for j in outs], len(outs))
 
     def keys(self, cls, fi, seg, key, mem) -> tuple:
         """``(runs, suffixes, record)`` of frame ``fi`` of the members
@@ -393,130 +401,90 @@ class LevelPlan:
         #: [scalar members, bucket calls, bucket members]: what the cost
         #: model charges a sweep
         self.cost_terms = [len(tpl.once), 0, 0]
-        prologue = _Block(tpl.prologue, 1, 0, 1)
-        program = [(prologue,)]
-        self.n_blocks = 1
-        #: per column group the (block, level) that reads it last: while
-        #: nobody outside its block does, the block's own last read
-        born = [(1 + i, (prologue, 0)) for i in range(len(tpl.once))]
-        last_use: dict = {}
-        root, hist = tpl.root, 0
-        forests = {stage: family for family, stage in tpl.stages.items()}
         tops = (int(forest.D.max()), int(forest.H.max()))
         #: (nodes, depth keys, height keys) of the forest
         self.shape = (forest.n_nodes, tops[0], tops[1] + 1)
-        for stage in range(len(root.blocks)):
-            hist += 1
-            self._level(forest, program, last_use, born, (root,), stage, 0,
-                        hist)
-            family = forests.get(stage)
-            classes = forest.family(family) if family else ()
-            # pre-call top-down: by depth, gradients by descending height
-            # (a parent is higher than its child); post-call bottom-up
-            down = (range(tops[1], -1, -1) if family == "grad"
-                    else range(1, tops[0] + 1))
-            for seg, keys in ((0, down), (1, range(tops[1] + 1))):
-                for key in keys:
-                    hist += 1
-                    self._level(forest, program, last_use, born, classes,
-                                seg, key, hist)
+        slots = self._schedule(forest, tops)
+        #: rows per slab; slab ``i`` is column group ``len(step_m) + i``
+        imports, self.slabs, writes, last, reads = wiring.wire(forest, slots)
+        prologue = _Block(tpl.prologue, 1, 0, 1)
+        #: per column group the block that fills it and the level of its
+        #: last read there
+        born = [(1 + i, (prologue, 0)) for i in range(len(tpl.once))]
+        blocks = []
+        for (cls, seg, key, hist), specs in zip(slots, imports):
+            prog, pop = cls.blocks[seg], forest.pops[cls.count]
+            b, s, m = pop.block[prog.kind][key]
+            mem = pop.members[prog.kind][s:s + m]
+            blk = _Block(prog, m, hist, int(forest.base[cls.index, seg][key]),
+                         specs, {fi: forest.keys(cls, fi, seg, key, mem)
+                                 for fi in prog.frames},
+                         forest.R[mem] if cls.checks else None)
+            born.extend((blk.base + st.xi, (blk, st.last))
+                        for st in prog.exports)
+            scalars, calls, members = prog.terms
+            self.cost_terms[0] += scalars * m
+            self.cost_terms[1] += calls
+            self.cost_terms[2] += members * m
+            blocks.append(blk)
+        self.n_blocks = 1 + len(blocks)
+        self.program = ((prologue,), *(tuple(level) for _, level in (
+            itertools.groupby(blocks, key=lambda blk: blk.hist))))
         # columns behind any root-frame value stay (fetch candidates):
         # per root op its (column, merge position), per call-site output
         # its per-run address
+        root = tpl.root
         self._root = [(int(forest.base[root.index, o.seg][0]) + o.step.xi,
                        o.k) for o in root.ops]
-        self._fetch: dict = {}
         pinned = {cid for cid, _ in self._root}
-        at = forest.pops[None].members[0]
-        for ref in {r for f in root.frames for rs in f.refs for r in rs
-                    if r[0] == _C}:
-            addr, row = forest.resolve(root, ref)
-            cids = (addr[at] >> forest.bits).tolist()
-            self._fetch[ref] = (cids, (addr[at] & forest.mask).tolist(),
-                                row[at].tolist())
-            pinned.update(cids)
-        for cid, at in born:
+        refs = list({r: None for f in root.frames for rs in f.refs
+                     for r in rs if r[0] == _C})
+        got = forest.resolve(root, refs).take(forest.pops[None].members[0], 2)
+        cids = (got[:, 0] >> forest.bits).tolist()
+        self._fetch = dict(zip(refs, zip(cids, (
+            got[:, 0] & forest.mask).tolist(), got[:, 1].tolist())))
+        pinned.update(cid for run in cids for cid in run)
+        # a column dies after its last read outside its block, else after
+        # its block's own; a slab after its last read
+        last, levels = last.tolist(), forest.levels
+        for cid, (blk, level) in born:
             if cid not in pinned:
-                blk, level = last_use.get(cid, at)
+                if last[cid] >= 0:
+                    blk, level = blocks[last[cid] // levels], \
+                        last[cid] % levels
                 blk.release.append((level, cid))
-        #: rows per slab; slab ``i`` is column group ``len(step_m) + i``
-        self.slabs = self._lay_slabs(forest, program, born)
-        self.program = tuple(program)
+        for sid, read in enumerate(reads, len(self.step_m)):
+            blocks[read // levels].release.append((read % levels, sid))
+        owner = {cid: blk for cid, (blk, _) in born}
+        for cid, out, sid, a, b in writes:
+            blk = owner[cid]
+            blk.slabs.append((cid - blk.base, out, sid, a, b))
         #: per class its member count (accounting)
         self.members = [len(forest.pops[cls.count].members[0])
                         for cls in tpl.classes]
 
-    def _lay_slabs(self, forest, program, born) -> list:
-        """Give the producer columns of every multi-producer import one
-        slab per sweep: the columns that imports read together (joined
-        transitively) lie back to back in one array, each filled once by
-        its producer block as it finishes, so the import is one read of
-        rows ``offset + row`` — no per-sweep concatenate or permutation.
-        The part-wise wiring stays behind it for a sweep whose columns do
-        not share a dtype and row shape.  A slab dies after its last
-        reader, like a column."""
-        bits, mask = forest.bits, forest.mask
-        # (block, import, last level reading it) of every import that
-        # several producer columns feed, in program order
-        multi = [(blk, i, blk.prog.imports[i][1]) for level in program
-                 for blk in level for i, spec in enumerate(blk.imports)
-                 if len(spec) == 4]
-        root: dict = {}         # union-find over producer addresses
-
-        def find(a):
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            return a
-        for blk, i, _ in multi:
-            first = None
-            for cid, out, _ in blk.imports[i][0]:
-                a = cid << bits | out
-                h = find(root.setdefault(a, a))
-                if first is None:
-                    first = h
-                elif h != first:
-                    root[h] = first
-        groups: dict = {}
-        for a in sorted(root):
-            groups.setdefault(find(a), []).append(a)
-        owner = {cid: blk for cid, (blk, _) in born}
-        step_m, sizes, slab_of = self.step_m, [], {}
-        for head, addrs in groups.items():
-            cids = [a >> bits for a in addrs]
-            if not all(cid in owner for cid in cids):
-                continue  # the shared completion flag: no block fills it
-            sid, n = len(step_m) + len(sizes), 0
-            offs = []
-            for a, cid in zip(addrs, cids):
-                blk = owner[cid]
-                offs.append(n)
-                blk.slabs.append((cid - blk.base, a & mask, sid, n,
-                                  n + step_m[cid]))
-                n += step_m[cid]
-            slab_of[head] = sid, np.array(addrs), np.array(offs)
-            sizes.append(n)
-        if sizes and max(sizes) >= len(forest._iota):
-            forest._iota = np.arange(max(sizes) + 1, dtype=np.intp)
-        last_use: dict = {}
-        for blk, i, level in multi:
-            parts, perm, addr, rows = blk.imports[i]
-            cid, out, _ = parts[0]
-            slab = slab_of.get(find(cid << bits | out))
-            imports = list(blk.imports)
-            if slab is None:
-                imports[i] = parts, perm
-            else:
-                sid, addrs, offs = slab
-                imports[i] = (parts, perm, sid, forest._wired(
-                    offs[np.searchsorted(addrs, addr)] + rows))
-                seen = last_use.get(sid)
-                if seen is None or seen[0] is not blk or seen[1] < level:
-                    last_use[sid] = blk, level
-            blk.imports = tuple(imports)
-        for sid, (blk, level) in last_use.items():
-            blk.release.append((level, sid))
-        return sizes
+    def _schedule(self, forest, tops) -> list:
+        """The blocks in program order, as ``(class, segment, key,
+        level id)``: per root stage the root block, then its family's
+        pre-call segments top-down — by depth, gradients by descending
+        height (a parent is higher than its child) — and post-call
+        segments bottom-up; a level's blocks, one per class with members
+        at its key, share the level id."""
+        tpl, slots, hist = self.template, [], 0
+        stages = {stage: family for family, stage in tpl.stages.items()}
+        for stage in range(len(tpl.root.blocks)):
+            family = stages.get(stage)
+            classes = forest.family(family) if family else ()
+            down = (range(tops[1], -1, -1) if family == "grad"
+                    else range(1, tops[0] + 1))
+            for classes, seg, key in [((tpl.root,), stage, 0), *(
+                    (classes, seg, key) for seg, keys in
+                    ((0, down), (1, range(tops[1] + 1))) for key in keys)]:
+                hist += 1
+                slots += [(cls, seg, key, hist) for cls in classes
+                          if cls.blocks[seg].n_levels and key in
+                          forest.pops[cls.count].block[cls.blocks[seg].kind]]
+        return slots
 
     def fetch_ref(self, ref, r: int) -> tuple:
         """The ``(cid, out, row)`` address of a root value for run ``r``."""
@@ -527,42 +495,6 @@ class LevelPlan:
             return ref[1], ref[2], 0
         cids, outs, rows = self._fetch[ref]
         return cids[r], outs[r], rows[r]
-
-    def _level(self, forest, program, last_use, born, classes, seg, key,
-               hist) -> None:
-        """Instantiate one program level: per class with members at this
-        depth / height its block — imports wired, export columns
-        allocated, frame keys addressed.  O(imports + exports) each."""
-        level = []
-        for cls in classes:
-            prog = cls.blocks[seg]
-            mem = forest.pops[cls.count].at(_kind(cls, seg), key)
-            if not len(mem) or not prog.n_levels:
-                continue
-            m = len(mem)
-            blk = _Block(
-                prog, m, hist,
-                int(forest.base[cls.index, seg][key]),
-                tuple(forest.spec(cls, refs, mem)
-                      for refs, _, _ in prog.imports),
-                {fi: forest.keys(cls, fi, seg, key, mem)
-                 for fi in prog.frames},
-                forest.R[mem] if cls.checks else None)
-            self.n_blocks += 1
-            for spec, (_, at, _) in zip(blk.imports, prog.imports):
-                for cid in _producers(spec):
-                    seen = last_use.get(cid)
-                    if seen is None or seen[0] is not blk or seen[1] < at:
-                        last_use[cid] = blk, at
-            born.extend((blk.base + st.xi, (blk, st.last))
-                        for st in prog.exports)
-            scalars, calls, members = prog.terms
-            self.cost_terms[0] += scalars * m
-            self.cost_terms[1] += calls
-            self.cost_terms[2] += members * m
-            level.append(blk)
-        if level:
-            program.append(tuple(level))
 
 
 def instance_for(tpl: Template, lins, stats=None) -> "LevelPlan":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 
@@ -569,40 +569,68 @@ def _grow(core, added: int) -> None:
         core.stats.peak_live_bytes = peak
 
 
+def _tally(prog, m) -> tuple:
+    """One block's accounting — program ``prog`` over ``m`` members:
+    its kernel calls, its fused calls by width, and per booked step its
+    (op type, width, signature prefix)."""
+    steps = tuple((st.op.op_type, m * len(st.ops), st.prefix)
+                  for st in prog.steps if st.booked)
+    return (len(prog.steps) + len(prog.feeds),
+            tuple(Counter(width for _, width, _ in steps).items()), steps)
+
+
 def _book(sweep) -> None:
     """Account one sweep's ops exactly like the dynamic tier counts
     them: every op of every frame once, whatever step executed it, and
     one fused call per bucket step under its signature prefix.
 
-    The schedule is static, so the bookings are too: they are built once
-    as a RunStats delta, memoised on the plan and merged per sweep (a
-    sweep abandoned because every run was cancelled books nothing —
-    best-effort stats under cancellation, like the dynamic path).
+    The schedule is static, so the bookings are too: per (block program,
+    member count) a tally memoised on the template, summed once per plan
+    into a RunStats delta that is memoised on the plan and merged per
+    sweep (a sweep abandoned because every run was cancelled books
+    nothing — best-effort stats under cancellation, like the dynamic
+    path).
     """
     lp = sweep.lp
     if lp.booked is None:
         delta, tpl = RunStats(), lp.template
+        counts, times = delta.per_type_count, delta.per_type_time
         for cls, members in zip(tpl.classes, lp.members):
             for op_type, count in cls.static if members else ():
                 delta.ops_executed += count * members
-                delta.per_type_count[op_type] = (
-                    delta.per_type_count.get(op_type, 0) + count * members)
-                # note_op assumes a counted type also has a time entry
-                delta.per_type_time.setdefault(op_type, 0.0)
+                counts[op_type] = counts.get(op_type, 0) + count * members
+        tallies, steps = tpl.tallies, []
         for blk in (blk for level in lp.program for blk in level):
-            prog = blk.prog
+            tally = tallies.get((blk.prog, blk.m))
+            if tally is None:
+                tally = tallies[blk.prog, blk.m] = _tally(blk.prog, blk.m)
+            calls, widths, booked = tally
             delta.level_blocks += 1
-            delta.level_kernel_calls += len(prog.steps) + len(prog.feeds)
-            for st in prog.steps:
-                if not st.booked:
-                    continue
-                op_type, width = st.op.op_type, blk.m * len(st.ops)
-                if width == 1:
-                    delta.note_op(op_type, 0.0)
-                else:
-                    delta.note_batch(op_type, width, 0.0, st.prefix)
+            delta.level_kernel_calls += calls
+            if widths:
                 hist = delta.level_width_hist.setdefault(blk.hist, {})
-                hist[width] = hist.get(width, 0) + 1
+                for width, n in widths:
+                    hist[width] = hist.get(width, 0) + n
+            steps.append(booked)
+        fused, by_sig = delta.batch_count_by_type, delta.batch_width_hist
+        ops = batches = batched = top = 0
+        for (op_type, width, prefix), n in Counter(
+                itertools.chain.from_iterable(steps)).items():
+            ops += width * n
+            counts[op_type] = counts.get(op_type, 0) + width * n
+            if width > 1:   # a fused call, as note_batch counts it
+                batches += n
+                batched += width * n
+                top = width if width > top else top
+                fused[op_type] = fused.get(op_type, 0) + n
+                hist = by_sig.setdefault(
+                    op_type if prefix is None else prefix, {})
+                hist[width] = hist.get(width, 0) + n
+        delta.ops_executed += ops
+        delta.batches, delta.batched_ops, delta.max_batch = (batches, batched,
+                                                             top)
+        for op_type in counts:  # a counted type also has a time entry
+            times.setdefault(op_type, 0.0)
         lp.booked = delta
     sweep.core.stats.merge(lp.booked)
 

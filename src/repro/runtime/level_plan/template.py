@@ -102,6 +102,9 @@ class Template:
         #: integer: wide enough for the most outputs any scanned op has
         self.out_bits = 0
         self.classes: list = []
+        #: per (block program, member count) one block's accounting
+        #: (:func:`.sweep._book`)
+        self.tallies: dict = {}
         self.fwd: dict = {}           # child count -> U_c
         self.grad: dict = {}          # child count -> GU_c
         targets = {id(op.attrs["subgraph"]): op.attrs["subgraph"]
