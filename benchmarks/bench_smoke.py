@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from functools import lru_cache
 
@@ -245,6 +246,107 @@ def test_smoke_level_wiring_canary(monkeypatch):
     wired = sum(len(blk.imports) for blk in blocks)
     assert counts[0] == counts[1], counts
     assert calls["operands"] < len(pairs) < wired, (calls, pairs, wired)
+
+
+#: Python calls and C calls (``sys.setprofile``'s ``call`` / ``c_call``
+#: events) of one warm step of each reduced workload below, and the
+#: interpreter minor version they were taken on: a change that moves a
+#: count re-pins it and names the delta and its reason in CHANGES.md
+WORK_PINS_PYTHON = (3, 11)
+WORK_PINS = {
+    "infer_lvl": (2516, 3999),
+    "train_lvl": (12101, 14140),
+    "serve_burst": (9403, 24767),
+}
+
+
+def _calls(fn) -> tuple:
+    """``(Python calls, C calls)`` made by ``fn()`` on this thread."""
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[0] += 1
+        elif event == "c_call":
+            counts[1] += 1
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return tuple(counts)
+
+
+def work_counts() -> dict:
+    """The call counts of one warm step of reduced ``bench_e2e``
+    workloads on the event engine: ``infer_b10`` / ``train_b10`` ``lvl``
+    (a 6-tree TreeLSTM batch: feeds, profiles and the compiled run(s) —
+    for training the recorded gradient run and the Adagrad apply run)
+    and one merged ``serve_longtail``-style burst (16 batch-1 requests,
+    at most 8 in flight, then ``drain``).  Each step runs once cold
+    first; variables are restored before every step, outside the
+    count."""
+    from repro.nn.optimizers import Adagrad
+
+    bank, counts = smoke_bank(), {}
+    batch = batch_trees(bank.train[:6])
+    for name, train in (("infer_lvl", False), ("train_lvl", True)):
+        model = SMOKE_FACTORIES["TreeLSTM"]()
+        runtime, built = model.runtime, model.build_recursive(6)
+        fetches, apply = [built.loss, built.root_logits], None
+        if train:
+            fetches += [op.outputs[-1]
+                        for op in repro.gradients(built.loss, [])[1]]
+            apply = Adagrad(0.05).build_apply(
+                built.graph, runtime.trainable_variables(), runtime)
+        snapshot = runtime.variables.snapshot()
+        session = repro.Session(built.graph, runtime, engine="event",
+                                num_workers=4, record=train)
+
+        def step():
+            feed = built.feed_dict(batch)
+            profile = built.shape_profiles(batch)
+            if apply is None:
+                session.run(fetches, feed, shape_profile=profile)
+                return
+            runtime.accumulators.zero()
+            session.run(fetches, feed, record=True, shape_profile=profile)
+            session.run(apply, record=False)
+        for _ in range(2):
+            runtime.variables.restore(snapshot)
+            got = _calls(step)
+        assert session.last_stats.level_plan_fallbacks == 0
+        counts[name] = got
+    model = SMOKE_FACTORIES["TreeLSTM"]()
+    built = model.build_recursive(1)
+    singles = [batch_trees([tree]) for tree in bank.train + bank.val]
+    server = repro.Session(built.graph, model.runtime, engine="event",
+                           num_workers=4).serve(max_in_flight=8)
+
+    def burst():
+        tickets = [server.submit(built.root_logits, built.feed_dict(single),
+                                 size_hint=single.total_nodes,
+                                 shape_profile=built.shape_profiles(single))
+                   for single in singles[:16]]
+        server.drain()
+        assert all(ticket.done for ticket in tickets)
+    for _ in range(2):
+        got = _calls(burst)
+    assert server.stats.level_plan_fallbacks == 0
+    server.close()
+    counts["serve_burst"] = got
+    return counts
+
+
+def test_smoke_work_count_pins():
+    """Count canary (host-free): the Python and C calls of one warm step
+    are deterministic, so any change to the work a step does — one more
+    numpy call per block — moves a pin exactly, where wall clock on a
+    shared host would not show it."""
+    if sys.version_info[:2] != WORK_PINS_PYTHON:
+        pytest.skip(f"call counts pinned on Python "
+                    f"{'.'.join(map(str, WORK_PINS_PYTHON))}")
+    assert work_counts() == WORK_PINS
 
 
 def test_smoke_level_canon_canary():
