@@ -177,20 +177,19 @@ def test_smoke_level_block_canary():
 
 def test_smoke_level_slab_canary(monkeypatch):
     """Slab canary: the compiled TreeLSTM inference sweep reads every
-    import that several array columns feed as one read of its slab —
-    no import there is gathered part-wise (per-producer ``take``,
-    concatenate, permute) while all of its parts are arrays."""
+    import that several columns feed as one read of its slab's array —
+    no slab there becomes a list of rows (what a producer whose rows do
+    not fit the array leaves), which its readers gather row by row."""
     from repro.runtime.level_plan import sweep
 
-    real, reads = sweep._Sweep.operand, {"slab": 0, "part-wise": []}
+    real, reads = sweep._Sweep.operand, {"slab": 0, "row slab": []}
 
     def operand(state, spec):
-        if len(spec) == 4 and state.cols[spec[2]].__class__ is np.ndarray:
-            reads["slab"] += 1
-        elif len(spec) != 3 and all(
-                state.cols[cid][out].__class__ is np.ndarray
-                for cid, out, _ in spec[0]):
-            reads["part-wise"].append(spec[0])
+        if len(spec) == 2:
+            if state.cols[spec[0]].__class__ is list:
+                reads["row slab"].append(spec)
+            else:
+                reads["slab"] += 1
         return real(state, spec)
 
     monkeypatch.setattr(sweep._Sweep, "operand", operand)
@@ -203,7 +202,7 @@ def test_smoke_level_slab_canary(monkeypatch):
     session.run(built.root_logits, built.feed_dict(batch),
                 shape_profile=built.shape_profiles(batch))
     assert session.last_stats.level_plan_hits == 1
-    assert reads["slab"] > 0 and reads["part-wise"] == []
+    assert reads["slab"] > 0 and reads["row slab"] == []
 
 
 def test_smoke_level_wiring_canary(monkeypatch):
@@ -254,9 +253,9 @@ def test_smoke_level_wiring_canary(monkeypatch):
 #: count re-pins it and names the delta and its reason in CHANGES.md
 WORK_PINS_PYTHON = (3, 11)
 WORK_PINS = {
-    "infer_lvl": (2516, 3999),
-    "train_lvl": (12101, 14140),
-    "serve_burst": (9403, 24767),
+    "infer_lvl": (2596, 3891),
+    "train_lvl": (12566, 14152),
+    "serve_burst": (9126, 24378),
 }
 
 

@@ -17,9 +17,10 @@ wrappers each distort the other's numbers.
 For a compiled config it also prints the import-gather time of the
 warm step by the path each import took — a whole-column alias, a slice
 (a view), one ``take``, one read of a slab (the per-sweep array that
-several producer columns fill), or part-wise: several producers
-concatenated, or concatenated and then permuted — then how the warm
-plan's imports are *wired*, per family and segment, and how many
+several producer columns fill), or a row slab (a slab that a producer
+whose rows did not fit its array turned into a list of rows, read row
+by row) — then how the warm plan's imports are *wired*, per family and
+segment, and how many
 deferred blocks the value cache holds after the sweep
 (``ValueCache.store_column``; what a recorded sweep hands over and
 nobody split into rows).
@@ -178,21 +179,19 @@ def _floor(bench, config, repeats: int = 30) -> tuple:
     return warm, min(replays), len(calls)
 
 
-WIRINGS = ("alias", "slice", "take", "slab", "multi", "multi+perm")
+WIRINGS = ("alias", "slice", "take", "slab", "row slab")
 
 
 def _wiring(spec, cols=None) -> str:
     """How one import of an instantiated block reaches its operand —
-    given a sweep's ``cols``, by the path it takes there (a slab-wired
-    import whose slab is unfilled reads part-wise)."""
-    if len(spec) == 3:
-        rows = spec[2]
-        return ("alias" if rows is None
-                else "slice" if isinstance(rows, slice) else "take")
-    if len(spec) == 4 and (cols is None or isinstance(cols[spec[2]],
-                                                      np.ndarray)):
-        return "slab"
-    return "multi" if spec[1] is None else "multi+perm"
+    given a sweep's ``cols``, by the path it takes there (a slab turned
+    into a list of rows reads row by row)."""
+    if len(spec) == 2:
+        return ("row slab" if cols is not None
+                and cols[spec[0]].__class__ is list else "slab")
+    rows = spec[2]
+    return ("alias" if rows is None
+            else "slice" if isinstance(rows, slice) else "take")
 
 
 def _mirrors_post_call(cls, refs) -> bool:
@@ -391,7 +390,7 @@ def main(argv=None) -> int:
     for name, (calls, nbytes) in sorted(probes.copies.items()):
         print(f"  {name:<18} calls={calls:<6} {nbytes / 2**20:8.2f} MiB")
     if probes.gather:
-        print("import gather by wiring (part-wise: multi, multi+perm):")
+        print("import gather by wiring (row slab: read row by row):")
         for kind in WIRINGS:
             calls, secs = probes.gather.get(kind, (0, 0.0))
             print(f"  {kind:<18} n={calls:<6} {secs * 1e3:8.3f} ms")

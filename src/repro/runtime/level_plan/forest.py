@@ -107,19 +107,15 @@ class _Block:
     ``(cid, out, rows)`` when one producer feeds every member (``rows is
     None``: the column itself — same members, same order; a slice: a
     view of it; else an ``intp`` row index for one ``take``), otherwise
-    ``(parts, perm, sid, rows)``: one such ``rows`` read of slab
-    ``sid``, which holds the producer columns back to back
-    (:func:`.wiring._lay_slabs`), over the part-wise read that stands
-    in while the slab is unfilled — ``parts``, one such triple per
-    producer (per merged op, in op order, when each reads one column),
-    and ``perm``, the permutation that puts their concatenation into
-    member order (``None`` when it already is); ``(parts, perm)`` alone
-    where no block fills a producer.  ``slabs`` lists the block's
-    writes, ``(xi, out, sid, a, b)``: output ``out`` of export ``xi``
-    fills rows ``a:b`` of slab ``sid``.  ``keys[frame]`` addresses
-    the members' frames — ``(runs, suffixes, record)`` — for cache and
-    accumulator keys; ``okeys`` memoises per keyed step the members'
-    order keys, which are static while no run carries a key prefix.
+    ``(sid, rows)``: such a ``rows`` read of slab ``sid``, which holds
+    the producer columns back to back (:func:`.wiring._lay_slabs`).
+    ``slabs`` lists the block's writes, ``(cid, out, sid, a, b)``:
+    output ``out`` of column group ``cid`` fills rows ``a:b`` of slab
+    ``sid`` (the prologue's also write the completion flag, cid 0).
+    ``keys[frame]`` addresses the members' frames — ``(runs, suffixes,
+    record)`` — for cache and accumulator keys; ``okeys`` memoises per
+    keyed step the members' order keys, which are static while no run
+    carries a key prefix.
     ``release`` lists the column groups and slabs whose last reader is
     this block, by level.
     """
@@ -445,20 +441,25 @@ class LevelPlan:
             got[:, 0] & forest.mask).tolist(), got[:, 1].tolist())))
         pinned.update(cid for run in cids for cid in run)
         # a column dies after its last read outside its block, else after
-        # its block's own; a slab after its last read
+        # its block's own — once filled into a slab, after the fill; a
+        # slab after its last read, or never with a pinned column in it
         last, levels = last.tolist(), forest.levels
+        owner = {cid: blk for cid, (blk, _) in [(0, (prologue, 0)), *born]}
+        for cid, out, sid, a, b in writes:
+            owner[cid].slabs.append((cid, out, sid, a, b))
+        filled = {cid for cid, _, _, _, _ in writes}
         for cid, (blk, level) in born:
             if cid not in pinned:
                 if last[cid] >= 0:
                     blk, level = blocks[last[cid] // levels], \
                         last[cid] % levels
+                elif cid in filled:
+                    level = blk.prog.n_levels - 1
                 blk.release.append((level, cid))
+        kept = {sid for cid, _, sid, _, _ in writes if cid in pinned}
         for sid, read in enumerate(reads, len(self.step_m)):
-            blocks[read // levels].release.append((read % levels, sid))
-        owner = {cid: blk for cid, (blk, _) in born}
-        for cid, out, sid, a, b in writes:
-            blk = owner[cid]
-            blk.slabs.append((cid - blk.base, out, sid, a, b))
+            if sid not in kept:
+                blocks[read // levels].release.append((read % levels, sid))
         #: per class its member count (accounting)
         self.members = [len(forest.pops[cls.count].members[0])
                         for cls in tpl.classes]

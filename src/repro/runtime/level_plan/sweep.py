@@ -172,21 +172,18 @@ def _rows(value, n: int):
     return [value] * n
 
 
-def _join(pieces: list, perm=None):
+def _join(pieces: list):
     """Concatenate the parts of one operand into member order."""
     first = pieces[0]
     if all(p.__class__ is np.ndarray and p.dtype == first.dtype
            and p.shape[1:] == first.shape[1:] for p in pieces):
-        joined = np.concatenate(pieces)
-        return joined if perm is None else joined.take(perm, 0)
+        return np.concatenate(pieces)
     if first.__class__ is _Rag and all(
             p.__class__ is _Rag and p.values.dtype == first.values.dtype
             and p.shape.shape[1] == first.shape.shape[1] for p in pieces):
-        joined = _join_ragged(pieces)
-        return joined if perm is None else joined[perm]
+        return _join_ragged(pieces)
     # producers disagree on member shape or dtype: a list column
-    column = [v for p in pieces for v in _rows_of(p)]
-    return column if perm is None else [column[i] for i in perm]
+    return [v for p in pieces for v in _rows_of(p)]
 
 
 def _join_ragged(pieces):
@@ -214,11 +211,12 @@ class _Sweep:
     """Mutable state of one wavefront sweep: the runs and their columns
     (``cols[cid][out]``: ndarray with rows on axis 0, a list of row
     values, an :class:`_Inv` or a :class:`_Rag`), then the sweep's slabs
-    (``cols[sid]``: an ndarray, ``None`` until its first producer fills
-    it, ``False`` once a producer could not)."""
+    (``cols[sid]``: ``None`` until its first producer fills it, then an
+    ndarray — or a list of row values once a producer's rows do not fit
+    one array)."""
 
     __slots__ = ("core", "lp", "runs", "dead", "cols", "ctx", "bytes",
-                 "prefixed")
+                 "prefixed", "held")
 
     def __init__(self, core, lp, runs):
         self.core, self.lp, self.runs = core, lp, runs
@@ -233,6 +231,8 @@ class _Sweep:
         self.ctx = ExecContext(core.runtime, None, False)
         self.bytes = {} if core._track_live else None
         self.prefixed = any(run.prefix for run in runs)
+        #: slab id by the id of its array (see :meth:`own`)
+        self.held = {}
 
     def refresh(self) -> bool:
         """Note runs cancelled since the last poll; False when none is
@@ -244,57 +244,60 @@ class _Sweep:
 
     def operand(self, spec):
         """Gather one wired import: a column in member order."""
-        cols = self.cols
-        if len(spec) == 3:
-            cid, out, rows = spec
-            col = cols[cid][out]
-            if col.__class__ is _Inv:
-                return col
-            if rows is None:
-                return _as_column(col) if col.__class__ is list else col
-            return _take(col, rows)
-        if len(spec) == 4:
-            slab, rows = cols[spec[2]], spec[3]
-            if slab.__class__ is np.ndarray:
-                return slab[rows] if rows.__class__ is slice \
-                    else slab.take(rows, 0)
-        pieces = []
-        for cid, out, rows in spec[0]:
-            col = cols[cid][out]
-            if col.__class__ is _Inv:
-                pieces.append(_rows(col.value, (
-                    rows.stop - rows.start if rows.__class__ is slice
-                    else len(rows))))
-            else:
-                pieces.append(_take(col, rows))
-        return _join(pieces, spec[1])
+        if len(spec) == 2:   # a slab
+            return _take(self.cols[spec[0]], spec[1])
+        cid, out, rows = spec
+        col = self.cols[cid][out]
+        if col.__class__ is _Inv:
+            return col
+        if rows is None:
+            return _as_column(col) if col.__class__ is list else col
+        return _take(col, rows)
 
-    def fill(self, sid, a, b, col) -> None:
-        """Write one producer column into rows ``a:b`` of slab ``sid`` —
-        a shared value into every row — allocating the slab on its first
-        write.  A column of another dtype or row shape, a list or a
-        ragged column leaves the slab unfilled: its readers then read
-        part-wise."""
-        cols = self.cols
-        slab = cols[sid]
+    def own(self, col):
+        """A view handed out of the sweep — stored, or kept by a stateful
+        kernel: a copy of its rows when it views a live slab, which it
+        must not keep alive."""
+        base = col.base
+        return col.copy() if self.cols[self.held.get(id(base), 0)] is base \
+            else col
+
+    def fill(self, sid, a, b, cid, out) -> None:
+        """Write output ``out`` of column group ``cid`` into rows ``a:b``
+        of slab ``sid`` — a shared value into every row — allocating the
+        slab on its first write.  A block column written there is read
+        from there on: the slab rows replace it.  A producer whose rows
+        do not fit the slab's array exactly (a list or ragged column,
+        another dtype or row shape, a value that is no array) turns the
+        slab into a list of its rows, the rows already written as views:
+        never a cast, a broadcast of rows or a truncation."""
+        cols, group = self.cols, self.cols[cid]
+        slab, col = cols[sid], group[out]
         shared = col.__class__ is _Inv
         value = col.value if shared else col
-        if slab is False or not (value.__class__ is np.ndarray
-                                 or isinstance(value, np.generic)):
-            cols[sid] = False
-            return
-        shape = value.shape if shared else value.shape[1:]
-        if slab is None:
-            n = self.lp.slabs[sid - len(self.lp.step_m)]
-            slab = cols[sid] = np.empty((n,) + shape, value.dtype)
-            if self.bytes is not None:
-                self.bytes[sid] = slab.nbytes
-                _grow(self.core, slab.nbytes)
-        if slab.dtype != value.dtype or slab.shape[1:] != shape or not (
-                shared or len(value) == b - a):
-            cols[sid] = False
-            return
-        slab[a:b] = value
+        if slab.__class__ is not list and (
+                value.__class__ is np.ndarray or isinstance(value, np.generic)):
+            shape = value.shape if shared else value.shape[1:]
+            if slab is None:
+                n = self.lp.slabs[sid - len(self.lp.step_m)]
+                slab = cols[sid] = np.empty((n,) + shape, value.dtype)
+                self.held[id(slab)] = sid
+                if self.bytes is not None:
+                    self.bytes[sid] = slab.nbytes
+                    _grow(self.core, slab.nbytes)
+            if slab.dtype == value.dtype and slab.shape[1:] == shape:
+                slab[a:b] = value
+                if not shared:
+                    cols[cid] = group = list(group)
+                    group[out] = slab[a:b]
+                    if self.bytes is not None and cid in self.bytes:
+                        self.bytes[cid] -= value.nbytes
+                        self.core._live_bytes -= value.nbytes
+                return
+        if slab.__class__ is not list:
+            slab = cols[sid] = ([None] * self.lp.slabs[
+                sid - len(self.lp.step_m)] if slab is None else list(slab))
+        slab[a:b] = [value] * (b - a) if shared else _rows_of(value)
 
     def keys(self, runs, sufs) -> list:
         """Full frame keys: each run's root key plus the frame suffix."""
@@ -422,8 +425,8 @@ class _BlockCall:
             raise
         except Exception as exc:  # noqa: BLE001 - wrapped like the dynamic path
             raise SchedulerCore._wrap_error(exc, op) from exc
-        for xi, out, sid, a, b in blk.slabs:
-            sweep.fill(sid, a, b, cols[blk.base + xi][out])
+        for cid, out, sid, a, b in blk.slabs:
+            sweep.fill(sid, a, b, cid, out)
         if prog.stores:
             # recorded columns are handed over whole, before their
             # registers die: compiled CacheLookups read the columns, and
@@ -437,6 +440,8 @@ class _BlockCall:
                     live = np.flatnonzero(~dead[runs])
                     keys = [keys[j] for j in live]
                     col = col if shared else _take(col, live)
+                if col.__class__ is np.ndarray and col.base is not None:
+                    col = sweep.own(col)
                 store(keys, gid, oid, i, col.value if shared else col, shared)
         if track:
             self._release(level, prog.n_levels)
@@ -507,6 +512,8 @@ class _BlockCall:
             operands = [o if shared else _take(o, live)
                         for o, shared in zip(operands, inv)]
             keys = [keys[i] for i in live]
+        operands = [sweep.own(o) if o.__class__ is np.ndarray
+                    and o.base is not None else o for o in operands]
         outs = None
         if keyed:
             outs = defn.keyed_kernel(st.op, operands, keys, sweep.ctx)
@@ -514,6 +521,11 @@ class _BlockCall:
             outs = defn.stacked_kernel(st.op, operands, tuple(inv), sweep.ctx)
         if outs is None:
             outs = self._loop(st, operands, inv, keys)
+        elif len(outs) != st.n_out or len(outs[0]) != len(keys):
+            raise EngineError(
+                f"{'keyed' if keyed else 'stacked'} kernel for "
+                f"{st.op.op_type} returned a malformed result for "
+                f"{len(keys)} members")
         if back is None:
             return outs
         return [col if col.__class__ is _Inv else _take(col, back)

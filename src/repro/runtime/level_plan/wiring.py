@@ -5,13 +5,13 @@ pairs, op-major — member ``j`` of merged op ``k`` at ``k * m + j``.
 Each class segment reads all of its imports over its population's
 key-sorted members at once (:func:`operands`); :func:`wire` sorts the
 elements of every entry of the forest together and decides each entry's
-wiring with segmented numpy over the entry and op starts — one producer
-(the column itself; a slice, so the operand is a view of the column, as
-kernels never write their inputs; else a ``take``), one producer per
-merged op, or several per op, parted by address through one stable sort
-by (entry, address) — and :func:`_lay_slabs` joins the columns that
-multi-producer entries read into slabs.  numpy calls are O(class
-segments); Python work per entry only assembles its tuple.
+wiring with segmented numpy over the entry starts: one producer reads
+the column itself (a slice, so the operand is a view of the column, as
+kernels never write their inputs; else a ``take``), several producers
+read their slab — :func:`_lay_slabs` joins the columns that
+multi-producer entries read into slabs, the shared completion flag
+(cid 0) included.  numpy calls are O(class segments); Python work per
+entry only assembles its tuple.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def wire(forest, slots) -> tuple:
     where = {(cls.index, seg, key): i
              for i, (cls, seg, key, _) in enumerate(slots)}
     imports, flat, todo, progs = [()] * len(slots), [], [], []
-    sizes, ops, reader = [], [], []   # per entry: elements, ops, read key
+    sizes, reader = [], []     # per entry: its elements, its read's key
     last = np.full(len(step_m), -1)
     for cls in forest.template.classes:
         for prog in cls.blocks:
@@ -68,7 +68,6 @@ def wire(forest, slots) -> tuple:
                 of += [len(todo)] * len(rs)
                 refs += rs
                 sizes += [len(rs) * m for _, _, m in spans.values()]
-                ops += [len(rs)] * len(at)
                 reader += [slot * levels + level for slot in at]
                 todo.append((got, len(got), len(at)))
                 got.append(None)
@@ -77,59 +76,42 @@ def wire(forest, slots) -> tuple:
                 flat.append(operands(forest, cls, prog.kind, refs, of))
     slabs, writes, reads = [], [], []
     if flat:
-        slabs, writes, reads = _entries(forest, flat, todo, sizes, ops,
-                                        reader, last)
+        slabs, writes, reads = _entries(forest, flat, todo, sizes, reader,
+                                        last)
     for got, at in progs:   # per block its imports, in import order
         for i, specs in zip(at, zip(*got)):
             imports[i] = specs
     return imports, slabs, writes, last, reads
 
 
-def _entries(forest, flat, todo, sizes, ops, reader, last) -> tuple:
+def _entries(forest, flat, todo, sizes, reader, last) -> tuple:
     """Wire every entry of the non-invariant imports, in place of the
-    ``todo`` placeholders; note each column group's last read."""
+    ``todo`` placeholders; note each column group's last read by one
+    producer."""
     bits, mask, step_m = forest.bits, forest.mask, np.array(forest.step_m)
     ar, order = (np.concatenate(col, axis=-1) for col in zip(*flat))
     a, r = ar.take(order.argsort(kind="stable"), 1)
-    size, ops, rk = np.array(sizes), np.array(ops), np.array(reader)
+    size, rk = np.array(sizes), np.array(reader)
     es = size.cumsum() - size                       # entry starts
-    _last(last, a >> bits, rk.repeat(size))
     local = np.arange(len(a)) - es.repeat(size)     # member-order row
-    # (entry, op) starts: where a member position restarts at 0
-    starts = (local % (size // ops).repeat(size) == 0).nonzero()[0]
-    eo = ops.cumsum() - ops                         # an entry's first op
-    o_one, shift = _segments(a, starts), r - local  # per (entry, op)
-    o_run = _segments(shift, starts)
-    head, lead = a[starts], shift[starts]
-    one = np.minimum.reduceat(o_one, eo)
-    single = np.minimum.reduceat(o_one & (head == head[eo].repeat(ops)), eo)
-    joined = np.minimum.reduceat(o_run & (lead == lead[eo].repeat(ops)), eo)
-    head, first = head[eo], r[es]
-    alias = joined & (step_m[head >> bits] == size)
-    g_parts, g_perm = _by_address(forest, a, r, local, size, ~one)
-    opw, o_parts = one & ~single, None
-    if opw.any():   # each merged op reads one column: parts in op order
-        sel, k = opw.repeat(ops), ops[opw]
-        o_parts = _parts(forest, a, r, starts[sel], np.concatenate(
-            (starts[1:], [len(a)]))[sel], k.cumsum() - k, o_run[sel])
+    single, run = _segments(a, es), _segments(r - local, es)
+    head, first = a[es], r[es]
+    alias = run & (step_m[head >> bits] == size)
+    one = single.repeat(size)
+    if one.any():
+        _last(last, a[one] >> bits, rk.repeat(size)[one])
     slab, slabs, writes, reads = _lay_slabs(forest, a, r, ~single, size, rk,
-                                            step_m)
-    out, g, w, q, own = [], 0, 0, 0, forest.own
-    for s, m, h, f, ok, o, run, al in zip(
+                                            step_m, last)
+    out, q, own = [], 0, forest.own
+    for s, m, h, f, ok, c, al in zip(
             es.tolist(), size.tolist(), head.tolist(), first.tolist(),
-            single.tolist(), one.tolist(), joined.tolist(), alias.tolist()):
+            single.tolist(), run.tolist(), alias.tolist()):
         if ok:
             out.append((h >> bits, h & mask, (None if al else slice(
-                f, f + m)) if run else own(r[s:s + m])))
-            continue
-        if o:
-            spec = o_parts[w], None
-            w += 1
+                f, f + m)) if c else own(r[s:s + m])))
         else:
-            spec = g_parts[g], g_perm[g]
-            g += 1
-        out.append(spec + slab[q] if slab[q] else spec)
-        q += 1
+            out.append(slab[q])
+            q += 1
     at = 0
     for got, i, n in todo:
         got[i] = out[at:at + n]
@@ -146,58 +128,18 @@ def _last(last, cids, keys) -> None:
     last[cids[ends]] = np.maximum(last[cids[ends]], keys[ends])
 
 
-def _by_address(forest, a, r, local, size, gen) -> tuple:
-    """The entries ``gen`` whose ops read several producers: per entry
-    its parts by address and the permutation from their concatenation
-    back to member order (``None`` when it already is) — one stable sort
-    by (entry, address) for all of them."""
-    if not gen.any():
-        return None, None
-    sel, size = gen.repeat(size), size[gen]
-    starts = size.cumsum() - size
-    base = starts.repeat(size)
-    sa = a[sel]
-    by = (base * (int(sa.max()) + 1) + sa).argsort(kind="stable")
-    sa, sr, at = sa[by], r[sel].take(by), local[sel].take(by)
-    j = np.arange(len(sa)) - base
-    same = np.minimum.reduceat(at == j, starts)
-    perm = np.empty(len(sa), dtype=np.intp)
-    perm[base + at] = j
-    ps = np.concatenate(([0], ((sa[1:] != sa[:-1]) | (j[1:] == 0)).nonzero()[
-        0] + 1))
-    parts = _parts(forest, sa, sr, ps, np.concatenate((ps[1:], [len(sa)])),
-                   (j[ps] == 0).nonzero()[0],
-                   _segments(sr - np.arange(len(sr)), ps))
-    return parts, [None if s else forest.own(perm[b:b + m]) for s, b, m in
-                   zip(same.tolist(), starts.tolist(), size.tolist())]
-
-
-def _parts(forest, a, r, ps, pe, first, run) -> list:
-    """Per entry (its first part in ``first``) the parts ``ps[i] : pe[i]``
-    of ``(a, r)`` as ``(cid, out, rows)`` — a part holds one address; its
-    rows a slice where ``run`` says they run consecutively."""
-    bits, mask = forest.bits, forest.mask
-    parts = [(h >> bits, h & mask, slice(f, f + e - s) if c
-              else forest.own(r[s:e]))
-             for h, f, c, s, e in zip(a[ps].tolist(), r[ps].tolist(),
-                                      run.tolist(), ps.tolist(), pe.tolist())]
-    cuts = first.tolist() + [len(parts)]
-    return [tuple(parts[b:e]) for b, e in zip(cuts, cuts[1:])]
-
-
-def _lay_slabs(forest, a, r, multi, size, rk, step_m) -> tuple:
+def _lay_slabs(forest, a, r, multi, size, rk, step_m, last) -> tuple:
     """Give the producer columns of every multi-producer import one slab
     per sweep: the columns that imports read together (joined
     transitively) lie back to back in one array, each filled once by its
     producer block as it finishes, so the import is one read of rows
-    ``offset + row`` — no per-sweep concatenate or permutation.  The
-    part-wise wiring stays behind it for a sweep whose columns do not
-    share a dtype and row shape.  Every address takes the least one an
-    entry reads it with until none changes; a slab's columns lie in
-    address order, slabs in the order of their least address.  Returns
-    per multi entry ``(sid, rows)`` (``()``: no slab), the rows per slab,
-    its writes and per slab its last read (``rk``: per entry its read's
-    order key)."""
+    ``offset + row`` — no per-sweep concatenate or permutation.  Every
+    address takes the least one an entry reads it with until none
+    changes; a slab's columns lie in address order, slabs in the order
+    of their least address.  Returns per multi entry ``(sid, rows)``,
+    the rows per slab, its writes and per slab its last read (``rk``:
+    per entry its read's order key) — no earlier than the last read of a
+    block column in it (``last``), which reads the slab once filled."""
     bits, mask = forest.bits, forest.mask
     if not multi.any():
         return [], [], [], []
@@ -218,34 +160,30 @@ def _lay_slabs(forest, a, r, multi, size, rk, step_m) -> tuple:
         if (low == label).all():
             break
         label = low
-    # the shared completion flag (cid 0): no block fills it
-    bad = np.zeros(len(nodes), dtype=bool)
-    bad[label[nodes >> bits == 0]] = True
-    keep = (~bad[label]).nonzero()[0]
-    keep = keep[label[keep].argsort(kind="stable")]
-    rows = step_m[nodes[keep] >> bits]
+    keep = label.argsort(kind="stable")
+    cids = nodes[keep] >> bits
+    rows = step_m[cids]
     new = np.concatenate(([True], label[keep][1:] != label[keep][:-1]))
     heads, group = new.nonzero()[0], new.cumsum() - 1
     off = rows.cumsum() - rows
     off -= off[heads][group]
-    sid = np.full(len(nodes), -1)
+    sid = np.empty(len(nodes), dtype=np.intp)
     sid[keep] = len(step_m) + group
-    at = np.zeros(len(nodes), dtype=np.intp)
+    at = np.empty(len(nodes), dtype=np.intp)
     at[keep] = off
     writes = [(x >> bits, x & mask, s, o, o + m) for x, s, o, m in zip(
         nodes[keep].tolist(), sid[keep].tolist(), off.tolist(),
         rows.tolist())]
     read = at[inv] + r[sel]
     run = _segments(read - np.arange(len(read)), starts).tolist()
-    slab, reads = [], [-1] * len(heads)
+    # invariants stay shared columns: only block columns read the slab
+    reads = np.maximum.reduceat(np.where(
+        cids > len(forest.template.once), last[cids], -1), heads).tolist()
+    slab = []
     for s, b, m, c, k in zip(sid[inv[starts]].tolist(), starts.tolist(),
                              size.tolist(), run, rk.tolist()):
-        if s < 0:
-            slab.append(())
-            continue
         f = int(read[b])
         slab.append((s, slice(f, f + m) if c
                      else forest.own(read[b:b + m])))
         reads[s - len(step_m)] = max(reads[s - len(step_m)], k)
-    return slab, (np.add.reduceat(rows, heads).tolist()
-                  if len(keep) else []), writes, reads
+    return slab, np.add.reduceat(rows, heads).tolist(), writes, reads

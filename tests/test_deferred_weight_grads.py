@@ -500,14 +500,13 @@ class TestMarshalling:
         for level in lp.program:
             for blk in level:
                 for spec in blk.imports:
-                    for _, _, rows in ([spec] if len(spec) == 3
-                                       else spec[0]):
-                        if rows.__class__ is slice:
-                            assert 0 <= rows.start < rows.stop
-                            slices += 1
-                        elif rows is not None:
-                            assert (np.diff(rows) != 1).any()
-                            gathers += 1
+                    rows = spec[-1]     # of a column, or of a slab
+                    if rows.__class__ is slice:
+                        assert 0 <= rows.start < rows.stop
+                        slices += 1
+                    elif rows is not None:
+                        assert (np.diff(rows) != 1).any()
+                        gathers += 1
         assert slices and gathers
 
     def test_live_bytes_close_at_zero_with_alias_outputs(self):

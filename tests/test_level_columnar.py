@@ -269,6 +269,41 @@ class TestBlockPrograms:
                            match=r"error executing tanh\S* \(Tanh\).*boom"):
             session.run(loss, feeds, shape_profile=(profile,))
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_malformed_keyed_result_names_its_op(self, bank, engine,
+                                                 monkeypatch):
+        """A stateful step's columnar result is checked like a stateless
+        one's: a keyed ``AccumGrad`` kernel that drops a row fails at
+        its op, so no slab fill ever meets a wrong row count — and the
+        session's next run equals the run before the fault."""
+        runtime = repro.Runtime()
+        built = TreeLSTMSentiment(LSTM, runtime).build_recursive(3)
+        batch = batch_trees(bank.train[:3])
+        _, updates = repro.gradients(built.loss, [])
+        fetches = ([built.loss, built.root_logits]
+                   + [op.outputs[-1] for op in updates])
+        session = repro.Session(built.graph, runtime, num_workers=4,
+                                engine=engine, record=True)
+        accumulators = runtime.accumulators
+
+        def step():
+            accumulators.zero()
+            values = session.run(fetches, built.feed_dict(batch),
+                                 shape_profile=built.shape_profiles(batch))
+            assert session.last_stats.level_plan_hits == 1
+            return values, {name: np.copy(accumulators.read(name))
+                            for name in accumulators.names()}
+
+        before = step()
+        defn = op_def("AccumGrad")
+        real = defn.keyed_kernel
+        monkeypatch.setattr(defn, "keyed_kernel", lambda *args: [
+            col[:-1] for col in real(*args)])
+        with pytest.raises(repro.EngineError, match=r"AccumGrad.*malformed"):
+            step()
+        monkeypatch.undo()
+        _assert_same(before, step())
+
     def test_lying_profile_fails_before_dependent_kernels(self, monkeypatch):
         """The predicate is checked at its producer's position inside
         the block: the last kernel that runs is the one that computed
@@ -886,9 +921,11 @@ class TestAccounting:
         replaced were, and the books close at zero.  The peak was 42244
         bytes while gradient blocks ran by ascending depth; by
         descending height the forward columns die in the reverse order
-        they were born (35268).  Slabs hold a second copy of the columns
+        they were born (35268).  Slabs held a second copy of the columns
         multi-producer imports read, booked from their first fill to
-        their last reader: 57164."""
+        their last reader (57164); now a column filled into its slab is
+        read from there and booked once, as a slab is booked whole from
+        its first fill to its last reader: 42804."""
         runtime = repro.Runtime()
         model = TreeLSTMSentiment(LSTM, runtime)
         built = model.build_recursive(3)
@@ -903,7 +940,7 @@ class TestAccounting:
                     built.feed_dict(batch),
                     shape_profile=built.shape_profiles(batch))
         assert session.last_stats.level_plan_hits == 1
-        assert session.last_stats.peak_live_bytes == 57164
+        assert session.last_stats.peak_live_bytes == 42804
         assert session._engine._live_bytes == 0
 
     @pytest.mark.parametrize("engine", ["event", "workerpool"])
@@ -956,15 +993,17 @@ class TestAccounting:
 
 
 def _slab_reads(monkeypatch):
-    """Count the sweep's slab-wired imports by the path each took: one
-    read of a filled slab, or the part-wise read behind it."""
+    """Count the sweep's slab-wired imports by the slab's form: one
+    array (``"slab"``), or the list of rows a producer that does not fit
+    one array turns it into (``"parts"``: its rows gathered one by
+    one)."""
     taken = {"slab": 0, "parts": 0}
     real = level_plan.sweep._Sweep.operand
 
     def operand(sweep, spec):
-        if len(spec) == 4:
-            filled = sweep.cols[spec[2]].__class__ is np.ndarray
-            taken["slab" if filled else "parts"] += 1
+        if len(spec) == 2:
+            rows = sweep.cols[spec[0]].__class__ is list
+            taken["parts" if rows else "slab"] += 1
         return real(sweep, spec)
 
     monkeypatch.setattr(level_plan.sweep._Sweep, "operand", operand)
@@ -982,9 +1021,9 @@ _SLAB_MODELS = {
 
 class TestSlabs:
     """(i) A multi-producer import is one read of a per-sweep slab that
-    its producer columns fill as their blocks finish; a sweep whose
-    producers cannot fill one reads part-wise — bit-identical either
-    way, books closed.  (Generated merged forests run slab-wired in
+    its producer columns fill as their blocks finish; a producer whose
+    rows do not fit the slab's array turns the slab into a list of rows
+    — bit-identical either way, books closed.  (Generated merged forests run slab-wired in
     ``tests/test_level_template.py::TestMixedForests``.)"""
 
     @pytest.mark.parametrize("train", [False, True],
@@ -1008,8 +1047,8 @@ class TestSlabs:
                                                   monkeypatch):
         """Two height-3 nodes whose first (second) children have heights
         2 and 1 (1 and 2), while the height-2 column is a list (its
-        members have 3 and 4 leaves): the slab those reads share cannot
-        be filled, so both read part-wise — exact."""
+        members have 3 and 4 leaves): the slab those reads share becomes
+        a list of rows, which both read row by row — exact."""
         graph, out, phs = TestListColumnFallback()._graph(
             f"slab-list-{engine}")
         x, y, z = (((), ()), ()), (((), ()), ((), ())), ((), ())
@@ -1039,25 +1078,89 @@ class TestSlabs:
     @pytest.mark.parametrize("second", [
         np.zeros((2, 1, 3), np.float64),            # another dtype
         np.zeros((2, 3), np.float32),               # another row shape
-        np.zeros((1, 1, 3), np.float32),            # too few rows
         [np.zeros((1, 3), np.float32)] * 2,         # a list column
+        level_plan.sweep._Rag(                      # a ragged column
+            np.arange(5, dtype=np.float32), np.array([0, 2]),
+            np.array([[2], [3]])),
         level_plan.sweep._Inv(np.float64(1.0)),     # a shared value
         level_plan.sweep._Inv(None),                # not an array
-    ], ids=["dtype", "shape", "rows", "list", "shared", "object"])
+    ], ids=["dtype", "shape", "list", "ragged", "shared", "object"])
     def test_fill_leaves_a_mismatched_slab_unfilled(self, second):
-        """A producer column that cannot be written into its slab's rows
-        exactly — never cast, broadcast or truncated — marks the slab
-        unfilled for the rest of the sweep."""
+        """A producer column that cannot be written into its slab's
+        array exactly — never cast, broadcast or truncated — leaves that
+        array: the slab becomes a list of its rows, the rows already
+        written as views of it, and later producers' rows, fitting or
+        not, join the list as they are.  Its reads are the list-column
+        reads, which restack rows that agree."""
         sweep = level_plan.sweep._Sweep.__new__(level_plan.sweep._Sweep)
-        sweep.lp = type("LP", (), {"slabs": [6], "step_m": []})()
-        sweep.cols, sweep.bytes = [None], None
+        sweep.lp = type("LP", (), {"slabs": [8], "step_m": [4, 2, 2]})()
         first = np.arange(12, dtype=np.float32).reshape(4, 1, 3)
-        sweep.fill(0, 0, 4, first)
-        assert np.array_equal(sweep.cols[0][:4], first)
-        sweep.fill(0, 4, 6, second)
-        assert sweep.cols[0] is False
-        sweep.fill(0, 4, 6, np.zeros((2, 1, 3), np.float32))
-        assert sweep.cols[0] is False
+        third = np.ones((2, 1, 3), np.float32)
+        sweep.cols, sweep.bytes = [[first], [second], [third], None], None
+        sweep.held = {}
+        sweep.fill(3, 0, 4, 0, 0)
+        slab = sweep.cols[3]
+        assert slab.__class__ is np.ndarray and np.array_equal(slab[:4],
+                                                               first)
+        # once in its slab, the column is read from there
+        assert np.shares_memory(sweep.cols[0][0], slab)
+        sweep.fill(3, 4, 6, 1, 0)
+        sweep.fill(3, 6, 8, 2, 0)
+        rows = sweep.cols[3]
+        assert rows.__class__ is list and len(rows) == 8
+        shared = second.__class__ is level_plan.sweep._Inv
+        want = ([second.value] * 2 if shared
+                else level_plan.sweep._rows_of(second))
+        assert all(np.shares_memory(row, slab) and np.array_equal(row, v)
+                   for row, v in zip(rows[:4], first))
+        for got, row in zip(rows[4:], [*want, *third]):
+            assert got is row or (
+                np.shares_memory(got, row) and got.dtype == row.dtype
+                and got.shape == row.shape)
+        assert np.array_equal(sweep.operand((3, slice(0, 4))), first)
+        assert np.array_equal(sweep.operand((3, np.array([6, 7]))), third)
+        got = sweep.operand((3, slice(4, 6)))
+        if got.__class__ is np.ndarray:   # rows that agree: restacked
+            assert got.dtype == np.asarray(want[0]).dtype
+            assert np.array_equal(got, np.stack(want))
+        else:
+            assert [v is w or np.array_equal(v, w)
+                    for v, w in zip(got, want)] == [True, True]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_handed_out_values_keep_no_slab_alive(self, bank, engine,
+                                                  monkeypatch):
+        """Once filled, a slab is its columns' only copy, and their
+        readers read it — yet what a sweep hands out (accumulator
+        contributions, deferred cache stores) holds rows of its own,
+        never a view that keeps a whole slab alive."""
+        slabs = []
+        real = level_plan.sweep._Sweep.fill
+
+        def fill(sweep, sid, *args):
+            real(sweep, sid, *args)
+            slabs.append(sweep.cols[sid])
+
+        monkeypatch.setattr(level_plan.sweep._Sweep, "fill", fill)
+        runtime = repro.Runtime()
+        built = TreeLSTMSentiment(LSTM, runtime).build_recursive(3)
+        batch = batch_trees(bank.train[:3])
+        _, updates = repro.gradients(built.loss, [])
+        session = repro.Session(built.graph, runtime, num_workers=4,
+                                engine=engine, record=True)
+        runtime.accumulators.zero()
+        session.run([built.loss] + [op.outputs[-1] for op in updates],
+                    built.feed_dict(batch),
+                    shape_profile=built.shape_profiles(batch))
+        held = {id(slab) for slab in slabs if slab.__class__ is np.ndarray}
+        kept = [col for blocks in runtime.accumulators._entries.values()
+                for _, cols in blocks for col in cols]
+        kept += [block[4] for block in runtime.cache._pending]
+        arrays = [v for col in kept
+                  for v in (col if isinstance(col, list) else [col])
+                  if isinstance(v, np.ndarray)]
+        assert held and arrays
+        assert not [v for v in arrays if id(v.base) in held]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_run_cancelled_mid_sweep_leaves_the_others_exact(

@@ -520,7 +520,8 @@ class TestFallbackReasons:
         # the claimed shape would spawn frames the session forbids; the
         # fed leaf does not
         ((), (((), (), ()),), {"max_depth": 3}, "max_depth exceeded"),
-    ], ids=["child-count", "root-sites", "max-depth"])
+        ((), 3, {}, "profile is not a nested tuple"),
+    ], ids=["child-count", "root-sites", "max-depth", "not-iterable"])
     def test_instantiate_time_mismatch(self, data, profile, kwargs, reason):
         model = _Model.of(3)
         session = repro.Session(model.graph, model.runtime, **kwargs)
@@ -532,6 +533,34 @@ class TestFallbackReasons:
         assert stats.level_plan_fallbacks == 1
         assert stats.level_plan_fallback_reasons == {reason: 1}
         assert np.array_equal(ref, got)
+
+    def test_recursion_free_fetch(self):
+        """A fetch set with no recursive call site — a training step's
+        Adagrad apply — is refused by name under ``shape_profile=()``,
+        and runs dynamically to the values of the run without one."""
+        from repro.nn.optimizers import Adagrad
+        model, built, fetches, _ = _tree_model("TreeRNN", True)
+        runtime = model.runtime
+        apply = Adagrad(0.05).build_apply(
+            built.graph, runtime.trainable_variables(), runtime)
+        batch = batch_trees(make_treebank(num_train=2, num_val=1,
+                                          vocab_size=30, seed=3).train)
+        session = repro.Session(built.graph, runtime, num_workers=2,
+                                record=True)
+        runtime.accumulators.zero()
+        session.run(fetches, built.feed_dict(batch))
+        snapshot = runtime.variables.snapshot()
+        got = []
+        for kwargs in ({}, {"shape_profile": ()}):
+            runtime.variables.restore(snapshot)
+            got.append(session.run(apply, record=False, **kwargs))
+        stats = session.last_stats
+        assert stats.level_plan_hits == 0
+        assert stats.level_plan_fallback_reasons == {
+            "no recursive call sites in the root plan": 1}
+        assert len(got[0]) == len(got[1]) > 0
+        for ref, value in zip(*got):
+            assert np.array_equal(ref, value)
 
     def test_reasons_merge(self):
         a, b = repro.RunStats(), repro.RunStats()

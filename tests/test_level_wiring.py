@@ -3,13 +3,14 @@
 :class:`LevelPlan` wires each (class, segment, import) once for all of
 its depths or heights by segmented numpy.  The reference below wires
 one block at a time — per block and import, its members' addresses and
-rows, an ``argsort`` where several producers feed it, then a union-find
-over every multi-producer import for the slabs — the way instantiation
-worked before.  On generated forests of 1–16 runs (one-leaf runs,
-single-member blocks, classes absent at some depths or heights, recorded
-training forests with frame keys) both must give the same blocks:
-members and widths, import specs (slices and index arrays compared by
-the rows they select, and by kind), slab sizes and writes, releases.
+rows — then joins the columns of every multi-producer import into slabs
+by union-find, the way instantiation worked before.  On generated
+forests of 1–16 runs (one-leaf runs, single-member blocks, classes
+absent at some depths or heights, recorded training forests with frame
+keys) both must give the same blocks: members and widths, every import
+— single-producer and slab alike — by the (producer column, row) each
+member reads (single-producer rows also by kind), slabs that tile their
+columns back to back, releases.
 """
 
 import numpy as np
@@ -41,62 +42,42 @@ class _PerBlock(_Forest):
             return slice(first, first + n)
         return rows
 
-    def pack(self, addr, rows):
-        first = int(addr[0])
-        if int(addr[-1]) == first and (addr == first).all():
-            cid, n = first >> self.bits, len(rows)
-            if self.step_m[cid] == n and int(rows[0]) == 0 \
-                    and (rows == self._iota[:n]).all():
-                return cid, first & self.mask, None
-            return cid, first & self.mask, self.wired_rows(rows)
-        order = np.argsort(addr, kind="stable")
-        sa, sr = addr[order], rows[order]
-        cuts = [0, *(np.flatnonzero(sa[1:] != sa[:-1]) + 1).tolist(),
-                len(sa)]
-        parts = tuple((int(sa[b]) >> self.bits, int(sa[b]) & self.mask,
-                       self.wired_rows(sr[b:e]))
-                      for b, e in zip(cuts, cuts[1:]))
-        if (order[1:] > order[:-1]).all():
-            return parts, None
-        perm = np.empty(len(order), dtype=np.intp)
-        perm[order] = self._iota[:len(order)]
-        return parts, perm
-
     def spec(self, cls, refs, mem):
+        """``(cid, out, rows)`` when one producer feeds every member,
+        else the members' addresses and rows."""
         if len(refs) == 1 and refs[0][0] == _O:
             return refs[0][1], refs[0][2], None
         pairs = [(a[mem], r[mem]) for a, r in (self.resolve(cls, [ref])[0]
                                                for ref in refs)]
-        heads = [int(a[0]) for a, _ in pairs]
-        addr, rows = pairs[0] if len(pairs) == 1 else (
-            np.concatenate([a for a, _ in pairs]),
-            np.concatenate([r for _, r in pairs]))
-        if len(set(heads)) > 1 and all((a == h).all()
-                                       for (a, _), h in zip(pairs, heads)):
-            return tuple((h >> self.bits, h & self.mask, self.wired_rows(r))
-                         for (_, r), h in zip(pairs, heads)), None, addr, rows
-        spec = self.pack(addr, rows)
-        return spec if len(spec) == 3 else spec + (addr, rows)
-
-
-def _producers(spec):
-    """The column groups a wired input reads."""
-    return (spec[0],) if len(spec) == 3 else (p[0] for p in spec[0])
+        addr = np.concatenate([a for a, _ in pairs])
+        rows = np.concatenate([r for _, r in pairs])
+        first = int(addr[0])
+        if not (addr == first).all():
+            return addr, rows
+        cid, n = first >> self.bits, len(rows)
+        if self.step_m[cid] == n and int(rows[0]) == 0 \
+                and (rows == self._iota[:n]).all():
+            return cid, first & self.mask, None
+        return cid, first & self.mask, self.wired_rows(rows)
 
 
 def _reference(tpl, lins):
-    """``(program, slab sizes, step_m)`` as the per-block path builds
-    them."""
+    """``(program, slabs, step_m, owner)`` as the per-block path builds
+    them: the blocks with their specs and releases, per slab the sorted
+    addresses it joins (in the order of their least address), per column
+    group the position of its producer block in program order."""
     forest = _PerBlock(tpl, lins)
+    bits = forest.bits
     prologue = _Block(tpl.prologue, 1, 0, 1)
-    program, born, last_use = [(prologue,)], [], {}
-    born += [(1 + i, (prologue, 0)) for i in range(len(tpl.once))]
+    program, blocks, born = [(prologue,)], [prologue], []
+    last_use, multi = {}, []     # cid -> (position, level); slab reads
+    born += [(1 + i, (0, 0)) for i in range(len(tpl.once))]
     root, hist = tpl.root, 0
     stages = {stage: family for family, stage in tpl.stages.items()}
     tops = (int(forest.D.max()), int(forest.H.max()))
 
     def level(classes, seg, key):
-        blocks = []
+        start = len(blocks)
         for cls in classes:
             prog = cls.blocks[seg]
             kind = int(cls.family == "grad" or (seg and cls.family == "fwd"))
@@ -116,16 +97,18 @@ def _reference(tpl, lins):
                          {fi: forest.keys(cls, fi, seg, key, mem)
                           for fi in prog.frames},
                          forest.R[mem] if cls.checks else None)
-            for spec, (_, at, _) in zip(blk.imports, prog.imports):
-                for cid in _producers(spec):
-                    seen = last_use.get(cid)
-                    if seen is None or seen[0] is not blk or seen[1] < at:
-                        last_use[cid] = blk, at
-            born.extend((blk.base + st.xi, (blk, st.last))
+            at = len(blocks)
+            for spec, (_, lvl, _) in zip(blk.imports, prog.imports):
+                if len(spec) == 3:
+                    last_use[spec[0]] = max(last_use.get(spec[0], (-1, -1)),
+                                            (at, lvl))
+                else:
+                    multi.append((at, lvl, spec[0]))
+            born.extend((blk.base + st.xi, (at, st.last))
                         for st in prog.exports)
             blocks.append(blk)
-        if blocks:
-            program.append(tuple(blocks))
+        if len(blocks) > start:
+            program.append(tuple(blocks[start:]))
 
     for stage in range(len(root.blocks)):
         hist += 1
@@ -145,74 +128,47 @@ def _reference(tpl, lins):
                 if r[0] == 3}:
         pinned.update((forest.resolve(root, [ref])[0, 0][at]
                        >> forest.bits).tolist())
-    for cid, at in born:
-        if cid not in pinned:
-            blk, lvl = last_use.get(cid, at)
-            blk.release.append((lvl, cid))
-    return program, _lay_slabs(forest, program, born), forest.step_m
-
-
-def _lay_slabs(forest, program, born) -> list:
-    """The union-find slab layout over every multi-producer import."""
-    bits, mask = forest.bits, forest.mask
-    multi = [(blk, i, blk.prog.imports[i][1]) for level in program
-             for blk in level for i, spec in enumerate(blk.imports)
-             if len(spec) == 4]
-    root: dict = {}
+    # the slabs: union-find over every multi-producer import's addresses
+    head: dict = {}
 
     def find(a):
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
+        while head[a] != a:
+            head[a] = head[head[a]]
+            a = head[a]
         return a
-    for blk, i, _ in multi:
-        first = None
-        for cid, out, _ in blk.imports[i][0]:
-            a = cid << bits | out
-            h = find(root.setdefault(a, a))
-            if first is None:
-                first = h
-            elif h != first:
-                root[h] = first
+    for _, _, addr in multi:
+        first, *rest = (find(head.setdefault(a, a))
+                        for a in np.unique(addr).tolist())
+        for h in rest:
+            if find(h) != find(first):
+                head[find(h)] = find(first)
     groups: dict = {}
-    for a in sorted(root):
+    for a in sorted(head):
         groups.setdefault(find(a), []).append(a)
-    owner = {cid: blk for cid, (blk, _) in born}
-    step_m, sizes, slab_of = forest.step_m, [], {}
-    for head, addrs in groups.items():
-        cids = [a >> bits for a in addrs]
-        if not all(cid in owner for cid in cids):
-            continue
-        sid, n, offs = len(step_m) + len(sizes), 0, []
-        for a, cid in zip(addrs, cids):
-            blk = owner[cid]
-            offs.append(n)
-            blk.slabs.append((cid - blk.base, a & mask, sid, n,
-                              n + step_m[cid]))
-            n += step_m[cid]
-        slab_of[head] = sid, np.array(addrs), np.array(offs)
-        sizes.append(n)
-    if sizes and max(sizes) >= len(forest._iota):
-        forest._iota = np.arange(max(sizes) + 1, dtype=np.intp)
-    last_use: dict = {}
-    for blk, i, level in multi:
-        parts, perm, addr, rows = blk.imports[i]
-        cid, out, _ = parts[0]
-        slab = slab_of.get(find(cid << bits | out))
-        imports = list(blk.imports)
-        if slab is None:
-            imports[i] = parts, perm
-        else:
-            sid, addrs, offs = slab
-            imports[i] = (parts, perm, sid, forest.wired_rows(
-                offs[np.searchsorted(addrs, addr)] + rows))
-            seen = last_use.get(sid)
-            if seen is None or seen[0] is not blk or seen[1] < level:
-                last_use[sid] = blk, level
-        blk.imports = tuple(imports)
-    for sid, (blk, level) in last_use.items():
-        blk.release.append((level, sid))
-    return sizes
+    slabs = sorted(groups.values())
+    n = len(forest.step_m)
+    slab_of = {a: n + i for i, addrs in enumerate(slabs) for a in addrs}
+    filled = {a >> bits for a in slab_of}
+    for cid, (p, lvl) in born:
+        if cid not in pinned:
+            if cid in last_use:
+                p, lvl = last_use[cid]
+            elif cid in filled:
+                lvl = blocks[p].prog.n_levels - 1
+            blocks[p].release.append((lvl, cid))
+    reads: dict = {}
+    for p, lvl, addr in multi:
+        sid = slab_of[int(addr[0])]
+        reads[sid] = max(reads.get(sid, (-1, -1)), (p, lvl))
+    for a, sid in slab_of.items():   # a filled column is read there
+        if a >> bits > len(tpl.once) and a >> bits in last_use:
+            reads[sid] = max(reads[sid], last_use[a >> bits])
+    kept = {sid for a, sid in slab_of.items() if a >> bits in pinned}
+    for sid, (p, lvl) in reads.items():
+        if sid not in kept:
+            blocks[p].release.append((lvl, sid))
+    owner = {0: 0, **{cid: p for cid, (p, _) in born}}
+    return program, slabs, forest.step_m, owner
 
 
 def _rows(rows, n=None):
@@ -224,30 +180,52 @@ def _rows(rows, n=None):
     return "take", tuple(np.asarray(rows).tolist())
 
 
-def _spec(spec, step_m):
-    if len(spec) == 3:
-        return spec[0], spec[1], _rows(spec[2], step_m[spec[0]])
-    parts = tuple((cid, out, _rows(rows)) for cid, out, rows in spec[0])
-    perm = None if spec[1] is None else tuple(spec[1].tolist())
-    return parts, perm, spec[2:3], _rows(spec[3]) if len(spec) == 4 else ()
-
-
 def assert_same_blocks(tpl, lins):
     """The instantiation equals the per-block reference, block for
     block."""
     lp = LevelPlan(tpl, lins)
-    program, slabs, step_m = _reference(tpl, lins)
+    program, slabs, step_m, owner = _reference(tpl, lins)
+    bits, mask, n = tpl.out_bits, (1 << tpl.out_bits) - 1, len(step_m)
     assert lp.step_m == step_m
-    assert lp.slabs == slabs
     assert [len(level) for level in lp.program] == [len(level)
                                                     for level in program]
-    for got, ref in zip((b for level in lp.program for b in level),
-                        (b for level in program for b in level)):
+    got_blocks = [b for level in lp.program for b in level]
+    # per slab its writes, by the blocks that own the columns, back to
+    # back in address order; per slab row the (column, out, row) it holds
+    writes: dict = {}
+    for at, blk in enumerate(got_blocks):
+        for cid, out, sid, a, b in blk.slabs:
+            assert owner[cid] == at
+            writes.setdefault(sid, []).append((cid << bits | out, a, b))
+    assert sorted(writes) == list(range(n, n + len(lp.slabs)))
+    held = {}
+    for sid, ws in writes.items():
+        ws.sort()
+        assert [a for _, a, _ in ws] == [0] + [b for _, _, b in ws[:-1]]
+        assert ws[-1][2] == lp.slabs[sid - n]
+        assert all(b - a == step_m[x >> bits] for x, a, b in ws)
+        held[sid] = [(x >> bits, x & mask, j) for x, a, b in ws
+                     for j in range(b - a)]
+    assert [[x for x, _, _ in writes[sid]] for sid in sorted(writes)] \
+        == slabs
+    for got, ref in zip(got_blocks, (b for level in program for b in level)):
         assert got.prog is ref.prog
         assert (got.m, got.hist, got.base) == (ref.m, ref.hist, ref.base)
-        assert [_spec(s, step_m) for s in got.imports] \
-            == [_spec(s, step_m) for s in ref.imports]
-        assert got.slabs == ref.slabs
+        assert len(got.imports) == len(ref.imports)
+        for spec, want in zip(got.imports, ref.imports):
+            if len(want) == 3:
+                assert spec[:2] == want[:2]
+                assert _rows(spec[2], step_m[spec[0]]) \
+                    == _rows(want[2], step_m[want[0]])
+                continue
+            sid, rows = spec
+            kind, sel = _rows(rows)
+            assert kind == ("slice" if np.all(np.diff(sel) == 1)
+                            else "take")
+            addr, rows = want
+            assert [held[sid][i] for i in sel] == list(zip(
+                (addr >> bits).tolist(), (addr & mask).tolist(),
+                rows.tolist()))
         assert sorted(got.release) == sorted(ref.release)
         assert got.keys == ref.keys
         assert (got.runs is None) == (ref.runs is None)
