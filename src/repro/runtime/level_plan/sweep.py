@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -231,7 +232,7 @@ class _Sweep:
         self.ctx = ExecContext(core.runtime, None, False)
         self.bytes = {} if core._track_live else None
         self.prefixed = any(run.prefix for run in runs)
-        #: slab id by the id of its array (see :meth:`own`)
+        #: every slab array, weakly, by its id (see :meth:`own`)
         self.held = {}
 
     def refresh(self) -> bool:
@@ -256,11 +257,10 @@ class _Sweep:
 
     def own(self, col):
         """A view handed out of the sweep — stored, or kept by a stateful
-        kernel: a copy of its rows when it views a live slab, which it
-        must not keep alive."""
-        base = col.base
-        return col.copy() if self.cols[self.held.get(id(base), 0)] is base \
-            else col
+        kernel: a copy of its rows when it views a slab, which it must
+        not keep alive."""
+        slab = self.held.get(id(col.base))
+        return col.copy() if slab is not None and slab() is col.base else col
 
     def fill(self, sid, a, b, cid, out) -> None:
         """Write output ``out`` of column group ``cid`` into rows ``a:b``
@@ -281,7 +281,7 @@ class _Sweep:
             if slab is None:
                 n = self.lp.slabs[sid - len(self.lp.step_m)]
                 slab = cols[sid] = np.empty((n,) + shape, value.dtype)
-                self.held[id(slab)] = sid
+                self.held[id(slab)] = weakref.ref(slab)
                 if self.bytes is not None:
                     self.bytes[sid] = slab.nbytes
                     _grow(self.core, slab.nbytes)
