@@ -294,9 +294,11 @@ class _Sweep:
                         self.bytes[cid] -= value.nbytes
                         self.core._live_bytes -= value.nbytes
                 return
-        if slab.__class__ is not list:
-            slab = cols[sid] = ([None] * self.lp.slabs[
-                sid - len(self.lp.step_m)] if slab is None else list(slab))
+        if slab is None:
+            slab = cols[sid] = [None] * self.lp.slabs[
+                sid - len(self.lp.step_m)]
+        elif slab.__class__ is not list:
+            slab = cols[sid] = list(slab)
         slab[a:b] = [value] * (b - a) if shared else _rows_of(value)
 
     def keys(self, runs, sufs) -> list:
