@@ -275,8 +275,8 @@ class _Sweep:
         slab, col = cols[sid], group[out]
         shared = col.__class__ is _Inv
         value = col.value if shared else col
-        if slab.__class__ is not list and (
-                value.__class__ is np.ndarray or isinstance(value, np.generic)):
+        if slab.__class__ is not list and (value.__class__ is np.ndarray
+                                           or isinstance(value, np.generic)):
             shape = value.shape if shared else value.shape[1:]
             if slab is None:
                 n = self.lp.slabs[sid - len(self.lp.step_m)]
@@ -287,8 +287,7 @@ class _Sweep:
                     _grow(self.core, slab.nbytes)
             if slab.dtype == value.dtype and slab.shape[1:] == shape:
                 slab[a:b] = value
-                if not shared:
-                    cols[cid] = group = list(group)
+                if not shared:   # the group's list is the sweep's own
                     group[out] = slab[a:b]
                     if self.bytes is not None and cid in self.bytes:
                         self.bytes[cid] -= value.nbytes

@@ -1023,8 +1023,9 @@ class TestSlabs:
     """(i) A multi-producer import is one read of a per-sweep slab that
     its producer columns fill as their blocks finish; a producer whose
     rows do not fit the slab's array turns the slab into a list of rows
-    — bit-identical either way, books closed.  (Generated merged forests run slab-wired in
-    ``tests/test_level_template.py::TestMixedForests``.)"""
+    — bit-identical either way, books closed.  (Generated merged forests
+    run slab-wired in ``tests/test_level_template.py::TestMixedForests``.)
+    """
 
     @pytest.mark.parametrize("train", [False, True],
                              ids=["forward", "train"])
