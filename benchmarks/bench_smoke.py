@@ -301,20 +301,24 @@ def work_counts() -> dict:
         snapshot = runtime.variables.snapshot()
         session = repro.Session(built.graph, runtime, engine="event",
                                 num_workers=4, record=train)
+        compiled = [None]   # the compiled run's stats
 
         def step():
             feed = built.feed_dict(batch)
             profile = built.shape_profiles(batch)
             if apply is None:
                 session.run(fetches, feed, shape_profile=profile)
+                compiled[0] = session.last_stats
                 return
             runtime.accumulators.zero()
             session.run(fetches, feed, record=True, shape_profile=profile)
+            compiled[0] = session.last_stats
             session.run(apply, record=False)
         for _ in range(2):
             runtime.variables.restore(snapshot)
             got = _calls(step)
-        assert session.last_stats.level_plan_fallbacks == 0
+        assert compiled[0].level_plan_hits == 1
+        assert compiled[0].level_plan_fallbacks == 0
         counts[name] = got
     model = SMOKE_FACTORIES["TreeLSTM"]()
     built = model.build_recursive(1)
