@@ -255,6 +255,8 @@ WORK_PINS_PYTHON = (3, 11)
 WORK_PINS = {
     "infer_lvl": (2596, 3891),
     "train_lvl": (12566, 14152),
+    "infer_dyn": (170470, 158535),
+    "train_dyn": (595297, 572430),
     "serve_burst": (9126, 24378),
 }
 
@@ -279,17 +281,19 @@ def _calls(fn) -> tuple:
 def work_counts() -> dict:
     """The call counts of one warm step of reduced ``bench_e2e``
     workloads on the event engine: ``infer_b10`` / ``train_b10`` ``lvl``
-    (a 6-tree TreeLSTM batch: feeds, profiles and the compiled run(s) —
-    for training the recorded gradient run and the Adagrad apply run)
-    and one merged ``serve_longtail``-style burst (16 batch-1 requests,
-    at most 8 in flight, then ``drain``).  Each step runs once cold
-    first; variables are restored before every step, outside the
-    count."""
+    and ``dyn`` (a 6-tree TreeLSTM batch: feeds, profiles and the
+    compiled run(s) — for training the recorded gradient run and the
+    Adagrad apply run; ``dyn`` passes no profile, so its gradient run
+    takes the dynamic tier) and one merged ``serve_longtail``-style
+    burst (16 batch-1 requests, at most 8 in flight, then ``drain``).
+    Each step runs once cold first; variables are restored before every
+    step, outside the count."""
     from repro.nn.optimizers import Adagrad
 
     bank, counts = smoke_bank(), {}
     batch = batch_trees(bank.train[:6])
-    for name, train in (("infer_lvl", False), ("train_lvl", True)):
+    for name in ("infer_lvl", "train_lvl", "infer_dyn", "train_dyn"):
+        train, compiled = name.startswith("train"), name.endswith("lvl")
         model = SMOKE_FACTORIES["TreeLSTM"]()
         runtime, built = model.runtime, model.build_recursive(6)
         fetches, apply = [built.loss, built.root_logits], None
@@ -301,24 +305,24 @@ def work_counts() -> dict:
         snapshot = runtime.variables.snapshot()
         session = repro.Session(built.graph, runtime, engine="event",
                                 num_workers=4, record=train)
-        compiled = [None]   # the compiled run's stats
+        first = [None]   # the (gradient) run's stats
 
         def step():
             feed = built.feed_dict(batch)
-            profile = built.shape_profiles(batch)
+            profile = built.shape_profiles(batch) if compiled else None
             if apply is None:
                 session.run(fetches, feed, shape_profile=profile)
-                compiled[0] = session.last_stats
+                first[0] = session.last_stats
                 return
             runtime.accumulators.zero()
             session.run(fetches, feed, record=True, shape_profile=profile)
-            compiled[0] = session.last_stats
+            first[0] = session.last_stats
             session.run(apply, record=False)
         for _ in range(2):
             runtime.variables.restore(snapshot)
             got = _calls(step)
-        assert compiled[0].level_plan_hits == 1
-        assert compiled[0].level_plan_fallbacks == 0
+        assert first[0].level_plan_hits == int(compiled)
+        assert first[0].level_plan_fallbacks == 0
         counts[name] = got
     model = SMOKE_FACTORIES["TreeLSTM"]()
     built = model.build_recursive(1)
