@@ -123,8 +123,9 @@ profile:
 # cache holds after the sweep:
 #   make profile-step W=train_b10 C=lvl
 #   make profile-step W=infer_b10 F=1    (warm step vs bare-kernel replay)
+#   make profile-step W=train_b10 C=lvl N=1   (calls of one warm step)
 #   make profile-step W=serve_longtail C=lvl   (per-burst split of warm bursts)
 W ?= train_b10
 C ?= lvl
 profile-step:
-	OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:. $(PYTHON) benchmarks/profile_step.py --workload $(W) --config $(C) $(if $(F),--floor)
+	OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:. $(PYTHON) benchmarks/profile_step.py --workload $(W) --config $(C) $(if $(F),--floor) $(if $(N),--count)

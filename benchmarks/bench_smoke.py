@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from benchmarks.common import runner_config
+from benchmarks.common import call_counts, runner_config
 import repro
 from repro import Runtime
 from repro.data import make_treebank
@@ -254,28 +254,11 @@ def test_smoke_level_wiring_canary(monkeypatch):
 WORK_PINS_PYTHON = (3, 11)
 WORK_PINS = {
     "infer_lvl": (2596, 3891),
-    "train_lvl": (12566, 14152),
+    "train_lvl": (10024, 11826),
     "infer_dyn": (170470, 158535),
-    "train_dyn": (595297, 572430),
+    "train_dyn": (591835, 570090),
     "serve_burst": (9126, 24378),
 }
-
-
-def _calls(fn) -> tuple:
-    """``(Python calls, C calls)`` made by ``fn()`` on this thread."""
-    counts = [0, 0]
-
-    def profile(frame, event, arg):
-        if event == "call":
-            counts[0] += 1
-        elif event == "c_call":
-            counts[1] += 1
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return tuple(counts)
 
 
 def work_counts() -> dict:
@@ -320,7 +303,7 @@ def work_counts() -> dict:
             session.run(apply, record=False)
         for _ in range(2):
             runtime.variables.restore(snapshot)
-            got = _calls(step)
+            got = call_counts(step)
         assert first[0].level_plan_hits == int(compiled)
         assert first[0].level_plan_fallbacks == 0
         counts[name] = got
@@ -338,7 +321,7 @@ def work_counts() -> dict:
         server.drain()
         assert all(ticket.done for ticket in tickets)
     for _ in range(2):
-        got = _calls(burst)
+        got = call_counts(burst)
     assert server.stats.level_plan_fallbacks == 0
     server.close()
     counts["serve_burst"] = got

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -127,3 +128,27 @@ def merge_bench_json(name: str, updates: dict) -> str:
             payload = {}
     payload.update(updates)
     return save_bench_json(name, payload)
+
+
+def call_counts(fn, by_function=None) -> tuple:
+    """``(Python calls, C calls)`` made by ``fn()`` on this thread
+    (``sys.setprofile``'s ``call`` / ``c_call`` events); given a
+    ``collections.Counter`` as ``by_function``, the C calls are also
+    tallied there by function name."""
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[0] += 1
+        elif event == "c_call":
+            counts[1] += 1
+            if by_function is not None:
+                module = getattr(arg, "__module__", None)
+                name = getattr(arg, "__qualname__", repr(arg))
+                by_function[f"{module}.{name}" if module else name] += 1
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return tuple(counts)

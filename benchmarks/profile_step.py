@@ -31,6 +31,15 @@ step is recorded with its prepared arguments and replayed back to back,
 so what separates the two numbers is the framework — instantiation
 probe, import gathers, register traffic, accounting — and nothing else.
 
+For a training workload it first prints the step's two runs apart:
+the gradient run and the optimizer's apply run (its wall time and op
+count), and inside the apply each variable's accumulator read.
+
+``--count`` (``make profile-step N=1``) instead counts the Python and C
+calls of one warm step (or burst) with the profiler of
+``bench_smoke.work_counts`` and lists the most frequent C functions;
+no timed pass runs under it.
+
 ``serve_longtail`` has no ``Session.run`` step: its step is one burst
 (16 submits, then ``drain``) through the benchmark's own
 ``_Service.burst``.  For it the tool prints the mean per-burst split of
@@ -48,11 +57,12 @@ import argparse
 import cProfile
 import pstats
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
 from bench_e2e.harness import confined
+from benchmarks.common import call_counts
 from bench_e2e.serve import BURSTS
 from bench_e2e.sweep import SweepBench
 from bench_e2e.trace import Tracer
@@ -233,6 +243,79 @@ def _print_wiring(graph, cache) -> None:
           f"{sum(len(s.table) for s in cache._shards)} table entries\n")
 
 
+class _TrainSplit:
+    """Wall time of a training step's gradient run and apply run, the
+    apply's op count, and the accumulator reads inside the apply by
+    variable, summed over the steps run while installed; ``remove()``
+    restores the session and the accumulator."""
+
+    def __init__(self, session, program):
+        self.runs = [0.0, 0.0]              # gradient run, apply run
+        self.reads = defaultdict(float)
+        self.apply_ops = 0
+        self._session = session
+        self._accs = program.runtime.accumulators
+        run, read, apply = session.run, self._accs.read, program.apply_fetches
+        in_apply = [False]
+
+        def timed_run(fetches, *args, **kwargs):
+            in_apply[0] = fetches is apply
+            t0 = time.perf_counter()
+            try:
+                return run(fetches, *args, **kwargs)
+            finally:
+                self.runs[in_apply[0]] += time.perf_counter() - t0
+                if in_apply[0]:
+                    self.apply_ops = session.last_stats.ops_executed
+                in_apply[0] = False
+
+        def timed_read(name, *args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return read(name, *args, **kwargs)
+            finally:
+                if in_apply[0]:
+                    self.reads[name] += time.perf_counter() - t0
+        session.run, self._accs.read = timed_run, timed_read
+
+    def remove(self) -> None:
+        del self._session.run, self._accs.read
+
+
+def _print_train_split(bench, config) -> None:
+    """The mean split of ``WARM_STEPS`` warm training steps."""
+    split = _TrainSplit(bench._sessions[config.name], bench.program)
+    try:
+        for _ in range(WARM_STEPS):
+            _step(bench, config)
+    finally:
+        split.remove()
+    ms = 1e3 / WARM_STEPS
+    reads = sum(split.reads.values())
+    print(f"training split (ms, mean of {WARM_STEPS} warm steps): gradient "
+          f"run {split.runs[0] * ms:.3f}, apply run {split.runs[1] * ms:.3f}"
+          f" ({split.apply_ops} ops), of which accumulator reads "
+          f"{reads * ms:.3f}:")
+    for name, secs in sorted(split.reads.items(), key=lambda kv: -kv[1]):
+        print(f"  read {name:<28} {secs * ms:8.3f}")
+    print()
+
+
+def _print_counts(bench, config, top: int) -> int:
+    """Python and C calls of one warm step (burst) on the calling
+    thread, then the ``top`` C functions by calls."""
+    by_function = Counter()
+    bench.prepare(config, 0)
+    with confined(config):
+        py, c = call_counts(lambda: bench.step(config, 0), by_function)
+    bench.close(config)
+    print(f"one warm step: {py} Python calls, {c} C calls "
+          "(calling thread)\nC calls by function:")
+    for name, calls in by_function.most_common(top):
+        print(f"  {name:<48} {calls:>7}")
+    return 0
+
+
 def _step(bench, config):
     bench.prepare(config, 0)
     with confined(config):
@@ -293,12 +376,15 @@ class _BurstSplit:
             setattr(owner, attr, fn)
 
 
-def _profile_bursts(bench, config, top: int) -> int:
-    """The per-burst split of warm serving bursts, then cProfile."""
+def _profile_bursts(bench, config, top: int, count: bool) -> int:
+    """The per-burst split of warm serving bursts, then cProfile (or,
+    with ``count``, the calls of one warm burst)."""
     bench.setup(keep=True, cold=config.name)
     bench.open(config)
     for s in range(WARM_STEPS):
         bench.step(config, s % BURSTS)
+    if count:
+        return _print_counts(bench, config, top)
     split, walls = _BurstSplit(), []
     try:
         with confined(config):
@@ -348,6 +434,8 @@ def main(argv=None) -> int:
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--floor", action="store_true",
                         help="warm step vs bare-kernel replay, then exit")
+    parser.add_argument("--count", action="store_true",
+                        help="Python and C calls of one warm step, then exit")
     args = parser.parse_args(argv)
 
     cls = bench_classes()[args.workload]
@@ -356,14 +444,18 @@ def main(argv=None) -> int:
     if not issubclass(cls, SweepBench):     # a serving workload
         if args.floor:
             parser.error("--floor needs a Session.run workload")
-        return _profile_bursts(bench, config, args.top)
+        return _profile_bursts(bench, config, args.top, args.count)
     bench.setup(keep=True, cold=config.name)
     bench.open(config)
     walls = [_step(bench, config) for _ in range(WARM_STEPS)]
+    if args.count:
+        return _print_counts(bench, config, args.top)
     nodes = bench.nodes[0]
     print(f"{args.workload}/{config.name} seed={args.seed}: {nodes} nodes, "
           f"warm step {min(walls) * 1e3:.2f} ms "
           f"({nodes / min(walls):.0f} inst/s) unprofiled\n")
+    if bench.program.apply_fetches is not None:
+        _print_train_split(bench, config)
     if args.floor:
         warm, floor, n = _floor(bench, config)
         bench.close(config)

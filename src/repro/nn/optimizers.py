@@ -5,7 +5,10 @@ Each optimizer has two faces sharing the same update math:
 * :meth:`build_apply` — build the *apply* graph that reads the runtime's
   gradient accumulators (filled during the backward phase) and updates the
   variables; the returned tensors are the fetches of the training step's
-  second phase.
+  second phase.  SGD and Adagrad apply one fused op per variable
+  (``ApplySGD`` / ``ApplyAdagrad``, as TensorFlow's optimizers do), so
+  their apply graph is two ops per variable: ``ReadAccum`` and the
+  update.  Adam has no fused op and builds its update from graph ops.
 * :meth:`apply_numpy` — the same update applied host-side from a grads
   dict; used by the folding baseline, which computes gradients in numpy.
 """
@@ -26,17 +29,18 @@ __all__ = ["SGD", "Adagrad", "Adam"]
 
 
 class _OptimizerBase:
-    #: subclasses whose update touches only the gradient's rows can apply
-    #: an IndexedSlices directly (fused sparse apply op); Adam cannot —
-    #: its momentum decay touches every row, so it reads densified.
+    #: subclasses whose fused update touches only the gradient's rows
+    #: can apply an IndexedSlices directly; Adam cannot — its momentum
+    #: decay touches every row, so it reads densified.
     _sparse_capable = False
 
     def __init__(self, learning_rate: float, sparse: bool = False):
         self.learning_rate = float(learning_rate)
         #: when on (and the subclass supports it) the apply graph reads
-        #: the accumulator with ``dense=False`` and applies IndexedSlices
-        #: gradients to touched rows only — bit-identical to the dense
-        #: update, O(touched rows) instead of O(vocab)
+        #: the accumulator with ``dense=False``, so the fused update gets
+        #: IndexedSlices gradients and touches their rows only —
+        #: bit-identical to the dense update, O(touched rows) instead of
+        #: O(vocab)
         self.sparse = bool(sparse) and self._sparse_capable
 
     def build_apply(self, graph: Graph, variables: Sequence[Variable],
@@ -74,10 +78,7 @@ class SGD(_OptimizerBase):
     _sparse_capable = True
 
     def _build_update(self, var, grad, runtime):
-        if self.sparse:
-            return ops.apply_sgd(var.name, grad, self.learning_rate)
-        step = ops.multiply(grad, self.learning_rate)
-        return ops.assign_sub(var.name, step)
+        return ops.apply_sgd(var.name, grad, self.learning_rate)
 
     def _numpy_update(self, name, value, grad):
         return value - self.learning_rate * grad
@@ -108,13 +109,8 @@ class Adagrad(_OptimizerBase):
 
     def _build_update(self, var, grad, runtime):
         slot = self._slot(var, runtime)
-        if self.sparse:
-            return ops.apply_adagrad(var.name, slot.name, grad,
-                                     self.learning_rate, self.epsilon)
-        new_accum = ops.assign_add(slot.name, ops.square(grad))
-        denom = ops.add(ops.sqrt(new_accum), self.epsilon)
-        step = ops.divide(ops.multiply(grad, self.learning_rate), denom)
-        return ops.assign_sub(var.name, step)
+        return ops.apply_adagrad(var.name, slot.name, grad,
+                                 self.learning_rate, self.epsilon)
 
     def _numpy_update(self, name, value, grad):
         accum = self._np_slots.get(name)

@@ -116,6 +116,12 @@ class DeadlineExceeded(RuntimeError):
     """A request was dropped by deadline enforcement."""
 
 
+#: the completion event every finished ticket shares: a kept ticket
+#: holds no lock or condition of its own once it is done
+_FINISHED = threading.Event()
+_FINISHED.set()
+
+
 class RequestTicket:
     """Completion future of one submitted request.
 
@@ -166,7 +172,8 @@ class RequestTicket:
         self.shape_profile = None
         self._base_cost = 0.0
         #: the admitted root Frame (set under the server lock after
-        #: submit_root returns; the cancellation handle)
+        #: submit_root returns; the cancellation handle), dropped when
+        #: the ticket finishes
         self.frame = None
         self._rel_timeout: Optional[float] = None
         self._admitted = False
@@ -251,7 +258,11 @@ class RequestTicket:
         timer, self._timer = self._timer, None
         if timer is not None:
             timer.cancel()
-        self._done.set()
+        self.frame = None
+        # a waiter already blocked holds the ticket's own event, which
+        # wakes it; later readers see the shared finished one
+        done, self._done = self._done, _FINISHED
+        done.set()
 
 
 class _TenantLane:
@@ -807,7 +818,8 @@ class RecursiveServer:
                     lambda values, t=ticket: self._request_done(t, values),
                     ticket.shape_profile)
                 with self._lock:
-                    ticket.frame = frame
+                    if ticket._done is not _FINISHED:  # still running
+                        ticket.frame = frame
                     pending = ticket._cancel_requested
                 if pending is not None:
                     # a cancel/expiry landed between admission and the

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import threading
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -20,6 +19,9 @@ from repro.graph.sparse import IndexedSlices
 from repro.graph.tensor import Tensor
 
 __all__ = ["VariableStore", "GradientAccumulator", "Variable", "order_key"]
+
+#: the classes a gradient row is kept as (anything else: ``np.asarray``)
+_ROW_CLASSES = (np.ndarray, IndexedSlices)
 
 
 def order_key(order) -> str:
@@ -110,7 +112,9 @@ class GradientAccumulator:
     one frame's weight gradient ``aᵀ @ g``, which ``MatMul``'s gradient
     defers to here.  :meth:`read` sorts a variable's factor rows by order
     key, contracts them in **one** GEMM ``A.T @ G`` and adds the gradient
-    entries in canonical order.  Every executor, tier and batching mode
+    rows to it in canonical order — one stable permutation over their
+    keys, then one numpy call that performs exactly that left fold
+    (:meth:`_fold_rows`).  Every executor, tier and batching mode
     reaches the same ``read`` with the same keyed rows, so their bits
     agree by construction — and differ in the last place from the
     per-frame fold of dense outer products computed up to PR 18, which
@@ -119,10 +123,11 @@ class GradientAccumulator:
 
     Sparse entries stay O(touched rows) and are reduced in canonical order
     at the :meth:`read` boundary: scattered into the dense output buffer
-    (``dense=True``, the default) or combined into one canonical
-    ``IndexedSlices`` (``dense=False``, the sparse-optimizer fast path).
-    Each slice carries unique row indices, so this performs the same
-    per-row additions in the same order as the dense chain.
+    by one ``np.add.at`` (``dense=True``, the default) or combined into
+    one canonical ``IndexedSlices`` (``dense=False``, what a
+    ``sparse=True`` optimizer reads).  Each slice carries unique row
+    indices, so this performs the same per-row additions in the same
+    order as adding the slices one by one.
     """
 
     def __init__(self):
@@ -161,25 +166,62 @@ class GradientAccumulator:
         return self._retained
 
     @staticmethod
-    def _ordered(blocks) -> list:
+    def _permutation(keys) -> list:
+        """The canonical order of rows with order keys ``keys``: keyed
+        rows by key (stable: rows sharing a key keep their order), then
+        the un-keyed (``None``) in arrival order."""
+        order = sorted([i for i, key in enumerate(keys) if key is not None],
+                       key=keys.__getitem__)
+        order += [i for i, key in enumerate(keys) if key is None]
+        return order
+
+    @classmethod
+    def _ordered(cls, blocks) -> list:
         """Entries ``(key, gradient)`` / ``(key, a, g)`` in canonical
-        order: keyed ones by key (stable: rows sharing a key keep their
-        order), then the un-keyed in arrival order."""
+        order, one Python entry per row."""
         flat = [entry for keys, cols in blocks
                 for entry in zip(repeat(None) if keys is None else keys,
                                  *cols)]
-        ordered = sorted((e for e in flat if e[0] is not None),
-                         key=itemgetter(0))
-        ordered += [e for e in flat if e[0] is None]
-        return ordered
+        return [flat[i] for i in cls._permutation([e[0] for e in flat])]
+
+    @staticmethod
+    def _rows(blocks):
+        """The gradient rows of one-column ``blocks`` in arrival order:
+        ``(segments, keys, kinds)`` — array columns (rows on axis 0) and
+        lists of rows (ndarrays and ``IndexedSlices``; all list columns
+        in one when no column is an array), the per-row keys, and the set
+        of ``(class, dtype, shape)`` the rows come in."""
+        cols = [col for _, (col,) in blocks]
+        keys = [key for block_keys, (col,) in blocks
+                for key in block_keys or repeat(None, len(col))]
+        arrays = [col.__class__ is np.ndarray for col in cols]
+        if False not in arrays:
+            segments = cols
+        elif True not in arrays:
+            segments = [[v for col in cols for v in col]]
+        else:
+            segments = [col if array else list(col)
+                        for col, array in zip(cols, arrays)]
+        kinds = set()
+        for seg in segments:
+            if seg.__class__ is np.ndarray:
+                kinds.add((np.ndarray, seg.dtype, seg.shape[1:]))
+                continue
+            seg[:] = [v if v.__class__ in _ROW_CLASSES
+                      or isinstance(v, IndexedSlices) else np.asarray(v)
+                      for v in seg]
+            kinds.update([(np.ndarray, v.dtype, v.shape)
+                          if v.__class__ is np.ndarray else
+                          (IndexedSlices, v.values.dtype, v.dense_shape)
+                          for v in seg])
+        return segments, keys, kinds
 
     def read(self, name: str, shape=None, np_dtype=np.float32, *,
              dense: bool = True):
         """The canonical per-variable gradient sum.
 
         ``dense=True`` (the default — and the explicit densification
-        boundary of the sparse pipeline) always returns an ndarray,
-        accumulated **in place** into one freshly-allocated output buffer.
+        boundary of the sparse pipeline) always returns an ndarray.
         ``dense=False`` returns an :class:`IndexedSlices` when every
         contribution is sparse (rows deduplicated in canonical entry
         order), else the dense sum.
@@ -191,9 +233,11 @@ class GradientAccumulator:
                 if cached is not None:
                     return cached
                 if not dense and all(len(cols) == 1 for _, cols in blocks):
-                    ordered = self._ordered(blocks)
-                    if all(isinstance(e[1], IndexedSlices) for e in ordered):
-                        combined = self._combine_sparse(ordered)
+                    segments, keys, kinds = self._rows(blocks)
+                    if all(kind[0] is IndexedSlices for kind in kinds):
+                        rows = [v for seg in segments for v in seg]
+                        combined = self._combine_sparse(
+                            [rows[i] for i in self._permutation(keys)])
                         self._sparse_sums[name] = combined
                         return combined
                 total = self._sums.get(name)
@@ -206,14 +250,12 @@ class GradientAccumulator:
                 "to synthesize zeros from")
         return np.zeros(shape, dtype=np_dtype)
 
-    @staticmethod
-    def _contract(blocks):
+    @classmethod
+    def _contract(cls, blocks):
         """``A.T @ G`` over every factor row in canonical order: each
         block's columns flattened to rows once, one stable permutation
-        over the per-row keys (rows sharing a key keep their order,
-        un-keyed rows come last as they arrived) — the matrices a
-        per-row sort would build.  None when rows disagree on rank,
-        dtype or inner shape."""
+        over the per-row keys — the matrices a per-row sort would build.
+        None when rows disagree on rank, dtype or inner shape."""
         kinds, sides, keys = set(), ([], []), []
         for block_keys, (a, g) in blocks:
             if a.__class__ is g.__class__ is np.ndarray and a.ndim > 1:
@@ -221,8 +263,8 @@ class GradientAccumulator:
                            g.shape[2:]))
                 counts = repeat(a.shape[1], len(a))
             else:
-                kinds.update((x.ndim, x.dtype, x.shape[1:], y.dtype,
-                              y.shape[1:]) for x, y in zip(a, g))
+                kinds.update([(x.ndim, x.dtype, x.shape[1:], y.dtype,
+                               y.shape[1:]) for x, y in zip(a, g)])
                 counts = [len(x) for x in a]
             if len(kinds) != 1 or next(iter(kinds))[0] != 2:
                 return None
@@ -230,28 +272,43 @@ class GradientAccumulator:
                 side.append(col.reshape((-1,) + col.shape[2:])
                             if col.__class__ is np.ndarray
                             else np.concatenate(col))
-            keys.extend(key for key, n in zip(block_keys or repeat(None),
-                                              counts) for _ in range(n))
-        keyed = [i for i, key in enumerate(keys) if key is not None]
-        order = sorted(keyed, key=keys.__getitem__) + [
-            i for i, key in enumerate(keys) if key is None]
+            keys.extend([key for key, n in zip(block_keys or repeat(None),
+                                               counts) for _ in range(n)])
+        order = cls._permutation(keys)
         return (np.concatenate(sides[0]).take(order, 0).T
                 @ np.concatenate(sides[1]).take(order, 0))
 
     @classmethod
     def _reduce_dense(cls, blocks) -> np.ndarray:
         """The one combination rule: the contraction of all factor rows,
-        then every gradient entry added in canonical order — one by one:
-        a pairwise reduction would change the bits."""
+        then every gradient row added in canonical order — a left fold:
+        a pairwise reduction would change the bits.
+
+        The rows are folded in one numpy call (:meth:`_fold_rows`) unless
+        they need the per-row loop, which is reached only by
+        - factor rows that disagree on rank, dtype or inner shape (the
+          exact per-frame fold, each ``aᵀ g`` in its key's place);
+        - gradient rows that disagree on dtype or shape with each other
+          or with the contraction (each add promotes as it goes);
+        - dense and sparse gradient rows on one variable.
+        """
         factors = [b for b in blocks if len(b[1]) == 2]
+        grads = [b for b in blocks if len(b[1]) == 1]
         total = cls._contract(factors) if factors else None
         if factors and total is None:
             # the exact per-frame fold, each ``aᵀ g`` in its key's place
             chain = [e[1] if len(e) == 2 else e[1].T @ e[2]
                      for e in cls._ordered(blocks)]
+        elif not grads:
+            return total
         else:
-            chain = [e[1] for e in cls._ordered(
-                [b for b in blocks if len(b[1]) == 1])]
+            segments, keys, kinds = cls._rows(grads)
+            if len(kinds) == 1:
+                kind = next(iter(kinds))
+                if total is None or (total.dtype, total.shape) == kind[1:]:
+                    return cls._fold_rows(segments, cls._permutation(keys),
+                                          total, *kind)
+            chain = [e[1] for e in cls._ordered(grads)]
         if total is None:
             first = chain.pop(0)
             total = (first.to_dense() if isinstance(first, IndexedSlices)
@@ -270,7 +327,45 @@ class GradientAccumulator:
         return total
 
     @staticmethod
-    def _combine_sparse(ordered) -> IndexedSlices:
+    def _fold_rows(segments, order, total, kind, dtype, shape) -> np.ndarray:
+        """``total`` (or the first row) plus every row of ``segments``
+        (:meth:`_rows`) in ``order``, all of one ``kind``, ``dtype`` and
+        ``shape``, in one call that adds exactly as the left fold
+        ``total += row`` does.
+
+        Sparse rows (unique indices each) are one ``np.add.at`` over
+        their concatenated indices and values: ``ufunc.at`` adds
+        sequentially, so each table row sees its contributions in
+        canonical order.  Dense rows are stacked C-contiguous, the
+        contraction on top, and reduced over axis 0: with an innermost
+        extent above 1 numpy's reduction runs the outer axis as a loop
+        of elementwise adds, from ``initial=-0.0`` — IEEE's additive
+        identity, where numpy's own starts from ``+0.0`` and would lose
+        a ``-0.0`` row; otherwise (scalar or width-1 rows, which numpy
+        would sum pairwise) the last row of ``np.add.accumulate``.
+        """
+        if kind is IndexedSlices:
+            flat = [v for seg in segments for v in seg]
+            rows = [flat[i] for i in order]
+            if total is None:
+                total = np.zeros(shape, dtype=dtype)
+            np.add.at(total, np.concatenate([r.indices for r in rows]),
+                      np.concatenate([r.values for r in rows]))
+            return total
+        cols = [seg if seg.__class__ is np.ndarray else np.array(seg)
+                for seg in segments]
+        flat = cols[0] if len(cols) == 1 else np.concatenate(cols)
+        lead = total is not None
+        stack = np.empty((lead + len(order),) + shape, dtype=dtype)
+        if lead:
+            stack[0] = total
+        np.take(flat, order, axis=0, out=stack[lead:])
+        if shape and shape[-1] > 1:
+            return np.add.reduce(stack, axis=0, dtype=dtype, initial=-0.0)
+        return np.add.accumulate(stack, axis=0, dtype=dtype)[-1, ...].copy()
+
+    @staticmethod
+    def _combine_sparse(slices) -> IndexedSlices:
         """Concatenate canonical-order slices, then deduplicate rows.
 
         The concatenation preserves entry order and every segment has
@@ -278,7 +373,6 @@ class GradientAccumulator:
         adds that row's contributions in canonical entry order — the
         exact additions the dense reduction performs for that row.
         """
-        slices = [e[1] for e in ordered]
         combined = IndexedSlices(
             np.concatenate([s.indices for s in slices]),
             np.concatenate([s.values for s in slices]),

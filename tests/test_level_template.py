@@ -106,21 +106,7 @@ class _Model:
         return [self.loss] + (self.updates if train else [])
 
     def feeds(self, profile):
-        """Post-order array encoding of ``profile``; node inputs are
-        seeded by the shape."""
-        kids = []
-
-        def build(p):
-            mine = [build(c) for c in p]
-            kids.append(mine if mine else [0] * self.arity)
-            return len(kids) - 1
-
-        root = build(profile)
-        rng = np.random.default_rng(len(kids) * 7919 + self.arity)
-        return dict(zip(self.placeholders, (
-            rng.normal(size=(len(kids), 4)).astype(np.float32),
-            np.array(kids, dtype=np.int32),
-            np.array([not p for p in _postorder(profile)]), root)))
+        return _tree_feeds(self.placeholders, self.arity, profile)
 
     def reset(self):
         self.runtime.accumulators.zero()
@@ -132,6 +118,66 @@ class _Model:
         grads = {n: np.copy(acc.read(n)) for n in acc.names()}
         cache = dict(self.runtime.cache.items())
         return grads, cache
+
+
+def _tree_feeds(placeholders, arity, profile):
+    """Post-order array encoding of ``profile`` for the placeholders
+    ``(x, children, is_leaf, root)``; node inputs are seeded by the
+    shape."""
+    kids = []
+
+    def build(p):
+        mine = [build(c) for c in p]
+        kids.append(mine if mine else [0] * arity)
+        return len(kids) - 1
+
+    root = build(profile)
+    rng = np.random.default_rng(len(kids) * 7919 + arity)
+    return dict(zip(placeholders, (
+        rng.normal(size=(len(kids), 4)).astype(np.float32),
+        np.array(kids, dtype=np.int32),
+        np.array([not p for p in _postorder(profile)]), root)))
+
+
+def _refused_graph(variant):
+    """``_Model``'s binary definition without variables, plus the one
+    construct ``variant`` names that the compiled tier refuses: a
+    ``"control"`` dependency inside the body, a root-level ``"cond"``, or
+    a root ``"loop"`` beside the recursive call.  Returns ``(graph,
+    fetch, placeholders)``."""
+    graph = repro.Graph(f"refused_{variant}")
+    with graph.as_default():
+        x = ops.placeholder(repro.float32, (None, 4))
+        children = ops.placeholder(repro.int32, (None, 2))
+        is_leaf = ops.placeholder(repro.bool_, (None,))
+        root = ops.placeholder(repro.int32, ())
+        with SubGraph(f"refused_{variant}_node") as node:
+            idx = node.input(repro.int32, ())
+            node.declare_outputs([(repro.float32, (4,))])
+
+            def internal():
+                kids = ops.gather(children, idx)
+                out = ops.tanh(ops.add(
+                    ops.add(node(ops.gather(kids, 0)),
+                            node(ops.gather(kids, 1))),
+                    ops.gather(x, idx)))
+                if variant == "control":
+                    out.op.add_control_input(kids.op)
+                return out
+
+            node.output(ops.cond(ops.gather(is_leaf, idx),
+                                 lambda: ops.tanh(ops.gather(x, idx)),
+                                 internal))
+        out = ops.reduce_sum(ops.square(node(root)))
+        if variant == "cond":
+            out = ops.add(out, ops.cond(ops.less(root, 2),
+                                        lambda: ops.constant(1.0),
+                                        lambda: ops.constant(2.0)))
+        elif variant == "loop":
+            out = ops.add(out, ops.while_loop(
+                lambda s: ops.less(s, 3.0), lambda s: ops.add(s, 1.0),
+                [ops.constant(0.0)]))
+    return graph, out, (x, children, is_leaf, root)
 
 
 def _postorder(profile):
@@ -561,6 +607,25 @@ class TestFallbackReasons:
         assert len(got[0]) == len(got[1]) > 0
         for ref, value in zip(*got):
             assert np.array_equal(ref, value)
+
+    @pytest.mark.parametrize("variant, reason", [
+        ("control", "control dependency in a compiled body"),
+        ("cond", "data-dependent control flow here"),
+        ("loop", "async op Loop is not compilable"),
+    ])
+    def test_refused_construct(self, variant, reason):
+        """Constructs outside the compilable boundary are refused by
+        name, and the run still returns the dynamic tier's values."""
+        graph, out, placeholders = _refused_graph(variant)
+        session = repro.Session(graph, repro.Runtime(), num_workers=2)
+        profile = (((), ()), ())
+        feeds = _tree_feeds(placeholders, 2, profile)
+        ref = session.run(out, feeds)
+        got = session.run(out, feeds, shape_profile=(profile,))
+        stats = session.last_stats
+        assert stats.level_plan_hits == 0
+        assert stats.level_plan_fallback_reasons == {reason: 1}
+        assert np.array_equal(ref, got)
 
     def test_reasons_merge(self):
         a, b = repro.RunStats(), repro.RunStats()

@@ -10,7 +10,9 @@ runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import gc
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from repro.harness import (compare_admission, compare_batching,
 from repro.harness.serving import burst_request_stream
 from repro.models import ModelConfig, TreeLSTMSentiment, TreeRNNSentiment
 from repro.runtime import available_executors, resolve_executor
-from repro.runtime.server import ServerOverloaded
+from repro.runtime.server import RequestCancelled, ServerOverloaded
 
 pytestmark = pytest.mark.serving
 
@@ -348,6 +350,85 @@ class TestLatencyAccounting:
         result = serve_stream(model, bank.train, num_requests=5,
                               arrival_rate=1.0, max_in_flight=8, seed=2)
         assert result.stats.queue_times == [0.0] * 5
+
+
+# -- kept tickets -------------------------------------------------------------
+
+
+class TestKeptTickets:
+    """A server keeps every ticket by default (``keep_tickets=True``): a
+    finished one holds its result, not its root frame or a lock."""
+
+    @staticmethod
+    def _serving(bank, engine="event", trees=8):
+        model = _model(bank)
+        built = model.build_recursive(1)
+        smallest = sorted(bank.train, key=lambda tree: tree.num_nodes)
+        feeds = [built.feed_dict(batch_trees([tree]))
+                 for tree in smallest[:trees]]
+        session = repro.Session(built.graph, model.runtime, engine=engine,
+                                num_workers=4)
+        return built, feeds, session
+
+    def test_growth_per_kept_ticket_is_bounded(self, bank):
+        built, feeds, session = self._serving(bank)
+        with session.serve(max_in_flight=4) as server:
+            def burst():
+                tickets = [server.submit(built.root_logits, feed)
+                           for feed in feeds]
+                server.drain()
+                return tickets
+            for _ in range(2):
+                burst()
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                gc.collect()
+                base = tracemalloc.get_traced_memory()[0]
+                kept = [ticket for _ in range(5) for ticket in burst()]
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                if started:
+                    tracemalloc.stop()
+        assert all(t.status == "done" and t.frame is None for t in kept)
+        # the ticket, its fetch list and its logits: 1.0-1.3 KB here; a
+        # ticket that kept its root frame and its own event held 4.5 KB
+        assert grown / len(kept) < 2048, grown / len(kept)
+
+    def test_result_and_cancel_still_behave(self, bank):
+        built, feeds, session = self._serving(bank, trees=4)
+        with session.serve(max_in_flight=2) as server:
+            tickets = [server.submit(built.root_logits, feed, at=0.0)
+                       for feed in feeds]
+            session._engine.schedule(1e-6, tickets[0].cancel)  # in flight
+            assert tickets[3].cancel()                         # queued
+            server.drain()
+            assert tickets[1].cancel() is False                # finished
+        assert [t.status for t in tickets] == ["cancelled", "done", "done",
+                                               "cancelled"]
+        assert all(t.done and t.frame is None for t in tickets)
+        for ticket in (tickets[0], tickets[3]):
+            with pytest.raises(RequestCancelled):
+                ticket.result()
+        ref_session = repro.Session(built.graph, session.runtime)
+        for ticket, feed in zip(tickets[1:3], feeds[1:3]):
+            assert np.array_equal(ticket.result(),
+                                  ref_session.run(built.root_logits, feed))
+
+    @pytest.mark.timeout(60)
+    def test_result_waits_on_a_wall_clock_engine(self, bank):
+        built, feeds, session = self._serving(bank, engine="workerpool",
+                                              trees=4)
+        with session.serve(max_in_flight=2) as server:
+            tickets = [server.submit(built.root_logits, feed)
+                       for feed in feeds]
+            values = [ticket.result(timeout=30) for ticket in tickets]
+            assert tickets[0].cancel() is False
+        assert all(t.done and t.frame is None for t in tickets)
+        assert all(np.array_equal(t.result(timeout=0.0), v)
+                   for t, v in zip(tickets, values))
 
 
 # -- failure isolation --------------------------------------------------------
