@@ -257,26 +257,31 @@ WORK_PINS = {
     "train_lvl": (10024, 11826),
     "infer_dyn": (170470, 158535),
     "train_dyn": (591835, 570090),
+    "infer_pool": (2604, 3900),
+    "train_pool": (10005, 11807),
     "serve_burst": (9126, 24378),
 }
 
 
 def work_counts() -> dict:
     """The call counts of one warm step of reduced ``bench_e2e``
-    workloads on the event engine: ``infer_b10`` / ``train_b10`` ``lvl``
-    and ``dyn`` (a 6-tree TreeLSTM batch: feeds, profiles and the
+    workloads: ``infer_b10`` / ``train_b10`` ``lvl`` and ``dyn`` on the
+    event engine (a 6-tree TreeLSTM batch: feeds, profiles and the
     compiled run(s) — for training the recorded gradient run and the
     Adagrad apply run; ``dyn`` passes no profile, so its gradient run
-    takes the dynamic tier) and one merged ``serve_longtail``-style
-    burst (16 batch-1 requests, at most 8 in flight, then ``drain``).
+    takes the dynamic tier), ``pool`` (the ``lvl`` step on workerpool,
+    whose ``run`` executes on the calling thread) and one merged
+    ``serve_longtail``-style burst on the event engine (16 batch-1
+    requests, at most 8 in flight, then ``drain``).
     Each step runs once cold first; variables are restored before every
     step, outside the count."""
     from repro.nn.optimizers import Adagrad
 
     bank, counts = smoke_bank(), {}
     batch = batch_trees(bank.train[:6])
-    for name in ("infer_lvl", "train_lvl", "infer_dyn", "train_dyn"):
-        train, compiled = name.startswith("train"), name.endswith("lvl")
+    for name in ("infer_lvl", "train_lvl", "infer_dyn", "train_dyn",
+                 "infer_pool", "train_pool"):
+        train, compiled = name.startswith("train"), not name.endswith("dyn")
         model = SMOKE_FACTORIES["TreeLSTM"]()
         runtime, built = model.runtime, model.build_recursive(6)
         fetches, apply = [built.loss, built.root_logits], None
@@ -286,8 +291,9 @@ def work_counts() -> dict:
             apply = Adagrad(0.05).build_apply(
                 built.graph, runtime.trainable_variables(), runtime)
         snapshot = runtime.variables.snapshot()
-        session = repro.Session(built.graph, runtime, engine="event",
-                                num_workers=4, record=train)
+        session = repro.Session(
+            built.graph, runtime, num_workers=4, record=train,
+            engine="workerpool" if name.endswith("pool") else "event")
         first = [None]   # the (gradient) run's stats
 
         def step():
