@@ -256,7 +256,7 @@ WORK_PINS = {
     "infer_lvl": (2596, 3891),
     "train_lvl": (10024, 11826),
     "infer_dyn": (170470, 158535),
-    "train_dyn": (591835, 570090),
+    "train_dyn": (589981, 570090),
     "infer_pool": (2604, 3900),
     "train_pool": (10005, 11807),
     "serve_burst": (9126, 24378),

@@ -252,9 +252,10 @@ class GradientAccumulator:
 
     @classmethod
     def _contract(cls, blocks):
-        """``A.T @ G`` over every factor row in canonical order: each
-        block's columns flattened to rows once, one stable permutation
-        over the per-row keys — the matrices a per-row sort would build.
+        """``A.T @ G`` over every factor row in canonical order: every
+        block's rows gathered into one list per side and concatenated
+        once, one stable permutation over the per-row keys — the
+        matrices a per-row sort would build.
         None when rows disagree on rank, dtype or inner shape."""
         kinds, sides, keys = set(), ([], []), []
         for block_keys, (a, g) in blocks:
@@ -269,9 +270,10 @@ class GradientAccumulator:
             if len(kinds) != 1 or next(iter(kinds))[0] != 2:
                 return None
             for side, col in zip(sides, (a, g)):
-                side.append(col.reshape((-1,) + col.shape[2:])
-                            if col.__class__ is np.ndarray
-                            else np.concatenate(col))
+                if col.__class__ is np.ndarray:
+                    side.append(col.reshape((-1,) + col.shape[2:]))
+                else:
+                    side.extend(col)  # one-row blocks: concatenated once
             keys.extend([key for key, n in zip(block_keys or repeat(None),
                                                counts) for _ in range(n)])
         order = cls._permutation(keys)
