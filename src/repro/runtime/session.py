@@ -137,7 +137,9 @@ class Session:
         ``fetches`` may be a Tensor or a list/tuple of Tensors; the return
         value matches that structure.  ``feed_dict`` maps placeholder
         tensors to numpy-compatible values.  ``record`` and ``batching``
-        override the session-level modes for this call onward.
+        override the session's modes for this call only; the session's
+        own batch policy object (an adaptive one keeps its tuned state)
+        is back in place after the call.
 
         ``shape_profile`` — per-call-site tree shape signatures in
         op-id order (``TreeBatch.profiles`` for the tree models) —
@@ -157,21 +159,25 @@ class Session:
         fetch_list = [fetches] if single else list(fetches)
         self._check_fetches(fetch_list)
         feed_map = self._build_feed_map(feed_dict or {})
+        engine = self._engine
+        modes = engine.record, engine.batching, engine.batch_policy
         if record is not None:
-            self._engine.record = record
+            engine.record = record
         if batching is not None:
             # keep an existing adaptive policy: its tuned per-signature
             # state persists across run calls
-            current = (self._engine.batch_policy
-                       if isinstance(self._engine.batch_policy,
+            current = (engine.batch_policy
+                       if isinstance(engine.batch_policy,
                                      AdaptiveBatchPolicy) else None)
-            self._engine.batching, policy = resolve_batching(batching,
-                                                             current)
+            engine.batching, policy = resolve_batching(batching, current)
             if policy is not None:
-                self._engine.batch_policy = policy
+                engine.batch_policy = policy
         self.runtime.cache.clear()
-        values, stats = self._engine.run(self.graph, fetch_list, feed_map,
-                                         shape_profile=shape_profile)
+        try:
+            values, stats = engine.run(self.graph, fetch_list, feed_map,
+                                       shape_profile=shape_profile)
+        finally:
+            engine.record, engine.batching, engine.batch_policy = modes
         self.last_stats = stats
         return values[0] if single else values
 

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro import ops
+from repro.nn import SGD
 
 
 class TestSessionConstruction:
@@ -31,6 +32,28 @@ class TestSessionConstruction:
         session = repro.Session(graph, runtime, record=False)
         session.run(out, record=True)
         assert runtime.cache.stores > 0
+
+    def test_overrides_apply_to_one_call(self, graph, runtime):
+        """``record=`` / ``batching=`` hold for their own call only: a
+        training loop on a ``record=True`` session whose apply run passes
+        ``record=False`` still records its next gradient run."""
+        w = repro.Variable("loop_w", np.float32(0.5), runtime=runtime)
+        with repro.SubGraph("scale") as scale:
+            x = scale.input(repro.float32, ())
+            scale.output(ops.multiply(x, w.read()))
+        loss = ops.multiply(scale(ops.constant(2.0)), 3.0)
+        _, updates = repro.gradients(loss, [])
+        grad_fetches = [loss] + [op.outputs[-1] for op in updates]
+        apply = SGD(0.1).build_apply(graph, [w], runtime)
+        session = repro.Session(graph, runtime, record=True)
+        for step in range(3):
+            runtime.accumulators.zero()
+            assert session.run(grad_fetches)[0] == pytest.approx(
+                6.0 * (0.5 - 0.6 * step), rel=1e-6)
+            session.run(apply, record=False, batching=True)
+            assert session.last_stats.cache_stores == 0
+        assert (session._engine.record, session._engine.batching) == (True,
+                                                                      False)
 
     def test_non_tensor_fetch_rejected(self, graph, runtime):
         session = repro.Session(graph, runtime)
