@@ -3,16 +3,15 @@
 The frame-lifecycle scheduler (:mod:`repro.runtime.scheduler`,
 :class:`SchedulerCore`) owns the recursion-aware execution semantics —
 frame spawn/seed/complete over compiled plans, serving admission,
-selective caching, micro-batching decisions — and executor backends
-supply only the mechanics.  Two are built in: the virtual-time
-:class:`EventEngine` (``engine="event"``, the deterministic oracle) and
-the centralized-master :class:`~repro.runtime.workerpool
-.WorkerPoolEngine` (``"workerpool"``), the wall-clock backend whose
-master executes every kernel itself.  Backends register by name
-(:func:`register_executor`) and :class:`Session` resolves ``engine=``
-through the registry.  See ARCHITECTURE.md for the layer diagram.
+selective caching, micro-batching decisions — under one executor loop,
+:class:`EventEngine`, whose clock decides what differs between
+simulated and real time: ``engine="event"`` runs it on the virtual
+clock (the deterministic oracle), ``"workerpool"``
+(:class:`~repro.runtime.workerpool.WorkerPoolEngine`) on the wall clock,
+where one master executes every kernel itself.  See ARCHITECTURE.md for
+the layer diagram.
 
-Every backend supports cross-instance dynamic micro-batching: with
+Both clocks support cross-instance dynamic micro-batching: with
 ``batching=True`` (or ``"adaptive"``) on a :class:`Session`,
 same-signature ready operations from concurrent frames fuse into single
 vectorized kernel calls (see :mod:`repro.runtime.batching`), preserving
@@ -32,8 +31,7 @@ from .cost_model import (CostModel, calibrate_batch_member_cost, client_eager,
                          gpu_profile, testbed_cpu, unit_cost)
 from .engine import EngineError, EventEngine
 from .plan import FramePlan, plan_for, plan_for_fetches
-from .scheduler import (SchedulerCore, available_executors,
-                        register_executor, resolve_executor)
+from .scheduler import SchedulerCore, available_executors, resolve_executor
 from .server import (DeadlineExceeded, RecursiveServer, RequestCancelled,
                      RequestTicket, ServerOverloaded)
 from .session import Runtime, Session, default_runtime, reset_default_runtime
@@ -47,8 +45,7 @@ __all__ = ["AdaptiveBatchPolicy", "BatchPolicy", "Coalescer",
            "client_eager", "gpu_profile", "testbed_cpu",
            "unit_cost", "EngineError", "EventEngine",
            "WorkerPoolEngine", "SchedulerCore",
-           "available_executors",
-           "register_executor", "resolve_executor", "FramePlan",
+           "available_executors", "resolve_executor", "FramePlan",
            "plan_for", "plan_for_fetches", "RecursiveServer",
            "RequestTicket", "ServerOverloaded", "RequestCancelled",
            "DeadlineExceeded", "Runtime", "Session",

@@ -1,152 +1,129 @@
-"""The virtual-time executor backend (paper Figure 4's engine, layered).
+"""The executor loop (paper Figure 4's engine) and its two clocks.
 
 The frame lifecycle — spawn/seed/complete over compiled
 :class:`~repro.runtime.plan.FramePlan` slot arrays, coalescer
 integration, selective caching, serving admission, error wrapping —
-lives in :class:`~repro.runtime.scheduler.SchedulerCore`, shared by
-every executor backend.  This module contributes only the *execution
-mechanics* of the deterministic discrete-event backend registered as
-``engine="event"``:
+lives in :class:`~repro.runtime.scheduler.SchedulerCore`.  This module
+contributes the one loop that pops ready ops and runs them, and the
+clock that decides what differs between simulated and real time:
 
-* a **virtual clock** advanced by a cost model over ``num_workers``
-  virtual workers, with serialized master dispatch and a serialized
-  cache clock (the hash-table lock + shared memory bandwidth of the
-  paper's Section 5) — what lets a GIL-bound Python reproduction
-  exhibit the paper's 36-core scheduling dynamics;
-* the **event loop**: a time-ordered heap of op completions, async
-  returns and scheduled continuations (open-loop request arrivals,
-  loop iterations);
-* the **dispatch loop** that drains the ready queue onto free virtual
-  workers, offering batchable instances to the shared coalescer and
-  charging fused buckets one dispatch/overhead for the whole bucket.
+* :class:`VirtualClock` (``engine="event"``): ``now`` is the event
+  heap's time.  An op completes at its cost-model time on one of
+  ``num_workers`` virtual workers, charged through a serialized master
+  (dispatch) and a serialized cache clock (the hash-table lock and
+  shared memory bandwidth of the paper's Section 5) — what lets a
+  GIL-bound Python reproduction exhibit the paper's 36-core scheduling
+  dynamics.  A bucket is flushed when the ready queue is empty and a
+  worker is free.  Kernels really run, so values are exact, and a fixed
+  workload gives identical virtual times run over run: the reference
+  every other configuration is checked against.
+* :class:`WallClock` (``engine="workerpool"``): ``now`` is
+  ``perf_counter``.  Kernels complete inline and workers are unbounded,
+  so the whole ready wavefront drains into the coalescer before every
+  bucket is flushed; fused buckets and compiled sweeps are this clock's
+  parallelism.  ``run`` executes on the calling thread; a serving
+  session runs the same loop on one master thread, where a kernel runs
+  outside the master lock and its completion under it, so a client
+  thread admitting a request waits for at most one completion.
 
-Kernels really run (values are exact) but time advances virtually, so
-a fixed workload yields bit-identical values *and* identical virtual
-times run over run.  The wall-clock backend with identical scheduling
-semantics lives in :mod:`repro.runtime.workerpool` (one master that
-schedules and executes every kernel itself).
+On both clocks ``schedule(at, fn)`` runs ``fn`` on the loop when ``at``
+falls due (open-loop arrivals, deadlines, the server's admission pump):
+the virtual clock jumps to it, the wall clock waits for it, and an idle
+wall-clock master sleeps until the next due time or a wake-up.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import threading
+import time
 from typing import Callable
 
 from .cost_model import CostModel
 from .scheduler import (EngineError, Frame, Instance, SchedulerCore,
-                        prune_cancelled, register_executor, should_store)
+                        prune_cancelled, should_store)
 from .stats import RunStats
 
 __all__ = ["Frame", "Instance", "EventEngine", "EngineError",
-           "should_store"]
+           "should_store", "VirtualClock", "WallClock"]
 
 _OP_DONE = 0
 _CALL = 1
 _ASYNC_DONE = 2
 
+#: what a wall-clock master or waiter sleeps at most before it looks
+#: again (short waits keep a waiting caller responsive to the SIGALRM
+#: test watchdog)
+_POLL_S = 0.05
+
 
 class EventEngine(SchedulerCore):
-    """Discrete-event executor over K virtual workers.
+    """The executor loop on the clock ``virtual_clock`` names.
 
     See :class:`~repro.runtime.scheduler.SchedulerCore` for the shared
     constructor knobs (worker count, cost model, record mode, scheduling
-    policy, micro-batching).  This backend honors ``scheduler="depth"``
-    priority and is fully deterministic: it is the reference the
-    workerpool backend is validated against.  ``run`` and ``drain``
-    both execute on the caller's thread through :meth:`_loop`; errors
-    surface from ``drain``, which invokes a serving error listener
-    before raising.
+    policy, micro-batching).  ``engine="event"`` is this class on the
+    :class:`VirtualClock`: deterministic, it honors ``scheduler="depth"``
+    and ``num_workers``, and ``run`` and ``drain`` execute on the
+    caller's thread through :meth:`_loop`; errors surface from
+    ``drain``, which invokes a serving error listener before raising.
+
+    Op starters reach the clock through ``finish_async(inst, outputs)``
+    (an async op's frame(s) produced its outputs) and
+    ``post_continuation(delay, fn)`` (a loop iteration), both bound from
+    the session's clock.
     """
 
     virtual_clock = True
 
-    def schedule(self, when: float, fn: Callable) -> None:
-        """Post ``fn`` at absolute virtual time ``when`` (clamped to now)."""
-        self._post(max(when, self._now), fn)
-
-    # -- SchedulerCore executor hooks ----------------------------------------
-
-    def _drain_events(self) -> None:
-        self._loop()
-
-    def _stamp_clock(self, stats: RunStats) -> None:
-        stats.virtual_time = self._now
-
-    def _schedule_level_flush(self) -> None:
-        # defer to an event at the current virtual instant: every root
-        # admitted at this instant lands in one flush, so same-profile
-        # arrivals merge into a single wavefront deterministically
-        self._post(self._now, self._flush_level_runs)
-
-    def _complete_level_group(self, lp, runs, results) -> None:
-        done_at = self._now + self.cost_model.level_plan_cost(lp)
-        for run, values in zip(runs, results):
-            if values is None:
-                continue
-            self._post(done_at,
-                       lambda run=run, values=values:
-                       self._complete_level_run(run, values))
-
-    def finish_async(self, inst: Instance, outputs: list) -> None:
-        """Complete an async op once its frame(s) produced the outputs.
-
-        Posted as a dedicated event kind (no closure allocation — this
-        runs once per returning frame) that completes the instance
-        without releasing a worker: the async op's worker was already
-        freed when its starter event fired.
-        """
-        heapq.heappush(self._events,
-                       (self._now + self.cost_model.return_overhead,
-                        next(self._seq), _ASYNC_DONE, (inst, outputs)))
-
-    def post_continuation(self, delay: float, fn: Callable) -> None:
-        """Schedule ``fn`` to run at now+delay (loop iterations etc.)."""
-        self._post(self._now + delay, fn)
-
     @property
     def now(self) -> float:
-        return self._now
+        return self.clock.now
 
-    # -- internals -----------------------------------------------------------
+    def schedule(self, when: float, fn: Callable) -> None:
+        """Run ``fn`` on the loop at clock time ``when`` (now at the
+        earliest)."""
+        self.clock.schedule(when, fn)
 
     def _reset_backend(self) -> None:
-        self._now = 0.0
-        self._master_clock = 0.0
-        # Serialized access to the concurrent backprop cache (the hash
-        # table lock + shared memory bandwidth of Section 5).
-        self._cache_clock = 0.0
-        self._free = self.num_workers
         self._events: list = []
         self._seq = itertools.count()
-        # Per-dispatch fast paths, used only while the cost model keeps
-        # the stock implementations (instance- or subclass-overridden
-        # methods disable them and are called per op as before).
-        cm = self.cost_model
-        self._dispatch_const = (
-            cm.dispatch_cost
-            if getattr(cm.dispatch, "__func__", None) is CostModel.dispatch
-            else None)
-        self._async_memo = (
-            {} if getattr(cm.async_overhead, "__func__",
-                          None) is CostModel.async_overhead else None)
+        #: the master lock while a serving master runs kernels outside it
+        self._unlock = None
+        clock = self.clock = (VirtualClock if self.virtual_clock
+                              else WallClock)(self)
+        # called by op starters once per frame: bound, not forwarded
+        self.finish_async = clock.finish_async
+        self.post_continuation = clock.post_continuation
 
     def _post(self, when: float, fn: Callable) -> None:
         heapq.heappush(self._events, (when, next(self._seq), _CALL, fn))
 
     def _loop(self) -> None:
+        """Pop ready ops and run them, then the next event, until neither
+        is left or the session failed.  The virtual clock jumps to each
+        event's time; on the wall clock the loop returns when the next
+        callback is not yet due."""
+        clock = self.clock
+        jumps = clock.virtual
+        events = self._events
+        ready = self._ready
         coalescer = self._coalescer
-        while self._error is None:
-            if self._free > 0 and (self._ready or (coalescer is not None
-                                                   and len(coalescer) > 0)):
+        while self._error is None and self._fatal_error is None:
+            if clock.free > 0 and (ready or (coalescer is not None
+                                             and len(coalescer) > 0)):
                 self._dispatch_ready()
-            if not self._events:
+            if not events:
                 break
-            when, _, kind, payload = heapq.heappop(self._events)
-            if when > self._now:
-                self._now = when
+            when = events[0][0]
+            if when > clock.now:
+                if not jumps:
+                    break
+                clock.now = when
+            _, _, kind, payload = heapq.heappop(events)
             if kind == _OP_DONE:
-                self._free += 1
+                clock.free += 1
                 inst, outputs, starter_inputs = payload
                 try:
                     if isinstance(inst, list):  # fused micro-batch members
@@ -181,26 +158,30 @@ class EventEngine(SchedulerCore):
                 try:
                     payload()
                 except Exception as exc:
-                    self._error = self._engine_error(exc)
+                    self._fail(exc)
 
     def _dispatch_ready(self) -> None:
+        """Drain the ready wavefront, then flush the pending buckets.
+
+        Each popped op runs on a free worker, or waits in the coalescer
+        when it is batchable; once the wavefront is exhausted the
+        buckets are flushed, oldest first, while a worker is free.  On
+        the virtual clock completions are events, so that ends the
+        drain.  On the wall clock they are inline, so a flush refills the
+        wavefront and the drain repeats; it returns early when a
+        scheduled callback falls due, so a deadline can cancel a request
+        mid-flight.
+        """
+        clock = self.clock
+        execute = clock.execute_single
+        wall = not clock.virtual
+        events = self._events
         ready = self._ready
         coalescer = self._coalescer
-        if coalescer is None:
-            # fast path: no coalescer, the wavefront drains straight into
-            # _execute_single with no bucketing checks
-            while ready and self._free > 0 and self._error is None:
-                inst = ready.pop()
-                frame = inst.frame
-                if frame.root.cancelled:
-                    continue
-                values = frame.values
-                inputs = [values[s][i]
-                          for s, i in frame.plan.input_locs[inst.slot]]
-                self._execute_single(inst, inputs)
-            return
         while self._error is None:
-            while ready and self._free > 0 and self._error is None:
+            while ready and clock.free > 0 and self._error is None:
+                if wall and events and events[0][0] <= clock.now:
+                    return
                 inst = ready.pop()
                 frame = inst.frame
                 if frame.root.cancelled:
@@ -218,148 +199,483 @@ class EventEngine(SchedulerCore):
                         if full is not None:
                             self._execute_batch(full)
                         continue
-                self._execute_single(inst, inputs)
-            # The ready wavefront is exhausted: flush pending buckets onto
-            # free workers (oldest first).  Anything left waits for a
-            # worker to free up; _loop re-enters here after every event.
-            if (coalescer is not None and len(coalescer) > 0
-                    and self._free > 0 and not ready
-                    and self._error is None):
+                execute(inst, inputs)
+            if coalescer is None:
+                return
+            while (len(coalescer) > 0 and clock.free > 0
+                   and self._error is None):
+                if wall and events and events[0][0] <= clock.now:
+                    return
                 self._execute_batch(coalescer.pop())
-                continue
-            return
+            if not ready or clock.free <= 0:
+                return
 
-    def _execute_single(self, inst: Instance, inputs: list) -> None:
+    def _execute_batch(self, bucket) -> None:
+        """Run one flushed bucket: one fused kernel call when it is wide
+        enough, else its members one by one (requeued while no worker is
+        free).  The clock books the fused call, and runs the starters of
+        a fused frame spawn."""
+        if not prune_cancelled(bucket):
+            return
+        clock = self.clock
+        members = bucket.instances
+        if not self._bucket_fused(bucket):
+            for inst, inputs in zip(members, bucket.inputs):
+                if clock.free <= 0:
+                    # no worker for the stragglers: requeue them (their
+                    # memoized signatures make the re-offer cheap)
+                    self._ready.push(inst)
+                    continue
+                clock.execute_single(inst, inputs)
+            return
+        first = members[0]
+        definition = first.frame.plan.defs[first.slot]
+        ops = [inst.op for inst in members]
+        try:
+            outputs_list = None
+            if not definition.is_async:
+                runtime = self.runtime
+                ctxs = [inst.frame.ctx or inst.frame.exec_context(runtime)
+                        for inst in members]
+                lock = self._unlock
+                if lock is not None:
+                    lock.release()
+                try:
+                    outputs_list = definition.batched_kernel(
+                        ops, bucket.inputs, ctxs)
+                finally:
+                    if lock is not None:
+                        lock.acquire()
+                if len(outputs_list) != len(bucket):
+                    raise EngineError(
+                        f"batched kernel of {bucket.op_type} returned "
+                        f"{len(outputs_list)} results for {len(bucket)} "
+                        "members")
+            clock.bucket_done(bucket, ops, outputs_list)
+        except Exception as exc:
+            self._fail(exc, ops[0])
+
+
+class VirtualClock:
+    """Simulated time: the cost model over ``num_workers`` virtual workers.
+
+    ``now`` is the time of the last event the loop popped; ``master``
+    is the serialized dispatch clock and ``cache`` the serialized cache
+    clock; ``free`` counts idle virtual workers.
+    """
+
+    virtual = True
+
+    def __init__(self, engine: EventEngine):
+        self.engine = engine
+        self.now = 0.0
+        self.master = 0.0
+        self.cache = 0.0
+        self.free = engine.num_workers
+        self.events = engine._events
+        self.seq = engine._seq
+        engine._master_lock = engine._roots_cv = None
+        # Per-dispatch fast paths, used only while the cost model keeps
+        # the stock implementations (instance- or subclass-overridden
+        # methods disable them and are called per op as before).
+        cm = self.cost_model = engine.cost_model
+        self.dispatch_const = (
+            cm.dispatch_cost
+            if getattr(cm.dispatch, "__func__", None) is CostModel.dispatch
+            else None)
+        self.async_memo = (
+            {} if getattr(cm.async_overhead, "__func__",
+                          None) is CostModel.async_overhead else None)
+
+    # -- rules the scheduler core and op starters follow ---------------------
+
+    def schedule(self, when: float, fn: Callable) -> None:
+        self.engine._post(max(when, self.now), fn)
+
+    def defer_level_flush(self) -> None:
+        # an event at the current virtual instant: every root admitted
+        # at this instant lands in one flush, so same-profile arrivals
+        # merge into a single wavefront deterministically
+        engine = self.engine
+        engine._post(self.now, engine._flush_level_runs)
+
+    def admitted(self) -> None:
+        """Nothing to wake: the loop runs on the caller's thread."""
+
+    def finish_async(self, inst: Instance, outputs: list) -> None:
+        """Complete an async op once its frame(s) produced the outputs.
+
+        Posted as a dedicated event kind (no closure allocation — this
+        runs once per returning frame) that completes the instance
+        without releasing a worker: the async op's worker was already
+        freed when its starter event fired.
+        """
+        heapq.heappush(self.events,
+                       (self.now + self.cost_model.return_overhead,
+                        next(self.seq), _ASYNC_DONE, (inst, outputs)))
+
+    def post_continuation(self, delay: float, fn: Callable) -> None:
+        """Run ``fn`` at now+delay (loop iterations etc.)."""
+        self.engine._post(self.now + delay, fn)
+
+    def complete_level_group(self, lp, runs, results) -> None:
+        done_at = self.now + self.cost_model.level_plan_cost(lp)
+        engine = self.engine
+        for run, values in zip(runs, results):
+            if values is None:
+                continue
+            engine._post(done_at,
+                         lambda run=run, values=values:
+                         engine._complete_level_run(run, values))
+
+    # -- session -------------------------------------------------------------
+
+    def drain(self) -> None:
+        self.engine._loop()
+
+    def stamp(self, stats: RunStats) -> None:
+        stats.virtual_time = self.now
+
+    def start_serving(self) -> None:
+        """Nothing to start: ``drain`` runs the simulation."""
+
+    def stop_serving(self) -> None:
+        """Nothing to stop."""
+
+    def wait(self, cond, done: Callable[[], bool], timeout=None) -> None:
+        """Wait for ``done()``: simulated time passes only by running the
+        simulation, so this drains it to exhaustion (``cond`` and
+        ``done`` go unused) and refuses a wall-clock ``timeout``."""
+        if timeout is not None:
+            raise ValueError(
+                "result(timeout=...) is unsupported on the "
+                "virtual-clock event engine: virtual time only "
+                "advances by running the simulation, so a wall-clock "
+                "timeout cannot be honored — result() drains the "
+                "whole simulation instead.  Call result() without a "
+                "timeout, or submit(..., timeout=) to bound the "
+                "request in virtual time.")
+        self.engine.drain()
+
+    # -- execution -----------------------------------------------------------
+
+    def execute_single(self, inst: Instance, inputs: list) -> None:
+        """Take a worker for one op: a sync kernel runs now and completes
+        at its cost-model time; an async op's starter runs at its
+        caller-context setup time."""
+        engine = self.engine
         op = inst.op
         frame = inst.frame
         plan = frame.plan
         slot = inst.slot
         cost_model = self.cost_model
-        start = self._master_clock
-        if self._now > start:
-            start = self._now
-        dispatch_cost = self._dispatch_const
+        start = self.master
+        if self.now > start:
+            start = self.now
+        dispatch_cost = self.dispatch_const
         if dispatch_cost is None:
             dispatch_cost = cost_model.dispatch(op)
-        self._master_clock = start + dispatch_cost
+        master = self.master = start + dispatch_cost
         definition = plan.defs[slot]
-        self._free -= 1
-        busy = self.num_workers - self._free
-        if busy > self.stats.max_concurrency:
-            self.stats.max_concurrency = busy
+        self.free -= 1
+        stats = engine.stats
+        busy = engine.num_workers - self.free
+        if busy > stats.max_concurrency:
+            stats.max_concurrency = busy
         if definition.is_async:
-            memo = self._async_memo
+            memo = self.async_memo
             if memo is None:
                 cost = cost_model.async_overhead(op)
             else:
                 cost = memo.get(op.op_type)
                 if cost is None:
                     cost = memo[op.op_type] = cost_model.async_overhead(op)
-            self.stats.note_op(op.op_type, cost)
-            heapq.heappush(self._events,
-                           (self._master_clock + cost, next(self._seq),
+            stats.note_op(op.op_type, cost)
+            heapq.heappush(self.events,
+                           (master + cost, next(self.seq),
                             _OP_DONE, (inst, None, inputs)))
-        else:
-            try:
-                ctx = frame.ctx or frame.exec_context(self.runtime)
-                outputs = definition.kernel(op, inputs, ctx)
-            except Exception as exc:
-                self._error = self._wrap_error(exc, op)
-                return
-            kind = plan.cost_kinds[slot]
-            cost = cost_model.op_cost(op, inputs, kind)
-            done = self._master_clock + cost
-            if kind == "cache":
-                # lookups contend on the shared cache structure
-                self._cache_clock = max(self._cache_clock,
-                                        self._master_clock) + cost
-                done = self._cache_clock
-            elif frame.record:
-                mask = plan.store_masks[slot]
-                for i, value in enumerate(outputs):
-                    if mask[i]:
-                        write = cost_model.cache_write_cost(value)
-                        self._cache_clock = (max(self._cache_clock,
-                                                 done) + write)
-                        done = self._cache_clock
-            self.stats.note_op(op.op_type, done - self._master_clock)
-            heapq.heappush(self._events,
-                           (done, next(self._seq),
-                            _OP_DONE, (inst, outputs, None)))
-
-    def _execute_batch(self, bucket) -> None:
-        """Run one fused kernel call for a bucket of same-signature ops."""
-        if not prune_cancelled(bucket):
-            return
-        if not self._bucket_fused(bucket):
-            for inst, inputs in zip(bucket.instances, bucket.inputs):
-                if self._free <= 0:
-                    # no worker for the stragglers: requeue them (their
-                    # memoized signatures make the re-offer cheap)
-                    self._ready.push(inst)
-                    continue
-                self._execute_single(inst, inputs)
-            return
-        first = bucket.instances[0]
-        plan = first.frame.plan
-        definition = plan.defs[first.slot]
-        kind = plan.cost_kinds[first.slot]
-        ops = [inst.op for inst in bucket.instances]
-        start = max(self._now, self._master_clock)
-        # one fused dispatch through the serialized master
-        self._master_clock = start + self.cost_model.dispatch(ops[0])
-        self._free -= 1
-        busy = self.num_workers - self._free
-        if busy > self.stats.max_concurrency:
-            self.stats.max_concurrency = busy
-        if definition.is_async:
-            # fused frame spawn: the caller-context setup is charged once
-            # for the bucket; starters run at completion time like the
-            # scalar async path.
-            cost = self.cost_model.async_batch_overhead(ops[0], len(bucket))
-            self.stats.note_batch(bucket.op_type, len(bucket), cost,
-                                  bucket.signature)
-            heapq.heappush(self._events,
-                           (self._master_clock + cost, next(self._seq),
-                            _OP_DONE, (list(bucket.instances), None,
-                                       list(bucket.inputs))))
             return
         try:
-            runtime = self.runtime
-            ctxs = [inst.frame.ctx or inst.frame.exec_context(runtime)
-                    for inst in bucket.instances]
-            outputs_list = definition.batched_kernel(ops, bucket.inputs, ctxs)
-            self._check_batch_result(bucket, outputs_list)
+            ctx = frame.ctx or frame.exec_context(engine.runtime)
+            outputs = definition.kernel(op, inputs, ctx)
         except Exception as exc:
-            self._error = self._wrap_error(exc, ops[0])
+            engine._error = engine._wrap_error(exc, op)
             return
+        kind = plan.cost_kinds[slot]
+        cost = cost_model.op_cost(op, inputs, kind)
+        done = master + cost
+        if kind == "cache":
+            # lookups contend on the shared cache structure
+            self.cache = max(self.cache, master) + cost
+            done = self.cache
+        elif frame.record:
+            mask = plan.store_masks[slot]
+            for i, value in enumerate(outputs):
+                if mask[i]:
+                    write = cost_model.cache_write_cost(value)
+                    self.cache = max(self.cache, done) + write
+                    done = self.cache
+        stats.note_op(op.op_type, done - master)
+        heapq.heappush(self.events,
+                       (done, next(self.seq), _OP_DONE,
+                        (inst, outputs, None)))
+
+    def bucket_done(self, bucket, ops: list, outputs_list) -> None:
+        """Book one fused call through the serialized master: one
+        dispatch and one worker for the whole bucket, completing at its
+        batch cost (``outputs_list`` is None for a fused frame spawn,
+        whose starters run at completion like the scalar async path)."""
+        engine = self.engine
+        cost_model = self.cost_model
+        start = max(self.now, self.master)
+        master = self.master = start + cost_model.dispatch(ops[0])
+        self.free -= 1
+        stats = engine.stats
+        busy = engine.num_workers - self.free
+        if busy > stats.max_concurrency:
+            stats.max_concurrency = busy
+        members = bucket.instances
+        if outputs_list is None:
+            # the caller-context setup is charged once for the bucket
+            cost = cost_model.async_batch_overhead(ops[0], len(bucket))
+            stats.note_batch(bucket.op_type, len(bucket), cost,
+                             bucket.signature)
+            heapq.heappush(self.events,
+                           (master + cost, next(self.seq), _OP_DONE,
+                            (list(members), None, list(bucket.inputs))))
+            return
+        first = members[0]
+        kind = first.frame.plan.cost_kinds[first.slot]
         if kind == "cache":
             # one bulk round-trip through the serialized cache structure
             # instead of N contended lookups (Section 5's bottleneck)
-            cost = self.cost_model.bulk_cache_lookup_cost(bucket.inputs)
-            self._cache_clock = max(self._cache_clock,
-                                    self._master_clock) + cost
-            done = self._cache_clock
+            cost = cost_model.bulk_cache_lookup_cost(bucket.inputs)
+            self.cache = max(self.cache, master) + cost
+            done = self.cache
         else:
-            cost = self.cost_model.batch_cost(ops, bucket.inputs, kind)
-            done = self._master_clock + cost
+            cost = cost_model.batch_cost(ops, bucket.inputs, kind)
+            done = master + cost
             writes = [value
-                      for inst, outputs in zip(bucket.instances, outputs_list)
+                      for inst, outputs in zip(members, outputs_list)
                       if inst.frame.record
                       for i, value in enumerate(outputs)
                       if inst.frame.plan.store_masks[inst.slot][i]]
             if writes:
-                # the recorded outputs of a fused batch travel to the value
-                # cache as one bulk write
-                self._cache_clock = (max(self._cache_clock, done)
-                                     + self.cost_model.bulk_cache_write_cost(
-                                         writes))
-                done = self._cache_clock
-        self.stats.note_batch(bucket.op_type, len(bucket),
-                              done - self._master_clock, bucket.signature)
-        heapq.heappush(self._events,
-                       (done, next(self._seq), _OP_DONE,
-                        (list(bucket.instances), outputs_list, None)))
+                # the recorded outputs of a fused batch travel to the
+                # value cache as one bulk write
+                self.cache = (max(self.cache, done)
+                              + cost_model.bulk_cache_write_cost(writes))
+                done = self.cache
+        stats.note_batch(bucket.op_type, len(bucket), done - master,
+                         bucket.signature)
+        heapq.heappush(self.events,
+                       (done, next(self.seq), _OP_DONE,
+                        (list(members), outputs_list, None)))
 
 
-register_executor("event", EventEngine)
+class WallClock:
+    """Real time: ``now`` is ``perf_counter`` and kernels complete inline.
+
+    Workers are unbounded (``free`` is infinite).  The master lock and
+    its condition ``cv`` — notified when a root is admitted, retired or
+    fails, a callback is scheduled, or serving ends — are created per
+    session; ``thread`` is the serving master, if one runs.
+    """
+
+    virtual = False
+    free = float("inf")
+
+    def __init__(self, engine: EventEngine):
+        self.engine = engine
+        lock = engine._master_lock = threading.RLock()
+        self.cv = engine._roots_cv = threading.Condition(lock)
+        self.thread = None
+        self.stopping = False
+
+    @property
+    def now(self) -> float:
+        return time.perf_counter()
+
+    # -- rules the scheduler core and op starters follow ---------------------
+
+    def schedule(self, when: float, fn: Callable) -> None:
+        with self.engine._master_lock:
+            self.engine._post(when, fn)
+            if self.thread is not None:
+                self.cv.notify()
+
+    def defer_level_flush(self) -> None:
+        """Nothing to post: the master flushes pending compiled runs at
+        the start of its next turn, and ``admitted`` wakes it."""
+
+    def admitted(self) -> None:
+        """Wake a sleeping serving master: a root was admitted from a
+        (possibly foreign) thread."""
+        if self.thread is not None:
+            with self.cv:
+                self.cv.notify()
+
+    def finish_async(self, inst: Instance, outputs: list) -> None:
+        with self.engine._master_lock:
+            self.engine._complete_instance(inst, outputs)
+
+    def post_continuation(self, delay: float, fn: Callable) -> None:
+        # no overheads are simulated: run it now (always called from
+        # master context, under the lock)
+        fn()
+
+    def complete_level_group(self, lp, runs, results) -> None:
+        for run, values in zip(runs, results):
+            if values is not None:
+                self.engine._complete_level_run(run, values)
+
+    # -- session -------------------------------------------------------------
+
+    def drain(self) -> None:
+        """Wait until every admitted root completed or the session failed
+        (also by an earlier drain).  With no serving master the caller
+        is the master and runs the loop itself."""
+        engine = self.engine
+
+        def idle() -> bool:
+            return (not engine._open_roots or engine._error is not None
+                    or engine._fatal_error is not None)
+        if self.thread is None:
+            self._master(idle)
+        else:
+            self.wait(self.cv, idle)
+
+    def stamp(self, stats: RunStats) -> None:
+        stats.virtual_time = stats.wall_time
+
+    def start_serving(self) -> None:
+        self.stopping = False
+        self.engine._unlock = self.engine._master_lock
+        self.thread = threading.Thread(target=self._master,
+                                       args=(self._serving_done,),
+                                       daemon=True)
+        self.thread.start()
+
+    def stop_serving(self) -> None:
+        engine = self.engine
+        if self.thread is not None:
+            with self.cv:
+                self.stopping = True
+                self.cv.notify()
+            self.thread.join()
+            self.thread = engine._unlock = None
+        stats = engine.stats
+        stats.wall_time = stats.virtual_time = (time.perf_counter()
+                                                - engine._serve_wall0)
+
+    def wait(self, cond, done: Callable[[], bool], timeout=None) -> None:
+        """Block on ``cond`` until ``done()`` or ``timeout`` seconds.
+
+        Between looks the waiter runs the callbacks that fell due while
+        the master is inside a kernel (it holds the master lock at any
+        other time), so a deadline still cancels a request whose kernel
+        does not return.
+        """
+        end = None if timeout is None else time.perf_counter() + timeout
+        while True:
+            with cond:
+                if done():
+                    return
+                left = _POLL_S
+                if end is not None:
+                    left = min(left, end - time.perf_counter())
+                    if left <= 0:
+                        return
+                cond.wait(left)
+            self._run_due()
+
+    def _run_due(self) -> None:
+        engine = self.engine
+        lock = engine._master_lock
+        if not lock.acquire(blocking=False):
+            return
+        try:
+            events = engine._events
+            while (events and events[0][0] <= time.perf_counter()
+                   and engine._error is None):
+                try:
+                    heapq.heappop(events)[3]()
+                except Exception as exc:
+                    engine._fail(exc)
+        finally:
+            lock.release()
+
+    def _master(self, stop: Callable[[], bool]) -> None:
+        """Turns of the loop until ``stop()``, under the master lock: a
+        turn flushes the pending compiled runs, then runs the loop;
+        between turns the master sleeps until the next callback falls due
+        or a wake-up."""
+        engine = self.engine
+        events = engine._events
+        cv = self.cv
+        with cv:
+            while True:
+                if engine._pending_level_runs:
+                    engine._flush_level_runs()
+                engine._loop()
+                if stop():
+                    return
+                left = _POLL_S
+                if events and engine._error is None \
+                        and engine._fatal_error is None:
+                    left = min(left, events[0][0] - time.perf_counter())
+                if left > 0:
+                    cv.wait(left)
+
+    def _serving_done(self) -> bool:
+        """The serving master's stop predicate: ``end_serving`` was
+        called and nothing is ready any more (or the session failed)."""
+        engine = self.engine
+        if not self.stopping:
+            return False
+        if engine._error is not None or engine._fatal_error is not None:
+            return True
+        return not engine._ready and (engine._coalescer is None
+                                      or len(engine._coalescer) == 0)
+
+    # -- execution -----------------------------------------------------------
+
+    def execute_single(self, inst: Instance, inputs: list) -> None:
+        """Run one op now: a kernel outside the master lock while a
+        serving master runs, its completion (or an async op's starter)
+        under it."""
+        engine = self.engine
+        op = inst.op
+        frame = inst.frame
+        definition = frame.plan.defs[inst.slot]
+        try:
+            if definition.is_async:
+                frame.plan.starters[inst.slot](engine, inst, inputs)
+            else:
+                ctx = frame.ctx or frame.exec_context(engine.runtime)
+                lock = engine._unlock
+                if lock is not None:
+                    lock.release()
+                try:
+                    outputs = definition.kernel(op, inputs, ctx)
+                finally:
+                    if lock is not None:
+                        lock.acquire()
+                engine._complete_instance(inst, outputs)
+        except Exception as exc:
+            engine._fail(exc, op)
+            return
+        engine.stats.note_op(op.op_type, 0.0)
+
+    def bucket_done(self, bucket, ops: list, outputs_list) -> None:
+        """Complete a fused call now (``outputs_list`` None: run the
+        starters of a fused frame spawn)."""
+        engine = self.engine
+        if outputs_list is None:
+            for inst, inputs in zip(bucket.instances, bucket.inputs):
+                if not inst.frame.root.cancelled:
+                    inst.frame.plan.starters[inst.slot](engine, inst, inputs)
+        else:
+            engine._complete_batch(bucket.instances, outputs_list)
+        engine.stats.note_batch(bucket.op_type, len(bucket), 0.0,
+                                bucket.signature)

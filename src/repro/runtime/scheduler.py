@@ -1,4 +1,4 @@
-"""The scheduler core: one frame-lifecycle engine, pluggable executors.
+"""The scheduler core: the frame-lifecycle engine under the executor loop.
 
 The paper's central capability — recursion-aware scheduling (frame
 spawning over compiled :class:`~repro.runtime.plan.FramePlan` slot
@@ -6,47 +6,44 @@ arrays, cross-instance dynamic micro-batching, selective caching of
 forward values) — is a *framework* property, independent of how kernels
 are ultimately executed.  This module makes that layering explicit:
 
-* :class:`SchedulerCore` owns everything the execution backends used to
-  duplicate: frame spawn/seed/complete, the ready-queue and
+* :class:`SchedulerCore` owns the frame lifecycle: spawn/seed/
+  complete, the ready-queue and
   :class:`~repro.runtime.batching.Coalescer` integration points,
   selective-cache store decisions, root admission (``run`` is a
   one-request serving session over ``submit_root`` / ``drain``),
   error wrapping, and :class:`~repro.runtime.stats.RunStats`
   accounting.
 
-* **Executor backends** subclass it and implement only the execution
-  mechanics — a clock (``now``), deferred callbacks
-  (``post_continuation``), async-return posting (``finish_async``),
-  the session hooks, and the dispatch loop that takes ready instances
-  to kernels:
+* The executor loop (:class:`~repro.runtime.engine.EventEngine`)
+  subclasses it and takes ready instances to kernels; its clock
+  (``self.clock``) decides when they complete, what ``now`` is, where
+  deferred callbacks and compiled flushes run, and how a session waits.
+  Two names pick the clock (:func:`resolve_executor`):
 
-  - ``"event"`` — :class:`~repro.runtime.engine.EventEngine`, the
-    deterministic virtual-time discrete-event simulator and the oracle
-    every other backend is checked against;
-  - ``"workerpool"`` — :class:`~repro.runtime.workerpool
-    .WorkerPoolEngine`, a wall-clock backend whose one centralized
-    master both schedules and executes every kernel (scalar or fused
-    bucket), taking its parallelism from bucket and sweep width.
+  - ``"event"`` — the virtual clock: the deterministic discrete-event
+    simulator and the oracle every other configuration is checked
+    against;
+  - ``"workerpool"`` — the wall clock: one master (the caller during
+    ``run``, a dedicated thread while serving) schedules and executes
+    every kernel, taking its parallelism from bucket and sweep width.
 
   On both, a compiled level-plan sweep runs its blocks back to back on
-  the thread that flushes it.
+  the loop's thread.
 
 The split follows Cortex (Fegade et al.) and the static-dataflow
 recursion work (see PAPERS.md): scheduling decisions for recursive
-models are made once, in one place, and every backend inherits them —
-values, gradients and (for the event engine) virtual-time results are
-bit-identical across backends.  See ARCHITECTURE.md for the layer
-diagram and the "how to add an executor" recipe.
+models are made once, in one place, and both clocks inherit them —
+values, gradients and (on the virtual clock) virtual-time results are
+bit-identical across them.  See ARCHITECTURE.md for the layer diagram.
 
-Registry: backends self-register under a name (:func:`register_executor`)
-and :class:`~repro.runtime.session.Session` /
-:class:`~repro.harness.runners.RunnerConfig` resolve ``engine="..."``
-through :func:`resolve_executor`; :func:`available_executors` lists the
-registered names (the cross-executor equivalence tests and the bench
-provenance stamps iterate it).
+:func:`resolve_executor` maps ``Session(engine="...")`` /
+:class:`~repro.harness.runners.RunnerConfig` names to the two classes;
+:func:`available_executors` lists the names (the cross-executor
+equivalence tests and the bench provenance stamps iterate it).
 
-Locking contract: ``_master_lock`` is ``None`` on single-threaded
-executors (the event engine) and an ``RLock`` on workerpool.
+Locking contract: ``_master_lock`` is ``None`` on the virtual clock and
+an ``RLock`` on the wall clock, held by the loop except while a serving
+master runs a kernel or a compiled sweep (``_unlock``) or sleeps.
 ``_complete_instance`` and ``_start_frame`` mutate master state and are
 *lock-free by design*: every entry point either holds the lock already
 (master completions, starters, ``submit_root``) or runs on the only
@@ -78,8 +75,7 @@ from .stats import RunStats
 
 __all__ = ["SchedulerCore", "Frame", "Instance", "EngineError",
            "should_store", "seed_frame", "collect_cache_entries",
-           "prune_cancelled", "register_executor", "resolve_executor",
-           "available_executors"]
+           "prune_cancelled", "resolve_executor", "available_executors"]
 
 
 class EngineError(RuntimeError):
@@ -154,10 +150,9 @@ def seed_frame(frame: "Frame", complete_instance: Callable,
 def prune_cancelled(bucket) -> bool:
     """Drop members of cancelled request trees from a popped bucket.
 
-    Shared by every executor's bucket-execution path: a bucket may have
-    been filled before its members' root was cancelled (or popped from
-    the coalescer concurrently with ``cancel_root``'s discard), so the
-    flush filters again.  Returns True when live members remain.
+    A bucket may have been filled before its members' root was
+    cancelled, so the flush filters again.  Returns True when live
+    members remain.
     """
     instances = bucket.instances
     for inst in instances:
@@ -175,9 +170,8 @@ def prune_cancelled(bucket) -> bool:
 def collect_cache_entries(members, outputs_list) -> list:
     """The record-set of one fused batch as ``store_many`` entries.
 
-    Shared by every executor's batch-completion path so the set of
-    cached values (and its bulk-write layout) cannot diverge between
-    them.
+    Shared by both clocks' batch completions so the set of cached
+    values (and its bulk-write layout) cannot diverge between them.
     """
     entries = []
     for inst, outputs in zip(members, outputs_list):
@@ -395,19 +389,19 @@ _NO_LOCK = contextlib.nullcontext()
 
 
 class SchedulerCore:
-    """Frame-lifecycle scheduler shared by every executor backend.
+    """Frame-lifecycle scheduler under the executor loop.
 
     Owns the recursion-aware scheduling semantics — frame spawn/seed/
     complete over :class:`~repro.runtime.plan.FramePlan` slot arrays,
     coalescer signatures and flush decisions, selective-cache stores,
     serving admission, error wrapping and stats accounting — while the
-    backend supplies the clock and the kernel-execution mechanics.
+    loop and its clock supply the kernel-execution mechanics.
 
     Args:
         runtime: the :class:`~repro.runtime.session.Runtime` providing
             variables, accumulators and the backprop cache.
-        num_workers: virtual worker count for the event engine
-            (workerpool accepts and ignores it: its master executes
+        num_workers: virtual worker count of the virtual clock (the
+            wall clock accepts and ignores it: its master executes
             every kernel).
         cost_model: virtual-time cost model; defaults to the CPU testbed.
         record: cache forward values of recursive frames (training mode).
@@ -427,10 +421,7 @@ class SchedulerCore:
             peak in ``RunStats``) even without a budget.
     """
 
-    #: True when the backend runs on a simulated clock (the event
-    #: engine): the server then schedules arrivals at virtual instants
-    #: and drives the simulation through ``drain`` instead of waiting on
-    #: wall time.
+    #: the clock a name picks: simulated (``"event"``) or wall time
     virtual_clock = False
 
     def __init__(self, runtime, num_workers: int = 1,
@@ -454,11 +445,11 @@ class SchedulerCore:
         #: budget needs the pressure signal or a caller asked to measure
         self._track_live = (self.memory_budget is not None
                             or track_live_bytes)
-        #: master-state mutex (None on single-threaded executors); see
-        #: the module docstring for the locking contract.
+        #: master-state mutex (None on the virtual clock); see the module
+        #: docstring for the locking contract.
         self._master_lock: Optional[threading.RLock] = None
-        #: condition against the master lock, notified when a root frame
-        #: completes (workerpool creates it for ``drain``).
+        #: condition against the master lock, notified when a root is
+        #: admitted, completes or fails (the wall clock creates it).
         self._roots_cv: Optional[threading.Condition] = None
         self._reset_session()
 
@@ -466,12 +457,12 @@ class SchedulerCore:
                        ) -> None:
         """Clear every piece of per-session state — the one reset
         behind construction, ``run`` and ``begin_serving`` — then let
-        the backend rebuild its clock, lock and ready sink."""
+        the loop rebuild its clock (and the wall clock its lock)."""
         self._open_roots = 0
         self._error: Optional[Exception] = None
         #: called once, outside the master lock, when the session fails
         self._error_listener = error_listener
-        #: True once the error listener has been invoked (workerpool
+        #: True once the error listener has been invoked (the wall clock
         #: delivers at failure time; drain must not re-deliver).
         self._error_delivered = False
         #: sticky copy of a raised session error: failed roots never
@@ -482,8 +473,8 @@ class SchedulerCore:
         self._pending_level_runs: list = []
         self._coalescer: Optional[Coalescer] = (
             Coalescer(self.batch_policy) if self.batching else None)
-        #: the ready queue every backend pops from (``pop`` raises
-        #: IndexError when empty); ``_push_ready`` is its bound push
+        #: the ready queue the loop pops from (``pop`` raises IndexError
+        #: when empty); ``_push_ready`` is its bound push
         if self.memory_budget is not None:
             self._ready = _MemoryBudgetReady(self)
         elif self.scheduler == "depth":
@@ -495,54 +486,10 @@ class SchedulerCore:
         self._reset_backend()
         self._serve_wall0 = time.perf_counter()
 
-    # -- Executor interface ---------------------------------------------------
-    #
-    # The mechanics a backend must implement.  ``now`` is the backend
-    # clock (virtual or wall); ``post_continuation`` defers a callback
-    # (loop iterations); ``finish_async`` posts an async op's return
-    # once its child frame(s) completed; ``_reset_backend`` rebuilds the
-    # clock and lock for a session.
-    # The session hooks (`_start_serving`, `_drive_run`, `_drain_events`,
-    # `_stamp_clock`, `_stop_serving`, `_admitted`) back the shared
-    # run/begin_serving/submit_root/drain/end_serving below.
-
-    @property
-    def now(self) -> float:
-        raise NotImplementedError
-
-    def post_continuation(self, delay: float, fn: Callable) -> None:
-        raise NotImplementedError
-
-    def finish_async(self, inst: Instance, outputs: list) -> None:
-        raise NotImplementedError
-
     def _reset_backend(self) -> None:
-        """Rebuild the backend's per-session state (clock, lock)."""
+        """Rebuild the loop's per-session state: its event heap and
+        ``self.clock``."""
         raise NotImplementedError
-
-    def _start_serving(self) -> None:
-        """Start a serving session's workers, if any."""
-
-    def _drive_run(self) -> None:
-        """Drive ``run``'s one root on the calling thread before its
-        ``drain``; backends whose ``_drain_events`` runs the work itself
-        (the event loop) need nothing here."""
-
-    def _drain_events(self) -> None:
-        """Run/await all admitted work (event loop or quiescence wait)."""
-        raise NotImplementedError
-
-    def _stamp_clock(self, stats: RunStats) -> None:
-        """Record the backend clock's elapsed session time on ``stats``
-        (``stats.wall_time`` is already stamped)."""
-        raise NotImplementedError
-
-    def _stop_serving(self) -> None:
-        """Tear down the serving session (stop workers, stamp clocks)."""
-
-    def _admitted(self, handle) -> None:
-        """Hook: root ``handle`` (a :class:`Frame`, or a compiled
-        ``_LevelRun``) was admitted from a (possibly foreign) thread."""
 
     # -- frame lifecycle ------------------------------------------------------
 
@@ -576,9 +523,8 @@ class SchedulerCore:
 
     @property
     def _locked(self):
-        """The master lock as a context manager (a no-op on the
-        single-threaded event engine): for per-admission paths, not the
-        per-op hot path."""
+        """The master lock as a context manager (a no-op on the virtual
+        clock): for per-admission paths, not the per-op hot path."""
         return self._master_lock or _NO_LOCK
 
     def _over_budget(self) -> bool:
@@ -717,34 +663,12 @@ class SchedulerCore:
                 f"batched kernel of {bucket.op_type} returned "
                 f"{len(outputs_list)} results for {len(bucket)} members")
 
-    def _spawn_async_bucket(self, bucket, fused: bool) -> None:
-        """Fused (or straggler) frame spawn on a wall-clock backend: run
-        every member's starter under the master lock, accounting one
-        ``note_batch`` when fused else per-member ``note_op``.  The
-        event engine has its own path (starters run at virtual
-        completion instants with the fused overhead charged up front).
-        Exceptions propagate to the caller's failure handler.
-        """
-        with self._master_lock:
-            for inst, inputs in zip(bucket.instances, bucket.inputs):
-                # re-checked under the lock: a cancel may land between
-                # the caller's prune (outside the lock) and the spawn
-                if inst.frame.root.cancelled:
-                    continue
-                inst.frame.plan.starters[inst.slot](self, inst, inputs)
-            if fused:
-                self.stats.note_batch(bucket.op_type, len(bucket), 0.0,
-                                      bucket.signature)
-            else:
-                for inst in bucket.instances:
-                    self.stats.note_op(inst.op.op_type, 0.0)
-
     # -- root admission -------------------------------------------------------
     #
     # Every root enters through ``submit_root``, which injects it into
     # the *live* ready queue (so its ops interleave — and fuse — with
     # whatever is already in flight) or onto the compiled path; ``drain``
-    # runs/awaits the backend until every admitted root has completed.
+    # runs/awaits the loop until every admitted root has completed.
     # ``run`` is a one-request session over exactly that.  The serving
     # path (:class:`repro.runtime.server.RecursiveServer`) instead keeps
     # one session open across requests (``begin_serving`` …
@@ -757,7 +681,7 @@ class SchedulerCore:
 
         A one-request serving session: the root is admitted under
         :data:`~repro.core.cache.ROOT_KEY` exactly like a served request
-        (compiled when ``shape_profile`` allows), the backend runs until
+        (compiled when ``shape_profile`` allows), the loop runs until
         it completes, and the values come back in ``fetches`` order with
         the run's stats.  A failure raises the session's error after
         retiring the root, so the executor is idle either way.
@@ -767,7 +691,6 @@ class SchedulerCore:
         handle = self.submit_root(graph, fetches, feed_map, ROOT_KEY,
                                   result.append, shape_profile)
         try:
-            self._drive_run()
             stats = self.drain()
         except BaseException:
             self.cancel_root(handle)
@@ -780,11 +703,11 @@ class SchedulerCore:
         ``error_listener`` (optional) is called once, outside the master
         lock, if any kernel raises — root frames in flight at that point
         will never complete, so the server must fail their requests.
-        On the single-threaded event engine errors surface from
-        ``drain()``, which invokes the listener before raising.
+        On the virtual clock errors surface from ``drain()``, which
+        invokes the listener before raising.
         """
         self._reset_session(error_listener)
-        self._start_serving()
+        self.clock.start_serving()
 
     def submit_root(self, graph: Graph, fetches: Sequence[Tensor],
                     feed_map: dict[int, Any], key: tuple,
@@ -798,7 +721,7 @@ class SchedulerCore:
         values (in ``fetches`` order) when the root frame finishes.
         The pruned root plan is memoized per fetch set, so repeat
         requests skip the reachability walk entirely.  Thread-safe on
-        locking executors (admission takes the master lock).
+        the wall clock (admission takes the master lock).
 
         ``shape_profile`` (per-call-site tree shapes, in op-id order)
         routes the root through the compiled level-plan fast path when
@@ -832,7 +755,7 @@ class SchedulerCore:
                                      record=False, on_complete=frame_done,
                                      owner=None, pin_locs=pins)
             self._start_frame(frame)
-        self._admitted(frame)
+        self.clock.admitted()
         return frame
 
     # -- compiled level-plan path ---------------------------------------------
@@ -841,10 +764,10 @@ class SchedulerCore:
     # lowers to a fixed wavefront schedule (repro.runtime.level_plan):
     # the definition compiles once into a template, and the pending runs
     # of one template — whatever their shapes — flush as one forest.
-    # The scheduler owns the admission/merge/complete bookkeeping so all
-    # backends share it; each backend says where the flush runs
-    # (`_schedule_level_flush`), and the event engine also overrides
-    # `_complete_level_group` to retire the sweep at its modeled cost.
+    # The scheduler owns the admission/merge/complete bookkeeping so both
+    # clocks share it; the clock says where the flush runs
+    # (`defer_level_flush`) and when the sweep's runs complete
+    # (`complete_level_group`: the virtual clock at its modeled cost).
 
     def _note_fallback(self, reason: str) -> None:
         """Count one profiled admission that runs dynamically, under the
@@ -897,16 +820,9 @@ class SchedulerCore:
             self.stats.level_plan_hits += 1
             self._open_roots += 1
             self._pending_level_runs.append(run)
-        self._schedule_level_flush()
-        self._admitted(run)
+        self.clock.defer_level_flush()
+        self.clock.admitted()
         return run
-
-    def _schedule_level_flush(self) -> None:
-        """Arrange for ``_flush_level_runs`` to run on the backend's one
-        dispatching thread (the event loop: an event at the current
-        virtual instant, so same-instant arrivals merge into one
-        wavefront; workerpool: its master)."""
-        raise NotImplementedError
 
     def _flush_level_runs(self) -> None:
         """Drain ``_pending_level_runs``, batching same-plan runs.  Runs
@@ -922,14 +838,18 @@ class SchedulerCore:
 
     def _run_level_batch(self, batch) -> None:
         """Flush pending compiled runs: one forest — one instantiation
-        lookup, one sweep — per template, whatever the runs' shapes."""
+        lookup, one sweep — per template, whatever the runs' shapes.  A
+        serving master runs the sweep outside the master lock."""
         from .level_plan.forest import instance_for
         from .level_plan.sweep import execute_level_plan
         forests: dict = {}
         for run in batch:
             if not run.cancelled:
                 forests.setdefault(id(run.tpl), []).append(run)
+        lock = self._unlock
         for runs in forests.values():
+            if lock is not None:
+                lock.release()
             try:
                 lp = instance_for(runs[0].tpl, [run.lin for run in runs],
                                   stats=self.stats)
@@ -937,14 +857,10 @@ class SchedulerCore:
             except Exception as exc:  # noqa: BLE001 - session failure path
                 self._fail(exc)
                 return
-            self._complete_level_group(lp, runs, results)
-
-    def _complete_level_group(self, lp, runs, results) -> None:
-        """Retire the runs of one executed sweep (the event engine
-        defers this to the sweep's modeled finish instant)."""
-        for run, values in zip(runs, results):
-            if values is not None:
-                self._complete_level_run(run, values)
+            finally:
+                if lock is not None:
+                    lock.acquire()
+            self.clock.complete_level_group(lp, runs, results)
 
     def _complete_level_run(self, run, values) -> None:
         """Retire one compiled root (mirrors the dynamic ``frame_done``:
@@ -962,15 +878,14 @@ class SchedulerCore:
 
     def _fail(self, exc: Exception, op: Optional[Operation] = None) -> None:
         """Fail the session with ``exc`` (the first failure wins), as
-        :meth:`_engine_error` wraps it.  On workerpool this wakes drain
-        waiters and delivers to the serving error listener outside the
-        master lock."""
+        :meth:`_engine_error` wraps it.  On the wall clock this wakes
+        drain waiters and delivers to the serving error listener."""
         err = self._engine_error(exc, op)
         lock = self._master_lock
         if lock is None:
             if self._error is None:
                 self._error = err
-            return  # single-threaded: drain() delivers + raises
+            return  # virtual clock: drain() delivers + raises
         listener = None
         with lock:
             if self._error is None:
@@ -1038,14 +953,14 @@ class SchedulerCore:
         self.stats.cache_lookups = cache.lookups - lookups
 
     def drain(self) -> RunStats:
-        """Complete all admitted work (and, on the event engine, all
-        scheduled arrivals); returns the session-cumulative stats.
+        """Complete all admitted work (and, on the virtual clock, all
+        scheduled callbacks); returns the session-cumulative stats.
         Raises the engine error if the session failed."""
-        self._drain_events()
+        self.clock.drain()
         # stats reflect the session as far as it got, error or not
         stats = self.stats
         stats.wall_time = time.perf_counter() - self._serve_wall0
-        self._stamp_clock(stats)
+        self.clock.stamp(stats)
         self._book_cache()
         if self._error is not None:
             error, self._error = self._error, None
@@ -1061,8 +976,8 @@ class SchedulerCore:
         return stats
 
     def end_serving(self) -> RunStats:
-        """Leave serving mode (stops workers, if any; returns stats)."""
-        self._stop_serving()
+        """Leave serving mode (stops a serving master; returns stats)."""
+        self.clock.stop_serving()
         return self.stats
 
     # -- errors ---------------------------------------------------------------
@@ -1090,52 +1005,23 @@ class SchedulerCore:
         return err
 
 
-# -- executor registry --------------------------------------------------------
+# -- executor names -----------------------------------------------------------
 
-_EXECUTORS: dict[str, type] = {}
-#: modules whose import registers the built-in backends.  In practice
-#: ``repro.runtime.__init__`` imports both eagerly (they are public
-#: API), so this list is a guarantee, not the common path: it keeps
-#: ``resolve_executor``/``available_executors`` correct under any import
-#: order without creating an import cycle in this module.  A new
-#: built-in backend must appear here *and* in the package ``__init__``;
-#: third-party backends need neither (importing their module runs their
-#: ``register_executor`` call).
-_BUILTIN_MODULES = ("repro.runtime.engine", "repro.runtime.workerpool")
-
-
-def register_executor(name: str, cls: type, *, replace: bool = False) -> None:
-    """Register an executor backend under ``name``.
-
-    ``Session(engine=name)`` / ``RunnerConfig(engine=name)`` construct
-    the class with the shared :class:`SchedulerCore` keyword signature.
-    Re-registering a different class under a taken name requires
-    ``replace=True``.
-    """
-    if not replace and name in _EXECUTORS and _EXECUTORS[name] is not cls:
-        raise ValueError(f"executor {name!r} already registered "
-                         f"({_EXECUTORS[name].__name__})")
-    _EXECUTORS[name] = cls
-
-
-def _load_builtins() -> None:
-    import importlib
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
+#: the names ``engine=`` accepts: the one executor loop on either clock
+_EXECUTORS = ("event", "workerpool")
 
 
 def resolve_executor(name: str) -> type:
-    """The executor class registered under ``name`` (raises ValueError)."""
-    _load_builtins()
-    try:
-        return _EXECUTORS[name]
-    except KeyError:
+    """The executor class ``name`` picks (raises ValueError)."""
+    if name not in _EXECUTORS:
         raise ValueError(
             f"unknown engine {name!r}; registered executors: "
-            f"{', '.join(sorted(_EXECUTORS))}") from None
+            f"{', '.join(_EXECUTORS)}")
+    from .engine import EventEngine
+    from .workerpool import WorkerPoolEngine
+    return EventEngine if name == "event" else WorkerPoolEngine
 
 
 def available_executors() -> list[str]:
-    """Sorted names of every registered executor backend."""
-    _load_builtins()
-    return sorted(_EXECUTORS)
+    """The executor names, sorted."""
+    return list(_EXECUTORS)

@@ -35,8 +35,8 @@ On top of continuous admission the server is **SLO-aware**:
   their root frame retired in the scheduler core
   (:meth:`~repro.runtime.scheduler.SchedulerCore.cancel_root`): ready
   ops are skipped, pending coalescer-bucket members evicted, and the
-  tree quiesces without producing further work, on both executor
-  backends.  :meth:`RequestTicket.cancel` gives clients the same lever.
+  tree quiesces without producing further work, on both clocks.
+  :meth:`RequestTicket.cancel` gives clients the same lever.
 
 Components:
 
@@ -60,22 +60,19 @@ its own lock while calling into engine-side code — admission decisions
 and frame cancellations are snapshotted under the server lock and
 executed after releasing it.
 
-The server runs on any registered executor through the shared
-incremental-admission API (``begin_serving`` / ``submit_root`` /
-``cancel_root`` / ``drain`` / ``end_serving``):
-
-* **event engine** — the whole serving session is simulated in virtual
-  time.  Arrivals are scheduled with ``submit(..., at=t)``; admission
-  decisions, deadline expiries and completions happen inside the event
-  loop at the proper virtual instants, and ``drain()`` runs the
-  simulation to exhaustion.  Fully deterministic: a fixed request
-  stream yields bit-identical results *and* identical virtual-time
-  latencies run over run.  (Enforced deadlines post one simulation
-  event per deadline-carrying request; an expiry after completion is a
-  no-op.)
-* **workerpool** — ``submit`` may be called from any thread while
-  kernels execute; deadlines are enforced by daemon timers; ``drain()``
-  blocks until the queue and the engine are empty.
+The server runs on either clock through the shared incremental-admission
+API (``begin_serving`` / ``submit_root`` / ``cancel_root`` /
+``end_serving``) and asks the engine's clock for everything time-related:
+``now``, ``schedule`` — scheduled arrivals (``submit(..., at=t)``),
+deadline expiries (one callback per deadline-carrying request; an
+expiry after completion is a no-op) and the same-instant admission
+pump all run on the executor loop when they fall due — and ``wait``,
+behind ``drain`` and ``result``.  On the virtual clock ``wait`` runs
+the simulation to exhaustion, fully deterministic: a fixed request
+stream yields bit-identical results *and* identical virtual-time
+latencies run over run.  On the wall clock ``submit`` may be called
+from any thread while the serving master executes kernels, and ``wait``
+blocks until the queue and the engine are empty.
 
 Per-request values are **bit-identical** to a one-shot ``Session.run``
 of the same fetches: admission changes only *when* operations execute,
@@ -116,17 +113,10 @@ class DeadlineExceeded(RuntimeError):
     """A request was dropped by deadline enforcement."""
 
 
-#: the completion event every finished ticket shares: a kept ticket
-#: holds no lock or condition of its own once it is done
-_FINISHED = threading.Event()
-_FINISHED.set()
-
-
 class RequestTicket:
     """Completion future of one submitted request.
 
-    Times are engine-clock seconds (virtual under the event engine,
-    wall-clock under workerpool):
+    Times are engine-clock seconds (virtual or wall):
 
     * ``arrival_time`` — the request entered the server queue;
     * ``admit_time`` — it was admitted into the engine as a root instance;
@@ -146,7 +136,7 @@ class RequestTicket:
                  "priority", "tenant", "size_hint", "predicted_cost",
                  "shape_profile", "frame", "_base_cost", "_rel_timeout",
                  "_admitted", "_cancel_requested", "_queued", "_dequeued",
-                 "_timer", "_server", "_done")
+                 "_server", "done")
 
     def __init__(self, request_id: int, fetches: list, feed_map: dict,
                  single: bool, server: "RecursiveServer"):
@@ -180,20 +170,16 @@ class RequestTicket:
         self._cancel_requested: Optional[str] = None
         self._queued = False
         self._dequeued = False
-        self._timer: Optional[threading.Timer] = None
         self._server = server
-        self._done = threading.Event()
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
+        #: set under the server's condition, which waiters block on
+        self.done = False
 
     @property
     def status(self) -> str:
         """``submitted``/``queued``/``running`` while pending, then one
         of ``done``, ``failed``, ``rejected``, ``cancelled``,
         ``timed_out``."""
-        if not self._done.is_set():
+        if not self.done:
             if self._admitted:
                 return "running"
             return "queued" if self._queued else "submitted"
@@ -241,13 +227,13 @@ class RequestTicket:
     def result(self, timeout: Optional[float] = None):
         """Block until this request completes; return (or raise) it.
 
-        On the event engine an unfinished ticket triggers a ``drain()``
+        On the virtual clock an unfinished ticket triggers a ``drain()``
         of the server — virtual time cannot pass without running the
         simulation, so a ``timeout`` is rejected there (ValueError).
         """
-        if not self._done.is_set():
+        if not self.done:
             self._server._wait_for(self, timeout)
-        if not self._done.is_set():
+        if not self.done:
             raise TimeoutError(
                 f"request {self.request_id} not complete after {timeout}s")
         if self.error is not None:
@@ -255,14 +241,9 @@ class RequestTicket:
         return self.value
 
     def _finish(self) -> None:
-        timer, self._timer = self._timer, None
-        if timer is not None:
-            timer.cancel()
+        """Under the server's condition, which the caller notifies."""
         self.frame = None
-        # a waiter already blocked holds the ticket's own event, which
-        # wakes it; later readers see the shared finished one
-        done, self._done = self._done, _FINISHED
-        done.set()
+        self.done = True
 
 
 class _TenantLane:
@@ -454,7 +435,6 @@ class RecursiveServer:
         self._session = session
         self._engine = session._engine
         self._graph = session.graph
-        self._virtual = bool(getattr(self._engine, "virtual_clock", False))
         self.max_in_flight = max_in_flight
         self.queue_cap = queue_cap
         self.admission = admission
@@ -490,6 +470,8 @@ class RecursiveServer:
         self._cost_scale = 1.0
         session.runtime.cache.clear()
         self._engine.begin_serving(error_listener=self._on_engine_error)
+        #: the session's clock: now, schedule and wait
+        self._clock = self._engine.clock
 
     # -- introspection -------------------------------------------------------
 
@@ -553,9 +535,8 @@ class RecursiveServer:
 
         ``fetches``/``feed_dict`` follow ``Session.run`` semantics
         (a Tensor or a sequence of Tensors, placeholder feeds).  ``at``
-        (event engine only) schedules the *arrival* at an absolute
-        virtual time — the open-loop arrival hook; without it the request
-        arrives at the engine's current clock.
+        schedules the *arrival* at an absolute engine-clock time — the
+        open-loop arrival hook; without it the request arrives now.
 
         SLO metadata (all optional):
 
@@ -610,11 +591,7 @@ class RecursiveServer:
             self._outstanding[ticket.request_id] = ticket
             self._arriving += 1
         if at is not None:
-            if not self._virtual:
-                raise ValueError("scheduled arrivals (at=...) require the "
-                                 "event engine; wall-clock backends serve "
-                                 "in real time")
-            self._engine.schedule(at, lambda: self._arrive(ticket))
+            self._clock.schedule(at, lambda: self._arrive(ticket))
         else:
             self._arrive(ticket)
         return ticket
@@ -622,25 +599,20 @@ class RecursiveServer:
     def drain(self) -> RunStats:
         """Complete everything submitted so far; return cumulative stats.
 
-        Event engine: runs the simulation (arrivals, admissions,
-        execution, completions) to exhaustion.  Wall-clock engines:
-        block until pending arrivals, the request queue and the engine
-        are all empty.  Raises the engine error if the session failed.
+        Waits on the clock: the virtual clock runs the simulation
+        (arrivals, admissions, execution, completions) to exhaustion;
+        the wall clock blocks until pending arrivals, the request queue
+        and the engine are all empty.  Raises the engine error if the
+        session failed.
         """
-        if self._virtual:
-            stats = self._engine.drain()
-            if self._fatal is not None:
-                raise self._fatal
-            return stats
-        with self._cond:
-            while self._fatal is None and (self._arriving or self._queue
-                                           or self._in_flight):
-                # short waits keep the main thread responsive to the
-                # SIGALRM test watchdog
-                self._cond.wait(0.05)
-            if self._fatal is not None:
-                raise self._fatal
+        self._clock.wait(self._cond, self._drained)
+        if self._fatal is not None:
+            raise self._fatal
         return self._engine.stats
+
+    def _drained(self) -> bool:
+        return self._fatal is not None or not (
+            self._arriving or self._queue or self._in_flight)
 
     def close(self) -> None:
         """Stop accepting requests, drain, and end the serving session.
@@ -668,8 +640,8 @@ class RecursiveServer:
 
     # -- internals -----------------------------------------------------------
     #
-    # Lock discipline (workerpool): completions arrive under the
-    # ENGINE master lock (frame.on_complete) and then take the server
+    # Lock discipline (wall clock): completions and scheduled callbacks
+    # arrive under the ENGINE master lock (frame.on_complete) and then take the server
     # lock, so the server must never hold its own lock while acquiring
     # the engine lock — _pump snapshots its admission decision under the
     # server lock, releases it, and only then calls engine.submit_root;
@@ -690,10 +662,9 @@ class RecursiveServer:
         return base * size_hint
 
     def _arrive(self, ticket: RequestTicket) -> None:
-        ticket.arrival_time = self._engine.now
+        ticket.arrival_time = self._clock.now
         if ticket._rel_timeout is not None:
             ticket.deadline = ticket.arrival_time + ticket._rel_timeout
-        schedule_pump = False
         with self._cond:
             self._arriving -= 1
             if ticket.done:
@@ -718,19 +689,16 @@ class RecursiveServer:
                 self._cond.notify_all()
                 return
             self._queue.push(ticket)
-            if self._virtual:
-                # Defer admission to a same-instant event: simultaneous
-                # arrivals (a burst, a busy Poisson tick) all enqueue
-                # before the first admission decision, so a wave admits
-                # its full width and a continuous burst fills every
-                # in-flight slot before any of their ops dispatch.
-                schedule_pump = not self._pump_scheduled
-                self._pump_scheduled = True
+            # Defer admission to a same-instant callback: simultaneous
+            # arrivals (a burst, a busy Poisson tick) all enqueue before
+            # the first admission decision, so a wave admits its full
+            # width and a continuous burst fills every in-flight slot
+            # before any of their ops dispatch.
+            schedule_pump = not self._pump_scheduled
+            self._pump_scheduled = True
         self._arm_deadline(ticket)
-        if not self._virtual:
-            self._pump()
-        elif schedule_pump:
-            self._engine.schedule(self._engine.now, self._scheduled_pump)
+        if schedule_pump:
+            self._clock.schedule(ticket.arrival_time, self._scheduled_pump)
 
     def _shed_reason_locked(self,
                             ticket: RequestTicket) -> Optional[str]:
@@ -750,7 +718,7 @@ class RecursiveServer:
         if ticket.deadline is not None:
             # feasibility: optimistic completion estimate assuming the
             # predicted backlog drains at capacity_factor ahead of it
-            finish = (self._engine.now + backlog / self.capacity_factor
+            finish = (self._clock.now + backlog / self.capacity_factor
                       + ticket.predicted_cost)
             if finish > ticket.deadline:
                 return (f"deadline infeasible (predicted finish "
@@ -767,15 +735,11 @@ class RecursiveServer:
         if not self.enforce_deadlines or ticket.deadline is None \
                 or ticket.done:
             return
-        if self._virtual:
-            self._engine.schedule(ticket.deadline,
-                                  lambda: self._deadline_expired(ticket))
-        else:
-            delay = max(0.0, ticket.deadline - self._engine.now)
-            timer = threading.Timer(delay, self._deadline_expired, (ticket,))
-            timer.daemon = True
-            ticket._timer = timer
-            timer.start()
+        # the callback holds the request id, not the ticket: a finished
+        # request is gone from _outstanding and its expiry is a no-op
+        request_id = ticket.request_id
+        self._clock.schedule(ticket.deadline,
+                             lambda: self._deadline_expired(request_id))
 
     def _scheduled_pump(self) -> None:
         with self._lock:
@@ -810,7 +774,7 @@ class RecursiveServer:
             for ticket in admitted:
                 # set admit_time before submission: a trivial root frame
                 # may complete synchronously inside submit_root
-                ticket.admit_time = self._engine.now
+                ticket.admit_time = self._clock.now
                 feed_map, ticket.feed_map = ticket.feed_map, None
                 frame = self._engine.submit_root(
                     self._graph, ticket.fetches, feed_map,
@@ -818,7 +782,7 @@ class RecursiveServer:
                     lambda values, t=ticket: self._request_done(t, values),
                     ticket.shape_profile)
                 with self._lock:
-                    if ticket._done is not _FINISHED:  # still running
+                    if not ticket.done:  # still running
                         ticket.frame = frame
                     pending = ticket._cancel_requested
                 if pending is not None:
@@ -828,7 +792,7 @@ class RecursiveServer:
                         ticket, frame, timed_out=(pending == "timeout"))
 
     def _request_done(self, ticket: RequestTicket, values: list) -> None:
-        ticket.complete_time = self._engine.now
+        ticket.complete_time = self._clock.now
         ticket.value = values[0] if ticket.single else values
         with self._cond:
             self._in_flight -= 1
@@ -877,10 +841,11 @@ class RecursiveServer:
                 return True
         return self._finish_inflight_cancel(ticket, frame, timed_out=False)
 
-    def _deadline_expired(self, ticket: RequestTicket) -> None:
-        """Deadline enforcement (event-loop callback or daemon timer)."""
+    def _deadline_expired(self, request_id: int) -> None:
+        """Deadline enforcement (a callback on the executor loop)."""
         with self._cond:
-            if ticket.done or self._fatal is not None:
+            ticket = self._outstanding.get(request_id)
+            if ticket is None or ticket.done or self._fatal is not None:
                 return
             if not ticket._admitted:
                 self._queue.discard(ticket)
@@ -917,7 +882,7 @@ class RecursiveServer:
             ticket.error = DeadlineExceeded(
                 f"request {ticket.request_id} missed its deadline "
                 f"(deadline {ticket.deadline:.6f}, "
-                f"now {self._engine.now:.6f})")
+                f"now {self._clock.now:.6f})")
         else:
             ticket.cancelled = True
             self._cancelled += 1
@@ -945,22 +910,10 @@ class RecursiveServer:
 
     def _wait_for(self, ticket: RequestTicket,
                   timeout: Optional[float]) -> None:
-        if self._virtual:
-            if timeout is not None:
-                raise ValueError(
-                    "result(timeout=...) is unsupported on the "
-                    "virtual-clock event engine: virtual time only "
-                    "advances by running the simulation, so a wall-clock "
-                    "timeout cannot be honored — result() drains the "
-                    "whole simulation instead.  Call result() without a "
-                    "timeout, or submit(..., timeout=) to bound the "
-                    "request in virtual time.")
-            try:
-                self._engine.drain()
-            except Exception:
-                # the drain error listener already failed the tickets;
-                # result() surfaces this ticket's recorded error
-                if not ticket.done:
-                    raise
-            return
-        ticket._done.wait(timeout)
+        try:
+            self._clock.wait(self._cond, lambda: ticket.done, timeout)
+        except Exception:
+            # the drain error listener already failed the tickets;
+            # result() surfaces this ticket's recorded error
+            if not ticket.done:
+                raise

@@ -67,19 +67,18 @@ class Session:
     Args:
         graph: the graph to execute (defaults to the current default graph).
         runtime: state container (defaults to the process-wide runtime).
-        num_workers: virtual worker threads of the event engine (the
-            paper's testbed used 36); workerpool ignores it.
+        num_workers: virtual workers of the virtual clock (the paper's
+            testbed used 36); the wall clock ignores it.
         cost_model: virtual-time cost model (defaults to the CPU testbed).
         record: training mode — record forward values of recursive frames
             into the backprop cache.  Runs that execute backward ops
             (InvokeGrad etc.) require ``record=True``.
         scheduler: "fifo" (paper default) or "depth" priority scheduling.
-        engine: executor backend name, resolved through the executor
-            registry (:mod:`repro.runtime.scheduler`): "event" for the
-            deterministic virtual-time backend (the oracle),
-            "workerpool" for the wall-clock backend whose one master
-            schedules and executes every kernel — plus any backend
-            registered via ``register_executor``.
+        engine: the clock the executor loop runs on
+            (:mod:`repro.runtime.engine`): "event" for virtual time, the
+            deterministic oracle; "workerpool" for the wall clock, whose
+            one master schedules and executes every kernel (the calling
+            thread during ``run``, one thread while serving).
         batching: fuse same-signature ready ops from concurrent frames
             into vectorized kernel calls (cross-instance dynamic
             micro-batching, :mod:`repro.runtime.batching`).  ``True``
