@@ -1,35 +1,27 @@
 """The executor loop (paper Figure 4's engine) and its two clocks.
 
-The frame lifecycle — spawn/seed/complete over compiled
-:class:`~repro.runtime.plan.FramePlan` slot arrays, coalescer
-integration, selective caching, serving admission, error wrapping —
-lives in :class:`~repro.runtime.scheduler.SchedulerCore`.  This module
-contributes the one loop that pops ready ops and runs them, and the
-clock that decides what differs between simulated and real time:
+:class:`~repro.runtime.scheduler.SchedulerCore` owns the frame
+lifecycle; this module adds the one loop that pops ready ops and runs
+them, and the clock that decides what differs between simulated and
+real time:
 
 * :class:`VirtualClock` (``engine="event"``): ``now`` is the event
   heap's time.  An op completes at its cost-model time on one of
   ``num_workers`` virtual workers, charged through a serialized master
   (dispatch) and a serialized cache clock (the hash-table lock and
-  shared memory bandwidth of the paper's Section 5) — what lets a
-  GIL-bound Python reproduction exhibit the paper's 36-core scheduling
-  dynamics.  A bucket is flushed when the ready queue is empty and a
-  worker is free.  Kernels really run, so values are exact, and a fixed
-  workload gives identical virtual times run over run: the reference
-  every other configuration is checked against.
+  memory bandwidth of the paper's Section 5).  A bucket is flushed when
+  the ready queue is empty and a worker is free.  Kernels really run, so
+  values are exact, and virtual times repeat run over run: the oracle.
 * :class:`WallClock` (``engine="workerpool"``): ``now`` is
   ``perf_counter``.  Kernels complete inline and workers are unbounded,
   so the whole ready wavefront drains into the coalescer before every
-  bucket is flushed; fused buckets and compiled sweeps are this clock's
-  parallelism.  ``run`` executes on the calling thread; a serving
-  session runs the same loop on one master thread, where a kernel runs
+  bucket is flushed.  ``run`` executes on the calling thread; a serving
+  session runs the loop on one master thread, where a kernel runs
   outside the master lock and its completion under it, so a client
-  thread admitting a request waits for at most one completion.
+  admitting a request waits for at most one completion.
 
 On both clocks ``schedule(at, fn)`` runs ``fn`` on the loop when ``at``
-falls due (open-loop arrivals, deadlines, the server's admission pump):
-the virtual clock jumps to it, the wall clock waits for it, and an idle
-wall-clock master sleeps until the next due time or a wake-up.
+falls due (open-loop arrivals, deadlines, the server's admission pump).
 """
 
 from __future__ import annotations
@@ -52,27 +44,21 @@ _OP_DONE = 0
 _CALL = 1
 _ASYNC_DONE = 2
 
-#: what a wall-clock master or waiter sleeps at most before it looks
-#: again (short waits keep a waiting caller responsive to the SIGALRM
-#: test watchdog)
+#: the longest a wall-clock master or waiter sleeps before it looks
+#: again (a waiting caller stays responsive to the SIGALRM watchdog)
 _POLL_S = 0.05
 
 
 class EventEngine(SchedulerCore):
-    """The executor loop on the clock ``virtual_clock`` names.
+    """The executor loop on the clock ``virtual_clock`` names
+    (``engine="event"``: the :class:`VirtualClock`, where ``run`` and
+    ``drain`` execute on the caller's thread and errors surface from
+    ``drain``).  See :class:`~repro.runtime.scheduler.SchedulerCore` for
+    the constructor knobs.
 
-    See :class:`~repro.runtime.scheduler.SchedulerCore` for the shared
-    constructor knobs (worker count, cost model, record mode, scheduling
-    policy, micro-batching).  ``engine="event"`` is this class on the
-    :class:`VirtualClock`: deterministic, it honors ``scheduler="depth"``
-    and ``num_workers``, and ``run`` and ``drain`` execute on the
-    caller's thread through :meth:`_loop`; errors surface from
-    ``drain``, which invokes a serving error listener before raising.
-
-    Op starters reach the clock through ``finish_async(inst, outputs)``
-    (an async op's frame(s) produced its outputs) and
-    ``post_continuation(delay, fn)`` (a loop iteration), both bound from
-    the session's clock.
+    Op starters call ``finish_async(inst, outputs)`` (an async op's
+    frame(s) produced its outputs) and ``post_continuation(delay, fn)``
+    (a loop iteration), bound from the session's clock.
     """
 
     virtual_clock = True
@@ -161,17 +147,12 @@ class EventEngine(SchedulerCore):
                     self._fail(exc)
 
     def _dispatch_ready(self) -> None:
-        """Drain the ready wavefront, then flush the pending buckets.
-
-        Each popped op runs on a free worker, or waits in the coalescer
-        when it is batchable; once the wavefront is exhausted the
-        buckets are flushed, oldest first, while a worker is free.  On
-        the virtual clock completions are events, so that ends the
-        drain.  On the wall clock they are inline, so a flush refills the
-        wavefront and the drain repeats; it returns early when a
-        scheduled callback falls due, so a deadline can cancel a request
-        mid-flight.
-        """
+        """Drain the ready wavefront onto free workers (a batchable op
+        waits in the coalescer), then flush the buckets, oldest first,
+        while a worker is free.  Virtual completions are events, so that
+        ends the drain; wall-clock ones are inline, so a flush refills
+        the wavefront and the drain repeats, returning early when a
+        scheduled callback falls due (a deadline cancels mid-flight)."""
         clock = self.clock
         execute = clock.execute_single
         wall = not clock.virtual
@@ -257,12 +238,9 @@ class EventEngine(SchedulerCore):
 
 
 class VirtualClock:
-    """Simulated time: the cost model over ``num_workers`` virtual workers.
-
-    ``now`` is the time of the last event the loop popped; ``master``
-    is the serialized dispatch clock and ``cache`` the serialized cache
-    clock; ``free`` counts idle virtual workers.
-    """
+    """Simulated time: ``now`` is the last popped event's time,
+    ``master`` the serialized dispatch clock, ``cache`` the serialized
+    cache clock and ``free`` the idle virtual workers."""
 
     virtual = True
 
@@ -287,20 +265,20 @@ class VirtualClock:
             {} if getattr(cm.async_overhead, "__func__",
                           None) is CostModel.async_overhead else None)
 
-    # -- rules the scheduler core and op starters follow ---------------------
-
     def schedule(self, when: float, fn: Callable) -> None:
         self.engine._post(max(when, self.now), fn)
 
     def defer_level_flush(self) -> None:
-        # an event at the current virtual instant: every root admitted
-        # at this instant lands in one flush, so same-profile arrivals
-        # merge into a single wavefront deterministically
+        # an event at this instant: every root admitted at this instant
+        # lands in one flush, one wavefront, deterministically
         engine = self.engine
         engine._post(self.now, engine._flush_level_runs)
 
     def admitted(self) -> None:
-        """Nothing to wake: the loop runs on the caller's thread."""
+        """Nothing to wake, start or stop: ``drain`` runs the loop on
+        the caller's thread."""
+
+    start_serving = stop_serving = admitted
 
     def finish_async(self, inst: Instance, outputs: list) -> None:
         """Complete an async op once its frame(s) produced the outputs.
@@ -328,19 +306,11 @@ class VirtualClock:
                          lambda run=run, values=values:
                          engine._complete_level_run(run, values))
 
-    # -- session -------------------------------------------------------------
-
     def drain(self) -> None:
         self.engine._loop()
 
     def stamp(self, stats: RunStats) -> None:
         stats.virtual_time = self.now
-
-    def start_serving(self) -> None:
-        """Nothing to start: ``drain`` runs the simulation."""
-
-    def stop_serving(self) -> None:
-        """Nothing to stop."""
 
     def wait(self, cond, done: Callable[[], bool], timeout=None) -> None:
         """Wait for ``done()``: simulated time passes only by running the
@@ -356,8 +326,6 @@ class VirtualClock:
                 "timeout, or submit(..., timeout=) to bound the "
                 "request in virtual time.")
         self.engine.drain()
-
-    # -- execution -----------------------------------------------------------
 
     def execute_single(self, inst: Instance, inputs: list) -> None:
         """Take a worker for one op: a sync kernel runs now and completes
@@ -474,13 +442,10 @@ class VirtualClock:
 
 
 class WallClock:
-    """Real time: ``now`` is ``perf_counter`` and kernels complete inline.
-
-    Workers are unbounded (``free`` is infinite).  The master lock and
-    its condition ``cv`` — notified when a root is admitted, retired or
-    fails, a callback is scheduled, or serving ends — are created per
-    session; ``thread`` is the serving master, if one runs.
-    """
+    """Real time on unbounded workers.  ``cv`` is the condition on the
+    per-session master lock, notified when a root is admitted, retired
+    or fails, a callback is scheduled, or serving ends; ``thread`` is
+    the serving master, if one runs."""
 
     virtual = False
     free = float("inf")
@@ -496,45 +461,36 @@ class WallClock:
     def now(self) -> float:
         return time.perf_counter()
 
-    # -- rules the scheduler core and op starters follow ---------------------
-
     def schedule(self, when: float, fn: Callable) -> None:
-        with self.engine._master_lock:
+        with self.cv:
             self.engine._post(when, fn)
-            if self.thread is not None:
-                self.cv.notify()
-
-    def defer_level_flush(self) -> None:
-        """Nothing to post: the master flushes pending compiled runs at
-        the start of its next turn, and ``admitted`` wakes it."""
+            self.cv.notify()
 
     def admitted(self) -> None:
-        """Wake a sleeping serving master: a root was admitted from a
-        (possibly foreign) thread."""
+        """Wake a sleeping serving master (the root may come from any
+        thread).  A compiled root waits in ``_pending_level_runs``: the
+        master flushes them at the start of its next turn."""
         if self.thread is not None:
             with self.cv:
                 self.cv.notify()
 
+    defer_level_flush = admitted
+
     def finish_async(self, inst: Instance, outputs: list) -> None:
-        with self.engine._master_lock:
-            self.engine._complete_instance(inst, outputs)
+        # called back from a completion on the master, under the lock
+        self.engine._complete_instance(inst, outputs)
 
     def post_continuation(self, delay: float, fn: Callable) -> None:
-        # no overheads are simulated: run it now (always called from
-        # master context, under the lock)
-        fn()
+        fn()  # no overheads are simulated: now, on the master
 
     def complete_level_group(self, lp, runs, results) -> None:
         for run, values in zip(runs, results):
             if values is not None:
                 self.engine._complete_level_run(run, values)
 
-    # -- session -------------------------------------------------------------
-
     def drain(self) -> None:
-        """Wait until every admitted root completed or the session failed
-        (also by an earlier drain).  With no serving master the caller
-        is the master and runs the loop itself."""
+        """Until every admitted root completed or the session failed:
+        with no serving master the caller is the master."""
         engine = self.engine
 
         def idle() -> bool:
@@ -590,6 +546,7 @@ class WallClock:
             self._run_due()
 
     def _run_due(self) -> None:
+        """Run the due callbacks if the master lock is free."""
         engine = self.engine
         lock = engine._master_lock
         if not lock.acquire(blocking=False):
@@ -606,10 +563,9 @@ class WallClock:
             lock.release()
 
     def _master(self, stop: Callable[[], bool]) -> None:
-        """Turns of the loop until ``stop()``, under the master lock: a
-        turn flushes the pending compiled runs, then runs the loop;
-        between turns the master sleeps until the next callback falls due
-        or a wake-up."""
+        """Turns until ``stop()``, under the master lock: flush the
+        pending compiled runs, run the loop, then sleep until the next
+        callback falls due or a wake-up."""
         engine = self.engine
         events = engine._events
         cv = self.cv
@@ -628,8 +584,8 @@ class WallClock:
                     cv.wait(left)
 
     def _serving_done(self) -> bool:
-        """The serving master's stop predicate: ``end_serving`` was
-        called and nothing is ready any more (or the session failed)."""
+        """``end_serving`` was called and nothing is ready any more (or
+        the session failed)."""
         engine = self.engine
         if not self.stopping:
             return False
@@ -637,8 +593,6 @@ class WallClock:
             return True
         return not engine._ready and (engine._coalescer is None
                                       or len(engine._coalescer) == 0)
-
-    # -- execution -----------------------------------------------------------
 
     def execute_single(self, inst: Instance, inputs: list) -> None:
         """Run one op now: a kernel outside the master lock while a

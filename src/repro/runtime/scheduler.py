@@ -623,22 +623,13 @@ class SchedulerCore:
 
     def _complete_batch(self, members: list, outputs_list: list) -> None:
         """Scatter a fused batch's results; one bulk store for the cache.
-
-        The bulk cache write happens outside the master lock (the
-        :class:`~repro.core.cache.ValueCache` has its own shard locks);
-        the scatter-back takes the lock once for the whole bucket.
-        """
+        Runs on the loop's thread (under the master lock on the wall
+        clock)."""
         entries = collect_cache_entries(members, outputs_list)
         if entries:
             self.runtime.cache.store_many(entries)
-        lock = self._master_lock
-        if lock is None:
-            for inst, outputs in zip(members, outputs_list):
-                self._complete_instance(inst, outputs, store=False)
-        else:
-            with lock:
-                for inst, outputs in zip(members, outputs_list):
-                    self._complete_instance(inst, outputs, store=False)
+        for inst, outputs in zip(members, outputs_list):
+            self._complete_instance(inst, outputs, store=False)
 
     # -- batching integration -------------------------------------------------
 

@@ -167,7 +167,9 @@ class RequestTicket:
         self.frame = None
         self._rel_timeout: Optional[float] = None
         self._admitted = False
-        self._cancel_requested: Optional[str] = None
+        #: a cancel (False) or expiry (True) that landed before the
+        #: admitted request's frame handle existed
+        self._cancel_requested: Optional[bool] = None
         self._queued = False
         self._dequeued = False
         self._server = server
@@ -641,9 +643,9 @@ class RecursiveServer:
     # -- internals -----------------------------------------------------------
     #
     # Lock discipline (wall clock): completions and scheduled callbacks
-    # arrive under the ENGINE master lock (frame.on_complete) and then take the server
-    # lock, so the server must never hold its own lock while acquiring
-    # the engine lock — _pump snapshots its admission decision under the
+    # run under the ENGINE master lock and then take the server lock, so
+    # the server must never hold its own lock while acquiring the engine
+    # lock — _pump snapshots its admission decision under the
     # server lock, releases it, and only then calls engine.submit_root;
     # cancel paths call engine.cancel_root before taking the server
     # lock.  See ARCHITECTURE.md.
@@ -672,21 +674,15 @@ class RecursiveServer:
                 self._cond.notify_all()
                 return
             if self._fatal is not None:
-                ticket.error = self._fatal
-                self._outstanding.pop(ticket.request_id, None)
-                ticket._finish()
-                self._cond.notify_all()
+                self._finish_locked(ticket, self._fatal)
                 return
             reason = self._shed_reason_locked(ticket)
             if reason is not None:
                 ticket.rejected = True
-                ticket.error = ServerOverloaded(
-                    f"request {ticket.request_id} rejected: {reason}")
                 self._rejected += 1
-                self._outstanding.pop(ticket.request_id, None)
                 self._engine.stats.note_rejected()
-                ticket._finish()
-                self._cond.notify_all()
+                self._finish_locked(ticket, ServerOverloaded(
+                    f"request {ticket.request_id} rejected: {reason}"))
                 return
             self._queue.push(ticket)
             # Defer admission to a same-instant callback: simultaneous
@@ -739,7 +735,7 @@ class RecursiveServer:
         # request is gone from _outstanding and its expiry is a no-op
         request_id = ticket.request_id
         self._clock.schedule(ticket.deadline,
-                             lambda: self._deadline_expired(request_id))
+                             lambda: self._expire(request_id))
 
     def _scheduled_pump(self) -> None:
         with self._lock:
@@ -788,8 +784,8 @@ class RecursiveServer:
                 if pending is not None:
                     # a cancel/expiry landed between admission and the
                     # frame handle becoming available: honor it now
-                    self._finish_inflight_cancel(
-                        ticket, frame, timed_out=(pending == "timeout"))
+                    self._finish_inflight_cancel(ticket, frame,
+                                                 timed_out=pending)
 
     def _request_done(self, ticket: RequestTicket, values: list) -> None:
         ticket.complete_time = self._clock.now
@@ -798,11 +794,9 @@ class RecursiveServer:
             self._in_flight -= 1
             self._inflight_cost -= ticket.predicted_cost
             self._completed += 1
-            self._outstanding.pop(ticket.request_id, None)
             self._engine.stats.note_ticket(ticket)
             self._calibrate_locked(ticket)
-            ticket._finish()
-            self._cond.notify_all()
+            self._finish_locked(ticket)
         self._pump()
 
     def _calibrate_locked(self, ticket: RequestTicket) -> None:
@@ -824,38 +818,28 @@ class RecursiveServer:
 
     # -- cancellation / deadlines --------------------------------------------
 
-    def _cancel(self, ticket: RequestTicket) -> bool:
+    def _expire(self, request_id: int) -> None:
+        """Deadline enforcement (a callback on the executor loop)."""
+        ticket = self._outstanding.get(request_id)
+        if ticket is not None:
+            self._cancel(ticket, timed_out=True)
+
+    def _cancel(self, ticket: RequestTicket, timed_out: bool = False) -> bool:
         with self._cond:
             if ticket.done or self._fatal is not None:
                 return False
             if not ticket._admitted:
                 # queued (or not yet arrived): drop it right here
                 self._queue.discard(ticket)
-                self._finish_dropped_locked(ticket, timed_out=False)
+                self._finish_dropped_locked(ticket, timed_out)
                 return True
             frame = ticket.frame
             if frame is None:
                 # admitted but submit_root has not returned the frame
                 # handle yet: _pump honors the request when it does
-                ticket._cancel_requested = "cancel"
+                ticket._cancel_requested = timed_out
                 return True
-        return self._finish_inflight_cancel(ticket, frame, timed_out=False)
-
-    def _deadline_expired(self, request_id: int) -> None:
-        """Deadline enforcement (a callback on the executor loop)."""
-        with self._cond:
-            ticket = self._outstanding.get(request_id)
-            if ticket is None or ticket.done or self._fatal is not None:
-                return
-            if not ticket._admitted:
-                self._queue.discard(ticket)
-                self._finish_dropped_locked(ticket, timed_out=True)
-                return
-            frame = ticket.frame
-            if frame is None:
-                ticket._cancel_requested = "timeout"
-                return
-        self._finish_inflight_cancel(ticket, frame, timed_out=True)
+        return self._finish_inflight_cancel(ticket, frame, timed_out)
 
     def _finish_inflight_cancel(self, ticket: RequestTicket, frame,
                                 timed_out: bool) -> bool:
@@ -868,7 +852,7 @@ class RecursiveServer:
                 return False
             self._in_flight -= 1
             self._inflight_cost -= ticket.predicted_cost
-            self._finish_dropped_locked(ticket, timed_out=timed_out)
+            self._finish_dropped_locked(ticket, timed_out)
         self._pump()
         return True
 
@@ -879,7 +863,7 @@ class RecursiveServer:
             ticket.timed_out = True
             self._timed_out += 1
             self._engine.stats.note_timed_out()
-            ticket.error = DeadlineExceeded(
+            error = DeadlineExceeded(
                 f"request {ticket.request_id} missed its deadline "
                 f"(deadline {ticket.deadline:.6f}, "
                 f"now {self._clock.now:.6f})")
@@ -887,8 +871,14 @@ class RecursiveServer:
             ticket.cancelled = True
             self._cancelled += 1
             self._engine.stats.note_cancelled()
-            ticket.error = RequestCancelled(
-                f"request {ticket.request_id} cancelled")
+            error = RequestCancelled(f"request {ticket.request_id} cancelled")
+        self._finish_locked(ticket, error)
+
+    def _finish_locked(self, ticket: RequestTicket,
+                       error: Optional[Exception] = None) -> None:
+        """Finish a ticket (under the lock): it leaves the outstanding
+        set and its waiters wake."""
+        ticket.error = error
         self._outstanding.pop(ticket.request_id, None)
         ticket._finish()
         self._cond.notify_all()

@@ -12,6 +12,7 @@ reference on a randomized tree workload, batched and unbatched.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from repro import ops
 from repro.core.subgraph import SubGraph
 from repro.data import make_treebank
 from repro.data.batching import batch_trees
+from repro.graph.registry import all_op_types, register_op
 from repro.models import ModelConfig, TreeRNNSentiment
 from repro.runtime import (EventEngine, SchedulerCore, available_executors,
                            resolve_executor)
+from repro.runtime.server import DeadlineExceeded
 
 ENGINES = available_executors()
 #: (batching, scheduler) cases; the FIFO cases keep the bare batching id
@@ -251,6 +254,54 @@ class TestWorkerPoolSpecifics:
             assert stats.level_plan_hits == (case == "compiled")
             assert stats.level_plan_fallbacks == (case == "fallback")
             assert np.array_equal(expected, got)
+        assert threading.active_count() == threads
+
+    @pytest.mark.timeout(60)
+    def test_deadlines_add_no_thread(self, bank, model, built):
+        """Requests with ``timeout=`` / ``deadline=`` keep a serving
+        session at one extra thread: expiries are callbacks on the
+        executor loop, not timers.  A deadline that expires while the
+        request's kernel runs still cancels the request."""
+        session, feeds, profile = self._tree_session(bank, model, built)
+        expected = _reference_logits(model, built, bank)[0]
+        threads = threading.active_count()
+        with session.serve(max_in_flight=4) as server:
+            far = time.perf_counter() + 60.0
+            tickets = [server.submit(built.root_logits, feeds, timeout=60.0,
+                                     shape_profile=profile),
+                       server.submit(built.root_logits, feeds, timeout=60.0),
+                       server.submit(built.root_logits, feeds, deadline=far)]
+            assert threading.active_count() == threads + 1
+            server.drain()
+            assert threading.active_count() == threads + 1
+        assert threading.active_count() == threads
+        for ticket in tickets:
+            assert np.array_equal(expected, ticket.result())
+
+        # mid-flight: the kernel parks until the request has timed out
+        gate = threading.Event()
+        if "ExecutorDeadlineGate" not in all_op_types():
+            register_op("ExecutorDeadlineGate",
+                        infer=lambda op: [(op.inputs[0].dtype,
+                                           op.inputs[0].shape)],
+                        kernel=lambda op, inputs, ctx: [
+                            inputs[0]] if op.attrs["gate"].wait(30) else [])
+        graph = repro.Graph("deadline_gate")
+        with graph.as_default():
+            x = ops.placeholder(repro.float32, (), "x")
+            out = graph.add_op("ExecutorDeadlineGate", [x],
+                               {"gate": gate}).outputs[0]
+        gated = repro.Session(graph, repro.Runtime(), engine="workerpool")
+        with gated.serve(max_in_flight=1) as server:
+            victim = server.submit(out, {x: 1.0}, timeout=0.2)
+            ok = server.submit(out, {x: 2.0}, timeout=60.0)
+            with pytest.raises(DeadlineExceeded):
+                victim.result(timeout=20)
+            assert victim.admit_time is not None  # it was in flight
+            assert threading.active_count() == threads + 1
+            gate.set()
+            assert ok.result(timeout=20) == 2.0
+        assert victim.status == "timed_out"
         assert threading.active_count() == threads
 
     @pytest.mark.timeout(60)
