@@ -257,9 +257,9 @@ WORK_PINS = {
     "train_lvl": (10024, 11826),
     "infer_dyn": (170470, 158535),
     "train_dyn": (589981, 570090),
-    "infer_pool": (2604, 3900),
-    "train_pool": (10005, 11807),
-    "serve_burst": (9126, 24378),
+    "infer_pool": (2592, 3891),
+    "train_pool": (9998, 11757),
+    "serve_burst": (8902, 24298),
 }
 
 

@@ -384,7 +384,7 @@ class _MemoryBudgetReady:
         return self._len
 
 
-#: what ``SchedulerCore._locked`` hands single-threaded executors
+#: what ``SchedulerCore._locked`` hands the virtual clock
 _NO_LOCK = contextlib.nullcontext()
 
 
@@ -646,13 +646,6 @@ class SchedulerCore:
         """Flush decision: run the fused kernel, or fall back to scalars."""
         return len(bucket) >= self._coalescer.policy.min_batch_for(
             bucket.signature)
-
-    @staticmethod
-    def _check_batch_result(bucket, outputs_list) -> None:
-        if len(outputs_list) != len(bucket):
-            raise EngineError(
-                f"batched kernel of {bucket.op_type} returned "
-                f"{len(outputs_list)} results for {len(bucket)} members")
 
     # -- root admission -------------------------------------------------------
     #
