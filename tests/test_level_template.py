@@ -180,6 +180,50 @@ def _refused_graph(variant):
     return graph, out, (x, children, is_leaf, root)
 
 
+def _definition_graph(variant):
+    """A tree definition the compiled tier refuses for what it is, not
+    for a construct inside it: ``"permute"`` swaps two per-level inputs
+    at every call, ``"dependent"`` makes a second root call whose index
+    is computed from the first call's result, and ``"passthrough"`` is a
+    unary chain whose internal nodes return their child's result
+    unchanged.  Returns ``(graph, fetch, placeholders, arity, sites)``."""
+    arity = 1 if variant == "passthrough" else 2
+    graph = repro.Graph(f"definition_{variant}")
+    with graph.as_default():
+        x = ops.placeholder(repro.float32, (None, 4))
+        children = ops.placeholder(repro.int32, (None, arity))
+        is_leaf = ops.placeholder(repro.bool_, (None,))
+        root = ops.placeholder(repro.int32, ())
+        with SubGraph(f"definition_{variant}_node") as node:
+            idx = node.input(repro.int32, ())
+            scale = [node.input(repro.float32, ())
+                     for _ in range(2 if variant == "permute" else 0)]
+            node.declare_outputs([(repro.float32, (4,))])
+            row = ops.gather(x, idx)
+            if scale:
+                row = ops.add(ops.multiply(row, scale[0]), scale[1])
+
+            def internal():
+                kids = ops.gather(children, idx)
+                calls = [node(ops.gather(kids, k), *scale[::-1])
+                         for k in range(arity)]
+                if variant == "passthrough":
+                    return calls[0]
+                return ops.tanh(ops.add(ops.add(*calls), row))
+
+            node.output(ops.cond(ops.gather(is_leaf, idx),
+                                 lambda: ops.tanh(row), internal))
+        args = [ops.constant(1.0), ops.constant(-0.5)] if scale else []
+        first = node(root, *args)
+        out = ops.reduce_sum(ops.square(first))
+        if variant == "dependent":
+            again = ops.multiply(root, ops.cast(
+                ops.less(ops.reduce_sum(first), 1e9), repro.int32))
+            out = ops.add(out, ops.reduce_sum(node(again)))
+    return (graph, out, (x, children, is_leaf, root), arity,
+            2 if variant == "dependent" else 1)
+
+
 def _postorder(profile):
     for child in profile:
         yield from _postorder(child)
@@ -622,6 +666,25 @@ class TestFallbackReasons:
         feeds = _tree_feeds(placeholders, 2, profile)
         ref = session.run(out, feeds)
         got = session.run(out, feeds, shape_profile=(profile,))
+        stats = session.last_stats
+        assert stats.level_plan_hits == 0
+        assert stats.level_plan_fallback_reasons == {reason: 1}
+        assert np.array_equal(ref, got)
+
+    @pytest.mark.parametrize("variant, reason", [
+        ("permute", "bindings permute across recursion levels"),
+        ("dependent", "root call sites depend on each other"),
+        ("passthrough", "a recursive result is returned unchanged"),
+    ])
+    def test_refused_definition(self, variant, reason):
+        """Definitions the compiled tier cannot lower are refused by
+        name, and the run still returns the dynamic tier's values."""
+        graph, out, placeholders, arity, sites = _definition_graph(variant)
+        session = repro.Session(graph, repro.Runtime(), num_workers=2)
+        profile = (((),),) if arity == 1 else (((), ()), ())
+        feeds = _tree_feeds(placeholders, arity, profile)
+        ref = session.run(out, feeds)
+        got = session.run(out, feeds, shape_profile=(profile,) * sites)
         stats = session.last_stats
         assert stats.level_plan_hits == 0
         assert stats.level_plan_fallback_reasons == {reason: 1}
