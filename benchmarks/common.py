@@ -47,8 +47,8 @@ _BENCH_ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "event")
 
 
 def set_bench_engine(name: str) -> None:
-    """Select the executor backend for this bench process (validated
-    against the runtime executor registry)."""
+    """Select the executor for this bench process (validated by
+    ``resolve_executor``)."""
     global _BENCH_ENGINE
     resolve_executor(name)  # fail loudly on unknown backends
     _BENCH_ENGINE = name

@@ -156,5 +156,5 @@ def call_site(op) -> CallSite:
 
 def start_call(scheduler, inst, inputs) -> None:
     """The async starter of every call-site op: execute its descriptor.
-    ``scheduler`` is the SchedulerCore of any executor backend."""
+    ``scheduler`` is the executor (a SchedulerCore) on either clock."""
     call_site(inst.op).start(scheduler, inst, inputs)

@@ -55,16 +55,16 @@ def host_provenance() -> dict:
 def engine_provenance(engine: Optional[str] = None) -> dict:
     """Provenance stamp for bench rows: which backend produced them.
 
-    Resolves ``engine`` (default ``"event"``) through the runtime
-    executor registry — so a typo fails loudly instead of silently
+    Resolves ``engine`` (default ``"event"``) through
+    ``resolve_executor`` — so a typo fails loudly instead of silently
     mislabeling a baseline — and returns::
 
         {"engine": <name>, "executor": <class name>,
          "registered_executors": [...]}
 
     Benchmarks embed this in their JSON payloads (``save_bench_json``
-    does it automatically) so recorded baselines are attributable when
-    several backends exist.
+    does it automatically) so recorded baselines say which clock
+    produced them.
     """
     from repro.runtime.scheduler import available_executors, resolve_executor
 

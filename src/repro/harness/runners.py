@@ -42,9 +42,8 @@ class RunnerConfig:
     num_workers: int = PAPER_WORKERS
     cost_model: Optional[CostModel] = None
     scheduler: str = "fifo"
-    #: executor backend name, resolved through the runtime executor
-    #: registry ("event" | "workerpool" | any registered
-    #: backend).  The virtual-time paper figures use "event".
+    #: executor name ("event": the virtual clock | "workerpool": the
+    #: wall clock).  The virtual-time paper figures use "event".
     engine: str = "event"
     learning_rate: float = 0.05
     #: cross-instance dynamic micro-batching in the engines: ``False``,

@@ -1,4 +1,4 @@
-"""Layered runtime: one scheduler core, pluggable executor backends.
+"""Layered runtime: one scheduler core, one executor loop, two clocks.
 
 The frame-lifecycle scheduler (:mod:`repro.runtime.scheduler`,
 :class:`SchedulerCore`) owns the recursion-aware execution semantics —
