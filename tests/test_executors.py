@@ -11,6 +11,7 @@ reference on a randomized tree workload, batched and unbatched.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -303,6 +304,61 @@ class TestWorkerPoolSpecifics:
             assert ok.result(timeout=20) == 2.0
         assert victim.status == "timed_out"
         assert threading.active_count() == threads
+
+    @pytest.mark.timeout(120)
+    def test_clients_race_the_master_on_deadlines(self, bank, model, built):
+        """Four client threads submit, cancel and wait on one server
+        while tight deadlines expire: schedules, expiries run by waiters
+        and the master's own turns share the master lock.  Every request
+        ends exactly once and the executor is left idle."""
+        session = repro.Session(built.graph, model.runtime, num_workers=3,
+                                engine="workerpool", batching=True)
+        feeds = [built.feed_dict(batch_trees([t])) for t in bank.train]
+        reference = _reference_logits(model, built, bank)
+        per_client = 25
+        tickets: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with session.serve(max_in_flight=3) as server:
+                def client(seed):
+                    rng = np.random.default_rng(seed)
+                    mine = []
+                    for k in range(per_client):
+                        i = int(rng.integers(len(feeds)))
+                        timeout = 1e-4 if k % 3 == 0 else 30.0
+                        ticket = server.submit(built.root_logits, feeds[i],
+                                               timeout=timeout)
+                        mine.append((i, ticket))
+                        if k % 5 == 4:
+                            ticket.cancel()
+                        if k % 4 == 0:
+                            try:
+                                ticket.result(timeout=10)
+                            except RuntimeError:
+                                pass  # timed out or cancelled
+                    tickets.extend(mine)
+
+                threads = [threading.Thread(target=client, args=(seed,))
+                           for seed in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+                server.drain()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(tickets) == 4 * per_client
+        assert all(ticket.done for _, ticket in tickets)
+        assert (server.completed + server.cancelled + server.timed_out
+                + server.rejected) == len(tickets)
+        for i, ticket in tickets:
+            if ticket.status == "done":
+                assert np.array_equal(reference[i], ticket.result())
+        engine = session._engine
+        assert engine._open_roots == 0 and not engine._ready
+        assert len(engine._coalescer) == 0 and server.in_flight == 0
 
     @pytest.mark.timeout(60)
     def test_serving_error_fails_outstanding(self):
