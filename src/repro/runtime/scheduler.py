@@ -460,7 +460,7 @@ class SchedulerCore:
         the loop rebuild its clock (and the wall clock its lock)."""
         self._open_roots = 0
         self._error: Optional[Exception] = None
-        #: called once, outside the master lock, when the session fails
+        #: called once when the session fails
         self._error_listener = error_listener
         #: True once the error listener has been invoked (the wall clock
         #: delivers at failure time; drain must not re-deliver).
@@ -684,9 +684,9 @@ class SchedulerCore:
     def begin_serving(self, error_listener: Optional[Callable] = None) -> None:
         """Enter persistent serving mode (clears any previous run state).
 
-        ``error_listener`` (optional) is called once, outside the master
-        lock, if any kernel raises — root frames in flight at that point
-        will never complete, so the server must fail their requests.
+        ``error_listener`` (optional) is called once if any kernel
+        raises — root frames in flight at that point will never
+        complete, so the server must fail their requests.
         On the virtual clock errors surface from ``drain()``, which
         invokes the listener before raising.
         """
