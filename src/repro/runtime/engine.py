@@ -254,8 +254,8 @@ class VirtualClock:
         self.seq = engine._seq
         engine._master_lock = engine._roots_cv = None
         # Per-dispatch fast paths, used only while the cost model keeps
-        # the stock implementations (instance- or subclass-overridden
-        # methods disable them and are called per op as before).
+        # the stock implementations (an instance- or subclass-overridden
+        # method is called per op instead).
         cm = self.cost_model = engine.cost_model
         self.dispatch_const = (
             cm.dispatch_cost
