@@ -1,34 +1,26 @@
-"""The executor loop (paper Figure 4's engine) and its two clocks.
+"""The executor loop (paper Figure 4's engine) and the virtual clock.
 
 :class:`~repro.runtime.scheduler.SchedulerCore` owns the frame
-lifecycle; this module adds the one loop that pops ready ops and runs
-them, and the clock that decides what differs between simulated and
-real time:
+lifecycle; :class:`EventEngine` adds the one loop that pops ready ops
+and runs them, and the clock hooks of simulated time
+(``engine="event"``): ``now`` is the event heap's time, and an op
+completes at its cost-model time on one of ``num_workers`` virtual
+workers, charged through a serialized master (dispatch) and a
+serialized cache clock (the hash-table lock and memory bandwidth of the
+paper's Section 5).  A bucket is flushed when the ready queue is empty
+and a worker is free.  Kernels really run, so values are exact, and
+virtual times repeat run over run: the oracle.
 
-* :class:`VirtualClock` (``engine="event"``): ``now`` is the event
-  heap's time.  An op completes at its cost-model time on one of
-  ``num_workers`` virtual workers, charged through a serialized master
-  (dispatch) and a serialized cache clock (the hash-table lock and
-  memory bandwidth of the paper's Section 5).  A bucket is flushed when
-  the ready queue is empty and a worker is free.  Kernels really run, so
-  values are exact, and virtual times repeat run over run: the oracle.
-* :class:`WallClock` (``engine="workerpool"``): ``now`` is
-  ``perf_counter``.  Kernels complete inline and workers are unbounded,
-  so the whole ready wavefront drains into the coalescer before every
-  bucket is flushed.  ``run`` executes on the calling thread; a serving
-  session runs the loop on one master thread, where a kernel runs
-  outside the master lock and its completion under it, so a client
-  admitting a request waits for at most one completion.
-
-On both clocks ``schedule(at, fn)`` runs ``fn`` on the loop when ``at``
-falls due (open-loop arrivals, deadlines, the server's admission pump).
+:class:`~repro.runtime.workerpool.WorkerPoolEngine` overrides the clock
+hooks for real time and runs the same loop.  On both clocks
+``schedule(at, fn)`` runs ``fn`` on the loop when ``at`` falls due
+(open-loop arrivals, deadlines, the server's admission pump).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time
 from typing import Callable
 
@@ -38,50 +30,30 @@ from .scheduler import (EngineError, Frame, Instance, SchedulerCore,
 from .stats import RunStats
 
 __all__ = ["Frame", "Instance", "EventEngine", "EngineError",
-           "should_store", "VirtualClock", "WallClock"]
+           "should_store"]
 
 _OP_DONE = 0
 _CALL = 1
 _ASYNC_DONE = 2
 
-#: the longest a wall-clock master or waiter sleeps before it looks
-#: again (a waiting caller stays responsive to the SIGALRM watchdog)
-_POLL_S = 0.05
-
 
 class EventEngine(SchedulerCore):
-    """The executor loop on the clock ``virtual_clock`` names
-    (``engine="event"``: the :class:`VirtualClock`, where ``run`` and
-    ``drain`` execute on the caller's thread and errors surface from
-    ``drain``).  See :class:`~repro.runtime.scheduler.SchedulerCore` for
-    the constructor knobs.
+    """The executor loop on the virtual clock.  ``run`` and ``drain``
+    execute on the caller's thread; errors surface from ``drain``.  See
+    :class:`~repro.runtime.scheduler.SchedulerCore` for the constructor
+    knobs.
 
-    Op starters call ``finish_async(inst, outputs)`` (an async op's
-    frame(s) produced its outputs) and ``post_continuation(delay, fn)``
-    (a loop iteration), bound from the session's clock.
+    Per-session state: the event heap, ``now``, the serialized master
+    and cache clocks, the idle virtual workers (``_free``) and
+    ``_outside`` — None, or while a wall-clock serving master runs, the
+    context that releases its lock around a kernel or sweep (a
+    ``with`` per kernel would show in the call-count pins, so the sites
+    test for None first).
     """
 
     virtual_clock = True
 
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
-    def schedule(self, when: float, fn: Callable) -> None:
-        """Run ``fn`` on the loop at clock time ``when`` (now at the
-        earliest)."""
-        self.clock.schedule(when, fn)
-
-    def _reset_backend(self) -> None:
-        self._events: list = []
-        self._seq = itertools.count()
-        #: the master lock while a serving master runs kernels outside it
-        self._unlock = None
-        clock = self.clock = (VirtualClock if self.virtual_clock
-                              else WallClock)(self)
-        # called by op starters once per frame: bound, not forwarded
-        self.finish_async = clock.finish_async
-        self.post_continuation = clock.post_continuation
+    # -- the loop (both clocks) ---------------------------------------------
 
     def _post(self, when: float, fn: Callable) -> None:
         heapq.heappush(self._events, (when, next(self._seq), _CALL, fn))
@@ -91,25 +63,24 @@ class EventEngine(SchedulerCore):
         is left or the session failed.  The virtual clock jumps to each
         event's time; on the wall clock the loop returns when the next
         callback is not yet due."""
-        clock = self.clock
-        jumps = clock.virtual
+        jumps = self.virtual_clock
         events = self._events
         ready = self._ready
         coalescer = self._coalescer
         while self._error is None and self._fatal_error is None:
-            if clock.free > 0 and (ready or (coalescer is not None
+            if self._free > 0 and (ready or (coalescer is not None
                                              and len(coalescer) > 0)):
                 self._dispatch_ready()
             if not events:
                 break
             when = events[0][0]
-            if when > clock.now:
+            if when > self.now:
                 if not jumps:
                     break
-                clock.now = when
+                self.now = when
             _, _, kind, payload = heapq.heappop(events)
             if kind == _OP_DONE:
-                clock.free += 1
+                self._free += 1
                 inst, outputs, starter_inputs = payload
                 try:
                     if isinstance(inst, list):  # fused micro-batch members
@@ -153,15 +124,15 @@ class EventEngine(SchedulerCore):
         ends the drain; wall-clock ones are inline, so a flush refills
         the wavefront and the drain repeats, returning early when a
         scheduled callback falls due (a deadline cancels mid-flight)."""
-        clock = self.clock
-        execute = clock.execute_single
-        wall = not clock.virtual
+        preempt = not self.virtual_clock
+        perf_counter = time.perf_counter
+        execute = self._execute_single
         events = self._events
         ready = self._ready
         coalescer = self._coalescer
         while self._error is None:
-            while ready and clock.free > 0 and self._error is None:
-                if wall and events and events[0][0] <= clock.now:
+            while ready and self._free > 0 and self._error is None:
+                if preempt and events and events[0][0] <= perf_counter():
                     return
                 inst = ready.pop()
                 frame = inst.frame
@@ -183,31 +154,30 @@ class EventEngine(SchedulerCore):
                 execute(inst, inputs)
             if coalescer is None:
                 return
-            while (len(coalescer) > 0 and clock.free > 0
+            while (len(coalescer) > 0 and self._free > 0
                    and self._error is None):
-                if wall and events and events[0][0] <= clock.now:
+                if preempt and events and events[0][0] <= perf_counter():
                     return
                 self._execute_batch(coalescer.pop())
-            if not ready or clock.free <= 0:
+            if not ready or self._free <= 0:
                 return
 
     def _execute_batch(self, bucket) -> None:
         """Run one flushed bucket: one fused kernel call when it is wide
         enough, else its members one by one (requeued while no worker is
-        free).  The clock books the fused call, and runs the starters of
-        a fused frame spawn."""
+        free).  ``_bucket_done`` books the fused call, and runs the
+        starters of a fused frame spawn."""
         if not prune_cancelled(bucket):
             return
-        clock = self.clock
         members = bucket.instances
         if not self._bucket_fused(bucket):
             for inst, inputs in zip(members, bucket.inputs):
-                if clock.free <= 0:
+                if self._free <= 0:
                     # no worker for the stragglers: requeue them (their
                     # memoized signatures make the re-offer cheap)
                     self._ready.push(inst)
                     continue
-                clock.execute_single(inst, inputs)
+                self._execute_single(inst, inputs)
             return
         first = members[0]
         definition = first.frame.plan.defs[first.slot]
@@ -218,67 +188,60 @@ class EventEngine(SchedulerCore):
                 runtime = self.runtime
                 ctxs = [inst.frame.ctx or inst.frame.exec_context(runtime)
                         for inst in members]
-                lock = self._unlock
-                if lock is not None:
-                    lock.release()
-                try:
+                outside = self._outside
+                if outside is None:
                     outputs_list = definition.batched_kernel(
                         ops, bucket.inputs, ctxs)
-                finally:
-                    if lock is not None:
-                        lock.acquire()
+                else:
+                    with outside:
+                        outputs_list = definition.batched_kernel(
+                            ops, bucket.inputs, ctxs)
                 if len(outputs_list) != len(bucket):
                     raise EngineError(
                         f"batched kernel of {bucket.op_type} returned "
                         f"{len(outputs_list)} results for {len(bucket)} "
                         "members")
-            clock.bucket_done(bucket, ops, outputs_list)
+            self._bucket_done(bucket, ops, outputs_list)
         except Exception as exc:
             self._fail(exc, ops[0])
 
+    # -- the virtual clock ----------------------------------------------------
 
-class VirtualClock:
-    """Simulated time: ``now`` is the last popped event's time,
-    ``master`` the serialized dispatch clock, ``cache`` the serialized
-    cache clock and ``free`` the idle virtual workers."""
-
-    virtual = True
-
-    def __init__(self, engine: EventEngine):
-        self.engine = engine
+    def _reset_backend(self) -> None:
+        self._events: list = []
+        self._seq = itertools.count()
+        self._outside = None
         self.now = 0.0
-        self.master = 0.0
-        self.cache = 0.0
-        self.free = engine.num_workers
-        self.events = engine._events
-        self.seq = engine._seq
-        engine._master_lock = engine._roots_cv = None
+        self._master_clock = 0.0
+        self._cache_clock = 0.0
+        self._free = self.num_workers
         # Per-dispatch fast paths, used only while the cost model keeps
         # the stock implementations (an instance- or subclass-overridden
         # method is called per op instead).
-        cm = self.cost_model = engine.cost_model
-        self.dispatch_const = (
+        cm = self.cost_model
+        self._dispatch_const = (
             cm.dispatch_cost
             if getattr(cm.dispatch, "__func__", None) is CostModel.dispatch
             else None)
-        self.async_memo = (
+        self._async_memo = (
             {} if getattr(cm.async_overhead, "__func__",
                           None) is CostModel.async_overhead else None)
 
     def schedule(self, when: float, fn: Callable) -> None:
-        self.engine._post(max(when, self.now), fn)
+        """Run ``fn`` on the loop at clock time ``when`` (now at the
+        earliest)."""
+        self._post(max(when, self.now), fn)
 
-    def defer_level_flush(self) -> None:
+    def _defer_level_flush(self) -> None:
         # an event at this instant: every root admitted at this instant
         # lands in one flush, one wavefront, deterministically
-        engine = self.engine
-        engine._post(self.now, engine._flush_level_runs)
+        self._post(self.now, self._flush_level_runs)
 
-    def admitted(self) -> None:
+    def _admitted(self) -> None:
         """Nothing to wake, start or stop: ``drain`` runs the loop on
         the caller's thread."""
 
-    start_serving = stop_serving = admitted
+    _start_serving = _stop_serving = _admitted
 
     def finish_async(self, inst: Instance, outputs: list) -> None:
         """Complete an async op once its frame(s) produced the outputs.
@@ -288,28 +251,27 @@ class VirtualClock:
         without releasing a worker: the async op's worker was already
         freed when its starter event fired.
         """
-        heapq.heappush(self.events,
+        heapq.heappush(self._events,
                        (self.now + self.cost_model.return_overhead,
-                        next(self.seq), _ASYNC_DONE, (inst, outputs)))
+                        next(self._seq), _ASYNC_DONE, (inst, outputs)))
 
     def post_continuation(self, delay: float, fn: Callable) -> None:
         """Run ``fn`` at now+delay (loop iterations etc.)."""
-        self.engine._post(self.now + delay, fn)
+        self._post(self.now + delay, fn)
 
-    def complete_level_group(self, lp, runs, results) -> None:
+    def _complete_level_group(self, lp, runs, results) -> None:
         done_at = self.now + self.cost_model.level_plan_cost(lp)
-        engine = self.engine
         for run, values in zip(runs, results):
             if values is None:
                 continue
-            engine._post(done_at,
-                         lambda run=run, values=values:
-                         engine._complete_level_run(run, values))
+            self._post(done_at,
+                       lambda run=run, values=values:
+                       self._complete_level_run(run, values))
 
-    def drain(self) -> None:
-        self.engine._loop()
+    def _drain_events(self) -> None:
+        self._loop()
 
-    def stamp(self, stats: RunStats) -> None:
+    def _stamp_clock(self, stats: RunStats) -> None:
         stats.virtual_time = self.now
 
     def wait(self, cond, done: Callable[[], bool], timeout=None) -> None:
@@ -325,33 +287,32 @@ class VirtualClock:
                 "whole simulation instead.  Call result() without a "
                 "timeout, or submit(..., timeout=) to bound the "
                 "request in virtual time.")
-        self.engine.drain()
+        self.drain()
 
-    def execute_single(self, inst: Instance, inputs: list) -> None:
+    def _execute_single(self, inst: Instance, inputs: list) -> None:
         """Take a worker for one op: a sync kernel runs now and completes
         at its cost-model time; an async op's starter runs at its
         caller-context setup time."""
-        engine = self.engine
         op = inst.op
         frame = inst.frame
         plan = frame.plan
         slot = inst.slot
         cost_model = self.cost_model
-        start = self.master
+        start = self._master_clock
         if self.now > start:
             start = self.now
-        dispatch_cost = self.dispatch_const
+        dispatch_cost = self._dispatch_const
         if dispatch_cost is None:
             dispatch_cost = cost_model.dispatch(op)
-        master = self.master = start + dispatch_cost
+        master = self._master_clock = start + dispatch_cost
         definition = plan.defs[slot]
-        self.free -= 1
-        stats = engine.stats
-        busy = engine.num_workers - self.free
+        self._free -= 1
+        stats = self.stats
+        busy = self.num_workers - self._free
         if busy > stats.max_concurrency:
             stats.max_concurrency = busy
         if definition.is_async:
-            memo = self.async_memo
+            memo = self._async_memo
             if memo is None:
                 cost = cost_model.async_overhead(op)
             else:
@@ -359,47 +320,46 @@ class VirtualClock:
                 if cost is None:
                     cost = memo[op.op_type] = cost_model.async_overhead(op)
             stats.note_op(op.op_type, cost)
-            heapq.heappush(self.events,
-                           (master + cost, next(self.seq),
+            heapq.heappush(self._events,
+                           (master + cost, next(self._seq),
                             _OP_DONE, (inst, None, inputs)))
             return
         try:
-            ctx = frame.ctx or frame.exec_context(engine.runtime)
+            ctx = frame.ctx or frame.exec_context(self.runtime)
             outputs = definition.kernel(op, inputs, ctx)
         except Exception as exc:
-            engine._error = engine._wrap_error(exc, op)
+            self._error = self._wrap_error(exc, op)
             return
         kind = plan.cost_kinds[slot]
         cost = cost_model.op_cost(op, inputs, kind)
         done = master + cost
         if kind == "cache":
             # lookups contend on the shared cache structure
-            self.cache = max(self.cache, master) + cost
-            done = self.cache
+            self._cache_clock = max(self._cache_clock, master) + cost
+            done = self._cache_clock
         elif frame.record:
             mask = plan.store_masks[slot]
             for i, value in enumerate(outputs):
                 if mask[i]:
                     write = cost_model.cache_write_cost(value)
-                    self.cache = max(self.cache, done) + write
-                    done = self.cache
+                    self._cache_clock = max(self._cache_clock, done) + write
+                    done = self._cache_clock
         stats.note_op(op.op_type, done - master)
-        heapq.heappush(self.events,
-                       (done, next(self.seq), _OP_DONE,
+        heapq.heappush(self._events,
+                       (done, next(self._seq), _OP_DONE,
                         (inst, outputs, None)))
 
-    def bucket_done(self, bucket, ops: list, outputs_list) -> None:
+    def _bucket_done(self, bucket, ops: list, outputs_list) -> None:
         """Book one fused call through the serialized master: one
         dispatch and one worker for the whole bucket, completing at its
         batch cost (``outputs_list`` is None for a fused frame spawn,
         whose starters run at completion like the scalar async path)."""
-        engine = self.engine
         cost_model = self.cost_model
-        start = max(self.now, self.master)
-        master = self.master = start + cost_model.dispatch(ops[0])
-        self.free -= 1
-        stats = engine.stats
-        busy = engine.num_workers - self.free
+        start = max(self.now, self._master_clock)
+        master = self._master_clock = start + cost_model.dispatch(ops[0])
+        self._free -= 1
+        stats = self.stats
+        busy = self.num_workers - self._free
         if busy > stats.max_concurrency:
             stats.max_concurrency = busy
         members = bucket.instances
@@ -408,8 +368,8 @@ class VirtualClock:
             cost = cost_model.async_batch_overhead(ops[0], len(bucket))
             stats.note_batch(bucket.op_type, len(bucket), cost,
                              bucket.signature)
-            heapq.heappush(self.events,
-                           (master + cost, next(self.seq), _OP_DONE,
+            heapq.heappush(self._events,
+                           (master + cost, next(self._seq), _OP_DONE,
                             (list(members), None, list(bucket.inputs))))
             return
         first = members[0]
@@ -418,8 +378,8 @@ class VirtualClock:
             # one bulk round-trip through the serialized cache structure
             # instead of N contended lookups (Section 5's bottleneck)
             cost = cost_model.bulk_cache_lookup_cost(bucket.inputs)
-            self.cache = max(self.cache, master) + cost
-            done = self.cache
+            self._cache_clock = max(self._cache_clock, master) + cost
+            done = self._cache_clock
         else:
             cost = cost_model.batch_cost(ops, bucket.inputs, kind)
             done = master + cost
@@ -431,205 +391,12 @@ class VirtualClock:
             if writes:
                 # the recorded outputs of a fused batch travel to the
                 # value cache as one bulk write
-                self.cache = (max(self.cache, done)
-                              + cost_model.bulk_cache_write_cost(writes))
-                done = self.cache
+                self._cache_clock = (
+                    max(self._cache_clock, done)
+                    + cost_model.bulk_cache_write_cost(writes))
+                done = self._cache_clock
         stats.note_batch(bucket.op_type, len(bucket), done - master,
                          bucket.signature)
-        heapq.heappush(self.events,
-                       (done, next(self.seq), _OP_DONE,
+        heapq.heappush(self._events,
+                       (done, next(self._seq), _OP_DONE,
                         (list(members), outputs_list, None)))
-
-
-class WallClock:
-    """Real time on unbounded workers.  ``cv`` is the condition on the
-    per-session master lock, notified when a root is admitted, retired
-    or fails, a callback is scheduled, or serving ends; ``thread`` is
-    the serving master, if one runs."""
-
-    virtual = False
-    free = float("inf")
-
-    def __init__(self, engine: EventEngine):
-        self.engine = engine
-        lock = engine._master_lock = threading.RLock()
-        self.cv = engine._roots_cv = threading.Condition(lock)
-        self.thread = None
-        self.stopping = False
-
-    @property
-    def now(self) -> float:
-        return time.perf_counter()
-
-    def schedule(self, when: float, fn: Callable) -> None:
-        with self.cv:
-            self.engine._post(when, fn)
-            self.cv.notify()
-
-    def admitted(self) -> None:
-        """Wake a sleeping serving master (the root may come from any
-        thread).  A compiled root waits in ``_pending_level_runs``: the
-        master flushes them at the start of its next turn."""
-        if self.thread is not None:
-            with self.cv:
-                self.cv.notify()
-
-    defer_level_flush = admitted
-
-    def finish_async(self, inst: Instance, outputs: list) -> None:
-        # called back from a completion on the master, under the lock
-        self.engine._complete_instance(inst, outputs)
-
-    def post_continuation(self, delay: float, fn: Callable) -> None:
-        fn()  # no overheads are simulated: now, on the master
-
-    def complete_level_group(self, lp, runs, results) -> None:
-        for run, values in zip(runs, results):
-            if values is not None:
-                self.engine._complete_level_run(run, values)
-
-    def drain(self) -> None:
-        """Until every admitted root completed or the session failed:
-        with no serving master the caller is the master."""
-        engine = self.engine
-
-        def idle() -> bool:
-            return (not engine._open_roots or engine._error is not None
-                    or engine._fatal_error is not None)
-        if self.thread is None:
-            self._master(idle)
-        else:
-            self.wait(self.cv, idle)
-
-    def stamp(self, stats: RunStats) -> None:
-        stats.virtual_time = stats.wall_time
-
-    def start_serving(self) -> None:
-        self.stopping = False
-        self.engine._unlock = self.engine._master_lock
-        self.thread = threading.Thread(target=self._master,
-                                       args=(self._serving_done,),
-                                       daemon=True)
-        self.thread.start()
-
-    def stop_serving(self) -> None:
-        engine = self.engine
-        if self.thread is not None:
-            with self.cv:
-                self.stopping = True
-                self.cv.notify()
-            self.thread.join()
-            self.thread = engine._unlock = None
-        stats = engine.stats
-        stats.wall_time = stats.virtual_time = (time.perf_counter()
-                                                - engine._serve_wall0)
-
-    def wait(self, cond, done: Callable[[], bool], timeout=None) -> None:
-        """Block on ``cond`` until ``done()`` or ``timeout`` seconds.
-
-        Between looks the waiter runs the callbacks that fell due while
-        the master is inside a kernel (it holds the master lock at any
-        other time), so a deadline still cancels a request whose kernel
-        does not return.
-        """
-        end = None if timeout is None else time.perf_counter() + timeout
-        while True:
-            with cond:
-                if done():
-                    return
-                left = _POLL_S
-                if end is not None:
-                    left = min(left, end - time.perf_counter())
-                    if left <= 0:
-                        return
-                cond.wait(left)
-            self._run_due()
-
-    def _run_due(self) -> None:
-        """Run the due callbacks if the master lock is free."""
-        engine = self.engine
-        lock = engine._master_lock
-        if not lock.acquire(blocking=False):
-            return
-        try:
-            events = engine._events
-            while (events and events[0][0] <= time.perf_counter()
-                   and engine._error is None):
-                try:
-                    heapq.heappop(events)[3]()
-                except Exception as exc:
-                    engine._fail(exc)
-        finally:
-            lock.release()
-
-    def _master(self, stop: Callable[[], bool]) -> None:
-        """Turns until ``stop()``, under the master lock: flush the
-        pending compiled runs, run the loop, then sleep until the next
-        callback falls due or a wake-up."""
-        engine = self.engine
-        events = engine._events
-        cv = self.cv
-        with cv:
-            while True:
-                if engine._pending_level_runs:
-                    engine._flush_level_runs()
-                engine._loop()
-                if stop():
-                    return
-                left = _POLL_S
-                if events and engine._error is None \
-                        and engine._fatal_error is None:
-                    left = min(left, events[0][0] - time.perf_counter())
-                if left > 0:
-                    cv.wait(left)
-
-    def _serving_done(self) -> bool:
-        """``end_serving`` was called and nothing is ready any more (or
-        the session failed)."""
-        engine = self.engine
-        if not self.stopping:
-            return False
-        if engine._error is not None or engine._fatal_error is not None:
-            return True
-        return not engine._ready and (engine._coalescer is None
-                                      or len(engine._coalescer) == 0)
-
-    def execute_single(self, inst: Instance, inputs: list) -> None:
-        """Run one op now: a kernel outside the master lock while a
-        serving master runs, its completion (or an async op's starter)
-        under it."""
-        engine = self.engine
-        op = inst.op
-        frame = inst.frame
-        definition = frame.plan.defs[inst.slot]
-        try:
-            if definition.is_async:
-                frame.plan.starters[inst.slot](engine, inst, inputs)
-            else:
-                ctx = frame.ctx or frame.exec_context(engine.runtime)
-                lock = engine._unlock
-                if lock is not None:
-                    lock.release()
-                try:
-                    outputs = definition.kernel(op, inputs, ctx)
-                finally:
-                    if lock is not None:
-                        lock.acquire()
-                engine._complete_instance(inst, outputs)
-        except Exception as exc:
-            engine._fail(exc, op)
-            return
-        engine.stats.note_op(op.op_type, 0.0)
-
-    def bucket_done(self, bucket, ops: list, outputs_list) -> None:
-        """Complete a fused call now (``outputs_list`` None: run the
-        starters of a fused frame spawn)."""
-        engine = self.engine
-        if outputs_list is None:
-            for inst, inputs in zip(bucket.instances, bucket.inputs):
-                if not inst.frame.root.cancelled:
-                    inst.frame.plan.starters[inst.slot](engine, inst, inputs)
-        else:
-            engine._complete_batch(bucket.instances, outputs_list)
-        engine.stats.note_batch(bucket.op_type, len(bucket), 0.0,
-                                bucket.signature)

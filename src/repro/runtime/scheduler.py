@@ -15,9 +15,9 @@ are ultimately executed.  This module makes that layering explicit:
   accounting.
 
 * The executor loop (:class:`~repro.runtime.engine.EventEngine`)
-  subclasses it and takes ready instances to kernels; its clock
-  (``self.clock``) decides when they complete, what ``now`` is, where
-  deferred callbacks and compiled flushes run, and how a session waits.
+  subclasses it and takes ready instances to kernels; its clock hooks
+  decide when they complete, what ``now`` is, where deferred callbacks
+  and compiled flushes run, and how a session waits.
   Two names pick the clock (:func:`resolve_executor`):
 
   - ``"event"`` — the virtual clock: the deterministic discrete-event
@@ -43,12 +43,12 @@ equivalence tests and the bench provenance stamps iterate it).
 
 Locking contract: ``_master_lock`` is ``None`` on the virtual clock and
 an ``RLock`` on the wall clock, held by the loop except while a serving
-master runs a kernel or a compiled sweep (``_unlock``) or sleeps.
+master runs a kernel or a compiled flush (``_outside``) or sleeps.
 ``_complete_instance`` and ``_start_frame`` mutate master state and are
 *lock-free by design*: every entry point either holds the lock already
 (master completions, starters, ``submit_root``) or runs on the only
-thread that touches frames.  ``submit_root`` and ``_complete_batch``
-take the lock themselves when one exists.
+thread that touches frames.  ``submit_root``, ``cancel_root`` and the
+compiled runs' completions take the lock themselves when one exists.
 """
 
 from __future__ import annotations
@@ -486,9 +486,16 @@ class SchedulerCore:
         self._reset_backend()
         self._serve_wall0 = time.perf_counter()
 
+    # -- clock hooks ----------------------------------------------------------
+    #
+    # The executor loop supplies, per clock: ``now``, ``schedule``,
+    # ``wait``, ``finish_async`` and ``post_continuation`` (called by op
+    # starters), and the session hooks behind the shared methods below —
+    # ``_reset_backend`` (event heap, clock, lock), ``_start_serving``,
+    # ``_admitted``, ``_defer_level_flush``, ``_complete_level_group``,
+    # ``_drain_events``, ``_stamp_clock`` and ``_stop_serving``.
+
     def _reset_backend(self) -> None:
-        """Rebuild the loop's per-session state: its event heap and
-        ``self.clock``."""
         raise NotImplementedError
 
     # -- frame lifecycle ------------------------------------------------------
@@ -691,7 +698,7 @@ class SchedulerCore:
         invokes the listener before raising.
         """
         self._reset_session(error_listener)
-        self.clock.start_serving()
+        self._start_serving()
 
     def submit_root(self, graph: Graph, fetches: Sequence[Tensor],
                     feed_map: dict[int, Any], key: tuple,
@@ -739,7 +746,7 @@ class SchedulerCore:
                                      record=False, on_complete=frame_done,
                                      owner=None, pin_locs=pins)
             self._start_frame(frame)
-        self.clock.admitted()
+        self._admitted()
         return frame
 
     # -- compiled level-plan path ---------------------------------------------
@@ -750,8 +757,8 @@ class SchedulerCore:
     # of one template — whatever their shapes — flush as one forest.
     # The scheduler owns the admission/merge/complete bookkeeping so both
     # clocks share it; the clock says where the flush runs
-    # (`defer_level_flush`) and when the sweep's runs complete
-    # (`complete_level_group`: the virtual clock at its modeled cost).
+    # (`_defer_level_flush`) and when the sweep's runs complete
+    # (`_complete_level_group`: the virtual clock at its modeled cost).
 
     def _note_fallback(self, reason: str) -> None:
         """Count one profiled admission that runs dynamically, under the
@@ -804,8 +811,8 @@ class SchedulerCore:
             self.stats.level_plan_hits += 1
             self._open_roots += 1
             self._pending_level_runs.append(run)
-        self.clock.defer_level_flush()
-        self.clock.admitted()
+        self._defer_level_flush()
+        self._admitted()
         return run
 
     def _flush_level_runs(self) -> None:
@@ -822,18 +829,16 @@ class SchedulerCore:
 
     def _run_level_batch(self, batch) -> None:
         """Flush pending compiled runs: one forest — one instantiation
-        lookup, one sweep — per template, whatever the runs' shapes.  A
-        serving master runs the sweep outside the master lock."""
+        lookup, one sweep — per template, whatever the runs' shapes.
+        Takes the master lock only to complete the runs, so a serving
+        master flushes with it released."""
         from .level_plan.forest import instance_for
         from .level_plan.sweep import execute_level_plan
         forests: dict = {}
         for run in batch:
             if not run.cancelled:
                 forests.setdefault(id(run.tpl), []).append(run)
-        lock = self._unlock
         for runs in forests.values():
-            if lock is not None:
-                lock.release()
             try:
                 lp = instance_for(runs[0].tpl, [run.lin for run in runs],
                                   stats=self.stats)
@@ -841,10 +846,7 @@ class SchedulerCore:
             except Exception as exc:  # noqa: BLE001 - session failure path
                 self._fail(exc)
                 return
-            finally:
-                if lock is not None:
-                    lock.acquire()
-            self.clock.complete_level_group(lp, runs, results)
+            self._complete_level_group(lp, runs, results)
 
     def _complete_level_run(self, run, values) -> None:
         """Retire one compiled root (mirrors the dynamic ``frame_done``:
@@ -940,11 +942,11 @@ class SchedulerCore:
         """Complete all admitted work (and, on the virtual clock, all
         scheduled callbacks); returns the session-cumulative stats.
         Raises the engine error if the session failed."""
-        self.clock.drain()
+        self._drain_events()
         # stats reflect the session as far as it got, error or not
         stats = self.stats
         stats.wall_time = time.perf_counter() - self._serve_wall0
-        self.clock.stamp(stats)
+        self._stamp_clock(stats)
         self._book_cache()
         if self._error is not None:
             error, self._error = self._error, None
@@ -961,7 +963,7 @@ class SchedulerCore:
 
     def end_serving(self) -> RunStats:
         """Leave serving mode (stops a serving master; returns stats)."""
-        self.clock.stop_serving()
+        self._stop_serving()
         return self.stats
 
     # -- errors ---------------------------------------------------------------

@@ -38,31 +38,15 @@ On top of continuous admission the server is **SLO-aware**:
   tree quiesces without producing further work, on both clocks.
   :meth:`RequestTicket.cancel` gives clients the same lever.
 
-Components:
-
-* :class:`RequestTicket` — the per-request completion future.  Carries
-  the admission timeline (``arrival_time`` → ``admit_time`` →
-  ``complete_time``) from which time-in-queue and time-in-engine derive.
-* :class:`RecursiveServer` — request queue + admission control.  At most
-  ``max_in_flight`` root instances execute concurrently; waiting
-  requests are bounded by ``queue_cap`` (depth) or ``queue_cost_cap``
-  (predicted engine seconds) — beyond that, arrivals are rejected (the
-  backpressure signal).
-* :exc:`ServerOverloaded` / :exc:`RequestCancelled` /
-  :exc:`DeadlineExceeded` — raised from the ticket's ``result()``.
-
-The serving-admission state machine (arrive → queue/shed → admit →
-complete/cancel) and the full lock-ordering rules between server,
-scheduler core and executors are documented in ARCHITECTURE.md.  The
-short form of the lock discipline: completions and cancellations enter
-server code *under the engine's master lock*, so the server never holds
-its own lock while calling into engine-side code — admission decisions
-and frame cancellations are snapshotted under the server lock and
-executed after releasing it.
+:exc:`ServerOverloaded` / :exc:`RequestCancelled` /
+:exc:`DeadlineExceeded` are raised from the ticket's ``result()``.  The
+serving-admission state machine (arrive → queue/shed → admit →
+complete/cancel) and the lock-ordering rules between server, scheduler
+core and executor loop are documented in ARCHITECTURE.md.
 
 The server runs on either clock through the shared incremental-admission
 API (``begin_serving`` / ``submit_root`` / ``cancel_root`` /
-``end_serving``) and asks the engine's clock for everything time-related:
+``end_serving``) and asks the engine for everything time-related:
 ``now``, ``schedule`` — scheduled arrivals (``submit(..., at=t)``),
 deadline expiries (one callback per deadline-carrying request; an
 expiry after completion is a no-op) and the same-instant admission
@@ -72,7 +56,12 @@ the simulation to exhaustion, fully deterministic: a fixed request
 stream yields bit-identical results *and* identical virtual-time
 latencies run over run.  On the wall clock ``submit`` may be called
 from any thread while the serving master executes kernels, and ``wait``
-blocks until the queue and the engine are empty.
+blocks until the queue and the engine are empty.  A wall-clock
+callback runs on the master between two kernels — or, while the master
+is inside a kernel or compiled sweep, on a client blocked in ``drain``
+or ``result``.  With no client waiting, a request whose kernel runs
+past its deadline times out when that kernel returns (or completes, if
+the kernel was its last).
 
 Per-request values are **bit-identical** to a one-shot ``Session.run``
 of the same fetches: admission changes only *when* operations execute,
@@ -405,8 +394,9 @@ class RecursiveServer:
         enforce_deadlines: when True (default), a request that reaches
             its deadline is dropped — timed out in the queue, or
             *cancelled mid-flight* (its root frame retired in the
-            scheduler core).  When False, deadlines only order admission
-            and score goodput.
+            scheduler core; on the wall clock between two kernels, see
+            the module docstring).  When False, deadlines only order
+            admission and score goodput.
     """
 
     def __init__(self, session, *, max_in_flight: int = 16,
@@ -472,8 +462,6 @@ class RecursiveServer:
         self._cost_scale = 1.0
         session.runtime.cache.clear()
         self._engine.begin_serving(error_listener=self._on_engine_error)
-        #: the session's clock: now, schedule and wait
-        self._clock = self._engine.clock
 
     # -- introspection -------------------------------------------------------
 
@@ -593,7 +581,7 @@ class RecursiveServer:
             self._outstanding[ticket.request_id] = ticket
             self._arriving += 1
         if at is not None:
-            self._clock.schedule(at, lambda: self._arrive(ticket))
+            self._engine.schedule(at, lambda: self._arrive(ticket))
         else:
             self._arrive(ticket)
         return ticket
@@ -607,7 +595,7 @@ class RecursiveServer:
         and the engine are all empty.  Raises the engine error if the
         session failed.
         """
-        self._clock.wait(self._cond, self._drained)
+        self._engine.wait(self._cond, self._drained)
         if self._fatal is not None:
             raise self._fatal
         return self._engine.stats
@@ -664,7 +652,7 @@ class RecursiveServer:
         return base * size_hint
 
     def _arrive(self, ticket: RequestTicket) -> None:
-        ticket.arrival_time = self._clock.now
+        ticket.arrival_time = self._engine.now
         if ticket._rel_timeout is not None:
             ticket.deadline = ticket.arrival_time + ticket._rel_timeout
         with self._cond:
@@ -694,7 +682,7 @@ class RecursiveServer:
             self._pump_scheduled = True
         self._arm_deadline(ticket)
         if schedule_pump:
-            self._clock.schedule(ticket.arrival_time, self._scheduled_pump)
+            self._engine.schedule(ticket.arrival_time, self._scheduled_pump)
 
     def _shed_reason_locked(self,
                             ticket: RequestTicket) -> Optional[str]:
@@ -714,7 +702,7 @@ class RecursiveServer:
         if ticket.deadline is not None:
             # feasibility: optimistic completion estimate assuming the
             # predicted backlog drains at capacity_factor ahead of it
-            finish = (self._clock.now + backlog / self.capacity_factor
+            finish = (self._engine.now + backlog / self.capacity_factor
                       + ticket.predicted_cost)
             if finish > ticket.deadline:
                 return (f"deadline infeasible (predicted finish "
@@ -734,8 +722,8 @@ class RecursiveServer:
         # the callback holds the request id, not the ticket: a finished
         # request is gone from _outstanding and its expiry is a no-op
         request_id = ticket.request_id
-        self._clock.schedule(ticket.deadline,
-                             lambda: self._expire(request_id))
+        self._engine.schedule(ticket.deadline,
+                              lambda: self._expire(request_id))
 
     def _scheduled_pump(self) -> None:
         with self._lock:
@@ -770,7 +758,7 @@ class RecursiveServer:
             for ticket in admitted:
                 # set admit_time before submission: a trivial root frame
                 # may complete synchronously inside submit_root
-                ticket.admit_time = self._clock.now
+                ticket.admit_time = self._engine.now
                 feed_map, ticket.feed_map = ticket.feed_map, None
                 frame = self._engine.submit_root(
                     self._graph, ticket.fetches, feed_map,
@@ -788,7 +776,7 @@ class RecursiveServer:
                                                  timed_out=pending)
 
     def _request_done(self, ticket: RequestTicket, values: list) -> None:
-        ticket.complete_time = self._clock.now
+        ticket.complete_time = self._engine.now
         ticket.value = values[0] if ticket.single else values
         with self._cond:
             self._in_flight -= 1
@@ -866,7 +854,7 @@ class RecursiveServer:
             error = DeadlineExceeded(
                 f"request {ticket.request_id} missed its deadline "
                 f"(deadline {ticket.deadline:.6f}, "
-                f"now {self._clock.now:.6f})")
+                f"now {self._engine.now:.6f})")
         else:
             ticket.cancelled = True
             self._cancelled += 1
@@ -901,7 +889,7 @@ class RecursiveServer:
     def _wait_for(self, ticket: RequestTicket,
                   timeout: Optional[float]) -> None:
         try:
-            self._clock.wait(self._cond, lambda: ticket.done, timeout)
+            self._engine.wait(self._cond, lambda: ticket.done, timeout)
         except Exception:
             # the drain error listener already failed the tickets;
             # result() surfaces this ticket's recorded error

@@ -257,12 +257,32 @@ class TestWorkerPoolSpecifics:
             assert np.array_equal(expected, got)
         assert threading.active_count() == threads
 
+    @staticmethod
+    def _gated():
+        """A workerpool session whose one request parks in its first
+        kernel until ``gate`` is set, then runs an identity."""
+        gate = threading.Event()
+        if "ExecutorDeadlineGate" not in all_op_types():
+            register_op("ExecutorDeadlineGate",
+                        infer=lambda op: [(op.inputs[0].dtype,
+                                           op.inputs[0].shape)],
+                        kernel=lambda op, inputs, ctx: [
+                            inputs[0]] if op.attrs["gate"].wait(30) else [])
+        graph = repro.Graph("deadline_gate")
+        with graph.as_default():
+            x = ops.placeholder(repro.float32, (), "x")
+            out = ops.identity(graph.add_op("ExecutorDeadlineGate", [x],
+                                            {"gate": gate}).outputs[0])
+        session = repro.Session(graph, repro.Runtime(), engine="workerpool")
+        return session, x, out, gate
+
     @pytest.mark.timeout(60)
     def test_deadlines_add_no_thread(self, bank, model, built):
         """Requests with ``timeout=`` / ``deadline=`` keep a serving
         session at one extra thread: expiries are callbacks on the
         executor loop, not timers.  A deadline that expires while the
-        request's kernel runs still cancels the request."""
+        request's kernel runs still cancels the request a client waits
+        on: the waiter runs the expiry."""
         session, feeds, profile = self._tree_session(bank, model, built)
         expected = _reference_logits(model, built, bank)[0]
         threads = threading.active_count()
@@ -280,19 +300,7 @@ class TestWorkerPoolSpecifics:
             assert np.array_equal(expected, ticket.result())
 
         # mid-flight: the kernel parks until the request has timed out
-        gate = threading.Event()
-        if "ExecutorDeadlineGate" not in all_op_types():
-            register_op("ExecutorDeadlineGate",
-                        infer=lambda op: [(op.inputs[0].dtype,
-                                           op.inputs[0].shape)],
-                        kernel=lambda op, inputs, ctx: [
-                            inputs[0]] if op.attrs["gate"].wait(30) else [])
-        graph = repro.Graph("deadline_gate")
-        with graph.as_default():
-            x = ops.placeholder(repro.float32, (), "x")
-            out = graph.add_op("ExecutorDeadlineGate", [x],
-                               {"gate": gate}).outputs[0]
-        gated = repro.Session(graph, repro.Runtime(), engine="workerpool")
+        gated, x, out, gate = self._gated()
         with gated.serve(max_in_flight=1) as server:
             victim = server.submit(out, {x: 1.0}, timeout=0.2)
             ok = server.submit(out, {x: 2.0}, timeout=60.0)
@@ -304,6 +312,42 @@ class TestWorkerPoolSpecifics:
             assert ok.result(timeout=20) == 2.0
         assert victim.status == "timed_out"
         assert threading.active_count() == threads
+
+    @pytest.mark.timeout(60)
+    def test_unwaited_deadline_fires_between_kernels(self):
+        """With no client waiting, an expiry runs on the master: a
+        request parked in its kernel stays ``running`` past its
+        deadline and times out as soon as the master is back between
+        two kernels, before its next one runs."""
+        session, x, out, gate = self._gated()
+        with session.serve(max_in_flight=1) as server:
+            victim = server.submit(out, {x: 1.0}, timeout=0.05)
+            time.sleep(0.3)
+            assert victim.status == "running"
+            gate.set()
+            end = time.perf_counter() + 20
+            while not victim.done and time.perf_counter() < end:
+                time.sleep(0.005)
+            assert victim.status == "timed_out"
+            assert server.timed_out == 1 and server.completed == 0
+
+    @pytest.mark.timeout(60)
+    def test_compiled_admission_wakes_the_master(self, bank, model, built):
+        """A compiled root the master's own pump admits is flushed on
+        that turn, not after an idle sleep: sequential profiled
+        requests each finish well inside the master's poll interval."""
+        from repro.runtime.workerpool import _POLL_S
+        session, feeds, profile = self._tree_session(bank, model, built)
+        latencies = []
+        with session.serve(max_in_flight=1) as server:
+            for _ in range(9):
+                ticket = server.submit(built.root_logits, feeds,
+                                       shape_profile=profile)
+                ticket.result(timeout=20)
+                latencies.append(ticket.latency)
+        assert server.stats.level_plan_hits == 9
+        # the first request compiles the template
+        assert sorted(latencies[1:])[4] < _POLL_S / 2
 
     @pytest.mark.timeout(120)
     def test_clients_race_the_master_on_deadlines(self, bank, model, built):
