@@ -253,12 +253,12 @@ def test_smoke_level_wiring_canary(monkeypatch):
 #: count re-pins it and names the delta and its reason in CHANGES.md
 WORK_PINS_PYTHON = (3, 11)
 WORK_PINS = {
-    "infer_lvl": (2596, 3891),
-    "train_lvl": (10024, 11826),
-    "infer_dyn": (170470, 158535),
-    "train_dyn": (589981, 570090),
-    "infer_pool": (2592, 3891),
-    "train_pool": (9998, 11757),
+    "infer_lvl": (2595, 3891),
+    "train_lvl": (10022, 11826),
+    "infer_dyn": (170469, 158535),
+    "train_dyn": (589979, 570090),
+    "infer_pool": (2591, 3891),
+    "train_pool": (9996, 11757),
     "serve_burst": (8902, 24298),
 }
 
