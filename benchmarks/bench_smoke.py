@@ -260,6 +260,7 @@ WORK_PINS = {
     "infer_pool": (2591, 3891),
     "train_pool": (9996, 11757),
     "serve_burst": (8902, 24298),
+    "instantiate": (832, 1502),
 }
 
 
@@ -331,7 +332,26 @@ def work_counts() -> dict:
     assert server.stats.level_plan_fallbacks == 0
     server.close()
     counts["serve_burst"] = got
+    counts["instantiate"] = instantiate_count()
     return counts
+
+
+def instantiate_count() -> tuple:
+    """The calls of instantiating one fixed 8-run merged serving forest
+    (batch-1 TreeLSTM requests: a merged forest is never memoised), run
+    once cold first."""
+    from repro.runtime.level_plan import instance_for, linearise, template_for
+    from repro.runtime.plan import plan_for_fetches
+
+    model = SMOKE_FACTORIES["TreeLSTM"]()
+    built = model.build_recursive(1)
+    tpl = template_for(built.graph, plan_for_fetches(
+        built.graph, {built.root_logits.op}), False)
+    lins = [linearise(tpl, built.shape_profiles(batch_trees([tree])))
+            for tree in smoke_bank().train[:8]]
+    for _ in range(2):
+        got = call_counts(lambda: instance_for(tpl, lins))
+    return got
 
 
 def test_smoke_work_count_pins():
