@@ -328,9 +328,9 @@ class _BurstSplit:
     """Wall time of one serving burst's compiled-tier phases, summed over
     the bursts run while installed; ``remove()`` restores the module."""
 
-    PHASES = ("linearise", "instantiate", "  forest arrays",
-              "  import wiring", "  slab layout", "import gather",
-              "block execute", "  of which row loops", "booking")
+    PHASES = ("linearise", "instantiate", "  forest arrays", "  rows",
+              "  slab offsets", "import gather", "block execute",
+              "  of which row loops", "booking")
 
     def __init__(self):
         self.secs = dict.fromkeys(self.PHASES, 0.0)
@@ -342,8 +342,8 @@ class _BurstSplit:
         self._wrap(level_plan, "linearise", "linearise")
         self._wrap(forest, "instance_for", "instantiate", self._forest)
         self._wrap(forest._Forest, "__init__", "  forest arrays")
-        self._wrap(wiring, "wire", "  import wiring")
-        self._wrap(wiring, "_lay_slabs", "  slab layout")
+        self._wrap(wiring, "wire", "  rows")
+        self._wrap(wiring, "_lay_slabs", "  slab offsets")
         self._wrap(sweep, "_book", "booking")
         self._wrap(call, "__init__", "import gather")
         self._wrap(call, "execute", "block execute")
@@ -399,8 +399,8 @@ def _profile_bursts(bench, config, top: int, count: bool) -> int:
     print(f"{bench.name}/{config.name} seed={bench.seed}: "
           f"{nodes:.0f} nodes a burst, warm burst {wall * 1e3:.2f} ms "
           f"({nodes / wall:.0f} inst/s), mean of {n} instrumented bursts\n")
-    # the slab layout runs inside the import wiring: show it apart
-    split.secs["  import wiring"] -= split.secs["  slab layout"]
+    # the slab offsets are laid out inside the wiring: show them apart
+    split.secs["  rows"] -= split.secs["  slab offsets"]
     split.secs["  block assembly"] = split.secs["instantiate"] - sum(
         split.secs[phase] for phase in _BurstSplit.PHASES[2:5])
     print(f"per-burst split (ms, mean; {split.forests / n:.1f} forests "

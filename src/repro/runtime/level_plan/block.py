@@ -23,6 +23,9 @@ from ..plan import _PERSISTENT_ALIAS_OPS
 _S, _O, _B, _C, _M = range(5)
 #: the shared ``True`` completion flag of gradient call sites (cid 0)
 _DONE = (_O, 0, 0)
+#: how an import is wired, decided per template
+#: (:meth:`.template.Template._wire_imports`)
+_INV, _COL, _ONE, _SLAB = range(4)
 
 
 class _Ineligible(Exception):
@@ -95,6 +98,9 @@ class _BlockProg:
         #: register ``n_regs - len(imports) + i`` (after every step's)
         self.imports: list = []
         self._import_of: dict = {}
+        #: per import its wiring (``_INV`` / ``_COL`` / ``_ONE`` /
+        #: ``_SLAB`` tuples), decided once the template is wired
+        self.wiring: list = []
         self.checks: list = []     # on imports, run on entry
         self.stores: list = []     # (source, frame, graph id, op id, out)
         self.exports: list = []

@@ -443,7 +443,7 @@ class LevelPlan:
         # a column dies after its last read outside its block, else after
         # its block's own — once filled into a slab, after the fill; a
         # slab after its last read, or never with a pinned column in it
-        last, levels = last.tolist(), forest.levels
+        levels = forest.levels
         owner = {cid: blk for cid, (blk, _) in [(0, (prologue, 0)), *born]}
         for cid, out, sid, a, b in writes:
             owner[cid].slabs.append((cid, out, sid, a, b))

@@ -583,13 +583,24 @@ def _grow(core, added: int) -> None:
 
 
 def _tally(prog, m) -> tuple:
-    """One block's accounting — program ``prog`` over ``m`` members:
-    its kernel calls, its fused calls by width, and per booked step its
-    (op type, width, signature prefix)."""
-    steps = tuple((st.op.op_type, m * len(st.ops), st.prefix)
-                  for st in prog.steps if st.booked)
-    return (len(prog.steps) + len(prog.feeds),
-            tuple(Counter(width for _, width, _ in steps).items()), steps)
+    """One block's accounting — program ``prog`` over ``m`` members — as
+    a delta: its kernel calls, its bucket steps by width, per op type the
+    ops they execute, per op type its fused calls and per signature
+    prefix its fused calls by width (a fused call: width over 1, as
+    ``note_batch`` counts it)."""
+    widths, ops, fused, by_sig = Counter(), Counter(), Counter(), Counter()
+    for st in prog.steps:
+        if st.booked:
+            op_type, width = st.op.op_type, m * len(st.ops)
+            widths[width] += 1
+            ops[op_type] += width
+            if width > 1:
+                fused[op_type] += 1
+                by_sig[op_type if st.prefix is None else st.prefix,
+                       width] += 1
+    return (len(prog.steps) + len(prog.feeds), tuple(widths.items()),
+            tuple(ops.items()), tuple(fused.items()),
+            tuple(by_sig.items()))
 
 
 def _book(sweep) -> None:
@@ -598,11 +609,12 @@ def _book(sweep) -> None:
     one fused call per bucket step under its signature prefix.
 
     The schedule is static, so the bookings are too: per (block program,
-    member count) a tally memoised on the template, summed once per plan
-    into a RunStats delta that is memoised on the plan and merged per
-    sweep (a sweep abandoned because every run was cancelled books
-    nothing — best-effort stats under cancellation, like the dynamic
-    path).
+    member count) a delta memoised on the template, summed once per plan
+    — per block its calls and widths, then each distinct (program,
+    member count)'s delta times its blocks — into a RunStats delta that
+    is memoised on the plan and merged per sweep (a sweep abandoned
+    because every run was cancelled books nothing — best-effort stats
+    under cancellation, like the dynamic path).
     """
     lp = sweep.lp
     if lp.booked is None:
@@ -612,36 +624,33 @@ def _book(sweep) -> None:
             for op_type, count in cls.static if members else ():
                 delta.ops_executed += count * members
                 counts[op_type] = counts.get(op_type, 0) + count * members
-        tallies, steps = tpl.tallies, []
+        tallies, blocks = tpl.tallies, {}
         for blk in (blk for level in lp.program for blk in level):
-            tally = tallies.get((blk.prog, blk.m))
+            key = (blk.prog, blk.m)
+            tally = tallies.get(key)
             if tally is None:
-                tally = tallies[blk.prog, blk.m] = _tally(blk.prog, blk.m)
-            calls, widths, booked = tally
-            delta.level_blocks += 1
-            delta.level_kernel_calls += calls
-            if widths:
+                tally = tallies[key] = _tally(*key)
+            blocks[key] = blocks.get(key, 0) + 1
+            delta.level_kernel_calls += tally[0]
+            if tally[1]:
                 hist = delta.level_width_hist.setdefault(blk.hist, {})
-                for width, n in widths:
+                for width, n in tally[1]:
                     hist[width] = hist.get(width, 0) + n
-            steps.append(booked)
+        delta.level_blocks = lp.n_blocks
         fused, by_sig = delta.batch_count_by_type, delta.batch_width_hist
-        ops = batches = batched = top = 0
-        for (op_type, width, prefix), n in Counter(
-                itertools.chain.from_iterable(steps)).items():
-            ops += width * n
-            counts[op_type] = counts.get(op_type, 0) + width * n
-            if width > 1:   # a fused call, as note_batch counts it
-                batches += n
-                batched += width * n
-                top = width if width > top else top
-                fused[op_type] = fused.get(op_type, 0) + n
-                hist = by_sig.setdefault(
-                    op_type if prefix is None else prefix, {})
-                hist[width] = hist.get(width, 0) + n
-        delta.ops_executed += ops
-        delta.batches, delta.batched_ops, delta.max_batch = (batches, batched,
-                                                             top)
+        for key, times_n in blocks.items():
+            _, _, ops, calls, sigs = tallies[key]
+            for op_type, n in ops:
+                delta.ops_executed += n * times_n
+                counts[op_type] = counts.get(op_type, 0) + n * times_n
+            for op_type, n in calls:
+                fused[op_type] = fused.get(op_type, 0) + n * times_n
+            for (sig, width), n in sigs:
+                hist = by_sig.setdefault(sig, {})
+                hist[width] = hist.get(width, 0) + n * times_n
+                delta.batches += n * times_n
+                delta.batched_ops += width * n * times_n
+                delta.max_batch = max(delta.max_batch, width)
         for op_type in counts:  # a counted type also has a time entry
             times.setdefault(op_type, 0.0)
         lp.booked = delta

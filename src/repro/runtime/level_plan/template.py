@@ -25,8 +25,14 @@ from repro.core.callsite import call_site
 from repro.core.subgraph import SubGraphError
 
 from ..plan import _PERSISTENT_ALIAS_OPS, plan_for
-from .block import (_B, _C, _DONE, _M, _O, _S, _ZEROS, _BlockProg,
-                    _export, _Ineligible, _TStep, check)
+from .block import (_B, _C, _COL, _DONE, _INV, _M, _O, _ONE, _S, _SLAB,
+                    _ZEROS, _BlockProg, _export, _Ineligible, _TStep, check)
+
+
+def _address(col) -> tuple:
+    """Sort key of a slab column in address order: invariants first."""
+    return (col[0] is not None, col[0] or 0, col[1] or 0, *col[2:])
+
 
 def _statically_big(op) -> bool:
     """True unless every output is statically known to be tiny: a tiny
@@ -147,6 +153,10 @@ class Template:
         #: most ops any one step merges (sizes the shared index ramp)
         self.max_merge = max([len(o.step.ops) for cls in self.classes
                               for o in cls.ops], default=1)
+        #: per slab the columns it joins, as :meth:`_wire_imports` lays
+        #: them out; per (merged refs, members) a static import's rows
+        self.slabs = self._wire_imports()
+        self.rows: dict = {}
         self.body_deps = tuple(self.body_deps.items())
 
     @property
@@ -568,6 +578,150 @@ class Template:
                               else 1 if ref[0] == _C else first]
             prog.stores.append((prog.source(
                 (ref,), max(prog.n_levels - 1, 0)), *store))
+
+    # -- import wiring -------------------------------------------------------
+
+    def _origins(self, cls, ref, hops) -> set:
+        """Every column a ref of ``cls`` can read, for a member ``hops``
+        away from the frame holding it ("p" its parent, "c" a child, "r"
+        its run's virtual root): ``(column, hops, kind)`` triples.  A
+        column is ``(class index, segment, export, out)``, an invariant
+        ``(None, None, cid, out)``; ``kind`` keys the producer's blocks
+        (None: one block whatever the member — an invariant, a root
+        column).  A virtual root as parent is the hop "P"."""
+        kind = ref[0]
+        if kind == _O:
+            return {((None, None, ref[1], ref[2]), (), None)}
+        if kind == _M:
+            return self._origins(cls.mirror, ref[1], hops)
+        if kind == _S:
+            o = cls.ops[ref[1]]
+            col = (cls.index, o.seg, o.step.xi, ref[2])
+            return {(col, hops, None) if cls.family == "root"
+                    else (col, hops, cls.blocks[o.seg].kind)}
+        got = set()
+        if kind == _C:
+            for u in getattr(self, cls.sites[ref[1]].family).values():
+                got |= self._origins(u, u.outputs[ref[2]], hops + ("c",))
+            return got
+        family, root = cls.family, self.root
+        inherited = ref[1] in self.inherited[family]
+        for u in [root] + ([] if inherited
+                           else list(getattr(self, family).values())):
+            hop = "r" if inherited else "P" if u is root else "p"
+            for site in u.sites:
+                if site.family == family:
+                    got |= self._origins(u, site.bind[ref[1]], hops + (hop,))
+        return got
+
+    def _wire_imports(self) -> list:
+        """Decide every (class, segment, import)'s wiring once, from the
+        definition alone — ``prog.wiring[i]`` for import ``i``:
+
+        * ``(_INV, cid, out)`` — one invariant, shared;
+        * ``(_COL, class, segment, export, out, ks, n)`` — one column of
+          the member's own key (or the root's): merged op ``k`` reads
+          producer op ``ks[k]`` of ``n``, member ``j`` on row ``ks[k] *
+          m + j`` — an alias, a slice or a take by ``m`` alone;
+        * ``(_ONE,)`` — one producer block per consumer block, which one
+          and its rows by rank: the root's column, or (depth-keyed) the
+          parent's depth;
+        * ``(_SLAB, q, keyed)`` — several producers: the read of slab
+          ``q``.
+
+        Slabs join the columns their imports read, transitively; a slab
+        is ``(keyed, groups)``: ``groups`` its ``(class index, segment,
+        [(export, out)...])`` column groups (class index None:
+        invariants, ``(cid, out)`` pairs) in address order, so per forest
+        its rows lie block by block.  A slab every reader of which reads
+        columns of its own key only is ``keyed``: one slab per key, each
+        dying after its own key's reads."""
+        head: dict = {}
+
+        def find(col):
+            while head[col] != col:
+                head[col] = head[head[col]]
+                col = head[col]
+            return col
+
+        slabbed, unkeyed = [], set()
+        for cls in self.classes:
+            for prog in cls.blocks:
+                prog.wiring = [self._decide(cls, prog, refs)
+                               for refs, _, _ in prog.imports]
+                for i, wired in enumerate(prog.wiring):
+                    if wired[0] == _SLAB:
+                        cols = sorted(wired[1], key=_address)
+                        slabbed.append((prog, i, cols[0]))
+                        if not wired[2]:
+                            unkeyed.add(cols[0])
+                        for col in cols:
+                            head.setdefault(col, col)
+                            head[find(col)] = find(cols[0])
+        groups: dict = {}
+        for col in sorted(head, key=_address):
+            groups.setdefault(find(col), []).append(col)
+        unkeyed = {find(col) for col in unkeyed}
+        slabs, of = [], {}
+        for cols in sorted(groups.values(), key=lambda g: _address(g[0])):
+            of[find(cols[0])] = len(slabs)
+            slab = []
+            for col in cols:
+                if not slab or slab[-1][:2] != col[:2]:
+                    slab.append((col[0], col[1], []))
+                slab[-1][2].append(col[2:])
+            slabs.append((find(cols[0]) not in unkeyed, slab))
+        for prog, i, col in slabbed:
+            q = of[find(col)]
+            prog.wiring[i] = (_SLAB, q, slabs[q][0])
+        return slabs
+
+    def _decide(self, cls, prog, refs) -> tuple:
+        """The wiring of one import (:meth:`_wire_imports`)."""
+        if len(refs) == 1 and refs[0][0] == _O:
+            return (_INV, refs[0][1], refs[0][2])
+        origins = set()
+        for ref in refs:
+            origins |= self._origins(cls, ref, ())
+        cols = {col for col, _, _ in origins}
+        if len(cols) == 1 and all(
+                not hops and (kind == prog.kind or kind is None
+                              and col[0] is not None and cls.family == "root")
+                for col, hops, kind in origins):
+            col, = cols
+            ks = tuple(self._producer(cls, ref).k for ref in refs)
+            owner = self.classes[col[0]]
+            return (_COL, *col, ks,
+                    len(owner.blocks[col[1]].exports[col[2]].ops))
+        # one block for every member of a key: an invariant or root
+        # column; the member's own key; the parent's depth (below the
+        # first depth, whose parent is the virtual root)
+        scopes: dict = {}
+        for col, hops, kind in origins:
+            if kind is None:   # below a parent: only past the first depth
+                scope = hops[0] if hops[:1] in (("P",), ("p",)) else "all"
+            elif hops == () and kind == prog.kind:
+                scope = "all"
+            elif hops == ("p",) and kind == 0 == prog.kind:
+                scope = "p"
+            else:
+                return (_SLAB, cols, False)
+            scopes.setdefault(scope, set()).add(col)
+        every = scopes.get("all", set())
+        parts = ((scopes.get("P", set()), scopes.get("p", set()))
+                 if prog.kind == 0 else
+                 (scopes.get("P", set()) | scopes.get("p", set()),))
+        if all(len(every | part) <= 1 for part in parts):
+            return (_ONE,)
+        return (_SLAB, cols, set(scopes) == {"all"} and all(
+            kind is not None for _, _, kind in origins))
+
+    @staticmethod
+    def _producer(cls, ref):
+        """The member op behind an ``_S`` ref, through mirrors."""
+        while ref[0] == _M:
+            cls, ref = cls.mirror, ref[1]
+        return cls.ops[ref[1]]
 
 
 def template_for(graph, root_plan, record: bool, stats=None):

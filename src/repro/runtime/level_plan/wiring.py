@@ -1,42 +1,32 @@
-"""Wire: every import of every block of one forest, by class segment.
+"""Wire: every import of every block of one forest, by rank arithmetic.
 
-An *entry* is one import of one block: its members' (address, row)
-pairs, op-major — member ``j`` of merged op ``k`` at ``k * m + j``.
-Each class segment reads all of its imports over its population's
-key-sorted members at once (:func:`operands`); :func:`wire` sorts the
-elements of every entry of the forest together and decides each entry's
-wiring with segmented numpy over the entry starts: one producer reads
-the column itself (a slice, so the operand is a view of the column, as
-kernels never write their inputs; else a ``take``), several producers
-read their slab — :func:`_lay_slabs` joins the columns that
-multi-producer entries read into slabs, the shared completion flag
-(cid 0) included.  numpy calls are O(class segments); Python work per
-entry only assembles its tuple.
+The template has decided each (class, segment, import)'s wiring from the
+definition alone (:meth:`.template.Template._wire_imports`): an
+invariant; one column of the member's own key, whose rows follow from
+the member count alone (an alias, a slice or a ``take``); one producer
+block per block — the root's column, or the parent's depth — read by a
+``take``; or several producers, read by a ``take`` from their slab,
+whose columns the template also fixed.  Per forest only rows are left:
+:func:`operands` resolves one class segment's resolved imports over its
+population's key-sorted members at once, and a slab lays its columns
+out block by block (:func:`_lay_slabs`), so a slab read is its
+producer's row plus that column's slab offset.  numpy calls are
+O(class segments); Python work per entry only assembles its tuple.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .block import _O
+from .block import _COL, _INV, _ONE, _SLAB
 
 
-def _segments(x, starts):
-    """Per segment of ``x``'s last axis (``starts``): True where it holds
-    one value."""
-    return (np.minimum.reduceat(x, starts, -1)
-            == np.maximum.reduceat(x, starts, -1))
-
-
-def operands(forest, cls, kind, refs, of) -> tuple:
-    """One class segment's imports read over its population's key-sorted
-    members, ``refs[t]`` for every member: per element its address and
-    row (a ``[2, elements]`` array) and its entry — ``of[t]``'s import of
-    the member's block."""
+def operands(forest, cls, prog, refs):
+    """``refs`` of one class segment read over its population's
+    key-sorted members: per ref the address and the row of every member
+    (a ``[refs, 2, members]`` array; a block's members are a span)."""
     pop = forest.pops[cls.count]
-    ar = forest.resolve(cls, refs).take(pop.members[kind], 2)
-    return (ar.transpose(1, 0, 2).reshape(2, -1),
-            (np.array(of)[:, None] * forest.n_nodes + pop.blk[kind]).ravel())
+    return forest.resolve(cls, refs).take(pop.members[prog.kind], 2)
 
 
 def wire(forest, slots) -> tuple:
@@ -46,144 +36,138 @@ def wire(forest, slots) -> tuple:
     per slab, the slab writes ``(cid, out, sid, a, b)`` in slab order,
     and per column group and per slab its last read — ``slot * levels +
     level``, -1 for none."""
-    step_m, levels = forest.step_m, forest.levels
+    tpl, levels, memo = forest.template, forest.levels, forest.template.rows
+    bits, mask, copy = forest.bits, forest.mask, forest.n_runs == 1
     where = {(cls.index, seg, key): i
              for i, (cls, seg, key, _) in enumerate(slots)}
-    imports, flat, todo, progs = [()] * len(slots), [], [], []
-    sizes, reader = [], []     # per entry: its elements, its read's key
-    last = np.full(len(step_m), -1)
-    for cls in forest.template.classes:
+    segs, used = [], {}
+    for cls in tpl.classes:
         for prog in cls.blocks:
             spans = forest.pops[cls.count].block[prog.kind]
-            if not (spans and prog.n_levels and prog.imports):
+            if spans and prog.n_levels and prog.imports:
+                segs.append((cls, prog, list(spans.items()), [
+                    where[cls.index, prog.seg, key] * levels
+                    for key in spans]))
+                used.update((w[1], None) for w in prog.wiring
+                            if w[0] == _SLAB)
+    sid_of, slabs, writes, off = _lay_slabs(forest, sorted(used))
+    imports, last = [()] * len(slots), [-1] * len(forest.step_m)
+    reads = [-1] * len(slabs)
+    first = len(forest.step_m)
+    for cls, prog, spans, at in segs:
+        got = []
+        resolved = [ref for (refs, _, _), w in zip(prog.imports, prog.wiring)
+                    if w[0] >= _ONE for ref in refs]
+        if resolved:
+            ar = operands(forest, cls, prog, resolved)
+            t = 0
+        for (refs, level, _), w in zip(prog.imports, prog.wiring):
+            kind = w[0]
+            if kind == _INV:
+                got.append([(w[1], w[2], None)] * len(at))
+                last[w[1]] = max(last[w[1]], max(at) + level)
                 continue
-            at = [where[cls.index, prog.seg, key] for key in spans]
-            got, refs, of = [], [], []
-            for rs, level, _ in prog.imports:
-                if len(rs) == 1 and rs[0][0] == _O:   # an invariant
-                    got.append([(rs[0][1], rs[0][2], None)] * len(at))
-                    last[rs[0][1]] = max(last[rs[0][1]],
-                                         max(at) * levels + level)
-                    continue
-                of += [len(todo)] * len(rs)
-                refs += rs
-                sizes += [len(rs) * m for _, _, m in spans.values()]
-                reader += [slot * levels + level for slot in at]
-                todo.append((got, len(got), len(at)))
-                got.append(None)
-            progs.append((got, at))
-            if refs:
-                flat.append(operands(forest, cls, prog.kind, refs, of))
-    slabs, writes, reads = [], [], []
-    if flat:
-        slabs, writes, reads = _entries(forest, flat, todo, sizes, reader,
-                                        last)
-    for got, at in progs:   # per block its imports, in import order
+            specs = []
+            got.append(specs)
+            if kind == _COL:
+                _, ci, seg, xi, out, ks, n = w
+                base = forest.base[ci, seg]
+                for (key, (_, _, m)), k in zip(spans, at):
+                    cid = int(base[key]) + xi
+                    rows = memo.get((ks, n, m), memo)
+                    if rows is memo:
+                        rows = memo[ks, n, m] = _rows(ks, n, m)
+                    specs.append((cid, out, rows))
+                    if k + level > last[cid]:
+                        last[cid] = k + level
+                continue
+            part, t = ar[t:t + len(refs)], t + len(refs)
+            # a plan memoised (one run) must not keep the wiring arrays
+            # alive through views of them
+            if kind == _ONE:
+                rows = part[0, 1] if len(refs) == 1 else part[:, 1]
+                heads = part[0, 0, [s for _, (_, s, _) in spans]].tolist()
+                for h, (_, (_, s, m)), k in zip(heads, spans, at):
+                    got_rows = (rows[s:s + m] if len(refs) == 1
+                                else rows[:, s:s + m].reshape(-1))
+                    specs.append((h >> bits, h & mask,
+                                  got_rows.copy() if copy else got_rows))
+                    if k + level > last[h >> bits]:
+                        last[h >> bits] = k + level
+                continue
+            read = off[part[:, 0]] + part[:, 1]
+            if len(refs) == 1:
+                read = read[0]
+            for (key, (_, s, m)), k in zip(spans, at):
+                sid = sid_of[(w[1], key) if w[2] else w[1]]
+                got_rows = (read[s:s + m] if len(refs) == 1
+                            else read[:, s:s + m].reshape(-1))
+                specs.append((sid, got_rows.copy() if copy else got_rows))
+                if k + level > reads[sid - first]:
+                    reads[sid - first] = k + level
         for i, specs in zip(at, zip(*got)):
-            imports[i] = specs
+            imports[i // levels] = specs
+    # a block column filled into a slab is read there from then on
+    once = len(tpl.once)
+    for cid, _, sid, _, _ in writes:
+        if cid > once and last[cid] > reads[sid - first]:
+            reads[sid - first] = last[cid]
     return imports, slabs, writes, last, reads
 
 
-def _entries(forest, flat, todo, sizes, reader, last) -> tuple:
-    """Wire every entry of the non-invariant imports, in place of the
-    ``todo`` placeholders; note each column group's last read by one
-    producer."""
-    bits, mask, step_m = forest.bits, forest.mask, np.array(forest.step_m)
-    ar, order = (np.concatenate(col, axis=-1) for col in zip(*flat))
-    a, r = ar.take(order.argsort(kind="stable"), 1)
-    size, rk = np.array(sizes), np.array(reader)
-    es = size.cumsum() - size                       # entry starts
-    local = np.arange(len(a)) - es.repeat(size)     # member-order row
-    single, run = _segments(a, es), _segments(r - local, es)
-    head, first = a[es], r[es]
-    alias = run & (step_m[head >> bits] == size)
-    one = single.repeat(size)
-    if one.any():
-        _last(last, a[one] >> bits, rk.repeat(size)[one])
-    slab, slabs, writes, reads = _lay_slabs(forest, a, r, ~single, size, rk,
-                                            step_m, last)
-    out, q, own = [], 0, forest.own
-    for s, m, h, f, ok, c, al in zip(
-            es.tolist(), size.tolist(), head.tolist(), first.tolist(),
-            single.tolist(), run.tolist(), alias.tolist()):
-        if ok:
-            out.append((h >> bits, h & mask, (None if al else slice(
-                f, f + m)) if c else own(r[s:s + m])))
-        else:
-            out.append(slab[q])
-            q += 1
-    at = 0
-    for got, i, n in todo:
-        got[i] = out[at:at + n]
-        at += n
-    return slabs, writes, reads
+def _rows(ks, n, m):
+    """The rows a ``_COL`` import reads of its producer column, whose
+    ``n`` merged ops hold ``m`` members each: merged op ``k`` reads op
+    ``ks[k]`` — the column itself, a slice of it, else a ``take``."""
+    lo = ks[0]
+    if ks == tuple(range(lo, lo + len(ks))):
+        return None if len(ks) == n else slice(lo * m, (lo + len(ks)) * m)
+    return (np.array(ks, dtype=np.intp)[:, None] * m
+            + np.arange(m)).reshape(-1)
 
 
-def _last(last, cids, keys) -> None:
-    """Raise ``last[cid]`` to the greatest of its ``keys``."""
-    by = (cids * (int(keys.max()) + 1) + keys).argsort(kind="stable")
-    cids, keys = cids[by], keys[by]
-    ends = np.concatenate(((cids[1:] != cids[:-1]).nonzero()[0],
-                           [len(cids) - 1]))
-    last[cids[ends]] = np.maximum(last[cids[ends]], keys[ends])
-
-
-def _lay_slabs(forest, a, r, multi, size, rk, step_m, last) -> tuple:
-    """Give the producer columns of every multi-producer import one slab
-    per sweep: the columns that imports read together (joined
-    transitively) lie back to back in one array, each filled once by its
-    producer block as it finishes, so the import is one read of rows
-    ``offset + row`` — no per-sweep concatenate or permutation.  Every
-    address takes the least one an entry reads it with until none
-    changes; a slab's columns lie in address order, slabs in the order
-    of their least address.  Returns per multi entry ``(sid, rows)``,
-    the rows per slab, its writes and per slab its last read (``rk``:
-    per entry its read's order key) — no earlier than the last read of a
-    block column in it (``last``), which reads the slab once filled."""
-    bits, mask = forest.bits, forest.mask
-    if not multi.any():
-        return [], [], [], []
-    sel, size, rk = multi.repeat(size), size[multi], rk[multi]
-    starts = size.cumsum() - size
-    a = a[sel]
-    by = a.argsort(kind="stable")
-    step = a[by][1:] != a[by][:-1]
-    nodes = np.concatenate((a[by][:1], a[by][1:][step]))
-    inv = np.empty(len(a), dtype=np.intp)
-    inv[by] = np.concatenate(([0], step.cumsum()))
-    heads = np.concatenate(([0], step.nonzero()[0] + 1))   # per node
-    label, of = np.arange(len(nodes)), np.arange(len(size)).repeat(size)
-    while True:     # per node the least label of any entry reading it
-        low = np.minimum.reduceat(
-            np.minimum.reduceat(label[inv], starts)[of][by], heads)
-        low = low[low]
-        if (low == label).all():
-            break
-        label = low
-    keep = label.argsort(kind="stable")
-    cids = nodes[keep] >> bits
-    rows = step_m[cids]
-    new = np.concatenate(([True], label[keep][1:] != label[keep][:-1]))
-    heads, group = new.nonzero()[0], new.cumsum() - 1
-    off = rows.cumsum() - rows
-    off -= off[heads][group]
-    sid = np.empty(len(nodes), dtype=np.intp)
-    sid[keep] = len(step_m) + group
-    at = np.empty(len(nodes), dtype=np.intp)
-    at[keep] = off
-    writes = [(x >> bits, x & mask, s, o, o + m) for x, s, o, m in zip(
-        nodes[keep].tolist(), sid[keep].tolist(), off.tolist(),
-        rows.tolist())]
-    read = at[inv] + r[sel]
-    run = _segments(read - np.arange(len(read)), starts).tolist()
-    # invariants stay shared columns: only block columns read the slab
-    reads = np.maximum.reduceat(np.where(
-        cids > len(forest.template.once), last[cids], -1), heads).tolist()
-    slab = []
-    for s, b, m, c, k in zip(sid[inv[starts]].tolist(), starts.tolist(),
-                             size.tolist(), run, rk.tolist()):
-        f = int(read[b])
-        slab.append((s, slice(f, f + m) if c
-                     else forest.own(read[b:b + m])))
-        reads[s - len(step_m)] = max(reads[s - len(step_m)], k)
-    return slab, np.add.reduceat(rows, heads).tolist(), writes, reads
+def _lay_slabs(forest, used) -> tuple:
+    """Lay out the template's slabs ``used`` in this forest: each is its
+    columns back to back, block by block in address order, each filled
+    once by its producer block as it finishes, so an import reads rows
+    ``offset + row`` — no per-sweep concatenate or permutation.  A keyed
+    slab is laid out once per key, ``(q, key)``.  Returns per used slab
+    its id, the rows per slab, the writes and per address its offset in
+    its slab."""
+    tpl, step_m, bits = forest.template, forest.step_m, forest.bits
+    sid_of, sizes, writes, addrs, offs = {}, [], [], [], []
+    for q in used:
+        keyed, groups = tpl.slabs[q]
+        lay = []    # per slab of ``q``: its name, its columns
+        for ci, seg, outs in groups:
+            if ci is None:      # invariants: (cid, out) pairs
+                lay.append((q, outs))
+                continue
+            cls = tpl.classes[ci]
+            width, base = len(cls.blocks[seg].exports), forest.base[ci, seg]
+            spans = forest.pops[cls.count].block[cls.blocks[seg].kind]
+            for b, key in enumerate(spans):
+                if not b:
+                    start = int(base[key])
+                cols = [(start + b * width + xi, out) for xi, out in outs]
+                if not keyed:
+                    lay.append((q, cols))
+                elif len(lay) > b:
+                    lay[b][1].extend(cols)
+                else:
+                    lay.append(((q, key), cols))
+        for name, cols in lay:
+            if name not in sid_of:
+                sid_of[name] = len(step_m) + len(sizes)
+                sizes.append(0)
+            sid, at = sid_of[name], sizes[-1]
+            for cid, out in cols:
+                m = step_m[cid]
+                writes.append((cid, out, sid, at, at + m))
+                addrs.append(cid << bits | out)
+                offs.append(at)
+                at += m
+            sizes[-1] = at
+    off = np.zeros(len(step_m) << bits, dtype=np.int64)
+    off[addrs] = offs
+    return sid_of, sizes, writes, off

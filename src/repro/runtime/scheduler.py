@@ -451,6 +451,9 @@ class SchedulerCore:
         #: condition against the master lock, notified when a root is
         #: admitted, completes or fails (the wall clock creates it).
         self._roots_cv: Optional[threading.Condition] = None
+        #: the server that owns the engine between ``begin_serving`` and
+        #: ``end_serving`` (None: no serving session is open)
+        self._server = None
         self._reset_session()
 
     def _reset_session(self, error_listener: Optional[Callable] = None
@@ -688,17 +691,25 @@ class SchedulerCore:
             raise
         return result[0], stats
 
-    def begin_serving(self, error_listener: Optional[Callable] = None) -> None:
+    def begin_serving(self, error_listener: Optional[Callable] = None,
+                      server=None) -> None:
         """Enter persistent serving mode (clears any previous run state).
 
         ``error_listener`` (optional) is called once if any kernel
         raises — root frames in flight at that point will never
         complete, so the server must fail their requests.
         On the virtual clock errors surface from ``drain()``, which
-        invokes the listener before raising.
+        invokes the listener before raising.  ``server`` owns the engine
+        until ``end_serving``: serving again before that raises
+        ``EngineError`` naming it, and leaves it running.
         """
+        if self._server is not None:
+            raise EngineError(
+                f"{self._server!r} is still open on this session: close "
+                "it before serving again")
         self._reset_session(error_listener)
         self._start_serving()
+        self._server = server if server is not None else "a serving session"
 
     def submit_root(self, graph: Graph, fetches: Sequence[Tensor],
                     feed_map: dict[int, Any], key: tuple,
@@ -964,6 +975,7 @@ class SchedulerCore:
     def end_serving(self) -> RunStats:
         """Leave serving mode (stops a serving master; returns stats)."""
         self._stop_serving()
+        self._server = None
         return self.stats
 
     # -- errors ---------------------------------------------------------------

@@ -460,8 +460,14 @@ class RecursiveServer:
         self._plan_costs: dict = {}
         #: EWMA calibration: observed engine_time / predicted cost
         self._cost_scale = 1.0
+        self._engine.begin_serving(error_listener=self._on_engine_error,
+                                   server=self)
         session.runtime.cache.clear()
-        self._engine.begin_serving(error_listener=self._on_engine_error)
+
+    def __repr__(self) -> str:
+        return (f"RecursiveServer(graph={self._graph.name!r}, "
+                f"max_in_flight={self.max_in_flight}, "
+                f"admission={self.admission!r})")
 
     # -- introspection -------------------------------------------------------
 

@@ -257,6 +257,8 @@ class GradientAccumulator:
         once, one stable permutation over the per-row keys — the
         matrices a per-row sort would build.
         None when rows disagree on rank, dtype or inner shape."""
+        if not any(a.__class__ is np.ndarray for _, (a, _) in blocks):
+            return cls._contract_rows(blocks)
         kinds, sides, keys = set(), ([], []), []
         for block_keys, (a, g) in blocks:
             if a.__class__ is g.__class__ is np.ndarray and a.ndim > 1:
@@ -279,6 +281,26 @@ class GradientAccumulator:
         order = cls._permutation(keys)
         return (np.concatenate(sides[0]).take(order, 0).T
                 @ np.concatenate(sides[1]).take(order, 0))
+
+    @classmethod
+    def _contract_rows(cls, blocks):
+        """:meth:`_contract` of blocks that are all lists of factor rows
+        (the dynamic tier's: one frame, one row, per block), flattened in
+        one pass instead of one Python pass per block."""
+        xs = [x for _, (a, _) in blocks for x in a]
+        ys = [y for _, (_, g) in blocks for y in g]
+        if len({(x.ndim, x.dtype, x.shape[1:]) for x in xs}) != 1 \
+                or len({(y.dtype, y.shape[1:]) for y in ys}) != 1 \
+                or xs[0].ndim != 2:
+            return None
+        keys = [key for block_keys, (a, _) in blocks
+                for key in block_keys or repeat(None, len(a))]
+        counts = list(map(len, xs))
+        if counts.count(1) != len(counts):
+            keys = [key for key, n in zip(keys, counts) for _ in range(n)]
+        order = cls._permutation(keys)
+        return (np.concatenate(xs).take(order, 0).T
+                @ np.concatenate(ys).take(order, 0))
 
     @classmethod
     def _reduce_dense(cls, blocks) -> np.ndarray:

@@ -254,8 +254,11 @@ class TestBlockPrograms:
         got = session.run(loss, feeds, shape_profile=(profile,))
         stats = session.last_stats
         assert stats.level_plan_hits == 1 and np.array_equal(ref, got)
-        # one Tanh step per block: the leaves', one per internal height
-        assert stats.level_row_loop_steps == {"Tanh": 4}
+        # one Tanh step per block: the leaves', one per internal height;
+        # the looped one-member top block's output is a shared column,
+        # which reaches the root's ReduceSum through the slab of tree
+        # outputs as one array row — looped as well
+        assert stats.level_row_loop_steps == {"Tanh": 4, "ReduceSum": 1}
         assert stats.level_blocks < stats.level_kernel_calls
 
     def test_kernel_raising_mid_block_names_its_op(self, monkeypatch):

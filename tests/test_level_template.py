@@ -184,9 +184,11 @@ def _definition_graph(variant):
     """A tree definition the compiled tier refuses for what it is, not
     for a construct inside it: ``"permute"`` swaps two per-level inputs
     at every call, ``"dependent"`` makes a second root call whose index
-    is computed from the first call's result, and ``"passthrough"`` is a
+    is computed from the first call's result, ``"passthrough"`` is a
     unary chain whose internal nodes return their child's result
-    unchanged.  Returns ``(graph, fetch, placeholders, arity, sites)``."""
+    unchanged, and ``"mixed"`` calls itself once at the body's top level
+    besides the calls in its internal branch.  Returns ``(graph, fetch,
+    placeholders, arity, sites)``."""
     arity = 1 if variant == "passthrough" else 2
     graph = repro.Graph(f"definition_{variant}")
     with graph.as_default():
@@ -202,6 +204,8 @@ def _definition_graph(variant):
             row = ops.gather(x, idx)
             if scale:
                 row = ops.add(ops.multiply(row, scale[0]), scale[1])
+            if variant == "mixed":   # runs in every activation, leaves too
+                row = ops.add(row, node(ops.gather(children, idx)[0]))
 
             def internal():
                 kids = ops.gather(children, idx)
@@ -689,6 +693,28 @@ class TestFallbackReasons:
         assert stats.level_plan_hits == 0
         assert stats.level_plan_fallback_reasons == {reason: 1}
         assert np.array_equal(ref, got)
+
+    def test_refused_nonterminating_definition(self):
+        """A body that calls itself at its top level besides its branch
+        calls never terminates: the top-level call runs in every
+        activation, leaves included.  The compiled tier refuses it by
+        name as its guard, compiles nothing, and the profiled run raises
+        what the run without a profile raises."""
+        graph, out, placeholders, arity, _ = _definition_graph("mixed")
+        session = repro.Session(graph, repro.Runtime(), num_workers=2)
+        profile = (((), ()), ())
+        feeds = _tree_feeds(placeholders, arity, profile)
+        with pytest.raises(repro.EngineError) as plain:
+            session.run(out, feeds)
+        with pytest.raises(type(plain.value), match="recursion limit"):
+            session.run(out, feeds, shape_profile=(profile,))
+        stats = session._engine.stats    # a failed run keeps no last_stats
+        assert stats.level_plan_hits == 0
+        assert stats.level_plan_fallback_reasons == {
+            "mixed direct recursion and branch recursion": 1}
+        assert list(graph._level_plans["templates"].values()) == [
+            "mixed direct recursion and branch recursion"]
+        assert "instances" not in graph._level_plans
 
     def test_reasons_merge(self):
         a, b = repro.RunStats(), repro.RunStats()

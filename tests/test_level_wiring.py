@@ -1,16 +1,17 @@
 """Import wiring of an instantiation against a per-block reference.
 
-:class:`LevelPlan` wires each (class, segment, import) once for all of
-its depths or heights by segmented numpy.  The reference below wires
-one block at a time — per block and import, its members' addresses and
-rows — then joins the columns of every multi-producer import into slabs
-by union-find, the way instantiation worked before.  On generated
-forests of 1–16 runs (one-leaf runs, single-member blocks, classes
-absent at some depths or heights, recorded training forests with frame
-keys) both must give the same blocks: members and widths, every import
-— single-producer and slab alike — by the (producer column, row) each
-member reads (single-producer rows also by kind), slabs that tile their
-columns back to back, releases.
+The template decides each (class, segment, import)'s wiring once, and
+:class:`LevelPlan` computes only its rows per forest.  The reference
+below wires one block at a time — per block and import, its members'
+addresses and rows, the way instantiation worked before any of it moved
+to the template.  On generated forests of 1–16 runs (one-leaf runs,
+single-member blocks, classes absent at some depths or heights,
+recorded training forests with frame keys) both must give the same
+blocks: members and widths, and every import — single-producer and slab
+alike — by the (producer column, out, row) each member reads; an import
+the template wires as one column also by kind (alias, slice, take).
+Slabs must tile their columns back to back, and every column and slab
+must be released right after its last read.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.models import TreeLSTMSentiment, tree_lstm_config
 from repro.runtime.level_plan import Template, linearise, template_for
-from repro.runtime.level_plan.block import _O
+from repro.runtime.level_plan.block import _O, _ONE, _SLAB
 from repro.runtime.level_plan.forest import LevelPlan, _Block, _Forest
 from repro.runtime.plan import plan_for_fetches
 from repro.runtime import Runtime
@@ -62,16 +63,13 @@ class _PerBlock(_Forest):
 
 
 def _reference(tpl, lins):
-    """``(program, slabs, step_m, owner)`` as the per-block path builds
-    them: the blocks with their specs and releases, per slab the sorted
-    addresses it joins (in the order of their least address), per column
-    group the position of its producer block in program order."""
+    """``(program, owner)`` as the per-block path builds them: the blocks
+    with their specs, and per column group the position of its producer
+    block in program order."""
     forest = _PerBlock(tpl, lins)
-    bits = forest.bits
     prologue = _Block(tpl.prologue, 1, 0, 1)
     program, blocks, born = [(prologue,)], [prologue], []
-    last_use, multi = {}, []     # cid -> (position, level); slab reads
-    born += [(1 + i, (0, 0)) for i in range(len(tpl.once))]
+    born += [(1 + i, 0) for i in range(len(tpl.once))]
     root, hist = tpl.root, 0
     stages = {stage: family for family, stage in tpl.stages.items()}
     tops = (int(forest.D.max()), int(forest.H.max()))
@@ -97,14 +95,7 @@ def _reference(tpl, lins):
                          {fi: forest.keys(cls, fi, seg, key, mem)
                           for fi in prog.frames},
                          forest.R[mem] if cls.checks else None)
-            at = len(blocks)
-            for spec, (_, lvl, _) in zip(blk.imports, prog.imports):
-                if len(spec) == 3:
-                    last_use[spec[0]] = max(last_use.get(spec[0], (-1, -1)),
-                                            (at, lvl))
-                else:
-                    multi.append((at, lvl, spec[0]))
-            born.extend((blk.base + st.xi, (at, st.last))
+            born.extend((blk.base + st.xi, len(blocks))
                         for st in prog.exports)
             blocks.append(blk)
         if len(blocks) > start:
@@ -121,54 +112,7 @@ def _reference(tpl, lins):
             for key in keys:
                 hist += 1
                 level(classes, seg, key)
-    pinned = {int(forest.base[root.index, o.seg][0]) + o.step.xi
-              for o in root.ops}
-    at = forest.pops[None].members[0]
-    for ref in {r for f in root.frames for rs in f.refs for r in rs
-                if r[0] == 3}:
-        pinned.update((forest.resolve(root, [ref])[0, 0][at]
-                       >> forest.bits).tolist())
-    # the slabs: union-find over every multi-producer import's addresses
-    head: dict = {}
-
-    def find(a):
-        while head[a] != a:
-            head[a] = head[head[a]]
-            a = head[a]
-        return a
-    for _, _, addr in multi:
-        first, *rest = (find(head.setdefault(a, a))
-                        for a in np.unique(addr).tolist())
-        for h in rest:
-            if find(h) != find(first):
-                head[find(h)] = find(first)
-    groups: dict = {}
-    for a in sorted(head):
-        groups.setdefault(find(a), []).append(a)
-    slabs = sorted(groups.values())
-    n = len(forest.step_m)
-    slab_of = {a: n + i for i, addrs in enumerate(slabs) for a in addrs}
-    filled = {a >> bits for a in slab_of}
-    for cid, (p, lvl) in born:
-        if cid not in pinned:
-            if cid in last_use:
-                p, lvl = last_use[cid]
-            elif cid in filled:
-                lvl = blocks[p].prog.n_levels - 1
-            blocks[p].release.append((lvl, cid))
-    reads: dict = {}
-    for p, lvl, addr in multi:
-        sid = slab_of[int(addr[0])]
-        reads[sid] = max(reads.get(sid, (-1, -1)), (p, lvl))
-    for a, sid in slab_of.items():   # a filled column is read there
-        if a >> bits > len(tpl.once) and a >> bits in last_use:
-            reads[sid] = max(reads[sid], last_use[a >> bits])
-    kept = {sid for a, sid in slab_of.items() if a >> bits in pinned}
-    for sid, (p, lvl) in reads.items():
-        if sid not in kept:
-            blocks[p].release.append((lvl, sid))
-    owner = {0: 0, **{cid: p for cid, (p, _) in born}}
-    return program, slabs, forest.step_m, owner
+    return program, {0: 0, **dict(born)}
 
 
 def _rows(rows, n=None):
@@ -180,13 +124,55 @@ def _rows(rows, n=None):
     return "take", tuple(np.asarray(rows).tolist())
 
 
+def _releases(lp, tpl, blocks, owner):
+    """Per block the releases its plan's own reads imply: a column after
+    its last read by another block, else — filled into a slab — after
+    its block's last level, else after its last read in its block; a
+    slab after its last read or that of a block column in it; nothing
+    behind a root value (a fetch candidate) ever."""
+    n, once = len(lp.step_m), len(tpl.once)
+    last, slab_of = {}, {}
+    for at, blk in enumerate(blocks):
+        for cid, _, sid, _, _ in blk.slabs:
+            slab_of.setdefault(cid, set()).add(sid)
+        for spec, (_, level, _) in zip(blk.imports, blk.prog.imports):
+            key = spec[0] if len(spec) == 2 or spec[0] <= once \
+                or owner[spec[0]] != at else None
+            if key is not None:
+                last[key] = max(last.get(key, (-1, -1)), (at, level))
+    for cid, sids in slab_of.items():
+        if cid > once and cid in last:
+            for sid in sids:
+                last[sid] = max(last[sid], last[cid])
+    pinned = {cid for cid, _ in lp._root}
+    pinned.update(cid for cids, _, _ in lp._fetch.values() for cid in cids)
+    want = [[] for _ in blocks]
+    for at, blk in enumerate(blocks):
+        for st in blk.prog.exports:
+            cid = blk.base + st.xi
+            if cid in pinned:
+                continue
+            if cid in last:
+                p, level = last[cid]
+            else:
+                p, level = at, (blk.prog.n_levels - 1 if cid in slab_of
+                                else st.last)
+            want[p].append((level, cid))
+    kept = {sid for cid in pinned for sid in slab_of.get(cid, ())}
+    for sid in range(n, n + len(lp.slabs)):
+        if sid not in kept:
+            p, level = last[sid]
+            want[p].append((level, sid))
+    return want
+
+
 def assert_same_blocks(tpl, lins):
     """The instantiation equals the per-block reference, block for
     block."""
     lp = LevelPlan(tpl, lins)
-    program, slabs, step_m, owner = _reference(tpl, lins)
-    bits, mask, n = tpl.out_bits, (1 << tpl.out_bits) - 1, len(step_m)
-    assert lp.step_m == step_m
+    program, owner = _reference(tpl, lins)
+    bits, mask, n = tpl.out_bits, (1 << tpl.out_bits) - 1, len(lp.step_m)
+    step_m = lp.step_m
     assert [len(level) for level in lp.program] == [len(level)
                                                     for level in program]
     got_blocks = [b for level in lp.program for b in level]
@@ -206,31 +192,38 @@ def assert_same_blocks(tpl, lins):
         assert all(b - a == step_m[x >> bits] for x, a, b in ws)
         held[sid] = [(x >> bits, x & mask, j) for x, a, b in ws
                      for j in range(b - a)]
-    assert [[x for x, _, _ in writes[sid]] for sid in sorted(writes)] \
-        == slabs
     for got, ref in zip(got_blocks, (b for level in program for b in level)):
         assert got.prog is ref.prog
         assert (got.m, got.hist, got.base) == (ref.m, ref.hist, ref.base)
         assert len(got.imports) == len(ref.imports)
-        for spec, want in zip(got.imports, ref.imports):
-            if len(want) == 3:
-                assert spec[:2] == want[:2]
-                assert _rows(spec[2], step_m[spec[0]]) \
-                    == _rows(want[2], step_m[want[0]])
+        for spec, want, wired in zip(got.imports, ref.imports,
+                                     got.prog.wiring):
+            if len(want) == 3:   # one producer
+                cid, out, rows = want
+                reads = [(cid, out, r) for r in _rows(rows, step_m[cid])[1]]
+            else:
+                addr, rows = want
+                reads = list(zip((addr >> bits).tolist(),
+                                 (addr & mask).tolist(), rows.tolist()))
+            if wired[0] == _SLAB:
+                sid, rows = spec
+                assert _rows(rows)[0] == "take"
+                assert [held[sid][i] for i in _rows(rows)[1]] == reads
                 continue
-            sid, rows = spec
-            kind, sel = _rows(rows)
-            assert kind == ("slice" if np.all(np.diff(sel) == 1)
-                            else "take")
-            addr, rows = want
-            assert [held[sid][i] for i in sel] == list(zip(
-                (addr >> bits).tolist(), (addr & mask).tolist(),
-                rows.tolist()))
-        assert sorted(got.release) == sorted(ref.release)
+            # the template proved one producer: so does the reference
+            assert len(want) == 3 and spec[:2] == want[:2]
+            kind, sel = _rows(spec[2], step_m[spec[0]])
+            assert [(spec[0], spec[1], r) for r in sel] == reads
+            if wired[0] == _ONE:
+                assert kind == "take"
+            else:   # wired from the definition: the reference's kind
+                assert kind == _rows(want[2], step_m[want[0]])[0]
         assert got.keys == ref.keys
         assert (got.runs is None) == (ref.runs is None)
         if ref.runs is not None:
             assert np.array_equal(got.runs, ref.runs)
+    for got, want in zip(got_blocks, _releases(lp, tpl, got_blocks, owner)):
+        assert sorted(got.release) == sorted(want)
     return lp
 
 

@@ -459,3 +459,32 @@ class TestErrors:
         assert queued.done
         with pytest.raises(repro.EngineError):
             queued.result()
+
+    @pytest.mark.parametrize("engine", ["event", "workerpool"])
+    def test_second_serve_names_the_open_server(self, engine):
+        """Serving again while a server is open raises, naming it, and
+        leaves that server running: it still drains, and once it is
+        closed no thread is left behind and serving works again."""
+        graph = repro.Graph(f"serving_twice_{engine}")
+        with graph.as_default():
+            table = ops.constant(np.arange(4, dtype=np.float32))
+            idx = ops.placeholder(repro.int32, (), "idx")
+            out = ops.gather(table, idx)
+        session = repro.Session(graph, repro.Runtime(), num_workers=2,
+                                engine=engine)
+        threads = threading.active_count()
+        server = session.serve(max_in_flight=2)
+        ticket = server.submit(out, {idx: 1}, at=0.0)
+        with pytest.raises(repro.EngineError,
+                           match=r"RecursiveServer\(graph='serving_twice"):
+            session.serve(max_in_flight=2)
+        late = server.submit(out, {idx: 3}, at=0.0)
+        server.drain()
+        assert ticket.result() == pytest.approx(1.0)
+        assert late.result() == pytest.approx(3.0)
+        server.close()
+        assert threading.active_count() == threads
+        with session.serve(max_in_flight=1) as again:
+            assert again.submit(out, {idx: 2}, at=0.0).result() \
+                == pytest.approx(2.0)
+        assert threading.active_count() == threads
