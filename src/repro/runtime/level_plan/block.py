@@ -99,8 +99,13 @@ class _BlockProg:
         self.imports: list = []
         self._import_of: dict = {}
         #: per import its wiring (``_INV`` / ``_COL`` / ``_ONE`` /
-        #: ``_SLAB`` tuples), decided once the template is wired
+        #: ``_SLAB`` tuples), decided once the template is wired; the
+        #: refs a forest resolves (those of ``_ONE`` / ``_SLAB`` imports)
+        #: and their resolver states; the program's number (``pid``)
         self.wiring: list = []
+        self.refs: list = []
+        self.resolved: list = []
+        self.pid = 0
         self.checks: list = []     # on imports, run on entry
         self.stores: list = []     # (source, frame, graph id, op id, out)
         self.exports: list = []

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..stats import RunStats
 from . import wiring
-from .block import _B, _C, _M, _O, _S
+from .block import _O, _S
 from .template import Template, template_for
 
 #: LRU cap of the per-graph instantiation memo: an instantiation holds
@@ -137,21 +137,22 @@ class _Pop:
     """The members of one class population — the virtual roots, or the
     nodes of one child count — grouped by depth (kind 0) and by height
     (kind 1): per kind the key-sorted member list, per-key counts, per
-    node its rank among its key's members (valid on members), per member
-    the index ``blk`` of its block, and the blocks — the keys with
-    members: ``block`` maps a key to its index, start and size in the
-    member list."""
+    node its rank among its key's members (valid on members), and the
+    blocks — the keys with members: ``block`` maps a key to its index,
+    start and size in the member list."""
 
-    __slots__ = ("cnt", "rank", "members", "block", "blk")
+    __slots__ = ("cnt", "rank", "members", "block")
 
     def __init__(self):
         for name in self.__slots__:
             setattr(self, name, [])
 
 
-def _populations(pop_of, keys, n_pops) -> list:
+def _populations(pop_of, keys, n_pops) -> tuple:
     """Every population's members by depth and by height at once: one
-    stable sort over (key kind, population, key)."""
+    stable sort over (key kind, population, key).  Also returns the
+    counts of every (key kind, population) by key as one flat table of
+    rows ``width`` apart, and per key kind and node its rank."""
     pops, n = [_Pop() for _ in range(n_pops)], len(pop_of)
     width = int(max(key.max() for key in keys)) + 2
     joint = np.concatenate([(pop_of + kind * n_pops) * width + key
@@ -163,11 +164,10 @@ def _populations(pop_of, keys, n_pops) -> list:
     rank[order] = np.arange(len(joint)) - start[joint[order]]
     order %= n
     present = cnt.nonzero()[0]
-    blk = np.arange(len(present)).repeat(cnt[present])
     spans = list(zip(present.tolist(), start[present].tolist(),
                      cnt[present].tolist()))
     bounds = [0, *(cnt.reshape(-1, width) > 0).sum(1).cumsum().tolist()]
-    cnt = cnt.reshape(-1, width)
+    flat, cnt = cnt, cnt.reshape(-1, width)
     lows = [*start[::width].tolist(), len(joint)]
     for q, c in enumerate(cnt):
         pop, b0, lo, hi = pops[q % n_pops], bounds[q], lows[q], lows[q + 1]
@@ -176,8 +176,7 @@ def _populations(pop_of, keys, n_pops) -> list:
         pop.members.append(order[lo:hi])
         pop.block.append({k - q * width: (b, s - lo, m) for b, (k, s, m)
                           in enumerate(spans[b0:bounds[q + 1]])})
-        pop.blk.append(blk[lo:hi] - b0)
-    return pops
+    return pops, flat, rank.reshape(len(keys), n), width
 
 
 class _Forest:
@@ -202,13 +201,12 @@ class _Forest:
         counts = list(tpl.fwd)
         table = np.zeros(max(int(self.C.max()), *counts) + 1, dtype=np.intp)
         table[counts] = np.arange(len(counts))
-        pop_of = table[self.C]
+        pop_of = self.pop_of = table[self.C]
         pop_of[offs] = len(counts)
-        self.pops = dict(zip(counts + [None], _populations(
-            pop_of, (self.D, self.H), len(counts) + 1)))
-        self._resolved: dict = {}     # (class / family, ref) -> arrays
-        self._picks: dict = {}        # what a bound / called ref reads
-        self._bases: dict = {}        # (class, segment) -> per-node keys
+        self.keys2 = np.stack((self.D, self.H))
+        pops, self.cnt_flat, self.rank2, self.width = _populations(
+            pop_of, self.keys2, len(counts) + 1)
+        self.pops = dict(zip(counts + [None], pops))
         #: levels of the longest block program: orders reads by (block,
         #: level) as one integer
         self.levels = 1 + max(prog.n_levels for cls in tpl.classes
@@ -219,132 +217,24 @@ class _Forest:
         # members, a block's exports adjacent; ids need not follow
         # execution order
         self.step_m = step_m = [1] * (1 + len(tpl.once))
+        #: per program (``prog.pid``) and key its blocks' first cid
+        self.bases = np.zeros((sum(map(len, (cls.blocks for cls in
+                                             tpl.classes))), self.width),
+                              dtype=np.int64)
         self.base: dict = {}          # (class, segment) -> first cid by key
         for cls in tpl.classes:
             for prog in cls.blocks:
-                pop, kind = self.pops[cls.count], prog.kind
-                spans, first = pop.block[kind], len(step_m)
+                spans, first = (self.pops[cls.count].block[prog.kind],
+                                len(step_m))
                 widths = [len(st.ops) for st in prog.exports]
-                tab = np.zeros(len(pop.cnt[kind]), dtype=np.int64)
+                tab = self.base[cls.index, prog.seg] = self.bases[prog.pid]
                 tab[list(spans)] = [first + b * len(widths)
                                     for b in range(len(spans))]
-                self.base[cls.index, prog.seg] = tab
                 step_m.extend(m * w for _, _, m in spans.values()
                               for w in widths)
 
-    def own(self, rows):
-        """Index rows a plan keeps: copied out of the forest-wide wiring
-        arrays when the plan is memoised (a one-run forest) — a view
-        would keep those alive as long as the plan — else the view."""
-        return rows.copy() if self.n_runs == 1 else rows
-
-    # -- symbolic refs -> (address, row) arrays ------------------------------
-
-    def resolve(self, cls, refs):
-        """Per ref and node (valid on the members of ``cls``): the packed
-        column address and the row holding the ref's value, as one
-        ``[refs, 2, nodes]`` array.  Refs not yet resolved resolve
-        together by kind — one class segment's steps, one family's bound
-        names, one call site's outputs — memoised per ref."""
-        memo = self._resolved
-        keys = [(cls.family if ref[0] in (_B, _O) else cls.index, ref)
-                for ref in refs]
-        groups: dict = {}
-        for key, ref in zip(keys, refs):
-            if key not in memo:
-                kind = ref[0]
-                group = (cls.ops[ref[1]].seg if kind == _S else
-                         ref[1] in self.template.inherited[cls.family]
-                         if kind == _B else ref[1] if kind == _C else None)
-                groups.setdefault((kind, group), {})[key] = ref
-        for (kind, group), todo in groups.items():
-            memo.update(zip(todo, self._resolve(cls, kind, group,
-                                                list(todo.values()))))
-        return np.array([memo[key] for key in keys])
-
-    def _resolve(self, cls, kind, group, refs):
-        """``refs`` of one kind and group resolved together."""
-        n = self.n_nodes
-        if kind == _S:
-            base = self._bases.get((cls.index, group))
-            if base is None:    # per node: its column group, count, rank
-                pop, by = self.pops[cls.count], cls.blocks[group].kind
-                key_of = self.H if by else self.D
-                base = self._bases[cls.index, group] = (
-                    self.base[cls.index, group][key_of] << self.bits,
-                    pop.cnt[by][key_of], pop.rank[by])
-            ops = [cls.ops[ref[1]] for ref in refs]
-            assert all(o.step.xi >= 0 for o in ops), \
-                "a block-local value read across blocks"
-            got = np.empty((len(refs), 2, n), dtype=np.int64)
-            got[:, 0] = base[0] + np.array(
-                [o.step.xi << self.bits | ref[2]
-                 for o, ref in zip(ops, refs)])[:, None]
-            got[:, 1] = base[1] * np.array([o.k for o in ops])[:, None] \
-                + base[2]
-            return got
-        if kind == _O:
-            got = np.zeros((len(refs), 2, n), dtype=np.int64)
-            got[:, 0] = np.array([ref[1] << self.bits | ref[2]
-                                  for ref in refs])[:, None]
-            return got
-        if kind == _M:
-            return self.resolve(cls.mirror, [ref[1] for ref in refs])
-        if kind == _B:
-            return self._bound(cls.family, group, [ref[1] for ref in refs])
-        return self._called(cls, group, [ref[2] for ref in refs])
-
     def family(self, name) -> list:
         return list(getattr(self.template, name).values())
-
-    def _read(self, key, picks, refs_of, n_refs):
-        """Per node: what its source holds for refs in a class, over the
-        ``(cls, site, mask)`` picks (memoised by ``key`` as the nodes and
-        sources each selects): ``refs_of(cls, site)`` are the refs."""
-        got = self._picks.get(key)
-        if got is None:
-            nodes, src, picks = picks()
-            got = self._picks[key] = [
-                (cls, site, nodes[sel], src[sel]) for cls, site, sel in (
-                    (c, s, m.nonzero()[0]) for c, s, m in picks)
-                if len(sel)]
-        out = np.zeros((n_refs, 2, self.n_nodes), dtype=np.int64)
-        for cls, site, nodes, src in got:
-            out[:, :, nodes] = self.resolve(cls, refs_of(cls, site)).take(
-                src, 2)
-        return out
-
-    def _bound(self, family, inherited, names):
-        """Bound placeholders: the parent's value at the call site — the
-        tree root's call site for names passed down unchanged."""
-        def picks():
-            nodes = (self.D > 0).nonzero()[0]
-            src = self.T[nodes] if inherited else nodes
-            par = self.P[src]
-            top, pc, ps = self.D[par] == 0, self.C[par], self.S[src]
-            root = self.template.root
-            return nodes, par, [
-                (cls, site, (ps == site.child)
-                 & (top if cls is root else ~top & (pc == cls.count)))
-                for cls in ([root] if inherited
-                            else [root, *self.family(family)])
-                for site in cls.sites if site.family == family]
-        return self._read((family, inherited), picks, lambda cls, site: [
-            site.bind[name] for name in names], len(names))
-
-    def _called(self, cls, si, outs):
-        """Outputs ``outs`` of recursive call site ``si``: the child
-        frame's, whichever class the child's own count selects."""
-        site = cls.sites[si]
-
-        def picks():
-            at = self.pops[cls.count].members[0]
-            child = self.F[at] + site.child
-            cc = self.C[child]
-            return at, child, [(u, None, cc == u.count)
-                               for u in self.family(site.family)]
-        return self._read((cls.index, si), picks, lambda u, _: [
-            u.outputs[j] for j in outs], len(outs))
 
     def keys(self, cls, fi, seg, key, mem) -> tuple:
         """``(runs, suffixes, record)`` of frame ``fi`` of the members
@@ -402,7 +292,8 @@ class LevelPlan:
         self.shape = (forest.n_nodes, tops[0], tops[1] + 1)
         slots = self._schedule(forest, tops)
         #: rows per slab; slab ``i`` is column group ``len(step_m) + i``
-        imports, self.slabs, writes, last, reads = wiring.wire(forest, slots)
+        imports, self.slabs, writes, last, reads, fetch = wiring.wire(
+            forest, slots)
         prologue = _Block(tpl.prologue, 1, 0, 1)
         #: per column group the block that fills it and the level of its
         #: last read there
@@ -433,12 +324,9 @@ class LevelPlan:
         self._root = [(int(forest.base[root.index, o.seg][0]) + o.step.xi,
                        o.k) for o in root.ops]
         pinned = {cid for cid, _ in self._root}
-        refs = list({r: None for f in root.frames for rs in f.refs
-                     for r in rs if r[0] == _C})
-        got = forest.resolve(root, refs).take(forest.pops[None].members[0], 2)
-        cids = (got[:, 0] >> forest.bits).tolist()
-        self._fetch = dict(zip(refs, zip(cids, (
-            got[:, 0] & forest.mask).tolist(), got[:, 1].tolist())))
+        cids = (fetch[0] >> forest.bits).tolist()
+        self._fetch = dict(zip(tpl.fetches, zip(cids, (
+            fetch[0] & forest.mask).tolist(), fetch[1].tolist())))
         pinned.update(cid for run in cids for cid in run)
         # a column dies after its last read outside its block, else after
         # its block's own — once filled into a slab, after the fill; a

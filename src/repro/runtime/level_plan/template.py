@@ -21,6 +21,8 @@ import math
 import time
 from collections import namedtuple
 
+import numpy as np
+
 from repro.core.callsite import call_site
 from repro.core.subgraph import SubGraphError
 
@@ -40,6 +42,36 @@ def _statically_big(op) -> bool:
     bucket on (the per-tree ``Const`` batch index, a gather position)."""
     return any(t.shape is None or None in t.shape or math.prod(t.shape) > 64
                for t in op.outputs)
+
+
+class _Resolver:
+    """How a forest finds every value a block reads from outside its own
+    key (:func:`.wiring.rows`), as flat tables over *states* — a ref of
+    one class, evaluated at some node.  A state either is a column or an
+    invariant there (a leaf: ``prog``, ``xo``, ``k``, ``s`` — the
+    column's program, its export and out, the merged op and 1; an
+    invariant's address and 0), or it hops (``hop``: 1 to the node's
+    parent, 2 to its run's virtual root, ``3 + j`` to its child ``j``)
+    and continues as ``next[state * ni + population * ns + site]`` of
+    the node reached (site: which child of its parent the node is, which
+    tree of its run); a leaf hops 0 and continues as itself.  Per
+    program its key kind and the row of its (key kind, population)
+    counts (``cq``)."""
+
+    def __init__(self, states, ni, ns, n_pops, progs):
+        self.ni, self.ns = ni, ns
+        self.hop = np.array([hop for hop, _ in states], dtype=np.intp)
+        self.next = np.repeat(np.arange(len(states)), ni)
+        leaves = np.zeros((4, len(states)), dtype=np.int64)
+        for sid, (hop, got) in enumerate(states):
+            if hop:
+                for index, to in got.items():
+                    self.next[sid * ni + index] = to
+            else:
+                leaves[:, sid] = got
+        self.prog, self.xo, self.k, self.s = leaves
+        self.kind = np.array([kind for kind, _ in progs], dtype=np.intp)
+        self.cq = self.kind * n_pops + [pop for _, pop in progs]
 
 
 class _Op:
@@ -153,6 +185,8 @@ class Template:
         #: most ops any one step merges (sizes the shared index ramp)
         self.max_merge = max([len(o.step.ops) for cls in self.classes
                               for o in cls.ops], default=1)
+        #: most children a node or the root frame calls
+        self.max_count = max([len(self.root_sites), *self.fwd])
         #: per slab the columns it joins, as :meth:`_wire_imports` lays
         #: them out; per (merged refs, members) a static import's rows
         self.slabs = self._wire_imports()
@@ -674,7 +708,71 @@ class Template:
         for prog, i, col in slabbed:
             q = of[find(col)]
             prog.wiring[i] = (_SLAB, q, slabs[q][0])
+        self.resolver = self._resolver()
         return slabs
+
+    def _resolver(self) -> "_Resolver":
+        """Number every ref a forest resolves — each ``_ONE`` or
+        ``_SLAB`` import's (``prog.refs``, the first one's state
+        ``prog.resolved``), then the root's call-site outputs (the
+        fetches, from ``self.fetched``) — as a state of
+        :class:`_Resolver`, with every state it leads to."""
+        counts = list(self.fwd)
+        pop = {c: i for i, c in enumerate(counts)}
+        pop[None] = len(counts)
+        ns = max(self.max_count, 1)
+        progs = [prog for cls in self.classes for prog in cls.blocks]
+        states, of = [], {}
+
+        def state(cls, ref) -> int:
+            while ref[0] == _M:     # the forward frame's, at the node
+                cls, ref = cls.mirror, ref[1]
+            key = (cls.family if ref[0] in (_B, _O) else cls.index, ref)
+            if key in of:
+                return of[key]
+            sid = of[key] = len(states)
+            states.append(None)
+            kind, table = ref[0], {}
+            if kind == _O:
+                states[sid] = (0, (0, ref[1] << self.out_bits | ref[2], 0,
+                                   0))
+                return sid
+            if kind == _S:
+                o = cls.ops[ref[1]]
+                states[sid] = (0, (cls.blocks[o.seg].pid,
+                                   o.step.xi << self.out_bits | ref[2],
+                                   o.k, 1))
+                return sid
+            if kind == _C:
+                site = cls.sites[ref[1]]
+                hop = 3 + site.child
+                for u in getattr(self, site.family).values():
+                    table[pop[u.count] * ns] = state(u, u.outputs[ref[2]])
+            else:   # bound: the parent's (the run's, passed down) value
+                family = cls.family
+                inherited = ref[1] in self.inherited[family]
+                hop = 2 if inherited else 1
+                for u in [self.root] + ([] if inherited else list(
+                        getattr(self, family).values())):
+                    for site in u.sites:
+                        if site.family == family:
+                            table[pop[u.count] * ns + site.child] = state(
+                                u, site.bind[ref[1]])
+            states[sid] = (hop, table)
+            return sid
+
+        for pid, prog in enumerate(progs):
+            prog.pid = pid
+        for prog in progs:
+            prog.refs = [ref for (refs, _, _), w in zip(prog.imports,
+                                                        prog.wiring)
+                         if w[0] >= _ONE for ref in refs]
+            prog.resolved = [state(prog.cls, ref) for ref in prog.refs]
+        self.fetches = list({r: None for f in self.root.frames
+                             for rs in f.refs for r in rs if r[0] == _C})
+        self.fetched = [state(self.root, ref) for ref in self.fetches]
+        return _Resolver(states, ns * len(pop), ns, len(pop),
+                         [(prog.kind, pop[prog.cls.count]) for prog in progs])
 
     def _decide(self, cls, prog, refs) -> tuple:
         """The wiring of one import (:meth:`_wire_imports`)."""

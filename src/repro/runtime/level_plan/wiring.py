@@ -21,12 +21,46 @@ import numpy as np
 from .block import _COL, _INV, _ONE, _SLAB
 
 
-def operands(forest, cls, prog, refs):
-    """``refs`` of one class segment read over its population's
-    key-sorted members: per ref the address and the row of every member
-    (a ``[refs, 2, members]`` array; a block's members are a span)."""
-    pop = forest.pops[cls.count]
-    return forest.resolve(cls, refs).take(pop.members[prog.kind], 2)
+def rows(forest, plan) -> tuple:
+    """Every ref a forest resolves, at once: ``plan`` lists per class
+    segment its key-sorted members and its refs' resolver states; returns
+    per element — ref-major, each ref over its segment's members — the
+    address and the row it reads.  Rank arithmetic over the forest's
+    populations: each element hops from node to node as its state says
+    (:class:`.template._Resolver`) until it stands on a column's node or
+    an invariant, whose block its key gives and whose row its count and
+    rank give."""
+    tpl, res = forest.template, forest.template.resolver
+    state = np.array([sid for _, sids in plan for sid in sids],
+                     dtype=np.intp).repeat(
+        [len(mem) for mem, sids in plan for _ in sids])
+    node = np.concatenate([mem for mem, sids in plan for _ in sids]
+                          or [np.zeros(0, dtype=np.intp)])
+    # per hop and node: the node the hop reaches, and its site there
+    n = forest.n_nodes
+    reach = np.empty((3 + tpl.max_count, n), dtype=np.intp)
+    site = np.zeros_like(reach)
+    reach[0] = np.arange(n)
+    reach[1], site[1] = forest.P, forest.S
+    reach[2], site[2] = forest.P[forest.T], forest.S[forest.T]
+    reach[3:] = forest.F + np.arange(tpl.max_count)[:, None]
+    for _ in range(len(res.hop)):   # a chain visits a state at most once
+        hop = res.hop[state]
+        if not hop.any():
+            break
+        at = reach[hop, node]
+        state = res.next[state * res.ni + forest.pop_of[at] * res.ns
+                         + site[hop, node]]
+        node = at
+    prog, s = res.prog[state], res.s[state]
+    kind = res.kind[prog]
+    key = forest.keys2[kind, node]
+    width = forest.width
+    addr = ((forest.bases.reshape(-1)[prog * width + key] << forest.bits)
+            * s + res.xo[state])
+    row = (forest.cnt_flat[res.cq[prog] * width + key] * res.k[state]
+           + forest.rank2[kind, node]) * s
+    return addr, row
 
 
 def wire(forest, slots) -> tuple:
@@ -34,33 +68,36 @@ def wire(forest, slots) -> tuple:
     heights.  ``slots`` are the blocks in program order.  Returns per slot
     its imports' specs (as :class:`.forest._Block` reads them), the rows
     per slab, the slab writes ``(cid, out, sid, a, b)`` in slab order,
-    and per column group and per slab its last read — ``slot * levels +
-    level``, -1 for none."""
+    per column group and per slab its last read — ``slot * levels +
+    level``, -1 for none — and the addresses and rows of the root's
+    call-site outputs, per fetch ref and run."""
     tpl, levels, memo = forest.template, forest.levels, forest.template.rows
     bits, mask, copy = forest.bits, forest.mask, forest.n_runs == 1
     where = {(cls.index, seg, key): i
              for i, (cls, seg, key, _) in enumerate(slots)}
-    segs, used = [], {}
+    segs, used, plan, e = [], {}, [], 0
     for cls in tpl.classes:
         for prog in cls.blocks:
             spans = forest.pops[cls.count].block[prog.kind]
             if spans and prog.n_levels and prog.imports:
-                segs.append((cls, prog, list(spans.items()), [
+                mem = forest.pops[cls.count].members[prog.kind]
+                segs.append((prog, list(spans.items()), [
                     where[cls.index, prog.seg, key] * levels
-                    for key in spans]))
+                    for key in spans], e, len(mem)))
                 used.update((w[1], None) for w in prog.wiring
                             if w[0] == _SLAB)
+                plan.append((mem, prog.resolved))
+                e += len(prog.refs) * len(mem)
+    roots = forest.pops[None].members[0]
+    plan.append((roots, tpl.fetched))
+    addr, row = rows(forest, plan)
     sid_of, slabs, writes, off = _lay_slabs(forest, sorted(used))
+    read = off[addr] + row
     imports, last = [()] * len(slots), [-1] * len(forest.step_m)
     reads = [-1] * len(slabs)
     first = len(forest.step_m)
-    for cls, prog, spans, at in segs:
+    for prog, spans, at, e, width in segs:
         got = []
-        resolved = [ref for (refs, _, _), w in zip(prog.imports, prog.wiring)
-                    if w[0] >= _ONE for ref in refs]
-        if resolved:
-            ar = operands(forest, cls, prog, resolved)
-            t = 0
         for (refs, level, _), w in zip(prog.imports, prog.wiring):
             kind = w[0]
             if kind == _INV:
@@ -74,35 +111,34 @@ def wire(forest, slots) -> tuple:
                 base = forest.base[ci, seg]
                 for (key, (_, _, m)), k in zip(spans, at):
                     cid = int(base[key]) + xi
-                    rows = memo.get((ks, n, m), memo)
-                    if rows is memo:
-                        rows = memo[ks, n, m] = _rows(ks, n, m)
-                    specs.append((cid, out, rows))
+                    rows_ = memo.get((ks, n, m), memo)
+                    if rows_ is memo:
+                        rows_ = memo[ks, n, m] = _rows(ks, n, m)
+                    specs.append((cid, out, rows_))
                     if k + level > last[cid]:
                         last[cid] = k + level
                 continue
-            part, t = ar[t:t + len(refs)], t + len(refs)
-            # a plan memoised (one run) must not keep the wiring arrays
-            # alive through views of them
+            # this import's elements: ``len(refs)`` runs of ``width``
+            part, e = (row if kind == _ONE else read)[
+                e:e + len(refs) * width], e + len(refs) * width
+            if len(refs) > 1:
+                part = part.reshape(len(refs), width)
+            taken = [part[s:s + m] if len(refs) == 1
+                     else part[:, s:s + m].reshape(-1)
+                     for _, (_, s, m) in spans]
+            if copy:    # a plan memoised (one run) keeps no forest array
+                taken = [t.copy() for t in taken]
             if kind == _ONE:
-                rows = part[0, 1] if len(refs) == 1 else part[:, 1]
-                heads = part[0, 0, [s for _, (_, s, _) in spans]].tolist()
-                for h, (_, (_, s, m)), k in zip(heads, spans, at):
-                    got_rows = (rows[s:s + m] if len(refs) == 1
-                                else rows[:, s:s + m].reshape(-1))
-                    specs.append((h >> bits, h & mask,
-                                  got_rows.copy() if copy else got_rows))
+                heads = addr[[e - len(refs) * width + s
+                              for _, (_, s, _) in spans]].tolist()
+                for h, rows_, k in zip(heads, taken, at):
+                    specs.append((h >> bits, h & mask, rows_))
                     if k + level > last[h >> bits]:
                         last[h >> bits] = k + level
                 continue
-            read = off[part[:, 0]] + part[:, 1]
-            if len(refs) == 1:
-                read = read[0]
-            for (key, (_, s, m)), k in zip(spans, at):
+            for (key, _), rows_, k in zip(spans, taken, at):
                 sid = sid_of[(w[1], key) if w[2] else w[1]]
-                got_rows = (read[s:s + m] if len(refs) == 1
-                            else read[:, s:s + m].reshape(-1))
-                specs.append((sid, got_rows.copy() if copy else got_rows))
+                specs.append((sid, rows_))
                 if k + level > reads[sid - first]:
                     reads[sid - first] = k + level
         for i, specs in zip(at, zip(*got)):
@@ -112,7 +148,11 @@ def wire(forest, slots) -> tuple:
     for cid, _, sid, _, _ in writes:
         if cid > once and last[cid] > reads[sid - first]:
             reads[sid - first] = last[cid]
-    return imports, slabs, writes, last, reads
+    fetch = (addr[len(addr) - len(tpl.fetches) * len(roots):]
+             .reshape(-1, len(roots)),
+             row[len(row) - len(tpl.fetches) * len(roots):]
+             .reshape(-1, len(roots)))
+    return imports, slabs, writes, last, reads, fetch
 
 
 def _rows(ks, n, m):

@@ -19,9 +19,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import repro
 from repro.models import TreeLSTMSentiment, tree_lstm_config
 from repro.runtime.level_plan import Template, linearise, template_for
-from repro.runtime.level_plan.block import _O, _ONE, _SLAB
+from repro.runtime.level_plan.block import (_B, _C, _M, _O, _ONE, _S,
+                                            _SLAB)
 from repro.runtime.level_plan.forest import LevelPlan, _Block, _Forest
 from repro.runtime.plan import plan_for_fetches
 from repro.runtime import Runtime
@@ -29,12 +31,121 @@ from tests.test_level_template import _Model, _profiles, _settings
 
 
 class _PerBlock(_Forest):
-    """The reference: every import of every block wired on its own."""
+    """The reference: every import of every block wired on its own, each
+    ref resolved on its own over all nodes (memoised per ref) by walking
+    the class, site and binding it reads."""
 
     def __init__(self, tpl, lins):
         super().__init__(tpl, lins)
         self._iota = np.arange(self.n_nodes * tpl.max_merge + 1,
                                dtype=np.intp)
+        self._resolved: dict = {}     # (class / family, ref) -> arrays
+        self._picks: dict = {}        # what a bound / called ref reads
+        self._bases: dict = {}        # (class, segment) -> per-node keys
+
+    def resolve(self, cls, refs):
+        """Per ref and node (valid on the members of ``cls``): the packed
+        column address and the row holding the ref's value, as one
+        ``[refs, 2, nodes]`` array.  Refs not yet resolved resolve
+        together by kind — one class segment's steps, one family's bound
+        names, one call site's outputs — memoised per ref."""
+        memo = self._resolved
+        keys = [(cls.family if ref[0] in (_B, _O) else cls.index, ref)
+                for ref in refs]
+        groups: dict = {}
+        for key, ref in zip(keys, refs):
+            if key not in memo:
+                kind = ref[0]
+                group = (cls.ops[ref[1]].seg if kind == _S else
+                         ref[1] in self.template.inherited[cls.family]
+                         if kind == _B else ref[1] if kind == _C else None)
+                groups.setdefault((kind, group), {})[key] = ref
+        for (kind, group), todo in groups.items():
+            memo.update(zip(todo, self._resolve(cls, kind, group,
+                                                list(todo.values()))))
+        return np.array([memo[key] for key in keys])
+
+    def _resolve(self, cls, kind, group, refs):
+        """``refs`` of one kind and group resolved together."""
+        n = self.n_nodes
+        if kind == _S:
+            base = self._bases.get((cls.index, group))
+            if base is None:    # per node: its column group, count, rank
+                pop, by = self.pops[cls.count], cls.blocks[group].kind
+                key_of = self.H if by else self.D
+                base = self._bases[cls.index, group] = (
+                    self.base[cls.index, group][key_of] << self.bits,
+                    pop.cnt[by][key_of], pop.rank[by])
+            ops = [cls.ops[ref[1]] for ref in refs]
+            assert all(o.step.xi >= 0 for o in ops), \
+                "a block-local value read across blocks"
+            got = np.empty((len(refs), 2, n), dtype=np.int64)
+            got[:, 0] = base[0] + np.array(
+                [o.step.xi << self.bits | ref[2]
+                 for o, ref in zip(ops, refs)])[:, None]
+            got[:, 1] = base[1] * np.array([o.k for o in ops])[:, None] \
+                + base[2]
+            return got
+        if kind == _O:
+            got = np.zeros((len(refs), 2, n), dtype=np.int64)
+            got[:, 0] = np.array([ref[1] << self.bits | ref[2]
+                                  for ref in refs])[:, None]
+            return got
+        if kind == _M:
+            return self.resolve(cls.mirror, [ref[1] for ref in refs])
+        if kind == _B:
+            return self._bound(cls.family, group, [ref[1] for ref in refs])
+        return self._called(cls, group, [ref[2] for ref in refs])
+
+    def _read(self, key, picks, refs_of, n_refs):
+        """Per node: what its source holds for refs in a class, over the
+        ``(cls, site, mask)`` picks (memoised by ``key`` as the nodes and
+        sources each selects): ``refs_of(cls, site)`` are the refs."""
+        got = self._picks.get(key)
+        if got is None:
+            nodes, src, picks = picks()
+            got = self._picks[key] = [
+                (cls, site, nodes[sel], src[sel]) for cls, site, sel in (
+                    (c, s, m.nonzero()[0]) for c, s, m in picks)
+                if len(sel)]
+        out = np.zeros((n_refs, 2, self.n_nodes), dtype=np.int64)
+        for cls, site, nodes, src in got:
+            out[:, :, nodes] = self.resolve(cls, refs_of(cls, site)).take(
+                src, 2)
+        return out
+
+    def _bound(self, family, inherited, names):
+        """Bound placeholders: the parent's value at the call site — the
+        tree root's call site for names passed down unchanged."""
+        def picks():
+            nodes = (self.D > 0).nonzero()[0]
+            src = self.T[nodes] if inherited else nodes
+            par = self.P[src]
+            top, pc, ps = self.D[par] == 0, self.C[par], self.S[src]
+            root = self.template.root
+            return nodes, par, [
+                (cls, site, (ps == site.child)
+                 & (top if cls is root else ~top & (pc == cls.count)))
+                for cls in ([root] if inherited
+                            else [root, *self.family(family)])
+                for site in cls.sites if site.family == family]
+        return self._read((family, inherited), picks, lambda cls, site: [
+            site.bind[name] for name in names], len(names))
+
+    def _called(self, cls, si, outs):
+        """Outputs ``outs`` of recursive call site ``si``: the child
+        frame's, whichever class the child's own count selects."""
+        site = cls.sites[si]
+
+        def picks():
+            at = self.pops[cls.count].members[0]
+            child = self.F[at] + site.child
+            cc = self.C[child]
+            return at, child, [(u, None, cc == u.count)
+                               for u in self.family(site.family)]
+        return self._read((cls.index, si), picks, lambda u, _: [
+            u.outputs[j] for j in outs], len(outs))
+
 
     def wired_rows(self, rows):
         first, n = int(rows[0]), len(rows)
@@ -237,16 +348,20 @@ def _template(model, train):
 _LSTM: dict = {}
 
 
-def _lstm_template():
-    """The TreeLSTM inference template of batch-1 requests (the serving
-    workload's forests)."""
-    if not _LSTM:
+def _lstm_template(train=False):
+    """The TreeLSTM template of batch-1 requests: inference (the serving
+    workload's forests) or a recorded gradient step."""
+    if train not in _LSTM:
         model = TreeLSTMSentiment(tree_lstm_config(hidden=8, embed_dim=6),
                                   Runtime())
         built = model.build_recursive(1)
-        plan = plan_for_fetches(built.graph, {built.root_logits.op})
-        _LSTM["tpl"] = template_for(built.graph, plan, False)
-    return _LSTM["tpl"]
+        fetches = [built.root_logits]
+        if train:
+            fetches += [built.loss] + [
+                op.outputs[-1] for op in repro.gradients(built.loss, [])[1]]
+        plan = plan_for_fetches(built.graph, {t.op for t in fetches})
+        _LSTM[train] = template_for(built.graph, plan, train)
+    return _LSTM[train]
 
 
 def _lins(tpl, forest):
@@ -272,6 +387,16 @@ class TestWiringMatchesPerBlock:
     @example(forest=[(), ((), ()), ()])
     def test_treelstm_serving_forests(self, forest):
         tpl = _lstm_template()
+        assert_same_blocks(tpl, _lins(tpl, forest))
+
+    @_settings(15)
+    @given(forest=st.lists(_profiles(2, max_leaves=12), min_size=1,
+                           max_size=8))
+    @example(forest=[()])
+    def test_treelstm_training_forests(self, forest):
+        """Gradient blocks read the forward columns of their key, and
+        slabs join many columns: the most wiring kinds of any forest."""
+        tpl = _lstm_template(train=True)
         assert_same_blocks(tpl, _lins(tpl, forest))
 
     @pytest.mark.parametrize("train", [True, False])
