@@ -582,77 +582,91 @@ def _grow(core, added: int) -> None:
         core.stats.peak_live_bytes = peak
 
 
-def _tally(prog, m) -> tuple:
-    """One block's accounting — program ``prog`` over ``m`` members — as
-    a delta: its kernel calls, its bucket steps by width, per op type the
-    ops they execute, per op type its fused calls and per signature
-    prefix its fused calls by width (a fused call: width over 1, as
-    ``note_batch`` counts it)."""
-    widths, ops, fused, by_sig = Counter(), Counter(), Counter(), Counter()
+def _tally(prog) -> tuple:
+    """One block program's accounting per member count ``m``: its kernel
+    calls; per op type the ops its bucket steps run per member, its
+    bucket steps, and those of one merged op (a width of ``m``: no fused
+    call when ``m`` is 1); per merged-op count ``k`` its bucket steps
+    (width ``m * k``); per (signature prefix, ``k``) its bucket steps;
+    its most merged ops."""
+    ops, steps, single = Counter(), Counter(), Counter()
+    by_k, by_sig = Counter(), Counter()
     for st in prog.steps:
         if st.booked:
-            op_type, width = st.op.op_type, m * len(st.ops)
-            widths[width] += 1
-            ops[op_type] += width
-            if width > 1:
-                fused[op_type] += 1
-                by_sig[op_type if st.prefix is None else st.prefix,
-                       width] += 1
-    return (len(prog.steps) + len(prog.feeds), tuple(widths.items()),
-            tuple(ops.items()), tuple(fused.items()),
-            tuple(by_sig.items()))
+            op_type, k = st.op.op_type, len(st.ops)
+            ops[op_type] += k
+            steps[op_type] += 1
+            single[op_type] += k == 1
+            by_k[k] += 1
+            by_sig[op_type if st.prefix is None else st.prefix, k] += 1
+    return (len(prog.steps) + len(prog.feeds), tuple(ops.items()),
+            tuple(steps.items()), tuple(single.items()),
+            tuple(by_k.items()), tuple(by_sig.items()), max(by_k, default=0))
 
 
 def _book(sweep) -> None:
     """Account one sweep's ops exactly like the dynamic tier counts
     them: every op of every frame once, whatever step executed it, and
-    one fused call per bucket step under its signature prefix.
+    one fused call per bucket step (width over 1, as ``note_batch``
+    counts it) under its signature prefix.
 
-    The schedule is static, so the bookings are too: per (block program,
-    member count) a delta memoised on the template, summed once per plan
-    — per block its calls and widths, then each distinct (program,
-    member count)'s delta times its blocks — into a RunStats delta that
-    is memoised on the plan and merged per sweep (a sweep abandoned
-    because every run was cancelled books nothing — best-effort stats
-    under cancellation, like the dynamic path).
+    The schedule is static, so the bookings are too: per block program a
+    tally memoised on the template (:func:`_tally`), summed once per plan
+    — ops by the program's members, fused calls by its blocks, widths by
+    its blocks' member counts — into a RunStats delta that is memoised on
+    the plan and merged per sweep (a sweep abandoned because every run
+    was cancelled books nothing — best-effort stats under cancellation,
+    like the dynamic path).
     """
     lp = sweep.lp
     if lp.booked is None:
         delta, tpl = RunStats(), lp.template
-        counts, times = delta.per_type_count, delta.per_type_time
+        counts, fused = delta.per_type_count, delta.batch_count_by_type
         for cls, members in zip(tpl.classes, lp.members):
             for op_type, count in cls.static if members else ():
-                delta.ops_executed += count * members
                 counts[op_type] = counts.get(op_type, 0) + count * members
         tallies, blocks = tpl.tallies, {}
+        by_level = delta.level_width_hist
         for blk in (blk for level in lp.program for blk in level):
-            key = (blk.prog, blk.m)
-            tally = tallies.get(key)
+            tally = tallies.get(blk.prog)
             if tally is None:
-                tally = tallies[key] = _tally(*key)
-            blocks[key] = blocks.get(key, 0) + 1
+                tally = tallies[blk.prog] = _tally(blk.prog)
+            got = blocks.get(blk.prog)
+            if got is None:
+                got = blocks[blk.prog] = [tally, 0, {}]
+            got[1] += blk.m
+            got[2][blk.m] = got[2].get(blk.m, 0) + 1
             delta.level_kernel_calls += tally[0]
-            if tally[1]:
-                hist = delta.level_width_hist.setdefault(blk.hist, {})
-                for width, n in tally[1]:
-                    hist[width] = hist.get(width, 0) + n
+            if tally[4]:
+                hist = by_level.setdefault(blk.hist, {})
+                for k, n in tally[4]:
+                    hist[blk.m * k] = hist.get(blk.m * k, 0) + n
         delta.level_blocks = lp.n_blocks
-        fused, by_sig = delta.batch_count_by_type, delta.batch_width_hist
-        for key, times_n in blocks.items():
-            _, _, ops, calls, sigs = tallies[key]
-            for op_type, n in ops:
-                delta.ops_executed += n * times_n
-                counts[op_type] = counts.get(op_type, 0) + n * times_n
-            for op_type, n in calls:
-                fused[op_type] = fused.get(op_type, 0) + n * times_n
-            for (sig, width), n in sigs:
-                hist = by_sig.setdefault(sig, {})
-                hist[width] = hist.get(width, 0) + n * times_n
-                delta.batches += n * times_n
-                delta.batched_ops += width * n * times_n
-                delta.max_batch = max(delta.max_batch, width)
+        by_sig = delta.batch_width_hist
+        for (_, ops, steps, single, _, sigs, top), members, ms in \
+                blocks.values():
+            n, unit = sum(ms.values()), ms.get(1, 0)
+            for op_type, c in ops:
+                counts[op_type] = counts.get(op_type, 0) + c * members
+                delta.batched_ops += c * members
+            for (op_type, c), (_, c1) in zip(steps, single):
+                calls = c * n - c1 * unit
+                if calls:
+                    fused[op_type] = fused.get(op_type, 0) + calls
+                    delta.batches += calls
+                delta.batched_ops -= c1 * unit
+            for (sig, k), c in sigs:
+                hist = by_sig.get(sig)
+                for m, b in ms.items():
+                    if m * k > 1:
+                        if hist is None:
+                            hist = by_sig[sig] = {}
+                        hist[m * k] = hist.get(m * k, 0) + c * b
+            if top * max(ms) > 1:
+                delta.max_batch = max(delta.max_batch, top * max(ms))
+        delta.ops_executed = sum(counts.values())
         for op_type in counts:  # a counted type also has a time entry
-            times.setdefault(op_type, 0.0)
+            delta.per_type_time.setdefault(op_type, 0.0)
         lp.booked = delta
     sweep.core.stats.merge(lp.booked)
 
