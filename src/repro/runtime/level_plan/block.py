@@ -168,6 +168,8 @@ class _BlockProg:
         """Number the exports; derive what instantiation and the sweep
         read per block instead of per step."""
         self.exports = [st for st in self.feeds + self.steps if st.xi >= 0]
+        #: per export its merged ops: a column holds ``m`` rows per op
+        self.widths = [len(st.ops) for st in self.exports]
         frames = {store[1] for store in self.stores}
         for xi, st in enumerate(self.exports):
             st.xi = xi

@@ -198,19 +198,13 @@ class _Forest:
         cols[[1, 5, 6]] += offs[self.R]
         self.C, self.P, self.S, self.D, self.H, self.F, self.T = cols
         # population of a node: its child count's class, virtual roots last
-        counts = list(tpl.fwd)
-        table = np.zeros(max(int(self.C.max()), *counts) + 1, dtype=np.intp)
-        table[counts] = np.arange(len(counts))
-        pop_of = self.pop_of = table[self.C]
-        pop_of[offs] = len(counts)
+        pop_of = self.pop_of = tpl.pop_of[self.C]
+        pop_of[offs] = len(tpl.fwd)
         self.keys2 = np.stack((self.D, self.H))
         pops, self.cnt_flat, self.rank2, self.width = _populations(
-            pop_of, self.keys2, len(counts) + 1)
-        self.pops = dict(zip(counts + [None], pops))
-        #: levels of the longest block program: orders reads by (block,
-        #: level) as one integer
-        self.levels = 1 + max(prog.n_levels for cls in tpl.classes
-                              for prog in cls.blocks)
+            pop_of, self.keys2, len(tpl.fwd) + 1)
+        self.pops = dict(zip([*tpl.fwd, None], pops))
+        self.levels = tpl.levels
         self._keyed: dict = {}        # (class, frame, segment, key) -> keys
         self._suffixes = None
         # one column group per (exported step, depth or height) that has
@@ -218,15 +212,13 @@ class _Forest:
         # execution order
         self.step_m = step_m = [1] * (1 + len(tpl.once))
         #: per program (``prog.pid``) and key its blocks' first cid
-        self.bases = np.zeros((sum(map(len, (cls.blocks for cls in
-                                             tpl.classes))), self.width),
-                              dtype=np.int64)
+        self.bases = np.zeros((tpl.n_progs, self.width), dtype=np.int64)
         self.base: dict = {}          # (class, segment) -> first cid by key
         for cls in tpl.classes:
             for prog in cls.blocks:
                 spans, first = (self.pops[cls.count].block[prog.kind],
                                 len(step_m))
-                widths = [len(st.ops) for st in prog.exports]
+                widths = prog.widths
                 tab = self.base[cls.index, prog.seg] = self.bases[prog.pid]
                 tab[list(spans)] = [first + b * len(widths)
                                     for b in range(len(spans))]

@@ -187,6 +187,15 @@ class Template:
                               for o in cls.ops], default=1)
         #: most children a node or the root frame calls
         self.max_count = max([len(self.root_sites), *self.fwd])
+        #: per child count its population (a forest's virtual roots are
+        #: the last, whatever their count)
+        self.pop_of = np.zeros(self.max_count + 1, dtype=np.intp)
+        self.pop_of[list(self.fwd)] = range(len(self.fwd))
+        #: levels of the longest block program: orders reads by (block,
+        #: level) as one integer
+        self.levels = 1 + max(prog.n_levels for cls in self.classes
+                              for prog in cls.blocks)
+        self.n_progs = sum(len(cls.blocks) for cls in self.classes)
         #: per slab the columns it joins, as :meth:`_wire_imports` lays
         #: them out; per (merged refs, members) a static import's rows
         self.slabs = self._wire_imports()

@@ -72,10 +72,10 @@ def wire(forest, slots) -> tuple:
     level``, -1 for none — and the addresses and rows of the root's
     call-site outputs, per fetch ref and run."""
     tpl, levels, memo = forest.template, forest.levels, forest.template.rows
-    bits, mask, copy = forest.bits, forest.mask, forest.n_runs == 1
+    bits, mask = forest.bits, forest.mask
     where = {(cls.index, seg, key): i
              for i, (cls, seg, key, _) in enumerate(slots)}
-    segs, used, plan, e = [], {}, [], 0
+    segs, used, plan, slabbed, e = [], {}, [], [], 0
     for cls in tpl.classes:
         for prog in cls.blocks:
             spans = forest.pops[cls.count].block[prog.kind]
@@ -87,12 +87,18 @@ def wire(forest, slots) -> tuple:
                 used.update((w[1], None) for w in prog.wiring
                             if w[0] == _SLAB)
                 plan.append((mem, prog.resolved))
+                slabbed += [w[0] == _SLAB for (refs, _, _), w in zip(
+                    prog.imports, prog.wiring) if w[0] >= _ONE for _ in refs]
                 e += len(prog.refs) * len(mem)
     roots = forest.pops[None].members[0]
     plan.append((roots, tpl.fetched))
     addr, row = rows(forest, plan)
     sid_of, slabs, writes, off = _lay_slabs(forest, sorted(used))
-    read = off[addr] + row
+    # one array of rows a plan keeps views of: a slab read is its
+    # producer's row plus the column's offset in the slab
+    read = row + off[addr] * np.repeat(
+        slabbed + [False] * len(tpl.fetches),
+        [len(mem) for mem, sids in plan for _ in sids])
     imports, last = [()] * len(slots), [-1] * len(forest.step_m)
     reads = [-1] * len(slabs)
     first = len(forest.step_m)
@@ -119,15 +125,12 @@ def wire(forest, slots) -> tuple:
                         last[cid] = k + level
                 continue
             # this import's elements: ``len(refs)`` runs of ``width``
-            part, e = (row if kind == _ONE else read)[
-                e:e + len(refs) * width], e + len(refs) * width
+            part, e = read[e:e + len(refs) * width], e + len(refs) * width
             if len(refs) > 1:
                 part = part.reshape(len(refs), width)
             taken = [part[s:s + m] if len(refs) == 1
                      else part[:, s:s + m].reshape(-1)
                      for _, (_, s, m) in spans]
-            if copy:    # a plan memoised (one run) keeps no forest array
-                taken = [t.copy() for t in taken]
             if kind == _ONE:
                 heads = addr[[e - len(refs) * width + s
                               for _, (_, s, _) in spans]].tolist()
