@@ -207,16 +207,17 @@ def test_smoke_level_slab_canary(monkeypatch):
 
 def test_smoke_level_wiring_canary(monkeypatch):
     """Instantiation-cost canary (counts, no timing): an 8-run merged
-    TreeLSTM forest is wired by class segment, not by block — one
-    segmented numpy pass per forest that reads each class segment's
-    imports once, whatever the runs' depths and heights.  A regression
-    to per-block wiring (176 spec calls for the 36 (block program,
-    import) pairs of the serving workload's forests) fails here."""
+    TreeLSTM forest resolves every ref its imports read in one pass of
+    rank arithmetic over the whole forest, whatever the runs' depths and
+    heights — the wiring kinds were decided with the template.  A
+    regression to per-segment or per-block resolution (176 spec calls
+    for the 36 (block program, import) pairs of the serving workload's
+    forests) fails here."""
     from repro.runtime.level_plan import (forest, linearise, template_for,
                                           wiring)
     from repro.runtime.plan import plan_for_fetches
 
-    calls = {"wire": 0, "operands": 0}
+    calls = {"wire": 0, "rows": 0}
     for name in calls:
         real = getattr(wiring, name)
 
@@ -232,19 +233,18 @@ def test_smoke_level_wiring_canary(monkeypatch):
             for tree in smoke_bank().train[:8]]
     counts = []
     for runs in (lins[:1], lins):
-        calls.update(wire=0, operands=0)
+        calls.update(wire=0, rows=0)
         lp = forest.LevelPlan(tpl, runs)
         blocks = [blk for level in lp.program[1:] for blk in level]
         pairs = {(blk.prog, i) for blk in blocks
                  for i in range(len(blk.imports))}
         counts.append(dict(calls))
-        assert calls["wire"] == 1
-        assert calls["operands"] <= len(pairs)
+        assert calls == {"wire": 1, "rows": 1}
     # the same calls for 1 run as for 8, and fewer than the pairs the
     # blocks wire, let alone their imports (per-block wiring's calls)
     wired = sum(len(blk.imports) for blk in blocks)
     assert counts[0] == counts[1], counts
-    assert calls["operands"] < len(pairs) < wired, (calls, pairs, wired)
+    assert calls["rows"] < len(pairs) < wired, (calls, pairs, wired)
 
 
 #: Python calls and C calls (``sys.setprofile``'s ``call`` / ``c_call``
@@ -253,14 +253,14 @@ def test_smoke_level_wiring_canary(monkeypatch):
 #: count re-pins it and names the delta and its reason in CHANGES.md
 WORK_PINS_PYTHON = (3, 11)
 WORK_PINS = {
-    "infer_lvl": (2595, 3891),
-    "train_lvl": (10022, 11826),
+    "infer_lvl": (2588, 3924),
+    "train_lvl": (10012, 11866),
     "infer_dyn": (170469, 158535),
-    "train_dyn": (589979, 570090),
-    "infer_pool": (2591, 3891),
-    "train_pool": (9996, 11757),
-    "serve_burst": (8902, 24298),
-    "instantiate": (832, 1502),
+    "train_dyn": (588153, 562694),
+    "infer_pool": (2584, 3924),
+    "train_pool": (9986, 11797),
+    "serve_burst": (8394, 23502),
+    "instantiate": (558, 1242),
 }
 
 

@@ -20,7 +20,8 @@ warm step by the path each import took — a whole-column alias, a slice
 several producer columns fill), or a row slab (a slab that a producer
 whose rows did not fit its array turned into a list of rows, read row
 by row) — then how the warm plan's imports are *wired*, per family and
-segment, and how many
+segment, by the kind the template decided ("one": one producer block
+found by rank, read by a ``take``), and how many
 deferred blocks the value cache holds after the sweep
 (``ValueCache.store_column``; what a recorded sweep hands over and
 nobody split into rows).
@@ -44,11 +45,13 @@ no timed pass runs under it.
 (16 submits, then ``drain``) through the benchmark's own
 ``_Service.burst``.  For it the tool prints the mean per-burst split of
 warm bursts — linearising each request's profile at admission, forest
-instantiation and, inside it, the forest arrays, the import wiring and
-the slab layout, import gather (a block call's operands and feeds),
-block execute and, inside it, the row loops, the sweep's booking, and
-the rest (submit, admission, fetches) — then cProfile of one warm
-burst.
+instantiation and, inside it, the forest arrays, the rows (every
+import's rows by rank arithmetic, :func:`level_plan.wiring.wire`), the
+slab offsets and the block assembly, import gather (a block call's
+operands and feeds), block execute and, inside it, the row loops, the
+sweep's booking, and the rest (submit, admission, fetches) — then
+cProfile of one warm burst.  Template-time wiring is a setup cost: a
+warm burst never builds a template.
 """
 
 from __future__ import annotations
@@ -189,16 +192,20 @@ def _floor(bench, config, repeats: int = 30) -> tuple:
     return warm, min(replays), len(calls)
 
 
-WIRINGS = ("alias", "slice", "take", "slab", "row slab")
+WIRINGS = ("alias", "slice", "take", "one", "slab", "row slab")
 
 
-def _wiring(spec, cols=None) -> str:
+def _wiring(spec, cols=None, wired=None) -> str:
     """How one import of an instantiated block reaches its operand —
     given a sweep's ``cols``, by the path it takes there (a slab turned
-    into a list of rows reads row by row)."""
+    into a list of rows reads row by row); given the template's
+    ``wired`` kind, a one-producer import (its producer block found by
+    rank, read by a ``take``) is "one"."""
     if len(spec) == 2:
         return ("row slab" if cols is not None
                 and cols[spec[0]].__class__ is list else "slab")
+    if wired is not None and wired[0] == block._ONE:
+        return "one"
     rows = spec[2]
     return ("alias" if rows is None
             else "slice" if isinstance(rows, slice) else "take")
@@ -222,11 +229,13 @@ def _print_wiring(graph, cache) -> None:
         cls, prog = blk.prog.cls, blk.prog
         if cls is None:
             continue
-        for (refs, _, _), spec in zip(prog.imports, blk.imports):
-            table[cls.family, prog.seg][_wiring(spec)] += 1
+        for (refs, _, _), spec, wired in zip(prog.imports, blk.imports,
+                                             prog.wiring):
+            kind = _wiring(spec, wired=wired)
+            table[cls.family, prog.seg][kind] += 1
             if (cls.family, prog.seg) == ("grad", 0) \
                     and _mirrors_post_call(cls, refs):
-                table["grad", "0 <- fwd 1"][_wiring(spec)] += 1
+                table["grad", "0 <- fwd 1"][kind] += 1
     print(f"import wiring of the warm plan ({lp.n_blocks} blocks):")
     print(f"  {'family seg':<18}" + "".join(f"{w:>11}" for w in WIRINGS))
     total = dict.fromkeys(WIRINGS, 0)
