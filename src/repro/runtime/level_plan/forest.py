@@ -154,9 +154,9 @@ def _populations(pop_of, keys, n_pops) -> tuple:
     counts of every (key kind, population) by key as one flat table of
     rows ``width`` apart, and per key kind and node its rank."""
     pops, n = [_Pop() for _ in range(n_pops)], len(pop_of)
-    width = int(max(key.max() for key in keys)) + 2
-    joint = np.concatenate([(pop_of + kind * n_pops) * width + key
-                            for kind, key in enumerate(keys)])
+    width = int(keys.max()) + 2
+    joint = ((pop_of + np.arange(0, len(keys) * n_pops, n_pops)[:, None])
+             * width + keys).reshape(-1)
     order = joint.argsort(kind="stable")
     cnt = np.bincount(joint, minlength=len(keys) * n_pops * width)
     start = cnt.cumsum() - cnt
@@ -190,9 +190,9 @@ class _Forest:
         offs = np.concatenate(([0], np.cumsum(sizes)))[:-1]
         self.n_nodes, self.n_runs = sum(sizes), len(lins)
         self.R = np.repeat(np.arange(len(lins), dtype=np.intp), sizes)
-        cols = np.array(list(itertools.chain.from_iterable(
-            getattr(lin, name) for name in _Lin._fields[1:8] for lin in lins)),
-            dtype=np.intp).reshape(7, -1)
+        cols = np.fromiter(itertools.chain.from_iterable(
+            getattr(lin, name) for name in _Lin._fields[1:8] for lin in lins),
+            dtype=np.intp, count=7 * self.n_nodes).reshape(7, -1)
         # node ids shift by their run's offset; a virtual root's parent
         # (-1 + off) is never read
         cols[[1, 5, 6]] += offs[self.R]
@@ -200,7 +200,7 @@ class _Forest:
         # population of a node: its child count's class, virtual roots last
         pop_of = self.pop_of = tpl.pop_of[self.C]
         pop_of[offs] = len(tpl.fwd)
-        self.keys2 = np.stack((self.D, self.H))
+        self.keys2 = cols[3:5]     # depth and height: the key kinds
         pops, self.cnt_flat, self.rank2, self.width = _populations(
             pop_of, self.keys2, len(tpl.fwd) + 1)
         self.pops = dict(zip([*tpl.fwd, None], pops))
@@ -290,15 +290,18 @@ class LevelPlan:
         #: per column group the block that fills it and the level of its
         #: last read there
         born = [(1 + i, (prologue, 0)) for i in range(len(tpl.once))]
-        blocks = []
+        blocks, runs = [], {}   # per checked (class, kind): members' runs
         for (cls, seg, key, hist), specs in zip(slots, imports):
             prog, pop = cls.blocks[seg], forest.pops[cls.count]
             b, s, m = pop.block[prog.kind][key]
             mem = pop.members[prog.kind][s:s + m]
+            if cls.checks and (cls.count, prog.kind) not in runs:
+                runs[cls.count, prog.kind] = forest.R[pop.members[prog.kind]]
             blk = _Block(prog, m, hist, int(forest.base[cls.index, seg][key]),
                          specs, {fi: forest.keys(cls, fi, seg, key, mem)
                                  for fi in prog.frames},
-                         forest.R[mem] if cls.checks else None)
+                         runs[cls.count, prog.kind][s:s + m]
+                         if cls.checks else None)
             born.extend((blk.base + st.xi, (blk, st.last))
                         for st in prog.exports)
             scalars, calls, members = prog.terms

@@ -608,67 +608,75 @@ def _book(sweep) -> None:
     """Account one sweep's ops exactly like the dynamic tier counts
     them: every op of every frame once, whatever step executed it, and
     one fused call per bucket step (width over 1, as ``note_batch``
-    counts it) under its signature prefix.
-
-    The schedule is static, so the bookings are too: per block program a
-    tally memoised on the template (:func:`_tally`), summed once per plan
-    — ops by the program's members, fused calls by its blocks, widths by
-    its blocks' member counts — into a RunStats delta that is memoised on
-    the plan and merged per sweep (a sweep abandoned because every run
-    was cancelled books nothing — best-effort stats under cancellation,
-    like the dynamic path).
-    """
-    lp = sweep.lp
+    counts it) under its signature prefix (a sweep abandoned because
+    every run was cancelled books nothing — best-effort stats under
+    cancellation, like the dynamic path).  A merged forest, swept once,
+    books straight into the session's stats; a memoised one-run plan
+    books a RunStats delta once and merges it per sweep."""
+    lp, stats = sweep.lp, sweep.core.stats
+    if lp.lin is None:
+        _book_into(stats, lp)
+        return
     if lp.booked is None:
-        delta, tpl = RunStats(), lp.template
-        counts, fused = delta.per_type_count, delta.batch_count_by_type
-        for cls, members in zip(tpl.classes, lp.members):
-            for op_type, count in cls.static if members else ():
-                counts[op_type] = counts.get(op_type, 0) + count * members
-        tallies, blocks = tpl.tallies, {}
-        by_level = delta.level_width_hist
-        for blk in (blk for level in lp.program for blk in level):
-            tally = tallies.get(blk.prog)
-            if tally is None:
-                tally = tallies[blk.prog] = _tally(blk.prog)
-            got = blocks.get(blk.prog)
-            if got is None:
-                got = blocks[blk.prog] = [tally, 0, {}]
-            got[1] += blk.m
-            got[2][blk.m] = got[2].get(blk.m, 0) + 1
-            delta.level_kernel_calls += tally[0]
-            if tally[4]:
-                hist = by_level.setdefault(blk.hist, {})
-                for k, n in tally[4]:
-                    hist[blk.m * k] = hist.get(blk.m * k, 0) + n
-        delta.level_blocks = lp.n_blocks
-        by_sig = delta.batch_width_hist
-        for (_, ops, steps, single, _, sigs, top), members, ms in \
-                blocks.values():
-            n, unit = sum(ms.values()), ms.get(1, 0)
-            for op_type, c in ops:
-                counts[op_type] = counts.get(op_type, 0) + c * members
-                delta.batched_ops += c * members
-            for (op_type, c), (_, c1) in zip(steps, single):
-                calls = c * n - c1 * unit
-                if calls:
-                    fused[op_type] = fused.get(op_type, 0) + calls
-                    delta.batches += calls
-                delta.batched_ops -= c1 * unit
-            for (sig, k), c in sigs:
-                hist = by_sig.get(sig)
-                for m, b in ms.items():
-                    if m * k > 1:
-                        if hist is None:
-                            hist = by_sig[sig] = {}
-                        hist[m * k] = hist.get(m * k, 0) + c * b
-            if top * max(ms) > 1:
-                delta.max_batch = max(delta.max_batch, top * max(ms))
-        delta.ops_executed = sum(counts.values())
-        for op_type in counts:  # a counted type also has a time entry
-            delta.per_type_time.setdefault(op_type, 0.0)
-        lp.booked = delta
-    sweep.core.stats.merge(lp.booked)
+        lp.booked = RunStats()
+        _book_into(lp.booked, lp)
+    stats.merge(lp.booked)
+
+
+def _book_into(stats, lp) -> None:
+    """Add one sweep of ``lp`` to ``stats``.  The schedule is static, so
+    the bookings are too: per block program a tally memoised on the
+    template (:func:`_tally`), summed per plan — ops by the program's
+    members, fused calls by its blocks, widths by its blocks' member
+    counts."""
+    tpl, ops = lp.template, {}
+    for cls, members in zip(tpl.classes, lp.members):
+        for op_type, count in cls.static if members else ():
+            ops[op_type] = ops.get(op_type, 0) + count * members
+    tallies, blocks = tpl.tallies, {}
+    by_level = stats.level_width_hist
+    for blk in (blk for level in lp.program for blk in level):
+        tally = tallies.get(blk.prog)
+        if tally is None:
+            tally = tallies[blk.prog] = _tally(blk.prog)
+        got = blocks.get(blk.prog)
+        if got is None:
+            got = blocks[blk.prog] = [tally, 0, {}]
+        got[1] += blk.m
+        got[2][blk.m] = got[2].get(blk.m, 0) + 1
+        stats.level_kernel_calls += tally[0]
+        if tally[4]:
+            hist = by_level.setdefault(blk.hist, {})
+            for k, n in tally[4]:
+                hist[blk.m * k] = hist.get(blk.m * k, 0) + n
+    stats.level_blocks += lp.n_blocks
+    fused, by_sig = stats.batch_count_by_type, stats.batch_width_hist
+    for (_, booked, steps, single, _, sigs, top), members, ms in \
+            blocks.values():
+        n, unit = sum(ms.values()), ms.get(1, 0)
+        for op_type, c in booked:
+            ops[op_type] = ops.get(op_type, 0) + c * members
+            stats.batched_ops += c * members
+        for (op_type, c), (_, c1) in zip(steps, single):
+            calls = c * n - c1 * unit
+            if calls:
+                fused[op_type] = fused.get(op_type, 0) + calls
+                stats.batches += calls
+            stats.batched_ops -= c1 * unit
+        for (sig, k), c in sigs:
+            hist = by_sig.get(sig)
+            for m, b in ms.items():
+                if m * k > 1:
+                    if hist is None:
+                        hist = by_sig[sig] = {}
+                    hist[m * k] = hist.get(m * k, 0) + c * b
+        if top * max(ms) > stats.max_batch and top * max(ms) > 1:
+            stats.max_batch = top * max(ms)
+    counts, times = stats.per_type_count, stats.per_type_time
+    for op_type, n in ops.items():  # a counted type also has a time entry
+        counts[op_type] = counts.get(op_type, 0) + n
+        times.setdefault(op_type, 0.0)
+    stats.ops_executed += sum(ops.values())
 
 
 def execute_level_plan(core: SchedulerCore, lp: LevelPlan, runs) -> list:

@@ -103,12 +103,12 @@ def wire(forest, slots) -> tuple:
     reads = [-1] * len(slabs)
     first = len(forest.step_m)
     for prog, spans, at, e, width in segs:
-        got = []
+        got, top = [], max(at)
         for (refs, level, _), w in zip(prog.imports, prog.wiring):
             kind = w[0]
             if kind == _INV:
                 got.append([(w[1], w[2], None)] * len(at))
-                last[w[1]] = max(last[w[1]], max(at) + level)
+                last[w[1]] = max(last[w[1]], top + level)
                 continue
             specs = []
             got.append(specs)
@@ -126,11 +126,12 @@ def wire(forest, slots) -> tuple:
                 continue
             # this import's elements: ``len(refs)`` runs of ``width``
             part, e = read[e:e + len(refs) * width], e + len(refs) * width
-            if len(refs) > 1:
+            if len(refs) == 1:
+                taken = [part[s:s + m] for _, (_, s, m) in spans]
+            else:
                 part = part.reshape(len(refs), width)
-            taken = [part[s:s + m] if len(refs) == 1
-                     else part[:, s:s + m].reshape(-1)
-                     for _, (_, s, m) in spans]
+                taken = [part[:, s:s + m].reshape(-1)
+                         for _, (_, s, m) in spans]
             if kind == _ONE:
                 heads = addr[[e - len(refs) * width + s
                               for _, (_, s, _) in spans]].tolist()
@@ -139,8 +140,13 @@ def wire(forest, slots) -> tuple:
                     if k + level > last[h >> bits]:
                         last[h >> bits] = k + level
                 continue
+            if not w[2]:    # one slab for every key
+                sid = sid_of[w[1]]
+                specs += [(sid, rows_) for rows_ in taken]
+                reads[sid - first] = max(reads[sid - first], top + level)
+                continue
             for (key, _), rows_, k in zip(spans, taken, at):
-                sid = sid_of[(w[1], key) if w[2] else w[1]]
+                sid = sid_of[w[1], key]
                 specs.append((sid, rows_))
                 if k + level > reads[sid - first]:
                     reads[sid - first] = k + level
