@@ -8,13 +8,14 @@ one depth (forward pre-call, top-down) or one height (post-call,
 bottom-up; gradient pre-call, by *descending* height — a parent is
 higher than its child — so a backward block has the members, in the
 order, of the forward post-call block it mirrors and reads that block's
-columns in place).  Symbolic refs resolve to per-node (address, row)
-arrays, memoised per ref and computed a kind at a time, and
-:mod:`.wiring` wires each import of each class segment once for all of
-its depths or heights: numpy calls are O(class segments + ref kinds),
-never O(blocks × imports); Python work per block only assembles its
-tuples, plus O(nodes) for frame-key suffixes when something records or
-accumulates.
+columns in place).  The template has decided every import's wiring;
+what is left per forest is rank arithmetic over the arrays kept here —
+per population and key kind the counts and ranks, per block program
+its blocks' first column ids — which :mod:`.wiring` applies to every
+import of the forest in one pass: numpy calls are O(1) per forest and
+O(class segments) for the slab offsets, never O(blocks × imports);
+Python work per block only assembles its tuples, plus O(nodes) for
+frame-key suffixes when something records or accumulates.
 """
 
 from __future__ import annotations
@@ -180,8 +181,12 @@ def _populations(pop_of, keys, n_pops) -> tuple:
 
 
 class _Forest:
-    """The linearised forest of one instantiation and the index
-    arithmetic over it; lives only while :class:`LevelPlan` is built."""
+    """The linearised forest of one instantiation and the arrays its
+    rank arithmetic reads — per node its population (``pop_of``), depth
+    and height (``keys2``) and ranks (``rank2``), per (key kind,
+    population) its counts by key (``cnt_flat``, rows ``width`` apart),
+    per block program its blocks' first column ids by key (``bases``);
+    lives only while :class:`LevelPlan` is built."""
 
     def __init__(self, tpl: Template, lins):
         self.template = tpl

@@ -11,8 +11,13 @@ execute.  Ops split into a pre-call segment (feeds a recursive call or
 a ``Cond`` predicate) and a post-call segment, Kahn-levelled and
 pre-bucketed into steps; the root frame is staged around its call
 sites.  Each class segment is then a block program
-(:mod:`.block`), checked as it is finished.  Ineligibility is a property
-of the definition, recorded once with its reason.
+(:mod:`.block`), checked as it is finished.  Then every import of every
+class segment is wired from the definition alone
+(:meth:`Template._wire_imports`): its kind, the columns each slab
+joins, and the resolver states that find a forest's producers by rank
+(:class:`_Resolver`) — so that a forest only computes rows.
+Ineligibility is a property of the definition, recorded once with its
+reason.
 """
 
 from __future__ import annotations
@@ -624,38 +629,74 @@ class Template:
 
     # -- import wiring -------------------------------------------------------
 
-    def _origins(self, cls, ref, hops) -> set:
-        """Every column a ref of ``cls`` can read, for a member ``hops``
-        away from the frame holding it ("p" its parent, "c" a child, "r"
-        its run's virtual root): ``(column, hops, kind)`` triples.  A
-        column is ``(class index, segment, export, out)``, an invariant
-        ``(None, None, cid, out)``; ``kind`` keys the producer's blocks
-        (None: one block whatever the member — an invariant, a root
-        column).  A virtual root as parent is the hop "P"."""
-        kind = ref[0]
+    def _state(self, cls, ref) -> int:
+        """The resolver state of ``ref`` read in a frame of ``cls``
+        (:class:`_Resolver`), numbered with every state it leads to:
+        ``(0, (program id, export << out_bits | out, merged op, 1))`` a
+        step's output, ``(0, (0, address, 0, 0))`` an invariant, else
+        ``(hop, {population * ns + site: state})`` — a bound name's
+        value is the parent's binding (every call passing it down: the
+        run's), a call's the child's output, a mirrored value the
+        forward frame's at the same node."""
+        while ref[0] == _M:
+            cls, ref = cls.mirror, ref[1]
+        key = (cls.family if ref[0] in (_B, _O) else cls.index, ref)
+        sid = self._state_of.get(key)
+        if sid is not None:
+            return sid
+        states, pop, ns = self._states, self._pop, self._ns
+        sid = self._state_of[key] = len(states)
+        states.append(None)
+        kind, table = ref[0], {}
         if kind == _O:
-            return {((None, None, ref[1], ref[2]), (), None)}
-        if kind == _M:
-            return self._origins(cls.mirror, ref[1], hops)
+            states[sid] = (0, (0, ref[1] << self.out_bits | ref[2], 0, 0))
+            return sid
         if kind == _S:
             o = cls.ops[ref[1]]
-            col = (cls.index, o.seg, o.step.xi, ref[2])
-            return {(col, hops, None) if cls.family == "root"
-                    else (col, hops, cls.blocks[o.seg].kind)}
-        got = set()
+            states[sid] = (0, (cls.blocks[o.seg].pid,
+                               o.step.xi << self.out_bits | ref[2], o.k, 1))
+            return sid
         if kind == _C:
-            for u in getattr(self, cls.sites[ref[1]].family).values():
-                got |= self._origins(u, u.outputs[ref[2]], hops + ("c",))
-            return got
-        family, root = cls.family, self.root
-        inherited = ref[1] in self.inherited[family]
-        for u in [root] + ([] if inherited
-                           else list(getattr(self, family).values())):
-            hop = "r" if inherited else "P" if u is root else "p"
-            for site in u.sites:
-                if site.family == family:
-                    got |= self._origins(u, site.bind[ref[1]], hops + (hop,))
-        return got
+            site = cls.sites[ref[1]]
+            hop = 3 + site.child
+            for u in getattr(self, site.family).values():
+                table[pop[u.count] * ns] = self._state(u, u.outputs[ref[2]])
+        else:
+            family = cls.family
+            inherited = ref[1] in self.inherited[family]
+            hop = 2 if inherited else 1
+            for u in [self.root] + ([] if inherited else list(
+                    getattr(self, family).values())):
+                for site in u.sites:
+                    if site.family == family:
+                        table[pop[u.count] * ns + site.child] = self._state(
+                            u, site.bind[ref[1]])
+        states[sid] = (hop, table)
+        return sid
+
+    def _origins(self, sid, hops=()) -> set:
+        """Every column state ``sid`` can end on, for a member ``hops``
+        away from it ("p" its parent, "P" its parent the virtual root,
+        "r" its run's virtual root, "c" a child): ``(column, hops,
+        kind)`` triples.  A column is ``(class index, segment, export,
+        out)``, an invariant ``(None, None, cid, out)``; ``kind`` keys
+        the producer's blocks (None: one block whatever the member — an
+        invariant, a root column)."""
+        hop, got = self._states[sid]
+        if not hop:
+            pid, xo, _, column = got
+            col = xo >> self.out_bits, xo & ((1 << self.out_bits) - 1)
+            if not column:
+                return {((None, None, *col), hops, None)}
+            prog = self._progs[pid]
+            return {((prog.cls.index, prog.seg, *col), hops,
+                     None if prog.cls.family == "root" else prog.kind)}
+        out = set()
+        for index, to in got.items():
+            step = ("r" if hop == 2 else "c" if hop > 2 else
+                    "P" if index // self._ns == self._pop[None] else "p")
+            out |= self._origins(to, hops + (step,))
+        return out
 
     def _wire_imports(self) -> list:
         """Decide every (class, segment, import)'s wiring once, from the
@@ -679,6 +720,14 @@ class Template:
         its rows lie block by block.  A slab every reader of which reads
         columns of its own key only is ``keyed``: one slab per key, each
         dying after its own key's reads."""
+        self._progs = [prog for cls in self.classes for prog in cls.blocks]
+        for pid, prog in enumerate(self._progs):
+            prog.pid = pid
+        self._pop = {c: i for i, c in enumerate(self.fwd)}
+        self._pop[None] = len(self.fwd)
+        self._ns = max(self.max_count, 1)
+        self._states: list = []
+        self._state_of: dict = {}
         head: dict = {}
 
         def find(col):
@@ -720,86 +769,22 @@ class Template:
         self.resolver = self._resolver()
         return slabs
 
-    def _resolver(self) -> "_Resolver":
-        """Number every ref a forest resolves — each ``_ONE`` or
-        ``_SLAB`` import's (``prog.refs``, the first one's state
-        ``prog.resolved``), then the root's call-site outputs (the
-        fetches, from ``self.fetched``) — as a state of
-        :class:`_Resolver`, with every state it leads to."""
-        counts = list(self.fwd)
-        pop = {c: i for i, c in enumerate(counts)}
-        pop[None] = len(counts)
-        ns = max(self.max_count, 1)
-        progs = [prog for cls in self.classes for prog in cls.blocks]
-        states, of = [], {}
-
-        def state(cls, ref) -> int:
-            while ref[0] == _M:     # the forward frame's, at the node
-                cls, ref = cls.mirror, ref[1]
-            key = (cls.family if ref[0] in (_B, _O) else cls.index, ref)
-            if key in of:
-                return of[key]
-            sid = of[key] = len(states)
-            states.append(None)
-            kind, table = ref[0], {}
-            if kind == _O:
-                states[sid] = (0, (0, ref[1] << self.out_bits | ref[2], 0,
-                                   0))
-                return sid
-            if kind == _S:
-                o = cls.ops[ref[1]]
-                states[sid] = (0, (cls.blocks[o.seg].pid,
-                                   o.step.xi << self.out_bits | ref[2],
-                                   o.k, 1))
-                return sid
-            if kind == _C:
-                site = cls.sites[ref[1]]
-                hop = 3 + site.child
-                for u in getattr(self, site.family).values():
-                    table[pop[u.count] * ns] = state(u, u.outputs[ref[2]])
-            else:   # bound: the parent's (the run's, passed down) value
-                family = cls.family
-                inherited = ref[1] in self.inherited[family]
-                hop = 2 if inherited else 1
-                for u in [self.root] + ([] if inherited else list(
-                        getattr(self, family).values())):
-                    for site in u.sites:
-                        if site.family == family:
-                            table[pop[u.count] * ns + site.child] = state(
-                                u, site.bind[ref[1]])
-            states[sid] = (hop, table)
-            return sid
-
-        for pid, prog in enumerate(progs):
-            prog.pid = pid
-        for prog in progs:
-            prog.refs = [ref for (refs, _, _), w in zip(prog.imports,
-                                                        prog.wiring)
-                         if w[0] >= _ONE for ref in refs]
-            prog.resolved = [state(prog.cls, ref) for ref in prog.refs]
-        self.fetches = list({r: None for f in self.root.frames
-                             for rs in f.refs for r in rs if r[0] == _C})
-        self.fetched = [state(self.root, ref) for ref in self.fetches]
-        return _Resolver(states, ns * len(pop), ns, len(pop),
-                         [(prog.kind, pop[prog.cls.count]) for prog in progs])
-
     def _decide(self, cls, prog, refs) -> tuple:
         """The wiring of one import (:meth:`_wire_imports`)."""
         if len(refs) == 1 and refs[0][0] == _O:
             return (_INV, refs[0][1], refs[0][2])
+        sids = [self._state(cls, ref) for ref in refs]
         origins = set()
-        for ref in refs:
-            origins |= self._origins(cls, ref, ())
+        for sid in sids:
+            origins |= self._origins(sid)
         cols = {col for col, _, _ in origins}
         if len(cols) == 1 and all(
                 not hops and (kind == prog.kind or kind is None
                               and col[0] is not None and cls.family == "root")
                 for col, hops, kind in origins):
             col, = cols
-            ks = tuple(self._producer(cls, ref).k for ref in refs)
-            owner = self.classes[col[0]]
-            return (_COL, *col, ks,
-                    len(owner.blocks[col[1]].exports[col[2]].ops))
+            return (_COL, *col, tuple(self._states[sid][1][2] for sid in sids),
+                    self.classes[col[0]].blocks[col[1]].widths[col[2]])
         # one block for every member of a key: an invariant or root
         # column; the member's own key; the parent's depth (below the
         # first depth, whose parent is the virtual root)
@@ -823,12 +808,22 @@ class Template:
         return (_SLAB, cols, set(scopes) == {"all"} and all(
             kind is not None for _, _, kind in origins))
 
-    @staticmethod
-    def _producer(cls, ref):
-        """The member op behind an ``_S`` ref, through mirrors."""
-        while ref[0] == _M:
-            cls, ref = cls.mirror, ref[1]
-        return cls.ops[ref[1]]
+    def _resolver(self) -> "_Resolver":
+        """The resolver of every ref a forest resolves — each ``_ONE`` or
+        ``_SLAB`` import's (``prog.refs``, their states
+        ``prog.resolved``), then the root's call-site outputs (the
+        fetches, ``self.fetched``)."""
+        for prog in self._progs:
+            prog.refs = [ref for (refs, _, _), w in zip(prog.imports,
+                                                        prog.wiring)
+                         if w[0] >= _ONE for ref in refs]
+            prog.resolved = [self._state(prog.cls, ref) for ref in prog.refs]
+        self.fetches = list({r: None for f in self.root.frames
+                             for rs in f.refs for r in rs if r[0] == _C})
+        self.fetched = [self._state(self.root, ref) for ref in self.fetches]
+        return _Resolver(self._states, self._ns * len(self._pop), self._ns,
+                         len(self._pop), [(prog.kind, self._pop[prog.cls.count])
+                                          for prog in self._progs])
 
 
 def template_for(graph, root_plan, record: bool, stats=None):

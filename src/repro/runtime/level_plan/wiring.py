@@ -7,10 +7,11 @@ the member count alone (an alias, a slice or a ``take``); one producer
 block per block — the root's column, or the parent's depth — read by a
 ``take``; or several producers, read by a ``take`` from their slab,
 whose columns the template also fixed.  Per forest only rows are left:
-:func:`operands` resolves one class segment's resolved imports over its
-population's key-sorted members at once, and a slab lays its columns
-out block by block (:func:`_lay_slabs`), so a slab read is its
-producer's row plus that column's slab offset.  numpy calls are
+:func:`rows` resolves every ref those imports read, over the whole
+forest at once, and a slab lays its columns out block by block
+(:func:`_lay_slabs`), so a slab read is its producer's row plus that
+column's slab offset.  Nothing per forest classifies entries, sorts
+their elements or joins columns; numpy calls are O(1) per forest plus
 O(class segments); Python work per entry only assembles its tuple.
 """
 
