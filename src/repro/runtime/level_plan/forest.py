@@ -42,9 +42,9 @@ HOLES = "profile has undetermined subtrees"
 
 #: one run's profile as per-node lists in BFS order; node 0 is the run's
 #: virtual root (the root frame), whose children are the trees;
-#: ``max_depth`` is the deepest frame the run would spawn
-_Lin = namedtuple("_Lin", "profiles c parent site depth height first tree "
-                  "max_depth")
+#: ``max_depth`` is the deepest frame the run would spawn (a node's
+#: children follow each other, after its elder siblings' children)
+_Lin = namedtuple("_Lin", "profiles c parent depth height tree max_depth")
 
 
 def linearise(tpl: Template, shape_profile):
@@ -63,28 +63,24 @@ def linearise(tpl: Template, shape_profile):
     if len(profiles) != len(tpl.root_sites):
         return "profile count does not match root call sites"
     counts = tpl.fwd
-    c, parent, site, depth, first, tree = [], [], [], [], [], []
-    frontier = [(profiles, -1, 0)]
+    c, parent, depth, tree = [], [], [], []
+    frontier = [(profiles, -1)]
     d = -1
     try:
         while frontier:
             d += 1
-            base = len(c) + len(frontier)
             nxt = []
-            for p, par, s in frontier:
+            for p, par in frontier:
                 if p is None:
                     return HOLES
                 if d and len(p) not in counts:
                     return "profile child count does not match call sites"
                 i = len(c)
                 tree.append(i if d < 2 else tree[par])
-                first.append(base + len(nxt))
                 c.append(len(p))
                 parent.append(par)
-                site.append(s)
                 depth.append(d)
-                for j, child in enumerate(p):
-                    nxt.append((child, i, j))
+                nxt += [(child, i) for child in p]
             frontier = nxt
     except TypeError:
         return "profile is not a nested tuple"
@@ -93,7 +89,7 @@ def linearise(tpl: Template, shape_profile):
         par = parent[i]
         if height[par] <= height[i]:
             height[par] = height[i] + 1
-    return _Lin(profiles, c, parent, site, depth, height, first, tree,
+    return _Lin(profiles, c, parent, depth, height, tree,
                 1 + (d - 1) * tpl.stride + tpl.depth_off)
 
 
@@ -182,8 +178,8 @@ def _populations(pop_of, keys, n_pops) -> tuple:
 
 class _Forest:
     """The linearised forest of one instantiation and the arrays its
-    rank arithmetic reads — per node its population (``pop_of``), depth
-    and height (``keys2``) and ranks (``rank2``), per (key kind,
+    rank arithmetic reads — per node its population (``pop_of``), its
+    key (``key_of``) and rank (``rank_of``) per key kind, per (key kind,
     population) its counts by key (``cnt_flat``, rows ``width`` apart),
     per block program its blocks' first column ids by key (``bases``);
     lives only while :class:`LevelPlan` is built."""
@@ -196,18 +192,30 @@ class _Forest:
         self.n_nodes, self.n_runs = sum(sizes), len(lins)
         self.R = np.repeat(np.arange(len(lins), dtype=np.intp), sizes)
         cols = np.fromiter(itertools.chain.from_iterable(
-            getattr(lin, name) for name in _Lin._fields[1:8] for lin in lins),
-            dtype=np.intp, count=7 * self.n_nodes).reshape(7, -1)
+            getattr(lin, name) for name in _Lin._fields[1:6] for lin in lins),
+            dtype=np.intp, count=5 * self.n_nodes).reshape(5, -1)
         # node ids shift by their run's offset; a virtual root's parent
         # (-1 + off) is never read
-        cols[[1, 5, 6]] += offs[self.R]
-        self.C, self.P, self.S, self.D, self.H, self.F, self.T = cols
+        cols[[1, 4]] += offs[self.R]
+        self.C, self.P, self.D, self.H, self.T = cols
+        # BFS order: a node's first child follows every child of the
+        # nodes before it (a run's nodes but its root are children); its
+        # site is which child of its parent it is
+        self.F = self.C.cumsum() - self.C + 1 + self.R
+        self.S = np.arange(self.n_nodes) - self.F[self.P]
+        self.S[offs] = 0
         # population of a node: its child count's class, virtual roots last
         pop_of = self.pop_of = tpl.pop_of[self.C]
         pop_of[offs] = len(tpl.fwd)
-        self.keys2 = cols[3:5]     # depth and height: the key kinds
-        pops, self.cnt_flat, self.rank2, self.width = _populations(
-            pop_of, self.keys2, len(tpl.fwd) + 1)
+        pops, self.cnt_flat, ranks, self.width = _populations(
+            pop_of, cols[2:4], len(tpl.fwd) + 1)
+        #: per key kind and node (flat, ``n_nodes`` apart) its key — depth,
+        #: height — and its rank among its key's members; kind 2 is no
+        #: key (an invariant's): zeros
+        self.key_of = np.zeros(3 * self.n_nodes, dtype=np.intp)
+        self.key_of[:2 * self.n_nodes] = cols[2:4].reshape(-1)
+        self.rank_of = np.zeros(3 * self.n_nodes, dtype=np.intp)
+        self.rank_of[:2 * self.n_nodes] = ranks.reshape(-1)
         self.pops = dict(zip([*tpl.fwd, None], pops))
         self.levels = tpl.levels
         self._keyed: dict = {}        # (class, frame, segment, key) -> keys
@@ -216,8 +224,9 @@ class _Forest:
         # members, a block's exports adjacent; ids need not follow
         # execution order
         self.step_m = step_m = [1] * (1 + len(tpl.once))
-        #: per program (``prog.pid``) and key its blocks' first cid
-        self.bases = np.zeros((tpl.n_progs, self.width), dtype=np.int64)
+        #: per program (``prog.pid``) and key its blocks' first cid; the
+        #: last row (no program: an invariant) zeros
+        self.bases = np.zeros((tpl.n_progs + 1, self.width), dtype=np.int64)
         self.base: dict = {}          # (class, segment) -> first cid by key
         for cls in tpl.classes:
             for prog in cls.blocks:

@@ -52,31 +52,37 @@ def _statically_big(op) -> bool:
 class _Resolver:
     """How a forest finds every value a block reads from outside its own
     key (:func:`.wiring.rows`), as flat tables over *states* — a ref of
-    one class, evaluated at some node.  A state either is a column or an
-    invariant there (a leaf: ``prog``, ``xo``, ``k``, ``s`` — the
-    column's program, its export and out, the merged op and 1; an
-    invariant's address and 0), or it hops (``hop``: 1 to the node's
-    parent, 2 to its run's virtual root, ``3 + j`` to its child ``j``)
-    and continues as ``next[state * ni + population * ns + site]`` of
-    the node reached (site: which child of its parent the node is, which
-    tree of its run); a leaf hops 0 and continues as itself.  Per
-    program its key kind and the row of its (key kind, population)
-    counts (``cq``)."""
+    one class, evaluated at some node.  A state either stands on its
+    value — a column of the node's block or an invariant — or it hops
+    (``hop``: 1 to the node's parent, 2 to its run's virtual root,
+    ``3 + j`` to its child ``j``) and continues as ``next[state * ni +
+    population * ns + site]`` of the node reached (site: which child of
+    its parent the node is, which tree of its run); a state that stands
+    hops 0 and continues as itself.  There, per state: the key kind of
+    its column's blocks (``kind``; 2 for an invariant: no key), its
+    program (``prog``; the zero row past the last for an invariant), the
+    row of its (key kind, population) counts (``cq``), its export and
+    out (``xo``; an invariant's whole address) and merged op (``k``)."""
 
     def __init__(self, states, ni, ns, n_pops, progs):
         self.ni, self.ns = ni, ns
         self.hop = np.array([hop for hop, _ in states], dtype=np.intp)
         self.next = np.repeat(np.arange(len(states)), ni)
         leaves = np.zeros((4, len(states)), dtype=np.int64)
+        leaves[0] = len(progs)
         for sid, (hop, got) in enumerate(states):
             if hop:
                 for index, to in got.items():
                     self.next[sid * ni + index] = to
-            else:
+            elif got[3]:    # a column; an invariant keeps its address
                 leaves[:, sid] = got
-        self.prog, self.xo, self.k, self.s = leaves
-        self.kind = np.array([kind for kind, _ in progs], dtype=np.intp)
-        self.cq = self.kind * n_pops + [pop for _, pop in progs]
+            else:
+                leaves[1, sid] = got[1]
+        self.prog, self.xo, self.k = leaves[:3]
+        kinds = np.array([kind for kind, _ in progs] + [2], dtype=np.intp)
+        self.kind = kinds[self.prog]
+        self.cq = np.array([kind * n_pops + pop for kind, pop in progs]
+                           + [0], dtype=np.intp)[self.prog]
 
 
 class _Op:

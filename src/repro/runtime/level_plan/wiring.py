@@ -45,22 +45,23 @@ def rows(forest, plan) -> tuple:
     reach[1], site[1] = forest.P, forest.S
     reach[2], site[2] = forest.P[forest.T], forest.S[forest.T]
     reach[3:] = forest.F + np.arange(tpl.max_count)[:, None]
+    reach, site = reach.reshape(-1), site.reshape(-1)
     for _ in range(len(res.hop)):   # a chain visits a state at most once
         hop = res.hop[state]
         if not hop.any():
             break
-        at = reach[hop, node]
-        state = res.next[state * res.ni + forest.pop_of[at] * res.ns
-                         + site[hop, node]]
-        node = at
-    prog, s = res.prog[state], res.s[state]
-    kind = res.kind[prog]
-    key = forest.keys2[kind, node]
-    width = forest.width
-    addr = ((forest.bases.reshape(-1)[prog * width + key] << forest.bits)
-            * s + res.xo[state])
-    row = (forest.cnt_flat[res.cq[prog] * width + key] * res.k[state]
-           + forest.rank2[kind, node]) * s
+        at = hop * n + node
+        node = reach[at]
+        state = res.next[state * res.ni + forest.pop_of[node] * res.ns
+                         + site[at]]
+    # the column's block by its key kind (2: an invariant, no key), the
+    # row by the block's count and the node's rank
+    at = (res.kind * n)[state] + node
+    key = forest.key_of[at]
+    addr = (forest.bases.reshape(-1)[(res.prog * forest.width)[state]
+                                     + key] << forest.bits) + res.xo[state]
+    row = (forest.cnt_flat[(res.cq * forest.width)[state] + key]
+           * res.k[state] + forest.rank_of[at])
     return addr, row
 
 
