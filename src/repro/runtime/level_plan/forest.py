@@ -80,7 +80,8 @@ def linearise(tpl: Template, shape_profile):
                 c.append(len(p))
                 parent.append(par)
                 depth.append(d)
-                nxt += [(child, i) for child in p]
+                for child in p:
+                    nxt.append((child, i))
             frontier = nxt
     except TypeError:
         return "profile is not a nested tuple"
