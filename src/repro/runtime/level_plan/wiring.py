@@ -189,10 +189,10 @@ def _lay_slabs(forest, used) -> tuple:
     sid_of, sizes, writes, addrs, offs = {}, [], [], [], []
     for q in used:
         keyed, groups = tpl.slabs[q]
-        lay = []    # per slab of ``q``: its name, its columns
+        lay: dict = {}  # per slab of ``q`` (per key when keyed): columns
         for ci, seg, outs in groups:
             if ci is None:      # invariants: (cid, out) pairs
-                lay.append((q, outs))
+                lay.setdefault(q, []).extend(outs)
                 continue
             cls = tpl.classes[ci]
             width, base = len(cls.blocks[seg].exports), forest.base[ci, seg]
@@ -200,25 +200,18 @@ def _lay_slabs(forest, used) -> tuple:
             for b, key in enumerate(spans):
                 if not b:
                     start = int(base[key])
-                cols = [(start + b * width + xi, out) for xi, out in outs]
-                if not keyed:
-                    lay.append((q, cols))
-                elif len(lay) > b:
-                    lay[b][1].extend(cols)
-                else:
-                    lay.append(((q, key), cols))
-        for name, cols in lay:
-            if name not in sid_of:
-                sid_of[name] = len(step_m) + len(sizes)
-                sizes.append(0)
-            sid, at = sid_of[name], sizes[-1]
+                lay.setdefault((q, key) if keyed else q, []).extend(
+                    (start + b * width + xi, out) for xi, out in outs)
+        for name, cols in lay.items():
+            sid = sid_of[name] = len(step_m) + len(sizes)
+            at = 0
             for cid, out in cols:
                 m = step_m[cid]
                 writes.append((cid, out, sid, at, at + m))
                 addrs.append(cid << bits | out)
                 offs.append(at)
                 at += m
-            sizes[-1] = at
+            sizes.append(at)
     off = np.zeros(len(step_m) << bits, dtype=np.int64)
     off[addrs] = offs
     return sid_of, sizes, writes, off
