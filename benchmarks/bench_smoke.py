@@ -259,8 +259,8 @@ WORK_PINS = {
     "train_dyn": (588153, 562694),
     "infer_pool": (2584, 3924),
     "train_pool": (9986, 11797),
-    "serve_burst": (8356, 19412),
-    "instantiate": (540, 1014),
+    "serve_burst": (8356, 19508),
+    "instantiate": (540, 1062),
 }
 
 

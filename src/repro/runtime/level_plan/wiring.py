@@ -201,7 +201,7 @@ def _lay_slabs(forest, used) -> tuple:
                 if not b:
                     start = int(base[key])
                 lay.setdefault((q, key) if keyed else q, []).extend(
-                    (start + b * width + xi, out) for xi, out in outs)
+                    [(start + b * width + xi, out) for xi, out in outs])
         for name, cols in lay.items():
             sid = sid_of[name] = len(step_m) + len(sizes)
             at = 0
